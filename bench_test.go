@@ -114,6 +114,53 @@ func BenchmarkEngineDysta(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineOverload measures the heap picks at depth: one engine
+// at exactly 135% of its capacity, so ready queues grow hundreds deep,
+// running Dysta, PREMA and SDRM3 in turn over the same 2000-request
+// stream (the root-suite counterpart of the benchmark's overload-pick
+// workload).
+func BenchmarkEngineOverload(b *testing.B) {
+	sc := workload.MultiAttNN()
+	prof, eval, err := workload.BuildStores(sc, 30, 100, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lut, err := trace.NewStatsSet(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Draw at 40 req/s, then redraw at the rate offering exactly 1.35
+	// engines of work: the same models and traces, rescaled arrivals.
+	cfg := workload.GenConfig{Requests: 2000, RatePerSec: 40, SLOMultiplier: 10, Seed: 1}
+	reqs, err := workload.Generate(sc, eval, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var work time.Duration
+	for _, r := range reqs {
+		work += r.Trace.Total()
+	}
+	cfg.RatePerSec *= 1.35 * reqs[len(reqs)-1].Arrival.Seconds() / work.Seconds()
+	if reqs, err = workload.Generate(sc, eval, cfg); err != nil {
+		b.Fatal(err)
+	}
+	est := sched.NewEstimator(lut)
+	mks := []func() sched.Scheduler{
+		func() sched.Scheduler { return core.NewDefault(lut) },
+		func() sched.Scheduler { return sched.NewPREMA(est) },
+		func() sched.Scheduler { return sched.NewSDRM3(est) },
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, mk := range mks {
+			if _, err := sched.Run(mk(), reqs, sched.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkClusterDysta measures the multi-engine cluster simulation: the
 // 500-request stream dispatched across 4 engines running Dysta behind the
 // sparsity-aware least-predicted-load policy.
@@ -276,7 +323,7 @@ func BenchmarkClusterStream1M(b *testing.B) {
 			src, cluster.Config{
 				Engines:  16,
 				Dispatch: d,
-				Sched:    sched.Options{BoundedCapture: true, ScalablePick: true},
+				Sched:    sched.Options{BoundedCapture: true},
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -49,7 +49,6 @@ func main() {
 		autoscale = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy")
 		stream    = flag.Bool("stream", false, "override: stream arrivals from the generator instead of materializing each cell's request slice (bit-identical schedules)")
 		capture   = flag.String("capture", "", "override the result capture mode: full or bounded (empty = per-experiment default)")
-		scalPick  = flag.Bool("scalable-pick", false, "override: use the heap-backed sublinear scheduling-pick path for schedulers that support it")
 		scaleMin  = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax  = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
 		outDir    = flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
@@ -170,7 +169,6 @@ func main() {
 	if *capture != "" {
 		opts.Capture = *capture
 	}
-	opts.ScalablePick = *scalPick
 	// Traffic/autoscaler flags that only make sense together (e.g. -burst
 	// without -traffic mmpp, -scale-min above -scale-max) fail here.
 	if err := opts.Validate(); err != nil {

@@ -103,6 +103,40 @@ func runMicroBenchmarks() ([]BenchRecord, error) {
 			}
 		}},
 		{"EngineOracle", engineBench(func() sched.Scheduler { return sched.NewOracle(core.DefaultConfig().Eta) })},
+		{"EngineOverload", func(b *testing.B) {
+			// The heap picks at depth: one engine at exactly 135% of its
+			// capacity (ready queues hundreds deep) under Dysta, PREMA and
+			// SDRM3 in turn. The stream is drawn at 40 req/s, then redrawn
+			// at the rate offering exactly 1.35 engines of work.
+			sc := workload.MultiAttNN()
+			cfg := workload.GenConfig{Requests: 2000, RatePerSec: 40, SLOMultiplier: 10, Seed: 1}
+			deep, err := workload.Generate(sc, evalStore, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var work time.Duration
+			for _, r := range deep {
+				work += r.Trace.Total()
+			}
+			cfg.RatePerSec *= 1.35 * deep[len(deep)-1].Arrival.Seconds() / work.Seconds()
+			if deep, err = workload.Generate(sc, evalStore, cfg); err != nil {
+				b.Fatal(err)
+			}
+			mks := []func() sched.Scheduler{
+				func() sched.Scheduler { return core.NewDefault(lut) },
+				func() sched.Scheduler { return sched.NewPREMA(est) },
+				func() sched.Scheduler { return sched.NewSDRM3(est) },
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, mk := range mks {
+					if _, err := sched.Run(mk(), deep, sched.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}},
 		{"ClusterDysta", func(b *testing.B) {
 			// 4 engines behind sparsity-aware least-predicted-load
 			// dispatch: the new-subsystem entry of the perf trajectory.
@@ -206,7 +240,7 @@ func runMicroBenchmarks() ([]BenchRecord, error) {
 		{"ClusterStream1M", func(b *testing.B) {
 			// The streaming scale anchor: one million requests through 16
 			// Dysta engines with lazy arrivals, bounded capture and the
-			// heap-backed pick path — the configuration whose memory use
+			// heap picks — the configuration whose memory use
 			// must stay independent of request count. The request slice is
 			// never materialized; each iteration re-opens the generator.
 			// 400 req/s (~83% of the 16-engine capacity) keeps queues in
@@ -228,7 +262,7 @@ func runMicroBenchmarks() ([]BenchRecord, error) {
 					src, cluster.Config{
 						Engines:  16,
 						Dispatch: d,
-						Sched:    sched.Options{BoundedCapture: true, ScalablePick: true},
+						Sched:    sched.Options{BoundedCapture: true},
 					})
 				if err != nil {
 					b.Fatal(err)

@@ -63,7 +63,6 @@ func main() {
 		autoscl  = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy (drains idle engines, re-joins them under load)")
 		stream   = flag.Bool("stream", false, "stream arrivals from the generator instead of materializing the request slice (bit-identical schedules; combine with -capture bounded for memory independent of -requests)")
 		capture  = flag.String("capture", "full", "result capture mode: full (per-request outcomes) or bounded (constant-size streaming aggregates; percentiles from a ~3%-error histogram)")
-		scalPick = flag.Bool("scalable-pick", false, "use the heap-backed sublinear scheduling-pick path for schedulers that support it (Dysta, SDRM3 exact; PREMA documented-approximate)")
 		scaleMin = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
 		eta      = flag.Float64("eta", core.DefaultConfig().Eta, "Dysta eta (dynamic slack weight)")
@@ -168,7 +167,6 @@ func main() {
 		ScaleMax:          *scaleMax,
 		Stream:            *stream,
 		Capture:           *capture,
-		ScalablePick:      *scalPick,
 	}
 	// Traffic/autoscaler flags that only make sense together (e.g. -burst
 	// without -traffic mmpp, -scale-min above -scale-max, bounds exceeding
@@ -257,9 +255,6 @@ func main() {
 	}
 	if *capture == "bounded" {
 		fmt.Print("  bounded capture")
-	}
-	if *scalPick {
-		fmt.Print("  scalable picks")
 	}
 	fmt.Print("\n\n")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

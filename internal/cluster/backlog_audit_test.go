@@ -111,7 +111,7 @@ func TestStreamingBacklogInvariant(t *testing.T) {
 			Rebalance:         Steal{Load: load, Curve: curve},
 			RebalanceInterval: 500 * time.Microsecond,
 			MigrationCost:     200 * time.Microsecond,
-			Sched:             sched.Options{BoundedCapture: true, ScalablePick: true},
+			Sched:             sched.Options{BoundedCapture: true},
 		}
 		cfg.debugBacklogAudit = backlogAuditor(&calls)
 		src := sched.NewSliceSource(sortedCopy(reqs))

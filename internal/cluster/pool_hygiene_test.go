@@ -41,7 +41,6 @@ func TestPooledRunsByteIdentical(t *testing.T) {
 				RetryMax:          3,
 				Sched: sched.Options{
 					BoundedCapture: true,
-					ScalablePick:   true,
 					Exemplars:      8,
 					ExemplarSeed:   1,
 				},

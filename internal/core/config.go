@@ -161,5 +161,13 @@ func (c Config) Validate() error {
 	if c.GammaClamp <= 1 {
 		return fmt.Errorf("core: GammaClamp %v must exceed 1", c.GammaClamp)
 	}
+	// The pick's heap bounds need every term the dynamic score adds to
+	// the remaining time to be non-negative (see Dysta.feasible).
+	if c.PenaltyWeight < 0 {
+		return fmt.Errorf("core: PenaltyWeight %v negative", c.PenaltyWeight)
+	}
+	if c.DemotionMS < 0 {
+		return fmt.Errorf("core: DemotionMS %v negative", c.DemotionMS)
+	}
 	return nil
 }

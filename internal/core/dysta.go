@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"sparsedysta/internal/sched"
@@ -13,32 +14,64 @@ import (
 // Per-request state lives in a task attachment set at arrival, and the
 // score components that only change at task events — the predictor's
 // refined remaining latency and isolated estimate — are cached there, so
-// a scheduling decision is a scan of cheap float arithmetic with no map
-// lookups and no predictor evaluations (the IncrementalScheduler fast
-// path). The reference PickNext recomputes everything from the predictor
-// and must agree bit-for-bit; the equivalence tests enforce this.
+// a scheduling decision is cheap float arithmetic with no map lookups and
+// no predictor evaluations (the IncrementalScheduler fast path). The
+// reference PickNext recomputes everything from the predictor and must
+// agree bit-for-bit; the equivalence tests enforce this.
 type Dysta struct {
 	cfg Config
 	lut *trace.StatsSet
 
-	// h is the scalable-pick heap (Options.ScalablePick), ordered by
-	// (staticScore, ID) when the dynamic level is disabled — the score
-	// itself, so the pick is the heap minimum — and by (remainMS, ID)
-	// otherwise. remainMS is a provable lower bound of the dynamic score
-	// in BOTH regimes: every term the score adds to remain (Eta*slack,
-	// Eta*penalty, the demotion constant) is non-negative, and float
-	// addition of a non-negative term never rounds below the other
-	// operand, so cachedScore(t) >= state(t).remainMS holds in float
-	// arithmetic, not just in the reals. PickNextScalable runs a pruned
-	// DFS over the heap: the heap property makes every descendant's
-	// remainMS >= the node's, so a subtree whose root bound strictly
-	// exceeds the best exact score found so far cannot contain the
-	// argmin (nor a tie, strictness preserving the min-ID tie-break)
-	// and is skipped. Visited nodes are re-scored with cachedScore, so
-	// the pick is bit-identical to the reference scan regardless of how
-	// much the pruning helps. nil until EnableScalable.
-	h *sched.TaskHeap
+	// feasible and demoted partition the ready tasks, each a min-heap on
+	// (requestState.key, ID). With the dynamic level disabled every task
+	// sits in feasible keyed by its static score — the score itself, so
+	// the pick is the heap minimum. Otherwise the pick is a pruned DFS
+	// over both heaps: visited tasks are re-scored with cachedScore, the
+	// reference arithmetic, and a subtree is skipped only when a lower
+	// bound on every score in it STRICTLY exceeds the best score found,
+	// so it can hold neither the argmin nor a tie the min-ID rule would
+	// resolve. The pick is the reference argmin however much is pruned.
+	//
+	// feasible is keyed K = (1-Eta)*remain + Eta*ms(Deadline), so
+	// K - Eta*ms(now) bounds every task's score from below. For a
+	// feasible task (slack >= 0) the score is remain + Eta*(slack +
+	// penalty), and remain + Eta*slack is K - Eta*ms(now) in real
+	// arithmetic, so the bound is exact up to the non-negative penalty.
+	// For a demoted task ms(Deadline-now) < remain, so the bound is below
+	// remain, and the score is remain plus non-negative terms. The float
+	// rounding between K - Eta*ms(now) and the rounded score is a few
+	// ulps of the operands; dystaGuard, relative to the magnitudes
+	// compared, covers it many times over (see prunesAbove).
+	//
+	// demoted holds tasks already past their slack, keyed remain: their
+	// score is fl(fl(remain + Eta*penalty) + DemotionMS) >=
+	// fl(remain + DemotionMS), since adding a non-negative term never
+	// rounds below the other operand and rounding is monotone, so the
+	// subtree bound remain + DemotionMS holds exactly in floats. A
+	// waiting task stays demoted — its slack only falls as now grows —
+	// and is re-classified after each layer it executes. A feasible-heap
+	// task a pick finds demoted moves to demoted after that pick.
+	//
+	// Both bounds need every term the score adds to remain to be
+	// non-negative: Config.Validate rejects negative DemotionMS and
+	// PenaltyWeight, and Eta is confined to [0,1].
+	feasible, demoted sched.TaskHeap
+
+	// The running search of one pick: the best task and score so far,
+	// the feasible-heap key above which a subtree is pruned (see
+	// prunesAbove), and the tasks it found demoted.
+	best                   *sched.Task
+	bestScore, cut, etaNow float64
+	now                    time.Duration
+	queueLen               float64
+	newlyDemoted           []*sched.Task
 }
+
+// dystaGuard is the relative float guard of the feasible heap's bound:
+// the rounding it covers is a few ulps (~1e-16 relative) of the score,
+// key and Eta*ms(now) magnitudes, while real score gaps between tasks are
+// microseconds on millisecond scores (~1e-3 relative).
+const dystaGuard = 1e-9
 
 // requestState is the per-request bookkeeping of the dynamic level,
 // attached to the task at arrival.
@@ -47,13 +80,18 @@ type requestState struct {
 	// in milliseconds. It fully determines ordering when the dynamic
 	// level is disabled (Dysta-w/o-sparse).
 	staticScore float64
-	// pred refines remaining-latency estimates from monitored sparsity.
-	pred *Predictor
+	// pred refines remaining-latency estimates from monitored sparsity;
+	// embedded, so a request costs one allocation of scheduler state.
+	pred Predictor
 	// remainMS and isolMS cache ms(pred.Remaining(NextLayer)) and
 	// ms(pred.Isolated()): they change only when the request executes a
 	// layer (NextLayer advances and the predictor observes), so refresh
 	// happens there rather than at every scheduling decision.
 	remainMS, isolMS float64
+	// key orders the task in the heap that holds it (see Dysta.feasible),
+	// and demoted says which heap that is.
+	key     float64
+	demoted bool
 }
 
 // New returns a Dysta scheduler over the profiling LUT. It panics on an
@@ -62,7 +100,16 @@ func New(cfg Config, lut *trace.StatsSet) *Dysta {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Dysta{cfg: cfg, lut: lut}
+	d := &Dysta{cfg: cfg, lut: lut}
+	d.feasible.Init(byKey)
+	d.demoted.Init(byKey)
+	return d
+}
+
+// byKey orders both heaps by (requestState.key, ID).
+func byKey(a, b *sched.Task) bool {
+	ka, kb := state(a).key, state(b).key
+	return ka < kb || (ka == kb && a.ID < b.ID)
 }
 
 // NewDefault returns Dysta with DefaultConfig.
@@ -91,60 +138,16 @@ func state(t *sched.Task) *requestState {
 	return s
 }
 
-// heapKey is the scalable heap's ordering key: the score lower bound
-// (remainMS, or the exact staticScore without the dynamic level). Tasks
-// without state sort last, mirroring cachedScore's defensive 1e18.
-func (d *Dysta) heapKey(t *sched.Task) float64 {
-	s := state(t)
-	if s == nil {
-		return 1e18
-	}
-	if !d.cfg.DynamicEnabled {
-		return s.staticScore
-	}
-	return s.remainMS
-}
+// EnableScalable is a no-op: the heap pick is always on.
+//
+// Deprecated: kept only for callers that still name the scalable pick.
+func (d *Dysta) EnableScalable() {}
 
-// EnableScalable implements sched.ScalableScheduler: switch to the
-// heap-maintained pick. Must precede the first arrival (the engine calls
-// it at construction).
-func (d *Dysta) EnableScalable() {
-	d.h = sched.NewTaskHeap(func(a, b *sched.Task) bool {
-		ka, kb := d.heapKey(a), d.heapKey(b)
-		return ka < kb || (ka == kb && a.ID < b.ID)
-	})
-}
-
-// PickNextScalable implements sched.ScalableScheduler: the exact
-// reference argmin via bound-pruned DFS over the heap (see the field
-// doc on h for why the pruning cannot change the pick).
+// PickNextScalable is PickNextIncremental.
+//
+// Deprecated: kept only for callers that still name the scalable pick.
 func (d *Dysta) PickNextScalable(q *sched.ReadyQueue, now time.Duration) *sched.Task {
-	if !d.cfg.DynamicEnabled {
-		// The key IS the score: the heap minimum is the reference pick,
-		// tie-break included.
-		return d.h.Min()
-	}
-	queueLen := float64(q.Len())
-	var best *sched.Task
-	bestScore := 0.0
-	var walk func(i int)
-	walk = func(i int) {
-		if i >= d.h.Len() {
-			return
-		}
-		t := d.h.At(i)
-		if best != nil && d.heapKey(t) > bestScore {
-			return
-		}
-		sc := d.cachedScore(t, now, queueLen)
-		if best == nil || sc < bestScore || (sc == bestScore && t.ID < best.ID) {
-			best, bestScore = t, sc
-		}
-		walk(2*i + 1)
-		walk(2*i + 2)
-	}
-	walk(0)
-	return best
+	return d.PickNextIncremental(q, now)
 }
 
 // refresh re-derives the cached score components from the predictor.
@@ -157,43 +160,74 @@ func (s *requestState) refresh(t *sched.Task) {
 // Lat_n is the LUT's average latency for the model-pattern pair — the
 // pattern-aware estimate of line 5 — and the score is
 // Lat_n + Beta * (SLO_n - Lat_n).
-func (d *Dysta) OnArrival(t *sched.Task, _ time.Duration) {
+func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	st := d.lut.MustLookup(t.Key)
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
 	s := &requestState{
 		staticScore: lat + d.cfg.Beta*slack,
-		pred:        NewPredictor(d.cfg, st),
+		pred:        makePredictor(d.cfg, st),
 	}
 	s.refresh(t)
 	t.Attachment = s
-	if d.h != nil {
-		d.h.Push(t)
-	}
+	d.place(t, s, now)
+	d.heap(s).Push(t)
 }
 
 // OnLayerComplete implements sched.Scheduler: the hardware monitor's
 // sparsity reading feeds the request's sparse latency predictor (Alg. 2
 // line 7, Alg. 3), and the cached score components are re-derived. A
 // completed request's state is released.
-func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, _ time.Duration) {
-	if t.Done {
-		// Release the heap slot before the state it keys on.
-		if d.h != nil {
-			d.h.Remove(t)
-		}
-		t.Attachment = nil
+func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, now time.Duration) {
+	s := state(t)
+	if t.Done || s == nil {
+		d.forget(t)
 		return
 	}
-	if s := state(t); s != nil {
-		if d.cfg.DynamicEnabled {
-			s.pred.Observe(layer, monitored)
-		}
-		s.refresh(t)
-		if d.h != nil {
-			d.h.Fix(t)
-		}
+	if d.cfg.DynamicEnabled {
+		s.pred.Observe(layer, monitored)
 	}
+	s.refresh(t)
+	was := d.heap(s)
+	d.place(t, s, now)
+	if h := d.heap(s); h != was {
+		was.Remove(t)
+		h.Push(t)
+	} else {
+		h.Fix(t)
+	}
+}
+
+// heap returns the heap that holds (or is to hold) a task.
+func (d *Dysta) heap(s *requestState) *sched.TaskHeap {
+	if s.demoted {
+		return &d.demoted
+	}
+	return &d.feasible
+}
+
+// place classifies a task at now and sets its heap key (see the field
+// doc on Dysta.feasible); the caller moves or fixes its heap slot. The
+// demotion test is cachedScore's, so it agrees with every later pick.
+func (d *Dysta) place(t *sched.Task, s *requestState, now time.Duration) {
+	switch {
+	case !d.cfg.DynamicEnabled:
+		s.key = s.staticScore
+	case ms(t.Deadline()-now)-s.remainMS < 0:
+		s.demoted, s.key = true, s.remainMS
+	default:
+		s.demoted = false
+		s.key = (1-d.cfg.Eta)*s.remainMS + d.cfg.Eta*ms(t.Deadline())
+	}
+}
+
+// forget releases a departing task's heap slot before the state it keys
+// on.
+func (d *Dysta) forget(t *sched.Task) {
+	if s := state(t); s != nil {
+		d.heap(s).Remove(t)
+	}
+	t.Attachment = nil
 }
 
 // OnExtract implements sched.TaskExtractor: all of Dysta's per-request
@@ -201,12 +235,7 @@ func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, _ t
 // request has executed no layer, so the predictor holds no monitored
 // sparsity worth carrying — the adopting engine's OnArrival rebuilds an
 // identical fresh state from the LUT.
-func (d *Dysta) OnExtract(t *sched.Task, _ time.Duration) {
-	if d.h != nil {
-		d.h.Remove(t)
-	}
-	t.Attachment = nil
-}
+func (d *Dysta) OnExtract(t *sched.Task, _ time.Duration) { d.forget(t) }
 
 // PickNext implements sched.Scheduler: the dynamic level (Alg. 2). Every
 // queued request is re-scored with its refined remaining time, slack and
@@ -226,43 +255,117 @@ func (d *Dysta) PickNext(ready []*sched.Task, now time.Duration) *sched.Task {
 }
 
 // PickNextIncremental implements sched.IncrementalScheduler: the same
-// argmin as PickNext, computed from the cached score components.
+// argmin as PickNext, by bound-pruned DFS over the two heaps (see the
+// field doc on Dysta.feasible).
 func (d *Dysta) PickNextIncremental(q *sched.ReadyQueue, now time.Duration) *sched.Task {
-	tasks := q.Tasks()
-	queueLen := float64(len(tasks))
-	var best *sched.Task
-	var bestScore float64
-	for _, t := range tasks {
-		sc := d.cachedScore(t, now, queueLen)
-		if best == nil || sc < bestScore || (sc == bestScore && t.ID < best.ID) {
-			best, bestScore = t, sc
-		}
+	if q.Len() == 1 {
+		// The only ready task is the argmin (the common case below
+		// saturation); scoring it would change nothing.
+		return q.Tasks()[0]
 	}
+	if !d.cfg.DynamicEnabled {
+		// The key IS the score: the heap minimum is the reference pick,
+		// tie-break included.
+		return d.feasible.Min()
+	}
+	d.best, d.now, d.queueLen = nil, now, float64(q.Len())
+	d.bestScore, d.cut = math.Inf(1), math.Inf(1)
+	d.etaNow = d.cfg.Eta * ms(now)
+	// Feasible tasks first: they carry no demotion, so the best score
+	// they yield usually prunes the demoted heap at its root.
+	if d.feasible.Len() > 0 {
+		d.visitFeasible(0)
+	}
+	if d.demoted.Len() > 0 {
+		d.visitDemoted(0)
+	}
+	for _, t := range d.newlyDemoted {
+		s := state(t)
+		d.feasible.Remove(t)
+		s.demoted, s.key = true, s.remainMS
+		d.demoted.Push(t)
+	}
+	clear(d.newlyDemoted)
+	d.newlyDemoted = d.newlyDemoted[:0]
+	best := d.best
+	d.best = nil
 	return best
 }
 
-// cachedScore is the fast-path score: identical arithmetic to score, with
-// the predictor-derived terms read from the attachment cache.
-func (d *Dysta) cachedScore(t *sched.Task, now time.Duration, queueLen float64) float64 {
+// visitFeasible scores feasible-heap node i and recurses into the
+// subtrees its bound cannot rule out.
+func (d *Dysta) visitFeasible(i int) {
+	t := d.feasible.At(i)
 	s := state(t)
-	if s == nil {
-		return 1e18
+	if s.key > d.cut {
+		return
 	}
-	if !d.cfg.DynamicEnabled {
-		return s.staticScore
+	sc, demoted := d.cachedScore(t, s)
+	if demoted {
+		d.newlyDemoted = append(d.newlyDemoted, t)
 	}
+	d.consider(t, sc)
+	if l := 2*i + 1; l < d.feasible.Len() {
+		d.visitFeasible(l)
+		if l+1 < d.feasible.Len() {
+			d.visitFeasible(l + 1)
+		}
+	}
+}
+
+// visitDemoted scores demoted-heap node i and recurses into the subtrees
+// whose exact bound remain + DemotionMS does not exceed the best score.
+func (d *Dysta) visitDemoted(i int) {
+	t := d.demoted.At(i)
+	s := state(t)
+	if s.key+d.cfg.DemotionMS > d.bestScore {
+		return
+	}
+	sc, _ := d.cachedScore(t, s)
+	d.consider(t, sc)
+	if l := 2*i + 1; l < d.demoted.Len() {
+		d.visitDemoted(l)
+		if l+1 < d.demoted.Len() {
+			d.visitDemoted(l + 1)
+		}
+	}
+}
+
+// consider folds one exact score into the running argmin and moves the
+// feasible heap's pruning cut with it.
+func (d *Dysta) consider(t *sched.Task, sc float64) {
+	if d.best == nil || sc < d.bestScore || (sc == d.bestScore && t.ID < d.best.ID) {
+		d.best, d.bestScore = t, sc
+		d.cut = prunesAbove(sc, d.etaNow)
+	}
+}
+
+// prunesAbove is the feasible-heap key above which every task scores
+// strictly above best: K - Eta*ms(now) bounds each score from below in
+// real arithmetic, and the guard, relative to the magnitudes compared,
+// absorbs the rounding of both sides.
+func prunesAbove(best, etaNow float64) float64 {
+	return best + dystaGuard*(math.Abs(best)+etaNow) + etaNow
+}
+
+// cachedScore is the fast-path score at the running pick's instant:
+// identical arithmetic to score, with the predictor-derived terms read
+// from the attachment cache. demoted reports whether the slack clamp
+// fired.
+func (d *Dysta) cachedScore(t *sched.Task, s *requestState) (score float64, demoted bool) {
 	remain := s.remainMS
-	slack := ms(t.Deadline()-now) - remain
+	slack := ms(t.Deadline()-d.now) - remain
 	demotion := 0.0
 	if slack < 0 {
 		slack = 0
 		demotion = d.cfg.DemotionMS
+		demoted = true
 	}
 	penalty := 0.0
-	if s.isolMS > 0 && queueLen > 0 {
-		penalty = (ms(t.SinceLastRun(now)) / s.isolMS) / queueLen * d.cfg.PenaltyWeight
+	if s.isolMS > 0 && d.queueLen > 0 {
+		penalty = (ms(t.SinceLastRun(d.now)) / s.isolMS) / d.queueLen * d.cfg.PenaltyWeight
 	}
-	return remain + d.cfg.Eta*(slack+penalty) + demotion
+	return remain + d.cfg.Eta*(slack+penalty) + demotion, demoted
 }
 
 // score computes the request's current score in milliseconds from
@@ -300,6 +403,5 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 var (
 	_ sched.IncrementalScheduler = (*Dysta)(nil)
-	_ sched.ScalableScheduler    = (*Dysta)(nil)
 	_ sched.TaskExtractor        = (*Dysta)(nil)
 )

@@ -9,14 +9,15 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-// TestScalableDystaMatchesReference proves the heap-backed
-// PickNextScalable returns bit-identical schedules to the reference
-// PickNext for both Dysta configurations: with the dynamic level
-// disabled the heap key IS the static score, and with it enabled the
-// pruned DFS re-scores every unpruned candidate with the exact cached
-// formula under a float-rigorous lower bound (see the field doc on
-// Dysta.h), so no tolerance is needed — Results must be DeepEqual,
-// timeline and per-task outcomes included.
+// TestScalableDystaMatchesReference proves the heap-backed pick returns
+// bit-identical schedules to the reference PickNext for both Dysta
+// configurations: with the dynamic level disabled the heap key IS the
+// static score, and with it enabled the pruned DFS re-scores every
+// unpruned candidate with the exact cached formula under lower bounds
+// that hold in float arithmetic (see the field doc on Dysta.feasible),
+// so no tolerance is needed — Results must be DeepEqual, timeline and
+// per-task outcomes included. The deep-queue sweep in internal/exp runs
+// the same check where demotion dominates.
 func TestScalableDystaMatchesReference(t *testing.T) {
 	sc := workload.MultiAttNN()
 	prof, eval, err := workload.BuildStores(sc, 30, 60, 5)
@@ -27,7 +28,7 @@ func TestScalableDystaMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalable := sched.Options{RecordTimeline: true, RecordTasks: true, ScalablePick: true}
+	heap := sched.Options{RecordTimeline: true, RecordTasks: true}
 	reference := sched.Options{RecordTimeline: true, RecordTasks: true, ReferencePick: true}
 	for seed := uint64(1); seed <= 8; seed++ {
 		reqs, err := workload.Generate(sc, eval, workload.GenConfig{
@@ -40,16 +41,16 @@ func TestScalableDystaMatchesReference(t *testing.T) {
 			func() *Dysta { return NewWithoutSparse(lut) },
 		} {
 			name := mk().Name()
-			fast, err := sched.Run(mk(), reqs, scalable)
+			fast, err := sched.Run(mk(), reqs, heap)
 			if err != nil {
-				t.Fatalf("%s scalable (seed %d): %v", name, seed, err)
+				t.Fatalf("%s heap pick (seed %d): %v", name, seed, err)
 			}
 			ref, err := sched.Run(mk(), reqs, reference)
 			if err != nil {
 				t.Fatalf("%s reference (seed %d): %v", name, seed, err)
 			}
 			if !reflect.DeepEqual(fast, ref) {
-				t.Errorf("%s (seed %d): scalable and reference schedules diverge:\n%+v\nvs\n%+v", name, seed, fast, ref)
+				t.Errorf("%s (seed %d): heap and reference schedules diverge:\n%+v\nvs\n%+v", name, seed, fast, ref)
 			}
 		}
 	}

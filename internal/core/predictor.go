@@ -50,7 +50,13 @@ type Predictor struct {
 // NewPredictor returns a Predictor over the LUT entry for the request's
 // model-pattern pair.
 func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
-	return &Predictor{cfg: cfg, stats: st, gamma: 1}
+	p := makePredictor(cfg, st)
+	return &p
+}
+
+// makePredictor is NewPredictor by value, for state that embeds it.
+func makePredictor(cfg Config, st *trace.Stats) Predictor {
+	return Predictor{cfg: cfg, stats: st, gamma: 1}
 }
 
 // Observe records the hardware monitor's sparsity reading for a completed

@@ -48,19 +48,28 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Beta = -0.1 },
-		func(c *Config) { c.Beta = 1.5 },
-		func(c *Config) { c.Eta = 2 },
-		func(c *Config) { c.Alpha = 0 },
-		func(c *Config) { c.Strategy = LastN; c.N = 0 },
-		func(c *Config) { c.GammaClamp = 1 },
-	}
-	for i, mutate := range bad {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		ok     bool
+	}{
+		{"beta negative", func(c *Config) { c.Beta = -0.1 }, false},
+		{"beta above 1", func(c *Config) { c.Beta = 1.5 }, false},
+		{"eta above 1", func(c *Config) { c.Eta = 2 }, false},
+		{"eta negative", func(c *Config) { c.Eta = -0.1 }, false},
+		{"alpha zero", func(c *Config) { c.Alpha = 0 }, false},
+		{"last-n without window", func(c *Config) { c.Strategy = LastN; c.N = 0 }, false},
+		{"gamma clamp 1", func(c *Config) { c.GammaClamp = 1 }, false},
+		{"penalty weight negative", func(c *Config) { c.PenaltyWeight = -1 }, false},
+		{"demotion negative", func(c *Config) { c.DemotionMS = -1 }, false},
+		{"penalty weight zero", func(c *Config) { c.PenaltyWeight = 0 }, true},
+		{"demotion zero", func(c *Config) { c.DemotionMS = 0 }, true},
+		{"eta bounds", func(c *Config) { c.Eta = 1 }, true},
+	} {
 		c := DefaultConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		tc.mutate(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -117,16 +117,12 @@ type Options struct {
 	// exact everything except percentiles, which move to a ~3%-error
 	// histogram).
 	Capture string
-	// ScalablePick enables the heap-backed sublinear pick path for
-	// schedulers implementing sched.ScalableScheduler; others keep their
-	// usual path.
-	ScalablePick bool
 }
 
 // schedOptions resolves the per-engine sched.Options the cell runner
 // derives from the experiment options, rejecting unknown capture modes.
 func (o Options) schedOptions() (sched.Options, error) {
-	s := sched.Options{ScalablePick: o.ScalablePick}
+	var s sched.Options
 	switch o.Capture {
 	case "", "full":
 	case "bounded":

@@ -46,7 +46,7 @@ func StreamScale(opts Options) ([]Artifact, error) {
 			engines, ratePerEngine),
 		Columns: []string{"requests", "scheduler", "ANTT", "viol%", "throughput (inf/s)", "p99 lat"},
 		Notes: []string{
-			"arrivals stream from the generator and metrics aggregate in bounded memory (-stream -capture bounded -scalable-pick)",
+			"arrivals stream from the generator and metrics aggregate in bounded memory (-stream -capture bounded)",
 			"percentiles come from the log-bucketed histogram (at most one bucket width high, ~3%)",
 			"per-run memory is independent of the request count, so the sweep extends to lengths the materialized path cannot hold",
 		},
@@ -69,7 +69,6 @@ func StreamScale(opts Options) ([]Artifact, error) {
 		o.Requests = n
 		o.Stream = true
 		o.Capture = "bounded"
-		o.ScalablePick = true
 		o.Engines = engines
 		o.EngineSpecs = nil // the sweep pins its composition
 		o.Dispatch = "load"

@@ -80,7 +80,6 @@ func TestStreamOptionValidation(t *testing.T) {
 	o = tiny()
 	o.Stream = true
 	o.Capture = "bounded"
-	o.ScalablePick = true
 	if err := o.Validate(); err != nil {
 		t.Errorf("valid streaming options rejected: %v", err)
 	}

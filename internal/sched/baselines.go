@@ -100,14 +100,16 @@ func estStats(e *Estimator, t *Task) *trace.Stats {
 // earliest arrival stays the minimum until it finishes. The incremental
 // path keeps the ready set in a min-heap keyed by (arrival, ID).
 type FCFS struct {
-	h *TaskHeap
+	h TaskHeap
 }
 
 // NewFCFS returns the FCFS baseline.
 func NewFCFS() *FCFS {
-	return &FCFS{h: NewTaskHeap(func(a, b *Task) bool {
+	f := &FCFS{}
+	f.h.Init(func(a, b *Task) bool {
 		return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.ID < b.ID)
-	})}
+	})
+	return f
 }
 
 // Name implements Scheduler.
@@ -148,22 +150,22 @@ func (f *FCFS) PickNextIncremental(*ReadyQueue, time.Duration) *Task { return f.
 // a layer, so one Fix per layer completion maintains the order.
 type SJF struct {
 	est *Estimator
-	h   *TaskHeap
+	h   TaskHeap
 }
 
 // NewSJF returns the SJF baseline.
 func NewSJF(est *Estimator) *SJF {
 	s := &SJF{est: est}
-	s.h = NewTaskHeap(func(a, b *Task) bool {
-		ra, rb := s.remaining(a), s.remaining(b)
-		return ra < rb || (ra == rb && a.ID < b.ID)
-	})
+	s.h.Init(byProfiledRemaining)
 	return s
 }
 
-// remaining reads the profile attached at arrival (O(1), no model lookup).
-func (s *SJF) remaining(t *Task) time.Duration {
-	return estStats(s.est, t).AvgRemaining(t.NextLayer)
+// byProfiledRemaining orders tasks by (profiled remaining time, ID),
+// reading the profile attached at arrival (O(1), no model lookup).
+func byProfiledRemaining(a, b *Task) bool {
+	ra := a.Attachment.(*trace.Stats).AvgRemaining(a.NextLayer)
+	rb := b.Attachment.(*trace.Stats).AvgRemaining(b.NextLayer)
+	return ra < rb || (ra == rb && a.ID < b.ID)
 }
 
 // Name implements Scheduler.

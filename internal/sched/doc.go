@@ -22,11 +22,16 @@
 //     lexicographic minimum (score, then task ID), so the pick is
 //     independent of ready-queue iteration order — the queue itself
 //     (swap-removal, heap internals) carries no semantic order.
-//   - Incremental equivalence. Schedulers implementing
-//     IncrementalScheduler must pick the identical task the reference
-//     PickNext would; Options.ReferencePick forces the reference path
-//     and the equivalence tests in this package and internal/exp prove
-//     bit-identical schedules.
+//   - Incremental equivalence. IncrementalScheduler is the engine's one
+//     production pick, and it must pick the identical task the
+//     reference PickNext would. The heap picks (PREMA, SDRM3, and
+//     Dysta in internal/core) key their heaps by provable score bounds
+//     or candidacy partitions and re-score every candidate the bounds
+//     cannot rule out with the reference arithmetic, so they are exact
+//     by construction, with no tolerance. Options.ReferencePick forces
+//     the reference path, and the equivalence tests in this package,
+//     internal/core and internal/exp prove bit-identical schedules,
+//     including on queues hundreds deep.
 //   - Extraction integrity. Engine.Extract / Engine.Adopt (request
 //     migration) only move tasks that have executed no layer, through
 //     the scheduler's TaskExtractor hook, so scheduler state and the

@@ -27,11 +27,10 @@ type Options struct {
 	// schedulers implementing IncrementalScheduler. The equivalence tests
 	// use it to prove both paths produce bit-identical schedules.
 	ReferencePick bool
-	// ScalablePick enables the heap-backed sublinear pick path for
-	// schedulers implementing ScalableScheduler (off by default: the
-	// incremental single-pass scan is the bit-identity anchor, and the
-	// heap structures only pay off once thousands of requests queue).
-	// Schedulers without the interface fall back to their usual path.
+	// ScalablePick used to select the heap-backed picks.
+	//
+	// Deprecated: the heap picks are the IncrementalScheduler path now;
+	// the engine ignores this field.
 	ScalablePick bool
 	// BoundedCapture drops every O(requests) capture structure — the
 	// completed-task slice behind Tasks, the per-request latency and
@@ -106,10 +105,9 @@ type Options struct {
 //   - NextEvent never mutates state, so an orchestrator can order N
 //     engines' events globally before committing any of them.
 type Engine struct {
-	s        Scheduler
-	inc      IncrementalScheduler
-	scalable ScalableScheduler
-	opts     Options
+	s    Scheduler
+	inc  IncrementalScheduler
+	opts Options
 	// scale is the effective latency scale (Options.LatencyScale, 0 → 1).
 	scale float64
 
@@ -166,12 +164,6 @@ func NewEngine(s Scheduler, opts Options) *Engine {
 	}
 	if inc, ok := s.(IncrementalScheduler); ok && !opts.ReferencePick {
 		e.inc = inc
-	}
-	if opts.ScalablePick && !opts.ReferencePick {
-		if sc, ok := s.(ScalableScheduler); ok {
-			sc.EnableScalable()
-			e.scalable = sc
-		}
 	}
 	if opts.BoundedCapture {
 		e.bounded = true
@@ -620,9 +612,7 @@ func (e *Engine) Step() (time.Duration, error) {
 	}
 
 	var pick *Task
-	if e.scalable != nil {
-		pick = e.scalable.PickNextScalable(&e.ready, e.now)
-	} else if e.inc != nil {
+	if e.inc != nil {
 		pick = e.inc.PickNextIncremental(&e.ready, e.now)
 	} else {
 		pick = e.s.PickNext(e.ready.Tasks(), e.now)

@@ -56,7 +56,8 @@ func TestTaskHeapOrdering(t *testing.T) {
 	less := func(a, b *Task) bool {
 		return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.ID < b.ID)
 	}
-	h := NewTaskHeap(less)
+	var h TaskHeap
+	h.Init(less)
 	if h.Min() != nil {
 		t.Fatal("empty heap has a minimum")
 	}

@@ -23,6 +23,21 @@ import (
 // Per-task bookkeeping (priority, tokens, accrual clock, profile) lives in
 // a task attachment set at arrival, so every scheduling decision is free
 // of map lookups.
+//
+// The production pick (PickNextIncremental) is exact by construction, not
+// by tolerance. Tokens only grow while a task waits, and only a dispatch
+// resets them, so once a task's tokens reach the threshold it stays a
+// candidate until it is dispatched, and the value of its tokens is never
+// read again. The pick therefore accrues tokens eagerly, with the
+// reference's float operations in the reference's order, but only over
+// the UNCROSSED tasks (tokens below the threshold); a task that crosses
+// moves to the crossed heap and stops accruing. Both heaps are keyed by
+// (profiled remaining, ID): the crossed minimum is the candidate argmin
+// (weighed against the running task, a candidate by fiat), and the
+// uncrossed minimum is the all-tasks argmin the reference falls back to
+// when no candidate exists, since the crossed set is then empty. A pick
+// costs O(uncrossed + log n) instead of O(queue); under load most waiting
+// tasks have crossed.
 type PREMA struct {
 	est *Estimator
 	// Threshold is the token level that makes a task a candidate.
@@ -30,46 +45,36 @@ type PREMA struct {
 
 	lastPick *Task
 
-	// Scalable-pick state (Options.ScalablePick), nil until
-	// EnableScalable. The eager accrue() materializes every ready
-	// task's tokens at every pick — an O(queue) pass the scalable path
-	// replaces with LAZY accrual: tokens are a pure function
-	// tokens + prio*ms(now - lastSeen) of the per-task state, touched
-	// only at the events that change its slope (dispatch resets, layer
-	// completions). Candidacy (tokens >= Threshold) then becomes a
-	// precomputed threshold-CROSSING INSTANT per task, and the pick is
-	// three heap lookups: promote due crossers from crossH (keyed by
-	// crossing time) into candH (keyed by (remaining, ID)), take
-	// candH's minimum against the lastPick's standing candidacy, and
-	// fall back to remH's all-tasks minimum when no candidate exists.
-	//
-	// This is the ONE documented inexact scalable path: summing
-	// per-pick rounded increments (eager) and rounding one accumulated
-	// span (lazy) differ in the last float ulps, so a task can cross
-	// the threshold one scheduling decision earlier or later than under
-	// the reference, and picks may diverge near the boundary. The
-	// equivalence tests therefore compare aggregate metrics under a
-	// tolerance rather than schedules bit-for-bit (see scalable.go).
-	remH   *IndexedHeap // all ready tasks, keyed (remaining, ID)
-	candH  *IndexedHeap // tasks past the threshold, keyed (remaining, ID)
-	crossH *IndexedHeap // tasks below it, keyed (crossing instant, ID)
+	// uncrossed and crossed partition the ready tasks by candidacy,
+	// each keyed (remaining, ID); due is the pick's reusable scratch
+	// list of tasks crossing at this decision.
+	uncrossed, crossed TaskHeap
+	due                []*Task
 }
 
-// premaState is PREMA's per-task attachment. The idx fields are the
-// task's positions in the scalable heaps (-1 when absent).
+// premaState is PREMA's per-task attachment.
 type premaState struct {
 	prio     float64
 	tokens   float64
 	lastSeen time.Duration
 	st       *trace.Stats
-
-	cross                     time.Duration
-	remIdx, candIdx, crossIdx int
+	// rem caches st.AvgRemaining(NextLayer), the heap key; it changes
+	// only when the task executes a layer.
+	rem time.Duration
 }
 
 // NewPREMA returns the PREMA baseline with the default threshold.
 func NewPREMA(est *Estimator) *PREMA {
-	return &PREMA{est: est, Threshold: 64}
+	p := &PREMA{est: est, Threshold: 64}
+	p.uncrossed.Init(byCachedRemaining)
+	p.crossed.Init(byCachedRemaining)
+	return p
+}
+
+// byCachedRemaining orders PREMA's heaps by (remaining, ID).
+func byCachedRemaining(a, b *Task) bool {
+	ra, rb := a.Attachment.(*premaState).rem, b.Attachment.(*premaState).rem
+	return ra < rb || (ra == rb && a.ID < b.ID)
 }
 
 // Name implements Scheduler.
@@ -82,123 +87,17 @@ func (p *PREMA) state(t *Task) *premaState {
 	if s, ok := t.Attachment.(*premaState); ok {
 		return s
 	}
-	s := &premaState{st: p.est.stats(t), remIdx: -1, candIdx: -1, crossIdx: -1}
+	s := &premaState{st: p.est.stats(t)}
+	s.rem = s.st.AvgRemaining(t.NextLayer)
 	t.Attachment = s
 	return s
 }
 
-// remainingOf reads the profiled remaining time through the attachment.
-func (p *PREMA) remainingOf(t *Task) time.Duration {
-	if s, ok := t.Attachment.(*premaState); ok {
-		return s.st.AvgRemaining(t.NextLayer)
-	}
-	return p.est.Remaining(t)
-}
-
-// crossAt returns the instant the task's lazily-accrued tokens reach
-// the threshold: lastSeen plus the remaining deficit over the accrual
-// slope. Already-qualified tasks cross immediately.
-func (p *PREMA) crossAt(s *premaState) time.Duration {
-	if s.tokens >= p.Threshold {
-		return s.lastSeen
-	}
-	if s.prio <= 0 {
-		// No accrual: never crosses. A sentinel far past any simulated
-		// horizon keeps it ordered without a special case.
-		return 1 << 62
-	}
-	wait := (p.Threshold - s.tokens) / s.prio // ms until crossing
-	return s.lastSeen + time.Duration(wait*float64(time.Millisecond))
-}
-
-// EnableScalable implements ScalableScheduler. Must precede the first
-// arrival (the engine calls it at construction).
-func (p *PREMA) EnableScalable() {
-	remLess := func(a, b *Task) bool {
-		ra, rb := p.remainingOf(a), p.remainingOf(b)
-		return ra < rb || (ra == rb && a.ID < b.ID)
-	}
-	p.remH = NewIndexedHeap(remLess, func(t *Task, i int) {
-		if s, ok := t.Attachment.(*premaState); ok {
-			s.remIdx = i
-		}
-	})
-	p.candH = NewIndexedHeap(remLess, func(t *Task, i int) {
-		if s, ok := t.Attachment.(*premaState); ok {
-			s.candIdx = i
-		}
-	})
-	p.crossH = NewIndexedHeap(
-		func(a, b *Task) bool {
-			ca, cb := p.state(a).cross, p.state(b).cross
-			return ca < cb || (ca == cb && a.ID < b.ID)
-		},
-		func(t *Task, i int) {
-			if s, ok := t.Attachment.(*premaState); ok {
-				s.crossIdx = i
-			}
-		})
-}
-
-// dropScalable releases a departing task's heap slots.
-func (p *PREMA) dropScalable(s *premaState, t *Task) {
-	if s.remIdx >= 0 {
-		p.remH.RemoveAt(s.remIdx)
-	}
-	if s.candIdx >= 0 {
-		p.candH.RemoveAt(s.candIdx)
-	}
-	if s.crossIdx >= 0 {
-		p.crossH.RemoveAt(s.crossIdx)
-	}
-}
-
-// PickNextScalable implements ScalableScheduler (see the field doc for
-// the lazy-accrual contract).
-func (p *PREMA) PickNextScalable(q *ReadyQueue, now time.Duration) *Task {
-	// Promote every task whose crossing instant has passed; promotions
-	// are permanent until a dispatch resets the tokens, exactly like
-	// eager tokens only falling at dispatch.
-	for p.crossH.Len() > 0 {
-		t := p.crossH.Min()
-		s := p.state(t)
-		if s.cross > now {
-			break
-		}
-		p.crossH.RemoveAt(s.crossIdx)
-		p.candH.Push(t)
-	}
-	best := p.candH.Min()
-	// The running task is a candidate by fiat (it occupies the NPU
-	// until preempted), whatever its token balance.
-	if lp := p.lastPick; lp != nil {
-		if s, ok := lp.Attachment.(*premaState); ok && s.candIdx < 0 && q.Contains(lp) {
-			if best == nil {
-				best = lp
-			} else if rl, rb := p.remainingOf(lp), p.remainingOf(best); rl < rb || (rl == rb && lp.ID < best.ID) {
-				best = lp
-			}
-		}
-	}
-	if best == nil {
-		best = p.remH.Min()
-	}
-	// Dispatch semantics mirror dispatch(): a change of pick spends the
-	// new task's tokens, demoting it back below the threshold.
-	if best != p.lastPick {
-		s := p.state(best)
-		s.tokens = 0
-		s.lastSeen = now
-		s.cross = p.crossAt(s)
-		if s.candIdx >= 0 {
-			p.candH.RemoveAt(s.candIdx)
-			p.crossH.Push(best)
-		} else if s.crossIdx >= 0 {
-			p.crossH.FixAt(s.crossIdx)
-		}
-		p.lastPick = best
-	}
-	return best
+// forget releases a departing task's heap slot (whichever heap holds it).
+func (p *PREMA) forget(t *Task) {
+	p.uncrossed.Remove(t)
+	p.crossed.Remove(t)
+	t.Attachment = nil
 }
 
 // OnArrival implements Scheduler: assign the task's static priority.
@@ -207,22 +106,15 @@ func (p *PREMA) PickNextScalable(q *ReadyQueue, now time.Duration) *Task {
 // high priority so they are not starved by long-running tenants.
 func (p *PREMA) OnArrival(t *Task, now time.Duration) {
 	st := p.est.stats(t)
-	s := &premaState{
+	t.Attachment = &premaState{
 		prio:     priorityForLatency(st.AvgTotal),
 		lastSeen: now,
 		st:       st,
-		remIdx:   -1, candIdx: -1, crossIdx: -1,
+		rem:      st.AvgRemaining(t.NextLayer),
 	}
-	t.Attachment = s
-	if p.remH != nil {
-		p.remH.Push(t)
-		s.cross = p.crossAt(s)
-		if s.tokens >= p.Threshold {
-			p.candH.Push(t)
-		} else {
-			p.crossH.Push(t)
-		}
-	}
+	// Every task starts uncrossed; the next pick's accrual promotes it
+	// if zero tokens already meet the threshold.
+	p.uncrossed.Push(t)
 }
 
 // priorityForLatency buckets estimated isolated latency into PREMA's
@@ -245,10 +137,7 @@ func priorityForLatency(iso time.Duration) float64 {
 // is released.
 func (p *PREMA) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 	if t.Done {
-		if s, ok := t.Attachment.(*premaState); ok && p.remH != nil {
-			p.dropScalable(s, t)
-		}
-		t.Attachment = nil
+		p.forget(t)
 		if p.lastPick == t {
 			// A completed task is never in the ready queue, so every
 			// lastPick comparison against ready tasks already fails —
@@ -262,19 +151,10 @@ func (p *PREMA) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 	}
 	s := p.state(t)
 	s.lastSeen = now
-	if p.remH != nil {
-		// The remaining estimate shrank and the accrual clock moved:
-		// repair whichever heaps key on them.
-		s.cross = p.crossAt(s)
-		if s.remIdx >= 0 {
-			p.remH.FixAt(s.remIdx)
-		}
-		if s.candIdx >= 0 {
-			p.candH.FixAt(s.candIdx)
-		} else if s.crossIdx >= 0 {
-			p.crossH.FixAt(s.crossIdx)
-		}
-	}
+	// The remaining estimate shrank: repair the heap that holds the task.
+	s.rem = s.st.AvgRemaining(t.NextLayer)
+	p.uncrossed.Fix(t)
+	p.crossed.Fix(t)
 }
 
 // OnExtract implements TaskExtractor: the migrated request forfeits its
@@ -285,10 +165,7 @@ func (p *PREMA) OnExtract(t *Task, _ time.Duration) {
 	if p.lastPick == t {
 		p.lastPick = nil
 	}
-	if s, ok := t.Attachment.(*premaState); ok && p.remH != nil {
-		p.dropScalable(s, t)
-	}
-	t.Attachment = nil
+	p.forget(t)
 }
 
 // accrue credits waiting-time tokens to every ready task since the last
@@ -296,12 +173,17 @@ func (p *PREMA) OnExtract(t *Task, _ time.Duration) {
 // waiting).
 func (p *PREMA) accrue(ready []*Task, now time.Duration) {
 	for _, t := range ready {
-		s := p.state(t)
-		if wait := ms(now - s.lastSeen); wait > 0 {
-			s.tokens += s.prio * wait
-		}
-		s.lastSeen = now
+		p.state(t).accrue(now)
 	}
+}
+
+// accrue credits one task's waiting time since its accrual clock: the one
+// token update both picks share, so they round identically.
+func (s *premaState) accrue(now time.Duration) {
+	if wait := ms(now - s.lastSeen); wait > 0 {
+		s.tokens += s.prio * wait
+	}
+	s.lastSeen = now
 }
 
 // dispatch finalizes a pick: a fresh dispatch spends the task's
@@ -342,33 +224,49 @@ func (p *PREMA) PickNext(ready []*Task, now time.Duration) *Task {
 	return p.dispatch(best)
 }
 
-// PickNextIncremental implements IncrementalScheduler: accrue tokens,
-// then track the candidate and overall (remaining, ID) minima in one
-// scan with no candidate-slice allocation.
+// PickNextIncremental implements IncrementalScheduler: the reference
+// pick over the crossed/uncrossed partition (see the type doc for why it
+// is exact).
 func (p *PREMA) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	p.accrue(q.Tasks(), now)
-	var cand, all *Task
-	var candRem, allRem time.Duration
-	for _, t := range q.Tasks() {
-		s := p.state(t)
-		rem := s.st.AvgRemaining(t.NextLayer)
-		if all == nil || rem < allRem || (rem == allRem && t.ID < all.ID) {
-			all, allRem = t, rem
-		}
-		if s.tokens >= p.Threshold || t == p.lastPick {
-			if cand == nil || rem < candRem || (rem == candRem && t.ID < cand.ID) {
-				cand, candRem = t, rem
-			}
+	due := p.due[:0]
+	for i := 0; i < p.uncrossed.Len(); i++ {
+		t := p.uncrossed.At(i)
+		s := t.Attachment.(*premaState)
+		s.accrue(now)
+		if s.tokens >= p.Threshold {
+			due = append(due, t)
 		}
 	}
-	if cand == nil {
-		cand = all
+	for _, t := range due {
+		p.uncrossed.Remove(t)
+		p.crossed.Push(t)
 	}
-	return p.dispatch(cand)
+	clear(due)
+	p.due = due[:0]
+
+	best := p.crossed.Min()
+	// The running task is a candidate by fiat (it occupies the NPU until
+	// preempted), whatever its token balance.
+	if lp := p.lastPick; lp != nil && q.Contains(lp) && (best == nil || byCachedRemaining(lp, best)) {
+		best = lp
+	}
+	if best == nil {
+		best = p.uncrossed.Min()
+	}
+	if best != p.lastPick {
+		// dispatch resets the tokens below; the accrual clock is the one
+		// the reference's accrue would have advanced, and a spent task
+		// is uncrossed again (the next pick re-promotes it if zero tokens
+		// meet the threshold).
+		best.Attachment.(*premaState).lastSeen = now
+		if p.crossed.Remove(best) {
+			p.uncrossed.Push(best)
+		}
+	}
+	return p.dispatch(best)
 }
 
 var (
 	_ IncrementalScheduler = (*PREMA)(nil)
-	_ ScalableScheduler    = (*PREMA)(nil)
 	_ TaskExtractor        = (*PREMA)(nil)
 )

@@ -49,15 +49,17 @@ func (q *ReadyQueue) remove(t *Task) {
 	t.queueIndex = -1
 }
 
-// IncrementalScheduler is the optional fast-path extension of Scheduler.
-// Implementations keep their scoring state incremental — a heap keyed by a
-// time-invariant priority, or per-task cached score components refreshed
+// IncrementalScheduler is the optional fast-path extension of Scheduler
+// and the engine's one production pick. Implementations keep their scoring
+// state incremental — heaps keyed by a time-invariant priority or by a
+// provable score bound, and per-task cached score components refreshed
 // only at the events that change them (arrival, layer completion) — so a
 // scheduling decision avoids the from-scratch re-scoring of the reference
-// PickNext. The engine prefers this path when available; the reference
-// PickNext remains mandatory and must pick the identical task (the
-// equivalence tests in this package and internal/exp enforce bit-identical
-// schedules between the two paths).
+// PickNext. The reference PickNext remains mandatory and must pick the
+// identical task: bound-keyed heaps are candidate filters whose survivors
+// are re-scored with the reference arithmetic, never approximations (the
+// equivalence tests in this package, internal/core and internal/exp
+// demand bit-identical schedules).
 type IncrementalScheduler interface {
 	Scheduler
 	// PickNextIncremental selects the next task from the non-empty ready
@@ -65,22 +67,48 @@ type IncrementalScheduler interface {
 	PickNextIncremental(q *ReadyQueue, now time.Duration) *Task
 }
 
-// TaskHeap is a binary min-heap of tasks under a scheduler-supplied strict
-// ordering, used by schedulers whose priority is time-invariant between
-// task events (FCFS, SJF). The heap position is carried on the task
-// (Task.heapIndex), so Remove and Fix are O(log n) with no auxiliary map.
-// Only one scheduler owns a task's heap slot at a time — one scheduler
-// instance runs per engine invocation.
-type TaskHeap struct {
-	less  func(a, b *Task) bool
-	tasks []*Task
+// ScalableScheduler was the opt-in heap pick behind Options.ScalablePick.
+//
+// Deprecated: the heap picks are now every scheduler's
+// PickNextIncremental, and the engine never calls these methods. The type
+// remains only for callers that still name it.
+type ScalableScheduler interface {
+	Scheduler
+	EnableScalable()
+	PickNextScalable(q *ReadyQueue, now time.Duration) *Task
 }
 
-// NewTaskHeap returns an empty heap over the ordering. less must be a
-// strict weak ordering that never reports ties (break them by Task.ID) so
-// the minimum is unique and matches the reference linear scan.
-func NewTaskHeap(less func(a, b *Task) bool) *TaskHeap {
-	return &TaskHeap{less: less}
+// TaskHeap is a binary min-heap of tasks under a scheduler-supplied strict
+// ordering. The heap position is carried on the task (Task.heapIndex), so
+// Remove and Fix are O(log n) with no auxiliary map; a task sits in at
+// most one TaskHeap at a time, though one scheduler may own several heaps
+// over disjoint task sets (Remove and Fix on a heap that does not hold the
+// task are no-ops). Only one scheduler owns a task's heap slot at a time —
+// one scheduler instance runs per engine invocation.
+//
+// Schedulers embed TaskHeap by value and set the order with Init, so a
+// scheduler instance allocates no heap struct, no ordering closure (less
+// should be a plain function over keys cached on the task or its
+// attachment), and no backing array until the heap outgrows its inline
+// storage. A TaskHeap must not be copied after Init.
+type TaskHeap struct {
+	less   func(a, b *Task) bool
+	tasks  []*Task
+	inline [heapInline]*Task
+}
+
+// heapInline is the capacity a TaskHeap holds before it allocates: enough
+// for the ready queues of an engine running below saturation, so the many
+// short-lived scheduler instances of churned and autoscaled clusters never
+// grow a backing array.
+const heapInline = 8
+
+// Init empties the heap and sets its ordering. less must be a strict weak
+// ordering that never reports ties (break them by Task.ID) so the minimum
+// is unique and matches the reference linear scan.
+func (h *TaskHeap) Init(less func(a, b *Task) bool) {
+	h.less = less
+	h.tasks = h.inline[:0]
 }
 
 // Len returns the number of tasks in the heap.
@@ -96,9 +124,9 @@ func (h *TaskHeap) Min() *Task {
 
 // At returns the task at heap position i (0 is the minimum; children of
 // i sit at 2i+1 and 2i+2). It is the traversal surface of the pruned
-// DFS the scalable pick paths run: the heap property guarantees every
+// DFS the bound-keyed picks run: the heap property guarantees every
 // descendant's key is >= the node's, so a subtree whose root key
-// already exceeds the best score found can be skipped wholesale.
+// already rules out the best score found can be skipped wholesale.
 func (h *TaskHeap) At(i int) *Task { return h.tasks[i] }
 
 // Push inserts a task.
@@ -108,11 +136,11 @@ func (h *TaskHeap) Push(t *Task) {
 	h.up(t.heapIndex)
 }
 
-// Remove deletes the task if present.
-func (h *TaskHeap) Remove(t *Task) {
+// Remove deletes the task if present and reports whether it was.
+func (h *TaskHeap) Remove(t *Task) bool {
 	i := t.heapIndex
 	if i < 0 || i >= len(h.tasks) || h.tasks[i] != t {
-		return
+		return false
 	}
 	last := len(h.tasks) - 1
 	h.swap(i, last)
@@ -122,6 +150,7 @@ func (h *TaskHeap) Remove(t *Task) {
 	if i < last {
 		h.fix(i)
 	}
+	return true
 }
 
 // Fix restores the heap order after the task's key changed.

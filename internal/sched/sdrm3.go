@@ -23,46 +23,43 @@ type SDRM3 struct {
 	// Alpha weights Urgency against Fairness.
 	Alpha float64
 
-	// Scalable-pick state (Options.ScalablePick). MapScore moves with
-	// the clock for every task, so no single time-invariant key orders
-	// it; but within one ISOLATION CLASS — tasks sharing the profiled
-	// iso = AvgTotal, i.e. one class per model — fairness at any instant
-	// is ordered (in real arithmetic) by the integer k = Arrival +
-	// ExecTime: fairness = (ms(now-Arrival) - ms(ExecTime))/iso, and for
-	// a shared now and iso the numerators order by -(Arrival+ExecTime).
-	// Each class therefore keeps an IndexedHeap min-ordered by (k, ID),
-	// whose root is the class's fairness maximum. The pick DFS-walks
-	// each class heap under the upper bound
+	// MapScore moves with the clock for every task, so no single
+	// time-invariant key orders it; but within one ISOLATION CLASS —
+	// tasks sharing the profiled iso = AvgTotal, i.e. one class per
+	// model — fairness at any instant is ordered (in real arithmetic) by
+	// the integer k = Arrival + ExecTime: fairness = (ms(now-Arrival) -
+	// ms(ExecTime))/iso, and for a shared now and iso the numerators
+	// order by -(Arrival+ExecTime). Each class therefore keeps a TaskHeap
+	// min-ordered by (k, ID), whose root is the class's fairness maximum.
+	// The pick DFS-walks each class heap under the upper bound
 	//     score <= Alpha + ms(now-k)/iso + guard,
-	// monotone decreasing in k: Urgency is clamped to [0,1] so the
-	// Alpha term is at most Alpha (float multiplication by a value <= 1
-	// never rounds above Alpha), and the guard absorbs the float
-	// rounding by which the two ms() divisions can deviate from the
-	// real-arithmetic ordering — it overestimates the true error (a few
-	// ulps) by orders of magnitude while staying far below real score
-	// gaps, so pruning loses little. A subtree is skipped only when its
-	// bound is STRICTLY below the best exact score found, so a
-	// potential tie (which the min-ID rule would resolve) is never
-	// pruned: the pick is bit-identical to the reference scan. Visited
-	// nodes are re-scored with the exact mapScore.
-	classes  []*sdrmClass
-	classIdx map[time.Duration]*sdrmClass
+	// monotone decreasing in k: Urgency is clamped to [0,1] so the Alpha
+	// term is at most Alpha (float multiplication by a value <= 1 never
+	// rounds above Alpha), and the guard absorbs the float rounding by
+	// which the two ms() divisions can deviate from the real-arithmetic
+	// ordering — it overestimates the true error (a few ulps) by orders
+	// of magnitude while staying far below real score gaps, so pruning
+	// loses little. A subtree is skipped only when its bound is STRICTLY
+	// below the best exact score found, so a potential tie (which the
+	// min-ID rule would resolve) is never pruned: the pick is
+	// bit-identical to the reference scan. Visited nodes are re-scored
+	// with the exact mapScore. Classes are few (one per model), so they
+	// live in a slice in creation order — deterministic, since arrivals
+	// are — and are found by a linear scan.
+	classes []*sdrmClass
+
+	// best and bestScore are the running argmax of a pick's DFS.
+	best      *Task
+	bestScore float64
 }
 
-// sdrmClass is one isolation class of the scalable pick: the tasks of
-// one model (one profiled AvgTotal), heap-ordered by (Arrival+ExecTime,
-// ID) ascending — fairness descending.
+// sdrmClass is one isolation class: the ready tasks of one model (one
+// profiled AvgTotal), heap-ordered by (Arrival+ExecTime, ID) ascending —
+// fairness descending.
 type sdrmClass struct {
-	iso float64 // ms(AvgTotal), the fairness denominator
-	h   *IndexedHeap
-}
-
-// sdrmState is the per-task attachment in scalable mode: the profile
-// plus the task's position in its class heap.
-type sdrmState struct {
-	st    *trace.Stats
-	class *sdrmClass
-	idx   int
+	total time.Duration // the shared AvgTotal
+	iso   float64       // ms(total), the fairness denominator
+	h     TaskHeap
 }
 
 // sdrmGuard over-covers the float rounding between the real-arithmetic
@@ -79,71 +76,55 @@ func NewSDRM3(est *Estimator) *SDRM3 { return &SDRM3{est: est, Alpha: 0.5} }
 // Name implements Scheduler.
 func (*SDRM3) Name() string { return "SDRM3" }
 
-// EnableScalable implements ScalableScheduler: switch to class-heap
-// maintained picks. Must precede the first arrival (the engine calls it
-// at construction).
-func (s *SDRM3) EnableScalable() {
-	s.classIdx = map[time.Duration]*sdrmClass{}
-}
-
-// classFor returns (creating on first use) the isolation class of a
-// profile. Classes live in a slice in creation order — deterministic,
-// since arrivals are — so the pick never ranges over a map.
-func (s *SDRM3) classFor(st *trace.Stats) *sdrmClass {
-	if c, ok := s.classIdx[st.AvgTotal]; ok {
-		return c
+// class returns the isolation class of a profile, creating it on first
+// use when create is set (nil otherwise).
+func (s *SDRM3) class(st *trace.Stats, create bool) *sdrmClass {
+	for _, c := range s.classes {
+		if c.total == st.AvgTotal {
+			return c
+		}
 	}
-	c := &sdrmClass{iso: ms(st.AvgTotal)}
-	c.h = NewIndexedHeap(
-		func(a, b *Task) bool {
-			ka, kb := a.Arrival+a.ExecTime, b.Arrival+b.ExecTime
-			return ka < kb || (ka == kb && a.ID < b.ID)
-		},
-		func(t *Task, i int) {
-			if st, ok := t.Attachment.(*sdrmState); ok {
-				st.idx = i
-			}
-		},
-	)
-	s.classIdx[st.AvgTotal] = c
+	if !create {
+		return nil
+	}
+	c := &sdrmClass{total: st.AvgTotal, iso: ms(st.AvgTotal)}
+	c.h.Init(byServiceClock)
 	s.classes = append(s.classes, c)
 	return c
 }
 
+// byServiceClock orders a class heap by (Arrival+ExecTime, ID).
+func byServiceClock(a, b *Task) bool {
+	ka, kb := a.Arrival+a.ExecTime, b.Arrival+b.ExecTime
+	return ka < kb || (ka == kb && a.ID < b.ID)
+}
+
 // OnArrival implements Scheduler: the pattern-blind profile is attached
-// once, so per-decision scoring needs no model lookup. In scalable mode
-// the task also enters its isolation class's heap.
+// once, so per-decision scoring needs no model lookup, and the task
+// enters its isolation class's heap.
 func (s *SDRM3) OnArrival(t *Task, _ time.Duration) {
 	st := s.est.stats(t)
-	if s.classIdx == nil {
-		t.Attachment = st
-		return
-	}
-	c := s.classFor(st)
-	t.Attachment = &sdrmState{st: st, class: c, idx: -1}
-	c.h.Push(t)
+	t.Attachment = st
+	s.class(st, true).h.Push(t)
 }
 
-// OnLayerComplete implements Scheduler: in scalable mode the executed
-// task's ExecTime grew, so its class-heap key moved.
-func (*SDRM3) OnLayerComplete(t *Task, _ int, _ float64, _ time.Duration) {
-	st, scal := t.Attachment.(*sdrmState)
+// OnLayerComplete implements Scheduler: the executed task's ExecTime
+// grew, so its class-heap key moved; a completed task leaves its class.
+func (s *SDRM3) OnLayerComplete(t *Task, _ int, _ float64, _ time.Duration) {
 	if t.Done {
-		if scal && st.idx >= 0 {
-			st.class.h.RemoveAt(st.idx)
-		}
-		t.Attachment = nil
+		s.OnExtract(t, 0)
 		return
 	}
-	if scal && st.idx >= 0 {
-		st.class.h.FixAt(st.idx)
+	if st, ok := t.Attachment.(*trace.Stats); ok {
+		s.class(st, false).h.Fix(t)
 	}
 }
 
-// OnExtract implements TaskExtractor: only the attachment holds state.
-func (*SDRM3) OnExtract(t *Task, _ time.Duration) {
-	if st, ok := t.Attachment.(*sdrmState); ok && st.idx >= 0 {
-		st.class.h.RemoveAt(st.idx)
+// OnExtract implements TaskExtractor: release the class-heap slot and
+// the attached profile.
+func (s *SDRM3) OnExtract(t *Task, _ time.Duration) {
+	if st, ok := t.Attachment.(*trace.Stats); ok {
+		s.class(st, false).h.Remove(t)
 	}
 	t.Attachment = nil
 }
@@ -160,65 +141,48 @@ func (s *SDRM3) PickNext(ready []*Task, now time.Duration) *Task {
 	return best
 }
 
-// PickNextIncremental implements IncrementalScheduler. MapScore depends
-// on wall-clock time for every task, so the scan stays linear; the gain
-// is the O(1) per-task profile access via the attachment.
-func (s *SDRM3) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	return s.PickNext(q.Tasks(), now)
-}
-
-// PickNextScalable implements ScalableScheduler: the exact reference
-// argmax via bound-pruned DFS over each class heap (see the field doc
-// on classes for the bound derivation).
-func (s *SDRM3) PickNextScalable(_ *ReadyQueue, now time.Duration) *Task {
-	var best *Task
-	bestScore := 0.0
+// PickNextIncremental implements IncrementalScheduler: the exact
+// reference argmax via bound-pruned DFS over each class heap (see the
+// field doc on classes for the bound derivation).
+func (s *SDRM3) PickNextIncremental(_ *ReadyQueue, now time.Duration) *Task {
+	s.best = nil
 	for _, c := range s.classes {
-		h := c.h
-		if h.Len() == 0 {
-			continue
+		if c.h.Len() > 0 {
+			s.visit(c, 0, now)
 		}
-		var walk func(i int)
-		walk = func(i int) {
-			if i >= h.Len() {
-				return
-			}
-			t := h.At(i)
-			if best != nil {
-				ub := s.Alpha + sdrmGuard
-				if c.iso > 0 {
-					ub += ms(now-(t.Arrival+t.ExecTime)) / c.iso
-				}
-				if ub < bestScore {
-					return
-				}
-			}
-			sc := s.mapScore(t, now)
-			if best == nil || sc > bestScore || (sc == bestScore && t.ID < best.ID) {
-				best, bestScore = t, sc
-			}
-			walk(2*i + 1)
-			walk(2*i + 2)
-		}
-		walk(0)
 	}
+	best := s.best
+	s.best = nil
 	return best
 }
 
-// taskStats reads the profile behind either attachment form.
-func (s *SDRM3) taskStats(t *Task) *trace.Stats {
-	switch a := t.Attachment.(type) {
-	case *trace.Stats:
-		return a
-	case *sdrmState:
-		return a.st
+// visit scores heap node i of class c and recurses into the children
+// whose subtree bound does not fall strictly below the best score.
+func (s *SDRM3) visit(c *sdrmClass, i int, now time.Duration) {
+	t := c.h.At(i)
+	if s.best != nil {
+		ub := s.Alpha + sdrmGuard
+		if c.iso > 0 {
+			ub += ms(now-(t.Arrival+t.ExecTime)) / c.iso
+		}
+		if ub < s.bestScore {
+			return
+		}
 	}
-	return s.est.stats(t)
+	if sc := s.mapScore(t, now); s.best == nil || sc > s.bestScore || (sc == s.bestScore && t.ID < s.best.ID) {
+		s.best, s.bestScore = t, sc
+	}
+	if l := 2*i + 1; l < c.h.Len() {
+		s.visit(c, l, now)
+		if l+1 < c.h.Len() {
+			s.visit(c, l+1, now)
+		}
+	}
 }
 
 // mapScore = Alpha*Urgency + Fairness (Pref = 1 folded in).
 func (s *SDRM3) mapScore(t *Task, now time.Duration) float64 {
-	st := s.taskStats(t)
+	st := estStats(s.est, t)
 	remain := ms(st.AvgRemaining(t.NextLayer))
 	slack := ms(t.Deadline() - now)
 	urgency := 0.0
@@ -245,6 +209,5 @@ func (s *SDRM3) mapScore(t *Task, now time.Duration) float64 {
 
 var (
 	_ IncrementalScheduler = (*SDRM3)(nil)
-	_ ScalableScheduler    = (*SDRM3)(nil)
 	_ TaskExtractor        = (*SDRM3)(nil)
 )
