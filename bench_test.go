@@ -114,6 +114,33 @@ func BenchmarkEngineDysta(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePlanaria measures the engine under Planaria's heap pick
+// (least-slack walk over the feasible heap, hopeless drain heap).
+func BenchmarkEnginePlanaria(b *testing.B) {
+	lut, reqs := benchWorkload(b)
+	est := sched.NewEstimator(lut)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Run(sched.NewPlanaria(est), reqs, sched.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineOracle measures the engine under Oracle's heap pick
+// (Dysta's bound-pruned walk over ground-truth remaining times).
+func BenchmarkEngineOracle(b *testing.B) {
+	_, reqs := benchWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.Run(sched.NewOracle(core.DefaultConfig().Eta), reqs, sched.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineOverload measures the heap picks at depth: one engine
 // at exactly 135% of its capacity, so ready queues grow hundreds deep,
 // running Dysta, PREMA and SDRM3 in turn over the same 2000-request

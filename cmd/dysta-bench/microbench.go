@@ -102,6 +102,7 @@ func runMicroBenchmarks() ([]BenchRecord, error) {
 				}
 			}
 		}},
+		{"EnginePlanaria", engineBench(func() sched.Scheduler { return sched.NewPlanaria(est) })},
 		{"EngineOracle", engineBench(func() sched.Scheduler { return sched.NewOracle(core.DefaultConfig().Eta) })},
 		{"EngineOverload", func(b *testing.B) {
 			// The heap picks at depth: one engine at exactly 135% of its

@@ -71,6 +71,16 @@ func main() {
 		perModel = flag.Bool("per-model", false, "also print the per-model metric breakdown")
 	)
 	flag.Parse()
+	// Dysta's knobs fail here, before any worker builds a scheduler from
+	// them (core.New panics on an invalid configuration), and whichever
+	// -sched is selected.
+	cfg := core.DefaultConfig()
+	cfg.Eta = *eta
+	cfg.Beta = *beta
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var sc workload.Scenario
 	switch *wl {
@@ -181,9 +191,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Eta = *eta
-	cfg.Beta = *beta
 	specs := exp.WithOracle(exp.StandardScheds())
 	specs = append(specs, exp.SchedSpec{Name: "Dysta-w/o-sparse",
 		New: func(p *exp.Pipeline) sched.Scheduler { return core.NewWithoutSparse(p.LUT) }})

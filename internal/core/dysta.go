@@ -40,8 +40,8 @@ type Dysta struct {
 	// For a demoted task ms(Deadline-now) < remain, so the bound is below
 	// remain, and the score is remain plus non-negative terms. The float
 	// rounding between K - Eta*ms(now) and the rounded score is a few
-	// ulps of the operands; dystaGuard, relative to the magnitudes
-	// compared, covers it many times over (see prunesAbove).
+	// ulps of the operands; sched.PruneAbove's guard, relative to the
+	// magnitudes compared, covers it many times over.
 	//
 	// demoted holds tasks already past their slack, keyed remain: their
 	// score is fl(fl(remain + Eta*penalty) + DemotionMS) >=
@@ -59,19 +59,13 @@ type Dysta struct {
 
 	// The running search of one pick: the best task and score so far,
 	// the feasible-heap key above which a subtree is pruned (see
-	// prunesAbove), and the tasks it found demoted.
+	// sched.PruneAbove), and the tasks it found demoted.
 	best                   *sched.Task
 	bestScore, cut, etaNow float64
 	now                    time.Duration
 	queueLen               float64
 	newlyDemoted           []*sched.Task
 }
-
-// dystaGuard is the relative float guard of the feasible heap's bound:
-// the rounding it covers is a few ulps (~1e-16 relative) of the score,
-// key and Eta*ms(now) magnitudes, while real score gaps between tasks are
-// microseconds on millisecond scores (~1e-3 relative).
-const dystaGuard = 1e-9
 
 // requestState is the per-request bookkeeping of the dynamic level,
 // attached to the task at arrival.
@@ -336,16 +330,8 @@ func (d *Dysta) visitDemoted(i int) {
 func (d *Dysta) consider(t *sched.Task, sc float64) {
 	if d.best == nil || sc < d.bestScore || (sc == d.bestScore && t.ID < d.best.ID) {
 		d.best, d.bestScore = t, sc
-		d.cut = prunesAbove(sc, d.etaNow)
+		d.cut = sched.PruneAbove(sc, d.etaNow)
 	}
-}
-
-// prunesAbove is the feasible-heap key above which every task scores
-// strictly above best: K - Eta*ms(now) bounds each score from below in
-// real arithmetic, and the guard, relative to the magnitudes compared,
-// absorbs the rounding of both sides.
-func prunesAbove(best, etaNow float64) float64 {
-	return best + dystaGuard*(math.Abs(best)+etaNow) + etaNow
 }
 
 // cachedScore is the fast-path score at the running pick's instant:

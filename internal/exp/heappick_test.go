@@ -15,8 +15,9 @@ import (
 // relies on: Dysta with and without the dynamic level, without demotion
 // (demoted tasks then tie feasible ones more often) and at both Eta
 // extremes (Eta 0 keys the feasible heap by remain alone, Eta 1 by the
-// deadline alone), SDRM3, and PREMA across threshold regimes down to 0,
-// where every task is a candidate from arrival on.
+// deadline alone), SDRM3, PREMA across threshold regimes down to 0,
+// where every task is a candidate from arrival on, Planaria, and Oracle at
+// the default Eta, at both Eta extremes and without demotion.
 func heapPickSpecs() []SchedSpec {
 	dysta := func(name string, mut func(*core.Config)) SchedSpec {
 		cfg := core.DefaultConfig()
@@ -30,7 +31,21 @@ func heapPickSpecs() []SchedSpec {
 		dysta("Dysta/eta-0", func(c *core.Config) { c.Eta = 0 }),
 		dysta("Dysta/eta-1", func(c *core.Config) { c.Eta = 1 }),
 		{Name: "SDRM3", New: func(p *Pipeline) sched.Scheduler { return sched.NewSDRM3(p.Est) }},
+		{Name: "Planaria", New: func(p *Pipeline) sched.Scheduler { return sched.NewPlanaria(p.Est) }},
 	}
+	oracle := func(name string, eta, demotion float64) SchedSpec {
+		return SchedSpec{Name: name, New: func(*Pipeline) sched.Scheduler {
+			o := sched.NewOracle(eta)
+			o.DemotionMS = demotion
+			return o
+		}}
+	}
+	eta := core.DefaultConfig().Eta
+	specs = append(specs,
+		oracle("Oracle", eta, 1000),
+		oracle("Oracle/eta-0", 0, 1000),
+		oracle("Oracle/eta-1", 1, 1000),
+		oracle("Oracle/demotion-0", eta, 0))
 	for _, th := range []float64{64, 8, 1, 0} {
 		specs = append(specs, SchedSpec{Name: fmt.Sprintf("PREMA/threshold-%g", th),
 			New: func(p *Pipeline) sched.Scheduler {
@@ -102,9 +117,9 @@ func TestHeapPicksExactDeepQueue(t *testing.T) {
 // What remains per request is the engine's Task under full capture plus
 // at most one attachment, and amortized capture slices. The scan picks
 // these replace measured 3.046 (Dysta: state plus a separate predictor),
-// 2.046 (PREMA) and 1.046 (SDRM3) allocations per request on this run;
-// the heap picks must not exceed them, and Dysta now embeds its
-// predictor.
+// 2.046 (PREMA), 1.046 (SDRM3) and 1.047 (Planaria, Oracle) allocations
+// per request on this run; the heap picks must not exceed them, and Dysta
+// now embeds its predictor.
 func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -115,8 +130,8 @@ func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := map[string]float64{"Dysta": 2.05, "PREMA": 2.05, "SDRM3": 1.05}
-	for _, spec := range StandardScheds() {
+	ceiling := map[string]float64{"Dysta": 2.05, "PREMA": 2.05, "SDRM3": 1.05, "Planaria": 1.05, "Oracle": 1.05}
+	for _, spec := range WithOracle(StandardScheds()) {
 		want, ok := ceiling[spec.Name]
 		if !ok {
 			continue

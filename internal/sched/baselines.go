@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -223,26 +225,123 @@ func (s *SJF) PickNextIncremental(*ReadyQueue, time.Duration) *Task { return s.h
 // reports.
 type Planaria struct {
 	est *Estimator
+
+	// feasible and hopeless partition the ready tasks. feasible is keyed
+	// by the integer k = Deadline - AvgRemaining(NextLayer) (slackKey), so
+	// a task's slack at any instant is ms(k - now) in real arithmetic and
+	// the heap orders slack across tasks; hopeless holds the tasks whose
+	// reference slack fell below zero, keyed (AvgRemaining, ID) like SJF.
+	// A waiting task's slack only falls as now grows, so a hopeless task
+	// never turns feasible again until it executes a layer, and
+	// OnLayerComplete re-classifies the executed task.
+	//
+	// A pick first moves feasible roots with negative reference slack to
+	// hopeless. If none is left, every ready task is hopeless and the pick
+	// is the hopeless minimum, the reference's drain branch. Otherwise the
+	// root (least k) is feasible and the pick walks the feasible heap
+	// depth-first, re-scoring every visited task with the reference float
+	// slack and skipping a subtree whose root k exceeds the best task's k
+	// by more than the guard (see planariaGuard), so float ties between
+	// tasks of nearly equal k still resolve by ID.
+	feasible, hopeless TaskHeap
+	// remMax is the largest profiled remaining time of any task that
+	// arrived: it bounds the magnitudes the guard must cover.
+	remMax time.Duration
+
+	// The running search of one pick: the best feasible task, its slack,
+	// and the key above which a subtree is pruned.
+	best      *Task
+	bestSlack float64
+	cut       time.Duration
 }
 
+// planariaGuard is the relative guard of the feasible walk. A task's
+// reference slack fl(fl(ms(D-now)) - fl(ms(rem))) takes three roundings,
+// each within 2^-53 of its result (durations convert to float64 exactly
+// below 2^53 ns, ~104 days), so it lies within 2^-52*(|s| + r) of the real
+// slack s = ms(k-now), where r = ms(rem). For a task t whose k exceeds the
+// best task b's by Δ ns, t's float slack is therefore strictly above b's
+// once Δ exceeds ~4.5e-16*(|k_b - now| + remMax) ns. The guard, 1e-9 of
+// that sum, covers the rounding millions of times over and still amounts
+// to ~1 ns at second-scale slacks, so the walk visits little beyond the
+// tasks that tie the best k.
+const planariaGuard = 1e-9
+
 // NewPlanaria returns the Planaria baseline.
-func NewPlanaria(est *Estimator) *Planaria { return &Planaria{est: est} }
+func NewPlanaria(est *Estimator) *Planaria {
+	p := &Planaria{est: est}
+	p.feasible.Init(bySlackKey)
+	p.hopeless.Init(byProfiledRemaining)
+	return p
+}
+
+// slackKey is the feasible-heap key Deadline - AvgRemaining(NextLayer),
+// read from the profile attached at arrival.
+func slackKey(t *Task) time.Duration {
+	return t.Deadline() - t.Attachment.(*trace.Stats).AvgRemaining(t.NextLayer)
+}
+
+// bySlackKey orders the feasible heap by (slackKey, ID).
+func bySlackKey(a, b *Task) bool {
+	ka, kb := slackKey(a), slackKey(b)
+	return ka < kb || (ka == kb && a.ID < b.ID)
+}
+
+// planariaSlack is the reference slack at now, in milliseconds, with the
+// profile read from the arrival-time attachment.
+func planariaSlack(t *Task, now time.Duration) float64 {
+	return ms(t.Deadline()-now) - ms(t.Attachment.(*trace.Stats).AvgRemaining(t.NextLayer))
+}
+
+// planariaHopeless reports whether the reference slack at now is
+// negative. Conversion and division round monotonically, so a key at or
+// above now already makes the float slack non-negative, and the float
+// slack is computed only for a key below now.
+func planariaHopeless(t *Task, now time.Duration) bool {
+	return slackKey(t) < now && planariaSlack(t, now) < 0
+}
 
 // Name implements Scheduler.
 func (*Planaria) Name() string { return "Planaria" }
 
 // OnArrival implements Scheduler.
-func (p *Planaria) OnArrival(t *Task, _ time.Duration) { t.Attachment = p.est.stats(t) }
+func (p *Planaria) OnArrival(t *Task, now time.Duration) {
+	st := p.est.stats(t)
+	t.Attachment = st
+	if r := st.AvgRemaining(0); r > p.remMax {
+		p.remMax = r
+	}
+	p.place(t, now)
+}
 
-// OnLayerComplete implements Scheduler.
-func (*Planaria) OnLayerComplete(t *Task, _ int, _ float64, _ time.Duration) {
+// OnLayerComplete implements Scheduler: the executed task's key moved and
+// its slack may have risen, so it is re-classified; a completed task
+// leaves.
+func (p *Planaria) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 	if t.Done {
-		t.Attachment = nil
+		p.OnExtract(t, now)
+		return
+	}
+	p.place(t, now)
+}
+
+// place files a task in the heap its reference slack at now selects.
+func (p *Planaria) place(t *Task, now time.Duration) {
+	if planariaHopeless(t, now) {
+		reheap(t, &p.hopeless, &p.feasible)
+	} else {
+		reheap(t, &p.feasible, &p.hopeless)
 	}
 }
 
-// OnExtract implements TaskExtractor: only the attachment holds state.
-func (*Planaria) OnExtract(t *Task, _ time.Duration) { t.Attachment = nil }
+// OnExtract implements TaskExtractor: release the heap slot and the
+// attached profile.
+func (p *Planaria) OnExtract(t *Task, _ time.Duration) {
+	if !p.feasible.Remove(t) {
+		p.hopeless.Remove(t)
+	}
+	t.Attachment = nil
+}
 
 // PickNext implements Scheduler: least slack first among feasible tasks;
 // if none is feasible, shortest remaining among the hopeless (the
@@ -273,93 +372,296 @@ func (p *Planaria) PickNext(ready []*Task, now time.Duration) *Task {
 	return best
 }
 
-// PickNextIncremental implements IncrementalScheduler: one pass over the
-// queue tracking the feasible and hopeless minima simultaneously, with
-// the profile read from the arrival-time attachment.
+// PickNextIncremental implements IncrementalScheduler: the reference pick
+// by pruned walk over the two heaps (see the field doc on feasible).
 func (p *Planaria) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	var feasible, hopeless *Task
-	var bestSlack float64
-	var bestRem time.Duration
-	for _, t := range q.Tasks() {
-		rem := estStats(p.est, t).AvgRemaining(t.NextLayer)
-		slack := ms(t.Deadline()-now) - ms(rem)
-		if slack < 0 {
-			if hopeless == nil || rem < bestRem || (rem == bestRem && t.ID < hopeless.ID) {
-				hopeless, bestRem = t, rem
-			}
-			continue
-		}
-		if feasible == nil || slack < bestSlack || (slack == bestSlack && t.ID < feasible.ID) {
-			feasible, bestSlack = t, slack
+	if q.Len() == 1 {
+		return q.Tasks()[0]
+	}
+	for t := p.feasible.Min(); t != nil && planariaHopeless(t, now); t = p.feasible.Min() {
+		p.feasible.Remove(t)
+		p.hopeless.Push(t)
+	}
+	if p.feasible.Len() == 0 {
+		return p.hopeless.Min()
+	}
+	p.visit(0, now)
+	best := p.best
+	p.best = nil
+	return best
+}
+
+// visit scores feasible-heap node i and recurses into the subtrees the
+// guarded key bound cannot rule out. The root is visited first and is
+// feasible, so best is set before any pruning test.
+func (p *Planaria) visit(i int, now time.Duration) {
+	t := p.feasible.At(i)
+	k := slackKey(t)
+	if p.best != nil && k > p.cut {
+		return
+	}
+	// A negative slack below the root happens only once float64 has lost
+	// the nanoseconds separating k from now; such a task is no candidate
+	// and leaves the heap when it becomes the root.
+	if s := planariaSlack(t, now); s >= 0 &&
+		(p.best == nil || s < p.bestSlack || (s == p.bestSlack && t.ID < p.best.ID)) {
+		p.best, p.bestSlack = t, s
+		p.cut = k + time.Duration(planariaGuard*(math.Abs(float64(k-now))+float64(p.remMax)))
+	}
+	if l := 2*i + 1; l < p.feasible.Len() {
+		p.visit(l, now)
+		if l+1 < p.feasible.Len() {
+			p.visit(l+1, now)
 		}
 	}
-	if feasible != nil {
-		return feasible
-	}
-	return hopeless
 }
 
 // Oracle is the paper's upper-bound scheduler (§6.4): it scores tasks with
 // the same balanced objective as Dysta's dynamic level but substitutes the
 // ground-truth remaining latency for the prediction, so it bounds what any
-// latency predictor could achieve.
+// latency predictor could achieve. Construct it with NewOracle.
+//
+// The pick is Dysta's heap pick without the preemption penalty. feasible
+// is keyed K = (1-Eta)*ms(TrueRemaining) + Eta*ms(Deadline), and
+// K - Eta*ms(now) bounds every score from below: for a feasible task
+// (slack >= 0) it is the score in real arithmetic, and for a task past its
+// slack ms(Deadline-now) < remain puts it below remain, itself at most the
+// score. PruneAbove's guard covers the float rounding. demoted holds the
+// tasks already past their slack, keyed TrueRemaining; their score is
+// fl(remain + DemotionMS), so remain + DemotionMS bounds a subtree exactly.
+// A waiting task's slack only falls, so a demoted task stays demoted until
+// it executes a layer, and a feasible-heap task a pick finds demoted moves
+// to demoted after that pick. TrueRemaining changes only for the executed
+// task, at OnLayerComplete, which re-classifies it. Both bounds need every
+// term the score adds to remain to be non-negative, hence Validate's
+// rules: Eta in [0,1] and DemotionMS >= 0.
 type Oracle struct {
 	// Eta balances the remaining-time (ANTT) and slack (violation)
 	// objectives exactly as in Dysta's dynamic score.
 	Eta float64
 	// DemotionMS is added to the score of tasks that can no longer meet
-	// their deadline, mirroring Dysta's hopeless-task demotion.
+	// their deadline, mirroring Dysta's hopeless-task demotion. It must
+	// not be negative: the pick's bounds rely on it (see Validate).
 	DemotionMS float64
+
+	feasible, demoted TaskHeap
+
+	// The running search of one pick: the best task and score so far, the
+	// feasible-heap key above which a subtree is pruned, and the tasks it
+	// found demoted.
+	best                   *Task
+	bestScore, cut, etaNow float64
+	now                    time.Duration
+	newlyDemoted           []*Task
 }
 
 // NewOracle returns the Oracle scheduler with the given eta and the
-// default demotion.
-func NewOracle(eta float64) *Oracle { return &Oracle{Eta: eta, DemotionMS: 1000} }
+// default demotion. It panics when eta lies outside [0,1]
+// (construction-time programming error, as core.New).
+func NewOracle(eta float64) *Oracle {
+	o := &Oracle{Eta: eta, DemotionMS: 1000}
+	if err := o.Validate(); err != nil {
+		panic(err)
+	}
+	o.feasible.Init(o.byBound)
+	o.demoted.Init(byTrueRemaining)
+	return o
+}
+
+// Validate reports a configuration the pick's bounds do not hold for.
+func (o *Oracle) Validate() error {
+	if !(o.Eta >= 0 && o.Eta <= 1) {
+		return fmt.Errorf("sched: Oracle Eta %v outside [0,1]", o.Eta)
+	}
+	if !(o.DemotionMS >= 0) {
+		return fmt.Errorf("sched: Oracle DemotionMS %v negative", o.DemotionMS)
+	}
+	return nil
+}
+
+// bound is the feasible-heap key K in nanoseconds,
+// (1-Eta)*TrueRemaining + Eta*Deadline: 1e6 times the millisecond key of
+// the type doc. Skipping the two divisions moves it by a few ulps, which
+// PruneAbove's relative guard covers.
+func (o *Oracle) bound(t *Task) float64 {
+	return (1-o.Eta)*float64(t.TrueRemaining()) + o.Eta*float64(t.Deadline())
+}
+
+// byBound orders the feasible heap by (bound, ID).
+func (o *Oracle) byBound(a, b *Task) bool {
+	ka, kb := o.bound(a), o.bound(b)
+	return ka < kb || (ka == kb && a.ID < b.ID)
+}
+
+// byTrueRemaining orders the demoted heap by (TrueRemaining, ID).
+func byTrueRemaining(a, b *Task) bool {
+	ra, rb := a.TrueRemaining(), b.TrueRemaining()
+	return ra < rb || (ra == rb && a.ID < b.ID)
+}
 
 // Name implements Scheduler.
 func (*Oracle) Name() string { return "Oracle" }
 
 // OnArrival implements Scheduler.
-func (*Oracle) OnArrival(*Task, time.Duration) {}
+func (o *Oracle) OnArrival(t *Task, now time.Duration) { o.place(t, now) }
 
-// OnLayerComplete implements Scheduler.
-func (*Oracle) OnLayerComplete(*Task, int, float64, time.Duration) {}
+// OnLayerComplete implements Scheduler: the executed task's TrueRemaining
+// shrank, so it is re-classified; a completed task leaves.
+func (o *Oracle) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
+	if t.Done {
+		o.OnExtract(t, now)
+		return
+	}
+	o.place(t, now)
+}
 
-// OnExtract implements TaskExtractor: Oracle keeps no per-task state.
-func (*Oracle) OnExtract(*Task, time.Duration) {}
+// place files a task in the heap its score's demotion test at now
+// selects. As for Planaria, rounding is monotone, so the test can only
+// fire when Deadline-now < TrueRemaining in integers.
+func (o *Oracle) place(t *Task, now time.Duration) {
+	if t.Deadline()-now < t.TrueRemaining() {
+		if _, demoted := o.score(t, now); demoted {
+			reheap(t, &o.demoted, &o.feasible)
+			return
+		}
+	}
+	reheap(t, &o.feasible, &o.demoted)
+}
+
+// OnExtract implements TaskExtractor: release the heap slot.
+func (o *Oracle) OnExtract(t *Task, _ time.Duration) {
+	if !o.feasible.Remove(t) {
+		o.demoted.Remove(t)
+	}
+}
 
 // PickNext implements Scheduler (the reference scan).
 func (o *Oracle) PickNext(ready []*Task, now time.Duration) *Task {
 	best := ready[0]
-	bestScore := o.score(best, now)
+	bestScore, _ := o.score(best, now)
 	for _, t := range ready[1:] {
-		if sc := o.score(t, now); sc < bestScore || (sc == bestScore && t.ID < best.ID) {
+		if sc, _ := o.score(t, now); sc < bestScore || (sc == bestScore && t.ID < best.ID) {
 			best, bestScore = t, sc
 		}
 	}
 	return best
 }
 
-// PickNextIncremental implements IncrementalScheduler. Oracle's score is
-// already O(1) per task (the engine maintains TrueRemaining as a running
-// suffix), so the incremental path is the same scan over the queue view.
+// PickNextIncremental implements IncrementalScheduler: the same argmin as
+// PickNext, by bound-pruned walk over the two heaps (see the type doc).
 func (o *Oracle) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	return o.PickNext(q.Tasks(), now)
+	if q.Len() == 1 {
+		return q.Tasks()[0]
+	}
+	o.best, o.now = nil, now
+	o.bestScore, o.cut = math.Inf(1), math.Inf(1)
+	o.etaNow = o.Eta * ms(now)
+	// Feasible tasks first: they carry no demotion, so the best score they
+	// yield usually prunes the demoted heap at its root.
+	if o.feasible.Len() > 0 {
+		o.visitFeasible(0)
+	}
+	if o.demoted.Len() > 0 {
+		o.visitDemoted(0)
+	}
+	for _, t := range o.newlyDemoted {
+		o.feasible.Remove(t)
+		o.demoted.Push(t)
+	}
+	clear(o.newlyDemoted)
+	o.newlyDemoted = o.newlyDemoted[:0]
+	best := o.best
+	o.best = nil
+	return best
+}
+
+// visitFeasible scores feasible-heap node i and recurses into the subtrees
+// its bound cannot rule out.
+func (o *Oracle) visitFeasible(i int) {
+	t := o.feasible.At(i)
+	if o.bound(t) > o.cut {
+		return
+	}
+	sc, demoted := o.score(t, o.now)
+	if demoted {
+		o.newlyDemoted = append(o.newlyDemoted, t)
+	}
+	o.consider(t, sc)
+	if l := 2*i + 1; l < o.feasible.Len() {
+		o.visitFeasible(l)
+		if l+1 < o.feasible.Len() {
+			o.visitFeasible(l + 1)
+		}
+	}
+}
+
+// visitDemoted scores demoted-heap node i and recurses into the subtrees
+// whose exact bound remain + DemotionMS does not exceed the best score.
+func (o *Oracle) visitDemoted(i int) {
+	t := o.demoted.At(i)
+	if ms(t.TrueRemaining())+o.DemotionMS > o.bestScore {
+		return
+	}
+	sc, _ := o.score(t, o.now)
+	o.consider(t, sc)
+	if l := 2*i + 1; l < o.demoted.Len() {
+		o.visitDemoted(l)
+		if l+1 < o.demoted.Len() {
+			o.visitDemoted(l + 1)
+		}
+	}
+}
+
+// consider folds one exact score into the running argmin and moves the
+// feasible heap's pruning cut with it.
+func (o *Oracle) consider(t *Task, sc float64) {
+	if o.best == nil || sc < o.bestScore || (sc == o.bestScore && t.ID < o.best.ID) {
+		o.best, o.bestScore = t, sc
+		o.cut = 1e6 * PruneAbove(sc, o.etaNow) // in bound's nanoseconds
+	}
 }
 
 // score mirrors Dysta's dynamic score (Alg. 2 line 11) with perfect
 // latency information, in milliseconds. Negative slack is clamped to zero
 // so already-hopeless tasks compete on remaining time instead of hijacking
-// the queue (the EDF overload pathology).
-func (o *Oracle) score(t *Task, now time.Duration) float64 {
+// the queue (the EDF overload pathology); demoted reports the clamp.
+func (o *Oracle) score(t *Task, now time.Duration) (score float64, demoted bool) {
 	remain := ms(t.TrueRemaining())
 	slack := ms(t.Deadline()-now) - remain
 	demotion := 0.0
 	if slack < 0 {
 		slack = 0
 		demotion = o.DemotionMS
+		demoted = true
 	}
-	return remain + o.Eta*slack + demotion
+	return remain + o.Eta*slack + demotion, demoted
+}
+
+// etaGuard is the relative float guard of PruneAbove: the rounding it
+// covers is a few ulps (~1e-16 relative) of the score, key and Eta*ms(now)
+// magnitudes, while real score gaps between tasks are microseconds on
+// millisecond scores (~1e-3 relative).
+const etaGuard = 1e-9
+
+// PruneAbove is the feasible-heap key above which every task scores
+// strictly above best, for the picks that key a feasible heap by
+// K = (1-Eta)*remain + Eta*ms(Deadline) (Oracle here, Dysta in
+// internal/core): K - Eta*ms(now) bounds each score from below in real
+// arithmetic, and the guard, relative to the magnitudes compared, absorbs
+// the rounding of both sides. A key barely past the cut carries a rounding
+// error of a few ulps of best + etaNow; a larger key's error grows with
+// the key, but its margin over the cut grows a full unit per unit of key.
+func PruneAbove(best, etaNow float64) float64 {
+	return best + etaGuard*(math.Abs(best)+etaNow) + etaNow
+}
+
+// reheap files t in h: it repairs t's position when h already holds it
+// and otherwise moves it out of other, the one other heap that can.
+func reheap(t *Task, h, other *TaskHeap) {
+	if !h.Fix(t) {
+		other.Remove(t)
+		h.Push(t)
+	}
 }
 
 // ms converts a duration to float64 milliseconds, the score unit used

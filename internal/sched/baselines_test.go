@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -85,6 +86,43 @@ func TestOraclePrefersTrueShortJob(t *testing.T) {
 	ready := tasksOf(fast, slow)
 	if got := NewOracle(0).PickNext(ready, 0); got != ready[0] {
 		t.Errorf("Oracle picked task %d", got.ID)
+	}
+}
+
+// TestOracleConfigRules pins the configurations the Oracle pick's bounds
+// hold for: NewOracle panics on an Eta outside [0,1], and Validate also
+// rejects a negative DemotionMS, which would let a demoted task score
+// below its feasible-heap bound.
+func TestOracleConfigRules(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name          string
+		eta, demotion float64
+		ok            bool
+	}{
+		{"default", 0.05, 1000, true},
+		{"eta 0", 0, 1000, true},
+		{"eta 1", 1, 1000, true},
+		{"demotion 0", 0.05, 0, true},
+		{"eta negative", -0.1, 1000, false},
+		{"eta above 1", 1.5, 1000, false},
+		{"eta NaN", nan, 1000, false},
+		{"demotion negative", 0.05, -1, false},
+		{"demotion NaN", 0.05, nan, false},
+	} {
+		o := &Oracle{Eta: c.eta, DemotionMS: c.demotion}
+		if err := o.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+		etaOK := c.eta >= 0 && c.eta <= 1
+		func() {
+			defer func() {
+				if panicked := recover() != nil; panicked == etaOK {
+					t.Errorf("%s: NewOracle(%v) panicked=%v, want %v", c.name, c.eta, panicked, !etaOK)
+				}
+			}()
+			NewOracle(c.eta)
+		}()
 	}
 }
 

@@ -24,14 +24,16 @@
 //     (swap-removal, heap internals) carries no semantic order.
 //   - Incremental equivalence. IncrementalScheduler is the engine's one
 //     production pick, and it must pick the identical task the
-//     reference PickNext would. The heap picks (PREMA, SDRM3, and
-//     Dysta in internal/core) key their heaps by provable score bounds
-//     or candidacy partitions and re-score every candidate the bounds
+//     reference PickNext would. FCFS and SJF pick a heap minimum; the
+//     other heap picks (PREMA, SDRM3, Planaria, Oracle, and Dysta in
+//     internal/core) key their heaps by provable score bounds or
+//     candidacy partitions and re-score every candidate the bounds
 //     cannot rule out with the reference arithmetic, so they are exact
-//     by construction, with no tolerance. Options.ReferencePick forces
-//     the reference path, and the equivalence tests in this package,
-//     internal/core and internal/exp prove bit-identical schedules,
-//     including on queues hundreds deep.
+//     by construction, with no tolerance. No pick scans the ready
+//     queue. Options.ReferencePick forces the reference path, and the
+//     equivalence tests in this package, internal/core and
+//     internal/exp prove bit-identical schedules, including on queues
+//     hundreds deep.
 //   - Extraction integrity. Engine.Extract / Engine.Adopt (request
 //     migration) only move tasks that have executed no layer, through
 //     the scheduler's TaskExtractor hook, so scheduler state and the

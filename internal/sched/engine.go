@@ -781,9 +781,13 @@ func (e *Engine) Finish() Result {
 	res.Violations = violations
 	res.ViolationRate = float64(violations) / float64(len(e.done))
 	res.MeanLatency = time.Duration(stats.Mean(e.latencies))
-	res.P50Latency = time.Duration(stats.Percentile(e.latencies, 50))
-	res.P95Latency = time.Duration(stats.Percentile(e.latencies, 95))
-	res.P99Latency = time.Duration(stats.Percentile(e.latencies, 99))
+	// Sort a copy once for the three percentiles: e.latencies stays in
+	// completion order for a second Finish.
+	sorted := append([]float64(nil), e.latencies...)
+	sort.Float64s(sorted)
+	res.P50Latency = time.Duration(stats.PercentileSorted(sorted, 50))
+	res.P95Latency = time.Duration(stats.PercentileSorted(sorted, 95))
+	res.P99Latency = time.Duration(stats.PercentileSorted(sorted, 99))
 	res.Makespan = lastDone - e.firstArrival
 	// A standalone engine bills exactly its makespan of capacity; the
 	// cluster layer overwrites this with the pool's in-service total.

@@ -153,13 +153,15 @@ func (h *TaskHeap) Remove(t *Task) bool {
 	return true
 }
 
-// Fix restores the heap order after the task's key changed.
-func (h *TaskHeap) Fix(t *Task) {
+// Fix restores the heap order after the task's key changed and reports
+// whether the heap holds the task.
+func (h *TaskHeap) Fix(t *Task) bool {
 	i := t.heapIndex
 	if i < 0 || i >= len(h.tasks) || h.tasks[i] != t {
-		return
+		return false
 	}
 	h.fix(i)
+	return true
 }
 
 func (h *TaskHeap) fix(i int) {

@@ -74,11 +74,18 @@ func Max(xs []float64) float64 {
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over an ascending slice, without the copy
+// and sort: callers taking several percentiles of one sample sort it once.
+// It panics on an empty slice.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		panic(ErrEmpty)
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

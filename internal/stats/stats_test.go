@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,32 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile([]float64{10, 20}, 50); !almostEqual(got, 15, 1e-12) {
 		t.Errorf("interpolated median = %v, want 15", got)
 	}
+}
+
+// TestPercentileSortedMatchesPercentile pins the sorted-input form to
+// Percentile bit for bit, over random samples (ties included) and every
+// percentile the result aggregators take plus the clamped extremes.
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	r := rng.New(11)
+	for n := 1; n <= 40; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(20)) * r.Float64()
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{-1, 0, 1, 25, 50, 95, 99, 99.9, 100, 101} {
+			if got, want := PercentileSorted(sorted, p), Percentile(xs, p); got != want {
+				t.Errorf("n=%d p=%v: PercentileSorted = %v, Percentile = %v", n, p, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PercentileSorted(nil) did not panic")
+		}
+	}()
+	PercentileSorted(nil, 50)
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
