@@ -392,8 +392,9 @@ func BenchmarkSignalRefresh(b *testing.B) {
 // BenchmarkRebalanceViews measures the rebalancer's per-round cost —
 // live view construction plus Steal planning — by running the steal
 // configuration at a 100µs interval, an order of magnitude more rounds
-// than BenchmarkClusterSteal: the run is dominated by views() and
-// Steal.Plan, the two paths the reused scratch buffers serve.
+// than BenchmarkClusterSteal. Every round fills the O(1) view fields of
+// all engines; candidate lists are built, into reused scratch, only in
+// rounds where an idle thief faces a longer backlog.
 func BenchmarkRebalanceViews(b *testing.B) {
 	lut, reqs := benchWorkload(b)
 	est := sched.NewEstimator(lut)

@@ -128,19 +128,6 @@ func main() {
 	if *rebal != "" {
 		opts.Rebalance = *rebal
 	}
-	// Half-configured migration would silently never run (interval 0 =
-	// migration off; policy "none"/unset ignores every other knob):
-	// refuse in both directions rather than regenerate artefacts that
-	// misleadingly look rebalanced.
-	migrationOff := *rebal == "" || *rebal == "none"
-	if !migrationOff && *rebalIv <= 0 {
-		fmt.Fprintf(os.Stderr, "-rebalance %s needs a positive -rebalance-interval (0 disables migration)\n", *rebal)
-		os.Exit(2)
-	}
-	if migrationOff && (*rebalIv > 0 || *migCost > 0 || *migBudg > 0) {
-		fmt.Fprintln(os.Stderr, "-rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
-		os.Exit(2)
-	}
 	opts.RebalanceInterval = *rebalIv
 	opts.MigrationCost = *migCost
 	opts.MigrationBudget = *migBudg
@@ -169,8 +156,9 @@ func main() {
 	if *capture != "" {
 		opts.Capture = *capture
 	}
-	// Traffic/autoscaler flags that only make sense together (e.g. -burst
-	// without -traffic mmpp, -scale-min above -scale-max) fail here.
+	// Flags that only make sense together (e.g. -burst without -traffic
+	// mmpp, -migration-cost without -rebalance, -scale-min above
+	// -scale-max) and negative knobs fail here.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -303,8 +303,9 @@ func runMicroBenchmarks() ([]BenchRecord, error) {
 			// The rebalancer's per-round cost — live view construction
 			// plus Steal planning — via the steal configuration at a
 			// 100µs interval: an order of magnitude more rounds than
-			// ClusterSteal, dominated by views() and Steal.Plan, the two
-			// paths the reused scratch buffers serve.
+			// ClusterSteal. Every round fills the O(1) view fields of all
+			// engines; candidate lists are built, into reused scratch,
+			// only in rounds where an idle thief faces a longer backlog.
 			load := cluster.SparsityAwareLoad(lut, est)
 			curve := cluster.SparsityAwareCurve(lut, est)
 			b.ReportAllocs()

@@ -123,22 +123,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Half-configured migration would silently never run (interval 0 =
-	// migration off, the library's bit-identity anchor; policy "none"
-	// ignores every other knob): refuse in both directions rather than
-	// report results that misleadingly look rebalanced.
-	migrationOff := *rebal == "" || *rebal == "none"
-	if !migrationOff && *rebalIv <= 0 {
-		fmt.Fprintf(os.Stderr, "-rebalance %s needs a positive -rebalance-interval (0 disables migration)\n", *rebal)
-		os.Exit(2)
-	}
-	if migrationOff && (*rebalIv > 0 || *migCost > 0 || *migBudg > 0) {
-		fmt.Fprintln(os.Stderr, "-rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
-		os.Exit(2)
-	}
-	// Same no-silent-knob discipline for fault injection: -churn is the
-	// switch, so an availability model or retry cap without it would be
-	// dead configuration.
+	// Fault injection follows the no-silent-knob discipline Validate
+	// applies to migration: -churn is the switch, so an availability
+	// model or retry cap without it would be dead configuration.
 	if *churn && (*mtbf <= 0 || *mttr <= 0) {
 		fmt.Fprintln(os.Stderr, "-churn needs positive -mtbf and -mttr")
 		os.Exit(2)
@@ -178,9 +165,9 @@ func main() {
 		Stream:            *stream,
 		Capture:           *capture,
 	}
-	// Traffic/autoscaler flags that only make sense together (e.g. -burst
-	// without -traffic mmpp, -scale-min above -scale-max, bounds exceeding
-	// the -engines cluster) fail here.
+	// Flags that only make sense together (e.g. -burst without -traffic
+	// mmpp, -migration-cost without -rebalance, -scale-min above
+	// -scale-max) and negative knobs fail here.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -150,8 +150,9 @@ func newScaler(pol *Autoscaler, fi *faultInjector) (*scaler, error) {
 // joins the lowest-index parked slot; scale-down drains the
 // highest-index live one — a deterministic order that keeps slot 0
 // always on and makes the parked set a contiguous suffix in the common
-// case.
-func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) error {
+// case. It reports whether an action fired; an evaluation that took
+// none changed no engine.
+func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) (bool, error) {
 	// Reconcile with churn first: a parked slot the plan failed and then
 	// recovered is back in rotation without the scaler's involvement.
 	for i := range s.parked {
@@ -160,7 +161,7 @@ func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) error {
 		}
 	}
 	if s.acted && now-s.lastAction < s.pol.Cooldown {
-		return nil
+		return false, nil
 	}
 	live, idle := 0, 0
 	var backlog float64
@@ -177,22 +178,22 @@ func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) error {
 	if live == 0 {
 		// The whole cluster is down (churn); there is nothing to drain
 		// and joining is the recovery plan's business.
-		return nil
+		return false, nil
 	}
 	meanDrain := time.Duration(backlog / float64(live))
 	if meanDrain > s.pol.Up && live < s.pol.Max {
 		for i := range s.parked {
 			if s.parked[i] && s.fi.state[i] == stateDraining {
 				if err := s.fi.joinNow(i, now); err != nil {
-					return err
+					return false, err
 				}
 				s.parked[i] = false
 				s.ups++
 				s.acted, s.lastAction = true, now
-				return nil
+				return true, nil
 			}
 		}
-		return nil // every parked slot was failed by churn; nothing to add
+		return false, nil // every parked slot was failed by churn; nothing to add
 	}
 	idleFrac := s.pol.IdleFrac
 	if idleFrac == 0 {
@@ -202,14 +203,14 @@ func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) error {
 		for i := len(s.parked) - 1; i >= 0; i-- {
 			if !s.parked[i] && s.fi.state[i] == stateHealthy {
 				if err := s.fi.drainNow(i, now); err != nil {
-					return err
+					return false, err
 				}
 				s.parked[i] = true
 				s.downs++
 				s.acted, s.lastAction = true, now
-				return nil
+				return true, nil
 			}
 		}
 	}
-	return nil
+	return false, nil
 }

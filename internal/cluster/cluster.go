@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -90,33 +91,50 @@ type Config struct {
 }
 
 // engineSpecs resolves the per-engine specs: Specs verbatim when given,
-// else Engines copies of the homogeneous Sched options.
+// else Engines copies of the homogeneous Sched options. Every resolved
+// latency scale must be finite and non-negative.
 func (cfg Config) engineSpecs() ([]EngineSpec, error) {
-	if len(cfg.Specs) > 0 {
+	var specs []EngineSpec
+	switch {
+	case len(cfg.Specs) > 0:
 		if cfg.Engines != 0 && cfg.Engines != len(cfg.Specs) {
 			return nil, fmt.Errorf("cluster: Engines=%d contradicts %d specs",
 				cfg.Engines, len(cfg.Specs))
 		}
-		specs := append([]EngineSpec(nil), cfg.Specs...)
-		for i := range specs {
-			if specs[i].LatencyScale < 0 {
-				return nil, fmt.Errorf("cluster: engine %d latency scale %v < 0",
-					i, specs[i].LatencyScale)
-			}
-			if specs[i].LatencyScale != 0 {
-				specs[i].Sched.LatencyScale = specs[i].LatencyScale
-			}
-		}
-		return specs, nil
-	}
-	if cfg.Engines < 1 {
+		specs = append([]EngineSpec(nil), cfg.Specs...)
+	case cfg.Engines < 1:
 		return nil, fmt.Errorf("cluster: %d engines", cfg.Engines)
+	default:
+		specs = make([]EngineSpec, cfg.Engines)
+		for i := range specs {
+			specs[i].Sched = cfg.Sched
+		}
 	}
-	specs := make([]EngineSpec, cfg.Engines)
 	for i := range specs {
-		specs[i].Sched = cfg.Sched
+		if specs[i].LatencyScale != 0 {
+			specs[i].Sched.LatencyScale = specs[i].LatencyScale
+		}
+		if s := specs[i].Sched.LatencyScale; s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("cluster: engine %d latency scale %v, want a finite value >= 0", i, s)
+		}
 	}
 	return specs, nil
+}
+
+// checkKnobs rejects negative control-plane knobs, which the run would
+// otherwise silently read as their zero values.
+func (cfg Config) checkKnobs() error {
+	switch {
+	case cfg.SignalInterval < 0:
+		return fmt.Errorf("cluster: negative SignalInterval %v", cfg.SignalInterval)
+	case cfg.RebalanceInterval < 0:
+		return fmt.Errorf("cluster: negative RebalanceInterval %v", cfg.RebalanceInterval)
+	case cfg.MigrationCost < 0:
+		return fmt.Errorf("cluster: negative MigrationCost %v", cfg.MigrationCost)
+	case cfg.MigrationBudget < 0:
+		return fmt.Errorf("cluster: negative MigrationBudget %d", cfg.MigrationBudget)
+	}
+	return nil
 }
 
 // Result aggregates a cluster run: the cluster-wide metrics in the
@@ -190,6 +208,9 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	materialized []*workload.Request, cfg Config) (Result, error) {
 	specs, err := cfg.engineSpecs()
 	if err != nil {
+		return Result{}, err
+	}
+	if err := cfg.checkKnobs(); err != nil {
 		return Result{}, err
 	}
 	req, ok := src.Next()
@@ -353,9 +374,11 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	// order the linear scan it replaces produced, now at O(log n) per
 	// data-plane event. Data-plane mutations touch exactly one engine
 	// (Step, Inject), so the loop re-syncs just that slot; control-plane
-	// actions (churn firings, rebalance rounds, autoscaler actions) can
-	// mutate arbitrary engines — or replace incarnations in the shared
-	// slice — so those rare instants resync the whole heap.
+	// actions (churn firings, rebalance rounds that moved a request,
+	// autoscaler evaluations that acted) can mutate arbitrary engines — or
+	// replace incarnations in the shared slice — so those instants resync
+	// the whole heap. A round or evaluation that changed nothing leaves
+	// the heap alone.
 	evq := newEventHeap(len(engines))
 	sync := func(i int) {
 		t, ok := engines[i].NextEvent()
@@ -412,16 +435,20 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 				return nil
 			}
 			if rb != nil && rb.due(bestT) {
-				if err := rb.rebalance(bestT); err != nil {
+				moved, err := rb.rebalance(bestT)
+				if err != nil {
 					return err
 				}
 				// Migration may have reshaped the event horizon —
 				// possibly past a pending churn instant — so resync and
 				// restart the scan instead of stepping a stale pick. The
 				// round just fired, so rb.due is false and this cannot
-				// loop.
-				syncAll()
-				continue
+				// loop. A round that moved nothing changed no engine, so
+				// the heap and the pick are still exact.
+				if moved > 0 {
+					syncAll()
+					continue
+				}
 			}
 			if _, err := engines[best].Step(); err != nil {
 				return err
@@ -460,10 +487,13 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 			}
 		}
 		if rb != nil && rb.due(r.Arrival) {
-			if err := rb.rebalance(r.Arrival); err != nil {
+			moved, err := rb.rebalance(r.Arrival)
+			if err != nil {
 				return Result{}, err
 			}
-			syncAll()
+			if moved > 0 {
+				syncAll()
+			}
 		}
 		if cfg.debugBacklogAudit != nil {
 			if err := cfg.debugBacklogAudit(engines, load); err != nil {
@@ -480,10 +510,13 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 		// bounce off it as a redirect.
 		if sc != nil && board.Refreshes() != sc.seen {
 			sc.seen = board.Refreshes()
-			if err := sc.evaluate(sig, r.Arrival); err != nil {
+			acted, err := sc.evaluate(sig, r.Arrival)
+			if err != nil {
 				return Result{}, err
 			}
-			syncAll()
+			if acted {
+				syncAll()
+			}
 		}
 		if !admission.Admit(sig, r, r.Arrival) {
 			rejected++

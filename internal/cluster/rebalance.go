@@ -40,7 +40,9 @@ type Candidate struct {
 	Est time.Duration
 }
 
-// EngineView is one engine's live state at a rebalance instant.
+// EngineView is one engine's live state at a rebalance instant. Its
+// fields cost O(1) to fill; the engine's candidate list is built only
+// when a policy first asks for it (Eligible).
 type EngineView struct {
 	// Engine is the index into the cluster's engine slice.
 	Engine int
@@ -52,16 +54,33 @@ type EngineView struct {
 	// Est of every outstanding request, scaled by LatencyScale — the
 	// engine's predicted drain time as a float64 of duration units.
 	NormBacklog float64
-	// Eligible lists the engine's migratable requests in ascending
-	// task-ID order, excluding requests that already migrated once.
-	Eligible []Candidate
 	// Down reports the engine is out of service (failed or draining) at
 	// this rebalance instant. Unlike the dispatch-layer signal this is
 	// live truth, not a stale snapshot — peers always know who answers.
 	// Policies must neither raid nor feed a Down engine; the Rebalancer
 	// rejects such moves as malformed. The zero value is "in service".
 	Down bool
+	// rb holds the round's candidate cache; nil for a view the
+	// Rebalancer did not build.
+	rb *Rebalancer
 }
+
+// Eligible lists the engine's migratable requests in ascending task-ID
+// order, excluding requests that already migrated once. The first call
+// in a round builds the list — a queue walk plus one load estimate per
+// candidate — and caches it, so later calls through any copy of the view
+// return the same slice until the next round. A view the Rebalancer did
+// not build has no candidates.
+func (v EngineView) Eligible() []Candidate {
+	if v.rb == nil {
+		return nil
+	}
+	return v.rb.eligible(v.Engine)
+}
+
+// setEligible writes a consumed list back to the round's cache, so every
+// later reader in the round sees only what is left.
+func (v EngineView) setEligible(list []Candidate) { v.rb.cands[v.Engine].list = list }
 
 // Move is one proposed migration: the request with task ID moves from
 // engines[From] to engines[To].
@@ -77,8 +96,11 @@ type Move struct {
 // the migration budget, so policies should emit their most valuable
 // moves first. The views are scratch the Rebalancer rebuilds from live
 // engine state every round, so policies may consume them in place —
-// mutate NormBacklog as planned moves accumulate, truncate or reorder
-// Eligible — instead of copying them.
+// mutate NormBacklog as planned moves accumulate, reorder the slice
+// Eligible returns — instead of copying them. A view's fields cost O(1);
+// Eligible builds the engine's candidate list on its first call in the
+// round, so a policy should test the cheap fields first and read only
+// the lists of engines it may act on.
 type RebalancePolicy interface {
 	// Name identifies the policy in results.
 	Name() string
@@ -140,12 +162,16 @@ func (s Steal) CurveFunc() func(*sched.Task) []time.Duration { return s.Curve }
 // normalized backlog than the thief — without that benefit check two
 // near-idle engines would swap their single queued tasks, delaying both
 // by the migration cost for zero gain and burning their once-ever
-// migration allowance.
+// migration allowance. The victim test reads the candidate list last,
+// after the O(1) fields, so a round with no thief–victim pair builds no
+// list.
 // The plan consumes the views in place (the Plan contract permits it):
-// NormBacklog tracks planned moves and Eligible shrinks by swap-delete as
-// candidates are taken. Swap-delete reorders the slice, but the selection
-// is a strict maximum over (Arrival, ID) with unique IDs, so the pick —
-// and therefore the emitted plan — is independent of element order.
+// NormBacklog tracks planned moves, and the victim's list shrinks by
+// swap-delete as candidates are taken and is written back to the round's
+// cache, so a second thief raiding the same victim sees only what is
+// left. Swap-delete reorders the list, but the selection is a strict
+// maximum over (Arrival, ID) with unique IDs, so the pick — and
+// therefore the emitted plan — is independent of element order.
 func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
 	var moves []Move
 	for thief := range views {
@@ -154,8 +180,8 @@ func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
 		}
 		victim := -1
 		for i := range views {
-			if i == thief || views[i].Down || len(views[i].Eligible) == 0 ||
-				views[i].Outstanding < 2 || views[i].NormBacklog <= views[thief].NormBacklog {
+			if i == thief || views[i].Down || views[i].Outstanding < 2 ||
+				views[i].NormBacklog <= views[thief].NormBacklog || len(views[i].Eligible()) == 0 {
 				continue
 			}
 			if victim < 0 || views[i].NormBacklog > views[victim].NormBacklog {
@@ -168,9 +194,9 @@ func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
 		// Take up to half the victim's eligible queue, newest arrival
 		// (then highest ID) first, stopping once the imbalance the raid
 		// was fixing is gone.
-		take := (len(views[victim].Eligible) + 1) / 2
+		rem := views[victim].Eligible()
+		take := (len(rem) + 1) / 2
 		for k := 0; k < take && views[victim].NormBacklog > views[thief].NormBacklog; k++ {
-			rem := views[victim].Eligible
 			best := 0
 			for i, c := range rem {
 				b := rem[best]
@@ -181,12 +207,13 @@ func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
 			}
 			c := rem[best]
 			rem[best] = rem[len(rem)-1]
-			views[victim].Eligible = rem[:len(rem)-1]
+			rem = rem[:len(rem)-1]
 			moves = append(moves, Move{ID: c.Task.ID, From: victim, To: thief})
 			shift := float64(c.Est)
 			views[victim].NormBacklog -= shift * views[victim].LatencyScale
 			views[thief].NormBacklog += shift * views[thief].LatencyScale
 		}
+		views[victim].setEligible(rem)
 	}
 	return moves
 }
@@ -227,7 +254,7 @@ func (Shed) Plan(views []EngineView, now, cost time.Duration) []Move {
 		if views[i].Down {
 			continue
 		}
-		for _, c := range views[i].Eligible {
+		for _, c := range views[i].Eligible() {
 			// Predicted completion here: behind the engine's whole
 			// normalized backlog (which includes this request).
 			here := float64(now) + views[i].NormBacklog
@@ -271,15 +298,24 @@ type Rebalancer struct {
 	count    int
 	// uniform records that the run has no load estimate and load is the
 	// 1ms placeholder, so a view's backlog is Outstanding() placeholder
-	// units — O(1) instead of a queue scan.
+	// units. Otherwise runCluster has bound every engine spec, the
+	// replacement incarnations' included, to load, and the backlog is the
+	// engines' incremental sum.
 	uniform bool
-	// viewBuf, eligBuf and migBuf are per-round scratch, reused across
-	// rebalance instants: views() rebuilds them in place, and policies may
-	// consume them (see RebalancePolicy.Plan). One allocation per
-	// high-water mark instead of one per round.
+	// viewBuf, cands and migBuf are per-round scratch, reused across
+	// rebalance instants: views() rewrites the views and invalidates the
+	// candidate cache, Eligible refills one engine's list in place, and
+	// policies may consume both (see RebalancePolicy.Plan). One
+	// allocation per high-water mark instead of one per round.
 	viewBuf []EngineView
-	eligBuf [][]Candidate
+	cands   []candidates
 	migBuf  []*sched.Task
+}
+
+// candidates is one engine's slot in the per-round candidate cache.
+type candidates struct {
+	built bool
+	list  []Candidate
 }
 
 // bindLiveness attaches the fault injector's availability source: views
@@ -309,7 +345,7 @@ func newRebalancer(policy RebalancePolicy, engines []*sched.Engine,
 		moved:    map[int]bool{},
 		uniform:  uniform,
 		viewBuf:  make([]EngineView, len(engines)),
-		eligBuf:  make([][]Candidate, len(engines)),
+		cands:    make([]candidates, len(engines)),
 	}
 }
 
@@ -331,85 +367,88 @@ func (rb *Rebalancer) Migrations() int { return rb.count }
 // Moved reports whether the request with the given task ID has migrated.
 func (rb *Rebalancer) Moved(id int) bool { return rb.moved[id] }
 
-// views snapshots live engine state for the policy, excluding requests
+// views snapshots live engine state for the policy: the O(1) fields of
+// every engine, with its candidate cache invalidated. Each list is built
+// when a policy first reads it (EngineView.Eligible), excluding requests
 // that already migrated (once per request, ever — the invariant that
 // makes thrashing structurally impossible: a request's total migration
 // delay is bounded by one cost, and ping-pong cycles cannot form).
-//
-// The backlog is O(1) per engine on every configured path: the engines'
-// incremental sum when they are bound to the run's estimator, the
-// placeholder arithmetic when the run has none. The O(n) EstimatedBacklog
-// scan remains only as the fallback for engines constructed without a
-// BacklogEstimator, and as the reference the invariant tests compare the
-// incremental sum against.
 func (rb *Rebalancer) views() []EngineView {
 	views := rb.viewBuf
 	for i, e := range rb.engines {
-		var backlog time.Duration
-		switch {
-		case rb.uniform:
+		backlog := e.Backlog()
+		if rb.uniform {
 			// Bit-identical to scanning with the placeholder: every
 			// outstanding request (ready or pending) contributes exactly
 			// one placeholder unit.
 			backlog = time.Duration(e.Outstanding()) * time.Millisecond
-		case e.BacklogBound():
-			backlog = e.Backlog()
-		default:
-			backlog = e.EstimatedBacklog(rb.load)
 		}
-		elig := rb.eligBuf[i][:0]
-		rb.migBuf = e.MigratableInto(rb.migBuf[:0])
-		for _, t := range rb.migBuf {
-			if rb.moved[t.ID] {
-				continue
-			}
-			elig = append(elig, Candidate{Task: t, Est: rb.load(t)})
-		}
-		rb.eligBuf[i] = elig
+		rb.cands[i].built = false
 		views[i] = EngineView{
 			Engine:       i,
 			LatencyScale: e.LatencyScale(),
 			Outstanding:  e.Outstanding(),
 			NormBacklog:  float64(backlog) * e.LatencyScale(),
-			Eligible:     elig,
 			Down:         rb.up != nil && !rb.up(i),
+			rb:           rb,
 		}
 	}
 	return views
 }
 
+// eligible returns engine i's candidate list for the round, building it
+// on first use. Nothing moves while a policy plans, so a list built late
+// in Plan equals one built when the round began.
+func (rb *Rebalancer) eligible(i int) []Candidate {
+	c := &rb.cands[i]
+	if c.built {
+		return c.list
+	}
+	rb.migBuf = rb.engines[i].MigratableInto(rb.migBuf[:0])
+	c.list = c.list[:0]
+	for _, t := range rb.migBuf {
+		if !rb.moved[t.ID] {
+			c.list = append(c.list, Candidate{Task: t, Est: rb.load(t)})
+		}
+	}
+	c.built = true
+	return c.list
+}
+
 // rebalance runs one policy round at virtual time now: plan on live
 // views, then execute the plan prefix the budget allows, charging each
 // moved request the migration cost as a visibility delay on the adopting
-// engine. A malformed plan (unknown ID, out-of-range engine, self-move)
-// fails the run — policies are deterministic functions and a bad move is
-// a bug, not a runtime condition.
-func (rb *Rebalancer) rebalance(now time.Duration) error {
+// engine. It returns the number of requests moved; a round that moved
+// none changed no engine. A malformed plan (unknown ID, out-of-range
+// engine, self-move) fails the run — policies are deterministic functions
+// and a bad move is a bug, not a runtime condition.
+func (rb *Rebalancer) rebalance(now time.Duration) (int, error) {
 	rb.last = now
+	before := rb.count
 	moves := rb.policy.Plan(rb.views(), now, rb.cost)
 	for _, m := range moves {
 		if rb.budget > 0 && rb.count >= rb.budget {
 			break
 		}
 		if m.From < 0 || m.From >= len(rb.engines) || m.To < 0 || m.To >= len(rb.engines) || m.From == m.To {
-			return fmt.Errorf("cluster: policy %s proposed invalid move %+v", rb.policy.Name(), m)
+			return 0, fmt.Errorf("cluster: policy %s proposed invalid move %+v", rb.policy.Name(), m)
 		}
 		if rb.up != nil && (!rb.up(m.From) || !rb.up(m.To)) {
-			return fmt.Errorf("cluster: policy %s moved request %d through an out-of-service engine (%d -> %d)",
+			return 0, fmt.Errorf("cluster: policy %s moved request %d through an out-of-service engine (%d -> %d)",
 				rb.policy.Name(), m.ID, m.From, m.To)
 		}
 		if rb.moved[m.ID] {
-			return fmt.Errorf("cluster: policy %s re-moved request %d", rb.policy.Name(), m.ID)
+			return 0, fmt.Errorf("cluster: policy %s re-moved request %d", rb.policy.Name(), m.ID)
 		}
 		t, err := rb.engines[m.From].Extract(m.ID)
 		if err != nil {
-			return fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
+			return 0, fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
 		}
 		if err := rb.engines[m.To].Adopt(t, now+rb.cost); err != nil {
-			return fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
+			return 0, fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
 		}
 		rb.moved[m.ID] = true
 		rb.count++
 	}
-	return nil
+	return rb.count - before, nil
 }

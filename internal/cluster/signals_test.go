@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -169,17 +170,55 @@ func TestHeterogeneousEnginesRunAtTheirSpeed(t *testing.T) {
 	}
 }
 
-// TestEngineSpecsValidation: contradictions and bad scales fail the run.
+// TestEngineSpecsValidation: contradictions and bad scales — negative,
+// NaN or infinite, on the heterogeneous and the homogeneous path — fail
+// the run.
 func TestEngineSpecsValidation(t *testing.T) {
 	reqs, est, _ := randomStream(3, 5)
 	mk := func(int) sched.Scheduler { return sched.NewSJF(est) }
-	if _, err := Run(mk, reqs, Config{Engines: 3, Specs: []EngineSpec{{}, {}}}); err == nil {
-		t.Error("Engines contradicting len(Specs) accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"engines contradict specs", Config{Engines: 3, Specs: []EngineSpec{{}, {}}}, false},
+		{"engines match specs", Config{Engines: 2, Specs: []EngineSpec{{}, {}}}, true},
+		{"negative scale", Config{Specs: []EngineSpec{{LatencyScale: -1}}}, false},
+		{"NaN scale", Config{Specs: []EngineSpec{{LatencyScale: nan}, {LatencyScale: nan}}}, false},
+		{"+Inf scale", Config{Specs: []EngineSpec{{LatencyScale: 1}, {LatencyScale: inf}}}, false},
+		{"-Inf scale", Config{Specs: []EngineSpec{{LatencyScale: -inf}}}, false},
+		{"NaN in spec sched options", Config{Specs: []EngineSpec{{Sched: sched.Options{LatencyScale: nan}}}}, false},
+		{"NaN homogeneous scale", Config{Engines: 2, Sched: sched.Options{LatencyScale: nan}}, false},
+		{"Inf homogeneous scale", Config{Engines: 2, Sched: sched.Options{LatencyScale: inf}}, false},
+		{"finite scales", Config{Specs: []EngineSpec{{LatencyScale: 0.5}, {LatencyScale: 2}}}, true},
+	} {
+		_, err := Run(mk, reqs, c.cfg)
+		if c.ok && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
-	if _, err := Run(mk, reqs, Config{Specs: []EngineSpec{{LatencyScale: -1}}}); err == nil {
-		t.Error("negative latency scale accepted")
-	}
-	if _, err := Run(mk, reqs, Config{Engines: 2, Specs: []EngineSpec{{}, {}}}); err != nil {
-		t.Errorf("Engines matching len(Specs) rejected: %v", err)
+}
+
+// TestNegativeKnobsRejected: a negative control-plane knob fails the run
+// instead of reading as its zero value.
+func TestNegativeKnobsRejected(t *testing.T) {
+	reqs, est, lut := randomStream(3, 20)
+	mk := func(int) sched.Scheduler { return sched.NewSJF(est) }
+	steal := Steal{Load: SparsityAwareLoad(lut, est)}
+	for name, cfg := range map[string]Config{
+		"signal interval":    {Engines: 2, SignalInterval: -5 * time.Millisecond},
+		"rebalance interval": {Engines: 2, Rebalance: steal, RebalanceInterval: -time.Millisecond},
+		"migration cost": {Engines: 2, Rebalance: steal, RebalanceInterval: time.Millisecond,
+			MigrationCost: -5 * time.Millisecond},
+		"migration budget": {Engines: 2, Rebalance: steal, RebalanceInterval: time.Millisecond,
+			MigrationBudget: -1},
+	} {
+		if _, err := Run(mk, reqs, cfg); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
 	}
 }

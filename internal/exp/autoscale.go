@@ -60,7 +60,7 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 			burst = DefaultBurst
 		}
 		if burst < 1 {
-			return nil, fmt.Errorf("exp: mmpp burst ratio %v < 1 (bursts must raise the rate)", burst)
+			return nil, fmt.Errorf("exp: -burst %v < 1 (mmpp bursts must raise the rate)", burst)
 		}
 		meanBurst := time.Duration(mmppBurstLen / rate * float64(time.Second))
 		return traffic.Bursty(rate, burst, mmppBurstFrac, meanBurst), nil
@@ -68,9 +68,13 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 		period := time.Duration(float64(requests) / rate * float64(time.Second))
 		return &traffic.Diurnal{Base: rate, Amplitude: diurnalAmplitude, Period: period}, nil
 	case strings.HasPrefix(name, "replay:"):
-		return traffic.LoadReplay(strings.TrimPrefix(name, "replay:"))
+		p, err := traffic.LoadReplay(strings.TrimPrefix(name, "replay:"))
+		if err != nil {
+			return nil, fmt.Errorf("exp: -traffic %s: %w", name, err)
+		}
+		return p, nil
 	}
-	return nil, fmt.Errorf("exp: unknown traffic model %q (valid: %v)", name, TrafficModels)
+	return nil, fmt.Errorf("exp: unknown -traffic model %q (valid: %v)", name, TrafficModels)
 }
 
 // NewAutoscaler derives the SLO-driven engine-count policy for a request
@@ -102,10 +106,30 @@ func NewAutoscaler(reqs []*workload.Request, min, max int, load func(*sched.Task
 // work starts. It is the CLI-facing check — flags that only make sense
 // together fail loudly here instead of being silently ignored — and is
 // deliberately NOT called by runCell: experiment sweeps build option
-// blocks programmatically and own their own consistency.
+// blocks programmatically and own their own consistency. Every
+// rejection names the flag it concerns.
 func (o Options) Validate() error {
 	if _, err := o.schedOptions(); err != nil {
 		return err
+	}
+	// Half-configured migration would silently never run (interval 0 is
+	// migration off, the library's bit-identity anchor; policy "none"
+	// ignores every other knob): refuse in both directions rather than
+	// report results that misleadingly look rebalanced.
+	migrationOff := o.Rebalance == "" || o.Rebalance == "none"
+	switch {
+	case o.SignalInterval < 0:
+		return fmt.Errorf("exp: -signal-interval %v is negative", o.SignalInterval)
+	case o.RebalanceInterval < 0:
+		return fmt.Errorf("exp: -rebalance-interval %v is negative", o.RebalanceInterval)
+	case o.MigrationCost < 0:
+		return fmt.Errorf("exp: -migration-cost %v is negative", o.MigrationCost)
+	case o.MigrationBudget < 0:
+		return fmt.Errorf("exp: -migration-budget %d is negative (0 = once-per-request rule only)", o.MigrationBudget)
+	case !migrationOff && o.RebalanceInterval == 0:
+		return fmt.Errorf("exp: -rebalance %s needs a positive -rebalance-interval (0 disables migration)", o.Rebalance)
+	case migrationOff && (o.RebalanceInterval > 0 || o.MigrationCost > 0 || o.MigrationBudget > 0):
+		return fmt.Errorf("exp: -rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
 	}
 	if o.Stream && o.Autoscale {
 		// NewAutoscaler derives its thresholds from the materialized

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -211,26 +212,63 @@ func TestOptionsValidate(t *testing.T) {
 		"mmpp burst":      ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = 4 }),
 		"autoscale":       ok(func(o *Options) { o.Engines = 4; o.Autoscale = true }),
 		"autoscale range": ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 2; o.ScaleMax = 3 }),
+		"steal": ok(func(o *Options) {
+			o.Rebalance = "steal"
+			o.RebalanceInterval = time.Millisecond
+			o.MigrationCost = 200 * time.Microsecond
+			o.MigrationBudget = 5
+		}),
+		"none policy":     ok(func(o *Options) { o.Rebalance = "none" }),
+		"signal interval": ok(func(o *Options) { o.SignalInterval = time.Millisecond }),
 	}
 	for name, o := range good {
 		if err := o.Validate(); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
-	bad := map[string]Options{
-		"burst without mmpp":        ok(func(o *Options) { o.Burst = 4 }),
-		"burst with poisson":        ok(func(o *Options) { o.Traffic = "poisson"; o.Burst = 4 }),
-		"unknown traffic":           ok(func(o *Options) { o.Traffic = "uniform" }),
-		"unreadable replay":         ok(func(o *Options) { o.Traffic = "replay:/no/such/file.csv" }),
-		"scale-min without scaler":  ok(func(o *Options) { o.Engines = 4; o.ScaleMin = 2 }),
-		"scale-max without scaler":  ok(func(o *Options) { o.Engines = 4; o.ScaleMax = 2 }),
-		"scale-min over scale-max":  ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 3; o.ScaleMax = 2 }),
-		"scale-max over cluster":    ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMax = 8 }),
-		"scale-max over hetero mix": ok(func(o *Options) { _, o.EngineSpecs, _ = ParseEngines("2x1"); o.Autoscale = true; o.ScaleMax = 3 }),
+	// Each rejection must name the flag a CLI user has to fix.
+	bad := map[string]struct {
+		o    Options
+		flag string
+	}{
+		"burst without mmpp":        {ok(func(o *Options) { o.Burst = 4 }), "-burst"},
+		"burst with poisson":        {ok(func(o *Options) { o.Traffic = "poisson"; o.Burst = 4 }), "-burst"},
+		"burst below one":           {ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = 0.5 }), "-burst"},
+		"unknown traffic":           {ok(func(o *Options) { o.Traffic = "uniform" }), "-traffic"},
+		"unreadable replay":         {ok(func(o *Options) { o.Traffic = "replay:/no/such/file.csv" }), "-traffic"},
+		"unknown capture":           {ok(func(o *Options) { o.Capture = "sampled" }), "-capture"},
+		"stream with autoscale":     {ok(func(o *Options) { o.Engines = 4; o.Stream = true; o.Autoscale = true }), "-stream"},
+		"scale-min without scaler":  {ok(func(o *Options) { o.Engines = 4; o.ScaleMin = 2 }), "-scale-min"},
+		"scale-max without scaler":  {ok(func(o *Options) { o.Engines = 4; o.ScaleMax = 2 }), "-scale-max"},
+		"scale-min over scale-max":  {ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 3; o.ScaleMax = 2 }), "-scale-min"},
+		"scale-max over cluster":    {ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMax = 8 }), "-scale-max"},
+		"scale-max over hetero mix": {ok(func(o *Options) { _, o.EngineSpecs, _ = ParseEngines("2x1"); o.Autoscale = true; o.ScaleMax = 3 }), "-scale-max"},
+		"policy without interval":   {ok(func(o *Options) { o.Rebalance = "steal" }), "-rebalance-interval"},
+		"interval without policy":   {ok(func(o *Options) { o.RebalanceInterval = time.Millisecond }), "-rebalance-interval"},
+		"cost without policy":       {ok(func(o *Options) { o.MigrationCost = time.Millisecond }), "-migration-cost"},
+		"budget with none policy":   {ok(func(o *Options) { o.Rebalance = "none"; o.MigrationBudget = 3 }), "-migration-budget"},
+		"negative signal interval":  {ok(func(o *Options) { o.SignalInterval = -5 * time.Millisecond }), "-signal-interval"},
+		"negative rebalance interval": {ok(func(o *Options) {
+			o.Rebalance = "steal"
+			o.RebalanceInterval = -time.Millisecond
+		}), "-rebalance-interval"},
+		"negative migration cost": {ok(func(o *Options) {
+			o.Rebalance = "steal"
+			o.RebalanceInterval = time.Millisecond
+			o.MigrationCost = -5 * time.Millisecond
+		}), "-migration-cost"},
+		"negative migration budget": {ok(func(o *Options) {
+			o.Rebalance = "steal"
+			o.RebalanceInterval = time.Millisecond
+			o.MigrationBudget = -1
+		}), "-migration-budget"},
 	}
-	for name, o := range bad {
-		if err := o.Validate(); err == nil {
+	for name, c := range bad {
+		err := c.o.Validate()
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: rejection %q does not name %s", name, err, c.flag)
 		}
 	}
 }

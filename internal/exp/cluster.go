@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -107,7 +108,7 @@ func ParseEngines(s string) (int, []cluster.EngineSpec, error) {
 	}
 	if n, err := strconv.Atoi(s); err == nil {
 		if n < 1 {
-			return 0, nil, fmt.Errorf("exp: engine count %d < 1", n)
+			return 0, nil, fmt.Errorf("exp: -engines count %d < 1", n)
 		}
 		return n, nil, nil
 	}
@@ -117,13 +118,14 @@ func ParseEngines(s string) (int, []cluster.EngineSpec, error) {
 		countStr, scaleStr, hasScale := strings.Cut(term, "x")
 		count, err := strconv.Atoi(countStr)
 		if err != nil || count < 1 {
-			return 0, nil, fmt.Errorf("exp: bad engine term %q in %q (want N or NxSCALE)", term, s)
+			return 0, nil, fmt.Errorf("exp: bad -engines term %q in %q (want N or NxSCALE)", term, s)
 		}
 		scale := 1.0
 		if hasScale {
 			scale, err = strconv.ParseFloat(scaleStr, 64)
-			if err != nil || scale <= 0 {
-				return 0, nil, fmt.Errorf("exp: bad latency scale in term %q of %q", term, s)
+			// ParseFloat accepts "NaN" and "Inf" without error.
+			if err != nil || scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+				return 0, nil, fmt.Errorf("exp: bad -engines latency scale in term %q of %q (want a finite scale > 0)", term, s)
 			}
 		}
 		for i := 0; i < count; i++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sparsedysta/internal/cluster"
@@ -202,9 +203,13 @@ func TestParseEngines(t *testing.T) {
 	if n, specs, err = ParseEngines(""); err != nil || n != 0 || specs != nil {
 		t.Errorf("empty: n=%d specs=%v err=%v", n, specs, err)
 	}
-	for _, bad := range []string{"0", "-2", "2x0", "2x-1", "x2", "2x", "ax1", "2x1,,3"} {
-		if _, _, err := ParseEngines(bad); err == nil {
+	for _, bad := range []string{"0", "-2", "2x0", "2x-1", "x2", "2x", "ax1", "2x1,,3",
+		"2xNaN", "2xnan", "1xInf", "1x+Inf", "1x-Inf", "1x1,1xInf", "1x1e400"} {
+		_, _, err := ParseEngines(bad)
+		if err == nil {
 			t.Errorf("%q accepted", bad)
+		} else if !strings.Contains(err.Error(), "-engines") {
+			t.Errorf("%q: rejection %q does not name -engines", bad, err)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func (o Options) schedOptions() (sched.Options, error) {
 	case "bounded":
 		s.BoundedCapture = true
 	default:
-		return s, fmt.Errorf("exp: unknown capture mode %q (valid: full, bounded)", o.Capture)
+		return s, fmt.Errorf("exp: unknown -capture mode %q (valid: full, bounded)", o.Capture)
 	}
 	return s, nil
 }
