@@ -131,22 +131,9 @@ func main() {
 	opts.RebalanceInterval = *rebalIv
 	opts.MigrationCost = *migCost
 	opts.MigrationBudget = *migBudg
-	// Fault injection follows the same switch discipline: -churn arms it,
-	// and the availability model without the switch is dead configuration.
-	if *churn && (*mtbf <= 0 || *mttr <= 0) {
-		fmt.Fprintln(os.Stderr, "-churn needs positive -mtbf and -mttr")
-		os.Exit(2)
-	}
-	if *retryMax < 0 {
-		fmt.Fprintln(os.Stderr, "-retry-max must be >= 0 (0 = unlimited)")
-		os.Exit(2)
-	}
 	opts.Churn = *churn
-	if *churn {
-		opts.MTBF = *mtbf
-		opts.MTTR = *mttr
-		opts.RetryMax = *retryMax
-	}
+	opts.RetryMax = *retryMax
+	opts.SetChurnModel(flag.CommandLine, *mtbf, *mttr)
 	opts.Traffic = *traffic
 	opts.Burst = *burst
 	opts.Autoscale = *autoscale

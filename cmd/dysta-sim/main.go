@@ -22,19 +22,6 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-// churnFlagSet reports whether the named flag was passed explicitly on
-// the command line — its default value alone must not arm fault
-// injection.
-func churnFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 func main() {
 	var (
 		wl       = flag.String("workload", "attnn", "workload scenario: attnn, cnn, or a path to a JSON spec (see -dump-spec)")
@@ -62,7 +49,7 @@ func main() {
 		burst    = flag.Float64("burst", 0, "mmpp burst-to-quiet rate ratio (0 = default 8, with -traffic mmpp)")
 		autoscl  = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy (drains idle engines, re-joins them under load)")
 		stream   = flag.Bool("stream", false, "stream arrivals from the generator instead of materializing the request slice (bit-identical schedules; combine with -capture bounded for memory independent of -requests)")
-		capture  = flag.String("capture", "full", "result capture mode: full (per-request outcomes) or bounded (constant-size streaming aggregates; percentiles from a ~3%-error histogram)")
+		capture  = flag.String("capture", "full", "result capture mode: full (exact percentiles from the retained latencies) or bounded (constant memory; percentiles from a ~3%-error histogram, every other metric identical)")
 		scaleMin = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
 		eta      = flag.Float64("eta", core.DefaultConfig().Eta, "Dysta eta (dynamic slack weight)")
@@ -123,21 +110,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Fault injection follows the no-silent-knob discipline Validate
-	// applies to migration: -churn is the switch, so an availability
-	// model or retry cap without it would be dead configuration.
-	if *churn && (*mtbf <= 0 || *mttr <= 0) {
-		fmt.Fprintln(os.Stderr, "-churn needs positive -mtbf and -mttr")
-		os.Exit(2)
-	}
-	if !*churn && (*retryMax != 0 || churnFlagSet("mtbf") || churnFlagSet("mttr")) {
-		fmt.Fprintln(os.Stderr, "-mtbf/-mttr/-retry-max need -churn")
-		os.Exit(2)
-	}
-	if *retryMax < 0 {
-		fmt.Fprintln(os.Stderr, "-retry-max must be >= 0 (0 = unlimited)")
-		os.Exit(2)
-	}
 	opts := exp.Options{
 		Seeds:             *seeds,
 		Requests:          *requests,
@@ -154,8 +126,6 @@ func main() {
 		MigrationCost:     *migCost,
 		MigrationBudget:   *migBudg,
 		Churn:             *churn,
-		MTBF:              *mtbf,
-		MTTR:              *mttr,
 		RetryMax:          *retryMax,
 		Traffic:           *trafArg,
 		Burst:             *burst,
@@ -165,6 +135,7 @@ func main() {
 		Stream:            *stream,
 		Capture:           *capture,
 	}
+	opts.SetChurnModel(flag.CommandLine, *mtbf, *mttr)
 	// Flags that only make sense together (e.g. -burst without -traffic
 	// mmpp, -migration-cost without -rebalance, -scale-min above
 	// -scale-max) and negative knobs fail here.

@@ -3,11 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sparsedysta/internal/sched"
-	"sparsedysta/internal/stats"
 	"sparsedysta/internal/workload"
 )
 
@@ -74,11 +72,14 @@ type Config struct {
 	// exactly the fixed-size code path, bit-identically.
 	Autoscale *Autoscaler
 	// Sched tunes each engine of a homogeneous cluster (ignored for
-	// engines covered by Specs). With Sched.BoundedCapture set the
-	// cluster-wide aggregate is computed from constant-size streaming
-	// accumulators instead of the union of per-task outcomes, so a run's
-	// memory no longer grows with the stream length; Sched.Exemplars
-	// then sizes the cluster-wide exemplar reservoir.
+	// engines covered by Specs). The cluster-wide metrics come from one
+	// sched.Aggregator fed every completion in global completion order,
+	// in the capture mode the engines share: with Sched.BoundedCapture
+	// it keeps constant-size state, so a run's memory no longer grows
+	// with the stream length, and Sched.Exemplars sizes the cluster-wide
+	// exemplar reservoir; under full capture it keeps the latencies for
+	// exact percentiles, and the ID-ordered union of every outcome in
+	// Result.Tasks when any spec sets RecordTasks.
 	Sched sched.Options
 	// debugBacklogAudit, when set (same-package tests only), runs once per
 	// arrival — after churn, rebalancing and autoscaling have acted, before
@@ -217,45 +218,47 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	if !ok {
 		return Result{}, fmt.Errorf("cluster: empty request stream")
 	}
-	// Capture mode is a cluster-wide property: the full-capture
-	// aggregate needs every engine's outcomes and the bounded one needs
-	// every engine's observer, so a mix has no consistent aggregation.
+	// Capture mode is a cluster-wide property: the cluster aggregator
+	// keeps either exact latencies or a histogram, so a mix has no
+	// consistent percentiles. Any spec recording tasks asks for the
+	// ID-ordered union of every engine's outcomes.
 	bounded := specs[0].Sched.BoundedCapture
+	recordTasks := false
 	for i := range specs {
 		if specs[i].Sched.BoundedCapture != bounded {
 			return Result{}, fmt.Errorf("cluster: engine specs mix bounded and full capture")
 		}
+		recordTasks = recordTasks || specs[i].Sched.RecordTasks
 	}
-	// wantTasks snapshots the caller's recording request before the
-	// capture forcing below, for the post-aggregation stripping.
-	wantTasks := make([]bool, len(specs))
-	for i := range wantTasks {
-		wantTasks[i] = specs[i].Sched.RecordTasks
-	}
-	var agg *boundedAgg
-	if bounded {
-		agg = newBoundedAgg(cfg.Sched.Exemplars, cfg.Sched.ExemplarSeed)
-	}
-	// fiRef is bound after the injector is armed; the observers close
-	// over it so replacement incarnations (built from these same specs)
-	// inherit the wiring.
-	var fiRef *faultInjector
+	// The cluster-wide metrics fold every completion, on every
+	// incarnation, in global completion order: the observers fire inside
+	// Step at each completion instant, and the cluster commits engine
+	// events in one deterministic order.
+	agg := sched.NewAggregator(sched.Options{BoundedCapture: bounded, RecordTasks: recordTasks,
+		Exemplars: cfg.Sched.Exemplars, ExemplarSeed: cfg.Sched.ExemplarSeed})
+	// rb and fiRef are bound once built; the observers close over them
+	// so replacement incarnations (built from these same specs) inherit
+	// the wiring.
+	var (
+		rb           *Rebalancer
+		fiRef        *faultInjector
+		wins, losses int
+	)
 	for i := range specs {
-		if !bounded {
-			// Full capture: engines record per-task outcomes regardless of
-			// the caller's options — the cluster-wide latency percentiles
-			// need every request's turnaround, not per-engine summaries.
-			// The extra field is stripped below when the caller didn't ask
-			// for it.
-			specs[i].Sched.RecordTasks = true
-		}
 		user := specs[i].Sched.Observer
 		specs[i].Sched.Observer = func(o sched.TaskOutcome) {
 			if user != nil {
 				user(o)
 			}
-			if agg != nil {
-				agg.note(o)
+			agg.Add(o)
+			// A moved request migrates strictly before it first runs, so
+			// whether moving it paid off is settled at its completion.
+			if rb != nil && rb.Moved(o.ID) {
+				if o.Violated {
+					losses++
+				} else {
+					wins++
+				}
 			}
 			if fiRef != nil {
 				fiRef.forget(o.ID)
@@ -325,13 +328,9 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	}
 	board := NewSignalBoard(engines, cfg.SignalInterval, load)
 
-	var rb *Rebalancer
 	if migrating {
 		rb = newRebalancer(cfg.Rebalance, engines, load,
 			cfg.RebalanceInterval, cfg.MigrationCost, cfg.MigrationBudget)
-	}
-	if agg != nil && rb != nil {
-		agg.movedFn = rb.Moved
 	}
 
 	// Fault injection is armed only when the plan has events; a churn-free
@@ -573,27 +572,23 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 		res.PerEngine[i] = e.Finish()
 	}
 	// PerEngine reports the slots' final incarnations; requests completed
-	// by incarnations that later crashed are sealed results the injector
-	// kept, and they join the cluster-wide aggregate so a served request
-	// counts whether or not its engine outlived it.
+	// by incarnations that later crashed are counted by the cluster
+	// aggregator all the same, and the sealed results the injector kept
+	// add their counters. A single incarnation passes through verbatim
+	// (the bit-identity anchor with sched.Run).
 	combined := res.PerEngine
 	if fi != nil && len(fi.sealed) > 0 {
 		combined = append(append([]sched.Result(nil), fi.sealed...), res.PerEngine...)
 	}
-	if agg != nil && len(combined) > 1 {
-		// Bounded capture: the cluster-wide metrics come from the
-		// streaming accumulators the observers fed — there is no outcome
-		// union to fold. The per-incarnation counters that aggregate()
-		// sums are summed the same way here. A single incarnation passes
-		// through aggregate()'s verbatim path below instead, mirroring
-		// the full-capture single-engine anchor.
-		res.Result = agg.finish(combined[0].Scheduler)
+	if len(combined) == 1 {
+		res.Result = combined[0]
+	} else {
+		first, _ := agg.FirstArrival()
+		res.Result = agg.Result(combined[0].Scheduler, first)
 		for _, r := range combined {
 			res.Result.Preemptions += r.Preemptions
 			res.Result.Dropped += r.Dropped
 		}
-	} else {
-		res.Result = aggregate(combined)
 	}
 	res.Result.Rejected = rejected
 	// The cluster's offered load is the full request stream: rejected
@@ -623,42 +618,9 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 		res.Result.ScaleDowns = sc.downs
 	}
 	if rb != nil {
-		// Win/loss accounting: did each moved request ultimately make
-		// its SLO? Full capture reads the union of outcomes (recorded
-		// unconditionally above) before the RecordTasks stripping below;
-		// bounded capture resolved each completion against rb.Moved at
-		// its completion instant, since no outcomes survive the run.
 		res.Rebalance = rb.policy.Name()
 		res.Migrations = rb.Migrations()
-		if agg != nil {
-			res.MigrationWins, res.MigrationLosses = agg.wins, agg.losses
-		} else {
-			for _, o := range res.Result.Tasks {
-				if !rb.Moved(o.ID) {
-					continue
-				}
-				if o.Violated {
-					res.MigrationLosses++
-				} else {
-					res.MigrationWins++
-				}
-			}
-		}
-	}
-	// Strip the outcomes the caller never asked for: full-capture engines
-	// record them unconditionally (the aggregation above needs them), but
-	// the caller's request lives in the pre-forcing snapshot (which
-	// mirrors cfg.Sched on the homogeneous path).
-	anyTasks := false
-	for i := range specs {
-		if wantTasks[i] {
-			anyTasks = true
-		} else {
-			res.PerEngine[i].Tasks = nil
-		}
-	}
-	if !anyTasks {
-		res.Tasks = nil
+		res.MigrationWins, res.MigrationLosses = wins, losses
 	}
 
 	if fi != nil {
@@ -723,77 +685,4 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 		res.Imbalance = 1
 	}
 	return res, nil
-}
-
-// aggregate folds per-engine results into one cluster-wide sched.Result.
-// A single engine's result passes through verbatim (the bit-identity
-// anchor); for N > 1 the metrics are recomputed from the union of all
-// engines' per-task outcomes, in task-ID order, with the same formulas
-// sched.Run uses. Timelines stay per-engine: a cluster has no single
-// execution order to draw.
-func aggregate(per []sched.Result) sched.Result {
-	if len(per) == 1 {
-		return per[0]
-	}
-	agg := sched.Result{Scheduler: per[0].Scheduler}
-	var outcomes []sched.TaskOutcome
-	for _, r := range per {
-		agg.Preemptions += r.Preemptions
-		agg.Dropped += r.Dropped
-		outcomes = append(outcomes, r.Tasks...)
-	}
-	if len(outcomes) == 0 {
-		return agg
-	}
-	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].ID < outcomes[j].ID })
-
-	ratios := make([]float64, len(outcomes))
-	latencies := make([]float64, len(outcomes))
-	violations := 0
-	firstArrival, lastDone := outcomes[0].Arrival, time.Duration(0)
-	perModel := map[string]sched.ModelMetrics{}
-	for i, o := range outcomes {
-		ratios[i] = o.NTT
-		latencies[i] = float64(o.Completion - o.Arrival)
-		if o.Violated {
-			violations++
-		}
-		if o.Arrival < firstArrival {
-			firstArrival = o.Arrival
-		}
-		if o.Completion > lastDone {
-			lastDone = o.Completion
-		}
-		m := perModel[o.Model]
-		m.Requests++
-		m.ANTT += o.NTT
-		if o.Violated {
-			m.ViolationRate++
-		}
-		perModel[o.Model] = m
-	}
-	for name, m := range perModel {
-		m.ANTT /= float64(m.Requests)
-		m.ViolationRate /= float64(m.Requests)
-		perModel[name] = m
-	}
-	agg.Requests = len(outcomes)
-	agg.Violations = violations
-	agg.ANTT = stats.Mean(ratios)
-	agg.ViolationRate = float64(violations) / float64(len(outcomes))
-	agg.MeanLatency = time.Duration(stats.Mean(latencies))
-	// latencies is local scratch and the mean above has read it in ID
-	// order, so it is sorted in place, once, for the three percentiles.
-	sort.Float64s(latencies)
-	agg.P50Latency = time.Duration(stats.PercentileSorted(latencies, 50))
-	agg.P95Latency = time.Duration(stats.PercentileSorted(latencies, 95))
-	agg.P99Latency = time.Duration(stats.PercentileSorted(latencies, 99))
-	agg.Makespan = lastDone - firstArrival
-	if agg.Makespan > 0 {
-		agg.Throughput = float64(len(outcomes)) / agg.Makespan.Seconds()
-		agg.Goodput = float64(len(outcomes)-violations) / agg.Makespan.Seconds()
-	}
-	agg.PerModel = perModel
-	agg.Tasks = outcomes
-	return agg
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -299,77 +301,101 @@ func TestImbalanceDegenerateCase(t *testing.T) {
 	}
 }
 
-// TestAggregateWithDrops: cluster-wide Dropped/Makespan/Throughput/
-// Goodput must follow the same formulas sched.Run uses on the union of
-// outcomes, also when engines were finalized with work outstanding (the
-// deadline-bounded orchestration path Run itself never takes).
-func TestAggregateWithDrops(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	per := []sched.Result{
-		{
-			Scheduler: "X", Requests: 2, Dropped: 2, Preemptions: 3,
-			Tasks: []sched.TaskOutcome{
-				{ID: 0, Model: "a", Arrival: ms(10), Completion: ms(30), Isolated: ms(10), NTT: 2, Violated: false},
-				{ID: 2, Model: "a", Arrival: ms(20), Completion: ms(80), Isolated: ms(10), NTT: 6, Violated: true},
-			},
-		},
-		{
-			Scheduler: "X", Requests: 1, Dropped: 1, Preemptions: 1,
-			Tasks: []sched.TaskOutcome{
-				{ID: 1, Model: "b", Arrival: ms(5), Completion: ms(45), Isolated: ms(20), NTT: 2, Violated: false},
-			},
-		},
-	}
-	agg := aggregate(per)
-	if agg.Dropped != 3 {
-		t.Errorf("Dropped %d, want 3", agg.Dropped)
-	}
-	if agg.Requests != 3 {
-		t.Errorf("Requests %d, want 3", agg.Requests)
-	}
-	if agg.Preemptions != 4 {
-		t.Errorf("Preemptions %d, want 4", agg.Preemptions)
-	}
-	// Makespan: first arrival 5ms, last completion 80ms.
-	if want := ms(75); agg.Makespan != want {
-		t.Errorf("Makespan %v, want %v", agg.Makespan, want)
-	}
-	if want := 3 / ms(75).Seconds(); agg.Throughput != want {
-		t.Errorf("Throughput %v, want %v", agg.Throughput, want)
-	}
-	if want := 2 / ms(75).Seconds(); agg.Goodput != want {
-		t.Errorf("Goodput %v, want %v", agg.Goodput, want)
-	}
-	if want := 1.0 / 3; agg.ViolationRate != want {
-		t.Errorf("ViolationRate %v, want %v", agg.ViolationRate, want)
-	}
-	if want := (2.0 + 6 + 2) / 3; agg.ANTT != want {
-		t.Errorf("ANTT %v, want %v", agg.ANTT, want)
-	}
-	// Outcomes merge in task-ID order across engines.
-	for i, o := range agg.Tasks {
-		if o.ID != i {
-			t.Fatalf("outcome %d has ID %d: union not in ID order", i, o.ID)
+// TestClusterAggregatesEveryEngine: the cluster-wide metrics are a fold
+// of every completion, on every engine and every crashed incarnation, in
+// global completion order — the order a caller's Observer sees them in.
+// Requests, violations, the float means, the makespan from the earliest
+// completed arrival to the last completion, and the per-model tallies
+// must equal that fold exactly; Tasks is the ID-ordered union; and the
+// per-engine counters sum. cluster.Run always drains, so nothing is
+// dropped (the engine's drop accounting is pinned in internal/sched).
+func TestClusterAggregatesEveryEngine(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		reqs, est, lut := randomStream(seed, 90)
+		load := SparsityAwareLoad(lut, est)
+		horizon := reqs[len(reqs)-1].Arrival * 2
+		plan, err := GenChurn(3, horizon, horizon/5, horizon/15, 40+seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Per-model breakdown over the union.
-	if m := agg.PerModel["a"]; m.Requests != 2 || m.ANTT != 4 || m.ViolationRate != 0.5 {
-		t.Errorf("model a metrics %+v", m)
-	}
-	if m := agg.PerModel["b"]; m.Requests != 1 || m.ANTT != 2 || m.ViolationRate != 0 {
-		t.Errorf("model b metrics %+v", m)
-	}
-}
-
-// TestAggregateAllDropped: engines finalized before completing anything
-// aggregate to zeroed metrics with the drop count intact.
-func TestAggregateAllDropped(t *testing.T) {
-	agg := aggregate([]sched.Result{
-		{Scheduler: "X", Dropped: 2},
-		{Scheduler: "X", Dropped: 1},
-	})
-	if agg.Dropped != 3 || agg.Requests != 0 || agg.Throughput != 0 {
-		t.Errorf("all-dropped aggregate %+v", agg)
+		for name, mut := range map[string]func(*Config){
+			"plain": func(*Config) {},
+			"stealing+churn": func(c *Config) {
+				c.Rebalance = Steal{Load: load}
+				c.RebalanceInterval = time.Millisecond
+				c.MigrationCost = 500 * time.Microsecond
+				c.Churn = &plan
+			},
+		} {
+			var seq []sched.TaskOutcome
+			cfg := Config{Engines: 3, Dispatch: NewJSQ(), Sched: sched.Options{
+				RecordTasks: true,
+				Observer:    func(o sched.TaskOutcome) { seq = append(seq, o) },
+			}}
+			mut(&cfg)
+			res, err := Run(func(int) sched.Scheduler { return sched.NewSJF(est) }, reqs, cfg)
+			if err != nil {
+				t.Fatalf("%s (seed %d): %v", name, seed, err)
+			}
+			label := fmt.Sprintf("%s (seed %d)", name, seed)
+			if len(seq) == 0 || res.Requests != len(seq) || res.Dropped != 0 {
+				t.Fatalf("%s: %d requests, %d dropped, %d completions observed", label, res.Requests, res.Dropped, len(seq))
+			}
+			union := append([]sched.TaskOutcome(nil), seq...)
+			sort.Slice(union, func(i, j int) bool { return union[i].ID < union[j].ID })
+			if !reflect.DeepEqual(res.Tasks, union) {
+				t.Fatalf("%s: Tasks is not the ID-ordered union of every completion", label)
+			}
+			var turnSum, latSum float64
+			violations := 0
+			first, last := seq[0].Arrival, time.Duration(0)
+			perModel := map[string]sched.ModelMetrics{}
+			for _, o := range seq {
+				turnSum += o.NTT
+				latSum += float64(o.Completion - o.Arrival)
+				first, last = min(first, o.Arrival), max(last, o.Completion)
+				m := perModel[o.Model]
+				m.Requests++
+				m.ANTT += o.NTT
+				if o.Violated {
+					violations++
+					m.ViolationRate++
+				}
+				perModel[o.Model] = m
+			}
+			for name, m := range perModel {
+				m.ANTT /= float64(m.Requests)
+				m.ViolationRate /= float64(m.Requests)
+				perModel[name] = m
+			}
+			n := float64(len(seq))
+			makespan := last - first
+			if res.Violations != violations || res.ViolationRate != float64(violations)/n ||
+				res.ANTT != turnSum/n || res.MeanLatency != time.Duration(latSum/n) ||
+				res.Makespan != makespan || res.Throughput != n/makespan.Seconds() ||
+				res.Goodput != float64(len(seq)-violations)/makespan.Seconds() {
+				t.Fatalf("%s: cluster metrics are not the completion-order fold: %+v", label, res.Result)
+			}
+			if !reflect.DeepEqual(res.PerModel, perModel) {
+				t.Fatalf("%s: per-model %+v, want %+v", label, res.PerModel, perModel)
+			}
+			if res.MigrationWins+res.MigrationLosses != res.Migrations {
+				t.Fatalf("%s: %d wins + %d losses != %d migrations",
+					label, res.MigrationWins, res.MigrationLosses, res.Migrations)
+			}
+			if res.ChurnEvents > 0 {
+				continue // crashed incarnations' counters are not in PerEngine
+			}
+			requests, preempts := 0, 0
+			for _, r := range res.PerEngine {
+				requests += r.Requests
+				preempts += r.Preemptions
+			}
+			if requests != res.Requests || preempts != res.Preemptions {
+				t.Fatalf("%s: per-engine sums %d requests, %d preemptions; cluster %d, %d",
+					label, requests, preempts, res.Requests, res.Preemptions)
+			}
+		}
 	}
 }
 

@@ -85,23 +85,30 @@ func TestClusterRunStreamRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// closeEnough compares a bounded-capture metric against its full-capture
-// reference under a relative tolerance covering summation-order float
-// rounding (bounded aggregates accumulate in completion order,
-// aggregate() in task-ID order).
-func closeEnough(a, b float64) bool {
-	if a == b {
-		return true
+// captureNeutral zeroes what legitimately differs between full and
+// bounded capture: the percentiles (exact order statistics vs histogram
+// buckets) and the capture payloads, on the cluster result and on every
+// PerEngine entry.
+func captureNeutral(r Result) Result {
+	neutral := func(s *sched.Result) {
+		s.P50Latency, s.P95Latency, s.P99Latency = 0, 0, 0
+		s.Tasks, s.Timeline, s.Exemplars = nil, nil, nil
 	}
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+	neutral(&r.Result)
+	r.PerEngine = append([]sched.Result(nil), r.PerEngine...)
+	for i := range r.PerEngine {
+		neutral(&r.PerEngine[i])
+	}
+	return r
 }
 
-// TestClusterBoundedCaptureCloseToFull: the bounded cluster aggregates
-// must reproduce the full-capture metrics — exactly for every counter,
-// and up to summation-order float rounding for the means — while
-// recording no per-request structures. Migration win/loss counters are
-// integers resolved per completion and must match exactly.
-func TestClusterBoundedCaptureCloseToFull(t *testing.T) {
+// TestClusterBoundedCaptureMatchesFull: both capture modes fold the same
+// completions in the same global order through one aggregator, so a
+// bounded run equals its full-capture twin exactly — every counter, every
+// float mean, per-model tallies, migration wins and losses, per engine
+// and cluster-wide — once the percentiles and the capture payloads are
+// set aside. Bounded capture still records no per-request structures.
+func TestClusterBoundedCaptureMatchesFull(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		reqs, est, lut := randomStream(seed, 80)
 		load := SparsityAwareLoad(lut, est)
@@ -115,7 +122,7 @@ func TestClusterBoundedCaptureCloseToFull(t *testing.T) {
 				},
 			} {
 				full := Config{Engines: 3, Dispatch: NewJSQ(),
-					Sched: sched.Options{RecordTasks: true}}
+					Sched: sched.Options{RecordTasks: true, RecordTimeline: true}}
 				mut(&full)
 				bounded := full
 				bounded.Sched = sched.Options{BoundedCapture: true, Exemplars: 16, ExemplarSeed: 5}
@@ -129,37 +136,9 @@ func TestClusterBoundedCaptureCloseToFull(t *testing.T) {
 					t.Fatalf("%s/%s bounded (seed %d): %v", spec.name, name, seed, err)
 				}
 				label := spec.name + "/" + name
-				if got.Requests != want.Requests || got.Violations != want.Violations ||
-					got.Rejected != want.Rejected || got.Preemptions != want.Preemptions {
-					t.Fatalf("%s (seed %d): counters diverge: %+v vs %+v", label, seed, got.Result, want.Result)
-				}
-				if got.Migrations != want.Migrations ||
-					got.MigrationWins != want.MigrationWins ||
-					got.MigrationLosses != want.MigrationLosses {
-					t.Fatalf("%s (seed %d): migration accounting diverges (%d %d/%d vs %d %d/%d)",
-						label, seed, got.Migrations, got.MigrationWins, got.MigrationLosses,
-						want.Migrations, want.MigrationWins, want.MigrationLosses)
-				}
-				if got.Makespan != want.Makespan {
-					t.Fatalf("%s (seed %d): makespan %v vs %v", label, seed, got.Makespan, want.Makespan)
-				}
-				if !closeEnough(got.ANTT, want.ANTT) ||
-					!closeEnough(got.ViolationRate, want.ViolationRate) ||
-					!closeEnough(got.Throughput, want.Throughput) ||
-					!closeEnough(got.Goodput, want.Goodput) {
-					t.Fatalf("%s (seed %d): rates diverge beyond rounding:\n%+v\nvs\n%+v",
-						label, seed, got.Result, want.Result)
-				}
-				if d := got.MeanLatency - want.MeanLatency; d < -time.Microsecond || d > time.Microsecond {
-					t.Fatalf("%s (seed %d): mean latency %v vs %v", label, seed, got.MeanLatency, want.MeanLatency)
-				}
-				for model, wm := range want.PerModel {
-					gm, ok := got.PerModel[model]
-					if !ok || gm.Requests != wm.Requests ||
-						!closeEnough(gm.ViolationRate, wm.ViolationRate) ||
-						!closeEnough(gm.ANTT, wm.ANTT) {
-						t.Fatalf("%s (seed %d): per-model %q diverges: %+v vs %+v", label, seed, model, gm, wm)
-					}
+				if g, w := captureNeutral(got), captureNeutral(want); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s (seed %d): bounded capture diverges from full beyond percentiles:\n%+v\nvs\n%+v",
+						label, seed, g, w)
 				}
 				if got.Tasks != nil || got.Timeline != nil {
 					t.Fatalf("%s (seed %d): bounded capture retained per-request structures", label, seed)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"time"
@@ -130,6 +131,21 @@ func (o Options) Validate() error {
 		return fmt.Errorf("exp: -rebalance %s needs a positive -rebalance-interval (0 disables migration)", o.Rebalance)
 	case migrationOff && (o.RebalanceInterval > 0 || o.MigrationCost > 0 || o.MigrationBudget > 0):
 		return fmt.Errorf("exp: -rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
+	// Fault injection follows the same switch discipline: -churn arms it,
+	// so an availability model or a retry cap without it would be dead
+	// configuration.
+	case o.RetryMax < 0:
+		return fmt.Errorf("exp: -retry-max %d is negative (0 = unlimited)", o.RetryMax)
+	case o.Churn && o.MTBF <= 0:
+		return fmt.Errorf("exp: -churn needs a positive -mtbf (got %v)", o.MTBF)
+	case o.Churn && o.MTTR <= 0:
+		return fmt.Errorf("exp: -churn needs a positive -mttr (got %v)", o.MTTR)
+	case !o.Churn && o.MTBF != 0:
+		return fmt.Errorf("exp: -mtbf needs -churn")
+	case !o.Churn && o.MTTR != 0:
+		return fmt.Errorf("exp: -mttr needs -churn")
+	case !o.Churn && o.RetryMax != 0:
+		return fmt.Errorf("exp: -retry-max needs -churn")
 	}
 	if o.Stream && o.Autoscale {
 		// NewAutoscaler derives its thresholds from the materialized
@@ -177,6 +193,21 @@ func (o Options) Validate() error {
 		return fmt.Errorf("exp: -scale-max %d exceeds the %d-engine cluster", max, engines)
 	}
 	return nil
+}
+
+// SetChurnModel sets MTBF and MTTR from the -mtbf and -mttr values parsed
+// into fs. Both flags carry defaults, so a value reaches the options only
+// under -churn or when its flag was passed explicitly; Validate then
+// rejects an explicit one without -churn.
+func (o *Options) SetChurnModel(fs *flag.FlagSet, mtbf, mttr time.Duration) {
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if o.Churn || explicit["mtbf"] {
+		o.MTBF = mtbf
+	}
+	if o.Churn || explicit["mttr"] {
+		o.MTTR = mttr
+	}
 }
 
 // autoscaleSignalInterval is the signal staleness every arm of the

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -220,6 +221,12 @@ func TestOptionsValidate(t *testing.T) {
 		}),
 		"none policy":     ok(func(o *Options) { o.Rebalance = "none" }),
 		"signal interval": ok(func(o *Options) { o.SignalInterval = time.Millisecond }),
+		"churn": ok(func(o *Options) {
+			o.Churn = true
+			o.MTBF = time.Second
+			o.MTTR = 100 * time.Millisecond
+			o.RetryMax = 3
+		}),
 	}
 	for name, o := range good {
 		if err := o.Validate(); err != nil {
@@ -262,6 +269,12 @@ func TestOptionsValidate(t *testing.T) {
 			o.RebalanceInterval = time.Millisecond
 			o.MigrationBudget = -1
 		}), "-migration-budget"},
+		"churn without mtbf":       {ok(func(o *Options) { o.Churn = true; o.MTTR = time.Millisecond }), "-mtbf"},
+		"churn with negative mttr": {ok(func(o *Options) { o.Churn = true; o.MTBF = time.Second; o.MTTR = -time.Millisecond }), "-mttr"},
+		"negative retry-max":       {ok(func(o *Options) { o.Churn = true; o.MTBF = time.Second; o.MTTR = time.Millisecond; o.RetryMax = -1 }), "-retry-max"},
+		"retry-max without churn":  {ok(func(o *Options) { o.RetryMax = 3 }), "-retry-max"},
+		"mtbf without churn":       {ok(func(o *Options) { o.MTBF = time.Second }), "-mtbf"},
+		"mttr without churn":       {ok(func(o *Options) { o.MTTR = time.Millisecond }), "-mttr"},
 	}
 	for name, c := range bad {
 		err := c.o.Validate()
@@ -269,6 +282,44 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		} else if !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s: rejection %q does not name %s", name, err, c.flag)
+		}
+	}
+}
+
+// TestSetChurnModel: the -mtbf and -mttr defaults reach the options only
+// under -churn, while an explicit value without -churn reaches Validate,
+// which rejects it by name.
+func TestSetChurnModel(t *testing.T) {
+	for _, c := range []struct {
+		args       []string
+		mtbf, mttr time.Duration
+		reject     string
+	}{
+		{nil, 0, 0, ""},
+		{[]string{"-churn"}, time.Second, 100 * time.Millisecond, ""},
+		{[]string{"-churn", "-mttr", "5ms"}, time.Second, 5 * time.Millisecond, ""},
+		{[]string{"-mtbf", "2s"}, 2 * time.Second, 0, "-mtbf"},
+		{[]string{"-mttr", "5ms"}, 0, 5 * time.Millisecond, "-mttr"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		churn := fs.Bool("churn", false, "")
+		mtbf := fs.Duration("mtbf", time.Second, "")
+		mttr := fs.Duration("mttr", 100*time.Millisecond, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		o := tiny()
+		o.Churn = *churn
+		o.SetChurnModel(fs, *mtbf, *mttr)
+		if o.MTBF != c.mtbf || o.MTTR != c.mttr {
+			t.Errorf("%v: MTBF %v, MTTR %v; want %v, %v", c.args, o.MTBF, o.MTTR, c.mtbf, c.mttr)
+		}
+		err := o.Validate()
+		if c.reject == "" && err != nil {
+			t.Errorf("%v: rejected: %v", c.args, err)
+		}
+		if c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)) {
+			t.Errorf("%v: rejection %v does not name %s", c.args, err, c.reject)
 		}
 	}
 }

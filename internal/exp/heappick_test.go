@@ -114,12 +114,14 @@ func TestHeapPicksExactDeepQueue(t *testing.T) {
 // TestHeapPicksAllocateNoMoreThanScan pins the heap picks' allocations on
 // a warm engine: one scheduler instance reused across runs (so its heaps
 // have grown to the run's depth) over a stream queueing hundreds deep.
-// What remains per request is the engine's Task under full capture plus
-// at most one attachment, and amortized capture slices. The scan picks
-// these replace measured 3.046 (Dysta: state plus a separate predictor),
-// 2.046 (PREMA), 1.046 (SDRM3) and 1.047 (Planaria, Oracle) allocations
-// per request on this run; the heap picks must not exceed them, and Dysta
-// now embeds its predictor.
+// The scan picks these replace measured 3.046 (Dysta: state plus a
+// separate predictor), 2.046 (PREMA), 1.046 (SDRM3) and 1.047 (Planaria,
+// Oracle) allocations per request on this run, the engine's Task
+// included. Every engine now returns its completed Tasks to the pool, so
+// what remains per request is Dysta's and PREMA's one attachment and the
+// amortized capture slices: 1.03 and 0.03 measured. Under -race,
+// sync.Pool drops a quarter of its Puts at random, so about a quarter of
+// the Tasks are allocated afresh.
 func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -130,7 +132,11 @@ func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := map[string]float64{"Dysta": 2.05, "PREMA": 2.05, "SDRM3": 1.05, "Planaria": 1.05, "Oracle": 1.05}
+	ceiling := map[string]float64{"Dysta": 1.05, "PREMA": 1.05, "SDRM3": 0.05, "Planaria": 0.05, "Oracle": 0.05}
+	slack := 0.0
+	if raceEnabled {
+		slack = 0.3
+	}
 	for _, spec := range WithOracle(StandardScheds()) {
 		want, ok := ceiling[spec.Name]
 		if !ok {
@@ -142,8 +148,8 @@ func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got := allocs / float64(len(reqs)); got > want {
-			t.Errorf("%s: %.4f allocs per request on a warm engine, want <= %.2f", spec.Name, got, want)
+		if got := allocs / float64(len(reqs)); got > want+slack {
+			t.Errorf("%s: %.4f allocs per request on a warm engine, want <= %.2f", spec.Name, got, want+slack)
 		}
 	}
 }

@@ -112,10 +112,10 @@ type Options struct {
 	// derive from the materialized stream (Validate rejects the pair).
 	Stream bool
 	// Capture selects the engine's result-capture mode: "" or "full"
-	// keeps the per-request structures; "bounded" switches to
-	// constant-size streaming aggregates (sched.Options.BoundedCapture —
-	// exact everything except percentiles, which move to a ~3%-error
-	// histogram).
+	// retains the latencies for exact percentiles; "bounded" keeps
+	// constant-size state instead (sched.Options.BoundedCapture —
+	// identical metrics except the percentiles, which move to a
+	// ~3%-error histogram).
 	Capture string
 }
 

@@ -1,0 +1,148 @@
+package sched
+
+import (
+	"cmp"
+	"slices"
+	"time"
+
+	"sparsedysta/internal/stats"
+)
+
+// Aggregator folds completed requests into a Result's metrics (paper
+// §6.1), one TaskOutcome at a time and in the order they complete. It is
+// the only source of those metrics: every engine feeds its own at each
+// completion instant, and the cluster feeds one through its engines'
+// Observer hooks in global completion order. The ordered float sums
+// (ANTT, MeanLatency, per-model ANTT) therefore accumulate in
+// completion order everywhere, so the two capture modes agree exactly
+// on every metric except the latency percentiles.
+//
+// Full capture retains the latencies themselves, so the percentiles are
+// exact order statistics (linear interpolation between closest ranks);
+// bounded capture (Options.BoundedCapture) keeps a log-bucketed
+// histogram instead, so memory stays independent of the run length.
+type Aggregator struct {
+	n, violations   int
+	turnSum, latSum float64
+	// first is the earliest arrival and last the latest completion among
+	// the folded outcomes.
+	first, last time.Duration
+	perModel    map[string]ModelMetrics
+
+	latencies []float64           // full capture
+	hist      *stats.DurationHist // bounded capture
+	exemplars *stats.Reservoir[TaskOutcome]
+	// tasks retains every outcome when keepTasks (Options.RecordTasks
+	// under full capture).
+	tasks     []TaskOutcome
+	keepTasks bool
+}
+
+// NewAggregator sizes an aggregator for opts' capture mode: BoundedCapture
+// selects the histogram and, with a positive Exemplars, an exemplar
+// reservoir seeded by ExemplarSeed; otherwise the latencies are kept,
+// and RecordTasks retains every outcome for Result.Tasks.
+func NewAggregator(opts Options) *Aggregator {
+	a := &Aggregator{perModel: map[string]ModelMetrics{}}
+	if opts.BoundedCapture {
+		a.hist = &stats.DurationHist{}
+		if opts.Exemplars > 0 {
+			a.exemplars = stats.NewReservoir[TaskOutcome](opts.Exemplars, opts.ExemplarSeed)
+		}
+	} else {
+		a.keepTasks = opts.RecordTasks
+	}
+	return a
+}
+
+// Add folds one completed request.
+func (a *Aggregator) Add(o TaskOutcome) {
+	a.n++
+	lat := o.Completion - o.Arrival
+	a.turnSum += o.NTT
+	a.latSum += float64(lat)
+	if a.hist != nil {
+		a.hist.Add(lat)
+	} else {
+		a.latencies = append(a.latencies, float64(lat))
+	}
+	if o.Violated {
+		a.violations++
+	}
+	if a.n == 1 || o.Arrival < a.first {
+		a.first = o.Arrival
+	}
+	if o.Completion > a.last {
+		a.last = o.Completion
+	}
+	m := a.perModel[o.Model]
+	m.Requests++
+	m.ANTT += o.NTT
+	if o.Violated {
+		m.ViolationRate++
+	}
+	a.perModel[o.Model] = m
+	if a.exemplars != nil {
+		a.exemplars.Add(o)
+	}
+	if a.keepTasks {
+		a.tasks = append(a.tasks, o)
+	}
+}
+
+// Len returns the number of folded outcomes.
+func (a *Aggregator) Len() int { return a.n }
+
+// FirstArrival returns the earliest arrival among the folded outcomes;
+// ok is false before the first one.
+func (a *Aggregator) FirstArrival() (first time.Duration, ok bool) { return a.first, a.n > 0 }
+
+// Result returns the folded metrics under the scheduler's name, with the
+// makespan measured from since to the last completion. Only the metric
+// fields are set: the engine or cluster fills in its own counters. With
+// nothing folded, it returns just the name. Calling Result again after
+// more Adds reflects them; Tasks is the retained slice itself, sorted by
+// task ID.
+func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
+	res := Result{Scheduler: scheduler}
+	if a.n == 0 {
+		return res
+	}
+	n := float64(a.n)
+	res.Requests = a.n
+	res.Violations = a.violations
+	res.ANTT = a.turnSum / n
+	res.ViolationRate = float64(a.violations) / n
+	res.MeanLatency = time.Duration(a.latSum / n)
+	if a.hist != nil {
+		res.P50Latency = a.hist.Quantile(50)
+		res.P95Latency = a.hist.Quantile(95)
+		res.P99Latency = a.hist.Quantile(99)
+	} else {
+		// The mean reads latSum, so the retained latencies are free to
+		// be sorted in place for the percentiles.
+		slices.Sort(a.latencies)
+		res.P50Latency = time.Duration(stats.PercentileSorted(a.latencies, 50))
+		res.P95Latency = time.Duration(stats.PercentileSorted(a.latencies, 95))
+		res.P99Latency = time.Duration(stats.PercentileSorted(a.latencies, 99))
+	}
+	res.Makespan = a.last - since
+	if res.Makespan > 0 {
+		res.Throughput = n / res.Makespan.Seconds()
+		res.Goodput = float64(a.n-a.violations) / res.Makespan.Seconds()
+	}
+	res.PerModel = make(map[string]ModelMetrics, len(a.perModel))
+	for name, m := range a.perModel {
+		m.ANTT /= float64(m.Requests)
+		m.ViolationRate /= float64(m.Requests)
+		res.PerModel[name] = m
+	}
+	if a.exemplars != nil {
+		res.Exemplars = append([]TaskOutcome(nil), a.exemplars.Items()...)
+	}
+	if a.keepTasks {
+		slices.SortFunc(a.tasks, func(x, y TaskOutcome) int { return cmp.Compare(x.ID, y.ID) })
+		res.Tasks = a.tasks
+	}
+	return res
+}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"sparsedysta/internal/stats"
 	"sparsedysta/internal/workload"
 )
 
@@ -21,7 +20,9 @@ type Options struct {
 	// RecordTimeline captures the execution schedule in Result.Timeline
 	// (off by default: long runs record many spans).
 	RecordTimeline bool
-	// RecordTasks captures per-request outcomes in Result.Tasks.
+	// RecordTasks retains per-request outcomes for Result.Tasks, in
+	// task-ID order: the engine's Aggregator keeps a TaskOutcome copy
+	// at each completion (the task itself goes back to the pool).
 	RecordTasks bool
 	// ReferencePick forces the reference Scheduler.PickNext path even for
 	// schedulers implementing IncrementalScheduler. The equivalence tests
@@ -33,13 +34,12 @@ type Options struct {
 	// the engine ignores this field.
 	ScalablePick bool
 	// BoundedCapture drops every O(requests) capture structure — the
-	// completed-task slice behind Tasks, the per-request latency and
-	// turnaround slices — in favor of streaming aggregates, so engine
-	// memory is independent of run length. ANTT, MeanLatency, violation
-	// and throughput accounting, Makespan and PerModel stay bit-identical
-	// to full capture (ordered float sums over the same completion
-	// sequence); the latency percentiles switch to a log-bucketed
-	// histogram (upward bias of at most one bucket width, ~3%), and
+	// retained latencies behind the exact percentiles, Tasks and the
+	// Timeline — so engine memory is independent of run length. Both
+	// modes fold the same completions in the same order through one
+	// Aggregator, so every other metric is bit-identical to full
+	// capture; the latency percentiles come from a log-bucketed histogram
+	// instead (upward bias of at most one bucket width, ~3%), and
 	// RecordTimeline/RecordTasks are forced off. Exemplars provides a
 	// bounded substitute for Tasks.
 	BoundedCapture bool
@@ -50,9 +50,8 @@ type Options struct {
 	ExemplarSeed uint64
 	// Observer, when non-nil, is called once per completed request, at
 	// its completion instant, with the final outcome. The cluster layer
-	// uses it to aggregate run-wide bounded metrics in global event
-	// order without any engine retaining per-request state. It must not
-	// call back into the engine.
+	// uses it to aggregate run-wide metrics in global completion order.
+	// It must not call back into the engine.
 	Observer func(TaskOutcome)
 	// LatencyScale models a faster or slower accelerator of the same
 	// architecture: every executed layer latency (and the preemption
@@ -128,26 +127,11 @@ type Engine struct {
 	preempts     int
 	busy         time.Duration
 
-	done       []*Task
-	turnRatios []float64
-	latencies  []float64
-	timeline   *Timeline
-	finished   bool
-
-	// Bounded-capture aggregates (Options.BoundedCapture): the streaming
-	// replacements for the slices above. nDone is maintained in both
-	// modes (== len(done) under full capture).
-	bounded        bool
-	nDone          int
-	turnSum        float64
-	latSum         float64
-	violations     int
-	lastDone       time.Duration
-	doneAny        bool
-	doneMinArrival time.Duration
-	latHist        *stats.DurationHist
-	perModel       map[string]ModelMetrics
-	exemplars      *stats.Reservoir[TaskOutcome]
+	// agg folds every completion, the only record of completed work the
+	// engine keeps: completed tasks go back to the pool.
+	agg      *Aggregator
+	timeline *Timeline
+	finished bool
 }
 
 // NewEngine returns an idle engine at virtual time zero driving the
@@ -166,16 +150,11 @@ func NewEngine(s Scheduler, opts Options) *Engine {
 		e.inc = inc
 	}
 	if opts.BoundedCapture {
-		e.bounded = true
 		// Full capture is the thing bounded mode exists to avoid.
 		e.opts.RecordTimeline = false
 		e.opts.RecordTasks = false
-		e.latHist = &stats.DurationHist{}
-		e.perModel = map[string]ModelMetrics{}
-		if opts.Exemplars > 0 {
-			e.exemplars = stats.NewReservoir[TaskOutcome](opts.Exemplars, opts.ExemplarSeed)
-		}
 	}
+	e.agg = NewAggregator(e.opts)
 	if e.opts.RecordTimeline {
 		e.timeline = &Timeline{}
 	}
@@ -299,17 +278,7 @@ func (e *Engine) Crash(now time.Duration) (queued, started []*Task, err error) {
 	e.last = nil
 	// The departed requests must not anchor this incarnation's makespan;
 	// only completed work remains, so re-seed firstArrival from it.
-	if e.bounded {
-		if e.doneAny {
-			e.firstArrival = e.doneMinArrival
-		}
-	} else if len(e.done) > 0 {
-		first := e.done[0].Arrival
-		for _, d := range e.done {
-			if d.Arrival < first {
-				first = d.Arrival
-			}
-		}
+	if first, ok := e.agg.FirstArrival(); ok {
 		e.firstArrival = first
 	}
 	sort.Slice(queued, func(i, j int) bool { return queued[i].ID < queued[j].ID })
@@ -339,16 +308,10 @@ func (e *Engine) forgetArrival(t *Task) {
 	for i := range e.pending.entries {
 		note(e.pending.entries[i].t.Arrival)
 	}
-	if e.bounded {
-		// Completed requests survive only as aggregates; their minimum
-		// arrival is tracked incrementally and equals the full-mode scan.
-		if e.doneAny {
-			note(e.doneMinArrival)
-		}
-	} else {
-		for _, d := range e.done {
-			note(d.Arrival)
-		}
+	// Completed requests survive only in the aggregator, which tracks
+	// their earliest arrival.
+	if first, ok := e.agg.FirstArrival(); ok {
+		note(first)
 	}
 	if seen {
 		e.firstArrival = first
@@ -448,7 +411,7 @@ func (e *Engine) NextEvent() (next time.Duration, ok bool) {
 func (e *Engine) Outstanding() int { return e.ready.Len() + e.pending.len() }
 
 // Completed returns the number of finished requests.
-func (e *Engine) Completed() int { return e.nDone }
+func (e *Engine) Completed() int { return e.agg.Len() }
 
 // BusyTime returns the accumulated accelerator-occupied time: executed
 // layer latency plus charged preemption overhead.
@@ -651,174 +614,46 @@ func (e *Engine) Step() (time.Duration, error) {
 		pick.Completion = e.now
 		e.ready.remove(pick)
 		e.accountRemove(pick)
-		e.nDone++
-		turn := e.now - pick.Arrival
-		if e.bounded {
-			e.noteDone(pick, turn)
-		} else {
-			e.done = append(e.done, pick)
-			e.turnRatios = append(e.turnRatios, float64(turn)/float64(pick.TrueIsolated()))
-			e.latencies = append(e.latencies, float64(turn))
-		}
+		o := outcomeOf(pick)
+		e.agg.Add(o)
 		if e.opts.Observer != nil {
-			e.opts.Observer(outcomeOf(pick))
+			e.opts.Observer(o)
 		}
 	} else {
 		e.accountStep(pick)
 	}
 	e.s.OnLayerComplete(pick, layer, pick.monitoredSparsity(layer), e.now)
-	if pick.Done && e.bounded {
-		// Bounded capture retains nothing per request past this point
-		// (the aggregates and exemplar reservoir hold copies), so the
-		// task goes back to the pool. e.last must not dangle into the
-		// pool: nil carries the same "no preemption on the next pick"
-		// meaning Done did. Full capture keeps tasks in e.done until
-		// Finish and never pools them.
-		if e.last == pick {
-			e.last = nil
-		}
+	if pick.Done {
+		// Nothing retains the task past this point (the aggregator,
+		// Tasks and observers hold TaskOutcome copies), so it goes back
+		// to the pool. e.last must not dangle into the pool: nil carries
+		// the same "no preemption on the next pick" meaning Done did.
+		e.last = nil
 		releaseTask(pick)
 	}
 	return e.now, nil
 }
 
-// noteDone folds one completion into the bounded-capture aggregates, in
-// completion order — the same order the full-capture Finish traverses
-// e.done in, which is what keeps the ordered float sums (ANTT,
-// MeanLatency, PerModel) bit-identical between the two modes.
-func (e *Engine) noteDone(t *Task, turn time.Duration) {
-	ntt := float64(turn) / float64(t.TrueIsolated())
-	e.turnSum += ntt
-	e.latSum += float64(turn)
-	e.latHist.Add(turn)
-	violated := t.Violated(t.Completion)
-	if violated {
-		e.violations++
-	}
-	if t.Completion > e.lastDone {
-		e.lastDone = t.Completion
-	}
-	if !e.doneAny || t.Arrival < e.doneMinArrival {
-		e.doneAny, e.doneMinArrival = true, t.Arrival
-	}
-	m := e.perModel[t.Key.Model]
-	m.Requests++
-	m.ANTT += ntt
-	if violated {
-		m.ViolationRate++
-	}
-	e.perModel[t.Key.Model] = m
-	if e.exemplars != nil {
-		e.exemplars.Add(outcomeOf(t))
-	}
-}
-
-// finishBounded is Finish for bounded-capture engines: the same metric
-// definitions recomputed from the streaming aggregates.
-func (e *Engine) finishBounded() Result {
-	res := Result{Scheduler: e.s.Name(), Dropped: e.injected - e.nDone,
-		Offered: e.injected}
-	if e.nDone == 0 {
-		return res
-	}
-	n := float64(e.nDone)
-	res.ANTT = e.turnSum / n
-	res.Preemptions = e.preempts
-	res.Requests = e.nDone
-	res.Violations = e.violations
-	res.ViolationRate = float64(e.violations) / n
-	res.MeanLatency = time.Duration(e.latSum / n)
-	res.P50Latency = e.latHist.Quantile(50)
-	res.P95Latency = e.latHist.Quantile(95)
-	res.P99Latency = e.latHist.Quantile(99)
-	res.Makespan = e.lastDone - e.firstArrival
-	res.EngineSeconds = res.Makespan.Seconds()
-	if res.Makespan > 0 {
-		res.Throughput = n / res.Makespan.Seconds()
-		res.Goodput = float64(e.nDone-e.violations) / res.Makespan.Seconds()
-	}
-	res.PerModel = map[string]ModelMetrics{}
-	for name, m := range e.perModel {
-		m.ANTT /= float64(m.Requests)
-		m.ViolationRate /= float64(m.Requests)
-		res.PerModel[name] = m
-	}
-	if e.exemplars != nil {
-		res.Exemplars = append([]TaskOutcome(nil), e.exemplars.Items()...)
-	}
-	return res
-}
-
-// Finish seals the engine and aggregates the run's metrics. Stepping or
-// injecting afterwards is an error; calling Finish twice returns the same
-// Result recomputed from the same completed set. Finalizing an undrained
-// engine is allowed (deadline-bounded simulations stop mid-stream), but
-// the metrics then cover only the completed requests: Result.Dropped
-// counts the outstanding ones so the truncation is never silent.
+// Finish seals the engine and returns the run's metrics, computed by its
+// Aggregator with the makespan anchored on the engine's first arrival.
+// Stepping or injecting afterwards is an error; calling Finish twice
+// returns the same Result. Finalizing an undrained engine is allowed
+// (deadline-bounded simulations stop mid-stream), but the metrics then
+// cover only the completed requests: Result.Dropped counts the
+// outstanding ones so the truncation is never silent.
 func (e *Engine) Finish() Result {
 	e.finished = true
-	if e.bounded {
-		return e.finishBounded()
-	}
-	res := Result{Scheduler: e.s.Name(), Dropped: e.injected - len(e.done),
-		Offered: e.injected}
-	if len(e.done) == 0 {
+	res := e.agg.Result(e.s.Name(), e.firstArrival)
+	res.Dropped = e.injected - e.agg.Len()
+	res.Offered = e.injected
+	if res.Requests == 0 {
 		return res
 	}
-	res.ANTT = stats.Mean(e.turnRatios)
 	res.Preemptions = e.preempts
-	res.Requests = len(e.done)
-	violations := 0
-	var lastDone time.Duration
-	for _, t := range e.done {
-		if t.Violated(t.Completion) {
-			violations++
-		}
-		if t.Completion > lastDone {
-			lastDone = t.Completion
-		}
-	}
-	res.Violations = violations
-	res.ViolationRate = float64(violations) / float64(len(e.done))
-	res.MeanLatency = time.Duration(stats.Mean(e.latencies))
-	// Sort a copy once for the three percentiles: e.latencies stays in
-	// completion order for a second Finish.
-	sorted := append([]float64(nil), e.latencies...)
-	sort.Float64s(sorted)
-	res.P50Latency = time.Duration(stats.PercentileSorted(sorted, 50))
-	res.P95Latency = time.Duration(stats.PercentileSorted(sorted, 95))
-	res.P99Latency = time.Duration(stats.PercentileSorted(sorted, 99))
-	res.Makespan = lastDone - e.firstArrival
 	// A standalone engine bills exactly its makespan of capacity; the
 	// cluster layer overwrites this with the pool's in-service total.
 	res.EngineSeconds = res.Makespan.Seconds()
-	if res.Makespan > 0 {
-		res.Throughput = float64(len(e.done)) / res.Makespan.Seconds()
-		res.Goodput = float64(len(e.done)-violations) / res.Makespan.Seconds()
-	}
-	res.PerModel = map[string]ModelMetrics{}
-	for _, t := range e.done {
-		m := res.PerModel[t.Key.Model]
-		m.Requests++
-		m.ANTT += float64(t.Completion-t.Arrival) / float64(t.TrueIsolated())
-		if t.Violated(t.Completion) {
-			m.ViolationRate++
-		}
-		res.PerModel[t.Key.Model] = m
-	}
-	for name, m := range res.PerModel {
-		m.ANTT /= float64(m.Requests)
-		m.ViolationRate /= float64(m.Requests)
-		res.PerModel[name] = m
-	}
 	res.Timeline = e.timeline
-	if e.opts.RecordTasks {
-		res.Tasks = make([]TaskOutcome, 0, len(e.done))
-		for _, t := range e.done {
-			res.Tasks = append(res.Tasks, outcomeOf(t))
-		}
-		sort.Slice(res.Tasks, func(i, j int) bool { return res.Tasks[i].ID < res.Tasks[j].ID })
-	}
 	return res
 }
 

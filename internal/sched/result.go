@@ -27,11 +27,12 @@ type Result struct {
 	Goodput float64
 	// MeanLatency and the latency percentiles summarize multi-tenant
 	// turnaround. Full-capture runs compute the percentiles from the
-	// exact per-request latency slice (linear interpolation between
-	// closest ranks); bounded-capture runs read them from a log-bucketed
-	// streaming histogram, which biases each percentile upward by at
-	// most one bucket width (~3% of its magnitude) — the price of
-	// request-count-independent memory.
+	// retained latencies (linear interpolation between closest ranks);
+	// bounded-capture runs read them from a log-bucketed streaming
+	// histogram, which biases each percentile upward by at most one
+	// bucket width (~3% of its magnitude) — the price of
+	// request-count-independent memory. The percentiles are the only
+	// metrics on which the two modes differ.
 	MeanLatency time.Duration
 	P50Latency  time.Duration
 	P95Latency  time.Duration

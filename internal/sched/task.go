@@ -67,12 +67,11 @@ type Task struct {
 	estAccounted time.Duration
 }
 
-// taskPool recycles Task structs across requests. Tasks are released only
-// by bounded-capture engines at the completion instant (full capture
-// retains every completed task until Finish, so those are never pooled);
-// newTask reinitializes every field, so a recycled struct is
-// indistinguishable from a fresh one and pool reuse can never leak state
-// across requests or runs.
+// taskPool recycles Task structs across requests. Every engine releases
+// its tasks at the completion instant, whatever the capture mode; newTask
+// reinitializes every field, so a recycled struct is indistinguishable
+// from a fresh one and pool reuse can never leak state across requests
+// or runs.
 var taskPool = sync.Pool{New: func() any { return new(Task) }}
 
 // newTask wraps a workload request.
@@ -87,10 +86,10 @@ func newTask(r *workload.Request) *Task {
 }
 
 // releaseTask returns a completed task to the pool. Only the engine's
-// bounded-capture completion path calls it, after the scheduler's final
-// OnLayerComplete: past that point nothing in the engine, the cluster
-// layer, or the capture machinery retains the pointer (observers and
-// exemplar reservoirs receive TaskOutcome copies).
+// completion path calls it, after the scheduler's final OnLayerComplete:
+// past that point nothing in the engine, the cluster layer, or the
+// capture machinery retains the pointer (the aggregators, Tasks,
+// exemplar reservoirs and observers hold TaskOutcome copies).
 func releaseTask(t *Task) {
 	*t = Task{}
 	taskPool.Put(t)
