@@ -300,8 +300,12 @@ func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, specs []EngineSp
 // note per injection instead, which — paired with forget — keeps the map
 // bounded by the in-flight set rather than the stream length. Lookups
 // only ever target incomplete injected requests, so the two populations
-// are interchangeable.
-func (fi *faultInjector) note(r *workload.Request) { fi.reqByID[r.ID] = r }
+// are interchangeable. A streamed request is valid only until the
+// source's next Next, so note keeps a copy.
+func (fi *faultInjector) note(r *workload.Request) {
+	c := *r
+	fi.reqByID[r.ID] = &c
+}
 
 // forget drops a completed request from the displaced-work map: a
 // completed request can never be displaced again, so the entry is dead

@@ -368,17 +368,16 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 		}
 	}
 
-	// evq keeps every engine's next event in an indexed min-heap keyed
-	// (time, engine index) — the same (first-lowest-time, lowest-index)
-	// order the linear scan it replaces produced, now at O(log n) per
-	// data-plane event. Data-plane mutations touch exactly one engine
-	// (Step, Inject), so the loop re-syncs just that slot; control-plane
-	// actions (churn firings, rebalance rounds that moved a request,
-	// autoscaler evaluations that acted) can mutate arbitrary engines — or
-	// replace incarnations in the shared slice — so those instants resync
-	// the whole heap. A round or evaluation that changed nothing leaves
-	// the heap alone.
-	evq := newEventHeap(len(engines))
+	// evq keeps every engine's next event in a winner tree that picks
+	// the (first-lowest-time, lowest-index) slot the linear scan it
+	// replaces produced, now at O(log n) per data-plane event. Data-plane
+	// mutations touch exactly one engine (Step, Inject), so the loop
+	// re-syncs just that slot; control-plane actions (churn firings,
+	// rebalance rounds that moved a request, autoscaler evaluations that
+	// acted) can mutate arbitrary engines — or replace incarnations in
+	// the shared slice — so those instants resync every slot. A round or
+	// evaluation that changed nothing leaves the tree alone.
+	evq := newEventTree(len(engines))
 	sync := func(i int) {
 		t, ok := engines[i].NextEvent()
 		evq.set(i, t, ok)
@@ -443,7 +442,7 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 				// restart the scan instead of stepping a stale pick. The
 				// round just fired, so rb.due is false and this cannot
 				// loop. A round that moved nothing changed no engine, so
-				// the heap and the pick are still exact.
+				// the tree and the pick are still exact.
 				if moved > 0 {
 					syncAll()
 					continue

@@ -1,133 +1,101 @@
 package cluster
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
-// eventHeap is an indexed binary min-heap over engine slots keyed by
-// (next-event time, slot index). It replaces the per-step linear scan of
-// every engine's NextEvent with an O(log n) lookup: the run loop updates
-// exactly the slots whose engines it touched (one per Step or Inject)
-// and refreshes the whole heap only at the rare control-plane instants —
-// churn firings, rebalance rounds, autoscaler actions — that can mutate
-// arbitrary engines or replace incarnations in place.
+// eventTree is a winner tree over engine slots that finds the slot with
+// the earliest pending event. The run loop updates exactly the slots
+// whose engines it touched (one per Step or Inject) and refreshes every
+// slot only at the rare control-plane instants — churn firings,
+// rebalance rounds, autoscaler actions — that can mutate arbitrary
+// engines or replace incarnations in place.
 //
-// The tie-break is load-bearing: the linear scan it replaces kept the
-// first strictly-lower time, so among equal-time slots the lowest index
-// won. The heap orders by (time, slot) lexicographically, which picks
-// the same slot — the cross-engine determinism contract (DESIGN.md §5)
-// and the streaming equivalence tests both pin this.
-type eventHeap struct {
-	// slots is the heap array of slot indices.
-	slots []int
-	// pos[i] is slot i's position in the heap array, -1 when the slot
-	// has no pending event.
-	pos []int
-	// at[i] is slot i's key time, valid while pos[i] >= 0.
-	at []time.Duration
+// The tree is complete over a power-of-two number of leaves: node 1 is
+// the root, node p's children are 2p and 2p+1, and slot i's leaf is
+// node leaves+i. Every node holds the key and slot of the winner of its
+// subtree, so set replays one key comparison per level on the path from
+// the slot's leaf to the root, with no swaps and no position
+// bookkeeping.
+//
+// A pending slot's key is its event time; a slot with no pending event
+// (and every padding leaf) holds the absent key, which sorts above
+// every valid time and equals none of them, because keys are unsigned
+// and times are never negative. The tie-break is load-bearing: the
+// linear scan this replaces kept the first strictly-lower time, so among
+// equal-time slots the lowest index won. The left child wins ties and
+// lower slots sit further left, so the root holds that same slot — the
+// cross-engine determinism contract (DESIGN.md §5) and the streaming
+// equivalence tests both pin this.
+type eventTree struct {
+	// node[p] is internal node p's subtree winner for 1 <= p < leaves,
+	// and slot p-leaves's own entry for p >= leaves; node[0] is unused.
+	node   []eventNode
+	leaves int
 }
 
-// newEventHeap returns an empty heap over n slots.
-func newEventHeap(n int) *eventHeap {
-	h := &eventHeap{
-		slots: make([]int, 0, n),
-		pos:   make([]int, n),
-		at:    make([]time.Duration, n),
-	}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
+// eventNode is one node of the tree: the winning key and its slot.
+type eventNode struct {
+	key  uint64
+	slot int
 }
 
-// set records slot i's next event at t, or removes the slot when ok is
-// false (no pending event). Idempotent: re-setting an unchanged key is
-// a no-op after the O(log n) sift finds the slot already in place.
-func (h *eventHeap) set(i int, t time.Duration, ok bool) {
-	switch {
-	case ok && h.pos[i] >= 0:
-		h.at[i] = t
-		h.fix(h.pos[i])
-	case ok:
-		h.at[i] = t
-		h.pos[i] = len(h.slots)
-		h.slots = append(h.slots, i)
-		h.up(len(h.slots) - 1)
-	case h.pos[i] >= 0:
-		h.removeAt(h.pos[i])
+// absentKey is the key of a slot with no pending event.
+const absentKey = math.MaxUint64
+
+// newEventTree returns a tree over n slots, none of them pending.
+func newEventTree(n int) *eventTree {
+	leaves := 1
+	for leaves < n {
+		leaves *= 2
+	}
+	q := &eventTree{node: make([]eventNode, 2*leaves), leaves: leaves}
+	for i := 0; i < leaves; i++ {
+		q.node[leaves+i] = eventNode{key: absentKey, slot: i}
+	}
+	for p := leaves - 1; p >= 1; p-- {
+		q.node[p] = q.node[2*p]
+	}
+	return q
+}
+
+// set records slot i's next event at t, or marks the slot absent when ok
+// is false (no pending event). t must not be negative: Engine.NextEvent
+// never returns a negative time, so one here is a bug.
+func (q *eventTree) set(i int, t time.Duration, ok bool) {
+	key := uint64(absentKey)
+	if ok {
+		if t < 0 {
+			panic(fmt.Sprintf("cluster: engine %d has its next event at negative time %v", i, t))
+		}
+		key = uint64(t)
+	}
+	node := q.node
+	p := q.leaves + i
+	node[p].key = key
+	for p > 1 {
+		// l is the left child of p's parent. The right child wins only on
+		// a strictly lower key, so a tie goes left. Selecting by an offset
+		// compiles to a set-on-condition, not a branch the random order
+		// of event times would mispredict.
+		l := p &^ 1
+		right := 0
+		if node[l+1].key < node[l].key {
+			right = 1
+		}
+		p >>= 1
+		node[p] = node[l+right]
 	}
 }
 
 // min returns the slot with the earliest event, ties to the lowest slot
 // index. ok is false when no slot has a pending event.
-func (h *eventHeap) min() (slot int, t time.Duration, ok bool) {
-	if len(h.slots) == 0 {
+func (q *eventTree) min() (slot int, t time.Duration, ok bool) {
+	w := q.node[1]
+	if w.key == absentKey {
 		return -1, 0, false
 	}
-	s := h.slots[0]
-	return s, h.at[s], true
-}
-
-// len reports how many slots hold a pending event.
-func (h *eventHeap) len() int { return len(h.slots) }
-
-// less orders heap entries by (time, slot index) — the linear scan's
-// first-lowest-time visit order.
-func (h *eventHeap) less(a, b int) bool {
-	if h.at[a] != h.at[b] {
-		return h.at[a] < h.at[b]
-	}
-	return a < b
-}
-
-// removeAt deletes the entry at heap position p.
-func (h *eventHeap) removeAt(p int) {
-	s := h.slots[p]
-	last := len(h.slots) - 1
-	h.slots[p] = h.slots[last]
-	h.slots = h.slots[:last]
-	h.pos[s] = -1
-	if p < last {
-		h.pos[h.slots[p]] = p
-		h.fix(p)
-	}
-}
-
-// fix restores heap order after the entry at position p changed key.
-func (h *eventHeap) fix(p int) {
-	if !h.down(p) {
-		h.up(p)
-	}
-}
-
-func (h *eventHeap) up(p int) {
-	for p > 0 {
-		parent := (p - 1) / 2
-		if !h.less(h.slots[p], h.slots[parent]) {
-			return
-		}
-		h.slots[p], h.slots[parent] = h.slots[parent], h.slots[p]
-		h.pos[h.slots[p]] = p
-		h.pos[h.slots[parent]] = parent
-		p = parent
-	}
-}
-
-func (h *eventHeap) down(p int) bool {
-	moved := false
-	for {
-		child := 2*p + 1
-		if child >= len(h.slots) {
-			return moved
-		}
-		if r := child + 1; r < len(h.slots) && h.less(h.slots[r], h.slots[child]) {
-			child = r
-		}
-		if !h.less(h.slots[child], h.slots[p]) {
-			return moved
-		}
-		h.slots[p], h.slots[child] = h.slots[child], h.slots[p]
-		h.pos[h.slots[p]] = p
-		h.pos[h.slots[child]] = child
-		p = child
-		moved = true
-	}
+	return w.slot, time.Duration(w.key), true
 }

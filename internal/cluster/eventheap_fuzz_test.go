@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// refEventModel is the pre-heap reference: the linear scan over every
-// slot that the event heap replaced, keeping the first strictly-lower
-// time so the lowest index wins among equal times.
+// refEventModel is the reference: the linear scan over every slot that
+// the event tree replaced, keeping the first strictly-lower time so the
+// lowest index wins among equal times.
 type refEventModel struct {
 	ok []bool
 	at []time.Duration
@@ -28,99 +29,100 @@ func (m *refEventModel) min() (int, time.Duration, bool) {
 }
 
 // checkHeapInvariants verifies the structural contract after every
-// mutation: position bookkeeping is a bijection onto the heap array, and
-// every parent orders at-or-before its children under (time, slot).
-func checkHeapInvariants(t *testing.T, h *eventHeap) {
+// mutation: each leaf names its own slot, padding leaves are absent, and
+// each internal node holds the winner of its two children — the lower
+// key, the left child on a tie.
+func checkHeapInvariants(t *testing.T, q *eventTree, n int) {
 	t.Helper()
-	for p, s := range h.slots {
-		if h.pos[s] != p {
-			t.Fatalf("slot %d at heap position %d carries pos %d", s, p, h.pos[s])
+	for i := 0; i < q.leaves; i++ {
+		leaf := q.node[q.leaves+i]
+		if leaf.slot != i {
+			t.Fatalf("leaf %d names slot %d", i, leaf.slot)
 		}
-		if p > 0 {
-			parent := (p - 1) / 2
-			if h.less(s, h.slots[parent]) {
-				t.Fatalf("heap order violated: slot %d at %d below its parent %d",
-					s, p, h.slots[parent])
-			}
+		if i >= n && leaf.key != absentKey {
+			t.Fatalf("padding leaf %d holds key %d", i, leaf.key)
 		}
 	}
-	inHeap := 0
-	for s, p := range h.pos {
-		if p < 0 {
-			continue
+	for p := 1; p < q.leaves; p++ {
+		l, r := q.node[2*p], q.node[2*p+1]
+		want := l
+		if r.key < l.key {
+			want = r
 		}
-		inHeap++
-		if p >= len(h.slots) || h.slots[p] != s {
-			t.Fatalf("slot %d claims position %d, heap disagrees", s, p)
+		if q.node[p] != want {
+			t.Fatalf("node %d holds %+v, its children's winner is %+v", p, q.node[p], want)
 		}
-	}
-	if inHeap != len(h.slots) {
-		t.Fatalf("%d slots claim membership, heap holds %d", inHeap, len(h.slots))
 	}
 }
 
-// FuzzEventHeap drives the cluster event heap through arbitrary
+// FuzzEventHeap drives the cluster event tree through arbitrary
 // inject/advance/crash sequences against the linear-scan reference the
-// heap replaced: after every operation the heap's minimum must be the
+// tree replaced: after every operation the tree's minimum must be the
 // scan's pick — deterministic tie-break included — and draining at the
 // end must visit every pending instant in (time, slot) order without
 // skipping one.
 func FuzzEventHeap(f *testing.F) {
 	// Seeds: tie pile-ups, interleaved removes, re-keys of the minimum,
-	// and a single-slot degenerate heap.
+	// a single-slot degenerate tree, and the latest valid time (byte 15)
+	// beside absent slots.
 	f.Add([]byte{4, 0, 0, 5, 1, 0, 5, 2, 0, 5, 3, 0, 5})
 	f.Add([]byte{4, 0, 0, 9, 1, 0, 3, 0, 1, 0, 2, 0, 7, 1, 1, 0})
 	f.Add([]byte{8, 5, 0, 200, 5, 0, 1, 5, 1, 0, 5, 0, 200})
 	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 0, 0, 42})
+	f.Add([]byte{3, 2, 0, 15, 0, 3, 0, 1, 0, 15, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		n := 1 + int(data[0]%8)
-		h := newEventHeap(n)
+		q := newEventTree(n)
 		ref := &refEventModel{ok: make([]bool, n), at: make([]time.Duration, n)}
 		for i := 3; i < len(data); i += 3 {
 			slot := int(data[i-2]) % n
 			op := data[i-1] % 4
 			// A tiny time domain maximizes equal-key collisions, the
-			// regime where the tie-break matters.
+			// regime where the tie-break matters; its top value is the
+			// latest valid time, which an absent key must not equal.
 			tm := time.Duration(data[i] % 16)
+			if tm == 15 {
+				tm = math.MaxInt64
+			}
 			if op == 3 { // crash/drain: the slot has no pending event
-				h.set(slot, 0, false)
+				q.set(slot, 0, false)
 				ref.ok[slot] = false
 			} else { // inject/advance: (re-)key the slot
-				h.set(slot, tm, true)
+				q.set(slot, tm, true)
 				ref.ok[slot], ref.at[slot] = true, tm
 			}
-			checkHeapInvariants(t, h)
+			checkHeapInvariants(t, q, n)
 			ws, wt, wok := ref.min()
-			gs, gt, gok := h.min()
+			gs, gt, gok := q.min()
 			if gok != wok || (wok && (gs != ws || gt != wt)) {
 				t.Fatalf("min = (%d, %v, %v), reference scan = (%d, %v, %v)",
 					gs, gt, gok, ws, wt, wok)
 			}
 		}
-		// Drain: the heap must emit every pending instant in
+		// Drain: the tree must emit every pending instant in
 		// nondecreasing (time, slot) order, matching the scan step for
 		// step until both are empty.
 		var lastT time.Duration = -1
 		lastS := -1
-		for h.len() > 0 {
-			ws, wt, _ := ref.min()
-			gs, gt, _ := h.min()
-			if gs != ws || gt != wt {
-				t.Fatalf("drain min = (%d, %v), reference = (%d, %v)", gs, gt, ws, wt)
+		for {
+			gs, gt, gok := q.min()
+			ws, wt, wok := ref.min()
+			if gok != wok || (wok && (gs != ws || gt != wt)) {
+				t.Fatalf("drain min = (%d, %v, %v), reference = (%d, %v, %v)", gs, gt, gok, ws, wt, wok)
+			}
+			if !gok {
+				break
 			}
 			if gt < lastT || (gt == lastT && gs <= lastS) {
 				t.Fatalf("drain emitted (%d, %v) after (%d, %v)", gs, gt, lastS, lastT)
 			}
 			lastT, lastS = gt, gs
-			h.set(gs, 0, false)
+			q.set(gs, 0, false)
 			ref.ok[gs] = false
-			checkHeapInvariants(t, h)
-		}
-		if _, _, ok := ref.min(); ok {
-			t.Fatal("heap drained while the reference still holds events")
+			checkHeapInvariants(t, q, n)
 		}
 	})
 }

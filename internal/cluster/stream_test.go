@@ -20,11 +20,43 @@ func sortedCopy(reqs []*workload.Request) []*workload.Request {
 	return s
 }
 
+// reusingSource yields copies of a sorted request slice through one
+// buffer it overwrites on every Next — the weakest form the
+// RequestSource contract allows, which workload.Stream uses. A consumer
+// that keeps a yielded pointer past the next Next reads a later request.
+type reusingSource struct {
+	reqs []*workload.Request
+	next int
+	buf  workload.Request
+}
+
+func (s *reusingSource) Next() (*workload.Request, bool) {
+	if s.next >= len(s.reqs) {
+		return nil, false
+	}
+	s.buf = *s.reqs[s.next]
+	s.next++
+	return &s.buf, true
+}
+
+// byID routes every request by its ID alone, so a dispatch reading a
+// request that a stale pointer has since overwritten (a failover
+// re-dispatching through a kept pointer, say) lands on another engine
+// and changes the schedule.
+type byID struct{}
+
+func (byID) Name() string { return "by-id" }
+
+func (byID) Pick(sig []EngineSignal, r *workload.Request, _ time.Duration) int {
+	return r.ID % len(sig)
+}
+
 // TestClusterRunStreamMatchesRun: feeding the cluster one request at a
 // time through RunStream is byte-identical to the materialized Run — per
 // engine, per task and on the timeline — for every scheduler and
 // dispatcher, across plain, stale-signal, migrating and churning
-// configurations. This is the tentpole equivalence anchor: the streaming
+// configurations, from a slice source and from a source that reuses one
+// request buffer. This is the tentpole equivalence anchor: the streaming
 // path changes memory behavior, never the schedule.
 func TestClusterRunStreamMatchesRun(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -35,8 +67,12 @@ func TestClusterRunStreamMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		load := SparsityAwareLoad(lut, est)
+		sources := map[string]func() sched.RequestSource{
+			"slice":   func() sched.RequestSource { return sched.NewSliceSource(sortedCopy(reqs)) },
+			"reusing": func() sched.RequestSource { return &reusingSource{reqs: sortedCopy(reqs)} },
+		}
 		for _, spec := range schedSpecs(est, lut) {
-			for _, d := range dispatchers(est, lut) {
+			for _, d := range append(dispatchers(est, lut), byID{}) {
 				for name, mut := range map[string]func(*Config){
 					"plain": func(*Config) {},
 					"stale": func(c *Config) { c.SignalInterval = 3 * time.Millisecond },
@@ -58,14 +94,15 @@ func TestClusterRunStreamMatchesRun(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s/%s (seed %d): %v", spec.name, d.Name(), name, seed, err)
 					}
-					got, err := RunStream(func(int) sched.Scheduler { return spec.mk() },
-						sched.NewSliceSource(sortedCopy(reqs)), cfg)
-					if err != nil {
-						t.Fatalf("%s/%s/%s (seed %d): %v", spec.name, d.Name(), name, seed, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s/%s (seed %d): streamed cluster diverges from materialized:\n%+v\nvs\n%+v",
-							spec.name, d.Name(), name, seed, got, want)
+					for srcName, src := range sources {
+						got, err := RunStream(func(int) sched.Scheduler { return spec.mk() }, src(), cfg)
+						if err != nil {
+							t.Fatalf("%s/%s/%s/%s (seed %d): %v", spec.name, d.Name(), name, srcName, seed, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s/%s/%s/%s (seed %d): streamed cluster diverges from materialized:\n%+v\nvs\n%+v",
+								spec.name, d.Name(), name, srcName, seed, got, want)
+						}
 					}
 				}
 			}

@@ -65,6 +65,10 @@ type Dysta struct {
 	now                    time.Duration
 	queueLen               float64
 	newlyDemoted           []*sched.Task
+
+	// free holds the states of departed tasks for reuse by later
+	// arrivals (see forget), so a warm scheduler allocates none.
+	free []*requestState
 }
 
 // requestState is the per-request bookkeeping of the dynamic level,
@@ -158,10 +162,21 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	st := d.lut.MustLookup(t.Key)
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
-	s := &requestState{
+	var s *requestState
+	if n := len(d.free); n > 0 {
+		s, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		s = new(requestState)
+	}
+	// Every field is rewritten, so a recycled state equals a fresh one.
+	// Only the LastN window buffer is kept: Observe writes each of its
+	// slots before the mean reads it.
+	window := s.pred.window
+	*s = requestState{
 		staticScore: lat + d.cfg.Beta*slack,
 		pred:        makePredictor(d.cfg, st),
 	}
+	s.pred.window = window
 	s.refresh(t)
 	t.Attachment = s
 	d.place(t, s, now)
@@ -216,10 +231,12 @@ func (d *Dysta) place(t *sched.Task, s *requestState, now time.Duration) {
 }
 
 // forget releases a departing task's heap slot before the state it keys
-// on.
+// on, and puts the state on the free list: the task was its only
+// holder, and OnArrival rewrites it before any later use.
 func (d *Dysta) forget(t *sched.Task) {
 	if s := state(t); s != nil {
 		d.heap(s).Remove(t)
+		d.free = append(d.free, s)
 	}
 	t.Attachment = nil
 }

@@ -1,0 +1,133 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"sparsedysta/internal/sched"
+	"sparsedysta/internal/sparsity"
+	"sparsedysta/internal/trace"
+)
+
+// liveWindow is the part of a LastN window the next Observe reads: the
+// slots written since the state's arrival. A recycled state keeps its
+// window buffer, so slots beyond that hold stale ratios nobody reads.
+func liveWindow(p Predictor) []float64 {
+	return p.window[:min(p.count, len(p.window))]
+}
+
+// checkSameState fails unless two attachments are equal field by field,
+// the LastN window compared on its live slots.
+func checkSameState(t *testing.T, label string, fresh, recycled *requestState) {
+	t.Helper()
+	if !slices.Equal(liveWindow(fresh.pred), liveWindow(recycled.pred)) {
+		t.Fatalf("%s: live windows differ: fresh %v, recycled %v",
+			label, liveWindow(fresh.pred), liveWindow(recycled.pred))
+	}
+	f, r := *fresh, *recycled
+	f.pred.window, r.pred.window = nil, nil
+	if !reflect.DeepEqual(f, r) {
+		t.Fatalf("%s: recycled state %+v differs from fresh %+v", label, r, f)
+	}
+}
+
+// TestRecycledStateMatchesFresh: a state Dysta takes off its free list
+// must be indistinguishable from a freshly allocated one. One scheduler
+// first serves a request with a tight SLO (so it ends demoted) through
+// several observed layers and completes it, leaving a dirty state on its
+// free list; then the same task arrives on it and on a fresh instance,
+// next to the same competitor, and both are driven through the same
+// layer observations. After every event the attachments, the heap that
+// holds the task and its key, and the pick must agree, under each gamma
+// strategy and without the dynamic level.
+func TestRecycledStateMatchesFresh(t *testing.T) {
+	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	const layers = 6
+	var traces []trace.SampleTrace
+	for i, sp := range []float64{0.2, 0.5, 0.8} {
+		tr := uniformTrace(time.Duration(3-i)*time.Millisecond, layers, sp)
+		tr.LayerSparsity[i] = sp / 2
+		traces = append(traces, tr)
+	}
+	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: traces})
+	const msec = time.Millisecond
+	// observed is the monitored sparsity of each executed layer.
+	observed := []float64{0.9, 0.1, 0.6, 0.3, 0.7, 0.5}
+
+	cfgs := map[string]Config{
+		"last-one":    DefaultConfig(),
+		"w/o-sparse":  DefaultConfig().WithoutSparse(),
+		"average-all": func() Config { c := DefaultConfig(); c.Strategy = AverageAll; return c }(),
+		"last-n":      func() Config { c := DefaultConfig(); c.Strategy = LastN; c.N = 3; return c }(),
+	}
+	for name, cfg := range cfgs {
+		fresh, used := New(cfg, lut), New(cfg, lut)
+
+		// Dirty a state: a request far past its slack, observed through
+		// every layer, then completed.
+		old := &sched.Task{ID: 7, Key: k, SLO: msec}
+		used.OnArrival(old, 0)
+		for l := 0; l < layers; l++ {
+			old.NextLayer, old.LastRun = l+1, time.Duration(l+1)*msec
+			old.Done = l == layers-1
+			used.OnLayerComplete(old, l, observed[layers-1-l], old.LastRun)
+		}
+		if len(used.free) != 1 {
+			t.Fatalf("%s: free list holds %d states after a completion, want 1", name, len(used.free))
+		}
+		dirty := used.free[0]
+
+		mk := func() (task, rival *sched.Task) {
+			task = &sched.Task{ID: 1, Key: k, Arrival: 10 * msec, SLO: 40 * msec, LastRun: 10 * msec}
+			rival = &sched.Task{ID: 2, Key: k, Arrival: 10 * msec, SLO: 25 * msec, LastRun: 10 * msec}
+			return task, rival
+		}
+		fa, fb := mk()
+		ua, ub := mk()
+		fresh.OnArrival(fa, 10*msec)
+		used.OnArrival(ua, 10*msec)
+		fresh.OnArrival(fb, 10*msec)
+		used.OnArrival(ub, 10*msec)
+		if state(ua) != dirty {
+			t.Fatalf("%s: the arrival did not reuse the freed state", name)
+		}
+
+		check := func(when string, now time.Duration) {
+			t.Helper()
+			label := name + " " + when
+			checkSameState(t, label, state(fa), state(ua))
+			checkSameState(t, label, state(fb), state(ub))
+			if fh, uh := fresh.heap(state(fa)), used.heap(state(ua)); (fh == &fresh.demoted) != (uh == &used.demoted) {
+				t.Fatalf("%s: fresh and recycled tasks sit in different heaps", label)
+			}
+			for _, pair := range [][2]*sched.TaskHeap{{&fresh.feasible, &used.feasible}, {&fresh.demoted, &used.demoted}} {
+				if pair[0].Len() != pair[1].Len() {
+					t.Fatalf("%s: heap sizes differ: %d vs %d", label, pair[0].Len(), pair[1].Len())
+				}
+				for i := 0; i < pair[0].Len(); i++ {
+					if pair[0].At(i).ID != pair[1].At(i).ID {
+						t.Fatalf("%s: heap position %d holds task %d vs %d", label, i, pair[0].At(i).ID, pair[1].At(i).ID)
+					}
+				}
+			}
+			fp := fresh.PickNext([]*sched.Task{fa, fb}, now)
+			up := used.PickNext([]*sched.Task{ua, ub}, now)
+			if fp.ID != up.ID {
+				t.Fatalf("%s: fresh picks task %d, recycled picks task %d", label, fp.ID, up.ID)
+			}
+		}
+		check("at arrival", 10*msec)
+		for l := 0; l < layers-1; l++ {
+			now := time.Duration(12+3*l) * msec
+			for _, tk := range []*sched.Task{fa, ua} {
+				tk.NextLayer, tk.LastRun, tk.ExecTime = l+1, now, time.Duration(l+1)*msec
+			}
+			fresh.OnLayerComplete(fa, l, observed[l], now)
+			used.OnLayerComplete(ua, l, observed[l], now)
+			check(fmt.Sprintf("after layer %d", l), now)
+		}
+	}
+}

@@ -113,15 +113,16 @@ func TestHeapPicksExactDeepQueue(t *testing.T) {
 
 // TestHeapPicksAllocateNoMoreThanScan pins the heap picks' allocations on
 // a warm engine: one scheduler instance reused across runs (so its heaps
-// have grown to the run's depth) over a stream queueing hundreds deep.
-// The scan picks these replace measured 3.046 (Dysta: state plus a
-// separate predictor), 2.046 (PREMA), 1.046 (SDRM3) and 1.047 (Planaria,
-// Oracle) allocations per request on this run, the engine's Task
-// included. Every engine now returns its completed Tasks to the pool, so
-// what remains per request is Dysta's and PREMA's one attachment and the
-// amortized capture slices: 1.03 and 0.03 measured. Under -race,
-// sync.Pool drops a quarter of its Puts at random, so about a quarter of
-// the Tasks are allocated afresh.
+// and its attachment free list have grown to the run's depth) over a
+// stream queueing hundreds deep. The scan picks these replace measured
+// 3.046 (Dysta: state plus a separate predictor), 2.046 (PREMA), 1.046
+// (SDRM3) and 1.047 (Planaria, Oracle) allocations per request on this
+// run, the engine's Task included. Every engine returns its completed
+// Tasks to the pool, and Dysta and PREMA recycle their attachments, so
+// what remains per request is the amortized capture slices: 0.03
+// measured for every scheduler. Under -race, sync.Pool drops a quarter
+// of its Puts at random, so about a quarter of the Tasks are allocated
+// afresh.
 func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -132,7 +133,7 @@ func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := map[string]float64{"Dysta": 1.05, "PREMA": 1.05, "SDRM3": 0.05, "Planaria": 0.05, "Oracle": 0.05}
+	ceiling := map[string]float64{"Dysta": 0.05, "PREMA": 0.05, "SDRM3": 0.05, "Planaria": 0.05, "Oracle": 0.05}
 	slack := 0.0
 	if raceEnabled {
 		slack = 0.3

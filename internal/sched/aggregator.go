@@ -27,7 +27,10 @@ type Aggregator struct {
 	// first is the earliest arrival and last the latest completion among
 	// the folded outcomes.
 	first, last time.Duration
-	perModel    map[string]ModelMetrics
+	// perModel holds one tally per model in first-seen order; a run
+	// serves a handful of models, so Add finds its tally by a short scan
+	// instead of hashing the name, and Result builds the map.
+	perModel []modelTally
 
 	latencies []float64           // full capture
 	hist      *stats.DurationHist // bounded capture
@@ -38,12 +41,18 @@ type Aggregator struct {
 	keepTasks bool
 }
 
+// modelTally is one model's running per-model metrics.
+type modelTally struct {
+	model string
+	m     ModelMetrics
+}
+
 // NewAggregator sizes an aggregator for opts' capture mode: BoundedCapture
 // selects the histogram and, with a positive Exemplars, an exemplar
 // reservoir seeded by ExemplarSeed; otherwise the latencies are kept,
 // and RecordTasks retains every outcome for Result.Tasks.
 func NewAggregator(opts Options) *Aggregator {
-	a := &Aggregator{perModel: map[string]ModelMetrics{}}
+	a := &Aggregator{}
 	if opts.BoundedCapture {
 		a.hist = &stats.DurationHist{}
 		if opts.Exemplars > 0 {
@@ -75,13 +84,19 @@ func (a *Aggregator) Add(o TaskOutcome) {
 	if o.Completion > a.last {
 		a.last = o.Completion
 	}
-	m := a.perModel[o.Model]
+	i := 0
+	for i < len(a.perModel) && a.perModel[i].model != o.Model {
+		i++
+	}
+	if i == len(a.perModel) {
+		a.perModel = append(a.perModel, modelTally{model: o.Model})
+	}
+	m := &a.perModel[i].m
 	m.Requests++
 	m.ANTT += o.NTT
 	if o.Violated {
 		m.ViolationRate++
 	}
-	a.perModel[o.Model] = m
 	if a.exemplars != nil {
 		a.exemplars.Add(o)
 	}
@@ -132,10 +147,11 @@ func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 		res.Goodput = float64(a.n-a.violations) / res.Makespan.Seconds()
 	}
 	res.PerModel = make(map[string]ModelMetrics, len(a.perModel))
-	for name, m := range a.perModel {
+	for _, pm := range a.perModel {
+		m := pm.m
 		m.ANTT /= float64(m.Requests)
 		m.ViolationRate /= float64(m.Requests)
-		res.PerModel[name] = m
+		res.PerModel[pm.model] = m
 	}
 	if a.exemplars != nil {
 		res.Exemplars = append([]TaskOutcome(nil), a.exemplars.Items()...)

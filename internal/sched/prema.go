@@ -50,6 +50,9 @@ type PREMA struct {
 	// list of tasks crossing at this decision.
 	uncrossed, crossed TaskHeap
 	due                []*Task
+
+	// free holds the states of departed tasks for reuse (see forget).
+	free []*premaState
 }
 
 // premaState is PREMA's per-task attachment.
@@ -87,16 +90,33 @@ func (p *PREMA) state(t *Task) *premaState {
 	if s, ok := t.Attachment.(*premaState); ok {
 		return s
 	}
-	s := &premaState{st: p.est.stats(t)}
-	s.rem = s.st.AvgRemaining(t.NextLayer)
+	st := p.est.stats(t)
+	return p.attach(t, premaState{st: st, rem: st.AvgRemaining(t.NextLayer)})
+}
+
+// attach sets t's attachment to a state holding v, recycling a state
+// from the free list when it has one. v overwrites every field, so a
+// recycled state equals a fresh one.
+func (p *PREMA) attach(t *Task, v premaState) *premaState {
+	var s *premaState
+	if n := len(p.free); n > 0 {
+		s, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		s = new(premaState)
+	}
+	*s = v
 	t.Attachment = s
 	return s
 }
 
-// forget releases a departing task's heap slot (whichever heap holds it).
+// forget releases a departing task's heap slot (whichever heap holds it)
+// and puts its state on the free list: the task was its only holder.
 func (p *PREMA) forget(t *Task) {
 	p.uncrossed.Remove(t)
 	p.crossed.Remove(t)
+	if s, ok := t.Attachment.(*premaState); ok {
+		p.free = append(p.free, s)
+	}
 	t.Attachment = nil
 }
 
@@ -106,12 +126,12 @@ func (p *PREMA) forget(t *Task) {
 // high priority so they are not starved by long-running tenants.
 func (p *PREMA) OnArrival(t *Task, now time.Duration) {
 	st := p.est.stats(t)
-	t.Attachment = &premaState{
+	p.attach(t, premaState{
 		prio:     priorityForLatency(st.AvgTotal),
 		lastSeen: now,
 		st:       st,
 		rem:      st.AvgRemaining(t.NextLayer),
-	}
+	})
 	// Every task starts uncrossed; the next pick's accrual promotes it
 	// if zero tokens already meet the threshold.
 	p.uncrossed.Push(t)

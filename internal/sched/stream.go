@@ -14,6 +14,10 @@ import (
 // yields a request earlier than its predecessor fails the run, because
 // lazy injection would otherwise let the engine's clock pass an arrival
 // before the request exists, silently rewriting history.
+//
+// A yielded request is valid only until the next call to Next: a source
+// may reuse one Request for every yield (workload.Stream does), so a
+// consumer copies whatever it keeps past that call.
 type RequestSource interface {
 	Next() (*workload.Request, bool)
 }

@@ -30,9 +30,28 @@ func streamFixture(t *testing.T, requests int, seed uint64) (*trace.StatsSet, []
 	return lut, reqs, sc, eval, cfg
 }
 
+// reusingSource yields copies of a sorted request slice through one
+// buffer it overwrites on every Next, the weakest form the
+// RequestSource contract allows.
+type reusingSource struct {
+	reqs []*workload.Request
+	next int
+	buf  workload.Request
+}
+
+func (s *reusingSource) Next() (*workload.Request, bool) {
+	if s.next >= len(s.reqs) {
+		return nil, false
+	}
+	s.buf = *s.reqs[s.next]
+	s.next++
+	return &s.buf, true
+}
+
 // TestRunStreamMatchesRun pins the lazy-injection equivalence: driving
-// the engine from an iterator produces the byte-identical Result of the
-// materialized Run, for every standard scheduler.
+// the engine from an iterator — the workload's own Stream, or a source
+// that reuses one request buffer — produces the byte-identical Result
+// of the materialized Run, for every standard scheduler.
 func TestRunStreamMatchesRun(t *testing.T) {
 	lut, reqs, sc, eval, cfg := streamFixture(t, 400, 3)
 	est := sched.NewEstimator(lut)
@@ -52,12 +71,17 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sched.RunStream(mk(), st, sched.Options{RecordTasks: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: RunStream diverged from Run:\n run:    %+v\n stream: %+v", name, want, got)
+		for srcName, src := range map[string]sched.RequestSource{
+			"stream":  st,
+			"reusing": &reusingSource{reqs: reqs},
+		} {
+			got, err := sched.RunStream(mk(), src, sched.Options{RecordTasks: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%s: RunStream diverged from Run:\n run:    %+v\n stream: %+v", name, srcName, want, got)
+			}
 		}
 	}
 }

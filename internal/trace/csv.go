@@ -46,6 +46,8 @@ func WriteCSV(w io.Writer, k Key, traces []SampleTrace) error {
 }
 
 // ReadCSV parses a file written by WriteCSV, returning its key and traces.
+// A negative latency or a sparsity outside [0, 1] (NaN included) is an
+// error naming its sample and layer.
 func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -95,6 +97,13 @@ func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 		sp, err := strconv.ParseFloat(rec[5], 64)
 		if err != nil {
 			return Key{}, nil, fmt.Errorf("trace: bad sparsity %q: %w", rec[5], err)
+		}
+		if latNS < 0 {
+			return Key{}, nil, fmt.Errorf("trace: sample %d layer %d: negative latency %d ns", sample, layer, latNS)
+		}
+		// The negated test also rejects NaN, which fails every comparison.
+		if !(sp >= 0 && sp <= 1) {
+			return Key{}, nil, fmt.Errorf("trace: sample %d layer %d: sparsity %v outside [0, 1]", sample, layer, sp)
 		}
 
 		switch {

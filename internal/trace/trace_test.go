@@ -240,6 +240,38 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonPhysicalValues: a negative latency or a sparsity
+// outside [0, 1] (NaN and the infinities included) is rejected with an
+// error naming the offending sample and layer, so no LUT is ever built
+// from one. The bad value sits at sample 1, layer 1 behind valid rows.
+func TestReadCSVRejectsNonPhysicalValues(t *testing.T) {
+	const valid = "model,pattern,sample,layer,latency_ns,sparsity\n" +
+		"m,dense,0,0,100,0.5\nm,dense,0,1,100,0.5\nm,dense,1,0,100,0.5\n"
+	for _, row := range []string{
+		"m,dense,1,1,-1,0.5",
+		"m,dense,1,1,100,NaN",
+		"m,dense,1,1,100,+Inf",
+		"m,dense,1,1,100,-Inf",
+		"m,dense,1,1,100,1.5",
+		"m,dense,1,1,100,-0.1",
+	} {
+		_, _, err := ReadCSV(strings.NewReader(valid + row + "\n"))
+		if err == nil {
+			t.Errorf("%s: accepted", row)
+			continue
+		}
+		if !strings.Contains(err.Error(), "sample 1 layer 1") {
+			t.Errorf("%s: error %q does not name sample 1 layer 1", row, err)
+		}
+	}
+	// The bounds themselves are physical.
+	for _, row := range []string{"m,dense,1,1,0,0", "m,dense,1,1,100,1"} {
+		if _, _, err := ReadCSV(strings.NewReader(valid + row + "\n")); err != nil {
+			t.Errorf("%s: rejected: %v", row, err)
+		}
+	}
+}
+
 func TestKeyString(t *testing.T) {
 	k := Key{Model: "bert", Pattern: sparsity.Dense}
 	if got := k.String(); got != "bert/dense" {

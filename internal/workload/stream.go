@@ -17,23 +17,30 @@ import (
 // entry, trace index), same SLO arithmetic. Arrivals are monotone
 // nondecreasing by construction (each gap is non-negative), which is
 // what lets streaming consumers process requests without sorting.
+//
+// The stream owns one Request and rewrites it on every Next, so drawing
+// a request allocates nothing.
 type Stream struct {
 	entries     []Entry
-	store       *trace.Store
 	cfg         GenConfig
 	totalWeight float64
-	meanIso     map[trace.Key]time.Duration
-	proc        traffic.Process
-	r           *rng.Source
-	now         time.Duration
-	next        int
+	// traces and meanIso are indexed by entry: each entry's evaluation
+	// traces and its mean isolated latency (the SLO base), resolved once
+	// so that Next hashes no trace.Key.
+	traces  [][]trace.SampleTrace
+	meanIso []time.Duration
+	proc    traffic.Process
+	r       *rng.Source
+	now     time.Duration
+	next    int
+	req     Request
 }
 
-// NewStream validates the configuration, precomputes the per-entry mean
-// isolated latencies (the SLO bases), and positions the iterator before
-// the first request. The configured Process is Reset here, exactly as
-// Generate resets it, so a stateful process can be reused across
-// streams.
+// NewStream validates the configuration, resolves every entry's traces
+// and mean isolated latency (its SLO base), and positions the iterator
+// before the first request. The configured Process is Reset here,
+// exactly as Generate resets it, so a stateful process can be reused
+// across streams.
 func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -41,37 +48,33 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 	if len(sc.Entries) == 0 {
 		return nil, fmt.Errorf("workload: scenario %q has no entries", sc.Name)
 	}
-	var totalWeight float64
-	meanIso := map[trace.Key]time.Duration{}
-	for _, e := range sc.Entries {
+	s := &Stream{
+		entries: sc.Entries,
+		cfg:     cfg,
+		traces:  make([][]trace.SampleTrace, len(sc.Entries)),
+		meanIso: make([]time.Duration, len(sc.Entries)),
+		r:       rng.New(cfg.Seed),
+	}
+	for i, e := range sc.Entries {
 		traces := store.Get(e.Key())
 		if len(traces) == 0 {
 			return nil, fmt.Errorf("workload: no traces for %v", e.Key())
 		}
-		totalWeight += e.Weight
+		s.totalWeight += e.Weight
 		var sum float64
-		for i := range traces {
-			sum += float64(traces[i].Total())
+		for j := range traces {
+			sum += float64(traces[j].Total())
 		}
-		meanIso[e.Key()] = time.Duration(sum / float64(len(traces)))
+		s.traces[i] = traces
+		s.meanIso[i] = time.Duration(sum / float64(len(traces)))
 	}
 
-	proc := cfg.Process
-	if proc == nil {
-		proc = traffic.NewPoisson(cfg.RatePerSec)
+	s.proc = cfg.Process
+	if s.proc == nil {
+		s.proc = traffic.NewPoisson(cfg.RatePerSec)
 	}
-	proc.Reset()
-
-	return &Stream{
-		entries:     sc.Entries,
-		store:       store,
-		cfg:         cfg,
-		totalWeight: totalWeight,
-		meanIso:     meanIso,
-		proc:        proc,
-		r:           rng.New(cfg.Seed),
-		next:        0,
-	}, nil
+	s.proc.Reset()
+	return s, nil
 }
 
 // Len returns the total stream length (GenConfig.Requests).
@@ -80,25 +83,29 @@ func (s *Stream) Len() int { return s.cfg.Requests }
 // Next returns the next request, or (nil, false) once the stream is
 // exhausted. The draw order per request — arrival gap, entry, trace
 // index — is the bit-identity contract with Generate.
+//
+// The returned request is the stream's own and is valid only until the
+// next call to Next, which overwrites it: a consumer copies whatever it
+// keeps (the engine copies every field it needs into its Task).
 func (s *Stream) Next() (*Request, bool) {
 	if s.next >= s.cfg.Requests {
 		return nil, false
 	}
 	s.now += s.proc.Next(s.r, s.now)
-	e := sampleEntry(s.r, s.entries, s.totalWeight)
-	traces := s.store.Get(e.Key())
+	i := sampleEntry(s.r, s.entries, s.totalWeight)
+	traces := s.traces[i]
 	tr := traces[s.r.Intn(len(traces))]
-	sloBase := s.meanIso[e.Key()]
+	sloBase := s.meanIso[i]
 	if s.cfg.PerSampleSLO {
 		sloBase = tr.Total()
 	}
-	req := &Request{
+	s.req = Request{
 		ID:      s.next,
-		Key:     e.Key(),
+		Key:     s.entries[i].Key(),
 		Trace:   tr,
 		Arrival: s.now,
-		SLO:     time.Duration(float64(sloBase) * s.cfg.SLOMultiplier * e.sloFactor()),
+		SLO:     time.Duration(float64(sloBase) * s.cfg.SLOMultiplier * s.entries[i].sloFactor()),
 	}
 	s.next++
-	return req, true
+	return &s.req, true
 }

@@ -158,32 +158,34 @@ func (c GenConfig) validate() error {
 // traces from the store. Every scenario entry must have traces in the
 // store (use BuildStores). It is the materialized form of NewStream:
 // the slice it returns is exactly the drained iterator, so the two
-// paths cannot drift apart.
+// paths cannot drift apart. The stream's reused request is copied into
+// one backing array, so the returned pointers share a single
+// allocation and stay valid for as long as any of them is reachable.
 func Generate(sc Scenario, store *trace.Store, cfg GenConfig) ([]*Request, error) {
 	st, err := NewStream(sc, store, cfg)
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]*Request, 0, cfg.Requests)
-	for {
-		req, ok := st.Next()
-		if !ok {
-			return reqs, nil
-		}
-		reqs = append(reqs, req)
+	backing := make([]Request, cfg.Requests)
+	reqs := make([]*Request, cfg.Requests)
+	for i := range backing {
+		req, _ := st.Next() // the stream yields exactly cfg.Requests
+		backing[i] = *req
+		reqs[i] = &backing[i]
 	}
+	return reqs, nil
 }
 
-// sampleEntry draws an entry proportionally to weight.
-func sampleEntry(r *rng.Source, entries []Entry, total float64) Entry {
+// sampleEntry draws an entry index proportionally to weight.
+func sampleEntry(r *rng.Source, entries []Entry, total float64) int {
 	x := r.Float64() * total
-	for _, e := range entries {
-		x -= e.Weight
+	for i := range entries {
+		x -= entries[i].Weight
 		if x < 0 {
-			return e
+			return i
 		}
 	}
-	return entries[len(entries)-1]
+	return len(entries) - 1
 }
 
 // BuildStores runs Phase 1 for every entry of the scenario, producing a
