@@ -22,11 +22,11 @@ import (
 //     (schedulers, stream, config, plan).
 //   - The INJECTOR owns engine lifecycle state and the failover path: on
 //     a failure it rips the queue out of the dying incarnation
-//     (sched.Engine.Crash), seals that incarnation's results, builds a
-//     fresh engine for the slot, and pushes the displaced work back
-//     through the run's own dispatch pipeline — stale signals, redirect
-//     bounces and all — so recovery traffic experiences exactly the
-//     routing imperfections normal traffic does.
+//     (sched.Engine.Crash), folds that incarnation into a few counters,
+//     builds a fresh engine for the slot, and pushes the displaced work
+//     back through the run's own dispatch pipeline — stale signals,
+//     redirect bounces and all — so recovery traffic experiences exactly
+//     the routing imperfections normal traffic does.
 //   - The SIGNAL BOARD keeps publishing whatever it knew at its last
 //     refresh: a dead engine looks alive (and attractive — its queue
 //     just vanished) until the next refresh instant. Dispatchers route
@@ -214,9 +214,10 @@ type faultInjector struct {
 	newSched func(int) sched.Scheduler
 	board    *SignalBoard
 	dispatch Dispatcher
-	// reqByID recovers the workload.Request behind a displaced task so
-	// failover can reuse the run's Dispatcher (Pick takes the request).
-	reqByID map[int]*workload.Request
+	// req is the one request every failover re-dispatch reuses: the
+	// Dispatcher's Pick takes a request, and place rebuilds it from the
+	// displaced task (Task.Request).
+	req workload.Request
 	// cost is the failover visibility delay per displaced request,
 	// shared with migration (Config.MigrationCost): moving a queued
 	// request off a corpse is the same network transfer as stealing it.
@@ -227,10 +228,13 @@ type faultInjector struct {
 	// next Recover/Join re-dispatches it. Whatever is still parked when
 	// the run ends is lost work.
 	parked []*sched.Task
-	// sealed collects the results of crashed incarnations (completed
-	// requests only — Crash removes everything else first), folded into
-	// the cluster aggregate alongside the final incarnations.
-	sealed []sched.Result
+	// crashes counts crashed incarnations; crashedSched names the first
+	// one's scheduler and crashedPreempts sums their preemptions. The
+	// cluster aggregator has already folded their completions through
+	// the observers, so these are all the final result needs of them.
+	crashes         int
+	crashedSched    string
+	crashedPreempts int
 	// priorBusy accumulates crashed incarnations' busy time per slot for
 	// the utilization metrics.
 	priorBusy []time.Duration
@@ -262,7 +266,7 @@ type faultInjector struct {
 // published signals (stale until the next refresh, by design).
 func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, specs []EngineSpec,
 	newSched func(int) sched.Scheduler, board *SignalBoard, dispatch Dispatcher,
-	reqs []*workload.Request, cost time.Duration, retryMax int) (*faultInjector, error) {
+	cost time.Duration, retryMax int) (*faultInjector, error) {
 	if err := plan.validate(len(engines)); err != nil {
 		return nil, err
 	}
@@ -280,38 +284,15 @@ func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, specs []EngineSp
 		newSched:     newSched,
 		board:        board,
 		dispatch:     dispatch,
-		reqByID:      make(map[int]*workload.Request, len(reqs)),
 		cost:         cost,
 		retryMax:     retryMax,
 		priorBusy:    make([]time.Duration, len(engines)),
 		serviceStart: make([]time.Duration, len(engines)),
 		serviceTime:  make([]time.Duration, len(engines)),
 	}
-	for _, r := range reqs {
-		fi.reqByID[r.ID] = r
-	}
 	board.BindLiveness(fi.up)
 	return fi, nil
 }
-
-// note registers a request the run is about to inject, so a later crash
-// of its engine can re-dispatch the displaced task. The slice path
-// prebuilds the whole map in newFaultInjector; the streaming path calls
-// note per injection instead, which — paired with forget — keeps the map
-// bounded by the in-flight set rather than the stream length. Lookups
-// only ever target incomplete injected requests, so the two populations
-// are interchangeable. A streamed request is valid only until the
-// source's next Next, so note keeps a copy.
-func (fi *faultInjector) note(r *workload.Request) {
-	c := *r
-	fi.reqByID[r.ID] = &c
-}
-
-// forget drops a completed request from the displaced-work map: a
-// completed request can never be displaced again, so the entry is dead
-// weight. Wired into the engines' Observer hook whenever the injector is
-// armed.
-func (fi *faultInjector) forget(id int) { delete(fi.reqByID, id) }
 
 // up reports whether the slot is in service — what the SignalBoard
 // publishes (at refresh instants) and what placement requires. Draining
@@ -427,9 +408,9 @@ func (fi *faultInjector) take() []*sched.Task {
 	return t
 }
 
-// crash kills slot i at instant `at`: seal the dying incarnation,
-// install a fresh (idle, out-of-service) one, and push the displaced
-// work back through the dispatch pipeline.
+// crash kills slot i at instant `at`: fold the dying incarnation into
+// the crash counters, install a fresh (idle, out-of-service) one, and
+// push the displaced work back through the dispatch pipeline.
 func (fi *faultInjector) crash(i int, at time.Duration) error {
 	e := fi.engines[i]
 	queued, started, err := e.Crash(at)
@@ -437,7 +418,11 @@ func (fi *faultInjector) crash(i int, at time.Duration) error {
 		return err
 	}
 	fi.priorBusy[i] += e.BusyTime()
-	fi.sealed = append(fi.sealed, e.Finish())
+	if fi.crashes == 0 {
+		fi.crashedSched = e.SchedulerName()
+	}
+	fi.crashes++
+	fi.crashedPreempts += e.Preemptions()
 	// The specs carry the run's resolved capture options (outcome
 	// recording in full mode, the bounded observer wiring otherwise), so
 	// a replacement incarnation reports exactly like the one it replaces.
@@ -471,16 +456,13 @@ func (fi *faultInjector) crash(i int, at time.Duration) error {
 // transfer a steal performs.
 func (fi *faultInjector) place(tasks []*sched.Task, now time.Duration) error {
 	for _, t := range tasks {
-		r, ok := fi.reqByID[t.ID]
-		if !ok {
-			return fmt.Errorf("cluster: displaced task %d has no request", t.ID)
-		}
-		idx := fi.dispatch.Pick(fi.board.Observe(now), r, now)
+		fi.req = t.Request()
+		idx := fi.dispatch.Pick(fi.board.Observe(now), &fi.req, now)
 		if idx < 0 || idx >= len(fi.engines) {
 			return fmt.Errorf("cluster: dispatcher %s picked engine %d of %d",
 				fi.dispatch.Name(), idx, len(fi.engines))
 		}
-		idx, ok = fi.resolve(idx)
+		idx, ok := fi.resolve(idx)
 		if !ok {
 			fi.parked = append(fi.parked, t)
 			continue

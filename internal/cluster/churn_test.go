@@ -441,3 +441,52 @@ func TestGenChurn(t *testing.T) {
 		}
 	}
 }
+
+// newestFirst runs the latest arrival (highest ID on a tie), so every
+// arrival preempts the running request: the simplest preempting
+// scheduler that needs no latency estimate.
+type newestFirst struct{}
+
+func (newestFirst) Name() string                                             { return "newest-first" }
+func (newestFirst) OnArrival(*sched.Task, time.Duration)                     {}
+func (newestFirst) OnLayerComplete(*sched.Task, int, float64, time.Duration) {}
+func (newestFirst) PickNext(ready []*sched.Task, _ time.Duration) *sched.Task {
+	best := ready[0]
+	for _, t := range ready[1:] {
+		if t.Arrival > best.Arrival || (t.Arrival == best.Arrival && t.ID > best.ID) {
+			best = t
+		}
+	}
+	return best
+}
+
+// TestChurnCountsCrashedPreemptions: an incarnation that preempted and
+// then crashed before completing anything still contributes its
+// preemptions to the cluster total.
+func TestChurnCountsCrashedPreemptions(t *testing.T) {
+	// Both requests land on engine 0: request 0 runs 0-0.5ms, request 1
+	// (arrived at 0.25ms) preempts it at 0.5ms, and engine 0 dies at
+	// 0.75ms with both started. Engine 1 then runs request 1 to
+	// completion and request 0 after it, preempting nothing.
+	reqs := uniformStream(2, 250*time.Microsecond, 500*time.Microsecond, 4, time.Second)
+	res, err := Run(func(int) sched.Scheduler { return newestFirst{} }, reqs, Config{
+		Engines: 2, Dispatch: concentrate{},
+		Churn: &ChurnPlan{Events: []ChurnEvent{{At: 750 * time.Microsecond, Engine: 0, Kind: Fail}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accounted(t, "crashed-preemption", res, len(reqs))
+	if res.Retries != 2 || res.Requests != 2 {
+		t.Fatalf("%d retries, %d completed; want both requests restarted and completed",
+			res.Retries, res.Requests)
+	}
+	survivors := 0
+	for _, r := range res.PerEngine {
+		survivors += r.Preemptions
+	}
+	if survivors != 0 || res.Preemptions != 1 {
+		t.Errorf("cluster reports %d preemptions (%d on the final incarnations), want the crashed one's 1",
+			res.Preemptions, survivors)
+	}
+}

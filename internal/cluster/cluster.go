@@ -184,7 +184,7 @@ func Run(newSched func(engine int) sched.Scheduler, reqs []*workload.Request, cf
 	}
 	sorted := append([]*workload.Request(nil), reqs...)
 	workload.SortByArrival(sorted)
-	return runCluster(newSched, sched.NewSliceSource(sorted), sorted, cfg)
+	return RunStream(newSched, sched.NewSliceSource(sorted), cfg)
 }
 
 // RunStream is Run over a request iterator: requests are consumed one at
@@ -196,17 +196,6 @@ func Run(newSched func(engine int) sched.Scheduler, reqs []*workload.Request, cf
 // input strictly in arrival order; the equivalence tests pin this.
 // Sources yielding out-of-order arrivals fail the run.
 func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSource, cfg Config) (Result, error) {
-	return runCluster(newSched, src, nil, cfg)
-}
-
-// runCluster is the shared implementation behind Run and RunStream.
-// materialized is the already-sorted request slice on the slice path and
-// nil on the streaming path; it only feeds the fault injector's upfront
-// displaced-work map — the streaming path registers requests at
-// injection instead (and both paths unregister at completion), so the
-// lookups the failover machinery performs are identical.
-func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSource,
-	materialized []*workload.Request, cfg Config) (Result, error) {
 	specs, err := cfg.engineSpecs()
 	if err != nil {
 		return Result{}, err
@@ -236,14 +225,9 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	// events in one deterministic order.
 	agg := sched.NewAggregator(sched.Options{BoundedCapture: bounded, RecordTasks: recordTasks,
 		Exemplars: cfg.Sched.Exemplars, ExemplarSeed: cfg.Sched.ExemplarSeed})
-	// rb and fiRef are bound once built; the observers close over them
-	// so replacement incarnations (built from these same specs) inherit
-	// the wiring.
-	var (
-		rb           *Rebalancer
-		fiRef        *faultInjector
-		wins, losses int
-	)
+	// Replacement incarnations are built from these same specs, so they
+	// inherit the observer wiring.
+	var wins, losses int
 	for i := range specs {
 		user := specs[i].Sched.Observer
 		specs[i].Sched.Observer = func(o sched.TaskOutcome) {
@@ -253,15 +237,12 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 			agg.Add(o)
 			// A moved request migrates strictly before it first runs, so
 			// whether moving it paid off is settled at its completion.
-			if rb != nil && rb.Moved(o.ID) {
+			if o.Migrated {
 				if o.Violated {
 					losses++
 				} else {
 					wins++
 				}
-			}
-			if fiRef != nil {
-				fiRef.forget(o.ID)
 			}
 		}
 	}
@@ -328,6 +309,7 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	}
 	board := NewSignalBoard(engines, cfg.SignalInterval, load)
 
+	var rb *Rebalancer
 	if migrating {
 		rb = newRebalancer(cfg.Rebalance, engines, load,
 			cfg.RebalanceInterval, cfg.MigrationCost, cfg.MigrationBudget)
@@ -348,11 +330,10 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 			plan = &ChurnPlan{}
 		}
 		fi, err = newFaultInjector(plan, engines, specs, newSched,
-			board, dispatch, materialized, cfg.MigrationCost, cfg.RetryMax)
+			board, dispatch, cfg.MigrationCost, cfg.RetryMax)
 		if err != nil {
 			return Result{}, err
 		}
-		fiRef = fi
 		if rb != nil {
 			rb.bindLiveness(fi.up)
 		}
@@ -537,9 +518,6 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 				continue
 			}
 			idx = live
-			if materialized == nil {
-				fi.note(r)
-			}
 		}
 		if err := engines[idx].Inject(r, r.Arrival); err != nil {
 			return Result{}, err
@@ -572,19 +550,21 @@ func runCluster(newSched func(engine int) sched.Scheduler, src sched.RequestSour
 	}
 	// PerEngine reports the slots' final incarnations; requests completed
 	// by incarnations that later crashed are counted by the cluster
-	// aggregator all the same, and the sealed results the injector kept
-	// add their counters. A single incarnation passes through verbatim
-	// (the bit-identity anchor with sched.Run).
-	combined := res.PerEngine
-	if fi != nil && len(fi.sealed) > 0 {
-		combined = append(append([]sched.Result(nil), fi.sealed...), res.PerEngine...)
+	// aggregator all the same, and the injector's crash counters add
+	// their preemptions (a crashed incarnation drops nothing: Crash hands
+	// back everything outstanding). A single incarnation passes through
+	// verbatim (the bit-identity anchor with sched.Run).
+	name, crashes, crashedPreempts := res.PerEngine[0].Scheduler, 0, 0
+	if fi != nil && fi.crashes > 0 {
+		name, crashes, crashedPreempts = fi.crashedSched, fi.crashes, fi.crashedPreempts
 	}
-	if len(combined) == 1 {
-		res.Result = combined[0]
+	if crashes == 0 && len(engines) == 1 {
+		res.Result = res.PerEngine[0]
 	} else {
 		first, _ := agg.FirstArrival()
-		res.Result = agg.Result(combined[0].Scheduler, first)
-		for _, r := range combined {
+		res.Result = agg.Result(name, first)
+		res.Result.Preemptions = crashedPreempts
+		for _, r := range res.PerEngine {
 			res.Result.Preemptions += r.Preemptions
 			res.Result.Dropped += r.Dropped
 		}

@@ -294,7 +294,6 @@ type Rebalancer struct {
 	budget   int
 	up       func(engine int) bool
 	last     time.Duration
-	moved    map[int]bool
 	count    int
 	// uniform records that the run has no load estimate and load is the
 	// 1ms placeholder, so a view's backlog is Outstanding() placeholder
@@ -342,7 +341,6 @@ func newRebalancer(policy RebalancePolicy, engines []*sched.Engine,
 		interval: interval,
 		cost:     cost,
 		budget:   budget,
-		moved:    map[int]bool{},
 		uniform:  uniform,
 		viewBuf:  make([]EngineView, len(engines)),
 		cands:    make([]candidates, len(engines)),
@@ -364,15 +362,13 @@ func (rb *Rebalancer) due(now time.Duration) bool {
 // Migrations returns the number of executed migrations so far.
 func (rb *Rebalancer) Migrations() int { return rb.count }
 
-// Moved reports whether the request with the given task ID has migrated.
-func (rb *Rebalancer) Moved(id int) bool { return rb.moved[id] }
-
 // views snapshots live engine state for the policy: the O(1) fields of
 // every engine, with its candidate cache invalidated. Each list is built
 // when a policy first reads it (EngineView.Eligible), excluding requests
-// that already migrated (once per request, ever — the invariant that
-// makes thrashing structurally impossible: a request's total migration
-// delay is bounded by one cost, and ping-pong cycles cannot form).
+// that already migrated (Task.Migrated: once per request, ever — the
+// invariant that makes thrashing structurally impossible: a request's
+// total migration delay is bounded by one cost, and ping-pong cycles
+// cannot form).
 func (rb *Rebalancer) views() []EngineView {
 	views := rb.viewBuf
 	for i, e := range rb.engines {
@@ -384,14 +380,17 @@ func (rb *Rebalancer) views() []EngineView {
 			backlog = time.Duration(e.Outstanding()) * time.Millisecond
 		}
 		rb.cands[i].built = false
-		views[i] = EngineView{
-			Engine:       i,
-			LatencyScale: e.LatencyScale(),
-			Outstanding:  e.Outstanding(),
-			NormBacklog:  float64(backlog) * e.LatencyScale(),
-			Down:         rb.up != nil && !rb.up(i),
-			rb:           rb,
-		}
+		// Field by field rather than a composite literal: Go builds the
+		// literal in a stack temporary and copies it with wide loads that
+		// cannot forward from the narrow stores that filled it, which
+		// doubled the cost of this loop.
+		v := &views[i]
+		v.Engine = i
+		v.LatencyScale = e.LatencyScale()
+		v.Outstanding = e.Outstanding()
+		v.NormBacklog = float64(backlog) * e.LatencyScale()
+		v.Down = rb.up != nil && !rb.up(i)
+		v.rb = rb
 	}
 	return views
 }
@@ -407,7 +406,7 @@ func (rb *Rebalancer) eligible(i int) []Candidate {
 	rb.migBuf = rb.engines[i].MigratableInto(rb.migBuf[:0])
 	c.list = c.list[:0]
 	for _, t := range rb.migBuf {
-		if !rb.moved[t.ID] {
+		if !t.Migrated {
 			c.list = append(c.list, Candidate{Task: t, Est: rb.load(t)})
 		}
 	}
@@ -437,17 +436,17 @@ func (rb *Rebalancer) rebalance(now time.Duration) (int, error) {
 			return 0, fmt.Errorf("cluster: policy %s moved request %d through an out-of-service engine (%d -> %d)",
 				rb.policy.Name(), m.ID, m.From, m.To)
 		}
-		if rb.moved[m.ID] {
-			return 0, fmt.Errorf("cluster: policy %s re-moved request %d", rb.policy.Name(), m.ID)
-		}
 		t, err := rb.engines[m.From].Extract(m.ID)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
 		}
+		if t.Migrated {
+			return 0, fmt.Errorf("cluster: policy %s re-moved request %d", rb.policy.Name(), m.ID)
+		}
 		if err := rb.engines[m.To].Adopt(t, now+rb.cost); err != nil {
 			return 0, fmt.Errorf("cluster: policy %s: %w", rb.policy.Name(), err)
 		}
-		rb.moved[m.ID] = true
+		t.Migrated = true
 		rb.count++
 	}
 	return rb.count - before, nil

@@ -282,3 +282,79 @@ func TestMigrationOncePerRequest(t *testing.T) {
 		t.Errorf("%d of %d requests completed", res.Requests, len(reqs))
 	}
 }
+
+// offload moves the lowest-ID eligible request off engine 0 onto the
+// first idle in-service engine, one move per round, and records what it
+// sees: how often it moved each ID, and any ID offered as eligible again
+// after it moved.
+type offload struct {
+	moves   map[int]int
+	reoffer []int
+}
+
+func (*offload) Name() string { return "offload" }
+
+func (p *offload) Plan(views []EngineView, _, _ time.Duration) []Move {
+	for i := range views {
+		for _, c := range views[i].Eligible() {
+			if p.moves[c.Task.ID] > 0 {
+				p.reoffer = append(p.reoffer, c.Task.ID)
+			}
+		}
+	}
+	rem := views[0].Eligible()
+	for thief := 1; thief < len(views); thief++ {
+		if views[0].Down || views[thief].Down || views[thief].Outstanding > 0 || len(rem) == 0 {
+			continue
+		}
+		p.moves[rem[0].Task.ID]++
+		return []Move{{ID: rem[0].Task.ID, From: 0, To: thief}}
+	}
+	return nil
+}
+
+// TestMigratedFlagSurvivesFailover: a request migrates, starts on its new
+// engine, and that engine crashes under it, so the request restarts and
+// fails over to its first engine's queue, never-started again. The
+// once-per-request rule rides on the task (Task.Migrated survives
+// Restart), so the request must never be offered as eligible again and
+// must count as one migration.
+func TestMigratedFlagSurvivesFailover(t *testing.T) {
+	// Everything lands on engine 0 (4 layers of 500µs each, one arrival
+	// every 100µs). The round at 1ms moves request 1 to engine 1, which
+	// dies at 2ms with request 1 two layers in. The crash fires first at
+	// that instant, so request 1 is back in engine 0's queue, never
+	// started, when the 2ms round offers engine 0's queue to the idle
+	// engine 2.
+	reqs := uniformStream(30, 100*time.Microsecond, 500*time.Microsecond, 4, time.Second)
+	policy := &offload{moves: map[int]int{}}
+	res, err := Run(func(int) sched.Scheduler { return sched.NewFCFS() }, reqs, Config{
+		Engines: 3, Dispatch: concentrate{},
+		Rebalance:         policy,
+		RebalanceInterval: time.Millisecond,
+		Churn: &ChurnPlan{Events: []ChurnEvent{
+			{At: 2 * time.Millisecond, Engine: 1, Kind: Fail},
+		}},
+		Sched: sched.Options{RecordTasks: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accounted(t, "offload", res, len(reqs))
+	if policy.moves[1] != 1 || res.Retries != 1 {
+		t.Fatalf("request 1 moved %d times with %d retries, want one move and one retry",
+			policy.moves[1], res.Retries)
+	}
+	if len(policy.reoffer) > 0 {
+		t.Errorf("migrated requests offered as eligible again: %v", policy.reoffer)
+	}
+	if res.Migrations != len(policy.moves) {
+		t.Errorf("%d migrations for %d distinct moved requests", res.Migrations, len(policy.moves))
+	}
+	if n := migratedTasks(t, "offload", res); n != res.Migrations {
+		t.Errorf("%d completed tasks flagged Migrated, want all %d migrations", n, res.Migrations)
+	}
+	if res.Requests != len(reqs) {
+		t.Errorf("%d of %d requests completed", res.Requests, len(reqs))
+	}
+}

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/stats"
@@ -51,14 +53,100 @@ func (byID) Pick(sig []EngineSignal, r *workload.Request, _ time.Duration) int {
 	return r.ID % len(sig)
 }
 
+// failoverRecorder wraps a dispatcher and checks the request every Pick
+// sees. A request's first Pick records its ID, Key, Arrival, SLO and the
+// trace's slice headers; any later Pick of the same ID is a failover,
+// which re-dispatches a request the fault injector rebuilt from the
+// displaced task (Task.Request), and must see the same values. No
+// built-in dispatcher reads those fields, so only this catches a wrong
+// rebuild. Reset, LoadFunc and CurveFunc forward to the wrapped
+// dispatcher, so the run wires up exactly as it would without the
+// wrapper.
+type failoverRecorder struct {
+	Dispatcher
+	seen      map[int]workload.Request
+	failovers int
+	err       error
+}
+
+func (f *failoverRecorder) Reset() {
+	if r, ok := f.Dispatcher.(resettable); ok {
+		r.Reset()
+	}
+	f.seen = map[int]workload.Request{}
+}
+
+func (f *failoverRecorder) LoadFunc() func(*sched.Task) time.Duration {
+	if lp, ok := f.Dispatcher.(loadProvider); ok {
+		return lp.LoadFunc()
+	}
+	return nil
+}
+
+func (f *failoverRecorder) CurveFunc() func(*sched.Task) []time.Duration {
+	if cp, ok := f.Dispatcher.(curveProvider); ok {
+		return cp.CurveFunc()
+	}
+	return nil
+}
+
+func (f *failoverRecorder) Pick(sig []EngineSignal, r *workload.Request, now time.Duration) int {
+	first, ok := f.seen[r.ID]
+	if !ok {
+		f.seen[r.ID] = *r
+	} else {
+		f.failovers++
+		if f.err == nil && !sameRequest(first, *r) {
+			f.err = fmt.Errorf("failover of request %d at %v re-dispatched %+v, first dispatched as %+v",
+				r.ID, now, *r, first)
+		}
+	}
+	return f.Dispatcher.Pick(sig, r, now)
+}
+
+// sameRequest compares two requests field by field, the trace by slice
+// identity rather than by contents.
+func sameRequest(a, b workload.Request) bool {
+	return a.ID == b.ID && a.Key == b.Key && a.Arrival == b.Arrival && a.SLO == b.SLO &&
+		sameSlice(a.Trace.LayerLatency, b.Trace.LayerLatency) &&
+		sameSlice(a.Trace.LayerSparsity, b.Trace.LayerSparsity)
+}
+
+// sameSlice reports whether two slice headers are equal: same data
+// pointer, length and capacity.
+func sameSlice[T any](x, y []T) bool {
+	return unsafe.SliceData(x) == unsafe.SliceData(y) && len(x) == len(y) && cap(x) == cap(y)
+}
+
+// migratedTasks checks that the completed requests flagged Migrated are
+// exactly the ones the cluster scored as migration wins or losses.
+func migratedTasks(t *testing.T, label string, res Result) int {
+	t.Helper()
+	n := 0
+	for _, o := range res.Tasks {
+		if o.Migrated {
+			n++
+		}
+	}
+	if n != res.MigrationWins+res.MigrationLosses {
+		t.Fatalf("%s: %d tasks flagged Migrated, but %d wins + %d losses",
+			label, n, res.MigrationWins, res.MigrationLosses)
+	}
+	return n
+}
+
 // TestClusterRunStreamMatchesRun: feeding the cluster one request at a
 // time through RunStream is byte-identical to the materialized Run — per
 // engine, per task and on the timeline — for every scheduler and
 // dispatcher, across plain, stale-signal, migrating and churning
 // configurations, from a slice source and from a source that reuses one
 // request buffer. This is the tentpole equivalence anchor: the streaming
-// path changes memory behavior, never the schedule.
+// path changes memory behavior, never the schedule. The churning cells
+// dispatch through a failoverRecorder, so every failover must rebuild
+// the request it displaced exactly, and the migrating cells check the
+// Migrated flag on every recorded task.
 func TestClusterRunStreamMatchesRun(t *testing.T) {
+	failovers, migrated := 0, 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		reqs, est, lut := randomStream(seed, 60)
 		horizon := reqs[len(reqs)-1].Arrival * 2
@@ -85,20 +173,35 @@ func TestClusterRunStreamMatchesRun(t *testing.T) {
 						c.Churn = &plan
 						c.RetryMax = 2
 						c.SignalInterval = 2 * time.Millisecond
+						c.Dispatch = &failoverRecorder{Dispatcher: c.Dispatch}
 					},
 				} {
 					cfg := Config{Engines: 3, Dispatch: d,
 						Sched: sched.Options{RecordTimeline: true, RecordTasks: true}}
 					mut(&cfg)
+					rec, _ := cfg.Dispatch.(*failoverRecorder)
+					check := func(label string, res Result) {
+						t.Helper()
+						if rec != nil {
+							if rec.err != nil {
+								t.Fatalf("%s (seed %d): %v", label, seed, rec.err)
+							}
+							failovers += rec.failovers
+							rec.failovers = 0
+						}
+						migrated += migratedTasks(t, fmt.Sprintf("%s (seed %d)", label, seed), res)
+					}
 					want, err := Run(func(int) sched.Scheduler { return spec.mk() }, reqs, cfg)
 					if err != nil {
 						t.Fatalf("%s/%s/%s (seed %d): %v", spec.name, d.Name(), name, seed, err)
 					}
+					check(spec.name+"/"+d.Name()+"/"+name, want)
 					for srcName, src := range sources {
 						got, err := RunStream(func(int) sched.Scheduler { return spec.mk() }, src(), cfg)
 						if err != nil {
 							t.Fatalf("%s/%s/%s/%s (seed %d): %v", spec.name, d.Name(), name, srcName, seed, err)
 						}
+						check(spec.name+"/"+d.Name()+"/"+name+"/"+srcName, got)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s/%s/%s/%s (seed %d): streamed cluster diverges from materialized:\n%+v\nvs\n%+v",
 								spec.name, d.Name(), name, srcName, seed, got, want)
@@ -107,6 +210,10 @@ func TestClusterRunStreamMatchesRun(t *testing.T) {
 				}
 			}
 		}
+	}
+	if failovers == 0 || migrated == 0 {
+		t.Fatalf("the cells exercised %d failover picks and %d migrated completions, want both > 0",
+			failovers, migrated)
 	}
 }
 

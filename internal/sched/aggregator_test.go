@@ -81,7 +81,8 @@ func TestAggregatorMetrics(t *testing.T) {
 
 // TestAggregatorEmpty: with nothing completed, the aggregator yields only
 // the scheduler name, and an engine finalized before completing anything
-// reports zeroed metrics with its drop count intact.
+// reports zeroed metrics with its drop count intact (and its timeline,
+// empty here because nothing ran, when it records one).
 func TestAggregatorEmpty(t *testing.T) {
 	a := NewAggregator(Options{RecordTasks: true})
 	if _, ok := a.FirstArrival(); ok {
@@ -99,6 +100,9 @@ func TestAggregatorEmpty(t *testing.T) {
 			}
 		}
 		want := Result{Scheduler: "FCFS", Dropped: 3, Offered: 3}
+		if opts.RecordTimeline {
+			want.Timeline = &Timeline{}
+		}
 		if got := e.Finish(); !reflect.DeepEqual(got, want) {
 			t.Errorf("bounded=%v: all-dropped engine result %+v, want %+v", opts.BoundedCapture, got, want)
 		}

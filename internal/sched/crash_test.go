@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sparsedysta/internal/workload"
 )
@@ -238,4 +239,116 @@ func ids(tasks []*Task) []int {
 		out[i] = t.ID
 	}
 	return out
+}
+
+// newestFirst runs the latest arrival (highest ID on a tie), so every
+// arrival preempts the running request. It keeps no per-task state, so
+// an engine driving it stays usable after a Crash.
+type newestFirst struct{}
+
+func (newestFirst) Name() string                                       { return "newest-first" }
+func (newestFirst) OnArrival(*Task, time.Duration)                     {}
+func (newestFirst) OnLayerComplete(*Task, int, float64, time.Duration) {}
+func (newestFirst) PickNext(ready []*Task, _ time.Duration) *Task {
+	best := ready[0]
+	for _, t := range ready[1:] {
+		if t.Arrival > best.Arrival || (t.Arrival == best.Arrival && t.ID > best.ID) {
+			best = t
+		}
+	}
+	return best
+}
+
+// TestFinishReportsPreemptionsWithoutCompletions: Result.Preemptions
+// counts every switch, so an engine that preempted but completed nothing
+// (an incarnation that crashed before its first completion, say) still
+// reports its preemptions and its timeline.
+func TestFinishReportsPreemptionsWithoutCompletions(t *testing.T) {
+	long := synthReq(0, "long", 0, 10*time.Millisecond, 4, 100)
+	short := synthReq(1, "short", 5*time.Millisecond, time.Millisecond, 2, 100)
+	e := NewEngine(newestFirst{}, Options{RecordTimeline: true})
+	for _, r := range []*workload.Request{long, short} {
+		if err := e.Inject(r, r.Arrival); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Long runs 0-10ms; short preempts it at 10ms and runs one layer.
+	for i := 0; i < 2; i++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Preemptions() != 1 {
+		t.Fatalf("%d preemptions, want 1", e.Preemptions())
+	}
+	// Crash with both started, then restart long on the same engine: the
+	// switch back to it follows the crash, so it preempts nothing.
+	_, started, err := e.Crash(e.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(started) != 2 || started[0].ID != 0 {
+		t.Fatalf("started = %v", ids(started))
+	}
+	started[0].Restart()
+	if err := e.Adopt(started[0], e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Finish()
+	if res.Requests != 0 || res.Dropped != 1 {
+		t.Fatalf("%d completed, %d dropped; want 0 and 1", res.Requests, res.Dropped)
+	}
+	if res.Preemptions != 1 {
+		t.Errorf("Finish reports %d preemptions, want 1", res.Preemptions)
+	}
+	if res.Timeline == nil {
+		t.Fatal("Finish dropped the recorded timeline")
+	}
+	// Spans long, short, long: the preemption plus the post-crash switch.
+	if res.Timeline.Switches() != res.Preemptions+1 {
+		t.Errorf("switches = %d, preemptions = %d", res.Timeline.Switches(), res.Preemptions)
+	}
+}
+
+// TestTaskRequestRebuildsRequest: Task.Request returns the request the
+// task wraps (ID, Key, Arrival, SLO and the very trace slices) whatever
+// the task's progress, and after Restart; failover re-dispatches through
+// it.
+func TestTaskRequestRebuildsRequest(t *testing.T) {
+	r := synthReq(7, "m", 3*time.Millisecond, time.Millisecond, 3, 10)
+	e := NewEngine(NewFCFS(), Options{})
+	if err := e.Inject(r, r.Arrival); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	_, started, err := e.Crash(e.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := started[0]
+	check := func(label string) {
+		t.Helper()
+		got := task.Request()
+		if got.ID != r.ID || got.Key != r.Key || got.Arrival != r.Arrival || got.SLO != r.SLO {
+			t.Errorf("%s: rebuilt %d/%v at %v (SLO %v), want %d/%v at %v (SLO %v)", label,
+				got.ID, got.Key, got.Arrival, got.SLO, r.ID, r.Key, r.Arrival, r.SLO)
+		}
+		if unsafe.SliceData(got.Trace.LayerLatency) != unsafe.SliceData(r.Trace.LayerLatency) ||
+			len(got.Trace.LayerLatency) != len(r.Trace.LayerLatency) ||
+			unsafe.SliceData(got.Trace.LayerSparsity) != unsafe.SliceData(r.Trace.LayerSparsity) ||
+			len(got.Trace.LayerSparsity) != len(r.Trace.LayerSparsity) {
+			t.Errorf("%s: rebuilt request does not share the original trace", label)
+		}
+	}
+	if task.LastRun == r.Arrival || task.NextLayer == 0 {
+		t.Fatalf("task shows no progress: last run %v, layer %d", task.LastRun, task.NextLayer)
+	}
+	check("started")
+	task.Restart()
+	check("restarted")
 }

@@ -245,12 +245,14 @@ func (e *Engine) Extract(id int) (*Task, error) {
 // counting them as lost work. Both slices are in ascending task-ID order.
 //
 // Unlike Extract, Crash does not consult the scheduler: a crashed
-// engine's scheduler instance is dead state — the orchestrator must seal
-// this engine (Finish) and build a fresh Engine + scheduler for the slot
-// if the hardware recovers. To keep the departing tasks adoptable, Crash
-// scrubs the scheduler-facing state it cannot hand over (Attachment,
-// heap index) itself. Crashing a finished engine is an error; crashing
-// an idle engine returns two empty slices.
+// engine's scheduler instance is dead state. The orchestrator reads what
+// it still needs (BusyTime, Preemptions, SchedulerName) and drops the
+// engine, building a fresh Engine + scheduler for the slot if the
+// hardware recovers; it need not Finish a crashed engine, whose
+// completions its Observer already reported. To keep the departing tasks
+// adoptable, Crash scrubs the scheduler-facing state it cannot hand over
+// (Attachment, heap index) itself. Crashing a finished engine is an
+// error; crashing an idle engine returns two empty slices.
 func (e *Engine) Crash(now time.Duration) (queued, started []*Task, err error) {
 	if e.finished {
 		return nil, nil, fmt.Errorf("sched: Crash after Finish")
@@ -416,6 +418,12 @@ func (e *Engine) Completed() int { return e.agg.Len() }
 // BusyTime returns the accumulated accelerator-occupied time: executed
 // layer latency plus charged preemption overhead.
 func (e *Engine) BusyTime() time.Duration { return e.busy }
+
+// Preemptions returns the number of switches so far (Result.Preemptions).
+func (e *Engine) Preemptions() int { return e.preempts }
+
+// SchedulerName returns the engine's scheduler name (Result.Scheduler).
+func (e *Engine) SchedulerName() string { return e.s.Name() }
 
 // LatencyScale returns the engine's effective latency scale factor
 // (Options.LatencyScale, defaulted to 1): the capacity signal cluster
@@ -646,14 +654,12 @@ func (e *Engine) Finish() Result {
 	res := e.agg.Result(e.s.Name(), e.firstArrival)
 	res.Dropped = e.injected - e.agg.Len()
 	res.Offered = e.injected
-	if res.Requests == 0 {
-		return res
-	}
 	res.Preemptions = e.preempts
-	// A standalone engine bills exactly its makespan of capacity; the
-	// cluster layer overwrites this with the pool's in-service total.
-	res.EngineSeconds = res.Makespan.Seconds()
 	res.Timeline = e.timeline
+	// A standalone engine bills exactly its makespan of capacity (none
+	// before its first completion); the cluster layer overwrites this
+	// with the pool's in-service total.
+	res.EngineSeconds = res.Makespan.Seconds()
 	return res
 }
 

@@ -139,6 +139,9 @@ type TaskOutcome struct {
 	NTT float64
 	// Violated reports a missed deadline.
 	Violated bool
+	// Migrated reports that the cluster rebalancer moved the request
+	// (Task.Migrated), so the cluster can score the move at completion.
+	Migrated bool
 }
 
 // outcomeOf snapshots a completed task's final accounting. Both capture
@@ -153,6 +156,7 @@ func outcomeOf(t *Task) TaskOutcome {
 		Isolated:   t.TrueIsolated(),
 		NTT:        float64(t.Completion-t.Arrival) / float64(t.TrueIsolated()),
 		Violated:   t.Violated(t.Completion),
+		Migrated:   t.Migrated,
 	}
 }
 

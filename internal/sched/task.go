@@ -32,6 +32,11 @@ type Task struct {
 	Completion time.Duration
 	// Done reports whether every layer has executed.
 	Done bool
+	// Migrated reports that the cluster rebalancer has moved the task to
+	// another engine. A request migrates at most once, ever: the flag
+	// survives Restart, so a migrated request that fails over stays
+	// ineligible for a second move.
+	Migrated bool
 	// Attempts counts how many times the request was restarted from
 	// scratch after an engine failure destroyed its partial execution
 	// (zero for a request that never lost work). The cluster's retry
@@ -95,6 +100,14 @@ func releaseTask(t *Task) {
 	taskPool.Put(t)
 }
 
+// Request rebuilds the request the task wraps: ID, Key, Trace, Arrival
+// and SLO, all of which Restart keeps. Failover re-dispatches a displaced
+// task through it. As on workload.Request, the Trace is ground truth
+// reserved to the engine and the Oracle scheduler.
+func (t *Task) Request() workload.Request {
+	return workload.Request{ID: t.ID, Key: t.Key, Trace: t.tr, Arrival: t.Arrival, SLO: t.SLO}
+}
+
 // NumLayers returns the task's layer count.
 func (t *Task) NumLayers() int { return t.tr.NumLayers() }
 
@@ -127,11 +140,12 @@ func (t *Task) SinceLastRun(now time.Duration) time.Duration {
 // surviving engine: progress, accrued accelerator time and scheduler
 // attachments are discarded (restart-from-zero — the activations died
 // with the accelerator), the attempt counter increments, and identity,
-// arrival and SLO are preserved so turnaround metrics keep measuring
-// from the original arrival. The retry pays for the failure in its own
-// latency, never by rewriting history. Restarting a completed task is a
-// caller bug; the cluster only restarts tasks ripped from a crashed
-// engine, which are never Done.
+// arrival, SLO and the Migrated flag are preserved, so turnaround metrics
+// keep measuring from the original arrival and a migrated request never
+// moves twice. The retry pays for the failure in its own latency, never
+// by rewriting history. Restarting a completed task is a caller bug; the
+// cluster only restarts tasks ripped from a crashed engine, which are
+// never Done.
 func (t *Task) Restart() {
 	t.NextLayer = 0
 	t.ExecTime = 0
