@@ -131,11 +131,11 @@ func BenchmarkEnginePlanaria(b *testing.B) {
 // BenchmarkEngineOracle measures the engine under Oracle's heap pick
 // (Dysta's bound-pruned walk over ground-truth remaining times).
 func BenchmarkEngineOracle(b *testing.B) {
-	_, reqs := benchWorkload(b)
+	lut, reqs := benchWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(sched.NewOracle(core.DefaultConfig().Eta), reqs, sched.Options{}); err != nil {
+		if _, err := sched.Run(core.NewOracle(lut), reqs, sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sparsedysta/internal/core"
 	"sparsedysta/internal/rng"
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/sparsity"
@@ -61,7 +62,8 @@ func randomStream(seed uint64, n int) ([]*workload.Request, *sched.Estimator, *t
 	return reqs, sched.NewEstimator(set), set
 }
 
-// schedSpecs returns one constructor per scheduler in the package lineup.
+// schedSpecs returns one constructor per scheduler in the paper lineup,
+// the Oracle included.
 func schedSpecs(est *sched.Estimator, lut *trace.StatsSet) []struct {
 	name string
 	mk   func() sched.Scheduler
@@ -75,7 +77,8 @@ func schedSpecs(est *sched.Estimator, lut *trace.StatsSet) []struct {
 		{"PREMA", func() sched.Scheduler { return sched.NewPREMA(est) }},
 		{"Planaria", func() sched.Scheduler { return sched.NewPlanaria(est) }},
 		{"SDRM3", func() sched.Scheduler { return sched.NewSDRM3(est) }},
-		{"Oracle", func() sched.Scheduler { return sched.NewOracle(0.05) }},
+		{"Dysta", func() sched.Scheduler { return core.NewDefault(lut) }},
+		{"Oracle", func() sched.Scheduler { return core.NewOracle(lut) }},
 	}
 }
 

@@ -88,7 +88,10 @@ func TestLazyCandidatesMatchEager(t *testing.T) {
 				cell.retime(reqs)
 			}
 			load := SparsityAwareLoad(lut, est)
-			spec := schedSpecs(est, lut)[(int(seed)+ci)%6]
+			// Cells of successive seeds take successive schedulers, so
+			// the 12 runs cover the whole lineup.
+			specs := schedSpecs(est, lut)
+			spec := specs[(int(seed-1)*len(cells)+ci)%len(specs)]
 			for _, pol := range []RebalancePolicy{
 				Steal{Load: load, Curve: SparsityAwareCurve(lut, est)},
 				Shed{Load: load},

@@ -14,11 +14,17 @@
 //     estimate, and all queued requests are re-scored as
 //     Remain + eta*(Slack + Penalty); the minimum runs next.
 //
+// NewOracle builds the paper's Oracle upper bound (§6.4) from the same
+// scheduler: Dysta scoring ground-truth latencies instead of predictions.
+//
 // The behavioural FP16 hardware implementation of the dynamic level lives
 // in internal/hwsched; this package is the algorithmic reference.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Strategy selects how the sparsity coefficient gamma aggregates monitored
 // layer sparsity (paper §5.1, Table 4).
@@ -144,30 +150,31 @@ func (c Config) WithoutSparse() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every check fails on NaN, and
+// every float must be finite: Inf or NaN scores order nothing.
 func (c Config) Validate() error {
-	if c.Beta < 0 || c.Beta > 1 {
+	if !(c.Beta >= 0 && c.Beta <= 1) {
 		return fmt.Errorf("core: Beta %v outside [0,1]", c.Beta)
 	}
-	if c.Eta < 0 || c.Eta > 1 {
+	if !(c.Eta >= 0 && c.Eta <= 1) {
 		return fmt.Errorf("core: Eta %v outside [0,1]", c.Eta)
 	}
-	if c.Alpha <= 0 {
-		return fmt.Errorf("core: Alpha %v not positive", c.Alpha)
+	if !(c.Alpha > 0 && c.Alpha < math.Inf(1)) {
+		return fmt.Errorf("core: Alpha %v not positive and finite", c.Alpha)
 	}
 	if c.Strategy == LastN && c.N <= 0 {
 		return fmt.Errorf("core: LastN strategy with N=%d", c.N)
 	}
-	if c.GammaClamp <= 1 {
-		return fmt.Errorf("core: GammaClamp %v must exceed 1", c.GammaClamp)
+	if !(c.GammaClamp > 1 && c.GammaClamp < math.Inf(1)) {
+		return fmt.Errorf("core: GammaClamp %v must be finite and exceed 1", c.GammaClamp)
 	}
 	// The pick's heap bounds need every term the dynamic score adds to
 	// the remaining time to be non-negative (see Dysta.feasible).
-	if c.PenaltyWeight < 0 {
-		return fmt.Errorf("core: PenaltyWeight %v negative", c.PenaltyWeight)
+	if !(c.PenaltyWeight >= 0 && c.PenaltyWeight < math.Inf(1)) {
+		return fmt.Errorf("core: PenaltyWeight %v not finite and non-negative", c.PenaltyWeight)
 	}
-	if c.DemotionMS < 0 {
-		return fmt.Errorf("core: DemotionMS %v negative", c.DemotionMS)
+	if !(c.DemotionMS >= 0 && c.DemotionMS < math.Inf(1)) {
+		return fmt.Errorf("core: DemotionMS %v not finite and non-negative", c.DemotionMS)
 	}
 	return nil
 }

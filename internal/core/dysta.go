@@ -10,14 +10,16 @@ import (
 
 // Dysta is the bi-level scheduler (paper §4.2). It implements
 // sched.Scheduler; construct it with New and run it under sched.Run.
+// NewOracle builds the paper's Oracle from it.
 //
 // Per-request state lives in a task attachment set at arrival, and the
-// score components that only change at task events — the predictor's
-// refined remaining latency and isolated estimate — are cached there, so
-// a scheduling decision is cheap float arithmetic with no map lookups and
-// no predictor evaluations (the IncrementalScheduler fast path). The
-// reference PickNext recomputes everything from the predictor and must
-// agree bit-for-bit; the equivalence tests enforce this.
+// score components that only change at task events — the remaining and
+// isolated latency, from the predictor or, for the Oracle, the ground
+// truth — are cached there, so a scheduling decision is cheap float
+// arithmetic with no map lookups and no predictor evaluations (the
+// IncrementalScheduler fast path). The reference PickNext recomputes
+// everything from scratch and must agree bit-for-bit; the equivalence
+// tests enforce this.
 type Dysta struct {
 	cfg Config
 	lut *trace.StatsSet
@@ -40,7 +42,7 @@ type Dysta struct {
 	// For a demoted task ms(Deadline-now) < remain, so the bound is below
 	// remain, and the score is remain plus non-negative terms. The float
 	// rounding between K - Eta*ms(now) and the rounded score is a few
-	// ulps of the operands; sched.PruneAbove's guard, relative to the
+	// ulps of the operands; pruneAbove's guard, relative to the
 	// magnitudes compared, covers it many times over.
 	//
 	// demoted holds tasks already past their slack, keyed remain: their
@@ -59,17 +61,28 @@ type Dysta struct {
 
 	// The running search of one pick: the best task and score so far,
 	// the feasible-heap key above which a subtree is pruned (see
-	// sched.PruneAbove), and the tasks it found demoted.
+	// pruneAbove), and the tasks it found demoted.
 	best                   *sched.Task
 	bestScore, cut, etaNow float64
 	now                    time.Duration
 	queueLen               float64
 	newlyDemoted           []*sched.Task
 
-	// free holds the states of departed tasks for reuse by later
-	// arrivals (see forget), so a warm scheduler allocates none.
+	// truth scores ground-truth latencies (Task.TrueRemaining and
+	// TrueIsolated) in place of the predictor's: set by NewOracle.
+	truth bool
+
+	// free holds departed tasks' states and chunk spares for later
+	// arrivals (see forget and newState), so a warm scheduler allocates
+	// none. held counts the states the scheduler has allocated.
 	free []*requestState
+	held int
 }
+
+// freeChunkMin is how many states newState allocates singly before it
+// allocates in chunks: most schedulers never hold more, and each of a
+// churning cluster's many short-lived ones would waste a chunk's tail.
+const freeChunkMin = 16
 
 // requestState is the per-request bookkeeping of the dynamic level,
 // attached to the task at arrival.
@@ -79,12 +92,13 @@ type requestState struct {
 	// level is disabled (Dysta-w/o-sparse).
 	staticScore float64
 	// pred refines remaining-latency estimates from monitored sparsity;
-	// embedded, so a request costs one allocation of scheduler state.
+	// embedded, so it costs no allocation of its own.
 	pred Predictor
-	// remainMS and isolMS cache ms(pred.Remaining(NextLayer)) and
-	// ms(pred.Isolated()): they change only when the request executes a
-	// layer (NextLayer advances and the predictor observes), so refresh
-	// happens there rather than at every scheduling decision.
+	// remainMS and isolMS cache the remaining and isolated latencies
+	// (ms, see Dysta.latencies): they change only when the request
+	// executes a layer (NextLayer advances and the predictor observes, or
+	// TrueRemaining falls), so refresh happens there rather than at every
+	// scheduling decision.
 	remainMS, isolMS float64
 	// key orders the task in the heap that holds it (see Dysta.feasible),
 	// and demoted says which heap that is.
@@ -110,6 +124,18 @@ func byKey(a, b *sched.Task) bool {
 	return ka < kb || (ka == kb && a.ID < b.ID)
 }
 
+// NewOracle returns the paper's Oracle (§6.4), the bound on any latency
+// predictor: Dysta on DefaultConfig without the preemption penalty,
+// scoring ground-truth latencies (Task.TrueRemaining, TrueIsolated)
+// where Dysta scores the predictor's estimates.
+func NewOracle(lut *trace.StatsSet) *Dysta {
+	cfg := DefaultConfig()
+	cfg.PenaltyWeight = 0
+	d := New(cfg, lut)
+	d.truth = true
+	return d
+}
+
 // NewDefault returns Dysta with DefaultConfig.
 func NewDefault(lut *trace.StatsSet) *Dysta { return New(DefaultConfig(), lut) }
 
@@ -120,7 +146,10 @@ func NewWithoutSparse(lut *trace.StatsSet) *Dysta {
 
 // Name implements sched.Scheduler.
 func (d *Dysta) Name() string {
-	if !d.cfg.DynamicEnabled {
+	switch {
+	case d.truth:
+		return "Oracle"
+	case !d.cfg.DynamicEnabled:
 		return "Dysta-w/o-sparse"
 	}
 	return "Dysta"
@@ -148,10 +177,40 @@ func (d *Dysta) PickNextScalable(q *sched.ReadyQueue, now time.Duration) *sched.
 	return d.PickNextIncremental(q, now)
 }
 
-// refresh re-derives the cached score components from the predictor.
-func (s *requestState) refresh(t *sched.Task) {
-	s.remainMS = ms(s.pred.Remaining(t.NextLayer))
-	s.isolMS = ms(s.pred.Isolated())
+// latencies returns the remaining and isolated latency the score reads:
+// the predictor's estimates, or the ground truth under the truth switch.
+func (d *Dysta) latencies(t *sched.Task, s *requestState) (remain, isol time.Duration) {
+	if d.truth {
+		return t.TrueRemaining(), t.TrueIsolated()
+	}
+	return s.pred.Remaining(t.NextLayer), s.pred.Isolated()
+}
+
+// refresh re-derives the cached score components.
+func (d *Dysta) refresh(t *sched.Task, s *requestState) {
+	remain, isol := d.latencies(t, s)
+	s.remainMS, s.isolMS = ms(remain), ms(isol)
+}
+
+// newState pops a free state, or allocates: singly up to freeChunkMin
+// states, then in chunks doubling the count held, so a fresh scheduler
+// reaching n live requests allocates O(log n) times, not n.
+func (d *Dysta) newState() *requestState {
+	if n := len(d.free); n > 0 {
+		s := d.free[n-1]
+		d.free = d.free[:n-1]
+		return s
+	}
+	if d.held < freeChunkMin {
+		d.held++
+		return new(requestState)
+	}
+	chunk := make([]requestState, d.held)
+	d.held *= 2
+	for i := len(chunk) - 1; i > 0; i-- {
+		d.free = append(d.free, &chunk[i])
+	}
+	return &chunk[0]
 }
 
 // OnArrival implements sched.Scheduler: the static level (Alg. 1).
@@ -162,12 +221,7 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	st := d.lut.MustLookup(t.Key)
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
-	var s *requestState
-	if n := len(d.free); n > 0 {
-		s, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		s = new(requestState)
-	}
+	s := d.newState()
 	// Every field is rewritten, so a recycled state equals a fresh one.
 	// Only the LastN window buffer is kept: Observe writes each of its
 	// slots before the mean reads it.
@@ -177,7 +231,7 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 		pred:        makePredictor(d.cfg, st),
 	}
 	s.pred.window = window
-	s.refresh(t)
+	d.refresh(t, s)
 	t.Attachment = s
 	d.place(t, s, now)
 	d.heap(s).Push(t)
@@ -186,17 +240,18 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 // OnLayerComplete implements sched.Scheduler: the hardware monitor's
 // sparsity reading feeds the request's sparse latency predictor (Alg. 2
 // line 7, Alg. 3), and the cached score components are re-derived. A
-// completed request's state is released.
+// completed request's state is released. Under the truth switch nothing
+// reads the predictor, so it observes nothing.
 func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, now time.Duration) {
 	s := state(t)
 	if t.Done || s == nil {
 		d.forget(t)
 		return
 	}
-	if d.cfg.DynamicEnabled {
+	if d.cfg.DynamicEnabled && !d.truth {
 		s.pred.Observe(layer, monitored)
 	}
-	s.refresh(t)
+	d.refresh(t, s)
 	was := d.heap(s)
 	d.place(t, s, now)
 	if h := d.heap(s); h != was {
@@ -347,7 +402,7 @@ func (d *Dysta) visitDemoted(i int) {
 func (d *Dysta) consider(t *sched.Task, sc float64) {
 	if d.best == nil || sc < d.bestScore || (sc == d.bestScore && t.ID < d.best.ID) {
 		d.best, d.bestScore = t, sc
-		d.cut = sched.PruneAbove(sc, d.etaNow)
+		d.cut = pruneAbove(sc, d.etaNow)
 	}
 }
 
@@ -364,8 +419,10 @@ func (d *Dysta) cachedScore(t *sched.Task, s *requestState) (score float64, demo
 		demotion = d.cfg.DemotionMS
 		demoted = true
 	}
+	// A zero weight makes the penalty exactly 0 (its other factors are
+	// finite), and slack + 0 is slack, so skipping it changes no score.
 	penalty := 0.0
-	if s.isolMS > 0 && d.queueLen > 0 {
+	if d.cfg.PenaltyWeight != 0 && s.isolMS > 0 && d.queueLen > 0 {
 		penalty = (ms(t.SinceLastRun(d.now)) / s.isolMS) / d.queueLen * d.cfg.PenaltyWeight
 	}
 	return remain + d.cfg.Eta*(slack+penalty) + demotion, demoted
@@ -385,19 +442,36 @@ func (d *Dysta) score(t *sched.Task, now time.Duration, queueLen int) float64 {
 	if !d.cfg.DynamicEnabled {
 		return s.staticScore
 	}
-	remain := ms(s.pred.Remaining(t.NextLayer))
+	remainD, isolD := d.latencies(t, s)
+	remain, isol := ms(remainD), ms(isolD)
 	slack := ms(t.Deadline()-now) - remain
 	demotion := 0.0
 	if slack < 0 {
 		slack = 0
 		demotion = d.cfg.DemotionMS
 	}
-	isol := ms(s.pred.Isolated())
 	penalty := 0.0
 	if isol > 0 && queueLen > 0 {
 		penalty = (ms(t.SinceLastRun(now)) / isol) / float64(queueLen) * d.cfg.PenaltyWeight
 	}
 	return remain + d.cfg.Eta*(slack+penalty) + demotion
+}
+
+// etaGuard is pruneAbove's relative float guard: the rounding it covers
+// is a few ulps (~1e-16 relative) of the score, key and Eta*ms(now)
+// magnitudes, while real score gaps between tasks are microseconds on
+// millisecond scores (~1e-3 relative).
+const etaGuard = 1e-9
+
+// pruneAbove is the feasible-heap key above which every task scores
+// strictly above best (see the field doc on Dysta.feasible):
+// K - Eta*ms(now) bounds each score from below in real arithmetic, and
+// the guard, relative to the magnitudes compared, absorbs the rounding of
+// both sides. A key barely past the cut carries a rounding error of a few
+// ulps of best + etaNow; a larger key's error grows with the key, but its
+// margin over the cut grows a full unit per unit of key.
+func pruneAbove(best, etaNow float64) float64 {
+	return best + etaGuard*(math.Abs(best)+etaNow) + etaNow
 }
 
 // ms converts a duration to float64 milliseconds, the score unit (matching

@@ -63,6 +63,44 @@ func TestNames(t *testing.T) {
 	if got := NewWithoutSparse(lut).Name(); got != "Dysta-w/o-sparse" {
 		t.Errorf("ablation Name = %q", got)
 	}
+	if got := NewOracle(lut).Name(); got != "Oracle" {
+		t.Errorf("oracle Name = %q", got)
+	}
+}
+
+// TestOracleEtaShiftsToDeadline: a short request with a loose deadline
+// and a long one with no slack to spare arrive together. At Eta 1 the
+// Oracle's score is the deadline (EDF), so the urgent long request runs
+// first; at Eta 0 it is the true remaining time (SJF), so the short one
+// does.
+func TestOracleEtaShiftsToDeadline(t *testing.T) {
+	kShort := trace.Key{Model: "short", Pattern: sparsity.Dense}
+	kLong := trace.Key{Model: "long", Pattern: sparsity.Dense}
+	shortTr := uniformTrace(time.Millisecond, 2, 0.5)
+	longTr := uniformTrace(20*time.Millisecond, 5, 0.5)
+	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{kShort: {shortTr}, kLong: {longTr}})
+	reqs := []*workload.Request{req(0, kShort, shortTr, 0, 10000), req(1, kLong, longTr, 0, 1)}
+	firstDone := func(eta float64) int {
+		cfg := NewOracle(lut).Config()
+		cfg.Eta = eta
+		res, err := sched.Run(oracleWith(cfg, lut), reqs, sched.Options{RecordTasks: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := res.Tasks[0]
+		for _, o := range res.Tasks[1:] {
+			if o.Completion < first.Completion {
+				first = o
+			}
+		}
+		return first.ID
+	}
+	if got := firstDone(1); got != 1 {
+		t.Errorf("Eta 1 finished request %d first, want the urgent long request 1", got)
+	}
+	if got := firstDone(0); got != 0 {
+		t.Errorf("Eta 0 finished request %d first, want the short request 0", got)
+	}
 }
 
 // TestStaticScoreOrdering checks Alg. 1: with beta between 0 and 1, a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -42,7 +43,10 @@ func checkSameState(t *testing.T, label string, fresh, recycled *requestState) {
 // next to the same competitor, and both are driven through the same
 // layer observations. After every event the attachments, the heap that
 // holds the task and its key, and the pick must agree, under each gamma
-// strategy and without the dynamic level.
+// strategy and without the dynamic level. Each case runs twice: on
+// otherwise empty schedulers, whose states are allocated singly, and on
+// schedulers already holding freeChunkMin live requests, whose states
+// all come from a chunk.
 func TestRecycledStateMatchesFresh(t *testing.T) {
 	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
 	const layers = 6
@@ -63,22 +67,38 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 		"average-all": func() Config { c := DefaultConfig(); c.Strategy = AverageAll; return c }(),
 		"last-n":      func() Config { c := DefaultConfig(); c.Strategy = LastN; c.N = 3; return c }(),
 	}
+	type run struct {
+		name string
+		cfg  Config
+		warm int
+	}
+	var runs []run
 	for name, cfg := range cfgs {
+		runs = append(runs, run{name, cfg, 0}, run{name + " chunked", cfg, freeChunkMin})
+	}
+	for _, r := range runs {
+		name, cfg := r.name, r.cfg
 		fresh, used := New(cfg, lut), New(cfg, lut)
+		// Live requests with ample slack, the same on both schedulers.
+		for i := 0; i < r.warm; i++ {
+			for _, d := range []*Dysta{fresh, used} {
+				d.OnArrival(&sched.Task{ID: 100 + i, Key: k, SLO: time.Hour}, 0)
+			}
+		}
 
 		// Dirty a state: a request far past its slack, observed through
 		// every layer, then completed.
 		old := &sched.Task{ID: 7, Key: k, SLO: msec}
 		used.OnArrival(old, 0)
+		dirty := state(old)
 		for l := 0; l < layers; l++ {
 			old.NextLayer, old.LastRun = l+1, time.Duration(l+1)*msec
 			old.Done = l == layers-1
 			used.OnLayerComplete(old, l, observed[layers-1-l], old.LastRun)
 		}
-		if len(used.free) != 1 {
-			t.Fatalf("%s: free list holds %d states after a completion, want 1", name, len(used.free))
+		if n := len(used.free); n == 0 || used.free[n-1] != dirty {
+			t.Fatalf("%s: the completed request's state is not on top of the free list", name)
 		}
-		dirty := used.free[0]
 
 		mk := func() (task, rival *sched.Task) {
 			task = &sched.Task{ID: 1, Key: k, Arrival: 10 * msec, SLO: 40 * msec, LastRun: 10 * msec}
@@ -93,6 +113,9 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 		used.OnArrival(ub, 10*msec)
 		if state(ua) != dirty {
 			t.Fatalf("%s: the arrival did not reuse the freed state", name)
+		}
+		if chunked := fresh.held > freeChunkMin; chunked != (r.warm > 0) {
+			t.Fatalf("%s: fresh scheduler holds %d states, chunked=%v", name, fresh.held, chunked)
 		}
 
 		check := func(when string, now time.Duration) {
@@ -128,6 +151,31 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 			fresh.OnLayerComplete(fa, l, observed[l], now)
 			used.OnLayerComplete(ua, l, observed[l], now)
 			check(fmt.Sprintf("after layer %d", l), now)
+		}
+	}
+}
+
+// TestStateAllocationsGrowLogarithmically: a fresh Dysta that reaches n
+// live requests allocates its states singly up to freeChunkMin, then in
+// chunks that double the count it holds, so it makes O(log n)
+// allocations in all (its heaps and free list grow by doubling too),
+// not one per request.
+func TestStateAllocationsGrowLogarithmically(t *testing.T) {
+	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: {uniformTrace(time.Millisecond, 4, 0.5)}})
+	for _, n := range []int{1000, 8000} {
+		tasks := make([]*sched.Task, n)
+		for i := range tasks {
+			tasks[i] = &sched.Task{ID: i, Key: k, SLO: time.Second}
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			d := NewDefault(lut)
+			for _, tk := range tasks {
+				d.OnArrival(tk, 0)
+			}
+		})
+		if limit := freeChunkMin + 4*bits.Len(uint(n)); allocs > float64(limit) {
+			t.Errorf("%d live requests: %v allocations, want at most %d", n, allocs, limit)
 		}
 	}
 }

@@ -55,3 +55,79 @@ func TestScalableDystaMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// oracleWith is the Oracle on cfg in place of NewOracle's configuration:
+// the truth switch set directly, for the variants no exported constructor
+// builds.
+func oracleWith(cfg Config, lut *trace.StatsSet) *Dysta {
+	d := New(cfg, lut)
+	d.truth = true
+	return d
+}
+
+// TestOracleHeapPickMatchesReference sweeps the Oracle's heap pick
+// against the reference PickNext at the default configuration, at both
+// Eta extremes (Eta 0 keys the feasible heap by the true remaining time
+// alone, Eta 1 by the deadline alone) and without demotion (demoted tasks
+// then tie feasible ones more often), on AttNN streams at 20-50 req/s and
+// CNN streams at 2-5 req/s, 1500 requests each: up to ~1.7x one engine's
+// capacity, so queues grow hundreds deep. No
+// tolerance: Results must be DeepEqual, timeline and per-task outcomes
+// included.
+func TestOracleHeapPickMatchesReference(t *testing.T) {
+	heap := sched.Options{RecordTimeline: true, RecordTasks: true}
+	reference := heap
+	reference.ReferencePick = true
+	for _, sc := range []struct {
+		name     string
+		scenario workload.Scenario
+		rates    []float64
+	}{
+		{"attnn", workload.MultiAttNN(), []float64{20, 30, 40, 50}},
+		{"cnn", workload.MultiCNN(), []float64{2, 3, 4, 5}},
+	} {
+		prof, eval, err := workload.BuildStores(sc.scenario, 20, 60, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lut, err := trace.NewStatsSet(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := func(mut func(*Config)) func() *Dysta {
+			cfg := NewOracle(lut).Config()
+			mut(&cfg)
+			return func() *Dysta { return oracleWith(cfg, lut) }
+		}
+		specs := []struct {
+			name string
+			mk   func() *Dysta
+		}{
+			{"Oracle", oracle(func(*Config) {})},
+			{"Oracle/eta-0", oracle(func(c *Config) { c.Eta = 0 })},
+			{"Oracle/eta-1", oracle(func(c *Config) { c.Eta = 1 })},
+			{"Oracle/demotion-0", oracle(func(c *Config) { c.DemotionMS = 0 })},
+		}
+		for i, rate := range sc.rates {
+			reqs, err := workload.Generate(sc.scenario, eval, workload.GenConfig{
+				Requests: 1500, RatePerSec: rate, SLOMultiplier: 10, Seed: uint64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range specs {
+				fast, err := sched.Run(spec.mk(), reqs, heap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := sched.Run(spec.mk(), reqs, reference)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fast, ref) {
+					t.Errorf("%s %s at %v req/s: heap and reference schedules diverge (ANTT %v vs %v)",
+						sc.name, spec.name, rate, fast.ANTT, ref.ANTT)
+				}
+			}
+		}
+	}
+}

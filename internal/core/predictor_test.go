@@ -45,6 +45,7 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -65,6 +66,17 @@ func TestConfigValidate(t *testing.T) {
 		{"penalty weight zero", func(c *Config) { c.PenaltyWeight = 0 }, true},
 		{"demotion zero", func(c *Config) { c.DemotionMS = 0 }, true},
 		{"eta bounds", func(c *Config) { c.Eta = 1 }, true},
+		{"eta 0", func(c *Config) { c.Eta = 0 }, true},
+		{"beta NaN", func(c *Config) { c.Beta = nan }, false},
+		{"eta NaN", func(c *Config) { c.Eta = nan }, false},
+		{"alpha NaN", func(c *Config) { c.Alpha = nan }, false},
+		{"alpha infinite", func(c *Config) { c.Alpha = inf }, false},
+		{"gamma clamp NaN", func(c *Config) { c.GammaClamp = nan }, false},
+		{"gamma clamp infinite", func(c *Config) { c.GammaClamp = inf }, false},
+		{"penalty weight NaN", func(c *Config) { c.PenaltyWeight = nan }, false},
+		{"penalty weight infinite", func(c *Config) { c.PenaltyWeight = inf }, false},
+		{"demotion NaN", func(c *Config) { c.DemotionMS = nan }, false},
+		{"demotion infinite", func(c *Config) { c.DemotionMS = inf }, false},
 	} {
 		c := DefaultConfig()
 		tc.mutate(&c)

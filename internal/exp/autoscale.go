@@ -3,6 +3,7 @@ package exp
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -60,8 +61,8 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 		if burst == 0 {
 			burst = DefaultBurst
 		}
-		if burst < 1 {
-			return nil, fmt.Errorf("exp: -burst %v < 1 (mmpp bursts must raise the rate)", burst)
+		if !(burst >= 1 && burst < math.Inf(1)) {
+			return nil, fmt.Errorf("exp: -burst %v not finite and at least 1 (mmpp bursts must raise the rate)", burst)
 		}
 		meanBurst := time.Duration(mmppBurstLen / rate * float64(time.Second))
 		return traffic.Bursty(rate, burst, mmppBurstFrac, meanBurst), nil

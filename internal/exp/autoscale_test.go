@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -241,6 +242,8 @@ func TestOptionsValidate(t *testing.T) {
 		"burst without mmpp":        {ok(func(o *Options) { o.Burst = 4 }), "-burst"},
 		"burst with poisson":        {ok(func(o *Options) { o.Traffic = "poisson"; o.Burst = 4 }), "-burst"},
 		"burst below one":           {ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = 0.5 }), "-burst"},
+		"burst NaN":                 {ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = math.NaN() }), "-burst"},
+		"burst infinite":            {ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = math.Inf(1) }), "-burst"},
 		"unknown traffic":           {ok(func(o *Options) { o.Traffic = "uniform" }), "-traffic"},
 		"unreadable replay":         {ok(func(o *Options) { o.Traffic = "replay:/no/such/file.csv" }), "-traffic"},
 		"unknown capture":           {ok(func(o *Options) { o.Capture = "sampled" }), "-capture"},

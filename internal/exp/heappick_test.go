@@ -16,8 +16,9 @@ import (
 // (demoted tasks then tie feasible ones more often) and at both Eta
 // extremes (Eta 0 keys the feasible heap by remain alone, Eta 1 by the
 // deadline alone), SDRM3, PREMA across threshold regimes down to 0,
-// where every task is a candidate from arrival on, Planaria, and Oracle at
-// the default Eta, at both Eta extremes and without demotion.
+// where every task is a candidate from arrival on, Planaria, and the
+// Oracle. The Oracle's Eta and demotion variants, which no exported
+// constructor builds, run in internal/core's deep-queue sweep.
 func heapPickSpecs() []SchedSpec {
 	dysta := func(name string, mut func(*core.Config)) SchedSpec {
 		cfg := core.DefaultConfig()
@@ -32,20 +33,8 @@ func heapPickSpecs() []SchedSpec {
 		dysta("Dysta/eta-1", func(c *core.Config) { c.Eta = 1 }),
 		{Name: "SDRM3", New: func(p *Pipeline) sched.Scheduler { return sched.NewSDRM3(p.Est) }},
 		{Name: "Planaria", New: func(p *Pipeline) sched.Scheduler { return sched.NewPlanaria(p.Est) }},
+		{Name: "Oracle", New: func(p *Pipeline) sched.Scheduler { return core.NewOracle(p.LUT) }},
 	}
-	oracle := func(name string, eta, demotion float64) SchedSpec {
-		return SchedSpec{Name: name, New: func(*Pipeline) sched.Scheduler {
-			o := sched.NewOracle(eta)
-			o.DemotionMS = demotion
-			return o
-		}}
-	}
-	eta := core.DefaultConfig().Eta
-	specs = append(specs,
-		oracle("Oracle", eta, 1000),
-		oracle("Oracle/eta-0", 0, 1000),
-		oracle("Oracle/eta-1", 1, 1000),
-		oracle("Oracle/demotion-0", eta, 0))
 	for _, th := range []float64{64, 8, 1, 0} {
 		specs = append(specs, SchedSpec{Name: fmt.Sprintf("PREMA/threshold-%g", th),
 			New: func(p *Pipeline) sched.Scheduler {
@@ -118,11 +107,11 @@ func TestHeapPicksExactDeepQueue(t *testing.T) {
 // 3.046 (Dysta: state plus a separate predictor), 2.046 (PREMA), 1.046
 // (SDRM3) and 1.047 (Planaria, Oracle) allocations per request on this
 // run, the engine's Task included. Every engine returns its completed
-// Tasks to the pool, and Dysta and PREMA recycle their attachments, so
-// what remains per request is the amortized capture slices: 0.03
-// measured for every scheduler. Under -race, sync.Pool drops a quarter
-// of its Puts at random, so about a quarter of the Tasks are allocated
-// afresh.
+// Tasks to the pool, and Dysta (the Oracle too) and PREMA recycle their
+// attachments, so what remains per request is the amortized capture
+// slices: 0.03 measured for every scheduler. Under -race, sync.Pool
+// drops a quarter of its Puts at random, so about a quarter of the Tasks
+// are allocated afresh.
 func TestHeapPicksAllocateNoMoreThanScan(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {

@@ -204,9 +204,7 @@ func StandardScheds() []SchedSpec {
 
 // WithOracle appends the Oracle upper bound (used by the sweep figures).
 func WithOracle(specs []SchedSpec) []SchedSpec {
-	return append(specs, SchedSpec{"Oracle", func(p *Pipeline) sched.Scheduler {
-		return sched.NewOracle(core.DefaultConfig().Eta)
-	}})
+	return append(specs, SchedSpec{"Oracle", func(p *Pipeline) sched.Scheduler { return core.NewOracle(p.LUT) }})
 }
 
 // RunSeeds evaluates one scheduler at one (rate, SLO-multiplier)

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -416,245 +415,6 @@ func (p *Planaria) visit(i int, now time.Duration) {
 	}
 }
 
-// Oracle is the paper's upper-bound scheduler (§6.4): it scores tasks with
-// the same balanced objective as Dysta's dynamic level but substitutes the
-// ground-truth remaining latency for the prediction, so it bounds what any
-// latency predictor could achieve. Construct it with NewOracle.
-//
-// The pick is Dysta's heap pick without the preemption penalty. feasible
-// is keyed K = (1-Eta)*ms(TrueRemaining) + Eta*ms(Deadline), and
-// K - Eta*ms(now) bounds every score from below: for a feasible task
-// (slack >= 0) it is the score in real arithmetic, and for a task past its
-// slack ms(Deadline-now) < remain puts it below remain, itself at most the
-// score. PruneAbove's guard covers the float rounding. demoted holds the
-// tasks already past their slack, keyed TrueRemaining; their score is
-// fl(remain + DemotionMS), so remain + DemotionMS bounds a subtree exactly.
-// A waiting task's slack only falls, so a demoted task stays demoted until
-// it executes a layer, and a feasible-heap task a pick finds demoted moves
-// to demoted after that pick. TrueRemaining changes only for the executed
-// task, at OnLayerComplete, which re-classifies it. Both bounds need every
-// term the score adds to remain to be non-negative, hence Validate's
-// rules: Eta in [0,1] and DemotionMS >= 0.
-type Oracle struct {
-	// Eta balances the remaining-time (ANTT) and slack (violation)
-	// objectives exactly as in Dysta's dynamic score.
-	Eta float64
-	// DemotionMS is added to the score of tasks that can no longer meet
-	// their deadline, mirroring Dysta's hopeless-task demotion. It must
-	// not be negative: the pick's bounds rely on it (see Validate).
-	DemotionMS float64
-
-	feasible, demoted TaskHeap
-
-	// The running search of one pick: the best task and score so far, the
-	// feasible-heap key above which a subtree is pruned, and the tasks it
-	// found demoted.
-	best                   *Task
-	bestScore, cut, etaNow float64
-	now                    time.Duration
-	newlyDemoted           []*Task
-}
-
-// NewOracle returns the Oracle scheduler with the given eta and the
-// default demotion. It panics when eta lies outside [0,1]
-// (construction-time programming error, as core.New).
-func NewOracle(eta float64) *Oracle {
-	o := &Oracle{Eta: eta, DemotionMS: 1000}
-	if err := o.Validate(); err != nil {
-		panic(err)
-	}
-	o.feasible.Init(o.byBound)
-	o.demoted.Init(byTrueRemaining)
-	return o
-}
-
-// Validate reports a configuration the pick's bounds do not hold for.
-func (o *Oracle) Validate() error {
-	if !(o.Eta >= 0 && o.Eta <= 1) {
-		return fmt.Errorf("sched: Oracle Eta %v outside [0,1]", o.Eta)
-	}
-	if !(o.DemotionMS >= 0) {
-		return fmt.Errorf("sched: Oracle DemotionMS %v negative", o.DemotionMS)
-	}
-	return nil
-}
-
-// bound is the feasible-heap key K in nanoseconds,
-// (1-Eta)*TrueRemaining + Eta*Deadline: 1e6 times the millisecond key of
-// the type doc. Skipping the two divisions moves it by a few ulps, which
-// PruneAbove's relative guard covers.
-func (o *Oracle) bound(t *Task) float64 {
-	return (1-o.Eta)*float64(t.TrueRemaining()) + o.Eta*float64(t.Deadline())
-}
-
-// byBound orders the feasible heap by (bound, ID).
-func (o *Oracle) byBound(a, b *Task) bool {
-	ka, kb := o.bound(a), o.bound(b)
-	return ka < kb || (ka == kb && a.ID < b.ID)
-}
-
-// byTrueRemaining orders the demoted heap by (TrueRemaining, ID).
-func byTrueRemaining(a, b *Task) bool {
-	ra, rb := a.TrueRemaining(), b.TrueRemaining()
-	return ra < rb || (ra == rb && a.ID < b.ID)
-}
-
-// Name implements Scheduler.
-func (*Oracle) Name() string { return "Oracle" }
-
-// OnArrival implements Scheduler.
-func (o *Oracle) OnArrival(t *Task, now time.Duration) { o.place(t, now) }
-
-// OnLayerComplete implements Scheduler: the executed task's TrueRemaining
-// shrank, so it is re-classified; a completed task leaves.
-func (o *Oracle) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
-	if t.Done {
-		o.OnExtract(t, now)
-		return
-	}
-	o.place(t, now)
-}
-
-// place files a task in the heap its score's demotion test at now
-// selects. As for Planaria, rounding is monotone, so the test can only
-// fire when Deadline-now < TrueRemaining in integers.
-func (o *Oracle) place(t *Task, now time.Duration) {
-	if t.Deadline()-now < t.TrueRemaining() {
-		if _, demoted := o.score(t, now); demoted {
-			reheap(t, &o.demoted, &o.feasible)
-			return
-		}
-	}
-	reheap(t, &o.feasible, &o.demoted)
-}
-
-// OnExtract implements TaskExtractor: release the heap slot.
-func (o *Oracle) OnExtract(t *Task, _ time.Duration) {
-	if !o.feasible.Remove(t) {
-		o.demoted.Remove(t)
-	}
-}
-
-// PickNext implements Scheduler (the reference scan).
-func (o *Oracle) PickNext(ready []*Task, now time.Duration) *Task {
-	best := ready[0]
-	bestScore, _ := o.score(best, now)
-	for _, t := range ready[1:] {
-		if sc, _ := o.score(t, now); sc < bestScore || (sc == bestScore && t.ID < best.ID) {
-			best, bestScore = t, sc
-		}
-	}
-	return best
-}
-
-// PickNextIncremental implements IncrementalScheduler: the same argmin as
-// PickNext, by bound-pruned walk over the two heaps (see the type doc).
-func (o *Oracle) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	if q.Len() == 1 {
-		return q.Tasks()[0]
-	}
-	o.best, o.now = nil, now
-	o.bestScore, o.cut = math.Inf(1), math.Inf(1)
-	o.etaNow = o.Eta * ms(now)
-	// Feasible tasks first: they carry no demotion, so the best score they
-	// yield usually prunes the demoted heap at its root.
-	if o.feasible.Len() > 0 {
-		o.visitFeasible(0)
-	}
-	if o.demoted.Len() > 0 {
-		o.visitDemoted(0)
-	}
-	for _, t := range o.newlyDemoted {
-		o.feasible.Remove(t)
-		o.demoted.Push(t)
-	}
-	clear(o.newlyDemoted)
-	o.newlyDemoted = o.newlyDemoted[:0]
-	best := o.best
-	o.best = nil
-	return best
-}
-
-// visitFeasible scores feasible-heap node i and recurses into the subtrees
-// its bound cannot rule out.
-func (o *Oracle) visitFeasible(i int) {
-	t := o.feasible.At(i)
-	if o.bound(t) > o.cut {
-		return
-	}
-	sc, demoted := o.score(t, o.now)
-	if demoted {
-		o.newlyDemoted = append(o.newlyDemoted, t)
-	}
-	o.consider(t, sc)
-	if l := 2*i + 1; l < o.feasible.Len() {
-		o.visitFeasible(l)
-		if l+1 < o.feasible.Len() {
-			o.visitFeasible(l + 1)
-		}
-	}
-}
-
-// visitDemoted scores demoted-heap node i and recurses into the subtrees
-// whose exact bound remain + DemotionMS does not exceed the best score.
-func (o *Oracle) visitDemoted(i int) {
-	t := o.demoted.At(i)
-	if ms(t.TrueRemaining())+o.DemotionMS > o.bestScore {
-		return
-	}
-	sc, _ := o.score(t, o.now)
-	o.consider(t, sc)
-	if l := 2*i + 1; l < o.demoted.Len() {
-		o.visitDemoted(l)
-		if l+1 < o.demoted.Len() {
-			o.visitDemoted(l + 1)
-		}
-	}
-}
-
-// consider folds one exact score into the running argmin and moves the
-// feasible heap's pruning cut with it.
-func (o *Oracle) consider(t *Task, sc float64) {
-	if o.best == nil || sc < o.bestScore || (sc == o.bestScore && t.ID < o.best.ID) {
-		o.best, o.bestScore = t, sc
-		o.cut = 1e6 * PruneAbove(sc, o.etaNow) // in bound's nanoseconds
-	}
-}
-
-// score mirrors Dysta's dynamic score (Alg. 2 line 11) with perfect
-// latency information, in milliseconds. Negative slack is clamped to zero
-// so already-hopeless tasks compete on remaining time instead of hijacking
-// the queue (the EDF overload pathology); demoted reports the clamp.
-func (o *Oracle) score(t *Task, now time.Duration) (score float64, demoted bool) {
-	remain := ms(t.TrueRemaining())
-	slack := ms(t.Deadline()-now) - remain
-	demotion := 0.0
-	if slack < 0 {
-		slack = 0
-		demotion = o.DemotionMS
-		demoted = true
-	}
-	return remain + o.Eta*slack + demotion, demoted
-}
-
-// etaGuard is the relative float guard of PruneAbove: the rounding it
-// covers is a few ulps (~1e-16 relative) of the score, key and Eta*ms(now)
-// magnitudes, while real score gaps between tasks are microseconds on
-// millisecond scores (~1e-3 relative).
-const etaGuard = 1e-9
-
-// PruneAbove is the feasible-heap key above which every task scores
-// strictly above best, for the picks that key a feasible heap by
-// K = (1-Eta)*remain + Eta*ms(Deadline) (Oracle here, Dysta in
-// internal/core): K - Eta*ms(now) bounds each score from below in real
-// arithmetic, and the guard, relative to the magnitudes compared, absorbs
-// the rounding of both sides. A key barely past the cut carries a rounding
-// error of a few ulps of best + etaNow; a larger key's error grows with
-// the key, but its margin over the cut grows a full unit per unit of key.
-func PruneAbove(best, etaNow float64) float64 {
-	return best + etaGuard*(math.Abs(best)+etaNow) + etaNow
-}
-
 // reheap files t in h: it repairs t's position when h already holds it
 // and otherwise moves it out of other, the one other heap that can.
 func reheap(t *Task, h, other *TaskHeap) {
@@ -672,10 +432,8 @@ var (
 	_ IncrementalScheduler = (*FCFS)(nil)
 	_ IncrementalScheduler = (*SJF)(nil)
 	_ IncrementalScheduler = (*Planaria)(nil)
-	_ IncrementalScheduler = (*Oracle)(nil)
 
 	_ TaskExtractor = (*FCFS)(nil)
 	_ TaskExtractor = (*SJF)(nil)
 	_ TaskExtractor = (*Planaria)(nil)
-	_ TaskExtractor = (*Oracle)(nil)
 )

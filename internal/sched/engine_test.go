@@ -30,9 +30,9 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 	}
 }
 
-// synthEstimator builds a profiling LUT whose averages equal the synthetic
+// synthLUT builds a profiling LUT whose averages equal the synthetic
 // traces exactly.
-func synthEstimator(reqs ...*workload.Request) *Estimator {
+func synthLUT(reqs ...*workload.Request) *trace.StatsSet {
 	store := trace.NewStore()
 	for _, r := range reqs {
 		store.Add(r.Key, []trace.SampleTrace{r.Trace})
@@ -41,8 +41,11 @@ func synthEstimator(reqs ...*workload.Request) *Estimator {
 	if err != nil {
 		panic(err)
 	}
-	return NewEstimator(set)
+	return set
 }
+
+// synthEstimator is the estimator over synthLUT.
+func synthEstimator(reqs ...*workload.Request) *Estimator { return NewEstimator(synthLUT(reqs...)) }
 
 func TestRunEmptyStream(t *testing.T) {
 	if _, err := Run(NewFCFS(), nil, Options{}); err == nil {
@@ -169,7 +172,7 @@ func TestWorkConservation(t *testing.T) {
 		total += r.Trace.Total()
 	}
 	est := synthEstimator(reqs[0])
-	for _, s := range []Scheduler{NewFCFS(), NewPlanaria(est), NewOracle(0.4)} {
+	for _, s := range []Scheduler{NewFCFS(), NewPlanaria(est)} {
 		res, err := Run(s, reqs, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -95,8 +95,9 @@ func TestScalableFallsBackWithoutImplementation(t *testing.T) {
 // keys tie often, slacks land exactly on zero, and 0.1ms is no float64, so
 // tasks of equal integer key differ in their float scores by rounding: the
 // corner cases a Poisson stream at nanosecond resolution almost never
-// reaches.
-func tieGridStream(seed uint64) ([]*workload.Request, *Estimator) {
+// reaches. It returns the profiling LUT with the estimator built on it,
+// for the pick tests of internal/core's schedulers (see export_test.go).
+func tieGridStream(seed uint64) ([]*workload.Request, *Estimator, *trace.StatsSet) {
 	const grid = 100 * time.Microsecond
 	r := rng.New(seed)
 	nModels := 1 + r.Intn(3)
@@ -135,21 +136,19 @@ func tieGridStream(seed uint64) ([]*workload.Request, *Estimator) {
 			SLO: time.Duration(1+r.Intn(40)) * profiles[m].Total() / 4 / grid * grid,
 		}
 	}
-	return reqs, NewEstimator(set)
+	return reqs, NewEstimator(set), set
 }
 
 // TestHeapPicksExactOnTieGrid runs every heap pick in this package against
 // the reference PickNext on tieGridStream's streams. No tolerance: Results
 // must be DeepEqual, timeline and per-task outcomes included.
+// TestCoreHeapPicksExactOnTieGrid does the same for Dysta and the Oracle.
 func TestHeapPicksExactOnTieGrid(t *testing.T) {
 	heap := Options{RecordTimeline: true, RecordTasks: true}
 	reference := heap
 	reference.ReferencePick = true
 	for seed := uint64(1); seed <= 200; seed++ {
-		reqs, est := tieGridStream(seed)
-		oracle := func(eta, demotion float64) func() Scheduler {
-			return func() Scheduler { o := NewOracle(eta); o.DemotionMS = demotion; return o }
-		}
+		reqs, est, _ := tieGridStream(seed)
 		for _, spec := range []struct {
 			name string
 			mk   func() Scheduler
@@ -159,10 +158,6 @@ func TestHeapPicksExactOnTieGrid(t *testing.T) {
 			{"PREMA", func() Scheduler { return NewPREMA(est) }},
 			{"SDRM3", func() Scheduler { return NewSDRM3(est) }},
 			{"Planaria", func() Scheduler { return NewPlanaria(est) }},
-			{"Oracle", oracle(0.05, 1000)},
-			{"Oracle/eta-0", oracle(0, 1000)},
-			{"Oracle/eta-1", oracle(1, 1000)},
-			{"Oracle/demotion-0", oracle(0.05, 0)},
 		} {
 			fast, err := Run(spec.mk(), reqs, heap)
 			if err != nil {
@@ -182,34 +177,28 @@ func TestHeapPicksExactOnTieGrid(t *testing.T) {
 
 // TestHeapPicksReclassifyExecutedTask pins the one way a task's slack can
 // rise: executing a layer faster than the estimate the slack is computed
-// from (Planaria's profile; for Oracle, a faster-than-reference engine,
-// whose clock advances less than TrueRemaining falls). Task a arrives past
-// its slack, executes a layer that brings it back to 3ms of slack, and b
-// then arrives with far more slack and a higher score; both picks must
-// file a back as feasible and choose it, as the reference scan does.
+// from (here Planaria's profile; TestOracleReclassifiesExecutedTask covers
+// the Oracle's ground truth). Task a arrives past its slack, executes a
+// layer that brings it back to 3ms of slack, and b then arrives with far
+// more slack and a higher score; both picks must file a back as feasible
+// and choose it, as the reference scan does.
 func TestHeapPicksReclassifyExecutedTask(t *testing.T) {
 	a := synthReq(0, "a", 0, 10*time.Millisecond, 4, 0.875) // SLO 35ms, 40ms of work
 	b := synthReq(1, "b", 2*time.Millisecond, 50*time.Millisecond, 1, 10)
-	est := synthEstimator(a, b)
-	for _, mk := range []func() Scheduler{
-		func() Scheduler { return NewPlanaria(est) },
-		func() Scheduler { return NewOracle(0.05) },
-	} {
-		s := mk().(IncrementalScheduler)
-		var q ReadyQueue
-		ta, tb := newTask(a), newTask(b)
-		q.add(ta)
-		s.OnArrival(ta, 0)
-		ta.NextLayer, ta.trueRemaining = 1, 30*time.Millisecond
-		now := 2 * time.Millisecond
-		s.OnLayerComplete(ta, 0, 0.5, now)
-		q.add(tb)
-		s.OnArrival(tb, now)
-		if ref := s.PickNext(q.Tasks(), now); ref != ta {
-			t.Fatalf("%s: reference picked task %d, want the re-feasible task 0", s.Name(), ref.ID)
-		}
-		if got := s.PickNextIncremental(&q, now); got != ta {
-			t.Errorf("%s: heap pick chose task %d, want the re-feasible task 0", s.Name(), got.ID)
-		}
+	s := NewPlanaria(synthEstimator(a, b))
+	var q ReadyQueue
+	ta, tb := newTask(a), newTask(b)
+	q.add(ta)
+	s.OnArrival(ta, 0)
+	ta.NextLayer, ta.trueRemaining = 1, 30*time.Millisecond
+	now := 2 * time.Millisecond
+	s.OnLayerComplete(ta, 0, 0.5, now)
+	q.add(tb)
+	s.OnArrival(tb, now)
+	if ref := s.PickNext(q.Tasks(), now); ref != ta {
+		t.Fatalf("reference picked task %d, want the re-feasible task 0", ref.ID)
+	}
+	if got := s.PickNextIncremental(&q, now); got != ta {
+		t.Errorf("heap pick chose task %d, want the re-feasible task 0", got.ID)
 	}
 }

@@ -131,7 +131,6 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			{"PREMA", func() Scheduler { return NewPREMA(est) }},
 			{"Planaria", func() Scheduler { return NewPlanaria(est) }},
 			{"SDRM3", func() Scheduler { return NewSDRM3(est) }},
-			{"Oracle", func() Scheduler { return NewOracle(0.05) }},
 		}
 		record := Options{RecordTimeline: true, RecordTasks: true}
 		reference := record

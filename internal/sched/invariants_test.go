@@ -108,7 +108,6 @@ func TestEngineInvariantsAcrossSchedulers(t *testing.T) {
 			{"PREMA", func() Scheduler { return NewPREMA(est) }},
 			{"Planaria", func() Scheduler { return NewPlanaria(est) }},
 			{"SDRM3", func() Scheduler { return NewSDRM3(est) }},
-			{"Oracle", func() Scheduler { return NewOracle(0.05) }},
 		}
 		for _, spec := range specs {
 			res, err := Run(spec.mk(), reqs, Options{})
@@ -134,7 +133,6 @@ func TestEngineDeterministic(t *testing.T) {
 		func() Scheduler { return NewPREMA(est) },
 		func() Scheduler { return NewPlanaria(est) },
 		func() Scheduler { return NewSDRM3(est) },
-		func() Scheduler { return NewOracle(0.05) },
 	} {
 		a, err := Run(mk(), reqs, Options{})
 		if err != nil {
@@ -148,39 +146,5 @@ func TestEngineDeterministic(t *testing.T) {
 			a.Makespan != b.Makespan || a.Preemptions != b.Preemptions {
 			t.Errorf("%s: nondeterministic results: %+v vs %+v", a.Scheduler, a, b)
 		}
-	}
-}
-
-// TestOracleOptimalANTTOnPair: for two simultaneous tasks with equal
-// profiles, Oracle(eta=0) achieves the minimum possible ANTT (true
-// shortest-first).
-func TestOracleOptimalANTTOnPair(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		k := trace.Key{Model: "m", Pattern: sparsity.Dense}
-		mk := func(lat time.Duration) trace.SampleTrace {
-			tr := trace.SampleTrace{
-				LayerLatency:  []time.Duration{lat, lat},
-				LayerSparsity: []float64{0.5, 0.5},
-			}
-			return tr
-		}
-		latA := time.Duration(1+r.Intn(1000)) * time.Microsecond
-		latB := time.Duration(1+r.Intn(1000)) * time.Microsecond
-		a := &workload.Request{ID: 0, Key: k, Trace: mk(latA), SLO: time.Hour}
-		b := &workload.Request{ID: 1, Key: k, Trace: mk(latB), SLO: time.Hour}
-		res, err := Run(NewOracle(0), []*workload.Request{a, b}, Options{})
-		if err != nil {
-			return false
-		}
-		// Optimal ANTT: run the shorter first.
-		short, long := 2*latA, 2*latB
-		if long < short {
-			short, long = long, short
-		}
-		optimal := (1.0 + float64(short+long)/float64(long)) / 2
-		return res.ANTT <= optimal+1e-9
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

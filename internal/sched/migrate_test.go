@@ -302,7 +302,6 @@ func TestMigrationEndToEnd(t *testing.T) {
 		{"PREMA", func() Scheduler { return NewPREMA(est) }},
 		{"Planaria", func() Scheduler { return NewPlanaria(est) }},
 		{"SDRM3", func() Scheduler { return NewSDRM3(est) }},
-		{"Oracle", func() Scheduler { return NewOracle(0.05) }},
 	} {
 		reqs := mk()
 		donor := NewEngine(spec.new(), Options{RecordTasks: true})

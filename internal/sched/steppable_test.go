@@ -24,7 +24,6 @@ func TestEngineStepMatchesRun(t *testing.T) {
 			{"PREMA", func() Scheduler { return NewPREMA(est) }},
 			{"Planaria", func() Scheduler { return NewPlanaria(est) }},
 			{"SDRM3", func() Scheduler { return NewSDRM3(est) }},
-			{"Oracle", func() Scheduler { return NewOracle(0.05) }},
 		}
 		opts := Options{RecordTimeline: true, RecordTasks: true}
 		for _, spec := range specs {

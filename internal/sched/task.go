@@ -10,7 +10,8 @@ import (
 
 // Task is the engine-side state of one request. Schedulers read its public
 // identity and progress fields; the ground-truth trace is reserved to the
-// engine and the Oracle scheduler (TrueRemaining documents the exception).
+// engine and to core.NewOracle's Oracle (TrueRemaining documents the
+// exception).
 type Task struct {
 	ID  int
 	Key trace.Key
@@ -103,7 +104,7 @@ func releaseTask(t *Task) {
 // Request rebuilds the request the task wraps: ID, Key, Trace, Arrival
 // and SLO, all of which Restart keeps. Failover re-dispatches a displaced
 // task through it. As on workload.Request, the Trace is ground truth
-// reserved to the engine and the Oracle scheduler.
+// reserved to the engine and to core.NewOracle's Oracle.
 func (t *Task) Request() workload.Request {
 	return workload.Request{ID: t.ID, Key: t.Key, Trace: t.tr, Arrival: t.Arrival, SLO: t.SLO}
 }
@@ -171,13 +172,14 @@ func (t *Task) Violated(now time.Duration) bool {
 }
 
 // TrueIsolated returns the ground-truth isolated latency (T_isol). The
-// engine uses it for metrics; among schedulers only Oracle may call it.
+// engine uses it for metrics; among schedulers only the Oracle
+// (core.NewOracle) may call it.
 func (t *Task) TrueIsolated() time.Duration { return t.trueTotal }
 
 // TrueRemaining returns the ground-truth remaining isolated latency from
 // the task's next layer, maintained incrementally by the engine (O(1)).
-// Reserved to the Oracle scheduler, which the paper defines as having
-// perfect latency knowledge (§6.4).
+// Reserved to the Oracle (core.NewOracle), which the paper defines as
+// Dysta given perfect latency information (§6.4).
 func (t *Task) TrueRemaining() time.Duration { return t.trueRemaining }
 
 // nextLayerLatency is the engine's accessor for ground-truth execution.

@@ -64,10 +64,13 @@ func NewPoisson(rate float64) *Poisson { return &Poisson{Rate: rate} }
 // Name implements Process.
 func (*Poisson) Name() string { return "poisson" }
 
+// positiveFinite reports whether x is positive and finite (NaN is not).
+func positiveFinite(x float64) bool { return x > 0 && x < math.Inf(1) }
+
 // Validate implements Process.
 func (p *Poisson) Validate() error {
-	if p.Rate <= 0 {
-		return fmt.Errorf("traffic: non-positive poisson rate %v", p.Rate)
+	if !positiveFinite(p.Rate) {
+		return fmt.Errorf("traffic: poisson rate %v not positive and finite", p.Rate)
 	}
 	return nil
 }
@@ -127,8 +130,8 @@ func (*MMPP) Name() string { return "mmpp" }
 
 // Validate implements Process.
 func (m *MMPP) Validate() error {
-	if m.QuietRate <= 0 || m.BurstRate <= 0 {
-		return fmt.Errorf("traffic: non-positive mmpp rates (quiet %v, burst %v)", m.QuietRate, m.BurstRate)
+	if !positiveFinite(m.QuietRate) || !positiveFinite(m.BurstRate) {
+		return fmt.Errorf("traffic: mmpp rates not positive and finite (quiet %v, burst %v)", m.QuietRate, m.BurstRate)
 	}
 	if m.MeanQuiet <= 0 || m.MeanBurst <= 0 {
 		return fmt.Errorf("traffic: non-positive mmpp dwell times (quiet %v, burst %v)", m.MeanQuiet, m.MeanBurst)
@@ -224,11 +227,14 @@ func (*Diurnal) Name() string { return "diurnal" }
 
 // Validate implements Process.
 func (d *Diurnal) Validate() error {
-	if d.Base <= 0 {
-		return fmt.Errorf("traffic: non-positive diurnal base rate %v", d.Base)
+	if !positiveFinite(d.Base) {
+		return fmt.Errorf("traffic: diurnal base rate %v not positive and finite", d.Base)
 	}
-	if d.Amplitude < 0 || d.Amplitude >= 1 {
+	if !(d.Amplitude >= 0 && d.Amplitude < 1) {
 		return fmt.Errorf("traffic: diurnal amplitude %v outside [0, 1)", d.Amplitude)
+	}
+	if math.IsInf(d.Phase, 0) || math.IsNaN(d.Phase) {
+		return fmt.Errorf("traffic: diurnal phase %v not finite", d.Phase)
 	}
 	if d.Period <= 0 {
 		return fmt.Errorf("traffic: non-positive diurnal period %v", d.Period)
@@ -273,8 +279,8 @@ func (*Schedule) Name() string { return "schedule" }
 
 // Validate implements Process.
 func (s *Schedule) Validate() error {
-	if s.Base <= 0 {
-		return fmt.Errorf("traffic: non-positive schedule base rate %v", s.Base)
+	if !positiveFinite(s.Base) {
+		return fmt.Errorf("traffic: schedule base rate %v not positive and finite", s.Base)
 	}
 	if len(s.Steps) == 0 {
 		return fmt.Errorf("traffic: schedule has no steps")
@@ -283,8 +289,8 @@ func (s *Schedule) Validate() error {
 		if st.Dur <= 0 {
 			return fmt.Errorf("traffic: schedule step %d has non-positive duration %v", i, st.Dur)
 		}
-		if st.Scale <= 0 {
-			return fmt.Errorf("traffic: schedule step %d has non-positive scale %v", i, st.Scale)
+		if !positiveFinite(st.Scale) {
+			return fmt.Errorf("traffic: schedule step %d scale %v not positive and finite", i, st.Scale)
 		}
 	}
 	return nil

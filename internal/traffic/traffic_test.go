@@ -247,6 +247,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		"schedule no steps":  &Schedule{Base: 10},
 		"schedule zero dur":  &Schedule{Base: 10, Steps: []ScheduleStep{{Dur: 0, Scale: 1}}},
 		"schedule neg scale": &Schedule{Base: 10, Steps: []ScheduleStep{{Dur: time.Second, Scale: -1}}},
+		"poisson NaN rate":   NewPoisson(math.NaN()),
+		"poisson inf rate":   NewPoisson(math.Inf(1)),
+		"mmpp NaN burst":     &MMPP{QuietRate: 5, BurstRate: math.NaN(), MeanQuiet: time.Second, MeanBurst: time.Second},
+		"mmpp inf quiet":     &MMPP{QuietRate: math.Inf(1), BurstRate: 10, MeanQuiet: time.Second, MeanBurst: time.Second},
+		"diurnal NaN base":   &Diurnal{Base: math.NaN(), Amplitude: 0.5, Period: time.Second},
+		"diurnal NaN amp":    &Diurnal{Base: 10, Amplitude: math.NaN(), Period: time.Second},
+		"diurnal NaN phase":  &Diurnal{Base: 10, Amplitude: 0.5, Period: time.Second, Phase: math.NaN()},
+		"schedule NaN base":  &Schedule{Base: math.NaN(), Steps: []ScheduleStep{{Dur: time.Second, Scale: 1}}},
+		"schedule NaN scale": &Schedule{Base: 10, Steps: []ScheduleStep{{Dur: time.Second, Scale: math.NaN()}}},
 		"replay empty":       &Replay{Source: "x"},
 		"replay negative":    &Replay{Source: "x", Gaps: []time.Duration{-time.Millisecond}},
 	}

@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -145,11 +146,11 @@ func (c GenConfig) validate() error {
 		if err := c.Process.Validate(); err != nil {
 			return err
 		}
-	} else if c.RatePerSec <= 0 {
-		return fmt.Errorf("workload: non-positive arrival rate %v", c.RatePerSec)
+	} else if !(c.RatePerSec > 0 && c.RatePerSec < math.Inf(1)) { // NaN fails too
+		return fmt.Errorf("workload: arrival rate %v not positive and finite", c.RatePerSec)
 	}
-	if c.SLOMultiplier < 1 {
-		return fmt.Errorf("workload: SLO multiplier %v below 1", c.SLOMultiplier)
+	if !(c.SLOMultiplier >= 1 && c.SLOMultiplier < math.Inf(1)) {
+		return fmt.Errorf("workload: SLO multiplier %v not finite and at least 1", c.SLOMultiplier)
 	}
 	return nil
 }

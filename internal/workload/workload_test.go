@@ -121,6 +121,10 @@ func TestGenerateValidation(t *testing.T) {
 		{Requests: 0, RatePerSec: 30, SLOMultiplier: 10},
 		{Requests: 10, RatePerSec: 0, SLOMultiplier: 10},
 		{Requests: 10, RatePerSec: 30, SLOMultiplier: 0.5},
+		{Requests: 10, RatePerSec: math.NaN(), SLOMultiplier: 10},
+		{Requests: 10, RatePerSec: math.Inf(1), SLOMultiplier: 10},
+		{Requests: 10, RatePerSec: 30, SLOMultiplier: math.NaN()},
+		{Requests: 10, RatePerSec: 30, SLOMultiplier: math.Inf(1)},
 	}
 	for _, cfg := range bad {
 		if _, err := Generate(sc, eval, cfg); err == nil {
