@@ -47,7 +47,6 @@ func main() {
 		traffic   = flag.String("traffic", "", "override the arrival process: poisson, mmpp, diurnal, replay:PATH (empty = per-experiment default)")
 		burst     = flag.Float64("burst", 0, "mmpp burst-to-quiet rate ratio (0 = default 8, with -traffic mmpp)")
 		autoscale = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy")
-		stream    = flag.Bool("stream", false, "override: stream arrivals from the generator instead of materializing each cell's request slice (bit-identical schedules)")
 		capture   = flag.String("capture", "", "override the result capture mode: full or bounded (empty = per-experiment default)")
 		scaleMin  = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax  = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
@@ -139,7 +138,6 @@ func main() {
 	opts.Autoscale = *autoscale
 	opts.ScaleMin = *scaleMin
 	opts.ScaleMax = *scaleMax
-	opts.Stream = *stream
 	if *capture != "" {
 		opts.Capture = *capture
 	}

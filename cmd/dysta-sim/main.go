@@ -48,7 +48,6 @@ func main() {
 		trafArg  = flag.String("traffic", "", "arrival process: poisson (default), mmpp (bursty), diurnal (day/night rate curve), replay:PATH (recorded arrivals CSV)")
 		burst    = flag.Float64("burst", 0, "mmpp burst-to-quiet rate ratio (0 = default 8, with -traffic mmpp)")
 		autoscl  = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy (drains idle engines, re-joins them under load)")
-		stream   = flag.Bool("stream", false, "stream arrivals from the generator instead of materializing the request slice (bit-identical schedules; combine with -capture bounded for memory independent of -requests)")
 		capture  = flag.String("capture", "full", "result capture mode: full (exact percentiles from the retained latencies) or bounded (constant memory; percentiles from a ~3%-error histogram, every other metric identical)")
 		scaleMin = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
@@ -132,7 +131,6 @@ func main() {
 		Autoscale:         *autoscl,
 		ScaleMin:          *scaleMin,
 		ScaleMax:          *scaleMax,
-		Stream:            *stream,
 		Capture:           *capture,
 	}
 	opts.SetChurnModel(flag.CommandLine, *mtbf, *mttr)
@@ -214,9 +212,6 @@ func main() {
 			}
 		}
 		fmt.Printf("  autoscale %d..%d engines", min, max)
-	}
-	if *stream {
-		fmt.Print("  streaming arrivals")
 	}
 	if *capture == "bounded" {
 		fmt.Print("  bounded capture")

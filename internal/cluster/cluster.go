@@ -170,31 +170,23 @@ type Result struct {
 	ChurnEvents int
 }
 
-// Run simulates the request stream over the configured engines, one fresh
-// scheduler per engine from newSched, interleaving all engines' events on
-// one virtual clock: before each request is dispatched at its arrival
-// instant, every engine has committed exactly the layers it would have
-// started before that instant.
+// Run simulates the request slice over the configured engines: a slice
+// wrapper over RunStream, fed in arrival order by sched.SortedSource
+// (which copies only an unsorted slice; the caller's is never
+// reordered).
 func Run(newSched func(engine int) sched.Scheduler, reqs []*workload.Request, cfg Config) (Result, error) {
-	if len(reqs) == 0 {
-		if _, err := cfg.engineSpecs(); err != nil {
-			return Result{}, err
-		}
-		return Result{}, fmt.Errorf("cluster: empty request stream")
-	}
-	sorted := append([]*workload.Request(nil), reqs...)
-	workload.SortByArrival(sorted)
-	return RunStream(newSched, sched.NewSliceSource(sorted), cfg)
+	return RunStream(newSched, sched.SortedSource(reqs), cfg)
 }
 
-// RunStream is Run over a request iterator: requests are consumed one at
+// RunStream simulates a request stream over the configured engines, one
+// fresh scheduler per engine from newSched, interleaving all engines'
+// events on one virtual clock: before each request is dispatched at its
+// arrival instant, every engine has committed exactly the layers it
+// would have started before that instant. Requests are consumed one at
 // a time in arrival order and never materialized, so with bounded
 // capture (Config.Sched.BoundedCapture) a run's memory is governed by
-// the in-flight set, not the stream length. The schedule — and with
-// matching capture options the Result — is bit-identical to Run on the
-// materialized stream, because the arrival loop already consumed its
-// input strictly in arrival order; the equivalence tests pin this.
-// Sources yielding out-of-order arrivals fail the run.
+// the in-flight set, not the stream length. Sources yielding a negative
+// arrival, or one earlier than its predecessor's, fail the run.
 func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSource, cfg Config) (Result, error) {
 	specs, err := cfg.engineSpecs()
 	if err != nil {
@@ -440,15 +432,13 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 
 	rejected := 0
 	offered := 0
-	var lastArrival int64 = -1
+	var lastArrival time.Duration
 	for ; ok; req, ok = src.Next() {
 		r := req
-		if int64(r.Arrival) < lastArrival {
-			return Result{}, fmt.Errorf(
-				"cluster: request stream yielded request %d at %v after an arrival at %v (stream must be sorted)",
-				r.ID, r.Arrival, time.Duration(lastArrival))
+		if err := sched.CheckArrival("cluster", r, lastArrival); err != nil {
+			return Result{}, err
 		}
-		lastArrival = int64(r.Arrival)
+		lastArrival = r.Arrival
 		offered++
 		if err := advance(r.Arrival); err != nil {
 			return Result{}, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -218,14 +219,54 @@ func TestClusterRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestClusterRunStreamRejectsUnsorted: a source that yields arrivals out
-// of order must fail the run instead of silently rewriting history.
+// of order must fail the run instead of silently rewriting history,
+// while Run over the same slice runs a stably sorted copy of it, equal
+// to Run over its stable sort, and leaves the caller's slice in its
+// order.
 func TestClusterRunStreamRejectsUnsorted(t *testing.T) {
-	reqs, _, _ := randomStream(3, 10)
+	reqs, est, _ := randomStream(3, 10)
 	reqs[0], reqs[len(reqs)-1] = reqs[len(reqs)-1], reqs[0] // break the order
 	_, err := RunStream(func(int) sched.Scheduler { return sched.NewFCFS() },
 		sched.NewSliceSource(reqs), Config{Engines: 2})
 	if err == nil {
 		t.Fatal("unsorted stream accepted")
+	}
+	order := append([]*workload.Request(nil), reqs...)
+	sjf := func(int) sched.Scheduler { return sched.NewSJF(est) }
+	want, err := Run(sjf, sortedCopy(reqs), Config{Engines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(sjf, reqs, Config{Engines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Run over an unsorted slice diverges from Run over its stable sort:\n%+v\nvs\n%+v", got, want)
+	}
+	if !reflect.DeepEqual(reqs, order) {
+		t.Error("Run reordered the caller's slice")
+	}
+}
+
+// TestClusterRejectsNegativeArrivals: every engine's clock starts at 0,
+// so Run and RunStream must reject a request arriving before it with an
+// error naming the request and its arrival, just before 0 and well
+// before it.
+func TestClusterRejectsNegativeArrivals(t *testing.T) {
+	fcfs := func(int) sched.Scheduler { return sched.NewFCFS() }
+	for _, at := range []time.Duration{-1, -5 * time.Millisecond} {
+		reqs, _, _ := randomStream(3, 10)
+		reqs[0].Arrival = at
+		want := fmt.Sprintf("request 0 arrives at %v", at)
+		for name, run := range map[string]func() error{
+			"Run":       func() error { _, err := Run(fcfs, reqs, Config{Engines: 2}); return err },
+			"RunStream": func() error { _, err := RunStream(fcfs, sched.NewSliceSource(reqs), Config{Engines: 2}); return err },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with the first arrival at %v: got %v, want an error containing %q", name, at, err, want)
+			}
+		}
 	}
 }
 

@@ -80,23 +80,34 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 }
 
 // NewAutoscaler derives the SLO-driven engine-count policy for a request
-// stream: the thresholds are proportional to the stream's mean SLO
+// slice: the thresholds are proportional to the requests' mean SLO
 // budget, so the same policy shape serves workloads whose service times
 // differ by orders of magnitude (attnn vs cnn). Scale up when the mean
 // predicted queueing delay eats a quarter of the budget — early enough
 // that a burst is answered before violations spread — and back down only
 // when it falls under a tenth, with a cooldown of a tenth of the budget
 // (roughly a mean service time at the paper's M_slo = 10) between
-// actions.
+// actions. An empty slice yields zero thresholds, which the cluster
+// rejects when a run starts.
 func NewAutoscaler(reqs []*workload.Request, min, max int, load func(*sched.Task) time.Duration) *cluster.Autoscaler {
+	return autoscalerFrom(sched.NewSliceSource(reqs), min, max, load)
+}
+
+// autoscalerFrom is NewAutoscaler over a request source, drained in one
+// pass: the SLOs are summed in the order the source yields them, so a
+// stream and the slice Generate materializes from it give the same
+// thresholds, in O(1) memory.
+func autoscalerFrom(src sched.RequestSource, lo, hi int, load func(*sched.Task) time.Duration) *cluster.Autoscaler {
 	var total time.Duration
-	for _, r := range reqs {
+	n := 0
+	for r, ok := src.Next(); ok; r, ok = src.Next() {
 		total += r.SLO
+		n++
 	}
-	budget := total / time.Duration(len(reqs))
+	budget := total / time.Duration(max(n, 1)) // an empty source sums to 0
 	return &cluster.Autoscaler{
-		Min:      min,
-		Max:      max,
+		Min:      lo,
+		Max:      hi,
 		Up:       budget / 4,
 		Down:     budget / 10,
 		Cooldown: budget / 10,
@@ -147,11 +158,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("exp: -mttr needs -churn")
 	case !o.Churn && o.RetryMax != 0:
 		return fmt.Errorf("exp: -retry-max needs -churn")
-	}
-	if o.Stream && o.Autoscale {
-		// NewAutoscaler derives its thresholds from the materialized
-		// request slice; a streamed run never has one.
-		return fmt.Errorf("exp: -stream cannot combine with -autoscale (scaling thresholds derive from the materialized stream)")
 	}
 	if o.Burst != 0 && o.Traffic != "mmpp" {
 		return fmt.Errorf("exp: -burst shapes the mmpp process (got -traffic %q)", o.Traffic)

@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"sparsedysta/internal/cluster"
+	"sparsedysta/internal/sched"
 	"sparsedysta/internal/traffic"
+	"sparsedysta/internal/workload"
 )
 
 // autoscaleTestOpts is the shared cell of the autoscale exp-layer tests:
@@ -167,6 +170,30 @@ func TestAutoscaleFrontier(t *testing.T) {
 	}
 }
 
+// TestNewAutoscalerEmptyStream: an empty request slice has no mean SLO,
+// so NewAutoscaler must return zero thresholds instead of dividing by
+// zero, and a run using them must fail with the cluster's threshold
+// error.
+func TestNewAutoscalerEmptyStream(t *testing.T) {
+	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAutoscaler(nil, 1, 2, cluster.SparsityAwareLoad(p.LUT, p.Est))
+	if a.Up != 0 || a.Down != 0 || a.Cooldown != 0 {
+		t.Fatalf("empty stream gave thresholds up %v down %v cooldown %v, want zero", a.Up, a.Down, a.Cooldown)
+	}
+	reqs, err := workload.Generate(p.Scenario, p.Eval, workload.GenConfig{Requests: 10, RatePerSec: 30, SLOMultiplier: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cluster.Run(func(int) sched.Scheduler { return sched.NewFCFS() }, reqs,
+		cluster.Config{Engines: 2, Autoscale: a})
+	if err == nil || !strings.Contains(err.Error(), "Up threshold") {
+		t.Fatalf("run with zero thresholds returned %v, want the Up threshold error", err)
+	}
+}
+
 // TestNewTrafficNames pins the name -> process mapping and its failure
 // modes.
 func TestNewTrafficNames(t *testing.T) {
@@ -247,7 +274,6 @@ func TestOptionsValidate(t *testing.T) {
 		"unknown traffic":           {ok(func(o *Options) { o.Traffic = "uniform" }), "-traffic"},
 		"unreadable replay":         {ok(func(o *Options) { o.Traffic = "replay:/no/such/file.csv" }), "-traffic"},
 		"unknown capture":           {ok(func(o *Options) { o.Capture = "sampled" }), "-capture"},
-		"stream with autoscale":     {ok(func(o *Options) { o.Engines = 4; o.Stream = true; o.Autoscale = true }), "-stream"},
 		"scale-min without scaler":  {ok(func(o *Options) { o.Engines = 4; o.ScaleMin = 2 }), "-scale-min"},
 		"scale-max without scaler":  {ok(func(o *Options) { o.Engines = 4; o.ScaleMax = 2 }), "-scale-max"},
 		"scale-min over scale-max":  {ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 3; o.ScaleMax = 2 }), "-scale-min"},

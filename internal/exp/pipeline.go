@@ -30,8 +30,9 @@ type Options struct {
 	// execution. Results are bit-identical for any value.
 	Workers int
 	// Engines is the number of simulated accelerators per run. 0 or 1
-	// uses the single-engine sched.Run path; larger values route the
-	// request stream through internal/cluster behind the Dispatch policy.
+	// uses the single-engine sched.RunStream path; larger values route
+	// the request stream through internal/cluster behind the Dispatch
+	// policy.
 	Engines int
 	// Dispatch names the cluster dispatch policy for Engines > 1:
 	// "rr" (round-robin, the default), "jsq" (join-shortest-queue),
@@ -104,18 +105,13 @@ type Options struct {
 	// ScaleMin and ScaleMax bound the autoscaler's live engine count.
 	// 0 means Min 1 and Max = the cluster size.
 	ScaleMin, ScaleMax int
-	// Stream generates each cell's arrivals lazily and injects them one
-	// at a time (sched.RunStream / cluster.RunStream) instead of
-	// materializing the request slice — the schedule is bit-identical,
-	// but run memory stops growing with Requests once Capture is
-	// "bounded" too. Incompatible with Autoscale, whose thresholds
-	// derive from the materialized stream (Validate rejects the pair).
-	Stream bool
 	// Capture selects the engine's result-capture mode: "" or "full"
 	// retains the latencies for exact percentiles; "bounded" keeps
 	// constant-size state instead (sched.Options.BoundedCapture —
 	// identical metrics except the percentiles, which move to a
-	// ~3%-error histogram).
+	// ~3%-error histogram). Every cell streams its arrivals from
+	// workload.NewStream, so with "bounded" a run's memory does not grow
+	// with Requests.
 	Capture string
 }
 

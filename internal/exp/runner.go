@@ -43,8 +43,9 @@ func cellSeed(seed int) uint64 { return uint64(1000*seed) + 17 }
 // correlated with the arrival stream of the same cell.
 func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 
-// runCell executes one simulation cell: generate the request stream for
-// the seed index and run one fresh scheduler instance over it.
+// runCell executes one simulation cell: stream the seed index's
+// requests from the generator and run one fresh scheduler instance over
+// them, so the cell holds only the requests in flight.
 func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sched.Result, error) {
 	proc, err := NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
 	if err != nil {
@@ -54,11 +55,6 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 	if err != nil {
 		return sched.Result{}, err
 	}
-	if opts.Stream && opts.Autoscale {
-		// Mirrors Validate for programmatically built option blocks: the
-		// autoscaler's thresholds need the materialized slice.
-		return sched.Result{}, fmt.Errorf("exp: streaming runs cannot autoscale")
-	}
 	gcfg := workload.GenConfig{
 		Requests:      opts.Requests,
 		RatePerSec:    pt.Rate,
@@ -66,15 +62,25 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 		Seed:          cellSeed(seed),
 		Process:       proc,
 	}
-	// A streamed cell never materializes its requests; everything the
-	// setup below consumes (churn horizons, autoscale thresholds) either
-	// derives from the operating point alone or is rejected above.
-	var reqs []*workload.Request
-	if !opts.Stream {
-		reqs, err = workload.Generate(p.Scenario, p.Eval, gcfg)
+	// An autoscaled cell takes its thresholds from a first pass over the
+	// cell's stream (a pure function of the seed index, so autoscaled
+	// grids stay bit-identical for any -workers), drained before the
+	// run's own stream is built: both share gcfg.Process, which NewStream
+	// resets. The policy always reads the sparsity-aware load estimate —
+	// its decisions should be as informed as the best dispatcher's,
+	// whatever policy actually routes.
+	var scaler *cluster.Autoscaler
+	if opts.Autoscale {
+		pass, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
 		if err != nil {
 			return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
 		}
+		scaler = autoscalerFrom(pass, opts.ScaleMin, opts.ScaleMax, cluster.SparsityAwareLoad(p.LUT, p.Est))
+		scaler.Curve = cluster.SparsityAwareCurve(p.LUT, p.Est)
+	}
+	src, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
+	if err != nil {
+		return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
 	}
 	// The cluster path serves any run that needs the dispatch layer:
 	// more than one engine, an explicit (possibly heterogeneous) spec, a
@@ -120,22 +126,15 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 			cfg.Engines = 1
 			engines = 1
 		}
-		if opts.Autoscale {
-			// Bounds default to [1, cluster size]; thresholds derive from
-			// this cell's stream (pure function of the seed index, so
-			// autoscaled grids stay bit-identical for any -workers). The
-			// policy always reads the sparsity-aware load estimate — its
-			// decisions should be as informed as the best dispatcher's,
-			// whatever policy actually routes.
-			min, max := opts.ScaleMin, opts.ScaleMax
-			if min == 0 {
-				min = 1
+		if scaler != nil {
+			// Bounds default to [1, cluster size].
+			if scaler.Min == 0 {
+				scaler.Min = 1
 			}
-			if max == 0 {
-				max = engines
+			if scaler.Max == 0 {
+				scaler.Max = engines
 			}
-			cfg.Autoscale = NewAutoscaler(reqs, min, max, cluster.SparsityAwareLoad(p.LUT, p.Est))
-			cfg.Autoscale.Curve = cluster.SparsityAwareCurve(p.LUT, p.Est)
+			cfg.Autoscale = scaler
 		}
 		if opts.Churn {
 			// The fail/recover schedule is a pure function of the seed
@@ -155,16 +154,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 			cfg.Churn = &plan
 			cfg.RetryMax = opts.RetryMax
 		}
-		var cres cluster.Result
-		if opts.Stream {
-			src, serr := workload.NewStream(p.Scenario, p.Eval, gcfg)
-			if serr != nil {
-				return sched.Result{}, fmt.Errorf("exp: streaming %s workload: %w", p.Scenario.Name, serr)
-			}
-			cres, err = cluster.RunStream(func(int) sched.Scheduler { return spec.New(p) }, src, cfg)
-		} else {
-			cres, err = cluster.Run(func(int) sched.Scheduler { return spec.New(p) }, reqs, cfg)
-		}
+		cres, err := cluster.RunStream(func(int) sched.Scheduler { return spec.New(p) }, src, cfg)
 		if err != nil {
 			return sched.Result{}, fmt.Errorf("exp: running %s on %d engines: %w",
 				spec.Name, engines, err)
@@ -180,16 +170,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 	if _, err := NewRebalancer(opts.Rebalance, p); err != nil {
 		return sched.Result{}, err
 	}
-	var res sched.Result
-	if opts.Stream {
-		src, serr := workload.NewStream(p.Scenario, p.Eval, gcfg)
-		if serr != nil {
-			return sched.Result{}, fmt.Errorf("exp: streaming %s workload: %w", p.Scenario.Name, serr)
-		}
-		res, err = sched.RunStream(spec.New(p), src, sOpts)
-	} else {
-		res, err = sched.Run(spec.New(p), reqs, sOpts)
-	}
+	res, err := sched.RunStream(spec.New(p), src, sOpts)
 	if err != nil {
 		return sched.Result{}, fmt.Errorf("exp: running %s: %w", spec.Name, err)
 	}

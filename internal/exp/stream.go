@@ -8,12 +8,12 @@ import (
 )
 
 // StreamScale is the beyond-the-paper streaming study: the same cluster
-// operating point swept over growing stream lengths, run entirely
-// through the streaming path (lazy arrivals, bounded capture, scalable
-// picks) whose memory footprint is independent of the stream length.
-// The sweep shows the steady-state metrics converging as the stream
-// grows — the warm-up and drain transients wash out — which is the
-// regime the materialized paths cannot reach without O(requests) memory.
+// operating point swept over growing stream lengths under bounded
+// capture. Every cell streams its arrivals, so a run's memory footprint
+// is independent of the stream length. The sweep shows the steady-state
+// metrics converging as the stream grows — the warm-up and drain
+// transients wash out — which is the regime full capture cannot reach
+// without O(requests) memory.
 func StreamScale(opts Options) ([]Artifact, error) {
 	// 25 req/s per engine sits at ~83% of an engine's capacity (~30
 	// req/s on this workload): high enough that queues form, low enough
@@ -46,7 +46,7 @@ func StreamScale(opts Options) ([]Artifact, error) {
 			engines, ratePerEngine),
 		Columns: []string{"requests", "scheduler", "ANTT", "viol%", "throughput (inf/s)", "p99 lat"},
 		Notes: []string{
-			"arrivals stream from the generator and metrics aggregate in bounded memory (-stream -capture bounded)",
+			"arrivals stream from the generator and metrics aggregate in bounded memory (-capture bounded)",
 			"percentiles come from the log-bucketed histogram (at most one bucket width high, ~3%)",
 			"per-run memory is independent of the request count, so the sweep extends to lengths the materialized path cannot hold",
 		},
@@ -67,7 +67,6 @@ func StreamScale(opts Options) ([]Artifact, error) {
 	for _, n := range lengths {
 		o := opts
 		o.Requests = n
-		o.Stream = true
 		o.Capture = "bounded"
 		o.Engines = engines
 		o.EngineSpecs = nil // the sweep pins its composition

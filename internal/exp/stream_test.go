@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,82 +12,180 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-// TestStreamGridMatchesMaterialized: a grid run with streaming arrivals
-// must be byte-identical to the materialized path — same cells, same
-// seeds, same floats — across single-engine, clustered and churning
-// configurations, and across worker counts (streamed cells must stay a
-// pure function of the seed index). This pins the exp-layer half of the
-// streaming equivalence: workload.NewStream yields exactly the requests
-// workload.Generate materializes, in the same order, per cell.
+// materializedPoint is the test oracle for RunPoint: the cells built by
+// hand from materialized requests. Each seed's requests come from
+// workload.Generate with the cell's seed and run through sched.Run, or
+// through cluster.Run with the cell's churn plan and an autoscaler
+// from exp.NewAutoscaler over the slice; the seeds average as RunGrid's
+// do.
+func materializedPoint(t *testing.T, p *Pipeline, specs []SchedSpec, rate, mslo float64, opts Options) map[string]sched.Result {
+	t.Helper()
+	sOpts, err := opts.schedOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]sched.Result{}
+	for _, spec := range specs {
+		var rs []sched.Result
+		for seed := 0; seed < opts.Seeds; seed++ {
+			proc, err := NewTraffic(opts.Traffic, rate, opts.Requests, opts.Burst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs, err := workload.Generate(p.Scenario, p.Eval, workload.GenConfig{Requests: opts.Requests,
+				RatePerSec: rate, SLOMultiplier: mslo, Seed: cellSeed(seed), Process: proc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Engines < 2 {
+				res, err := sched.Run(spec.New(p), reqs, sOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs = append(rs, res)
+				continue
+			}
+			d, err := NewDispatcher(opts.Dispatch, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := NewRebalancer(opts.Rebalance, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := cluster.Config{Engines: opts.Engines, Dispatch: d, SignalInterval: opts.SignalInterval,
+				Rebalance: rb, RebalanceInterval: opts.RebalanceInterval, MigrationCost: opts.MigrationCost,
+				Sched: sOpts}
+			if opts.Churn {
+				horizon := time.Duration(2 * float64(opts.Requests) / rate * float64(time.Second))
+				plan, err := cluster.GenChurn(opts.Engines, horizon, opts.MTBF, opts.MTTR, churnSeed(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Churn, cfg.RetryMax = &plan, opts.RetryMax
+			}
+			if opts.Autoscale {
+				cfg.Autoscale = NewAutoscaler(reqs, opts.ScaleMin, opts.ScaleMax, cluster.SparsityAwareLoad(p.LUT, p.Est))
+				cfg.Autoscale.Curve = cluster.SparsityAwareCurve(p.LUT, p.Est)
+			}
+			res, err := cluster.Run(func(int) sched.Scheduler { return spec.New(p) }, reqs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = append(rs, res.Result)
+		}
+		avg, err := sched.AverageResults(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg.Scheduler = spec.Name
+		out[spec.Name] = avg
+	}
+	return out
+}
+
+// TestStreamGridMatchesMaterialized: RunPoint, which streams every
+// cell's arrivals, must be byte-identical to the materialized oracle
+// above — same cells, same seeds, same floats — across single-engine,
+// clustered, churning, migrating and autoscaled configurations, and
+// across worker counts (streamed cells must stay a pure function of the
+// seed index). This pins the exp-layer half of the streaming
+// equivalence: workload.NewStream yields exactly the requests
+// workload.Generate materializes, in the same order, per cell, and an
+// autoscaled cell's first stream pass sums the same SLOs as the slice.
 func TestStreamGridMatchesMaterialized(t *testing.T) {
+	// The CLI smokes' protocol, so the migrating cell is exactly CI's
+	// migration config.
 	base := tiny()
 	base.Seeds = 2
+	base.Requests = 300
+	base.ProfileSamples = 40
+	base.EvalSamples = 150
 	p, err := NewPipeline(workloadAttNN(), base, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := StandardScheds()[:3]
-	for name, mut := range map[string]func(*Options){
-		"single-engine": func(*Options) {},
-		"cluster":       func(o *Options) { o.Engines = 3; o.Dispatch = "load" },
-		"churning": func(o *Options) {
+	specs := append(StandardScheds()[:3], dystaOnly()...)
+	for name, c := range map[string]struct {
+		rate float64
+		mut  func(*Options)
+		// acted, when set, reports whether a result exercised the
+		// mechanism the cell exists for; a cell that never did is vacuous.
+		acted func(sched.Result) bool
+	}{
+		"single-engine": {30, func(*Options) {}, nil},
+		"cluster":       {30, func(o *Options) { o.Engines = 3; o.Dispatch = "load" }, nil},
+		"churning": {30, func(o *Options) {
 			o.Engines = 3
 			o.Churn = true
 			o.MTBF = 500 * time.Millisecond
 			o.MTTR = 50 * time.Millisecond
 			o.RetryMax = 2
-		},
+		}, nil},
+		// CI's migration smoke: steal rounds every 1 ms at 200 µs a move,
+		// on a churning cluster behind stale load signals.
+		"migrating": {120, func(o *Options) {
+			o.Engines = 4
+			o.Dispatch = "load"
+			o.SignalInterval = 20 * time.Millisecond
+			o.Rebalance = "steal"
+			o.RebalanceInterval = time.Millisecond
+			o.MigrationCost = 200 * time.Microsecond
+			o.Churn = true
+			o.MTBF = time.Second
+			o.MTTR = 150 * time.Millisecond
+			o.RetryMax = 4
+		}, func(r sched.Result) bool { return r.Migrations > 0 && r.Failovers > 0 }},
+		"autoscaled-mmpp": {66, func(o *Options) {
+			o.Engines = 4
+			o.Dispatch = "load"
+			o.SignalInterval = autoscaleSignalInterval
+			o.Traffic = "mmpp"
+			o.Burst = 8
+			o.Autoscale = true
+			o.ScaleMin, o.ScaleMax = 1, 4
+		}, func(r sched.Result) bool { return r.ScaleUps > 0 }},
 	} {
 		opts := base
-		mut(&opts)
-		want, err := p.RunPoint(specs, 30, 10, opts)
+		c.mut(&opts)
+		ref := materializedPoint(t, p, specs, c.rate, 10, opts)
+		if c.acted != nil && !c.acted(ref["FCFS"]) {
+			t.Errorf("%s: the cell never exercised its mechanism", name)
+		}
+		want, err := json.Marshal(ref)
 		if err != nil {
-			t.Fatalf("%s materialized: %v", name, err)
+			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			streamed := opts
-			streamed.Stream = true
-			streamed.Workers = workers
-			got, err := p.RunPoint(specs, 30, 10, streamed)
+			opts.Workers = workers
+			res, err := p.RunPoint(specs, c.rate, 10, opts)
 			if err != nil {
-				t.Fatalf("%s streamed (workers=%d): %v", name, workers, err)
+				t.Fatalf("%s (workers=%d): %v", name, workers, err)
 			}
-			a, err := json.Marshal(want)
+			got, err := json.Marshal(res)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(a) != string(b) {
+			if string(got) != string(want) {
 				t.Errorf("%s (workers=%d): streamed grid diverges from materialized:\n%s\nvs\n%s",
-					name, workers, b, a)
+					name, workers, got, want)
 			}
 		}
 	}
 }
 
-// TestStreamOptionValidation: the option combinations the streaming path
-// cannot honor must fail loudly at Validate time.
+// TestStreamOptionValidation: capture modes the engine does not know
+// must fail loudly at Validate time, and bounded capture is valid.
 func TestStreamOptionValidation(t *testing.T) {
 	o := tiny()
-	o.Stream = true
-	o.Autoscale = true
-	o.Engines = 4
-	if err := o.Validate(); err == nil {
-		t.Error("-stream with -autoscale accepted")
-	}
-	o = tiny()
 	o.Capture = "sideways"
 	if err := o.Validate(); err == nil {
 		t.Error("unknown capture mode accepted")
 	}
 	o = tiny()
-	o.Stream = true
 	o.Capture = "bounded"
 	if err := o.Validate(); err != nil {
-		t.Errorf("valid streaming options rejected: %v", err)
+		t.Errorf("bounded capture rejected: %v", err)
 	}
 }
 
@@ -136,5 +235,43 @@ func TestStreamedClusterAllocatesNoPerRequestState(t *testing.T) {
 	if got := (b - a) / (large - small); got > 0.01+slack {
 		t.Errorf("%.4f allocations per extra request (%v at %d requests, %v at %d), want <= %.2f",
 			got, a, small, b, large, 0.01+slack)
+	}
+}
+
+// TestRunHoldsOnlyInFlightRequests: sched.Run injects each request when
+// it arrives, so a run of 2000 AttNN requests at 10 req/s, about a
+// third of an engine's capacity, holds a handful of Tasks at a time.
+// Two GCs first empty the task pool, so each Task the run holds at once
+// is a fresh allocation; injecting the whole slice up front allocated
+// one per request. Under -race, sync.Pool drops a quarter of its Puts
+// at random, so about a quarter of the Tasks are allocated afresh.
+func TestRunHoldsOnlyInFlightRequests(t *testing.T) {
+	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(p.Scenario, p.Eval, workload.GenConfig{
+		Requests: 2000, RatePerSec: 10, SLOMultiplier: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 100.0
+	if raceEnabled {
+		limit += 0.3 * float64(len(reqs))
+	}
+	for _, spec := range append(StandardScheds()[:1], dystaOnly()...) {
+		s := spec.New(p)
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sched.Run(s, reqs, sched.Options{BoundedCapture: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; float64(n) >= limit {
+			t.Errorf("%s: one run of %d requests made %d allocations, want < %.0f", spec.Name, len(reqs), n, limit)
+		}
 	}
 }

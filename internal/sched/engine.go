@@ -663,28 +663,15 @@ func (e *Engine) Finish() Result {
 	return res
 }
 
-// Run simulates the request stream under the scheduler and returns the
-// aggregated metrics: a thin loop over the steppable Engine API. Requests
-// are processed on a single time-shared accelerator; preemption happens
-// only at layer boundaries.
+// Run simulates the request slice under the scheduler and returns the
+// aggregated metrics. Requests are processed on a single time-shared
+// accelerator; preemption happens only at layer boundaries. Run is a
+// slice wrapper over RunStream: it feeds the requests in arrival order
+// (SortedSource, which copies only an unsorted slice) and injects each
+// when it arrives, so the engine holds only arrived, uncompleted
+// requests however long the slice is.
 func Run(s Scheduler, reqs []*workload.Request, opts Options) (Result, error) {
-	if len(reqs) == 0 {
-		return Result{}, fmt.Errorf("sched: empty request stream")
-	}
-	sorted := append([]*workload.Request(nil), reqs...)
-	workload.SortByArrival(sorted)
-	e := NewEngine(s, opts)
-	for _, r := range sorted {
-		if err := e.Inject(r, r.Arrival); err != nil {
-			return Result{}, err
-		}
-	}
-	for !e.Drained() {
-		if _, err := e.Step(); err != nil {
-			return Result{}, err
-		}
-	}
-	return e.Finish(), nil
+	return RunStream(s, SortedSource(reqs), opts)
 }
 
 // pendingEntry is one injected-but-undelivered request: the task plus its

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,6 +52,69 @@ func synthEstimator(reqs ...*workload.Request) *Estimator { return NewEstimator(
 func TestRunEmptyStream(t *testing.T) {
 	if _, err := Run(NewFCFS(), nil, Options{}); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestRunRejectsNegativeArrivals: the engine's clock starts at 0, so a
+// request arriving before it would be delivered at 0 with the gap
+// charged to its latency. Run and RunStream must reject it with an error
+// naming the request and its arrival, just before 0 and well before it.
+func TestRunRejectsNegativeArrivals(t *testing.T) {
+	for _, at := range []time.Duration{-1, -5 * time.Millisecond} {
+		reqs := []*workload.Request{
+			synthReq(0, "a", at, time.Millisecond, 4, 10),
+			synthReq(1, "a", 2*time.Millisecond, time.Millisecond, 4, 10),
+			synthReq(2, "a", 3*time.Millisecond, time.Millisecond, 4, 10),
+		}
+		want := fmt.Sprintf("request 0 arrives at %v", at)
+		for name, run := range map[string]func() error{
+			"Run":       func() error { _, err := Run(NewFCFS(), reqs, Options{}); return err },
+			"RunStream": func() error { _, err := RunStream(NewFCFS(), NewSliceSource(reqs), Options{}); return err },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with the first arrival at %v: got %v, want an error containing %q", name, at, err, want)
+			}
+		}
+	}
+}
+
+// TestSortedSourceCopiesOnlyUnsorted: the source Run and cluster.Run
+// feed their loops wraps a sorted slice as is, and an unsorted one as a
+// stably sorted copy, leaving the caller's slice in its order; Run over
+// the unsorted slice equals Run over its stable sort.
+func TestSortedSourceCopiesOnlyUnsorted(t *testing.T) {
+	a := synthReq(0, "a", 0, time.Millisecond, 4, 10)
+	b := synthReq(1, "b", 5*time.Millisecond, time.Millisecond, 2, 10)
+	c := synthReq(2, "c", 5*time.Millisecond, 2*time.Millisecond, 3, 10)
+	sorted := []*workload.Request{a, b, c}
+	if src := SortedSource(sorted); &src.reqs[0] != &sorted[0] {
+		t.Error("a sorted slice was copied")
+	}
+	unsorted := []*workload.Request{c, a, b}
+	var ids []int
+	for src := SortedSource(unsorted); ; {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
+		ids = append(ids, r.ID)
+	}
+	if !reflect.DeepEqual(ids, []int{0, 2, 1}) {
+		t.Errorf("unsorted slice yielded IDs %v, want [0 2 1] (arrival order, ties in slice order)", ids)
+	}
+	if unsorted[0] != c || unsorted[1] != a || unsorted[2] != b {
+		t.Error("the caller's unsorted slice was reordered")
+	}
+	got, err := Run(NewFCFS(), unsorted, Options{RecordTasks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(NewFCFS(), []*workload.Request{a, c, b}, Options{RecordTasks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Run over an unsorted slice diverges from Run over its stable sort:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

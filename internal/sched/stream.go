@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"sparsedysta/internal/workload"
@@ -23,8 +25,8 @@ type RequestSource interface {
 }
 
 // SliceSource adapts a materialized request slice to RequestSource. The
-// slice must already be sorted by arrival (use workload.SortByArrival);
-// the adapter does not copy or reorder it.
+// slice must already be sorted by arrival (SortedSource sorts when it
+// is not); the adapter does not copy or reorder it.
 type SliceSource struct {
 	reqs []*workload.Request
 	next int
@@ -33,6 +35,18 @@ type SliceSource struct {
 // NewSliceSource wraps reqs.
 func NewSliceSource(reqs []*workload.Request) *SliceSource {
 	return &SliceSource{reqs: reqs}
+}
+
+// SortedSource wraps reqs in arrival order, the source Run and
+// cluster.Run feed their streaming loops: the caller's slice itself when
+// it is already sorted (workload.Generate's is), otherwise a stably
+// sorted copy. The caller's slice is never reordered.
+func SortedSource(reqs []*workload.Request) *SliceSource {
+	if !slices.IsSortedFunc(reqs, func(a, b *workload.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }) {
+		reqs = slices.Clone(reqs)
+		workload.SortByArrival(reqs)
+	}
+	return NewSliceSource(reqs)
 }
 
 // Next implements RequestSource.
@@ -45,28 +59,27 @@ func (s *SliceSource) Next() (*workload.Request, bool) {
 	return r, true
 }
 
-// RunStream simulates a request stream under the scheduler without ever
-// holding more than the in-flight requests: each request is injected
-// when the iterator yields it, after stepping the engine strictly past
-// every event before that arrival. The schedule is bit-identical to
-// Run on the materialized stream — the engine's next event never
-// precedes the next arrival when the step loop breaks, and injection
-// happens before any scheduling point at or after the arrival, which is
-// exactly the visibility Run's up-front injection provides.
+// RunStream simulates a request stream under the scheduler, holding only
+// the requests that have arrived and not yet completed: each request is
+// injected when the iterator yields it, after stepping the engine
+// strictly past every event before that arrival. Injection happens
+// before any scheduling point at or after the arrival, the visibility an
+// up-front injection of the whole stream provides, so the schedule does
+// not depend on how far ahead requests are known. The engine's clock
+// starts at 0, so a negative arrival fails the run, as does one earlier
+// than its predecessor's.
 func RunStream(s Scheduler, src RequestSource, opts Options) (Result, error) {
 	e := NewEngine(s, opts)
 	req, ok := src.Next()
 	if !ok {
 		return Result{}, fmt.Errorf("sched: empty request stream")
 	}
-	var lastArrival int64 = -1
+	var lastArrival time.Duration
 	for ok {
-		if int64(req.Arrival) < lastArrival {
-			return Result{}, fmt.Errorf(
-				"sched: RunStream source yielded request %d at %v after an arrival at %v (stream must be sorted)",
-				req.ID, req.Arrival, time.Duration(lastArrival))
+		if err := CheckArrival("sched", req, lastArrival); err != nil {
+			return Result{}, err
 		}
-		lastArrival = int64(req.Arrival)
+		lastArrival = req.Arrival
 		for !e.Drained() {
 			t, _ := e.NextEvent()
 			if t >= req.Arrival {
@@ -87,4 +100,19 @@ func RunStream(s Scheduler, src RequestSource, opts Options) (Result, error) {
 		}
 	}
 	return e.Finish(), nil
+}
+
+// CheckArrival is the arrival check both streaming loops (RunStream and
+// cluster.RunStream) apply to each yielded request: its arrival must be
+// at or after the clock's start at 0 and at or after the previous
+// arrival, last (0 before the first request). pkg prefixes the error.
+func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
+	switch {
+	case req.Arrival < 0:
+		return fmt.Errorf("%s: request %d arrives at %v, before the clock starts at 0", pkg, req.ID, req.Arrival)
+	case req.Arrival < last:
+		return fmt.Errorf("%s: request stream yielded request %d at %v after an arrival at %v (stream must be sorted)",
+			pkg, req.ID, req.Arrival, last)
+	}
+	return nil
 }

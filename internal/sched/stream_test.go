@@ -48,10 +48,29 @@ func (s *reusingSource) Next() (*workload.Request, bool) {
 	return &s.buf, true
 }
 
+// runUpFront is the injection strategy Run used before it streamed, kept
+// as the oracle for lazy injection: every request of the sorted slice
+// is injected before the engine takes its first step.
+func runUpFront(s sched.Scheduler, reqs []*workload.Request, opts sched.Options) (sched.Result, error) {
+	e := sched.NewEngine(s, opts)
+	for _, r := range reqs {
+		if err := e.Inject(r, r.Arrival); err != nil {
+			return sched.Result{}, err
+		}
+	}
+	for !e.Drained() {
+		if _, err := e.Step(); err != nil {
+			return sched.Result{}, err
+		}
+	}
+	return e.Finish(), nil
+}
+
 // TestRunStreamMatchesRun pins the lazy-injection equivalence: driving
-// the engine from an iterator — the workload's own Stream, or a source
-// that reuses one request buffer — produces the byte-identical Result
-// of the materialized Run, for every standard scheduler.
+// the engine from an iterator — the request slice Run feeds, the
+// workload's own Stream, or a source that reuses one request buffer —
+// produces the byte-identical Result of injecting the whole slice up
+// front, for every standard scheduler.
 func TestRunStreamMatchesRun(t *testing.T) {
 	lut, reqs, sc, eval, cfg := streamFixture(t, 400, 3)
 	est := sched.NewEstimator(lut)
@@ -63,7 +82,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		"Dysta": func() sched.Scheduler { return core.NewDefault(lut) },
 	}
 	for name, mk := range mks {
-		want, err := sched.Run(mk(), reqs, sched.Options{RecordTasks: true})
+		want, err := runUpFront(mk(), reqs, sched.Options{RecordTasks: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,6 +91,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for srcName, src := range map[string]sched.RequestSource{
+			"slice":   sched.SortedSource(reqs),
 			"stream":  st,
 			"reusing": &reusingSource{reqs: reqs},
 		} {
@@ -80,7 +100,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: RunStream diverged from Run:\n run:    %+v\n stream: %+v", name, srcName, want, got)
+				t.Errorf("%s/%s: RunStream diverged from up-front injection:\n up-front: %+v\n stream:   %+v", name, srcName, want, got)
 			}
 		}
 	}
