@@ -10,7 +10,11 @@
 //
 // See DESIGN.md §4 for the experiment index and docs/EXPERIMENTS.md for
 // the catalog of every registered experiment with its knobs and the
-// paper claim it reproduces.
+// paper claim it reproduces. Host cost per simulated request is measured
+// by the repository benchmark, not here: `bash bench/run.sh` (see
+// bench/README.md), whose result digests and allocation medians CI
+// compares against .github/bench-reference.json. README.md "Benchmarks"
+// has the command that regenerates that reference.
 package main
 
 import (
@@ -51,10 +55,6 @@ func main() {
 		scaleMin  = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax  = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
 		outDir    = flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
-		benchJSON = flag.Bool("json", false,
-			"run the hot-path micro-benchmarks and write BENCH_<date>.json (to -out dir, or cwd)")
-		benchCompare = flag.String("bench-compare", "",
-			"compare two BENCH_*.json files, \"baseline.json,fresh.json\": exit nonzero on a >30% ns/op or allocs/op growth in any Engine*/Cluster* entry (the CI regression gate)")
 	)
 	flag.Parse()
 
@@ -72,39 +72,16 @@ func main() {
 		return
 	}
 
-	if *benchCompare != "" {
-		base, fresh, ok := strings.Cut(*benchCompare, ",")
-		if !ok {
-			fmt.Fprintln(os.Stderr, "-bench-compare wants \"baseline.json,fresh.json\"")
-			os.Exit(2)
-		}
-		if err := compareBenchJSON(base, fresh, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON {
-		dir := *outDir
-		if dir == "" {
-			dir = "."
-		}
-		if err := writeBenchJSON(dir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	opts := exp.DefaultOptions()
 	if *quick {
 		opts = exp.QuickOptions()
 	}
-	if *seeds > 0 {
+	// 0 keeps the protocol default; any other value, negative included,
+	// goes to Validate.
+	if *seeds != 0 {
 		opts.Seeds = *seeds
 	}
-	if *requests > 0 {
+	if *requests != 0 {
 		opts.Requests = *requests
 	}
 	opts.Workers = *workers

@@ -122,7 +122,27 @@ func autoscalerFrom(src sched.RequestSource, lo, hi int, load func(*sched.Task) 
 // blocks programmatically and own their own consistency. Every
 // rejection names the flag it concerns.
 func (o Options) Validate() error {
+	switch {
+	case o.Seeds < 1:
+		return fmt.Errorf("exp: -seeds %d < 1", o.Seeds)
+	case o.Requests < 1:
+		return fmt.Errorf("exp: -requests %d < 1", o.Requests)
+	case o.Workers < 0:
+		return fmt.Errorf("exp: -workers %d is negative (0 = all cores)", o.Workers)
+	}
 	if _, err := o.schedOptions(); err != nil {
+		return err
+	}
+	// The policy constructors only capture their pipeline, so a zero one
+	// checks the names before Phase 1 builds the real one.
+	var zero Pipeline
+	if _, err := NewDispatcher(o.Dispatch, &zero); err != nil {
+		return err
+	}
+	if _, err := NewAdmission(o.Admission, &zero); err != nil {
+		return err
+	}
+	if _, err := NewRebalancer(o.Rebalance, &zero); err != nil {
 		return err
 	}
 	// Half-configured migration would silently never run (interval 0 is

@@ -249,6 +249,15 @@ func TestOptionsValidate(t *testing.T) {
 		}),
 		"none policy":     ok(func(o *Options) { o.Rebalance = "none" }),
 		"signal interval": ok(func(o *Options) { o.SignalInterval = time.Millisecond }),
+		"sequential":      ok(func(o *Options) { o.Workers = 1 }),
+		"every policy": ok(func(o *Options) {
+			o.Engines = 2
+			o.Dispatch = "blind-load"
+			o.Admission = "queue-cap:3"
+			o.Rebalance = "shed"
+			o.RebalanceInterval = time.Millisecond
+		}),
+		"slo admission": ok(func(o *Options) { o.Engines = 2; o.Dispatch = "load"; o.Admission = "slo" }),
 		"churn": ok(func(o *Options) {
 			o.Churn = true
 			o.MTBF = time.Second
@@ -266,6 +275,20 @@ func TestOptionsValidate(t *testing.T) {
 		o    Options
 		flag string
 	}{
+		"zero seeds":                 {ok(func(o *Options) { o.Seeds = 0 }), "-seeds"},
+		"negative seeds":             {ok(func(o *Options) { o.Seeds = -1 }), "-seeds"},
+		"zero requests":              {ok(func(o *Options) { o.Requests = 0 }), "-requests"},
+		"negative requests":          {ok(func(o *Options) { o.Requests = -5 }), "-requests"},
+		"negative workers":           {ok(func(o *Options) { o.Workers = -2 }), "-workers"},
+		"unknown dispatch":           {ok(func(o *Options) { o.Engines = 2; o.Dispatch = "bogus" }), "-dispatch"},
+		"unknown dispatch, 1 engine": {ok(func(o *Options) { o.Dispatch = "bogus" }), "-dispatch"},
+		"unknown admission":          {ok(func(o *Options) { o.Engines = 2; o.Admission = "bogus" }), "-admission"},
+		"zero queue-cap":             {ok(func(o *Options) { o.Engines = 2; o.Admission = "queue-cap:0" }), "-admission"},
+		"unknown rebalance": {ok(func(o *Options) {
+			o.Engines = 2
+			o.Rebalance = "bogus"
+			o.RebalanceInterval = time.Millisecond
+		}), "-rebalance"},
 		"burst without mmpp":        {ok(func(o *Options) { o.Burst = 4 }), "-burst"},
 		"burst with poisson":        {ok(func(o *Options) { o.Traffic = "poisson"; o.Burst = 4 }), "-burst"},
 		"burst below one":           {ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = 0.5 }), "-burst"},

@@ -34,7 +34,7 @@ func NewDispatcher(name string, p *Pipeline) (cluster.Dispatcher, error) {
 		return cluster.NewLeastLoad("blind-load", cluster.BlindLoad(p.Est)).
 			WithCurve(cluster.BlindCurve(p.Est)), nil
 	}
-	return nil, fmt.Errorf("exp: unknown dispatch policy %q (valid: %v)", name, DispatchPolicies)
+	return nil, fmt.Errorf("exp: unknown -dispatch policy %q (valid: %v)", name, DispatchPolicies)
 }
 
 // AdmissionPolicies lists the admission policy names accepted by
@@ -55,7 +55,7 @@ func NewAdmission(name string, p *Pipeline) (cluster.Admission, error) {
 	case strings.HasPrefix(name, "queue-cap:"):
 		n, err := strconv.Atoi(strings.TrimPrefix(name, "queue-cap:"))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("exp: bad queue-cap bound in %q (want queue-cap:N, N >= 1)", name)
+			return nil, fmt.Errorf("exp: bad -admission queue-cap bound in %q (want queue-cap:N, N >= 1)", name)
 		}
 		return cluster.QueueCap{Cap: n}, nil
 	case name == "slo":
@@ -65,7 +65,7 @@ func NewAdmission(name string, p *Pipeline) (cluster.Admission, error) {
 			Curve: cluster.SparsityAwareCurve(p.LUT, p.Est),
 		}, nil
 	}
-	return nil, fmt.Errorf("exp: unknown admission policy %q (valid: %v)", name, AdmissionPolicies)
+	return nil, fmt.Errorf("exp: unknown -admission policy %q (valid: %v)", name, AdmissionPolicies)
 }
 
 // RebalancePolicies lists the migration policy names accepted by
@@ -92,7 +92,7 @@ func NewRebalancer(name string, p *Pipeline) (cluster.RebalancePolicy, error) {
 			Curve: cluster.SparsityAwareCurve(p.LUT, p.Est),
 		}, nil
 	}
-	return nil, fmt.Errorf("exp: unknown rebalance policy %q (valid: %v)", name, RebalancePolicies)
+	return nil, fmt.Errorf("exp: unknown -rebalance policy %q (valid: %v)", name, RebalancePolicies)
 }
 
 // ParseEngines parses the CLI engine syntax: either a plain count ("4",

@@ -88,8 +88,8 @@ type Options struct {
 	// is counted as LostWork. 0 means retry without limit.
 	RetryMax int
 	// Traffic names the arrival process: "" or "poisson" (stationary
-	// Poisson — "" keeps the historical inline draw, "poisson" the
-	// explicit process, byte-for-byte identical streams), "mmpp"
+	// Poisson; workload.NewStream draws "" through traffic.NewPoisson, so
+	// the two give byte-for-byte identical streams), "mmpp"
 	// (two-phase Markov-modulated bursts, shaped by Burst), "diurnal"
 	// (sinusoidal rate curve, one cycle per stream), or "replay:PATH"
 	// (arrival instants from a recorded CSV trace).
