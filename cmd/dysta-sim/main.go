@@ -9,8 +9,10 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"text/tabwriter"
@@ -23,40 +25,38 @@ import (
 )
 
 func main() {
+	opts := exp.Options{
+		Seeds:          5,
+		Requests:       1000,
+		ProfileSamples: 100,
+		EvalSamples:    400,
+		Engines:        1,
+		Dispatch:       "rr",
+		Admission:      "none",
+		Rebalance:      "none",
+		Capture:        "full",
+	}
+	opts.RegisterFlags(flag.CommandLine)
+	flag.IntVar(&opts.Requests, "requests", opts.Requests, "requests per run")
+	flag.IntVar(&opts.Seeds, "seeds", opts.Seeds, "seeds to average")
+	flag.IntVar(&opts.ProfileSamples, "profile-samples", opts.ProfileSamples, "offline profiling samples per model-pattern pair")
+	flag.IntVar(&opts.EvalSamples, "eval-samples", opts.EvalSamples, "evaluation trace pool per model-pattern pair")
 	var (
 		wl       = flag.String("workload", "attnn", "workload scenario: attnn, cnn, or a path to a JSON spec (see -dump-spec)")
 		schedArg = flag.String("sched", "all", "scheduler: FCFS, SJF, SDRM3, PREMA, Planaria, Dysta, Dysta-w/o-sparse, Oracle, or 'all'")
 		rate     = flag.Float64("rate", 0, "arrival rate in req/s (0 = scenario default: 30 attnn, 3 cnn)")
-		mslo     = flag.Float64("mslo", 10, "latency SLO multiplier")
-		requests = flag.Int("requests", 1000, "requests per run")
-		seeds    = flag.Int("seeds", 5, "seeds to average")
-		profileN = flag.Int("profile-samples", 100, "offline profiling samples per model-pattern pair")
-		evalN    = flag.Int("eval-samples", 400, "evaluation trace pool per model-pattern pair")
-		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = all cores, 1 = sequential)")
-		engines  = flag.String("engines", "1", "simulated accelerators: a count (\"4\") or a heterogeneous mix (\"2x1,2x2\" = 2 reference-speed + 2 half-speed); anything beyond one reference engine runs the cluster simulation")
-		dispatch = flag.String("dispatch", "rr", "cluster dispatch policy: rr, jsq, load, blind-load")
-		signalIv = flag.Duration("signal-interval", 0, "staleness bound of the dispatcher's engine-state snapshots (0 = exact state)")
-		admit    = flag.String("admission", "none", "cluster admission policy: none, queue-cap[:N], slo")
-		rebal    = flag.String("rebalance", "none", "cluster migration policy: none, steal (idle engines pull), shed (overloaded engines push)")
-		rebalIv  = flag.Duration("rebalance-interval", 0, "minimum virtual time between rebalance rounds (0 = migration off)")
-		migCost  = flag.Duration("migration-cost", 0, "per-request migration latency penalty in reference units")
-		migBudg  = flag.Int("migration-budget", 0, "max total migrations per run (0 = once-per-request rule only)")
-		churn    = flag.Bool("churn", false, "inject deterministic engine failures: each engine alternates exponential up/down phases of mean -mtbf/-mttr")
-		mtbf     = flag.Duration("mtbf", time.Second, "mean virtual time between failures per engine (with -churn)")
-		mttr     = flag.Duration("mttr", 100*time.Millisecond, "mean virtual down-time per failure (with -churn)")
-		retryMax = flag.Int("retry-max", 0, "max restart-from-zero retries per request after a failure destroys its progress; past the cap it counts as lost work (0 = unlimited, with -churn)")
-		trafArg  = flag.String("traffic", "", "arrival process: poisson (default), mmpp (bursty), diurnal (day/night rate curve), replay:PATH (recorded arrivals CSV)")
-		burst    = flag.Float64("burst", 0, "mmpp burst-to-quiet rate ratio (0 = default 8, with -traffic mmpp)")
-		autoscl  = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy (drains idle engines, re-joins them under load)")
-		capture  = flag.String("capture", "full", "result capture mode: full (exact percentiles from the retained latencies) or bounded (constant memory; percentiles from a ~3%-error histogram, every other metric identical)")
-		scaleMin = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
-		scaleMax = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
+		mslo     = flag.Float64("mslo", 10, "latency SLO multiplier (at least 1)")
 		eta      = flag.Float64("eta", core.DefaultConfig().Eta, "Dysta eta (dynamic slack weight)")
 		beta     = flag.Float64("beta", core.DefaultConfig().Beta, "Dysta beta (static slack weight)")
 		dumpSpec = flag.Bool("dump-spec", false, "print the selected scenario as a JSON spec and exit")
 		perModel = flag.Bool("per-model", false, "also print the per-model metric breakdown")
 	)
 	flag.Parse()
+	// badFlag reports a bad flag the way the flag package does: exit 2.
+	badFlag := func(err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	// Dysta's knobs fail here, before any worker builds a scheduler from
 	// them (core.New panics on an invalid configuration), and whichever
 	// -sched is selected.
@@ -64,8 +64,7 @@ func main() {
 	cfg.Eta = *eta
 	cfg.Beta = *beta
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		badFlag(fmt.Errorf("-eta/-beta: %w", err))
 	}
 
 	var sc workload.Scenario
@@ -83,14 +82,12 @@ func main() {
 	default:
 		f, err := os.Open(*wl)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "workload %q is not attnn/cnn and not a readable spec: %v\n", *wl, err)
-			os.Exit(2)
+			badFlag(fmt.Errorf("-workload %q is not attnn/cnn and not a readable spec: %v", *wl, err))
 		}
 		sc, err = workload.LoadSpec(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			badFlag(fmt.Errorf("-workload %s: %w", *wl, err))
 		}
 		if *rate == 0 {
 			*rate = 10
@@ -104,70 +101,39 @@ func main() {
 		return
 	}
 
-	nEngines, engineSpecs, err := exp.ParseEngines(*engines)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	// Every flag fails here, before Phase 1. Flags that only make sense
+	// together (e.g. -burst without -traffic mmpp, -migration-cost
+	// without -rebalance, -scale-min above -scale-max) and negative
+	// knobs fail in Validate.
+	if !(*rate > 0 && *rate < math.Inf(1)) {
+		badFlag(fmt.Errorf("-rate %v not finite and positive (0 = scenario default)", *rate))
 	}
-	opts := exp.Options{
-		Seeds:             *seeds,
-		Requests:          *requests,
-		ProfileSamples:    *profileN,
-		EvalSamples:       *evalN,
-		Workers:           *workers,
-		Engines:           nEngines,
-		EngineSpecs:       engineSpecs,
-		Dispatch:          *dispatch,
-		SignalInterval:    *signalIv,
-		Admission:         *admit,
-		Rebalance:         *rebal,
-		RebalanceInterval: *rebalIv,
-		MigrationCost:     *migCost,
-		MigrationBudget:   *migBudg,
-		Churn:             *churn,
-		RetryMax:          *retryMax,
-		Traffic:           *trafArg,
-		Burst:             *burst,
-		Autoscale:         *autoscl,
-		ScaleMin:          *scaleMin,
-		ScaleMax:          *scaleMax,
-		Capture:           *capture,
+	if !(*mslo >= 1 && *mslo < math.Inf(1)) {
+		badFlag(fmt.Errorf("-mslo %v not finite and at least 1", *mslo))
 	}
-	opts.SetChurnModel(flag.CommandLine, *mtbf, *mttr)
-	// Flags that only make sense together (e.g. -burst without -traffic
-	// mmpp, -migration-cost without -rebalance, -scale-min above
-	// -scale-max) and negative knobs fail here.
 	if err := opts.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		badFlag(err)
 	}
+	lineup := append(exp.WithOracle(exp.StandardScheds()), exp.SchedSpec{Name: "Dysta-w/o-sparse",
+		New: func(p *exp.Pipeline) sched.Scheduler { return core.NewWithoutSparse(p.LUT) }})
+	var specs []exp.SchedSpec
+	for _, s := range lineup {
+		if *schedArg != "all" && s.Name != *schedArg {
+			continue
+		}
+		if s.Name == "Dysta" { // the flag-configured Dysta
+			s.New = func(p *exp.Pipeline) sched.Scheduler { return core.New(cfg, p.LUT) }
+		}
+		specs = append(specs, s)
+	}
+	if len(specs) == 0 {
+		badFlag(fmt.Errorf("unknown -sched scheduler %q", *schedArg))
+	}
+
 	p, err := exp.NewPipeline(sc, opts, 7)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	specs := exp.WithOracle(exp.StandardScheds())
-	specs = append(specs, exp.SchedSpec{Name: "Dysta-w/o-sparse",
-		New: func(p *exp.Pipeline) sched.Scheduler { return core.NewWithoutSparse(p.LUT) }})
-	if *schedArg != "all" {
-		var filtered []exp.SchedSpec
-		for _, s := range specs {
-			if s.Name == *schedArg {
-				filtered = append(filtered, s)
-			}
-		}
-		if len(filtered) == 0 {
-			fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *schedArg)
-			os.Exit(2)
-		}
-		specs = filtered
-	}
-	// Replace the default Dysta spec with the flag-configured one.
-	for i := range specs {
-		if specs[i].Name == "Dysta" {
-			specs[i].New = func(p *exp.Pipeline) sched.Scheduler { return core.New(cfg, p.LUT) }
-		}
 	}
 
 	results, err := p.RunPoint(specs, *rate, *mslo, opts)
@@ -176,44 +142,30 @@ func main() {
 		os.Exit(1)
 	}
 
-	clustered := nEngines > 1 || len(engineSpecs) > 0
-	migrating := *rebal != "none" && *rebal != "" && *rebalIv > 0
+	shape := opts.Shape()
+	migrating := opts.RebalanceInterval > 0 // Validate ties it to a -rebalance policy
 	fmt.Printf("workload %s  rate %.1f req/s  M_slo %.0fx  %d requests x %d seeds",
-		sc.Name, *rate, *mslo, *requests, *seeds)
-	if clustered {
+		sc.Name, *rate, *mslo, opts.Requests, opts.Seeds)
+	if shape.Clustered {
 		fmt.Printf("  engines %s (%s dispatch, %v signal interval, %s admission)",
-			*engines, *dispatch, *signalIv, *admit)
+			flag.Lookup("engines").Value, opts.Dispatch, opts.SignalInterval, opts.Admission)
 	}
 	if migrating {
-		fmt.Printf("  rebalance %s every %v (cost %v)", *rebal, *rebalIv, *migCost)
+		fmt.Printf("  rebalance %s every %v (cost %v)", opts.Rebalance, opts.RebalanceInterval, opts.MigrationCost)
 	}
-	if *churn {
-		fmt.Printf("  churn mtbf %v mttr %v retry-max %d", *mtbf, *mttr, *retryMax)
+	if opts.Churn {
+		fmt.Printf("  churn mtbf %v mttr %v retry-max %d", opts.MTBF, opts.MTTR, opts.RetryMax)
 	}
-	if *trafArg != "" {
-		fmt.Printf("  traffic %s", *trafArg)
-		if *trafArg == "mmpp" {
-			b := *burst
-			if b == 0 {
-				b = exp.DefaultBurst
-			}
-			fmt.Printf(" (burst %gx)", b)
+	if opts.Traffic != "" {
+		fmt.Printf("  traffic %s", opts.Traffic)
+		if opts.Traffic == "mmpp" {
+			fmt.Printf(" (burst %gx)", cmp.Or(opts.Burst, exp.DefaultBurst))
 		}
 	}
-	if *autoscl {
-		min, max := *scaleMin, *scaleMax
-		if min == 0 {
-			min = 1
-		}
-		if max == 0 {
-			max = nEngines
-			if len(engineSpecs) > 0 {
-				max = len(engineSpecs)
-			}
-		}
-		fmt.Printf("  autoscale %d..%d engines", min, max)
+	if opts.Autoscale {
+		fmt.Printf("  autoscale %d..%d engines", shape.ScaleMin, shape.ScaleMax)
 	}
-	if *capture == "bounded" {
+	if opts.Capture == "bounded" {
 		fmt.Print("  bounded capture")
 	}
 	fmt.Print("\n\n")
@@ -222,10 +174,10 @@ func main() {
 	if migrating {
 		header += "\tmigrations\twin/loss"
 	}
-	if *churn {
+	if opts.Churn {
 		header += "\tfailovers\tretries\tredirects\tlost"
 	}
-	if *autoscl {
+	if opts.Autoscale {
 		header += "\tengine-s\tups\tdowns"
 	}
 	fmt.Fprintln(tw, header)
@@ -238,10 +190,10 @@ func main() {
 		if migrating {
 			fmt.Fprintf(tw, "\t%d\t%d/%d", r.Migrations, r.MigrationWins, r.MigrationLosses)
 		}
-		if *churn {
+		if opts.Churn {
 			fmt.Fprintf(tw, "\t%d\t%d\t%d\t%d", r.Failovers, r.Retries, r.Redirects, r.LostWork)
 		}
-		if *autoscl {
+		if opts.Autoscale {
 			fmt.Fprintf(tw, "\t%.2f\t%d\t%d", r.EngineSeconds, r.ScaleUps, r.ScaleDowns)
 		}
 		fmt.Fprintln(tw)

@@ -53,7 +53,8 @@ func Rules() []Rule {
 		{detrange.Analyzer, det},
 		{floatorder.Analyzer, det},
 		// The virtual clock governs every internal package; cmd/ and
-		// examples/ own the process boundary where wall time is fine.
+		// the root package's benchmarks own the process boundary where
+		// wall time is fine.
 		{wallclock.Analyzer, internal},
 		// Seeded randomness and sanctioned fan-out are module-wide
 		// rules: a CLI drawing from math/rand would already poison

@@ -16,7 +16,7 @@ import (
 // cluster.Run. The design splits cleanly along the control/data-plane
 // line the rest of the cluster already draws:
 //
-//   - The PLAN is pure data, either hand-built (tests, examples) or
+//   - The PLAN is pure data, either hand-built (tests) or
 //     generated from (seed, MTBF, MTTR) by GenChurn — never from a wall
 //     clock, so a churning run stays a bit-reproducible function of
 //     (schedulers, stream, config, plan).

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"strings"
@@ -46,11 +45,11 @@ const (
 
 // NewTraffic builds the arrival process named by Options.Traffic for a
 // stream of `requests` at long-run mean rate `rate` req/s. "" returns
-// nil — workload.Generate's historical inline Poisson draw, the
-// bit-identity anchor — and "poisson" the explicit equivalent process
-// (byte-for-byte identical streams, pinned by test). The mmpp burst
-// ratio comes from `burst` (0 = DefaultBurst); the diurnal period spans
-// the expected stream (one day/night cycle per run).
+// nil, which workload.NewStream draws through traffic.NewPoisson, and
+// "poisson" that process explicitly (byte-for-byte identical streams,
+// pinned by test). The mmpp burst ratio comes from `burst` (0 =
+// DefaultBurst); the diurnal period spans the expected stream (one
+// day/night cycle per run).
 func NewTraffic(name string, rate float64, requests int, burst float64) (traffic.Process, error) {
 	switch {
 	case name == "":
@@ -127,6 +126,10 @@ func (o Options) Validate() error {
 		return fmt.Errorf("exp: -seeds %d < 1", o.Seeds)
 	case o.Requests < 1:
 		return fmt.Errorf("exp: -requests %d < 1", o.Requests)
+	case o.ProfileSamples < 1:
+		return fmt.Errorf("exp: -profile-samples %d < 1", o.ProfileSamples)
+	case o.EvalSamples < 1:
+		return fmt.Errorf("exp: -eval-samples %d < 1", o.EvalSamples)
 	case o.Workers < 0:
 		return fmt.Errorf("exp: -workers %d is negative (0 = all cores)", o.Workers)
 	}
@@ -190,51 +193,20 @@ func (o Options) Validate() error {
 			return err
 		}
 	}
-	if !o.Autoscale {
-		if o.ScaleMin != 0 || o.ScaleMax != 0 {
-			return fmt.Errorf("exp: -scale-min/-scale-max need -autoscale")
-		}
+	s := o.Shape()
+	switch {
+	case !o.Autoscale && (o.ScaleMin != 0 || o.ScaleMax != 0):
+		return fmt.Errorf("exp: -scale-min/-scale-max need -autoscale")
+	case !o.Autoscale:
 		return nil
-	}
-	engines := o.Engines
-	if len(o.EngineSpecs) > 0 {
-		engines = len(o.EngineSpecs)
-	}
-	if engines < 1 {
-		engines = 1
-	}
-	min, max := o.ScaleMin, o.ScaleMax
-	if min == 0 {
-		min = 1
-	}
-	if max == 0 {
-		max = engines
-	}
-	if min < 1 {
-		return fmt.Errorf("exp: -scale-min %d < 1", min)
-	}
-	if max < min {
-		return fmt.Errorf("exp: -scale-min %d exceeds -scale-max %d", min, max)
-	}
-	if max > engines {
-		return fmt.Errorf("exp: -scale-max %d exceeds the %d-engine cluster", max, engines)
+	case s.ScaleMin < 1:
+		return fmt.Errorf("exp: -scale-min %d < 1", s.ScaleMin)
+	case s.ScaleMax < s.ScaleMin:
+		return fmt.Errorf("exp: -scale-min %d exceeds -scale-max %d", s.ScaleMin, s.ScaleMax)
+	case s.ScaleMax > s.Engines:
+		return fmt.Errorf("exp: -scale-max %d exceeds the %d-engine cluster", s.ScaleMax, s.Engines)
 	}
 	return nil
-}
-
-// SetChurnModel sets MTBF and MTTR from the -mtbf and -mttr values parsed
-// into fs. Both flags carry defaults, so a value reaches the options only
-// under -churn or when its flag was passed explicitly; Validate then
-// rejects an explicit one without -churn.
-func (o *Options) SetChurnModel(fs *flag.FlagSet, mtbf, mttr time.Duration) {
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if o.Churn || explicit["mtbf"] {
-		o.MTBF = mtbf
-	}
-	if o.Churn || explicit["mttr"] {
-		o.MTTR = mttr
-	}
 }
 
 // autoscaleSignalInterval is the signal staleness every arm of the

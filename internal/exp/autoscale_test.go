@@ -280,6 +280,9 @@ func TestOptionsValidate(t *testing.T) {
 		"zero requests":              {ok(func(o *Options) { o.Requests = 0 }), "-requests"},
 		"negative requests":          {ok(func(o *Options) { o.Requests = -5 }), "-requests"},
 		"negative workers":           {ok(func(o *Options) { o.Workers = -2 }), "-workers"},
+		"zero profile samples":       {ok(func(o *Options) { o.ProfileSamples = 0 }), "-profile-samples"},
+		"zero eval samples":          {ok(func(o *Options) { o.EvalSamples = 0 }), "-eval-samples"},
+		"negative eval samples":      {ok(func(o *Options) { o.EvalSamples = -1 }), "-eval-samples"},
 		"unknown dispatch":           {ok(func(o *Options) { o.Engines = 2; o.Dispatch = "bogus" }), "-dispatch"},
 		"unknown dispatch, 1 engine": {ok(func(o *Options) { o.Dispatch = "bogus" }), "-dispatch"},
 		"unknown admission":          {ok(func(o *Options) { o.Engines = 2; o.Admission = "bogus" }), "-admission"},
@@ -338,10 +341,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestSetChurnModel: the -mtbf and -mttr defaults reach the options only
-// under -churn, while an explicit value without -churn reaches Validate,
-// which rejects it by name.
-func TestSetChurnModel(t *testing.T) {
+// TestRegisterFlagsChurnModel: the -mtbf and -mttr defaults reach the
+// options only under -churn, whichever order the flags come in, while an
+// explicit value without -churn reaches Validate, which rejects it by
+// name.
+func TestRegisterFlagsChurnModel(t *testing.T) {
 	for _, c := range []struct {
 		args       []string
 		mtbf, mttr time.Duration
@@ -350,19 +354,19 @@ func TestSetChurnModel(t *testing.T) {
 		{nil, 0, 0, ""},
 		{[]string{"-churn"}, time.Second, 100 * time.Millisecond, ""},
 		{[]string{"-churn", "-mttr", "5ms"}, time.Second, 5 * time.Millisecond, ""},
+		{[]string{"-mttr", "5ms", "-churn"}, time.Second, 5 * time.Millisecond, ""},
 		{[]string{"-mtbf", "2s"}, 2 * time.Second, 0, "-mtbf"},
 		{[]string{"-mttr", "5ms"}, 0, 5 * time.Millisecond, "-mttr"},
+		{[]string{"-churn", "-mtbf", "0"}, 0, 100 * time.Millisecond, "-mtbf"},
+		{[]string{"-mtbf", "0", "-churn"}, 0, 100 * time.Millisecond, "-mtbf"},
+		{[]string{"-churn", "-churn=false"}, 0, 0, ""},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		churn := fs.Bool("churn", false, "")
-		mtbf := fs.Duration("mtbf", time.Second, "")
-		mttr := fs.Duration("mttr", 100*time.Millisecond, "")
+		o := tiny()
+		o.RegisterFlags(fs)
 		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
-		o := tiny()
-		o.Churn = *churn
-		o.SetChurnModel(fs, *mtbf, *mttr)
 		if o.MTBF != c.mtbf || o.MTTR != c.mttr {
 			t.Errorf("%v: MTBF %v, MTTR %v; want %v, %v", c.args, o.MTBF, o.MTTR, c.mtbf, c.mttr)
 		}

@@ -95,20 +95,27 @@ func NewRebalancer(name string, p *Pipeline) (cluster.RebalancePolicy, error) {
 	return nil, fmt.Errorf("exp: unknown -rebalance policy %q (valid: %v)", name, RebalancePolicies)
 }
 
+// MaxEngines bounds the engine count ParseEngines accepts, per term and
+// in total, so a mistyped count is a usage error rather than an engine
+// slice that exhausts memory.
+const MaxEngines = 1024
+
 // ParseEngines parses the CLI engine syntax: either a plain count ("4",
 // a homogeneous reference-speed cluster, returned with nil specs) or a
 // comma-separated list of "NxS" terms where N engines get latency scale S
 // ("2x1,2x2" = two reference-speed plus two half-speed engines; a term
-// without x means scale 1). It returns the total engine count and the
-// per-engine specs (nil for the homogeneous plain-count form).
+// without x means scale 1). It returns the total engine count, at most
+// MaxEngines, and the per-engine specs (nil for the homogeneous
+// plain-count form). A blank string returns 0 and nil specs: no engine
+// setting.
 func ParseEngines(s string) (int, []cluster.EngineSpec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, nil, nil
 	}
 	if n, err := strconv.Atoi(s); err == nil {
-		if n < 1 {
-			return 0, nil, fmt.Errorf("exp: -engines count %d < 1", n)
+		if n < 1 || n > MaxEngines {
+			return 0, nil, fmt.Errorf("exp: -engines count %d outside [1, %d]", n, MaxEngines)
 		}
 		return n, nil, nil
 	}
@@ -119,6 +126,9 @@ func ParseEngines(s string) (int, []cluster.EngineSpec, error) {
 		count, err := strconv.Atoi(countStr)
 		if err != nil || count < 1 {
 			return 0, nil, fmt.Errorf("exp: bad -engines term %q in %q (want N or NxSCALE)", term, s)
+		}
+		if count > MaxEngines-len(specs) {
+			return 0, nil, fmt.Errorf("exp: -engines %q asks for more than %d engines", s, MaxEngines)
 		}
 		scale := 1.0
 		if hasScale {

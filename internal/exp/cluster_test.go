@@ -182,6 +182,14 @@ func TestScaleEnginesThroughputScales(t *testing.T) {
 	}
 }
 
+// parseEnginesRejects are -engines values ParseEngines must reject, each
+// with an error naming the flag; FuzzParseEngines seeds its corpus with
+// them.
+var parseEnginesRejects = []string{"0", "-2", "2x0", "2x-1", "x2", "2x", "ax1", "2x1,,3",
+	"2xNaN", "2xnan", "1xInf", "1x+Inf", "1x-Inf", "1x1,1xInf", "1x1e400",
+	"1025", "99999999999", "99999999999x1", "1025x1", "1000x1,25x2", "1024,1",
+	"99999999999999999999", "9223372036854775807x1,9223372036854775807x1"}
+
 // TestParseEngines covers the homogeneous and heterogeneous -engines
 // syntax and its error cases.
 func TestParseEngines(t *testing.T) {
@@ -203,8 +211,14 @@ func TestParseEngines(t *testing.T) {
 	if n, specs, err = ParseEngines(""); err != nil || n != 0 || specs != nil {
 		t.Errorf("empty: n=%d specs=%v err=%v", n, specs, err)
 	}
-	for _, bad := range []string{"0", "-2", "2x0", "2x-1", "x2", "2x", "ax1", "2x1,,3",
-		"2xNaN", "2xnan", "1xInf", "1x+Inf", "1x-Inf", "1x1,1xInf", "1x1e400"} {
+	// The bound holds per term and in total, on either form.
+	if n, _, err = ParseEngines("1024"); err != nil || n != MaxEngines {
+		t.Errorf("count at the bound: n=%d err=%v", n, err)
+	}
+	if n, specs, err = ParseEngines("1000x1,24x2"); err != nil || n != MaxEngines || len(specs) != MaxEngines {
+		t.Errorf("mix at the bound: n=%d err=%v", n, err)
+	}
+	for _, bad := range parseEnginesRejects {
 		_, _, err := ParseEngines(bad)
 		if err == nil {
 			t.Errorf("%q accepted", bad)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -127,6 +128,39 @@ func (o Options) schedOptions() (sched.Options, error) {
 		return s, fmt.Errorf("exp: unknown -capture mode %q (valid: full, bounded)", o.Capture)
 	}
 	return s, nil
+}
+
+// ClusterShape is the engine layout a run resolves to. runCell routes by
+// it, Validate checks the autoscaler bounds against it and dysta-sim
+// describes the run from it, so the three cannot disagree.
+type ClusterShape struct {
+	// Clustered reports whether runs go through the cluster dispatch
+	// layer: more than one engine, an explicit (possibly heterogeneous)
+	// spec, a stale signal board, an admission or migration policy,
+	// churn, or autoscaling. A 1-engine cluster is bit-identical to the
+	// direct path at neutral knob settings, so admission on a single
+	// accelerator still works.
+	Clustered bool
+	// Engines is the cluster size (len(EngineSpecs) when set, else
+	// Engines, at least 1); ScaleMin and ScaleMax are the autoscaler
+	// bounds with their defaults, 1 and the cluster size, resolved.
+	Engines, ScaleMin, ScaleMax int
+}
+
+// Shape resolves the options' cluster layout.
+func (o Options) Shape() ClusterShape {
+	n := max(o.Engines, 1)
+	if len(o.EngineSpecs) > 0 {
+		n = len(o.EngineSpecs)
+	}
+	return ClusterShape{
+		Clustered: n > 1 || len(o.EngineSpecs) > 0 ||
+			o.SignalInterval > 0 || (o.Admission != "" && o.Admission != "none") ||
+			(o.Rebalance != "" && o.Rebalance != "none") || o.Churn || o.Autoscale,
+		Engines:  n,
+		ScaleMin: cmp.Or(o.ScaleMin, 1),
+		ScaleMax: cmp.Or(o.ScaleMax, n),
+	}
 }
 
 // DefaultOptions returns the paper-scale protocol.

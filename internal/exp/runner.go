@@ -69,30 +69,24 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 	// resets. The policy always reads the sparsity-aware load estimate —
 	// its decisions should be as informed as the best dispatcher's,
 	// whatever policy actually routes.
+	shape := opts.Shape()
 	var scaler *cluster.Autoscaler
 	if opts.Autoscale {
 		pass, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
 		if err != nil {
 			return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
 		}
-		scaler = autoscalerFrom(pass, opts.ScaleMin, opts.ScaleMax, cluster.SparsityAwareLoad(p.LUT, p.Est))
+		scaler = autoscalerFrom(pass, shape.ScaleMin, shape.ScaleMax, cluster.SparsityAwareLoad(p.LUT, p.Est))
 		scaler.Curve = cluster.SparsityAwareCurve(p.LUT, p.Est)
 	}
 	src, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
 	if err != nil {
 		return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
 	}
-	// The cluster path serves any run that needs the dispatch layer:
-	// more than one engine, an explicit (possibly heterogeneous) spec, a
-	// stale signal board, an admission policy, or a migration policy. A
-	// 1-engine cluster is bit-identical to the direct path at neutral
-	// knob settings, so admission on a single accelerator still works —
-	// and a bad -admission or -rebalance name errors instead of being
-	// silently ignored.
-	clustered := opts.Engines > 1 || len(opts.EngineSpecs) > 0 ||
-		opts.SignalInterval > 0 || (opts.Admission != "" && opts.Admission != "none") ||
-		(opts.Rebalance != "" && opts.Rebalance != "none") || opts.Churn || opts.Autoscale
-	if clustered {
+	// The cluster path serves any run that needs the dispatch layer (see
+	// ClusterShape), so a bad -admission or -rebalance name errors
+	// instead of being silently ignored.
+	if shape.Clustered {
 		d, err := NewDispatcher(opts.Dispatch, p)
 		if err != nil {
 			return sched.Result{}, err
@@ -106,7 +100,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 			return sched.Result{}, err
 		}
 		cfg := cluster.Config{
-			Engines:           opts.Engines,
+			Engines:           shape.Engines,
 			Specs:             opts.EngineSpecs,
 			Dispatch:          d,
 			Admission:         adm,
@@ -116,25 +110,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 			MigrationCost:     opts.MigrationCost,
 			MigrationBudget:   opts.MigrationBudget,
 			Sched:             sOpts,
-		}
-		engines := cfg.Engines
-		if len(cfg.Specs) > 0 {
-			cfg.Engines = 0 // Specs define the count
-			engines = len(cfg.Specs)
-		} else if cfg.Engines < 1 {
-			// Admission/staleness on the default single accelerator.
-			cfg.Engines = 1
-			engines = 1
-		}
-		if scaler != nil {
-			// Bounds default to [1, cluster size].
-			if scaler.Min == 0 {
-				scaler.Min = 1
-			}
-			if scaler.Max == 0 {
-				scaler.Max = engines
-			}
-			cfg.Autoscale = scaler
+			Autoscale:         scaler,
 		}
 		if opts.Churn {
 			// The fail/recover schedule is a pure function of the seed
@@ -147,7 +123,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 					"exp: churn needs positive MTBF and MTTR (got %v, %v)", opts.MTBF, opts.MTTR)
 			}
 			horizon := time.Duration(2 * float64(opts.Requests) / pt.Rate * float64(time.Second))
-			plan, err := cluster.GenChurn(engines, horizon, opts.MTBF, opts.MTTR, churnSeed(seed))
+			plan, err := cluster.GenChurn(shape.Engines, horizon, opts.MTBF, opts.MTTR, churnSeed(seed))
 			if err != nil {
 				return sched.Result{}, fmt.Errorf("exp: generating churn plan: %w", err)
 			}
@@ -157,7 +133,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 		cres, err := cluster.RunStream(func(int) sched.Scheduler { return spec.New(p) }, src, cfg)
 		if err != nil {
 			return sched.Result{}, fmt.Errorf("exp: running %s on %d engines: %w",
-				spec.Name, engines, err)
+				spec.Name, shape.Engines, err)
 		}
 		return cres.Result, nil
 	}

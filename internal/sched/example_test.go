@@ -1,12 +1,4 @@
-// Quickstart: the minimal end-to-end use of the library.
-//
-// It builds the paper's multi-AttNN benchmark workload (BERT + GPT-2 +
-// BART on the Sanger sparse-attention accelerator), runs it under the
-// sparsity-blind SJF baseline and under Dysta, and prints the two metrics
-// the paper optimizes: ANTT and SLO violation rate.
-//
-//	go run ./examples/quickstart
-package main
+package sched_test
 
 import (
 	"fmt"
@@ -18,7 +10,12 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-func main() {
+// ExampleRun is the minimal end-to-end use of the library. It builds the
+// paper's multi-AttNN benchmark workload (BERT + GPT-2 + BART on the
+// Sanger sparse-attention accelerator), runs it under the sparsity-blind
+// SJF baseline and under Dysta, and prints the two metrics the paper
+// optimizes: ANTT and SLO violation rate.
+func ExampleRun() {
 	// Phase 1 (paper Fig. 7): run the hardware simulator over the
 	// dataset to produce runtime information — a profiling set for the
 	// schedulers' LUTs and a disjoint evaluation set for the engine.
@@ -57,4 +54,8 @@ func main() {
 		fmt.Printf("%-8s ANTT %5.2f   SLO violations %5.1f%%   throughput %.1f inf/s\n",
 			result.Scheduler, result.ANTT, 100*result.ViolationRate, result.Throughput)
 	}
+	// Output:
+	// multi-AttNN workload, 1000 requests at 30 req/s, M_slo = 10x
+	// SJF      ANTT  7.50   SLO violations  15.8%   throughput 28.7 inf/s
+	// Dysta    ANTT  6.89   SLO violations   4.4%   throughput 28.7 inf/s
 }
