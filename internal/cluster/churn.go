@@ -21,12 +21,13 @@ import (
 //     clock, so a churning run stays a bit-reproducible function of
 //     (schedulers, stream, config, plan).
 //   - The INJECTOR owns engine lifecycle state and the failover path: on
-//     a failure it rips the queue out of the dying incarnation
-//     (sched.Engine.Crash), folds that incarnation into a few counters,
-//     builds a fresh engine for the slot, and pushes the displaced work
-//     back through the run's own dispatch pipeline — stale signals,
-//     redirect bounces and all — so recovery traffic experiences exactly
-//     the routing imperfections normal traffic does.
+//     a failure it folds the dying incarnation into a few counters, rips
+//     its queue out (sched.Engine.Crash, which re-arms the slot's engine
+//     in place as a fresh incarnation around its emptied scheduler), and
+//     pushes the displaced work back through the run's own dispatch
+//     pipeline — stale signals, redirect bounces and all — so recovery
+//     traffic experiences exactly the routing imperfections normal
+//     traffic does.
 //   - The SIGNAL BOARD keeps publishing whatever it knew at its last
 //     refresh: a dead engine looks alive (and attractive — its queue
 //     just vanished) until the next refresh instant. Dispatchers route
@@ -46,8 +47,9 @@ const (
 	// (bounded by the retry cap) or becomes lost work, and the slot stops
 	// serving until a Recover.
 	Fail ChurnKind = iota
-	// Recover returns a failed slot to service with a fresh engine and
-	// scheduler (the crashed incarnation's state died with it).
+	// Recover returns a failed slot to service. Its engine was re-armed
+	// at the crash: empty queues and books around its emptied scheduler,
+	// a fresh incarnation (the crashed one's state died with it).
 	Recover
 	// Drain takes a healthy engine out of rotation without killing it:
 	// no new work is routed to it, but its queue runs to completion —
@@ -206,12 +208,10 @@ type faultInjector struct {
 	cursor int
 	state  []engineState
 
-	// The injector mutates engine slots in place: engines is Run's own
-	// slice, shared with the SignalBoard and Rebalancer, so a replacement
-	// incarnation is visible to all three the moment it is installed.
+	// engines is Run's own slice, shared with the SignalBoard and
+	// Rebalancer; a crash re-arms the slot's engine in place, so all
+	// three see the fresh incarnation at once.
 	engines  []*sched.Engine
-	specs    []EngineSpec
-	newSched func(int) sched.Scheduler
 	board    *SignalBoard
 	dispatch Dispatcher
 	// req is the one request every failover re-dispatch reuses: the
@@ -225,9 +225,10 @@ type faultInjector struct {
 	retryMax int
 
 	// parked holds displaced work while zero engines are placeable; the
-	// next Recover/Join re-dispatches it. Whatever is still parked when
-	// the run ends is lost work.
-	parked []*sched.Task
+	// next Recover/Join re-dispatches it (unpark). Whatever is still
+	// parked when the run ends is lost work. spare is the buffer parked
+	// trades places with at each unpark, so two buffers serve every park.
+	parked, spare []*sched.Task
 	// crashes counts crashed incarnations; crashedSched names the first
 	// one's scheduler and crashedPreempts sums their preemptions. The
 	// cluster aggregator has already folded their completions through
@@ -264,9 +265,8 @@ type faultInjector struct {
 // newFaultInjector validates and arms the plan. The board is bound to
 // the injector's liveness so refreshes stamp availability into the
 // published signals (stale until the next refresh, by design).
-func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, specs []EngineSpec,
-	newSched func(int) sched.Scheduler, board *SignalBoard, dispatch Dispatcher,
-	cost time.Duration, retryMax int) (*faultInjector, error) {
+func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, board *SignalBoard,
+	dispatch Dispatcher, cost time.Duration, retryMax int) (*faultInjector, error) {
 	if err := plan.validate(len(engines)); err != nil {
 		return nil, err
 	}
@@ -280,8 +280,6 @@ func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, specs []EngineSp
 		plan:         p.Events,
 		state:        make([]engineState, len(engines)),
 		engines:      engines,
-		specs:        specs,
-		newSched:     newSched,
 		board:        board,
 		dispatch:     dispatch,
 		cost:         cost,
@@ -383,7 +381,7 @@ func (fi *faultInjector) fire() error {
 				fi.state[ev.Engine], ev.Engine, ev.At)
 		}
 		fi.setState(ev.Engine, stateHealthy, ev.At)
-		return fi.place(fi.take(), ev.At)
+		return fi.unpark(ev.At)
 	case Drain:
 		if fi.state[ev.Engine] != stateHealthy {
 			return fmt.Errorf("cluster: churn plan drains %s engine %d at %v",
@@ -396,46 +394,56 @@ func (fi *faultInjector) fire() error {
 			return fmt.Errorf("cluster: churn plan joins healthy engine %d at %v", ev.Engine, ev.At)
 		}
 		fi.setState(ev.Engine, stateHealthy, ev.At)
-		return fi.place(fi.take(), ev.At)
+		return fi.unpark(ev.At)
 	}
 	return fmt.Errorf("cluster: unknown churn kind %d", int(ev.Kind))
 }
 
-// take empties the parked queue for re-placement.
-func (fi *faultInjector) take() []*sched.Task {
-	t := fi.parked
-	fi.parked = nil
-	return t
+// unpark re-dispatches the parked work once a slot is back in service.
+// The parked buffer and the spare trade places first, so work that parks
+// again lands in the other buffer while this one is read.
+func (fi *faultInjector) unpark(at time.Duration) error {
+	tasks := fi.parked
+	fi.parked, fi.spare = fi.spare[:0], tasks
+	err := fi.place(tasks, at)
+	clear(tasks)
+	return err
 }
 
 // crash kills slot i at instant `at`: fold the dying incarnation into
-// the crash counters, install a fresh (idle, out-of-service) one, and
-// push the displaced work back through the dispatch pipeline.
+// the crash counters, crash its engine (which re-arms it in place as an
+// idle, out-of-service incarnation), and push the displaced work back
+// through the dispatch pipeline.
 func (fi *faultInjector) crash(i int, at time.Duration) error {
 	e := fi.engines[i]
+	// The re-arm zeroes the engine's books, so read the dying
+	// incarnation's first.
+	busy, preempts := e.BusyTime(), e.Preemptions()
 	queued, started, err := e.Crash(at)
 	if err != nil {
 		return err
 	}
-	fi.priorBusy[i] += e.BusyTime()
+	fi.priorBusy[i] += busy
 	if fi.crashes == 0 {
 		fi.crashedSched = e.SchedulerName()
 	}
 	fi.crashes++
-	fi.crashedPreempts += e.Preemptions()
-	// The specs carry the run's resolved capture options (outcome
-	// recording in full mode, the bounded observer wiring otherwise), so
-	// a replacement incarnation reports exactly like the one it replaces.
-	fi.engines[i] = sched.NewEngine(fi.newSched(i), fi.specs[i].Sched)
+	fi.crashedPreempts += preempts
 	fi.setState(i, stateFailed, at)
 
 	// Queued work just fails over; started work lost its activations
 	// with the accelerator — restart from zero if the retry policy
 	// allows, abandon it otherwise. RetryMax 0 means one restart ever
 	// would read as "no retries", so treat it as the practical default
-	// of unlimited-until-lost: a cap is opt-in via RetryMax >= 1.
-	moving := queued
+	// of unlimited-until-lost: a cap is opt-in via RetryMax >= 1. The
+	// restarts are filtered into started's own storage (the engine's
+	// crash buffer, which is ours until its next Crash) and placed after
+	// the queued work.
 	fi.failovers += len(queued)
+	if err := fi.place(queued, at); err != nil {
+		return err
+	}
+	restarted := started[:0]
 	for _, t := range started {
 		if fi.retryMax > 0 && t.Attempts >= fi.retryMax {
 			fi.lost++
@@ -443,9 +451,9 @@ func (fi *faultInjector) crash(i int, at time.Duration) error {
 		}
 		t.Restart()
 		fi.retries++
-		moving = append(moving, t)
+		restarted = append(restarted, t)
 	}
-	return fi.place(moving, at)
+	return fi.place(restarted, at)
 }
 
 // place routes displaced tasks through the run's dispatcher, exactly as
@@ -513,7 +521,7 @@ func (fi *faultInjector) joinNow(i int, at time.Duration) error {
 		return fmt.Errorf("cluster: autoscaler joins %s engine %d at %v", fi.state[i], i, at)
 	}
 	fi.setState(i, stateHealthy, at)
-	return fi.place(fi.take(), at)
+	return fi.unpark(at)
 }
 
 // finish closes the books at the end of the run: whatever is still

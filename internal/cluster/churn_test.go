@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sparsedysta/internal/core"
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/sparsity"
 	"sparsedysta/internal/trace"
@@ -444,12 +445,14 @@ func TestGenChurn(t *testing.T) {
 
 // newestFirst runs the latest arrival (highest ID on a tie), so every
 // arrival preempts the running request: the simplest preempting
-// scheduler that needs no latency estimate.
+// scheduler that needs no latency estimate. It keeps no per-task state,
+// so its OnExtract, which a crash calls, has nothing to release.
 type newestFirst struct{}
 
 func (newestFirst) Name() string                                             { return "newest-first" }
 func (newestFirst) OnArrival(*sched.Task, time.Duration)                     {}
 func (newestFirst) OnLayerComplete(*sched.Task, int, float64, time.Duration) {}
+func (newestFirst) OnExtract(*sched.Task, time.Duration)                     {}
 func (newestFirst) PickNext(ready []*sched.Task, _ time.Duration) *sched.Task {
 	best := ready[0]
 	for _, t := range ready[1:] {
@@ -489,4 +492,97 @@ func TestChurnCountsCrashedPreemptions(t *testing.T) {
 		t.Errorf("cluster reports %d preemptions (%d on the final incarnations), want the crashed one's 1",
 			res.Preemptions, survivors)
 	}
+}
+
+// TestChurnDrainStopsAtLastCompletion: the drain stops once no engine
+// has an event and nothing is parked, so plan events past the last
+// completion never fire (they would only crash and recover idle engines,
+// billing in-service time nobody used). Cutting them from the plan must
+// therefore change no Result field: ChurnEvents, EngineSeconds,
+// Utilization and PerEngine included.
+func TestChurnDrainStopsAtLastCompletion(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		reqs, est, lut := randomStream(seed, 80)
+		// Stretched 8x, the stream loads 3 engines to about 40%, so the
+		// cluster drains soon after the last arrival.
+		for _, r := range reqs {
+			r.Arrival *= 8
+		}
+		lastArrival := reqs[len(reqs)-1].Arrival
+		plan, err := GenChurn(3, 2*lastArrival, lastArrival/4, lastArrival/20, 200+seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := SparsityAwareLoad(lut, est)
+		run := func(plan ChurnPlan) Result {
+			t.Helper()
+			res, err := Run(func(int) sched.Scheduler { return core.NewDefault(lut) }, reqs, Config{
+				Engines: 3, Dispatch: NewLeastLoad("sparse-load", load), Churn: &plan, RetryMax: 3,
+				Rebalance: Steal{Load: load}, RebalanceInterval: 2 * time.Millisecond,
+				MigrationCost: 500 * time.Microsecond, Sched: sched.Options{RecordTasks: true}})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return res
+		}
+		full := run(plan)
+		var last time.Duration
+		for _, o := range full.Tasks {
+			last = max(last, o.Completion)
+		}
+		if last < lastArrival {
+			t.Fatalf("seed %d: last completion %v precedes the last arrival %v", seed, last, lastArrival)
+		}
+		var cut ChurnPlan
+		for _, ev := range plan.Events {
+			if ev.At <= last {
+				cut.Events = append(cut.Events, ev)
+			}
+		}
+		if len(cut.Events) == len(plan.Events) || full.Failovers+full.Retries == 0 {
+			t.Fatalf("seed %d: %d of %d events past the last completion, %d failovers, %d retries: the check is vacuous",
+				seed, len(plan.Events)-len(cut.Events), len(plan.Events), full.Failovers, full.Retries)
+		}
+		if got := run(cut); !reflect.DeepEqual(got, full) {
+			t.Errorf("seed %d: plan cut at the last completion diverges: %d vs %d churn events, %.3f vs %.3f engine-seconds, utilization %.3f vs %.3f",
+				seed, got.ChurnEvents, full.ChurnEvents, got.EngineSeconds, full.EngineSeconds, got.Utilization, full.Utilization)
+		}
+	}
+}
+
+// noExtractor hides its scheduler's OnExtract: embedding the interface
+// promotes only the Scheduler methods. It counts arrivals.
+type noExtractor struct {
+	sched.Scheduler
+	arrivals *int
+}
+
+func (s noExtractor) OnArrival(t *sched.Task, now time.Duration) {
+	*s.arrivals++
+	s.Scheduler.OnArrival(t, now)
+}
+
+// TestChurnRequiresTaskExtractor: a crash releases every delivered
+// request through OnExtract, so a run whose plan fails an engine is
+// rejected before it simulates anything when a scheduler is no
+// sched.TaskExtractor, with an error naming the scheduler. A plan that
+// only drains and joins crashes nothing and runs.
+func TestChurnRequiresTaskExtractor(t *testing.T) {
+	reqs := uniformStream(20, time.Millisecond, 500*time.Microsecond, 4, time.Second)
+	arrivals := 0
+	newSched := func(int) sched.Scheduler { return noExtractor{newestFirst{}, &arrivals} }
+	_, err := Run(newSched, reqs, Config{Engines: 2,
+		Churn: &ChurnPlan{Events: []ChurnEvent{{At: 5 * time.Millisecond, Engine: 1, Kind: Fail}}}})
+	if err == nil || !strings.Contains(err.Error(), "newest-first") || !strings.Contains(err.Error(), "TaskExtractor") {
+		t.Fatalf("churned run over a scheduler without OnExtract: err = %v, want a TaskExtractor error naming newest-first", err)
+	}
+	if arrivals != 0 {
+		t.Errorf("the rejected run delivered %d requests before failing", arrivals)
+	}
+	res, err := Run(newSched, reqs, Config{Engines: 2, Churn: &ChurnPlan{Events: []ChurnEvent{
+		{At: 5 * time.Millisecond, Engine: 1, Kind: Drain}, {At: 10 * time.Millisecond, Engine: 1, Kind: Join}}}})
+	if err != nil {
+		t.Fatalf("drain/join plan: %v", err)
+	}
+	accounted(t, "drain-join", res, len(reqs))
 }

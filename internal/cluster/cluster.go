@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sparsedysta/internal/sched"
@@ -179,14 +180,20 @@ func Run(newSched func(engine int) sched.Scheduler, reqs []*workload.Request, cf
 }
 
 // RunStream simulates a request stream over the configured engines, one
-// fresh scheduler per engine from newSched, interleaving all engines'
-// events on one virtual clock: before each request is dispatched at its
-// arrival instant, every engine has committed exactly the layers it
-// would have started before that instant. Requests are consumed one at
-// a time in arrival order and never materialized, so with bounded
-// capture (Config.Sched.BoundedCapture) a run's memory is governed by
-// the in-flight set, not the stream length. Sources yielding a negative
+// scheduler per engine from newSched, interleaving all engines' events on
+// one virtual clock: before each request is dispatched at its arrival
+// instant, every engine has committed exactly the layers it would have
+// started before that instant. Requests are consumed one at a time in
+// arrival order and never materialized, so with bounded capture
+// (Config.Sched.BoundedCapture) a run's memory is governed by the
+// in-flight set, not the stream length. Sources yielding a negative
 // arrival, or one earlier than its predecessor's, fail the run.
+//
+// newSched runs once per engine. A churn failure re-arms the engine in
+// place around the same scheduler, emptied through its OnExtract, so a
+// run whose churn plan fails an engine requires every scheduler to
+// implement sched.TaskExtractor, and is rejected before it simulates
+// anything otherwise.
 func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSource, cfg Config) (Result, error) {
 	specs, err := cfg.engineSpecs()
 	if err != nil {
@@ -217,8 +224,6 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// events in one deterministic order.
 	agg := sched.NewAggregator(sched.Options{BoundedCapture: bounded, RecordTasks: recordTasks,
 		Exemplars: cfg.Sched.Exemplars, ExemplarSeed: cfg.Sched.ExemplarSeed})
-	// Replacement incarnations are built from these same specs, so they
-	// inherit the observer wiring.
 	var wins, losses int
 	for i := range specs {
 		user := specs[i].Sched.Observer
@@ -286,8 +291,7 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// Bind the engines' incremental backlog accounting to the run's load
 	// estimate before building them: every signal consumer (board,
 	// rebalancer) then reads an O(1) running sum instead of scanning
-	// queues. The binding lives in the specs, so replacement incarnations
-	// the fault injector builds after a crash inherit it.
+	// queues.
 	if load != nil {
 		for i := range specs {
 			specs[i].Sched.BacklogEstimator = load
@@ -295,9 +299,16 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 		}
 	}
 
+	// A crash empties the scheduler through OnExtract (see the doc above).
+	crashing := cfg.Churn != nil && slices.ContainsFunc(cfg.Churn.Events,
+		func(ev ChurnEvent) bool { return ev.Kind == Fail })
 	engines := make([]*sched.Engine, len(specs))
 	for i := range engines {
-		engines[i] = sched.NewEngine(newSched(i), specs[i].Sched)
+		s := newSched(i)
+		if _, ok := s.(sched.TaskExtractor); crashing && !ok {
+			return Result{}, fmt.Errorf("cluster: churn plan fails engines, but engine %d's scheduler %s does not implement sched.TaskExtractor", i, s.Name())
+		}
+		engines[i] = sched.NewEngine(s, specs[i].Sched)
 	}
 	board := NewSignalBoard(engines, cfg.SignalInterval, load)
 
@@ -308,9 +319,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	}
 
 	// Fault injection is armed only when the plan has events; a churn-free
-	// run never consults the injector (the bit-identity anchor). The
-	// injector mutates the shared `engines` slice in place on failures, so
-	// the board and rebalancer always see the current incarnations.
+	// run never consults the injector (the bit-identity anchor). A failure
+	// re-arms the slot's engine in place, so the board and rebalancer,
+	// which share the `engines` slice, always see the current incarnation.
 	var fi *faultInjector
 	churning := cfg.Churn != nil && len(cfg.Churn.Events) > 0
 	if churning || cfg.Autoscale != nil {
@@ -321,8 +332,7 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 		if plan == nil {
 			plan = &ChurnPlan{}
 		}
-		fi, err = newFaultInjector(plan, engines, specs, newSched,
-			board, dispatch, cfg.MigrationCost, cfg.RetryMax)
+		fi, err = newFaultInjector(plan, engines, board, dispatch, cfg.MigrationCost, cfg.RetryMax)
 		if err != nil {
 			return Result{}, err
 		}
@@ -388,18 +398,25 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 			// reshape the event horizon (the crashed engine's events
 			// vanish, adopters gain some), so resync every slot and
 			// re-evaluate from scratch after each firing. In the unbounded
-			// drain this also fires events past the last engine event —
-			// the recovery that un-parks work stranded by an
-			// all-engines-down window.
+			// drain, events past the last engine event fire only while
+			// work is parked: the recovery that un-parks work stranded by
+			// an all-engines-down window. Once no engine has an event and
+			// nothing is parked the run is over, and the rest of the plan
+			// would only crash and recover idle engines, billing
+			// in-service time nobody used.
 			if fi != nil {
-				if ct, okc := fi.peek(); okc && (!boundedRun || ct < until) {
-					if !okb || ct <= bestT {
-						if err := fi.fireUpTo(ct); err != nil {
-							return err
-						}
-						syncAll()
-						continue
+				ct, okc := fi.peek()
+				if boundedRun {
+					okc = okc && ct < until
+				} else {
+					okc = okc && (okb || len(fi.parked) > 0)
+				}
+				if okc && (!okb || ct <= bestT) {
+					if err := fi.fireUpTo(ct); err != nil {
+						return err
 					}
+					syncAll()
+					continue
 				}
 			}
 			if !okb {

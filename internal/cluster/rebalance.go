@@ -82,6 +82,26 @@ func (v EngineView) Eligible() []Candidate {
 // later reader in the round sees only what is left.
 func (v EngineView) setEligible(list []Candidate) { v.rb.cands[v.Engine].list = list }
 
+// roundMoves returns the round's move buffer, emptied, for a plan to
+// append into: the Rebalancer that built the views owns it and keeps its
+// storage from round to round. Views it did not build have none (nil).
+func roundMoves(views []EngineView) []Move {
+	if len(views) == 0 || views[0].rb == nil {
+		return nil
+	}
+	return views[0].rb.moves[:0]
+}
+
+// keepMoves stores a plan built on roundMoves back as the round's
+// buffer, so later rounds reuse whatever storage it grew into, and
+// returns the plan.
+func keepMoves(views []EngineView, moves []Move) []Move {
+	if len(views) > 0 && views[0].rb != nil {
+		views[0].rb.moves = moves
+	}
+	return moves
+}
+
 // Move is one proposed migration: the request with task ID moves from
 // engines[From] to engines[To].
 type Move struct {
@@ -100,7 +120,10 @@ type Move struct {
 // Eligible returns — instead of copying them. A view's fields cost O(1);
 // Eligible builds the engine's candidate list on its first call in the
 // round, so a policy should test the cheap fields first and read only
-// the lists of engines it may act on.
+// the lists of engines it may act on. The Rebalancer consumes the
+// returned plan before the next round, and Steal and Shed build theirs
+// in a buffer it reuses every round, so a caller that keeps a plan past
+// its round must copy it.
 type RebalancePolicy interface {
 	// Name identifies the policy in results.
 	Name() string
@@ -171,9 +194,10 @@ func (s Steal) CurveFunc() func(*sched.Task) []time.Duration { return s.Curve }
 // cache, so a second thief raiding the same victim sees only what is
 // left. Swap-delete reorders the list, but the selection is a strict
 // maximum over (Arrival, ID) with unique IDs, so the pick — and
-// therefore the emitted plan — is independent of element order.
+// therefore the emitted plan — is independent of element order. The
+// plan is built in the round's move buffer (roundMoves).
 func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
-	var moves []Move
+	moves := roundMoves(views)
 	for thief := range views {
 		if views[thief].Down || views[thief].Outstanding > 1 {
 			continue
@@ -215,7 +239,7 @@ func (Steal) Plan(views []EngineView, _, _ time.Duration) []Move {
 		}
 		views[victim].setEligible(rem)
 	}
-	return moves
+	return keepMoves(views, moves)
 }
 
 // Shed is predicted-SLO shedding: an engine whose backlog pushes a queued
@@ -246,10 +270,11 @@ func (s Shed) CurveFunc() func(*sched.Task) []time.Duration { return s.Curve }
 // Plan implements RebalancePolicy: engines in index order, candidates in
 // ascending task-ID order; drain-time predictions are adjusted as moves
 // accumulate.
-// Like Steal.Plan, the plan consumes the views in place: NormBacklog is
-// the working drain-time prediction, updated as moves accumulate.
+// Like Steal.Plan, the plan consumes the views in place (NormBacklog is
+// the working drain-time prediction, updated as moves accumulate) and is
+// built in the round's move buffer.
 func (Shed) Plan(views []EngineView, now, cost time.Duration) []Move {
-	var moves []Move
+	moves := roundMoves(views)
 	for i := range views {
 		if views[i].Down {
 			continue
@@ -280,7 +305,7 @@ func (Shed) Plan(views []EngineView, now, cost time.Duration) []Move {
 			views[best].NormBacklog += service * views[best].LatencyScale
 		}
 	}
-	return moves
+	return keepMoves(views, moves)
 }
 
 // Rebalancer executes a RebalancePolicy over the cluster's engines. It is
@@ -297,18 +322,20 @@ type Rebalancer struct {
 	count    int
 	// uniform records that the run has no load estimate and load is the
 	// 1ms placeholder, so a view's backlog is Outstanding() placeholder
-	// units. Otherwise runCluster has bound every engine spec, the
-	// replacement incarnations' included, to load, and the backlog is the
-	// engines' incremental sum.
+	// units. Otherwise RunStream has bound every engine (every
+	// incarnation: a crash re-arms with the same options) to load, and
+	// the backlog is the engines' incremental sum.
 	uniform bool
-	// viewBuf, cands and migBuf are per-round scratch, reused across
-	// rebalance instants: views() rewrites the views and invalidates the
-	// candidate cache, Eligible refills one engine's list in place, and
-	// policies may consume both (see RebalancePolicy.Plan). One
-	// allocation per high-water mark instead of one per round.
+	// viewBuf, cands, migBuf and moves are per-round scratch, reused
+	// across rebalance instants: views() rewrites the views and
+	// invalidates the candidate cache, Eligible refills one engine's list
+	// in place, policies may consume both (see RebalancePolicy.Plan), and
+	// Steal and Shed build their plans in moves. One allocation per
+	// high-water mark instead of one per round.
 	viewBuf []EngineView
 	cands   []candidates
 	migBuf  []*sched.Task
+	moves   []Move
 }
 
 // candidates is one engine's slot in the per-round candidate cache.

@@ -256,3 +256,22 @@ func TestIdleRoundChangesNoEngine(t *testing.T) {
 		t.Fatalf("idle round changed engine state:\n%+v\nvs\n%+v", after, before)
 	}
 }
+
+// TestPlansAllocateNothingWarm: Steal and Shed build their plans in the
+// move buffer the Rebalancer keeps across rounds, and read candidates
+// from the round's cache, so once one round has grown both, planning
+// again over the same engines allocates nothing.
+func TestPlansAllocateNothingWarm(t *testing.T) {
+	engines, load, _ := countingEngines(t, 3, 1)
+	for _, p := range []RebalancePolicy{Steal{Load: load}, Shed{Load: load}} {
+		rb := newRebalancer(p, engines, load, time.Millisecond, 0, 0)
+		moves := 0
+		allocs := testing.AllocsPerRun(10, func() { moves = len(p.Plan(rb.views(), 0, 0)) })
+		if moves == 0 {
+			t.Fatalf("%s plans no move; the check is vacuous", p.Name())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a warm round planning %d moves makes %v allocations, want 0", p.Name(), moves, allocs)
+		}
+	}
+}

@@ -79,11 +79,6 @@ type Dysta struct {
 	held int
 }
 
-// freeChunkMin is how many states newState allocates singly before it
-// allocates in chunks: most schedulers never hold more, and each of a
-// churning cluster's many short-lived ones would waste a chunk's tail.
-const freeChunkMin = 16
-
 // requestState is the per-request bookkeeping of the dynamic level,
 // attached to the task at arrival.
 type requestState struct {
@@ -192,21 +187,17 @@ func (d *Dysta) refresh(t *sched.Task, s *requestState) {
 	s.remainMS, s.isolMS = ms(remain), ms(isol)
 }
 
-// newState pops a free state, or allocates: singly up to freeChunkMin
-// states, then in chunks doubling the count held, so a fresh scheduler
-// reaching n live requests allocates O(log n) times, not n.
+// newState pops a free state, or allocates a chunk doubling the count
+// held (the first chunk holds one state), so a fresh scheduler reaching
+// n live requests allocates O(log n) times, not n.
 func (d *Dysta) newState() *requestState {
 	if n := len(d.free); n > 0 {
 		s := d.free[n-1]
 		d.free = d.free[:n-1]
 		return s
 	}
-	if d.held < freeChunkMin {
-		d.held++
-		return new(requestState)
-	}
-	chunk := make([]requestState, d.held)
-	d.held *= 2
+	chunk := make([]requestState, max(d.held, 1))
+	d.held += len(chunk)
 	for i := len(chunk) - 1; i > 0; i-- {
 		d.free = append(d.free, &chunk[i])
 	}

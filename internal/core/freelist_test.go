@@ -44,9 +44,9 @@ func checkSameState(t *testing.T, label string, fresh, recycled *requestState) {
 // layer observations. After every event the attachments, the heap that
 // holds the task and its key, and the pick must agree, under each gamma
 // strategy and without the dynamic level. Each case runs twice: on
-// otherwise empty schedulers, whose states are allocated singly, and on
-// schedulers already holding freeChunkMin live requests, whose states
-// all come from a chunk.
+// otherwise empty schedulers, whose first states come in chunks of one,
+// and on schedulers already holding two live requests, whose next states
+// both come from one chunk of two.
 func TestRecycledStateMatchesFresh(t *testing.T) {
 	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
 	const layers = 6
@@ -74,7 +74,7 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 	}
 	var runs []run
 	for name, cfg := range cfgs {
-		runs = append(runs, run{name, cfg, 0}, run{name + " chunked", cfg, freeChunkMin})
+		runs = append(runs, run{name, cfg, 0}, run{name + " chunked", cfg, 2})
 	}
 	for _, r := range runs {
 		name, cfg := r.name, r.cfg
@@ -114,7 +114,7 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 		if state(ua) != dirty {
 			t.Fatalf("%s: the arrival did not reuse the freed state", name)
 		}
-		if chunked := fresh.held > freeChunkMin; chunked != (r.warm > 0) {
+		if chunked := fresh.held > 2; chunked != (r.warm > 0) {
 			t.Fatalf("%s: fresh scheduler holds %d states, chunked=%v", name, fresh.held, chunked)
 		}
 
@@ -156,10 +156,9 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 }
 
 // TestStateAllocationsGrowLogarithmically: a fresh Dysta that reaches n
-// live requests allocates its states singly up to freeChunkMin, then in
-// chunks that double the count it holds, so it makes O(log n)
-// allocations in all (its heaps and free list grow by doubling too),
-// not one per request.
+// live requests allocates its states in chunks that double the count it
+// holds, so it makes O(log n) allocations in all (its heaps and free
+// list grow by doubling too), not one per request.
 func TestStateAllocationsGrowLogarithmically(t *testing.T) {
 	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
 	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: {uniformTrace(time.Millisecond, 4, 0.5)}})
@@ -174,7 +173,7 @@ func TestStateAllocationsGrowLogarithmically(t *testing.T) {
 				d.OnArrival(tk, 0)
 			}
 		})
-		if limit := freeChunkMin + 4*bits.Len(uint(n)); allocs > float64(limit) {
+		if limit := 4 * bits.Len(uint(n)); allocs > float64(limit) {
 			t.Errorf("%d live requests: %v allocations, want at most %d", n, allocs, limit)
 		}
 	}

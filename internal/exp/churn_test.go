@@ -4,6 +4,11 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"sparsedysta/internal/cluster"
+	"sparsedysta/internal/core"
+	"sparsedysta/internal/sched"
+	"sparsedysta/internal/workload"
 )
 
 // churnTestOpts is the shared sweep cell for the churn exp-layer tests:
@@ -141,5 +146,73 @@ func TestChurnStealRecoversGap(t *testing.T) {
 	if recovered := churned - repaired; recovered < gap/2 {
 		t.Errorf("steal recovered %.4f of the %.4f churn gap (< half): anchor %.4f, churned %.4f, steal %.4f",
 			recovered, gap, anchor, churned, repaired)
+	}
+}
+
+// TestControlPlaneAllocatesNothingWarm: a crash re-arms its engine in
+// place and a rebalance round plans into a buffer the Rebalancer reuses,
+// so once a run's buffers have grown, more crashes and more rounds cost
+// no allocations. One churned, work-stealing Dysta cluster runs the same
+// stream under a plan of ~N crashes and under one of ~4N; the second may
+// allocate only a small constant more (measured: 39). Building a new
+// engine, Dysta and Aggregator per crash cost about 28 allocations each,
+// over 600 for the 3N extra crashes here. Under -race, sync.Pool drops a
+// quarter of its Puts at random, so about a quarter of the Tasks are
+// allocated afresh, with a spread of a few dozen between two runs.
+func TestControlPlaneAllocatesNothingWarm(t *testing.T) {
+	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(p.Scenario, p.Eval, workload.GenConfig{
+		Requests: 2000, RatePerSec: 100, SLOMultiplier: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := reqs[len(reqs)-1].Arrival
+	run := func(mtbf time.Duration) (allocs float64, crashes int) {
+		plan, err := cluster.GenChurn(4, span, mtbf, 100*time.Millisecond, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range plan.Events {
+			if ev.Kind == cluster.Fail {
+				crashes++
+			}
+		}
+		allocs = testing.AllocsPerRun(1, func() {
+			d, err := NewDispatcher("load", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := NewRebalancer("steal", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cluster.Run(func(int) sched.Scheduler { return core.NewDefault(p.LUT) }, reqs, cluster.Config{
+				Engines: 4, Dispatch: d, Rebalance: rb, RebalanceInterval: time.Millisecond,
+				MigrationCost: 200 * time.Microsecond, Churn: &plan, RetryMax: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Migrations == 0 || res.Failovers+res.Retries == 0 {
+				t.Fatalf("%d migrations, %d failovers, %d retries: the run exercises no control plane",
+					res.Migrations, res.Failovers, res.Retries)
+			}
+		})
+		return allocs, crashes
+	}
+	few, n := run(10 * time.Second)
+	many, m := run(2 * time.Second)
+	if m < 3*n {
+		t.Fatalf("plans of %d and %d crashes: want the second about 4x the first", n, m)
+	}
+	limit := 64.0
+	if raceEnabled {
+		limit += 0.1 * float64(len(reqs))
+	}
+	if extra := many - few; extra > limit {
+		t.Errorf("%d crashes allocate %.0f more than %d crashes (%.0f vs %.0f), want at most %.0f",
+			m, extra, n, many, few, limit)
 	}
 }

@@ -64,6 +64,26 @@ func NewAggregator(opts Options) *Aggregator {
 	return a
 }
 
+// reset empties the aggregator in its capture mode, keeping the storage
+// of its buffers, and re-seeds the exemplar reservoir with seed, so it
+// folds exactly like a new one: the re-arm of a crashed engine.
+func (a *Aggregator) reset(seed uint64) {
+	*a = Aggregator{
+		perModel:  a.perModel[:0],
+		latencies: a.latencies[:0],
+		hist:      a.hist,
+		exemplars: a.exemplars,
+		tasks:     a.tasks[:0],
+		keepTasks: a.keepTasks,
+	}
+	if a.hist != nil {
+		*a.hist = stats.DurationHist{}
+	}
+	if a.exemplars != nil {
+		a.exemplars.Reset(seed)
+	}
+}
+
 // Add folds one completed request.
 func (a *Aggregator) Add(o TaskOutcome) {
 	a.n++

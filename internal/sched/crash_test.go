@@ -131,10 +131,12 @@ func TestCrashClassifiesOutstanding(t *testing.T) {
 	}
 }
 
-// TestCrashAfterCompletions: completions before the crash stay on the
-// sealed incarnation's books and conserve.
+// TestCrashAfterCompletions: completions before the crash reach the
+// Observer, and the crash re-arms the engine as a fresh incarnation whose
+// books hold nothing of the dying one's.
 func TestCrashAfterCompletions(t *testing.T) {
-	e := NewEngine(NewFCFS(), Options{})
+	var observed []int
+	e := NewEngine(NewFCFS(), Options{Observer: func(o TaskOutcome) { observed = append(observed, o.ID) }})
 	short := synthReq(0, "a", 0, time.Millisecond, 1, 100)
 	long := synthReq(1, "a", 0, time.Millisecond, 8, 100)
 	for _, r := range []*workload.Request{short, long} {
@@ -158,9 +160,16 @@ func TestCrashAfterCompletions(t *testing.T) {
 	if len(queued) != 0 || len(started) != 1 {
 		t.Fatalf("queued %v, started %v", ids(queued), ids(started))
 	}
+	if len(observed) != 1 || observed[0] != 0 {
+		t.Fatalf("observer saw completions %v, want [0]", observed)
+	}
+	if e.Now() != 0 || e.BusyTime() != 0 || e.Preemptions() != 0 || e.Completed() != 0 || e.Outstanding() != 0 {
+		t.Errorf("re-armed engine: now %v, busy %v, %d preemptions, %d completed, %d outstanding; want all zero",
+			e.Now(), e.BusyTime(), e.Preemptions(), e.Completed(), e.Outstanding())
+	}
 	res := e.Finish()
-	if res.Requests != 1 || res.Dropped != 0 || res.Offered != 1 {
-		t.Errorf("sealed books: %d requests, %d dropped, %d offered",
+	if res.Requests != 0 || res.Dropped != 0 || res.Offered != 0 {
+		t.Errorf("re-armed books: %d requests, %d dropped, %d offered",
 			res.Requests, res.Dropped, res.Offered)
 	}
 	if err := CheckOutcomeConservation(res); err != nil {
@@ -242,8 +251,7 @@ func ids(tasks []*Task) []int {
 }
 
 // newestFirst runs the latest arrival (highest ID on a tie), so every
-// arrival preempts the running request. It keeps no per-task state, so
-// an engine driving it stays usable after a Crash.
+// arrival preempts the running request. It keeps no per-task state.
 type newestFirst struct{}
 
 func (newestFirst) Name() string                                       { return "newest-first" }
@@ -261,8 +269,7 @@ func (newestFirst) PickNext(ready []*Task, _ time.Duration) *Task {
 
 // TestFinishReportsPreemptionsWithoutCompletions: Result.Preemptions
 // counts every switch, so an engine that preempted but completed nothing
-// (an incarnation that crashed before its first completion, say) still
-// reports its preemptions and its timeline.
+// still reports its preemptions and its timeline.
 func TestFinishReportsPreemptionsWithoutCompletions(t *testing.T) {
 	long := synthReq(0, "long", 0, 10*time.Millisecond, 4, 100)
 	short := synthReq(1, "short", 5*time.Millisecond, time.Millisecond, 2, 100)
@@ -278,28 +285,9 @@ func TestFinishReportsPreemptionsWithoutCompletions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.Preemptions() != 1 {
-		t.Fatalf("%d preemptions, want 1", e.Preemptions())
-	}
-	// Crash with both started, then restart long on the same engine: the
-	// switch back to it follows the crash, so it preempts nothing.
-	_, started, err := e.Crash(e.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(started) != 2 || started[0].ID != 0 {
-		t.Fatalf("started = %v", ids(started))
-	}
-	started[0].Restart()
-	if err := e.Adopt(started[0], e.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
 	res := e.Finish()
-	if res.Requests != 0 || res.Dropped != 1 {
-		t.Fatalf("%d completed, %d dropped; want 0 and 1", res.Requests, res.Dropped)
+	if res.Requests != 0 || res.Dropped != 2 {
+		t.Fatalf("%d completed, %d dropped; want 0 and 2", res.Requests, res.Dropped)
 	}
 	if res.Preemptions != 1 {
 		t.Errorf("Finish reports %d preemptions, want 1", res.Preemptions)
@@ -307,8 +295,8 @@ func TestFinishReportsPreemptionsWithoutCompletions(t *testing.T) {
 	if res.Timeline == nil {
 		t.Fatal("Finish dropped the recorded timeline")
 	}
-	// Spans long, short, long: the preemption plus the post-crash switch.
-	if res.Timeline.Switches() != res.Preemptions+1 {
+	// Spans long, short: the one preemption.
+	if res.Timeline.Switches() != res.Preemptions {
 		t.Errorf("switches = %d, preemptions = %d", res.Timeline.Switches(), res.Preemptions)
 	}
 }

@@ -40,7 +40,9 @@
 //     task's ground-truth accounting (TrueIsolated/TrueRemaining, kept
 //     in reference units) stay exact across engines. A run with no
 //     extractions is bit-identical to one on an engine without the
-//     migration surfaces.
+//     migration surfaces. Engine.Crash releases every delivered task
+//     through the same hook and re-arms the engine around the emptied
+//     scheduler, which must then schedule exactly like a new one.
 //
 // These contracts are restated operationally in DESIGN.md §7 (hot-path
 // architecture) and §9 (migration); the per-knob neutral-settings

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sparsedysta/internal/workload"
@@ -132,13 +131,39 @@ type Engine struct {
 	agg      *Aggregator
 	timeline *Timeline
 	finished bool
+
+	// crashQueued and crashStarted back the slices Crash returns, reused
+	// from one crash to the next.
+	crashQueued, crashStarted []*Task
 }
 
 // NewEngine returns an idle engine at virtual time zero driving the
 // scheduler. Exactly one scheduler instance must own each engine:
 // schedulers carry per-run state (heaps, per-task attachments).
 func NewEngine(s Scheduler, opts Options) *Engine {
-	e := &Engine{s: s, opts: opts, scale: opts.LatencyScale}
+	e := &Engine{}
+	e.arm(s, opts)
+	return e
+}
+
+// arm makes the engine a fresh incarnation at virtual time zero driving
+// the scheduler, the one initializer NewEngine and Crash share. Crash
+// re-arms around the engine's own scheduler, emptied, and its own
+// options; the queues, the Aggregator, the Timeline and the crash
+// buffers keep their storage, so a re-armed engine allocates nothing
+// until it outgrows what the crashed incarnation held.
+func (e *Engine) arm(s Scheduler, opts Options) {
+	*e = Engine{
+		s:            s,
+		opts:         opts,
+		scale:        opts.LatencyScale,
+		ready:        ReadyQueue{tasks: e.ready.tasks[:0]},
+		pending:      pendingQueue{entries: e.pending.entries[:0]},
+		agg:          e.agg,
+		timeline:     e.timeline,
+		crashQueued:  e.crashQueued,
+		crashStarted: e.crashStarted,
+	}
 	if e.scale <= 0 {
 		e.scale = 1
 	}
@@ -154,11 +179,18 @@ func NewEngine(s Scheduler, opts Options) *Engine {
 		e.opts.RecordTimeline = false
 		e.opts.RecordTasks = false
 	}
-	e.agg = NewAggregator(e.opts)
-	if e.opts.RecordTimeline {
-		e.timeline = &Timeline{}
+	if e.agg == nil {
+		e.agg = NewAggregator(e.opts)
+	} else {
+		e.agg.reset(e.opts.ExemplarSeed)
 	}
-	return e
+	switch {
+	case !e.opts.RecordTimeline:
+	case e.timeline == nil:
+		e.timeline = &Timeline{}
+	default:
+		e.timeline.Spans = e.timeline.Spans[:0]
+	}
 }
 
 // Inject makes a request known to the engine. now is the caller's virtual
@@ -235,58 +267,64 @@ func (e *Engine) Extract(id int) (*Task, error) {
 }
 
 // Crash force-removes every outstanding request from the engine at a
-// failure instant, the sched-layer surface of cluster fault injection.
-// Queued-but-never-started requests (delivered or still pending) come
-// back intact in `queued`, ready for Adopt on a surviving engine exactly
-// like a migration extract. Started requests come back in `started` with
-// their partial execution still recorded; their activations died with
-// the accelerator, so the only way forward is Task.Restart (discard all
+// failure instant, the sched-layer surface of cluster fault injection,
+// and re-arms the engine as a fresh incarnation in place. Queued-but-
+// never-started requests (delivered or still pending) come back intact
+// in `queued`, ready for Adopt on a surviving engine exactly like a
+// migration extract. Started requests come back in `started` with their
+// partial execution still recorded; their activations died with the
+// accelerator, so the only way forward is Task.Restart (discard all
 // progress, increment the attempt counter) followed by Adopt, or
-// counting them as lost work. Both slices are in ascending task-ID order.
+// counting them as lost work. Both slices are in ascending task-ID order
+// and share storage the engine reuses: they are valid until its next
+// Crash.
 //
-// Unlike Extract, Crash does not consult the scheduler: a crashed
-// engine's scheduler instance is dead state. The orchestrator reads what
-// it still needs (BusyTime, Preemptions, SchedulerName) and drops the
-// engine, building a fresh Engine + scheduler for the slot if the
-// hardware recovers; it need not Finish a crashed engine, whose
-// completions its Observer already reported. To keep the departing tasks
-// adoptable, Crash scrubs the scheduler-facing state it cannot hand over
-// (Attachment, heap index) itself. Crashing a finished engine is an
-// error; crashing an idle engine returns two empty slices.
+// Every delivered request, started or not, leaves through the
+// scheduler's OnExtract, the contract Extract uses, so the scheduler
+// ends up empty; Crash fails when it has delivered requests and the
+// scheduler does not implement TaskExtractor. The engine then restarts
+// at virtual time zero around that same scheduler, with empty queues
+// and an empty Aggregator, exactly as NewEngine would build it: busy
+// time, preemptions, completions and the timeline start over, so an
+// orchestrator reads what it keeps of the dying incarnation (BusyTime,
+// Preemptions) before the crash. The incarnation's completions already
+// reached its Observer. Crashing a finished engine is an error; crashing
+// an idle engine returns two empty slices.
 func (e *Engine) Crash(now time.Duration) (queued, started []*Task, err error) {
 	if e.finished {
 		return nil, nil, fmt.Errorf("sched: Crash after Finish")
 	}
-	for len(e.pending.entries) > 0 {
-		t := e.pending.entries[0].t
-		e.pending.removeAt(0)
+	x, ok := e.s.(TaskExtractor)
+	if !ok && e.ready.Len() > 0 {
+		return nil, nil, fmt.Errorf("sched: Crash of an engine whose scheduler %s does not implement TaskExtractor", e.s.Name())
+	}
+	queued, started = e.crashQueued[:0], e.crashStarted[:0]
+	for i := range e.pending.entries {
+		t := e.pending.entries[i].t
 		e.accountRemove(t)
-		t.Attachment = nil
-		t.heapIndex = -1
 		queued = append(queued, t)
 	}
-	for _, t := range append([]*Task(nil), e.ready.Tasks()...) {
+	clear(e.pending.entries)
+	for e.ready.Len() > 0 {
+		t := e.ready.tasks[e.ready.Len()-1]
+		x.OnExtract(t, now)
 		e.ready.remove(t)
 		e.accountRemove(t)
-		t.Attachment = nil
-		t.heapIndex = -1
 		if t.NextLayer == 0 {
 			queued = append(queued, t)
 		} else {
 			started = append(started, t)
 		}
 	}
-	e.injected -= len(queued) + len(started)
-	e.last = nil
-	// The departed requests must not anchor this incarnation's makespan;
-	// only completed work remains, so re-seed firstArrival from it.
-	if first, ok := e.agg.FirstArrival(); ok {
-		e.firstArrival = first
-	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].ID < queued[j].ID })
-	sort.Slice(started, func(i, j int) bool { return started[i].ID < started[j].ID })
+	slices.SortFunc(queued, byTaskID)
+	slices.SortFunc(started, byTaskID)
+	e.crashQueued, e.crashStarted = queued, started
+	e.arm(e.s, e.opts)
 	return queued, started, nil
 }
+
+// byTaskID orders tasks by ascending ID.
+func byTaskID(a, b *Task) int { return cmp.Compare(a.ID, b.ID) }
 
 // forgetArrival repairs firstArrival after an extraction: a departed
 // request must not anchor this engine's makespan (the window it defines
@@ -380,7 +418,7 @@ func (e *Engine) MigratableInto(buf []*Task) []*Task {
 	for i := range e.pending.entries {
 		out = append(out, e.pending.entries[i].t)
 	}
-	slices.SortFunc(out, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(out, byTaskID)
 	return out
 }
 

@@ -98,9 +98,8 @@ type TaskHeap struct {
 }
 
 // heapInline is the capacity a TaskHeap holds before it allocates: enough
-// for the ready queues of an engine running below saturation, so the many
-// short-lived scheduler instances of churned and autoscaled clusters never
-// grow a backing array.
+// for the ready queues of an engine running below saturation, so a
+// scheduler serving one never grows a backing array.
 const heapInline = 8
 
 // Init empties the heap and sets its ordering. less must be a strict weak

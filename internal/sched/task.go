@@ -208,17 +208,21 @@ type Scheduler interface {
 }
 
 // TaskExtractor is the optional Scheduler extension request migration
-// requires: Engine.Extract withdraws a delivered-but-never-executed task
-// from the ready queue, and the scheduler must release every trace of it
-// — heap slots, attachments, candidate bookkeeping — as if the task had
-// never arrived, because the same task will re-enter another scheduler
-// instance through its OnArrival. Schedulers that keep no per-task state
-// outside Task.Attachment only need to clear the attachment. A scheduler
-// without this method cannot serve on a migrating cluster: Engine.Extract
-// refuses (with an error) to withdraw a delivered task from it rather
-// than corrupt its internal ordering structures.
+// and engine crashes require: Engine.Extract withdraws a
+// delivered-but-never-executed task from the ready queue, Engine.Crash
+// withdraws every delivered task, started or not, and the scheduler must
+// release every trace of each — heap slots, attachments, candidate
+// bookkeeping — as if the task had never arrived, because the task will
+// re-enter a scheduler through its OnArrival, and after a crash the
+// emptied scheduler must schedule exactly like a new one. Schedulers that
+// keep no per-task state outside Task.Attachment only need to clear the
+// attachment. A scheduler without this method cannot serve on a
+// migrating cluster or one whose churn plan fails engines: Extract and
+// Crash refuse (with an error) to withdraw a delivered task from it
+// rather than corrupt its internal ordering structures.
 type TaskExtractor interface {
 	// OnExtract is called once, before the task leaves the ready queue,
-	// with the engine clock of the extraction.
+	// with the engine clock of the extraction (for a crash, the failure
+	// instant).
 	OnExtract(t *Task, now time.Duration)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -132,5 +133,18 @@ func TestReservoir(t *testing.T) {
 		if x != i {
 			t.Fatalf("under-full reservoir reordered: slot %d = %d", i, x)
 		}
+	}
+	// Reset re-seeds in place: a used reservoir then samples exactly like
+	// a new one, without allocating.
+	if allocs := testing.AllocsPerRun(10, func() { a.Reset(7) }); allocs != 0 {
+		t.Errorf("Reset makes %v allocations, want 0", allocs)
+	}
+	fresh := NewReservoir[int](8, 7)
+	for i := 0; i < 500; i++ {
+		a.Add(-i)
+		fresh.Add(-i)
+	}
+	if a.N() != 500 || !slices.Equal(a.Items(), fresh.Items()) {
+		t.Fatalf("reset reservoir holds %v of %d, a new one %v of %d", a.Items(), a.N(), fresh.Items(), fresh.N())
 	}
 }

@@ -20,6 +20,15 @@ func NewReservoir[T any](k int, seed uint64) *Reservoir[T] {
 	return &Reservoir[T]{items: make([]T, 0, k), k: k, r: rng.New(seed)}
 }
 
+// Reset empties the reservoir and re-seeds its rng stream, so it samples
+// exactly like NewReservoir(k, seed) in the storage it already holds.
+func (rv *Reservoir[T]) Reset(seed uint64) {
+	clear(rv.items)
+	rv.items = rv.items[:0]
+	rv.n = 0
+	*rv.r = *rng.New(seed)
+}
+
 // Add offers one stream element to the sample.
 func (rv *Reservoir[T]) Add(x T) {
 	rv.n++
