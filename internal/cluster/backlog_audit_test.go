@@ -95,9 +95,9 @@ func TestClusterBacklogInvariant(t *testing.T) {
 }
 
 // TestStreamingBacklogInvariant audits the streaming + bounded-capture
-// path: completed tasks are recycled through the pool mid-run, so the
-// audit doubles as proof that pooled reuse never corrupts the accounting
-// of tasks still in flight.
+// path: completed tasks are recycled through the run's task list
+// mid-run, so the audit doubles as proof that reuse never corrupts the
+// accounting of tasks still in flight.
 func TestStreamingBacklogInvariant(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		reqs, est, lut := randomStream(seed, 150)

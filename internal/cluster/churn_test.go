@@ -30,7 +30,7 @@ func uniformStream(n int, gap, layer time.Duration, layers int, slo time.Duratio
 			tr.LayerSparsity[l] = 0.5
 		}
 		reqs[i] = &workload.Request{
-			ID: i, Key: key, Trace: tr,
+			ID: i, Key: key, Trace: &tr,
 			Arrival: time.Duration(i) * gap,
 			SLO:     slo,
 		}

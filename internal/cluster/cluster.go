@@ -300,6 +300,8 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	}
 
 	// A crash empties the scheduler through OnExtract (see the doc above).
+	// The engines are peers sharing one task list: tasks move between
+	// them by migration and failover.
 	crashing := cfg.Churn != nil && slices.ContainsFunc(cfg.Churn.Events,
 		func(ev ChurnEvent) bool { return ev.Kind == Fail })
 	engines := make([]*sched.Engine, len(specs))
@@ -308,7 +310,11 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 		if _, ok := s.(sched.TaskExtractor); crashing && !ok {
 			return Result{}, fmt.Errorf("cluster: churn plan fails engines, but engine %d's scheduler %s does not implement sched.TaskExtractor", i, s.Name())
 		}
-		engines[i] = sched.NewEngine(s, specs[i].Sched)
+		if i == 0 {
+			engines[i] = sched.NewEngine(s, specs[i].Sched)
+		} else {
+			engines[i] = engines[0].NewPeer(s, specs[i].Sched)
+		}
 	}
 	board := NewSignalBoard(engines, cfg.SignalInterval, load)
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func randomStream(seed uint64, n int) ([]*workload.Request, *sched.Estimator, *t
 	for i := range reqs {
 		arrival += time.Duration(r.Intn(3000)) * time.Microsecond
 		m := r.Intn(nModels)
-		tr := profiles[m][r.Intn(len(profiles[m]))]
+		tr := &profiles[m][r.Intn(len(profiles[m]))]
 		reqs[i] = &workload.Request{
 			ID:      i,
 			Key:     keys[m],
@@ -274,6 +275,23 @@ func TestDispatcherBoundsChecked(t *testing.T) {
 	}
 }
 
+// TestEngineClockOverflowFailsTheRun: an engine whose scaled clock
+// would pass the largest time.Duration fails the run with an error
+// naming its latency scale, whether the overflow is in the scaled
+// layer latency (1e13) or in the clock after it (1e12, dysta-sim's
+// -engines 2x1e12). The wrapped clock used to reach the event tree,
+// which panicked on a negative event time.
+func TestEngineClockOverflowFailsTheRun(t *testing.T) {
+	reqs, est, _ := randomStream(3, 40)
+	for _, scale := range []float64{1e12, 1e13} {
+		_, err := Run(func(int) sched.Scheduler { return sched.NewSJF(est) }, reqs,
+			Config{Specs: []EngineSpec{{LatencyScale: scale}, {LatencyScale: scale}}, Dispatch: NewRoundRobin()})
+		if want := fmt.Sprintf("latency scale %g", scale); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scale %g: err %v, want one naming %q", scale, err, want)
+		}
+	}
+}
+
 // TestImbalanceDegenerateCase: an all-idle cluster (every layer free)
 // must report Imbalance 1.0 — the perfectly balanced value — not a 0 that
 // would sort as "better than perfectly balanced".
@@ -290,7 +308,7 @@ func TestImbalanceDegenerateCase(t *testing.T) {
 	reqs := make([]*workload.Request, 6)
 	for i := range reqs {
 		reqs[i] = &workload.Request{
-			ID: i, Key: key, Trace: tr,
+			ID: i, Key: key, Trace: &tr,
 			Arrival: time.Duration(i) * time.Millisecond, SLO: time.Second,
 		}
 	}

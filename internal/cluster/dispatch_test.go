@@ -33,7 +33,7 @@ func unprofiledStream(n int) ([]*workload.Request, *sched.Estimator, *trace.Stat
 	unprofiled := trace.Key{Model: "m", Pattern: sparsity.BlockNM}
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
-		tr := profiles[i%len(profiles)]
+		tr := &profiles[i%len(profiles)]
 		reqs[i] = &workload.Request{
 			ID:      i,
 			Key:     unprofiled,

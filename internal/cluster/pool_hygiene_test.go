@@ -10,11 +10,11 @@ import (
 
 // TestPooledRunsByteIdentical is the pooled-object hygiene pin: the same
 // seeded configuration run twice in one process must produce byte-
-// identical results. The first run populates the process-wide task pool,
-// so the second run executes almost entirely on recycled Task structs —
-// any state that leaks through the pool (a field releaseTask forgot to
-// zero, a scheduler retaining a completed task's pointer into its next
-// decision) shows up as divergence here. The config deliberately stacks
+// identical results. The first run hands its tasks to the process-wide
+// depot when it finishes, so the second run executes almost entirely on
+// recycled Task structs — any state that leaks through the task list (a
+// field Task.wrap forgot to rewrite, a scheduler retaining a completed
+// task's pointer into its next decision) shows up as divergence here. The config deliberately stacks
 // every recycling-hostile subsystem: migration (tasks change engines
 // mid-flight), churn (crash/redistribute paths), and PREMA (the
 // scheduler whose token state is keyed off task identity), under both

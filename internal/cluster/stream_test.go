@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/stats"
@@ -55,8 +54,8 @@ func (byID) Pick(sig []EngineSignal, r *workload.Request, _ time.Duration) int {
 }
 
 // failoverRecorder wraps a dispatcher and checks the request every Pick
-// sees. A request's first Pick records its ID, Key, Arrival, SLO and the
-// trace's slice headers; any later Pick of the same ID is a failover,
+// sees. A request's first Pick records its ID, Key, Arrival, SLO and
+// trace pointer; any later Pick of the same ID is a failover,
 // which re-dispatches a request the fault injector rebuilt from the
 // displaced task (Task.Request), and must see the same values. No
 // built-in dispatcher reads those fields, so only this catches a wrong
@@ -97,26 +96,12 @@ func (f *failoverRecorder) Pick(sig []EngineSignal, r *workload.Request, now tim
 		f.seen[r.ID] = *r
 	} else {
 		f.failovers++
-		if f.err == nil && !sameRequest(first, *r) {
+		if f.err == nil && first != *r {
 			f.err = fmt.Errorf("failover of request %d at %v re-dispatched %+v, first dispatched as %+v",
 				r.ID, now, *r, first)
 		}
 	}
 	return f.Dispatcher.Pick(sig, r, now)
-}
-
-// sameRequest compares two requests field by field, the trace by slice
-// identity rather than by contents.
-func sameRequest(a, b workload.Request) bool {
-	return a.ID == b.ID && a.Key == b.Key && a.Arrival == b.Arrival && a.SLO == b.SLO &&
-		sameSlice(a.Trace.LayerLatency, b.Trace.LayerLatency) &&
-		sameSlice(a.Trace.LayerSparsity, b.Trace.LayerSparsity)
-}
-
-// sameSlice reports whether two slice headers are equal: same data
-// pointer, length and capacity.
-func sameSlice[T any](x, y []T) bool {
-	return unsafe.SliceData(x) == unsafe.SliceData(y) && len(x) == len(y) && cap(x) == cap(y)
 }
 
 // migratedTasks checks that the completed requests flagged Migrated are

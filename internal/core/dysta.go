@@ -72,11 +72,9 @@ type Dysta struct {
 	// TrueIsolated) in place of the predictor's: set by NewOracle.
 	truth bool
 
-	// free holds departed tasks' states and chunk spares for later
-	// arrivals (see forget and newState), so a warm scheduler allocates
-	// none. held counts the states the scheduler has allocated.
-	free []*requestState
-	held int
+	// free recycles departed tasks' states for later arrivals (see
+	// forget), so a warm scheduler allocates none.
+	free sched.FreeList[requestState]
 }
 
 // requestState is the per-request bookkeeping of the dynamic level,
@@ -187,23 +185,6 @@ func (d *Dysta) refresh(t *sched.Task, s *requestState) {
 	s.remainMS, s.isolMS = ms(remain), ms(isol)
 }
 
-// newState pops a free state, or allocates a chunk doubling the count
-// held (the first chunk holds one state), so a fresh scheduler reaching
-// n live requests allocates O(log n) times, not n.
-func (d *Dysta) newState() *requestState {
-	if n := len(d.free); n > 0 {
-		s := d.free[n-1]
-		d.free = d.free[:n-1]
-		return s
-	}
-	chunk := make([]requestState, max(d.held, 1))
-	d.held += len(chunk)
-	for i := len(chunk) - 1; i > 0; i-- {
-		d.free = append(d.free, &chunk[i])
-	}
-	return &chunk[0]
-}
-
 // OnArrival implements sched.Scheduler: the static level (Alg. 1).
 // Lat_n is the LUT's average latency for the model-pattern pair — the
 // pattern-aware estimate of line 5 — and the score is
@@ -212,7 +193,7 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	st := d.lut.MustLookup(t.Key)
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
-	s := d.newState()
+	s := d.free.Get()
 	// Every field is rewritten, so a recycled state equals a fresh one.
 	// Only the LastN window buffer is kept: Observe writes each of its
 	// slots before the mean reads it.
@@ -282,7 +263,7 @@ func (d *Dysta) place(t *sched.Task, s *requestState, now time.Duration) {
 func (d *Dysta) forget(t *sched.Task) {
 	if s := state(t); s != nil {
 		d.heap(s).Remove(t)
-		d.free = append(d.free, s)
+		d.free.Put(s)
 	}
 	t.Attachment = nil
 }

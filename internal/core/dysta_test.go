@@ -39,7 +39,7 @@ func uniformTrace(layerLat time.Duration, layers int, sp float64) trace.SampleTr
 
 func req(id int, k trace.Key, tr trace.SampleTrace, arrival time.Duration, sloMult float64) *workload.Request {
 	return &workload.Request{
-		ID: id, Key: k, Trace: tr, Arrival: arrival,
+		ID: id, Key: k, Trace: &tr, Arrival: arrival,
 		SLO: time.Duration(float64(tr.Total()) * sloMult),
 	}
 }
@@ -160,8 +160,8 @@ func TestDynamicRefinement(t *testing.T) {
 	// lower ID so that a scheduler without sparsity information (which
 	// sees two identical profiles and tie-breaks on ID) runs it first —
 	// only monitored sparsity can reveal the better order.
-	slowReq := &workload.Request{ID: 0, Key: k, Trace: slow, SLO: 5 * time.Second}
-	fastReq := &workload.Request{ID: 1, Key: k, Trace: fast, SLO: 5 * time.Second}
+	slowReq := &workload.Request{ID: 0, Key: k, Trace: &slow, SLO: 5 * time.Second}
+	fastReq := &workload.Request{ID: 1, Key: k, Trace: &fast, SLO: 5 * time.Second}
 
 	cfg := DefaultConfig()
 	cfg.Eta = 0 // isolate the SJF component

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,9 +157,8 @@ func TestChurnStealRecoversGap(t *testing.T) {
 // stream under a plan of ~N crashes and under one of ~4N; the second may
 // allocate only a small constant more (measured: 39). Building a new
 // engine, Dysta and Aggregator per crash cost about 28 allocations each,
-// over 600 for the 3N extra crashes here. Under -race, sync.Pool drops a
-// quarter of its Puts at random, so about a quarter of the Tasks are
-// allocated afresh, with a spread of a few dozen between two runs.
+// over 600 for the 3N extra crashes here. Both runs recycle their Tasks
+// through their own task lists, so the bound holds under -race too.
 func TestControlPlaneAllocatesNothingWarm(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -207,12 +207,130 @@ func TestControlPlaneAllocatesNothingWarm(t *testing.T) {
 	if m < 3*n {
 		t.Fatalf("plans of %d and %d crashes: want the second about 4x the first", n, m)
 	}
-	limit := 64.0
-	if raceEnabled {
-		limit += 0.1 * float64(len(reqs))
-	}
+	const limit = 64.0
 	if extra := many - few; extra > limit {
 		t.Errorf("%d crashes allocate %.0f more than %d crashes (%.0f vs %.0f), want at most %.0f",
 			m, extra, n, many, few, limit)
 	}
+}
+
+// TestClusterAllocationsIgnoreGCAndProcs: a run's tasks come from its own
+// list, which grows from a depot the garbage collector never empties, so
+// how often a run allocates depends on nothing but the run. A churned,
+// work-stealing Dysta cluster, warmed once, then allocates the same count
+// at GOMAXPROCS 1 and 4, with and without a runtime.GC forced from its
+// Observer every 250 completions. Tasks recycled through a sync.Pool,
+// which each collection empties and which keeps one chain per processor,
+// fail this: every forced GC costs a fresh batch of Tasks.
+func TestClusterAllocationsIgnoreGCAndProcs(t *testing.T) {
+	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(p.Scenario, p.Eval, workload.GenConfig{
+		Requests: 2000, RatePerSec: 100, SLOMultiplier: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cluster.GenChurn(4, reqs[len(reqs)-1].Arrival, 2*time.Second, 100*time.Millisecond, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(gcEvery int) int64 {
+		d, err := NewDispatcher("load", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := NewRebalancer("steal", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := 0
+		gc := func(sched.TaskOutcome) {
+			if done++; gcEvery > 0 && done%gcEvery == 0 {
+				runtime.GC()
+			}
+		}
+		var res cluster.Result
+		allocs := runAllocs(func() {
+			res, err = cluster.Run(func(int) sched.Scheduler { return core.NewDefault(p.LUT) }, reqs, cluster.Config{
+				Engines: 4, Dispatch: d, Rebalance: rb, RebalanceInterval: time.Millisecond,
+				MigrationCost: 200 * time.Microsecond, Churn: &plan, RetryMax: 4,
+				Sched: sched.Options{Observer: gc}})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Migrations == 0 || res.Failovers+res.Retries == 0 {
+			t.Fatalf("%d migrations, %d failovers, %d retries: the run exercises no control plane",
+				res.Migrations, res.Failovers, res.Retries)
+		}
+		return allocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run(0) // stocks the depot with the run's tasks
+	want := run(0)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, gcEvery := range []int{0, 250} {
+			if got := run(gcEvery); got != want {
+				t.Errorf("GOMAXPROCS %d, GC every %d completions: %d allocations, want %d",
+					procs, gcEvery, got, want)
+			}
+		}
+	}
+}
+
+// runAllocs returns how many objects f allocates under a call to
+// cluster.Run, counted by the memory profiler at a rate of one sample per
+// allocation. It leaves out what the runtime allocates for its own
+// bookkeeping, which MemStats.Mallocs counts too and which varies from
+// run to run: a thread when GOMAXPROCS grows, a timer for its scavenger,
+// and the caches a type assertion or type switch builds at random (one
+// call in 1024 that misses the cache rebuilds it). Those allocations run
+// on another goroutine, with no cluster.Run frame on their stacks, or
+// under one of the runtime functions in runtimeOwn.
+func runAllocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := profiledRunAllocs()
+	f()
+	return profiledRunAllocs() - before
+}
+
+// runtimeOwn holds the runtime functions whose allocations on the run's
+// goroutine are the runtime's, not the run's: runtime.GC, called from the
+// run's Observer, and the type assertion and type switch caches.
+var runtimeOwn = map[string]bool{"runtime.GC": true, "runtime.typeAssert": true, "runtime.interfaceSwitch": true}
+
+// profiledRunAllocs sums the profile's allocation counts under
+// cluster.Run and outside runtimeOwn.
+func profiledRunAllocs() int64 {
+	// An allocation reaches the profile two collections after it is made.
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var sum int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			if runtimeOwn[fr.Function] {
+				break
+			}
+			if fr.Function == "sparsedysta/internal/cluster.Run" {
+				sum += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return sum
 }

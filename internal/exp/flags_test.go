@@ -2,8 +2,10 @@ package exp
 
 import (
 	"flag"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -136,5 +138,104 @@ func FuzzParseEngines(f *testing.F) {
 				t.Fatalf("%q: engine %d latency scale %v", s, i, sp.LatencyScale)
 			}
 		}
+	})
+}
+
+// fuzzFlag is one shared flag and the values FuzzOptions draws for it.
+type fuzzFlag struct {
+	name   string
+	values []string
+}
+
+// fuzzFlags holds settings that run, edge values, and bad ones Validate
+// must reject. A replay trace comes only from testdata.
+var fuzzFlags = []fuzzFlag{
+	{"workers", []string{"0", "1", "3", "-2"}},
+	{"engines", []string{"1", "2", "4", "2x1,1x2", "1x0.5", "2x1e12", "1x1e13"}},
+	{"dispatch", []string{"rr", "jsq", "load", "blind-load", "bogus"}},
+	{"signal-interval", []string{"0", "5ms", "1us", "-5ms"}},
+	{"admission", []string{"none", "queue-cap", "queue-cap:2", "queue-cap:0", "slo", "bogus"}},
+	{"rebalance", []string{"none", "steal", "shed", "bogus"}},
+	{"rebalance-interval", []string{"0", "1ms", "-1ms"}},
+	{"migration-cost", []string{"0", "200us", "-5ms"}},
+	{"migration-budget", []string{"0", "3", "-1"}},
+	{"churn", []string{"true", "false"}},
+	{"mtbf", []string{"1s", "20ms", "0", "-1s"}},
+	{"mttr", []string{"100ms", "5ms", "0"}},
+	{"retry-max", []string{"0", "2", "-1"}},
+	{"traffic", []string{"poisson", "mmpp", "diurnal", "replay:testdata/arrivals.csv", "replay:testdata/missing.csv", "bogus"}},
+	{"burst", []string{"0", "4", "0.5", "NaN"}},
+	{"autoscale", []string{"true", "false"}},
+	{"scale-min", []string{"0", "1", "2", "-1"}},
+	{"scale-max", []string{"0", "2", "4", "9"}},
+	{"capture", []string{"full", "bounded", "bogus"}},
+}
+
+// fuzzInput encodes a command line of fuzzFlags values as FuzzOptions'
+// bytes: one (flag, value) index pair per flag.
+func fuzzInput(tb testing.TB, args ...string) []byte {
+	var data []byte
+	for i := 0; i+1 < len(args); i += 2 {
+		fi := slices.IndexFunc(fuzzFlags, func(f fuzzFlag) bool { return "-"+f.name == args[i] })
+		if fi < 0 {
+			tb.Fatalf("no fuzz table for %s", args[i])
+		}
+		vi := slices.Index(fuzzFlags[fi].values, args[i+1])
+		if vi < 0 {
+			tb.Fatalf("no %s %s in its fuzz table", args[i], args[i+1])
+		}
+		data = append(data, byte(fi), byte(vi))
+	}
+	return data
+}
+
+// FuzzOptions decodes its bytes into a command line for RegisterFlags,
+// each byte pair picking a flag and one of its fuzzFlags values. A parse
+// error is the flag package's, which names the flag. Every Validate
+// rejection must name a flag, and every accepted configuration must run
+// one tiny cell, on a pipeline built once, without a panic: a returned
+// error is allowed (-engines 2x1e12 overflows the engine clock).
+func FuzzOptions(f *testing.F) {
+	for _, args := range [][]string{
+		{"-engines", "2x1e12"},
+		{"-engines", "4", "-dispatch", "load", "-rebalance", "steal", "-rebalance-interval", "1ms",
+			"-migration-cost", "200us", "-churn", "true", "-mtbf", "20ms", "-retry-max", "2"},
+		{"-engines", "4", "-autoscale", "true", "-scale-min", "2", "-traffic", "mmpp", "-burst", "4", "-capture", "bounded"},
+		{"-engines", "2x1,1x2", "-admission", "slo", "-signal-interval", "5ms", "-traffic", "replay:testdata/arrivals.csv"},
+		{"-admission", "queue-cap:0"},
+		{"-traffic", "replay:testdata/missing.csv"},
+		{"-rebalance", "shed"},
+	} {
+		f.Add(fuzzInput(f, args...))
+	}
+	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	specs := WithOracle(StandardScheds())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var args []string
+		for i := 0; i+1 < len(data); i += 2 {
+			fl := fuzzFlags[int(data[i])%len(fuzzFlags)]
+			args = append(args, "-"+fl.name+"="+fl.values[int(data[i+1])%len(fl.values)])
+		}
+		o := tiny()
+		o.Requests = 30
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		o.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			return
+		}
+		if err := o.Validate(); err != nil {
+			named := false
+			fs.VisitAll(func(fl *flag.Flag) { named = named || strings.Contains(err.Error(), "-"+fl.Name) })
+			if !named {
+				t.Fatalf("%q: rejection %q names no flag", args, err)
+			}
+			return
+		}
+		spec := specs[len(data)%len(specs)]
+		_, _ = p.runCell(spec, Point{Rate: 60, MSLO: 10}, 0, o)
 	})
 }

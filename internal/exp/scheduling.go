@@ -319,9 +319,9 @@ func Fig5(Options) ([]Artifact, error) {
 	// ResNet has 4 ms left; the pattern-blind MobileNet estimate is
 	// (2.2 + 7.0)/2 = 4.6 ms.
 	resnet := &workload.Request{ID: 0, Key: kRes,
-		Trace: uniform(10, time.Millisecond, 0.5), SLO: 40 * time.Millisecond}
+		Trace: &store.Get(kRes)[0], SLO: 40 * time.Millisecond}
 	mobile := &workload.Request{ID: 1, Key: kMobFast,
-		Trace:   uniform(4, 550*time.Microsecond, 0.5),
+		Trace:   &store.Get(kMobFast)[0],
 		Arrival: 5200 * time.Microsecond, SLO: 5 * time.Millisecond}
 
 	run := func(s sched.Scheduler) sched.Result {

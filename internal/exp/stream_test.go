@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"runtime"
 	"testing"
 	"time"
 
@@ -194,12 +193,11 @@ func TestStreamOptionValidation(t *testing.T) {
 // workload.Stream on 16 Dysta engines behind load dispatch with bounded
 // capture, stream-16x's configuration, at 20k and at 40k requests. Each
 // run pays a fixed set-up (engines, schedulers, the event tree, the
-// histograms, the stream's tables, and attachments and pooled Tasks up
-// to the peak in-flight count) plus whatever each request costs, so the
+// histograms, the stream's tables, and attachments and Tasks up to the
+// peak in-flight count) plus whatever each request costs, so the
 // difference of the two runs cancels the set-up and leaves the
-// per-request cost: at most 0.01 allocations per extra request. Under
-// -race, sync.Pool drops a quarter of its Puts at random, so about a
-// quarter of the Tasks are allocated afresh.
+// per-request cost: at most 0.01 allocations per extra request, under
+// -race too.
 func TestStreamedClusterAllocatesNoPerRequestState(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -227,24 +225,20 @@ func TestStreamedClusterAllocatesNoPerRequestState(t *testing.T) {
 		})
 	}
 	const small, large = 20_000, 40_000
-	slack := 0.0
-	if raceEnabled {
-		slack = 0.3
-	}
 	a, b := run(small), run(large)
-	if got := (b - a) / (large - small); got > 0.01+slack {
-		t.Errorf("%.4f allocations per extra request (%v at %d requests, %v at %d), want <= %.2f",
-			got, a, small, b, large, 0.01+slack)
+	if got := (b - a) / (large - small); got > 0.01 {
+		t.Errorf("%.4f allocations per extra request (%v at %d requests, %v at %d), want <= 0.01",
+			got, a, small, b, large)
 	}
 }
 
 // TestRunHoldsOnlyInFlightRequests: sched.Run injects each request when
 // it arrives, so a run of 2000 AttNN requests at 10 req/s, about a
-// third of an engine's capacity, holds a handful of Tasks at a time.
-// Two GCs first empty the task pool, so each Task the run holds at once
-// is a fresh allocation; injecting the whole slice up front allocated
-// one per request. Under -race, sync.Pool drops a quarter of its Puts
-// at random, so about a quarter of the Tasks are allocated afresh.
+// third of an engine's capacity, holds a handful of Tasks at a time. A
+// run recycles every completed Task through its task list, last in
+// first out, so its scheduler sees no more distinct Tasks arrive than
+// the most the run held at once; injecting the whole slice up front
+// gave every request a Task of its own.
 func TestRunHoldsOnlyInFlightRequests(t *testing.T) {
 	p, err := NewPipeline(workloadAttNN(), tiny(), 7)
 	if err != nil {
@@ -255,23 +249,24 @@ func TestRunHoldsOnlyInFlightRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := 100.0
-	if raceEnabled {
-		limit += 0.3 * float64(len(reqs))
-	}
 	for _, spec := range append(StandardScheds()[:1], dystaOnly()...) {
-		s := spec.New(p)
-		runtime.GC()
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := sched.Run(s, reqs, sched.Options{BoundedCapture: true})
-		runtime.ReadMemStats(&after)
-		if err != nil {
+		s := taskCounter{Scheduler: spec.New(p), seen: map[*sched.Task]bool{}}
+		if _, err := sched.Run(s, reqs, sched.Options{BoundedCapture: true}); err != nil {
 			t.Fatal(err)
 		}
-		if n := after.Mallocs - before.Mallocs; float64(n) >= limit {
-			t.Errorf("%s: one run of %d requests made %d allocations, want < %.0f", spec.Name, len(reqs), n, limit)
+		if n := len(s.seen); n >= 100 {
+			t.Errorf("%s: one run of %d requests used %d distinct Tasks, want < 100", spec.Name, len(reqs), n)
 		}
 	}
+}
+
+// taskCounter records every distinct Task its scheduler sees arrive.
+type taskCounter struct {
+	sched.Scheduler
+	seen map[*sched.Task]bool
+}
+
+func (c taskCounter) OnArrival(t *sched.Task, now time.Duration) {
+	c.seen[t] = true
+	c.Scheduler.OnArrival(t, now)
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -21,7 +22,8 @@ type Options struct {
 	RecordTimeline bool
 	// RecordTasks retains per-request outcomes for Result.Tasks, in
 	// task-ID order: the engine's Aggregator keeps a TaskOutcome copy
-	// at each completion (the task itself goes back to the pool).
+	// at each completion (the task itself goes back to the run's task
+	// list).
 	RecordTasks bool
 	// ReferencePick forces the reference Scheduler.PickNext path even for
 	// schedulers implementing IncrementalScheduler. The equivalence tests
@@ -127,7 +129,7 @@ type Engine struct {
 	busy         time.Duration
 
 	// agg folds every completion, the only record of completed work the
-	// engine keeps: completed tasks go back to the pool.
+	// engine keeps: completed tasks go back to the task list.
 	agg      *Aggregator
 	timeline *Timeline
 	finished bool
@@ -135,23 +137,42 @@ type Engine struct {
 	// crashQueued and crashStarted back the slices Crash returns, reused
 	// from one crash to the next.
 	crashQueued, crashStarted []*Task
+
+	// tasks is the run's task list, shared by the engines of one run
+	// (NewPeer): Inject takes each task from it, and every completion
+	// puts one back.
+	tasks *FreeList[Task]
 }
 
 // NewEngine returns an idle engine at virtual time zero driving the
-// scheduler. Exactly one scheduler instance must own each engine:
-// schedulers carry per-run state (heaps, per-task attachments).
+// scheduler, with a task list of its own. Exactly one scheduler instance
+// must own each engine: schedulers carry per-run state (heaps, per-task
+// attachments).
 func NewEngine(s Scheduler, opts Options) *Engine {
-	e := &Engine{}
+	e := &Engine{tasks: &FreeList[Task]{depot: &taskDepot}}
 	e.arm(s, opts)
 	return e
+}
+
+// NewPeer returns an engine as NewEngine builds it, driving s with opts,
+// that shares e's task list. The engines of one cluster are peers: a
+// task leaves the engine that took it from the list by Extract or Crash
+// and completes on whichever engine adopts it, so one shared list keeps
+// each task in circulation instead of making the adopter's list grow
+// while the donor's fills. The list is not safe for concurrent use, so
+// peers must be stepped from one goroutine.
+func (e *Engine) NewPeer(s Scheduler, opts Options) *Engine {
+	p := &Engine{tasks: e.tasks}
+	p.arm(s, opts)
+	return p
 }
 
 // arm makes the engine a fresh incarnation at virtual time zero driving
 // the scheduler, the one initializer NewEngine and Crash share. Crash
 // re-arms around the engine's own scheduler, emptied, and its own
-// options; the queues, the Aggregator, the Timeline and the crash
-// buffers keep their storage, so a re-armed engine allocates nothing
-// until it outgrows what the crashed incarnation held.
+// options; the queues, the Aggregator, the Timeline, the crash buffers
+// and the task list keep their storage, so a re-armed engine allocates
+// nothing until it outgrows what the crashed incarnation held.
 func (e *Engine) arm(s Scheduler, opts Options) {
 	*e = Engine{
 		s:            s,
@@ -163,6 +184,7 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 		timeline:     e.timeline,
 		crashQueued:  e.crashQueued,
 		crashStarted: e.crashStarted,
+		tasks:        e.tasks,
 	}
 	if e.scale <= 0 {
 		e.scale = 1
@@ -202,7 +224,8 @@ func (e *Engine) Inject(r *workload.Request, now time.Duration) error {
 	if e.finished {
 		return fmt.Errorf("sched: Inject after Finish")
 	}
-	t := newTask(r)
+	t := e.tasks.Get()
+	t.wrap(r)
 	eff := t.Arrival
 	if now > eff {
 		eff = now
@@ -470,13 +493,26 @@ func (e *Engine) SchedulerName() string { return e.s.Name() }
 func (e *Engine) LatencyScale() float64 { return e.scale }
 
 // scaleDur applies the engine's latency scale to a reference-hardware
-// duration. The scale-1 fast path avoids float arithmetic so homogeneous
-// runs stay bit-identical to the pre-heterogeneity engine.
-func (e *Engine) scaleDur(d time.Duration) time.Duration {
-	if e.scale == 1 {
-		return d
+// duration the clock is about to advance by. The scale-1 fast path
+// avoids float arithmetic so homogeneous runs stay bit-identical to the
+// pre-heterogeneity engine. A scaled duration, or a clock after it, past
+// the largest time.Duration fails the run: the float product is checked
+// before its conversion, which would wrap it.
+func (e *Engine) scaleDur(ref time.Duration) (time.Duration, error) {
+	d := ref
+	if e.scale != 1 {
+		// float64(math.MaxInt64) is 2^63, the first value out of range.
+		f := float64(ref) * e.scale
+		if f >= math.MaxInt64 {
+			return 0, fmt.Errorf("sched: %v at latency scale %g is %g ns, past the largest virtual duration", ref, e.scale, f)
+		}
+		d = time.Duration(f)
 	}
-	return time.Duration(float64(d) * e.scale)
+	if d > math.MaxInt64-e.now {
+		return 0, fmt.Errorf("sched: %v at latency scale %g takes %v, which moves the engine clock at %v past the largest virtual time",
+			ref, e.scale, d, e.now)
+	}
+	return d, nil
 }
 
 // estimate evaluates the bound backlog estimator for a task at its
@@ -630,8 +666,11 @@ func (e *Engine) Step() (time.Duration, error) {
 		return 0, fmt.Errorf("sched: %s picked a task outside the ready queue", e.s.Name())
 	}
 	if e.last != nil && e.last != pick && !e.last.Done {
+		overhead, err := e.scaleDur(e.opts.PreemptionOverhead)
+		if err != nil {
+			return 0, err
+		}
 		e.preempts++
-		overhead := e.scaleDur(e.opts.PreemptionOverhead)
 		e.now += overhead
 		e.busy += overhead
 	}
@@ -639,7 +678,10 @@ func (e *Engine) Step() (time.Duration, error) {
 
 	layer := pick.NextLayer
 	raw := pick.nextLayerLatency()
-	dur := e.scaleDur(raw)
+	dur, err := e.scaleDur(raw)
+	if err != nil {
+		return 0, err
+	}
 	if e.timeline != nil {
 		e.timeline.record(pick.ID, e.now, e.now+dur)
 	}
@@ -672,10 +714,12 @@ func (e *Engine) Step() (time.Duration, error) {
 	if pick.Done {
 		// Nothing retains the task past this point (the aggregator,
 		// Tasks and observers hold TaskOutcome copies), so it goes back
-		// to the pool. e.last must not dangle into the pool: nil carries
-		// the same "no preemption on the next pick" meaning Done did.
+		// to the task list, zeroed so that it pins nothing it pointed
+		// at. e.last must not dangle into the list: nil carries the same
+		// "no preemption on the next pick" meaning Done did.
 		e.last = nil
-		releaseTask(pick)
+		*pick = Task{}
+		e.tasks.Put(pick)
 	}
 	return e.now, nil
 }
@@ -686,9 +730,13 @@ func (e *Engine) Step() (time.Duration, error) {
 // returns the same Result. Finalizing an undrained engine is allowed
 // (deadline-bounded simulations stop mid-stream), but the metrics then
 // cover only the completed requests: Result.Dropped counts the
-// outstanding ones so the truncation is never silent.
+// outstanding ones so the truncation is never silent. The task list's
+// free tasks go back to the process-wide depot for the next run; a peer
+// still running puts its completions on the emptied list and hands them
+// back at its own Finish.
 func (e *Engine) Finish() Result {
 	e.finished = true
+	e.tasks.handBack()
 	res := e.agg.Result(e.s.Name(), e.firstArrival)
 	res.Dropped = e.injected - e.agg.Len()
 	res.Offered = e.injected
@@ -696,7 +744,7 @@ func (e *Engine) Finish() Result {
 	res.Timeline = e.timeline
 	// A standalone engine bills exactly its makespan of capacity (none
 	// before its first completion); the cluster layer overwrites this
-	// with the pool's in-service total.
+	// with the cluster's in-service total.
 	res.EngineSeconds = res.Makespan.Seconds()
 	return res
 }

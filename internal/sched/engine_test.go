@@ -26,7 +26,7 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 	return &workload.Request{
 		ID:      id,
 		Key:     trace.Key{Model: model, Pattern: sparsity.Dense},
-		Trace:   tr,
+		Trace:   &tr,
 		Arrival: arrival,
 		SLO:     time.Duration(float64(layerLat) * float64(layers) * sloMult),
 	}
@@ -37,7 +37,7 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 func synthLUT(reqs ...*workload.Request) *trace.StatsSet {
 	store := trace.NewStore()
 	for _, r := range reqs {
-		store.Add(r.Key, []trace.SampleTrace{r.Trace})
+		store.Add(r.Key, []trace.SampleTrace{*r.Trace})
 	}
 	set, err := trace.NewStatsSet(store)
 	if err != nil {
@@ -48,6 +48,13 @@ func synthLUT(reqs ...*workload.Request) *trace.StatsSet {
 
 // synthEstimator is the estimator over synthLUT.
 func synthEstimator(reqs ...*workload.Request) *Estimator { return NewEstimator(synthLUT(reqs...)) }
+
+// newTask wraps a request in a task of its own, outside any engine.
+func newTask(r *workload.Request) *Task {
+	t := new(Task)
+	t.wrap(r)
+	return t
+}
 
 func TestRunEmptyStream(t *testing.T) {
 	if _, err := Run(NewFCFS(), nil, Options{}); err == nil {
@@ -385,6 +392,35 @@ func TestLatencyScale(t *testing.T) {
 	fast := run(0.5)
 	if fast.MeanLatency >= ref.MeanLatency {
 		t.Errorf("double-speed mean latency %v not below reference %v", fast.MeanLatency, ref.MeanLatency)
+	}
+}
+
+// TestLatencyScaleOverflowFails: a scaled layer latency, a scaled
+// preemption overhead, or a clock after either, past the largest
+// time.Duration fails the run with an error naming the latency scale.
+// Converting the product wrapped it instead: scale 1e13 ran a stream to
+// a 1 ms makespan and ANTT 0, and 3e12 to a negative ANTT, both without
+// an error. SJF preempts the long request for the short one at the
+// first layer boundary, so the overhead is charged too.
+func TestLatencyScaleOverflowFails(t *testing.T) {
+	reqs := []*workload.Request{
+		synthReq(0, "long", 0, time.Millisecond, 20, 10),
+		synthReq(1, "short", time.Millisecond, time.Millisecond, 2, 10),
+	}
+	for _, c := range []struct {
+		scale    float64
+		overhead time.Duration
+	}{
+		{1e13, 0},                            // one layer is 1e19 ns
+		{3e12, 0},                            // each layer fits, the fourth clock does not
+		{1e6, math.MaxInt64 / 1_000_000 * 2}, // a layer fits, the overhead does not
+	} {
+		res, err := Run(NewSJF(synthEstimator(reqs...)), reqs, Options{LatencyScale: c.scale, PreemptionOverhead: c.overhead})
+		want := fmt.Sprintf("latency scale %g", c.scale)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scale %g, overhead %v: err %v (makespan %v, ANTT %v), want one naming %q",
+				c.scale, c.overhead, err, res.Makespan, res.ANTT, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 )
@@ -42,7 +43,7 @@ func TestPREMARecycledStateMatchesFresh(t *testing.T) {
 	used.OnLayerComplete(r, 1, 0.5, 42*ms)
 	q.remove(d)
 	used.OnExtract(d, 42*ms)
-	if n := len(used.free); n != 2 || used.free[n-1] != dirty {
+	if n := len(used.free.free); n != 2 || used.free.free[n-1] != dirty {
 		t.Fatalf("free list holds %d states, the extracted one not on top", n)
 	}
 
@@ -110,5 +111,54 @@ func TestPREMARecycledStateMatchesFresh(t *testing.T) {
 			continue
 		}
 		check(fmt.Sprintf("step %d layer", step))
+	}
+}
+
+// TestFreeListGrowsInDoublingChunks: a list that runs dry grows by as
+// many values as it holds (one when it holds none), so n Gets without a
+// Put make it hold the next power of two at or above n; a Put value is
+// the next one Get returns; and a list on a depot hands its free values
+// back as one stock, which the next list to run dry takes whole before
+// it allocates.
+func TestFreeListGrowsInDoublingChunks(t *testing.T) {
+	var l FreeList[int]
+	for n := 1; n <= 40; n++ {
+		l.Get()
+		if want := 1 << bits.Len(uint(n-1)); l.held != want {
+			t.Fatalf("after %d Gets the list holds %d values, want %d", n, l.held, want)
+		}
+	}
+	v := l.Get()
+	l.Put(v)
+	if l.Get() != v {
+		t.Fatal("Get did not return the value just Put")
+	}
+
+	var d depot[int]
+	a := FreeList[int]{depot: &d}
+	var out []*int
+	for range 6 {
+		out = append(out, a.Get())
+	}
+	for _, v := range out {
+		a.Put(v)
+	}
+	a.handBack()
+	if a.free != nil || a.held != 0 || len(d.stocks) != 1 || len(d.stocks[0]) != 8 {
+		t.Fatalf("after the hand-back the list keeps %d of %d values and the depot %d stocks, want 0, 0 and one of 8",
+			len(a.free), a.held, len(d.stocks))
+	}
+	stocked := map[*int]bool{}
+	for _, v := range d.stocks[0] {
+		stocked[v] = true
+	}
+	b := FreeList[int]{depot: &d}
+	for range 8 {
+		if !stocked[b.Get()] {
+			t.Fatal("a list on the depot allocated while the depot had a stock")
+		}
+	}
+	if b.held != 8 || len(d.stocks) != 0 {
+		t.Fatalf("a list that took the stock holds %d values and left %d stocks, want 8 and none", b.held, len(d.stocks))
 	}
 }

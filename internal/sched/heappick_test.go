@@ -132,7 +132,7 @@ func tieGridStream(seed uint64) ([]*workload.Request, *Estimator, *trace.StatsSe
 			tr.LayerLatency[l] = avg + time.Duration(r.Intn(5)-2)*grid
 		}
 		reqs[i] = &workload.Request{
-			ID: i, Key: keys[m], Trace: tr, Arrival: arrival,
+			ID: i, Key: keys[m], Trace: &tr, Arrival: arrival,
 			SLO: time.Duration(1+r.Intn(40)) * profiles[m].Total() / 4 / grid * grid,
 		}
 	}

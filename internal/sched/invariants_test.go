@@ -47,7 +47,7 @@ func randomStream(seed uint64) ([]*workload.Request, *Estimator) {
 	for i := range reqs {
 		arrival += time.Duration(r.Intn(3000)) * time.Microsecond
 		m := r.Intn(nModels)
-		tr := profiles[m][r.Intn(len(profiles[m]))]
+		tr := &profiles[m][r.Intn(len(profiles[m]))]
 		reqs[i] = &workload.Request{
 			ID:      i,
 			Key:     keys[m],

@@ -51,8 +51,8 @@ type PREMA struct {
 	uncrossed, crossed TaskHeap
 	due                []*Task
 
-	// free holds the states of departed tasks for reuse (see forget).
-	free []*premaState
+	// free recycles the states of departed tasks (see forget).
+	free FreeList[premaState]
 }
 
 // premaState is PREMA's per-task attachment.
@@ -94,16 +94,10 @@ func (p *PREMA) state(t *Task) *premaState {
 	return p.attach(t, premaState{st: st, rem: st.AvgRemaining(t.NextLayer)})
 }
 
-// attach sets t's attachment to a state holding v, recycling a state
-// from the free list when it has one. v overwrites every field, so a
-// recycled state equals a fresh one.
+// attach sets t's attachment to a state from the free list holding v.
+// v overwrites every field, so a recycled state equals a fresh one.
 func (p *PREMA) attach(t *Task, v premaState) *premaState {
-	var s *premaState
-	if n := len(p.free); n > 0 {
-		s, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		s = new(premaState)
-	}
+	s := p.free.Get()
 	*s = v
 	t.Attachment = s
 	return s
@@ -115,7 +109,7 @@ func (p *PREMA) forget(t *Task) {
 	p.uncrossed.Remove(t)
 	p.crossed.Remove(t)
 	if s, ok := t.Attachment.(*premaState); ok {
-		p.free = append(p.free, s)
+		p.free.Put(s)
 	}
 	t.Attachment = nil
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"time"
 
 	"sparsedysta/internal/trace"
@@ -51,10 +50,10 @@ type Task struct {
 	// never shared. The engine ignores it.
 	Attachment any
 
-	// tr is the ground-truth sample trace, embedded by value: the struct
-	// is two slice headers, so copying it at construction is cheaper than
-	// the per-request heap allocation a pointer would cost.
-	tr trace.SampleTrace
+	// tr is the ground-truth sample trace the request points at in the
+	// evaluation store: a pointer, so the task carries 8 bytes instead
+	// of a copy of the trace's two slice headers.
+	tr *trace.SampleTrace
 	// trueTotal caches the trace's end-to-end latency; trueRemaining is
 	// maintained by the engine as layers execute so TrueRemaining is O(1)
 	// instead of re-summing the trace suffix.
@@ -73,32 +72,18 @@ type Task struct {
 	estAccounted time.Duration
 }
 
-// taskPool recycles Task structs across requests. Every engine releases
-// its tasks at the completion instant, whatever the capture mode; newTask
-// reinitializes every field, so a recycled struct is indistinguishable
-// from a fresh one and pool reuse can never leak state across requests
-// or runs.
-var taskPool = sync.Pool{New: func() any { return new(Task) }}
+// taskDepot is the process-wide depot every run's task list grows from
+// and hands its free tasks back to at Finish (see FreeList).
+var taskDepot depot[Task]
 
-// newTask wraps a workload request.
-func newTask(r *workload.Request) *Task {
+// wrap makes t the task of a workload request. Every field is rewritten,
+// so a recycled task is indistinguishable from a fresh one.
+func (t *Task) wrap(r *workload.Request) {
 	total := r.Trace.Total()
-	t := taskPool.Get().(*Task)
 	*t = Task{ID: r.ID, Key: r.Key, Arrival: r.Arrival, SLO: r.SLO,
 		LastRun: r.Arrival, tr: r.Trace,
 		trueTotal: total, trueRemaining: total,
 		queueIndex: -1, heapIndex: -1}
-	return t
-}
-
-// releaseTask returns a completed task to the pool. Only the engine's
-// completion path calls it, after the scheduler's final OnLayerComplete:
-// past that point nothing in the engine, the cluster layer, or the
-// capture machinery retains the pointer (the aggregators, Tasks,
-// exemplar reservoirs and observers hold TaskOutcome copies).
-func releaseTask(t *Task) {
-	*t = Task{}
-	taskPool.Put(t)
 }
 
 // Request rebuilds the request the task wraps: ID, Key, Trace, Arrival

@@ -122,18 +122,33 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 // set produced by Phase 1.
 type Store struct {
 	byKey map[Key][]SampleTrace
+	sums  map[Key]float64
 }
 
 // NewStore returns an empty Store.
-func NewStore() *Store { return &Store{byKey: map[Key][]SampleTrace{}} }
+func NewStore() *Store {
+	return &Store{byKey: map[Key][]SampleTrace{}, sums: map[Key]float64{}}
+}
 
-// Add appends traces under the key.
+// Add appends traces under the key and folds their totals into the key's
+// SumTotals.
 func (s *Store) Add(k Key, traces []SampleTrace) {
+	sum := s.sums[k]
+	for i := range traces {
+		sum += float64(traces[i].Total())
+	}
 	s.byKey[k] = append(s.byKey[k], traces...)
+	s.sums[k] = sum
 }
 
 // Get returns the traces stored under the key (nil if absent).
 func (s *Store) Get(k Key) []SampleTrace { return s.byKey[k] }
+
+// SumTotals returns the float sum of the key's trace totals (T_isol),
+// accumulated in trace order as Add stored them: the numerator of the
+// key's mean isolated latency, kept so that every stream drawn from the
+// store reads it instead of re-summing each trace (0 if absent).
+func (s *Store) SumTotals(k Key) float64 { return s.sums[k] }
 
 // Keys returns all stored keys (order unspecified).
 func (s *Store) Keys() []Key {

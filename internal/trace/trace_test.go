@@ -122,6 +122,26 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreSumTotals: the sum a store keeps is bit-identical to summing
+// the key's trace totals in trace order, the SLO base every stream used
+// to recompute, however many Adds stored them.
+func TestStoreSumTotals(t *testing.T) {
+	k, traces := buildCNN(t, 7)
+	var want float64
+	for i := range traces {
+		want += float64(traces[i].Total())
+	}
+	s := NewStore()
+	s.Add(k, traces[:3])
+	s.Add(k, traces[3:])
+	if got := s.SumTotals(k); got != want {
+		t.Errorf("SumTotals %v, want %v", got, want)
+	}
+	if got := s.SumTotals(Key{Model: "nope"}); got != 0 {
+		t.Errorf("missing key sums to %v", got)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	k := Key{Model: "m", Pattern: sparsity.Dense}
 	traces := []SampleTrace{

@@ -61,12 +61,8 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 			return nil, fmt.Errorf("workload: no traces for %v", e.Key())
 		}
 		s.totalWeight += e.Weight
-		var sum float64
-		for j := range traces {
-			sum += float64(traces[j].Total())
-		}
 		s.traces[i] = traces
-		s.meanIso[i] = time.Duration(sum / float64(len(traces)))
+		s.meanIso[i] = time.Duration(store.SumTotals(e.Key()) / float64(len(traces)))
 	}
 
 	s.proc = cfg.Process
@@ -86,7 +82,8 @@ func (s *Stream) Len() int { return s.cfg.Requests }
 //
 // The returned request is the stream's own and is valid only until the
 // next call to Next, which overwrites it: a consumer copies whatever it
-// keeps (the engine copies every field it needs into its Task).
+// keeps (the engine copies every field it needs into its Task). Its
+// Trace points into the store, which outlives the stream.
 func (s *Stream) Next() (*Request, bool) {
 	if s.next >= s.cfg.Requests {
 		return nil, false
@@ -94,7 +91,7 @@ func (s *Stream) Next() (*Request, bool) {
 	s.now += s.proc.Next(s.r, s.now)
 	i := sampleEntry(s.r, s.entries, s.totalWeight)
 	traces := s.traces[i]
-	tr := traces[s.r.Intn(len(traces))]
+	tr := &traces[s.r.Intn(len(traces))]
 	sloBase := s.meanIso[i]
 	if s.cfg.PerSampleSLO {
 		sloBase = tr.Total()

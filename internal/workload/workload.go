@@ -98,9 +98,10 @@ type Request struct {
 	ID  int
 	Key trace.Key
 	// Trace is the ground-truth runtime information of the request's
-	// input. The engine executes from it; schedulers other than Oracle
-	// must not read it.
-	Trace trace.SampleTrace
+	// input, pointing into the evaluation store it was sampled from. The
+	// engine executes from it; schedulers other than Oracle must not read
+	// it.
+	Trace *trace.SampleTrace
 	// Arrival is the request's arrival time from workload start.
 	Arrival time.Duration
 	// SLO is the relative latency objective: T_isol x M_slo.
@@ -265,11 +266,7 @@ func MeanIsolated(sc Scenario, store *trace.Store) (time.Duration, error) {
 		if len(traces) == 0 {
 			return 0, fmt.Errorf("workload: no traces for %v", e.Key())
 		}
-		var entrySum float64
-		for i := range traces {
-			entrySum += float64(traces[i].Total())
-		}
-		sum += e.Weight * entrySum / float64(len(traces))
+		sum += e.Weight * store.SumTotals(e.Key()) / float64(len(traces))
 		weights += e.Weight
 	}
 	return time.Duration(sum / weights), nil
