@@ -435,7 +435,7 @@ func BenchmarkPredictor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := lut.MustLookup(trace.Key{Model: "bert", Pattern: sparsity.Dense})
+	st := lut.MustLookup(trace.NewKey("bert", sparsity.Dense))
 	p := core.NewPredictor(core.DefaultConfig(), st)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

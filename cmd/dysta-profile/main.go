@@ -70,6 +70,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// The negated test also rejects NaN, which fails every comparison.
+	if !(*rate >= 0 && *rate < 1) {
+		fmt.Fprintf(os.Stderr, "-rate %v: the weight sparsity rate must lie in [0, 1)\n", *rate)
+		os.Exit(2)
+	}
+	if *samples < 1 {
+		fmt.Fprintf(os.Stderr, "-samples %d: need at least one input\n", *samples)
+		os.Exit(2)
+	}
 	var acc accel.Accelerator
 	if m.Family == models.CNN {
 		acc = eyeriss.NewDefault()
@@ -83,24 +92,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	key := trace.Key{Model: m.Name, Pattern: pat}
+	key := trace.NewKey(m.Name, pat)
 
 	if *summary {
 		printSummary(key, traces, acc.Name())
 		return
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	if *out == "" {
+		if err := trace.WriteCSV(os.Stdout, key, traces); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = f
+		return
 	}
-	if err := trace.WriteCSV(w, key, traces); err != nil {
+	f, err := os.Create(*out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	err = trace.WriteCSV(f, key, traces)
+	// A failed Close can lose buffered data, so it fails the run too.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

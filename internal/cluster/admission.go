@@ -129,7 +129,7 @@ func RequestIsolated(lut *trace.StatsSet, est *sched.Estimator) func(*workload.R
 		if st := lut.Lookup(r.Key); st != nil {
 			return st.AvgTotal
 		}
-		if st := est.ModelStats(r.Key.Model); st != nil {
+		if st := est.ModelStats(r.Key.Model()); st != nil {
 			return st.AvgTotal
 		}
 		return est.MeanIsolated()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparsedysta/internal/sched"
+	"sparsedysta/internal/trace"
 )
 
 // TestAdmitAllMatchesNilAdmission: the explicit no-op policy is the nil
@@ -147,11 +148,11 @@ func TestRequestIsolatedFallbackChain(t *testing.T) {
 	if got := iso(&profiled); got != lut.Lookup(profiled.Key).AvgTotal {
 		t.Errorf("profiled pair estimate %v, want LUT AvgTotal", got)
 	}
-	if got := iso(reqs[0]); got != est.ModelStats(reqs[0].Key.Model).AvgTotal {
+	if got := iso(reqs[0]); got != est.ModelStats(reqs[0].Key.Model()).AvgTotal {
 		t.Errorf("unprofiled-pattern estimate %v, want model merge", got)
 	}
 	alien := *reqs[0]
-	alien.Key.Model = "never-profiled"
+	alien.Key = trace.NewKey("never-profiled", alien.Key.Pattern())
 	if got := iso(&alien); got != est.MeanIsolated() {
 		t.Errorf("unknown-model estimate %v, want population mean %v", got, est.MeanIsolated())
 	}

@@ -18,7 +18,7 @@ import (
 // with the given relative SLO. Crafted churn tests need exact control of
 // when work is queued, running and finished around an injected failure.
 func uniformStream(n int, gap, layer time.Duration, layers int, slo time.Duration) []*workload.Request {
-	key := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	key := trace.NewKey("m", sparsity.Dense)
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		tr := trace.SampleTrace{

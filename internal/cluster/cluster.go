@@ -367,14 +367,20 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// the shared slice — so those instants resync every slot. A round or
 	// evaluation that changed nothing leaves the tree alone.
 	evq := newEventTree(len(engines))
-	sync := func(i int) {
+	sync := func(i int) error {
 		t, ok := engines[i].NextEvent()
-		evq.set(i, t, ok)
-	}
-	syncAll := func() {
-		for i := range engines {
-			sync(i)
+		if err := evq.set(i, t, ok); err != nil {
+			return fmt.Errorf("%w (latency scale %g)", err, engines[i].LatencyScale())
 		}
+		return nil
+	}
+	syncAll := func() error {
+		for i := range engines {
+			if err := sync(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	// run commits engine events (all of them, or only those strictly
@@ -421,7 +427,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 					if err := fi.fireUpTo(ct); err != nil {
 						return err
 					}
-					syncAll()
+					if err := syncAll(); err != nil {
+						return err
+					}
 					continue
 				}
 			}
@@ -440,14 +448,18 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 				// loop. A round that moved nothing changed no engine, so
 				// the tree and the pick are still exact.
 				if moved > 0 {
-					syncAll()
+					if err := syncAll(); err != nil {
+						return err
+					}
 					continue
 				}
 			}
 			if _, err := engines[best].Step(); err != nil {
 				return err
 			}
-			sync(best)
+			if err := sync(best); err != nil {
+				return err
+			}
 		}
 	}
 	advance := func(until time.Duration) error { return run(until, true) }
@@ -475,7 +487,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 				if err := fi.fireUpTo(r.Arrival); err != nil {
 					return Result{}, err
 				}
-				syncAll()
+				if err := syncAll(); err != nil {
+					return Result{}, err
+				}
 			}
 		}
 		if rb != nil && rb.due(r.Arrival) {
@@ -484,7 +498,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 				return Result{}, err
 			}
 			if moved > 0 {
-				syncAll()
+				if err := syncAll(); err != nil {
+					return Result{}, err
+				}
 			}
 		}
 		if cfg.debugBacklogAudit != nil {
@@ -507,7 +523,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 				return Result{}, err
 			}
 			if acted {
-				syncAll()
+				if err := syncAll(); err != nil {
+					return Result{}, err
+				}
 			}
 		}
 		if !admission.Admit(sig, r, r.Arrival) {
@@ -535,7 +553,9 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 		if err := engines[idx].Inject(r, r.Arrival); err != nil {
 			return Result{}, err
 		}
-		sync(idx)
+		if err := sync(idx); err != nil {
+			return Result{}, err
+		}
 	}
 	if err := drain(); err != nil {
 		return Result{}, err

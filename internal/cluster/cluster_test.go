@@ -27,7 +27,7 @@ func randomStream(seed uint64, n int) ([]*workload.Request, *sched.Estimator, *t
 	keys := make([]trace.Key, nModels)
 	profiles := make([][]trace.SampleTrace, nModels)
 	for m := 0; m < nModels; m++ {
-		keys[m] = trace.Key{Model: string(rune('a' + m)), Pattern: sparsity.Dense}
+		keys[m] = trace.NewKey(string(rune('a'+m)), sparsity.Dense)
 		layers := 2 + r.Intn(8)
 		for p := 0; p < 3; p++ {
 			tr := trace.SampleTrace{
@@ -292,11 +292,62 @@ func TestEngineClockOverflowFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestEventPastPackedRangeFailsTheRun: the event tree packs each event as
+// time<<slotBits | slot, so times stop at maxTime. A stream shifted late
+// enough that every event still fits runs exactly like the unshifted
+// stream (no event wraps into another slot's bits and jumps the queue),
+// and a stream shifted so that its last request arrives at maxTime,
+// whose layers then end past it, fails with an error naming the engine,
+// the time and the limit: no panic and no result.
+func TestEventPastPackedRangeFailsTheRun(t *testing.T) {
+	reqs, est, lut := randomStream(6, 60)
+	cfg := Config{Engines: 4, Dispatch: NewLeastLoad("sparse-load", SparsityAwareLoad(lut, est))}
+	mk := func(int) sched.Scheduler { return sched.NewSJF(est) }
+	shifted := func(by time.Duration) []*workload.Request {
+		out := make([]*workload.Request, len(reqs))
+		for i, r := range reqs {
+			c := *r
+			c.Arrival += by
+			out[i] = &c
+		}
+		return out
+	}
+	limit := newEventTree(cfg.Engines).maxTime
+	var work time.Duration
+	for _, r := range reqs {
+		work += r.Trace.Total()
+	}
+	last := reqs[len(reqs)-1].Arrival
+
+	want, err := Run(mk, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No event comes later than the last arrival plus all the work.
+	got, err := Run(mk, shifted(limit-last-work), cfg)
+	if err != nil {
+		t.Fatalf("stream ending by the last valid time: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shifted run differs:\n got %+v\nwant %+v", got.Result, want.Result)
+	}
+
+	_, err = Run(mk, shifted(limit-last), cfg)
+	if err == nil {
+		t.Fatal("a run with events past the packed range succeeded")
+	}
+	for _, part := range []string{"cluster: engine ", "next event at ", limit.String()} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+}
+
 // TestImbalanceDegenerateCase: an all-idle cluster (every layer free)
 // must report Imbalance 1.0 — the perfectly balanced value — not a 0 that
 // would sort as "better than perfectly balanced".
 func TestImbalanceDegenerateCase(t *testing.T) {
-	key := trace.Key{Model: "free", Pattern: sparsity.Dense}
+	key := trace.NewKey("free", sparsity.Dense)
 	tr := trace.SampleTrace{LayerLatency: []time.Duration{0, 0}, LayerSparsity: []float64{0.5, 0.5}}
 	store := trace.NewStore()
 	store.Add(key, []trace.SampleTrace{tr, tr})

@@ -200,7 +200,7 @@ func (d *LeastLoad) Pick(sig []EngineSignal, _ *workload.Request, _ time.Duratio
 // validation; a router sees whatever traffic shows up).
 func BlindLoad(est *sched.Estimator) func(*sched.Task) time.Duration {
 	return func(t *sched.Task) time.Duration {
-		if st := est.ModelStats(t.Key.Model); st != nil {
+		if st := est.ModelStats(t.Key.Model()); st != nil {
 			return st.AvgRemaining(t.NextLayer)
 		}
 		return est.MeanIsolated()
@@ -232,7 +232,7 @@ func SparsityAwareLoad(lut *trace.StatsSet, est *sched.Estimator) func(*sched.Ta
 // shortcut.
 func BlindCurve(est *sched.Estimator) func(*sched.Task) []time.Duration {
 	return func(t *sched.Task) []time.Duration {
-		if st := est.ModelStats(t.Key.Model); st != nil {
+		if st := est.ModelStats(t.Key.Model()); st != nil {
 			return st.RemainingCurve()
 		}
 		return nil

@@ -16,7 +16,7 @@ import (
 // built from the profiled pattern only.
 func unprofiledStream(n int) ([]*workload.Request, *sched.Estimator, *trace.StatsSet) {
 	store := trace.NewStore()
-	profiled := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	profiled := trace.NewKey("m", sparsity.Dense)
 	var profiles []trace.SampleTrace
 	for p := 0; p < 3; p++ {
 		tr := trace.SampleTrace{
@@ -30,7 +30,7 @@ func unprofiledStream(n int) ([]*workload.Request, *sched.Estimator, *trace.Stat
 	if err != nil {
 		panic(err)
 	}
-	unprofiled := trace.Key{Model: "m", Pattern: sparsity.BlockNM}
+	unprofiled := trace.NewKey("m", sparsity.BlockNM)
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		tr := &profiles[i%len(profiles)]
@@ -65,12 +65,51 @@ func TestSparsityAwareLoadUnknownKeyFallback(t *testing.T) {
 	}
 }
 
+// TestSparsityAwareLoadKeyInternedAfterLUT: the LUT finds entries by the
+// keys' dense indexes, so a key interned after the LUT was built indexes
+// past its end. It must read as unprofiled: the load and its curve fall
+// back to the pattern-blind model estimate, exactly as for a key
+// interned before the LUT but never profiled.
+func TestSparsityAwareLoadKeyInternedAfterLUT(t *testing.T) {
+	model := "late-" + t.Name()
+	profiled := trace.NewKey(model, sparsity.Dense)
+	tr := trace.SampleTrace{
+		LayerLatency:  []time.Duration{2 * time.Millisecond, 3 * time.Millisecond},
+		LayerSparsity: []float64{0.5, 0.5},
+	}
+	store := trace.NewStore()
+	store.Add(profiled, []trace.SampleTrace{tr, tr})
+	lut, err := trace.NewStatsSet(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := sched.NewEstimator(lut)
+	late := &workload.Request{ID: 0, Key: trace.NewKey(model, sparsity.ChannelWise), Trace: &tr, SLO: time.Second}
+	if lut.Lookup(late.Key) != nil {
+		t.Fatal("a key interned after the LUT reads as profiled")
+	}
+	e := sched.NewEngine(sched.NewFCFS(), sched.Options{
+		BacklogEstimator: SparsityAwareLoad(lut, est),
+		BacklogCurve:     SparsityAwareCurve(lut, est),
+	})
+	if err := e.Inject(late, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, want := e.EstimatedBacklog(SparsityAwareLoad(lut, est)), e.EstimatedBacklog(BlindLoad(est))
+	if want != 5*time.Millisecond || got != want {
+		t.Errorf("late key's estimate %v, want the pattern-blind %v (5ms)", got, want)
+	}
+	if e.Backlog() != want {
+		t.Errorf("late key's curve-backed backlog %v, want %v", e.Backlog(), want)
+	}
+}
+
 // TestBlindLoadUnknownModelFallback: a model the profiling stage never
 // saw falls back to the population mean instead of panicking or zero.
 func TestBlindLoadUnknownModelFallback(t *testing.T) {
 	reqs, est, lut := unprofiledStream(1)
 	alien := *reqs[0]
-	alien.Key = trace.Key{Model: "never-profiled", Pattern: sparsity.Dense}
+	alien.Key = trace.NewKey("never-profiled", sparsity.Dense)
 	e := sched.NewEngine(sched.NewFCFS(), sched.Options{})
 	if err := e.Inject(&alien, alien.Arrival); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -15,31 +16,30 @@ import (
 //
 // The tree is complete over a power-of-two number of leaves: node 1 is
 // the root, node p's children are 2p and 2p+1, and slot i's leaf is
-// node leaves+i. Every node holds the key and slot of the winner of its
-// subtree, so set replays one key comparison per level on the path from
-// the slot's leaf to the root, with no swaps and no position
-// bookkeeping.
+// node leaves+i. Every node holds one packed key, the winner of its
+// subtree: a pending slot's key is time<<slotBits | slot, so the key
+// alone names the slot, and among equal times the lower slot has the
+// lower key. set carries the running minimum up the path from the
+// slot's leaf to the root: one sibling load and one unsigned min per
+// level, with no swaps and no position bookkeeping.
 //
-// A pending slot's key is its event time; a slot with no pending event
-// (and every padding leaf) holds the absent key, which sorts above
-// every valid time and equals none of them, because keys are unsigned
-// and times are never negative. The tie-break is load-bearing: the
-// linear scan this replaces kept the first strictly-lower time, so among
-// equal-time slots the lowest index won. The left child wins ties and
-// lower slots sit further left, so the root holds that same slot — the
-// cross-engine determinism contract (DESIGN.md §5) and the streaming
-// equivalence tests both pin this.
+// A slot with no pending event (and every padding leaf) holds the absent
+// key, all ones, which sorts above every packed key: packed times stop
+// at maxTime, math.MaxInt64>>slotBits, so every packed key is at most
+// math.MaxInt64. An event past maxTime fails the run with an error
+// instead of wrapping into another slot's bits. The tie-break is
+// load-bearing: the linear scan this replaces kept the first
+// strictly-lower time, so among equal-time slots the lowest index won,
+// which the packed order reproduces — the cross-engine determinism
+// contract (DESIGN.md §5) and the streaming equivalence tests both pin
+// this.
 type eventTree struct {
 	// node[p] is internal node p's subtree winner for 1 <= p < leaves,
-	// and slot p-leaves's own entry for p >= leaves; node[0] is unused.
-	node   []eventNode
-	leaves int
-}
-
-// eventNode is one node of the tree: the winning key and its slot.
-type eventNode struct {
-	key  uint64
-	slot int
+	// and slot p-leaves's own key for p >= leaves; node[0] is unused.
+	node     []uint64
+	leaves   int
+	slotBits uint
+	maxTime  time.Duration
 }
 
 // absentKey is the key of a slot with no pending event.
@@ -51,51 +51,46 @@ func newEventTree(n int) *eventTree {
 	for leaves < n {
 		leaves *= 2
 	}
-	q := &eventTree{node: make([]eventNode, 2*leaves), leaves: leaves}
-	for i := 0; i < leaves; i++ {
-		q.node[leaves+i] = eventNode{key: absentKey, slot: i}
-	}
-	for p := leaves - 1; p >= 1; p-- {
-		q.node[p] = q.node[2*p]
+	slotBits := uint(bits.Len(uint(leaves - 1)))
+	q := &eventTree{node: make([]uint64, 2*leaves), leaves: leaves,
+		slotBits: slotBits, maxTime: math.MaxInt64 >> slotBits}
+	for p := 1; p < len(q.node); p++ {
+		q.node[p] = absentKey
 	}
 	return q
 }
 
 // set records slot i's next event at t, or marks the slot absent when ok
-// is false (no pending event). t must not be negative: Engine.NextEvent
-// never returns a negative time, so one here is a bug.
-func (q *eventTree) set(i int, t time.Duration, ok bool) {
+// is false (no pending event). A time outside [0, maxTime] (negative
+// ones never come from Engine.NextEvent) leaves the tree as it was and
+// returns an error naming the engine, the time and the limit.
+func (q *eventTree) set(i int, t time.Duration, ok bool) error {
 	key := uint64(absentKey)
 	if ok {
-		if t < 0 {
-			panic(fmt.Sprintf("cluster: engine %d has its next event at negative time %v", i, t))
+		// One unsigned comparison rejects negative times too.
+		if uint64(t) > uint64(q.maxTime) {
+			return fmt.Errorf("cluster: engine %d has its next event at %v, outside the event queue's range [0, %v]",
+				i, t, q.maxTime)
 		}
-		key = uint64(t)
+		key = uint64(t)<<q.slotBits | uint64(i)
 	}
 	node := q.node
 	p := q.leaves + i
-	node[p].key = key
+	node[p] = key
 	for p > 1 {
-		// l is the left child of p's parent. The right child wins only on
-		// a strictly lower key, so a tie goes left. Selecting by an offset
-		// compiles to a set-on-condition, not a branch the random order
-		// of event times would mispredict.
-		l := p &^ 1
-		right := 0
-		if node[l+1].key < node[l].key {
-			right = 1
-		}
+		key = min(key, node[p^1])
 		p >>= 1
-		node[p] = node[l+right]
+		node[p] = key
 	}
+	return nil
 }
 
 // min returns the slot with the earliest event, ties to the lowest slot
 // index. ok is false when no slot has a pending event.
 func (q *eventTree) min() (slot int, t time.Duration, ok bool) {
-	w := q.node[1]
-	if w.key == absentKey {
+	key := q.node[1]
+	if key == absentKey {
 		return -1, 0, false
 	}
-	return w.slot, time.Duration(w.key), true
+	return int(key & (1<<q.slotBits - 1)), time.Duration(key >> q.slotBits), true
 }

@@ -74,8 +74,8 @@ func TestNames(t *testing.T) {
 // first; at Eta 0 it is the true remaining time (SJF), so the short one
 // does.
 func TestOracleEtaShiftsToDeadline(t *testing.T) {
-	kShort := trace.Key{Model: "short", Pattern: sparsity.Dense}
-	kLong := trace.Key{Model: "long", Pattern: sparsity.Dense}
+	kShort := trace.NewKey("short", sparsity.Dense)
+	kLong := trace.NewKey("long", sparsity.Dense)
 	shortTr := uniformTrace(time.Millisecond, 2, 0.5)
 	longTr := uniformTrace(20*time.Millisecond, 5, 0.5)
 	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{kShort: {shortTr}, kLong: {longTr}})
@@ -107,8 +107,8 @@ func TestOracleEtaShiftsToDeadline(t *testing.T) {
 // short job with a loose SLO and a long job with a tight SLO trade places
 // as beta moves.
 func TestStaticScoreOrdering(t *testing.T) {
-	kShort := trace.Key{Model: "short", Pattern: sparsity.Dense}
-	kLong := trace.Key{Model: "long", Pattern: sparsity.Dense}
+	kShort := trace.NewKey("short", sparsity.Dense)
+	kLong := trace.NewKey("long", sparsity.Dense)
 	shortTr := uniformTrace(time.Millisecond, 2, 0.5)   // 2ms isolated
 	longTr := uniformTrace(10*time.Millisecond, 5, 0.5) // 50ms isolated
 	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{
@@ -146,7 +146,7 @@ func TestStaticScoreOrdering(t *testing.T) {
 // After one layer of each, sparsity-aware Dysta finishes the truly fast
 // one first, while the static ablation cannot tell them apart.
 func TestDynamicRefinement(t *testing.T) {
-	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	k := trace.NewKey("m", sparsity.Dense)
 	// Profiling set with sparsity-latency variation so the LUT learns the
 	// slope: 10ms/layer at s=0.5 and 6ms/layer at s=0.7 (slope -20ms per
 	// unit sparsity; average 8ms at s=0.6).

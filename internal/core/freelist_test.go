@@ -49,7 +49,7 @@ func checkSameState(t *testing.T, label string, fresh, recycled *requestState) {
 // both come from one chunk of two (sched's
 // TestFreeListGrowsInDoublingChunks pins the chunk sizes).
 func TestRecycledStateMatchesFresh(t *testing.T) {
-	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	k := trace.NewKey("m", sparsity.Dense)
 	const layers = 6
 	var traces []trace.SampleTrace
 	for i, sp := range []float64{0.2, 0.5, 0.8} {
@@ -154,7 +154,7 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 // holds, so it makes O(log n) allocations in all (its heaps and free
 // list grow by doubling too), not one per request.
 func TestStateAllocationsGrowLogarithmically(t *testing.T) {
-	k := trace.Key{Model: "m", Pattern: sparsity.Dense}
+	k := trace.NewKey("m", sparsity.Dense)
 	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: {uniformTrace(time.Millisecond, 4, 0.5)}})
 	for _, n := range []int{1000, 8000} {
 		tasks := make([]*sched.Task, n)

@@ -18,7 +18,7 @@ func bertStatsAndTraces(t *testing.T, profN, evalN int) (*trace.Stats, []trace.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := trace.Key{Model: m.Name, Pattern: sparsity.Dense}
+	k := trace.NewKey(m.Name, sparsity.Dense)
 	st, err := trace.Summarize(k, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"sparsedysta/internal/core"
 	"sparsedysta/internal/hwsched"
 	"sparsedysta/internal/models"
+	"sparsedysta/internal/sparsity"
 	"sparsedysta/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func Table4(opts Options) ([]Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := trace.Summarize(trace.Key{Model: m.Name}, prof)
+		st, err := trace.Summarize(trace.NewKey(m.Name, sparsity.Dense), prof)
 		if err != nil {
 			return nil, err
 		}

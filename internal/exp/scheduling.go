@@ -301,9 +301,9 @@ func specNames(specs []SchedSpec) []string {
 // MobileNet violates; the sparsity-pattern-aware scheduler knows this
 // MobileNet variant runs in 2.2 ms, preempts, and meets the SLO.
 func Fig5(Options) ([]Artifact, error) {
-	kRes := trace.Key{Model: "resnet-like", Pattern: sparsity.Dense}
-	kMobFast := trace.Key{Model: "mobilenet-like", Pattern: sparsity.RandomPointwise}
-	kMobSlow := trace.Key{Model: "mobilenet-like", Pattern: sparsity.ChannelWise}
+	kRes := trace.NewKey("resnet-like", sparsity.Dense)
+	kMobFast := trace.NewKey("mobilenet-like", sparsity.RandomPointwise)
+	kMobSlow := trace.NewKey("mobilenet-like", sparsity.ChannelWise)
 
 	store := trace.NewStore()
 	store.Add(kRes, []trace.SampleTrace{uniform(10, time.Millisecond, 0.5)})

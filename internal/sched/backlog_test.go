@@ -21,7 +21,7 @@ import (
 func backlogLoad(est *Estimator) (func(*Task) time.Duration, func(*Task) []time.Duration) {
 	load := func(t *Task) time.Duration { return est.Remaining(t) }
 	curve := func(t *Task) []time.Duration {
-		if st := est.ModelStats(t.Key.Model); st != nil {
+		if st := est.ModelStats(t.Key.Model()); st != nil {
 			return st.RemainingCurve()
 		}
 		return nil

@@ -35,8 +35,8 @@ type Estimator struct {
 func NewEstimator(set *trace.StatsSet) *Estimator {
 	e := &Estimator{set: set, byModel: map[string]*trace.Stats{}}
 	for _, k := range set.Keys() {
-		if _, ok := e.byModel[k.Model]; !ok {
-			e.byModel[k.Model] = set.MergedByModel(k.Model)
+		if _, ok := e.byModel[k.Model()]; !ok {
+			e.byModel[k.Model()] = set.MergedByModel(k.Model())
 		}
 	}
 	// Accumulate in sorted-model order: float addition is not
@@ -69,9 +69,9 @@ func (e *Estimator) MeanIsolated() time.Duration { return e.meanIsolated }
 
 // stats returns the pattern-blind profile for the task's model.
 func (e *Estimator) stats(t *Task) *trace.Stats {
-	st, ok := e.byModel[t.Key.Model]
+	st, ok := e.byModel[t.Key.Model()]
 	if !ok {
-		panic("sched: no profiling stats for model " + t.Key.Model)
+		panic("sched: no profiling stats for model " + t.Key.Model())
 	}
 	return st
 }

@@ -25,7 +25,7 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 	}
 	return &workload.Request{
 		ID:      id,
-		Key:     trace.Key{Model: model, Pattern: sparsity.Dense},
+		Key:     trace.NewKey(model, sparsity.Dense),
 		Trace:   &tr,
 		Arrival: arrival,
 		SLO:     time.Duration(float64(layerLat) * float64(layers) * sloMult),

@@ -105,7 +105,7 @@ func tieGridStream(seed uint64) ([]*workload.Request, *Estimator, *trace.StatsSe
 	keys := make([]trace.Key, nModels)
 	profiles := make([]trace.SampleTrace, nModels)
 	for m := range profiles {
-		keys[m] = trace.Key{Model: string(rune('a' + m)), Pattern: sparsity.Dense}
+		keys[m] = trace.NewKey(string(rune('a'+m)), sparsity.Dense)
 		layers := 1 + r.Intn(6)
 		tr := trace.SampleTrace{LayerLatency: make([]time.Duration, layers), LayerSparsity: make([]float64, layers)}
 		for l := range tr.LayerLatency {

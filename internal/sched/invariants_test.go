@@ -20,7 +20,7 @@ func randomStream(seed uint64) ([]*workload.Request, *Estimator) {
 	keys := make([]trace.Key, nModels)
 	profiles := make([][]trace.SampleTrace, nModels)
 	for m := 0; m < nModels; m++ {
-		keys[m] = trace.Key{Model: string(rune('a' + m)), Pattern: sparsity.Dense}
+		keys[m] = trace.NewKey(string(rune('a'+m)), sparsity.Dense)
 		layers := 2 + r.Intn(8)
 		nProf := 3
 		for p := 0; p < nProf; p++ {

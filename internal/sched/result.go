@@ -150,7 +150,7 @@ type TaskOutcome struct {
 func outcomeOf(t *Task) TaskOutcome {
 	return TaskOutcome{
 		ID:         t.ID,
-		Model:      t.Key.Model,
+		Model:      t.Key.Model(),
 		Arrival:    t.Arrival,
 		Completion: t.Completion,
 		Isolated:   t.TrueIsolated(),

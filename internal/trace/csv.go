@@ -29,8 +29,8 @@ func WriteCSV(w io.Writer, k Key, traces []SampleTrace) error {
 	for i, tr := range traces {
 		for l := range tr.LayerLatency {
 			rec := []string{
-				k.Model,
-				k.Pattern.String(),
+				k.Model(),
+				k.Pattern().String(),
 				strconv.Itoa(i),
 				strconv.Itoa(l),
 				strconv.FormatInt(int64(tr.LayerLatency[l]), 10),
@@ -61,7 +61,9 @@ func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 		}
 	}
 
-	var key Key
+	// The file's pair comes from its first row and is interned once the
+	// whole file parsed, so a rejected file interns nothing.
+	var pair keyPair
 	var traces []SampleTrace
 	cur := -1
 	for {
@@ -76,11 +78,12 @@ func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 		if err != nil {
 			return Key{}, nil, err
 		}
-		rowKey := Key{Model: rec[0], Pattern: pat}
+		rowPair := keyPair{rec[0], pat}
 		if cur == -1 {
-			key = rowKey
-		} else if rowKey != key {
-			return Key{}, nil, fmt.Errorf("trace: mixed keys in one file: %v and %v", key, rowKey)
+			pair = rowPair
+		} else if rowPair != pair {
+			return Key{}, nil, fmt.Errorf("trace: mixed keys in one file: %s/%v and %s/%v",
+				pair.model, pair.pattern, rowPair.model, rowPair.pattern)
 		}
 		sample, err := strconv.Atoi(rec[2])
 		if err != nil {
@@ -123,5 +126,5 @@ func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 	if cur == -1 {
 		return Key{}, nil, fmt.Errorf("trace: file has no data rows")
 	}
-	return key, traces, nil
+	return NewKey(pair.model, pair.pattern), traces, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparsedysta/internal/sparsity"
 )
 
 // FuzzReadCSV feeds arbitrary bytes to the runtime-info parser: it must
@@ -13,7 +15,7 @@ import (
 func FuzzReadCSV(f *testing.F) {
 	// Seed with a valid file, a truncation, and assorted corruptions.
 	var buf bytes.Buffer
-	k := Key{Model: "m"}
+	k := NewKey("m", sparsity.Dense)
 	_ = WriteCSV(&buf, k, []SampleTrace{{
 		LayerLatency:  []time.Duration{100, 200},
 		LayerSparsity: []float64{0.1, 0.9},

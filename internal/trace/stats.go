@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"sparsedysta/internal/sparsity"
 )
 
 // Stats is the offline profiling summary for one model-pattern pair — the
@@ -163,41 +165,55 @@ func (s *Stats) NumLayers() int { return len(s.AvgLayerLatency) }
 // StatsSet indexes Stats by key: the full model-info LUT shared by the
 // static scheduler and the hardware LUTs.
 type StatsSet struct {
-	byKey map[Key]*Stats
+	// byIndex[i] is the entry of the key with dense index i, nil for a
+	// key never profiled. A key interned after the set was built indexes
+	// past its end, so it reads as unprofiled too.
+	byIndex []*Stats
 }
 
 // NewStatsSet builds the LUT from a profiling store.
 func NewStatsSet(profiling *Store) (*StatsSet, error) {
-	set := &StatsSet{byKey: map[Key]*Stats{}}
+	set := &StatsSet{}
 	for _, k := range profiling.Keys() {
 		st, err := Summarize(k, profiling.Get(k))
 		if err != nil {
 			return nil, err
 		}
-		set.byKey[k] = st
+		i := k.index()
+		if i >= len(set.byIndex) {
+			set.byIndex = append(set.byIndex, make([]*Stats, i+1-len(set.byIndex))...)
+		}
+		set.byIndex[i] = st
 	}
 	return set, nil
 }
 
 // Lookup returns the LUT entry for a key, or nil if the pair was never
-// profiled.
-func (s *StatsSet) Lookup(k Key) *Stats { return s.byKey[k] }
+// profiled. It reads the entry by the key's dense index: no hashing.
+func (s *StatsSet) Lookup(k Key) *Stats {
+	if i := k.index(); i < len(s.byIndex) {
+		return s.byIndex[i]
+	}
+	return nil
+}
 
 // MustLookup returns the LUT entry or panics; schedulers use it after
 // workload validation has ensured every pair is profiled.
 func (s *StatsSet) MustLookup(k Key) *Stats {
-	st := s.byKey[k]
+	st := s.Lookup(k)
 	if st == nil {
 		panic(fmt.Sprintf("trace: no profiling stats for %v", k))
 	}
 	return st
 }
 
-// Keys returns the profiled keys (order unspecified).
+// Keys returns the profiled keys in interning order.
 func (s *StatsSet) Keys() []Key {
-	out := make([]Key, 0, len(s.byKey))
-	for k := range s.byKey {
-		out = append(out, k)
+	var out []Key
+	for _, st := range s.byIndex {
+		if st != nil {
+			out = append(out, st.Key)
+		}
 	}
 	return out
 }
@@ -210,8 +226,8 @@ func (s *StatsSet) Keys() []Key {
 func (s *StatsSet) MergedByModel(model string) *Stats {
 	var members []*Stats
 	total := 0
-	for k, st := range s.byKey {
-		if k.Model == model {
+	for _, st := range s.byIndex {
+		if st != nil && st.Key.Model() == model {
 			members = append(members, st)
 			total += st.Samples
 		}
@@ -220,16 +236,16 @@ func (s *StatsSet) MergedByModel(model string) *Stats {
 		return nil
 	}
 	// Accumulate in pattern order: float addition is not associative, so
-	// merging in (random) map-iteration order would make the merged
-	// profile — and every schedule derived from it — vary between
-	// processes for the same inputs.
-	sort.Slice(members, func(i, j int) bool { return members[i].Key.Pattern < members[j].Key.Pattern })
+	// merging in interning order would make the merged profile — and
+	// every schedule derived from it — depend on which pair a process
+	// happened to intern first.
+	sort.Slice(members, func(i, j int) bool { return members[i].Key.Pattern() < members[j].Key.Pattern() })
 	if len(members) == 1 {
 		return members[0]
 	}
 	layers := members[0].NumLayers()
 	merged := &Stats{
-		Key:              Key{Model: model},
+		Key:              NewKey(model, sparsity.Dense),
 		AvgLayerLatency:  make([]time.Duration, layers),
 		AvgLayerSparsity: make([]float64, layers),
 		LatSparsitySlope: make([]float64, layers),

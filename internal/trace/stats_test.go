@@ -26,7 +26,7 @@ func slopedTraces(base time.Duration, slope float64, layers int) []SampleTrace {
 }
 
 func TestLatSparsitySlopeFit(t *testing.T) {
-	k := Key{Model: "m", Pattern: sparsity.Dense}
+	k := NewKey("m", sparsity.Dense)
 	// lat = 1ms - 2ms*(s-0.5): slope must fit to -2e6 ns per sparsity unit.
 	st, err := Summarize(k, slopedTraces(time.Millisecond, -2e6, 3))
 	if err != nil {
@@ -52,7 +52,7 @@ func TestLatSparsitySlopeFit(t *testing.T) {
 }
 
 func TestSensitivityRemaining(t *testing.T) {
-	k := Key{Model: "m", Pattern: sparsity.Dense}
+	k := NewKey("m", sparsity.Dense)
 	st, err := Summarize(k, slopedTraces(time.Millisecond, -2e6, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +86,9 @@ func TestSensitivityRemaining(t *testing.T) {
 
 func TestMergedByModel(t *testing.T) {
 	store := NewStore()
-	kA := Key{Model: "m", Pattern: sparsity.RandomPointwise}
-	kB := Key{Model: "m", Pattern: sparsity.ChannelWise}
-	kOther := Key{Model: "other", Pattern: sparsity.Dense}
+	kA := NewKey("m", sparsity.RandomPointwise)
+	kB := NewKey("m", sparsity.ChannelWise)
+	kOther := NewKey("other", sparsity.Dense)
 	// Pattern A: 1ms/layer at s=0.4 (2 samples); pattern B: 3ms/layer at
 	// s=0.8 (2 samples). Equal sample counts -> merged averages are the
 	// midpoints.
@@ -139,8 +139,8 @@ func TestMergedByModel(t *testing.T) {
 
 func TestMergedByModelWeightsBySamples(t *testing.T) {
 	store := NewStore()
-	kA := Key{Model: "m", Pattern: sparsity.RandomPointwise}
-	kB := Key{Model: "m", Pattern: sparsity.ChannelWise}
+	kA := NewKey("m", sparsity.RandomPointwise)
+	kB := NewKey("m", sparsity.ChannelWise)
 	mk := func(lat time.Duration) SampleTrace {
 		return SampleTrace{LayerLatency: []time.Duration{lat}, LayerSparsity: []float64{0.5}}
 	}

@@ -19,16 +19,6 @@ import (
 	"sparsedysta/internal/sparsity"
 )
 
-// Key identifies one model-pattern pair, the granularity at which the
-// paper stores LUT entries and runtime-info files.
-type Key struct {
-	Model   string
-	Pattern sparsity.Pattern
-}
-
-// String renders the key as model/pattern.
-func (k Key) String() string { return k.Model + "/" + k.Pattern.String() }
-
 // SampleTrace is the runtime information of one input processed in
 // isolation: what the hardware simulator measured per layer.
 type SampleTrace struct {
@@ -37,10 +27,23 @@ type SampleTrace struct {
 	// LayerSparsity[l] is the dynamic sparsity the hardware monitor
 	// observes at layer l.
 	LayerSparsity []float64
+	// total is the sum of LayerLatency, stamped by Store.Add on the
+	// store's copy (0 on a trace no store holds), so that Total is one
+	// load for every request drawn from a store.
+	total time.Duration
 }
 
-// Total returns the isolated end-to-end latency (the paper's T_isol).
+// Total returns the isolated end-to-end latency (the paper's T_isol). A
+// stored trace returns its stamp; any other trace sums its layers.
 func (t *SampleTrace) Total() time.Duration {
+	if t.total != 0 {
+		return t.total
+	}
+	return t.layerSum()
+}
+
+// layerSum sums the layer latencies.
+func (t *SampleTrace) layerSum() time.Duration {
 	var sum time.Duration
 	for _, d := range t.LayerLatency {
 		sum += d
@@ -86,6 +89,10 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("trace: non-positive sample count %d", cfg.Samples)
 	}
+	// The negated test also rejects NaN, which fails every comparison.
+	if !(cfg.WeightRate >= 0 && cfg.WeightRate < 1) {
+		return nil, fmt.Errorf("trace: weight sparsity rate %v outside [0, 1)", cfg.WeightRate)
+	}
 	if acc.Family() != cfg.Model.Family {
 		return nil, fmt.Errorf("trace: model %s (family %v) on accelerator %s (family %v)",
 			cfg.Model.Name, cfg.Model.Family, acc.Name(), acc.Family())
@@ -130,14 +137,18 @@ func NewStore() *Store {
 	return &Store{byKey: map[Key][]SampleTrace{}, sums: map[Key]float64{}}
 }
 
-// Add appends traces under the key and folds their totals into the key's
-// SumTotals.
+// Add appends copies of the traces under the key, stamps each copy's
+// total and folds the totals into the key's SumTotals. A stored trace
+// must not be mutated afterwards: its stamp would go stale.
 func (s *Store) Add(k Key, traces []SampleTrace) {
+	n := len(s.byKey[k])
+	stored := append(s.byKey[k], traces...)
 	sum := s.sums[k]
-	for i := range traces {
-		sum += float64(traces[i].Total())
+	for i := n; i < len(stored); i++ {
+		stored[i].total = stored[i].layerSum()
+		sum += float64(stored[i].total)
 	}
-	s.byKey[k] = append(s.byKey[k], traces...)
+	s.byKey[k] = stored
 	s.sums[k] = sum
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func buildCNN(t *testing.T, samples int) (Key, []SampleTrace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Key{Model: m.Name, Pattern: sparsity.RandomPointwise}, traces
+	return NewKey(m.Name, sparsity.RandomPointwise), traces
 }
 
 func TestBuildShapes(t *testing.T) {
@@ -65,6 +66,15 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(eyeriss.NewDefault(), BuildConfig{Model: models.MobileNet(), Samples: 0}); err == nil {
 		t.Error("zero samples accepted")
+	}
+	// A weight sparsity rate must lie in [0, 1); NaN fails every
+	// comparison and must fail the check too.
+	for _, rate := range []float64{math.NaN(), -0.5, 1, 1.5, math.Inf(1)} {
+		_, err := Build(eyeriss.NewDefault(), BuildConfig{Model: models.MobileNet(), Samples: 1,
+			Pattern: sparsity.RandomPointwise, WeightRate: rate})
+		if want := fmt.Sprintf("rate %v", rate); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rate %v: err %v, want one naming %q", rate, err, want)
+		}
 	}
 	// Family mismatch: an AttNN on the CNN accelerator.
 	if _, err := Build(eyeriss.NewDefault(), BuildConfig{Model: models.BERTBase(), Samples: 1}); err == nil {
@@ -117,7 +127,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if s.Len() != 1 || len(s.Keys()) != 1 {
 		t.Errorf("store has %d keys", s.Len())
 	}
-	if s.Get(Key{Model: "nope"}) != nil {
+	if s.Get(NewKey("nope", sparsity.Dense)) != nil {
 		t.Error("missing key returned traces")
 	}
 }
@@ -137,13 +147,46 @@ func TestStoreSumTotals(t *testing.T) {
 	if got := s.SumTotals(k); got != want {
 		t.Errorf("SumTotals %v, want %v", got, want)
 	}
-	if got := s.SumTotals(Key{Model: "nope"}); got != 0 {
+	if got := s.SumTotals(NewKey("nope", sparsity.Dense)); got != 0 {
 		t.Errorf("missing key sums to %v", got)
 	}
 }
 
+// TestStoreStampsTotals: Store.Add stamps each stored copy's total, and
+// the stamp is the copy's layer sum. A trace no store holds (the caller's
+// own slice among them) carries no stamp and still reports its exact
+// layer sum.
+func TestStoreStampsTotals(t *testing.T) {
+	k, traces := buildCNN(t, 5)
+	s := NewStore()
+	s.Add(k, traces[:2])
+	s.Add(k, traces[2:])
+	for i := range traces {
+		if traces[i].total != 0 {
+			t.Fatalf("Add stamped the caller's trace %d", i)
+		}
+	}
+	stored := s.Get(k)
+	for i := range stored {
+		var sum time.Duration
+		for _, d := range stored[i].LayerLatency {
+			sum += d
+		}
+		if stored[i].total != sum || stored[i].Total() != sum {
+			t.Errorf("stored trace %d: stamp %v, Total %v, layer sum %v", i, stored[i].total, stored[i].Total(), sum)
+		}
+		if got := traces[i].Total(); got != sum {
+			t.Errorf("unstored trace %d: Total %v, layer sum %v", i, got, sum)
+		}
+	}
+	hand := SampleTrace{LayerLatency: []time.Duration{7, 11, 13}}
+	if got := hand.Total(); got != 31 {
+		t.Errorf("hand-built trace Total %v, want 31", got)
+	}
+}
+
 func TestSummarize(t *testing.T) {
-	k := Key{Model: "m", Pattern: sparsity.Dense}
+	k := NewKey("m", sparsity.Dense)
 	traces := []SampleTrace{
 		{LayerLatency: []time.Duration{100, 200}, LayerSparsity: []float64{0.2, 0.4}},
 		{LayerLatency: []time.Duration{300, 400}, LayerSparsity: []float64{0.4, 0.8}},
@@ -174,7 +217,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeErrors(t *testing.T) {
-	k := Key{Model: "m"}
+	k := NewKey("m", sparsity.Dense)
 	if _, err := Summarize(k, nil); err == nil {
 		t.Error("empty traces accepted")
 	}
@@ -198,7 +241,7 @@ func TestStatsSet(t *testing.T) {
 	if set.Lookup(k) == nil {
 		t.Fatal("profiled key missing from stats set")
 	}
-	if set.Lookup(Key{Model: "nope"}) != nil {
+	if set.Lookup(NewKey("nope", sparsity.Dense)) != nil {
 		t.Error("unknown key found")
 	}
 	if len(set.Keys()) != 1 {
@@ -209,7 +252,7 @@ func TestStatsSet(t *testing.T) {
 			t.Error("MustLookup on missing key did not panic")
 		}
 	}()
-	set.MustLookup(Key{Model: "nope"})
+	set.MustLookup(NewKey("nope", sparsity.Dense))
 }
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -293,7 +336,7 @@ func TestReadCSVRejectsNonPhysicalValues(t *testing.T) {
 }
 
 func TestKeyString(t *testing.T) {
-	k := Key{Model: "bert", Pattern: sparsity.Dense}
+	k := NewKey("bert", sparsity.Dense)
 	if got := k.String(); got != "bert/dense" {
 		t.Errorf("Key.String() = %q", got)
 	}

@@ -24,23 +24,30 @@ type Stream struct {
 	entries     []Entry
 	cfg         GenConfig
 	totalWeight float64
-	// traces and meanIso are indexed by entry: each entry's evaluation
-	// traces and its mean isolated latency (the SLO base), resolved once
-	// so that Next hashes no trace.Key.
-	traces  [][]trace.SampleTrace
-	meanIso []time.Duration
-	proc    traffic.Process
-	r       *rng.Source
-	now     time.Duration
-	next    int
-	req     Request
+	// resolved[i] is entry i's state, resolved once so that Next
+	// neither hashes nor interns a key.
+	resolved []resolvedEntry
+	proc     traffic.Process
+	r        *rng.Source
+	now      time.Duration
+	next     int
+	req      Request
 }
 
-// NewStream validates the configuration, resolves every entry's traces
-// and mean isolated latency (its SLO base), and positions the iterator
-// before the first request. The configured Process is Reset here,
-// exactly as Generate resets it, so a stateful process can be reused
-// across streams.
+// resolvedEntry is what a stream draws from for one entry.
+type resolvedEntry struct {
+	key trace.Key
+	// traces are the entry's evaluation traces in the store.
+	traces []trace.SampleTrace
+	// meanIso is their mean isolated latency, the SLO base.
+	meanIso time.Duration
+}
+
+// NewStream validates the configuration, resolves every entry's key,
+// traces and mean isolated latency (its SLO base), and positions the
+// iterator before the first request. The configured Process is Reset
+// here, exactly as Generate resets it, so a stateful process can be
+// reused across streams.
 func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -49,20 +56,20 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 		return nil, fmt.Errorf("workload: scenario %q has no entries", sc.Name)
 	}
 	s := &Stream{
-		entries: sc.Entries,
-		cfg:     cfg,
-		traces:  make([][]trace.SampleTrace, len(sc.Entries)),
-		meanIso: make([]time.Duration, len(sc.Entries)),
-		r:       rng.New(cfg.Seed),
+		entries:  sc.Entries,
+		cfg:      cfg,
+		resolved: make([]resolvedEntry, len(sc.Entries)),
+		r:        rng.New(cfg.Seed),
 	}
 	for i, e := range sc.Entries {
-		traces := store.Get(e.Key())
+		k := e.Key()
+		traces := store.Get(k)
 		if len(traces) == 0 {
-			return nil, fmt.Errorf("workload: no traces for %v", e.Key())
+			return nil, fmt.Errorf("workload: no traces for %v", k)
 		}
 		s.totalWeight += e.Weight
-		s.traces[i] = traces
-		s.meanIso[i] = time.Duration(store.SumTotals(e.Key()) / float64(len(traces)))
+		s.resolved[i] = resolvedEntry{key: k, traces: traces,
+			meanIso: time.Duration(store.SumTotals(k) / float64(len(traces)))}
 	}
 
 	s.proc = cfg.Process
@@ -90,15 +97,15 @@ func (s *Stream) Next() (*Request, bool) {
 	}
 	s.now += s.proc.Next(s.r, s.now)
 	i := sampleEntry(s.r, s.entries, s.totalWeight)
-	traces := s.traces[i]
-	tr := &traces[s.r.Intn(len(traces))]
-	sloBase := s.meanIso[i]
+	e := &s.resolved[i]
+	tr := &e.traces[s.r.Intn(len(e.traces))]
+	sloBase := e.meanIso
 	if s.cfg.PerSampleSLO {
 		sloBase = tr.Total()
 	}
 	s.req = Request{
 		ID:      s.next,
-		Key:     s.entries[i].Key(),
+		Key:     e.key,
 		Trace:   tr,
 		Arrival: s.now,
 		SLO:     time.Duration(float64(sloBase) * s.cfg.SLOMultiplier * s.entries[i].sloFactor()),

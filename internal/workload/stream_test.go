@@ -3,9 +3,44 @@ package workload
 import (
 	"testing"
 	"time"
+	"unsafe"
 
+	"sparsedysta/internal/trace"
 	"sparsedysta/internal/traffic"
 )
+
+// TestRequestSize pins a request at 40 bytes, its key at one word: a
+// materialized stream (bench's serving-control holds 200k) pays for every
+// byte a request carries.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 40 {
+		t.Errorf("workload.Request is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(trace.Key{}); got != 8 {
+		t.Errorf("trace.Key is %d bytes, want 8", got)
+	}
+}
+
+// TestNewStreamAllocations: a stream resolves each entry's key, traces
+// and SLO base into one slice, so opening one allocates the stream, that
+// slice, its random source and its Poisson process, and nothing per
+// entry.
+func TestNewStreamAllocations(t *testing.T) {
+	sc := MultiCNN()
+	_, eval, err := BuildStores(sc, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GenConfig{Requests: 10, RatePerSec: 3, SLOMultiplier: 10, Seed: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewStream(sc, eval, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("NewStream over %d entries made %v allocations, want at most 4", len(sc.Entries), allocs)
+	}
+}
 
 // TestStreamMatchesGenerate pins the bit-identity contract between the
 // iterator and the materialized path, for the default inline Poisson

@@ -43,9 +43,11 @@ func (e Entry) sloFactor() float64 {
 	return e.SLOFactor
 }
 
-// Key returns the trace key of the entry.
+// Key returns the trace key of the entry. It interns the pair (see
+// trace.NewKey), so per-request code reads a key resolved at set-up
+// instead, as Stream does.
 func (e Entry) Key() trace.Key {
-	return trace.Key{Model: e.Model.Name, Pattern: e.Pattern}
+	return trace.NewKey(e.Model.Name, e.Pattern)
 }
 
 // Scenario is a deployment setup of paper Table 3: a set of model-pattern
@@ -250,8 +252,9 @@ func BuildStores(sc Scenario, profileSamples, evalSamples int, seed uint64) (pro
 		if results[i].err != nil {
 			return nil, nil, results[i].err
 		}
-		prof.Add(e.Key(), results[i].prof)
-		eval.Add(e.Key(), results[i].eval)
+		k := e.Key()
+		prof.Add(k, results[i].prof)
+		eval.Add(k, results[i].eval)
 	}
 	return prof, eval, nil
 }
@@ -262,11 +265,12 @@ func BuildStores(sc Scenario, profileSamples, evalSamples int, seed uint64) (pro
 func MeanIsolated(sc Scenario, store *trace.Store) (time.Duration, error) {
 	var sum, weights float64
 	for _, e := range sc.Entries {
-		traces := store.Get(e.Key())
+		k := e.Key()
+		traces := store.Get(k)
 		if len(traces) == 0 {
-			return 0, fmt.Errorf("workload: no traces for %v", e.Key())
+			return 0, fmt.Errorf("workload: no traces for %v", k)
 		}
-		sum += e.Weight * store.SumTotals(e.Key()) / float64(len(traces))
+		sum += e.Weight * store.SumTotals(k) / float64(len(traces))
 		weights += e.Weight
 	}
 	return time.Duration(sum / weights), nil

@@ -104,7 +104,7 @@ func TestGenerateSamplesAllEntries(t *testing.T) {
 		Requests: 600, RatePerSec: 30, SLOMultiplier: 10, Seed: 11})
 	counts := map[string]int{}
 	for _, r := range reqs {
-		counts[r.Key.Model]++
+		counts[r.Key.Model()]++
 	}
 	for _, e := range sc.Entries {
 		n := counts[e.Model.Name]
