@@ -499,7 +499,7 @@ func BenchmarkLayerLatency(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sc.Accel.LayerLatency(l, sp)
+		_ = sc.Accel.LayerLatency(&l, sp)
 	}
 }
 

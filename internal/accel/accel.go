@@ -37,16 +37,17 @@ type Accelerator interface {
 	// Family reports which model family the accelerator serves.
 	Family() models.Family
 	// LayerLatency returns the execution time of one layer under the
-	// given sparsity state. Implementations must be deterministic.
-	LayerLatency(l models.Layer, sp LayerSparsity) time.Duration
+	// given sparsity state. Implementations must be deterministic and
+	// must not modify the layer.
+	LayerLatency(l *models.Layer, sp LayerSparsity) time.Duration
 }
 
 // ModelLatency sums LayerLatency over every layer of m with uniform
 // sparsity state, a convenience for calibration and tests.
 func ModelLatency(a Accelerator, m *models.Model, sp LayerSparsity) time.Duration {
 	var total time.Duration
-	for _, l := range m.Layers {
-		total += a.LayerLatency(l, sp)
+	for i := range m.Layers {
+		total += a.LayerLatency(&m.Layers[i], sp)
 	}
 	return total
 }

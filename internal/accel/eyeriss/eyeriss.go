@@ -106,7 +106,7 @@ func (s *Simulator) Config() Config { return s.cfg }
 // mapEfficiency estimates how fully a layer's output rows occupy the PE
 // array: work that does not divide evenly across PEs leaves the final wave
 // partially idle.
-func (s *Simulator) mapEfficiency(l models.Layer) float64 {
+func (s *Simulator) mapEfficiency(l *models.Layer) float64 {
 	rows := int64(l.Cout) * int64(l.OutH)
 	if l.Kind == models.FC {
 		rows = int64(l.Cout)
@@ -127,7 +127,7 @@ func (s *Simulator) mapEfficiency(l models.Layer) float64 {
 // sparsity are zero-skipped; the realizable fraction of the ideal skip
 // depends on the weight pattern (sparsity.DefaultEfficiency), and
 // channel-wise masks see denser surviving activations (importance bias).
-func (s *Simulator) LayerLatency(l models.Layer, sp accel.LayerSparsity) time.Duration {
+func (s *Simulator) LayerLatency(l *models.Layer, sp accel.LayerSparsity) time.Duration {
 	density := sp.Density()
 	if density < 0 {
 		density = 0
@@ -177,7 +177,7 @@ func (s *Simulator) LayerLatency(l models.Layer, sp accel.LayerSparsity) time.Du
 // reason the paper enlarges the banks from 1.5 KB to 2.5 KB for
 // VGG/ResNet-scale layers (§6.1). The factor is the slow-down multiple
 // (1 = fits).
-func (s *Simulator) glbOverflowFactor(l models.Layer, density float64) float64 {
+func (s *Simulator) glbOverflowFactor(l *models.Layer, density float64) float64 {
 	if s.cfg.GLBInputKB <= 0 || s.cfg.GLBBanks <= 0 || l.Kind == models.FC {
 		return 1
 	}

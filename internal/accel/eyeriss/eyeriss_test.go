@@ -17,7 +17,7 @@ func TestLatencyPositive(t *testing.T) {
 	sim := NewDefault()
 	for _, m := range models.BenchmarkCNNs() {
 		for _, l := range m.Layers {
-			if d := sim.LayerLatency(l, denseState()); d <= 0 {
+			if d := sim.LayerLatency(&l, denseState()); d <= 0 {
 				t.Errorf("%s/%s: non-positive latency %v", m.Name, l.Name, d)
 			}
 		}
@@ -27,12 +27,12 @@ func TestLatencyPositive(t *testing.T) {
 func TestSparsityReducesLatency(t *testing.T) {
 	sim := NewDefault()
 	l := models.VGG16().Layers[2] // conv2_1, solidly compute bound
-	dense := sim.LayerLatency(l, denseState())
-	weightSparse := sim.LayerLatency(l, accel.LayerSparsity{
+	dense := sim.LayerLatency(&l, denseState())
+	weightSparse := sim.LayerLatency(&l, accel.LayerSparsity{
 		Pattern: sparsity.RandomPointwise, WeightRate: 0.8})
-	actSparse := sim.LayerLatency(l, accel.LayerSparsity{
+	actSparse := sim.LayerLatency(&l, accel.LayerSparsity{
 		Pattern: sparsity.Dense, ActivationSparsity: 0.5})
-	both := sim.LayerLatency(l, accel.LayerSparsity{
+	both := sim.LayerLatency(&l, accel.LayerSparsity{
 		Pattern: sparsity.RandomPointwise, WeightRate: 0.8, ActivationSparsity: 0.5})
 	if weightSparse >= dense {
 		t.Errorf("weight sparsity did not speed up: %v >= %v", weightSparse, dense)
@@ -53,7 +53,7 @@ func TestPatternMatters(t *testing.T) {
 	l := models.ResNet50().Layers[10]
 	lat := map[sparsity.Pattern]time.Duration{}
 	for _, p := range []sparsity.Pattern{sparsity.RandomPointwise, sparsity.BlockNM, sparsity.ChannelWise} {
-		lat[p] = sim.LayerLatency(l, accel.LayerSparsity{
+		lat[p] = sim.LayerLatency(&l, accel.LayerSparsity{
 			Pattern: p, WeightRate: 0.8, ActivationSparsity: 0.4})
 	}
 	if lat[sparsity.RandomPointwise] == lat[sparsity.BlockNM] &&
@@ -102,10 +102,10 @@ func TestFCLayersMemoryBound(t *testing.T) {
 	if l.Kind != models.FC {
 		t.Fatalf("layer 13 is %v, want fc", l.Kind)
 	}
-	base := sim.LayerLatency(l, accel.LayerSparsity{Pattern: sparsity.RandomPointwise, WeightRate: 0.5})
-	moreAct := sim.LayerLatency(l, accel.LayerSparsity{
+	base := sim.LayerLatency(&l, accel.LayerSparsity{Pattern: sparsity.RandomPointwise, WeightRate: 0.5})
+	moreAct := sim.LayerLatency(&l, accel.LayerSparsity{
 		Pattern: sparsity.RandomPointwise, WeightRate: 0.5, ActivationSparsity: 0.9})
-	moreWeight := sim.LayerLatency(l, accel.LayerSparsity{
+	moreWeight := sim.LayerLatency(&l, accel.LayerSparsity{
 		Pattern: sparsity.RandomPointwise, WeightRate: 0.9})
 	if float64(base-moreAct) > 0.1*float64(base) {
 		t.Errorf("fc6 activation sparsity changed latency by >10%%: %v -> %v", base, moreAct)
@@ -120,7 +120,7 @@ func TestMonotoneInActivationSparsity(t *testing.T) {
 	l := models.ResNet50().Layers[5]
 	prev := time.Duration(1 << 62)
 	for as := 0.0; as <= 0.9; as += 0.1 {
-		d := sim.LayerLatency(l, accel.LayerSparsity{
+		d := sim.LayerLatency(&l, accel.LayerSparsity{
 			Pattern: sparsity.RandomPointwise, WeightRate: 0.5, ActivationSparsity: as})
 		if d > prev {
 			t.Fatalf("latency increased with sparsity at as=%.1f: %v > %v", as, d, prev)
@@ -132,12 +132,12 @@ func TestMonotoneInActivationSparsity(t *testing.T) {
 func TestSparsityClamped(t *testing.T) {
 	sim := NewDefault()
 	l := models.MobileNet().Layers[0]
-	d := sim.LayerLatency(l, accel.LayerSparsity{Pattern: sparsity.Dense, ActivationSparsity: 1.5})
+	d := sim.LayerLatency(&l, accel.LayerSparsity{Pattern: sparsity.Dense, ActivationSparsity: 1.5})
 	if d <= 0 {
 		t.Errorf("over-range sparsity produced non-positive latency %v", d)
 	}
-	d2 := sim.LayerLatency(l, accel.LayerSparsity{Pattern: sparsity.Dense, ActivationSparsity: -0.5})
-	dense := sim.LayerLatency(l, denseState())
+	d2 := sim.LayerLatency(&l, accel.LayerSparsity{Pattern: sparsity.Dense, ActivationSparsity: -0.5})
+	dense := sim.LayerLatency(&l, denseState())
 	if d2 < dense {
 		t.Errorf("negative sparsity accelerated the layer: %v < %v", d2, dense)
 	}
@@ -153,7 +153,7 @@ func TestDepthwisePenalty(t *testing.T) {
 	if dw.MACs() != st.MACs() {
 		t.Fatalf("test setup: MACs differ %d vs %d", dw.MACs(), st.MACs())
 	}
-	if sim.LayerLatency(dw, denseState()) <= sim.LayerLatency(st, denseState()) {
+	if sim.LayerLatency(&dw, denseState()) <= sim.LayerLatency(&st, denseState()) {
 		t.Error("depthwise conv not slower than equal-MAC standard conv")
 	}
 }
@@ -202,7 +202,7 @@ func TestGLBSizeMatters(t *testing.T) {
 	cfg.GLBInputKB = 0
 	off := New(cfg)
 	l := vgg.Layers[2]
-	if off.glbOverflowFactor(l, 1.0) != 1 {
+	if off.glbOverflowFactor(&l, 1.0) != 1 {
 		t.Error("disabled GLB model still charges overflow")
 	}
 }
@@ -212,8 +212,8 @@ func TestGLBSizeMatters(t *testing.T) {
 func TestGLBOverflowScalesWithDensity(t *testing.T) {
 	sim := New(OriginalGLBConfig())
 	l := models.VGG16().Layers[1] // conv1_2: 64ch x 224 x 3 rows
-	dense := sim.glbOverflowFactor(l, 1.0)
-	sparse := sim.glbOverflowFactor(l, 0.3)
+	dense := sim.glbOverflowFactor(&l, 1.0)
+	sparse := sim.glbOverflowFactor(&l, 0.3)
 	if sparse >= dense {
 		t.Errorf("sparse overflow factor %v not below dense %v", sparse, dense)
 	}

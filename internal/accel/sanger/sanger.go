@@ -97,7 +97,7 @@ func (s *Simulator) Config() Config { return s.cfg }
 // ActivationSparsity field is the pruned fraction of the attention matrix;
 // WeightRate is ignored (the benchmark's AttNN sparsification is dynamic
 // only, paper §3.2). Non-attention layers fall back to the dense datapath.
-func (s *Simulator) LayerLatency(l models.Layer, sp accel.LayerSparsity) time.Duration {
+func (s *Simulator) LayerLatency(l *models.Layer, sp accel.LayerSparsity) time.Duration {
 	as := sp.ActivationSparsity
 	if as < 0 {
 		as = 0

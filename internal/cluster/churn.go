@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sparsedysta/internal/rng"
@@ -101,13 +102,26 @@ type ChurnPlan struct {
 	Events []ChurnEvent
 }
 
+// maxChurnEvents bounds a generated plan at 1<<22 events (96 MiB): a
+// horizon thousands of times the MTBF or MTTR asks for more events than
+// any run could use, so GenChurn refuses it instead of exhausting memory.
+// The serving-control benchmark's plan holds ~23k.
+const maxChurnEvents = 1 << 22
+
 // GenChurn builds a fail/recover plan from an exponential availability
 // model: each engine alternates up-periods of mean MTBF and down-periods
 // of mean MTTR, with every deviate drawn from a per-engine substream of
 // the seed (rng.Split), so the plan for engine i is independent of the
 // engine count — adding an engine never reshuffles the others' failures.
 // Events beyond the horizon are cut; an engine whose first failure lands
-// past the horizon simply never fails.
+// past the horizon simply never fails. The plan is sorted by (At,
+// Engine), stably, so an engine's same-instant events keep their drawn
+// order.
+//
+// The events are counted first, by walking a copy of each engine's
+// substream, and then drawn again into a slice of exactly that length.
+// A plan of more than maxChurnEvents events is an error, returned before
+// anything is allocated for it.
 func GenChurn(engines int, horizon, mtbf, mttr time.Duration, seed uint64) (ChurnPlan, error) {
 	if engines < 1 {
 		return ChurnPlan{}, fmt.Errorf("cluster: GenChurn over %d engines", engines)
@@ -117,44 +131,61 @@ func GenChurn(engines int, horizon, mtbf, mttr time.Duration, seed uint64) (Chur
 			horizon, mtbf, mttr)
 	}
 	root := rng.New(seed)
-	var events []ChurnEvent
-	for i := 0; i < engines; i++ {
-		r := root.Split()
-		t := time.Duration(0)
-		up := true
-		for {
-			mean := mtbf
-			if !up {
-				mean = mttr
-			}
-			t += time.Duration(r.Exp(1.0 / float64(mean)))
-			if t >= horizon {
-				break
-			}
-			kind := Fail
-			if !up {
-				kind = Recover
-			}
-			events = append(events, ChurnEvent{At: t, Engine: i, Kind: kind})
-			up = !up
+	srcs := make([]rng.Source, engines)
+	total := 0
+	for i := range srcs {
+		srcs[i] = *root.Split()
+		r := srcs[i]
+		walkChurn(&r, horizon, mtbf, mttr, func(time.Duration, ChurnKind) bool {
+			total++
+			return total <= maxChurnEvents
+		})
+		if total > maxChurnEvents {
+			return ChurnPlan{}, fmt.Errorf("cluster: GenChurn over %d engines with horizon %v, MTBF %v and MTTR %v makes more than %d events",
+				engines, horizon, mtbf, mttr, maxChurnEvents)
 		}
 	}
-	plan := ChurnPlan{Events: events}
-	plan.sort()
-	return plan, nil
+	if total == 0 {
+		return ChurnPlan{}, nil
+	}
+	events := make([]ChurnEvent, 0, total)
+	for i := range srcs {
+		walkChurn(&srcs[i], horizon, mtbf, mttr, func(at time.Duration, kind ChurnKind) bool {
+			events = append(events, ChurnEvent{At: at, Engine: i, Kind: kind})
+			return true
+		})
+	}
+	slices.SortStableFunc(events, byTimeEngine)
+	return ChurnPlan{Events: events}, nil
 }
 
-// sort orders events by (time, engine), stably, so same-instant events
-// on different engines fire in engine order and same-engine sequences
-// keep their authored order.
-func (p *ChurnPlan) sort() {
-	sort.SliceStable(p.Events, func(i, j int) bool {
-		a, b := p.Events[i], p.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
+// walkChurn draws one engine's alternating up- and down-periods from r,
+// starting up at time 0, and passes each transition before the horizon
+// to emit, stopping early once emit returns false.
+func walkChurn(r *rng.Source, horizon, mtbf, mttr time.Duration, emit func(at time.Duration, kind ChurnKind) bool) {
+	t := time.Duration(0)
+	up := true
+	for {
+		mean, kind := mtbf, Fail
+		if !up {
+			mean, kind = mttr, Recover
 		}
-		return a.Engine < b.Engine
-	})
+		t += time.Duration(r.Exp(1.0 / float64(mean)))
+		if t >= horizon || !emit(t, kind) {
+			return
+		}
+		up = !up
+	}
+}
+
+// byTimeEngine orders events by (time, engine). Sorted stably by it,
+// same-instant events on different engines fire in engine order and
+// same-engine sequences keep their authored order.
+func byTimeEngine(a, b ChurnEvent) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Engine, b.Engine)
 }
 
 // validate checks the plan against the cluster size. Transition legality
@@ -204,7 +235,7 @@ func (s engineState) String() string {
 // per-run; Run creates it only when the plan has events, so a churn-free
 // run never touches this code.
 type faultInjector struct {
-	plan   []ChurnEvent // sorted by (At, Engine)
+	plan   []ChurnEvent // sorted by (At, Engine); may be the caller's, so read only
 	cursor int
 	state  []engineState
 
@@ -273,11 +304,16 @@ func newFaultInjector(plan *ChurnPlan, engines []*sched.Engine, board *SignalBoa
 	if retryMax < 0 {
 		return nil, fmt.Errorf("cluster: negative retry cap %d", retryMax)
 	}
-	events := append([]ChurnEvent(nil), plan.Events...)
-	p := ChurnPlan{Events: events}
-	p.sort()
+	// The injector only reads its plan, so a sorted one (GenChurn's) is
+	// used in place; an unsorted one is sorted in a copy, so the
+	// caller's is never reordered.
+	events := plan.Events
+	if !slices.IsSortedFunc(events, byTimeEngine) {
+		events = slices.Clone(events)
+		slices.SortStableFunc(events, byTimeEngine)
+	}
 	fi := &faultInjector{
-		plan:         p.Events,
+		plan:         events,
 		state:        make([]engineState, len(engines)),
 		engines:      engines,
 		board:        board,

@@ -1,12 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"sparsedysta/internal/core"
+	"sparsedysta/internal/rng"
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/sparsity"
 	"sparsedysta/internal/trace"
@@ -440,6 +445,178 @@ func TestGenChurn(t *testing.T) {
 		if _, err := bad(); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// genChurnAppend is GenChurn as it was before it counted its events:
+// each engine's transitions appended in engine order, then stably sorted
+// by (time, engine). It is the oracle for the counted plan.
+func genChurnAppend(engines int, horizon, mtbf, mttr time.Duration, seed uint64) []ChurnEvent {
+	root := rng.New(seed)
+	var events []ChurnEvent
+	for i := 0; i < engines; i++ {
+		r := root.Split()
+		t := time.Duration(0)
+		up := true
+		for {
+			mean := mtbf
+			if !up {
+				mean = mttr
+			}
+			t += time.Duration(r.Exp(1.0 / float64(mean)))
+			if t >= horizon {
+				break
+			}
+			kind := Fail
+			if !up {
+				kind = Recover
+			}
+			events = append(events, ChurnEvent{At: t, Engine: i, Kind: kind})
+			up = !up
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		return a.Engine < b.Engine
+	})
+	return events
+}
+
+// TestGenChurnMatchesAppendOracle: counting the events first and then
+// drawing them into a slice of that length yields the append-then-sort
+// plan event for event, with no spare capacity. The grid reaches
+// same-instant events on one engine (nanosecond means, whose deviates
+// often truncate to 0), engines that never fail (an MTBF past the
+// horizon) and empty plans; cells expected to pass 100k events are left
+// out to keep the oracle small.
+func TestGenChurnMatchesAppendOracle(t *testing.T) {
+	cells, ties := 0, 0
+	for _, engines := range []int{1, 3, 8} {
+		for _, horizon := range []time.Duration{10 * time.Microsecond, 10 * time.Millisecond, time.Second} {
+			for _, mtbf := range []time.Duration{3 * time.Nanosecond, 10 * time.Microsecond, time.Millisecond, 3 * time.Second} {
+				for _, mttr := range []time.Duration{time.Nanosecond, 5 * time.Microsecond, 200 * time.Millisecond} {
+					if float64(engines)*2*float64(horizon)/float64(mtbf+mttr) > 100_000 {
+						continue
+					}
+					for seed := uint64(1); seed <= 2; seed++ {
+						label := fmt.Sprintf("%d engines, horizon %v, MTBF %v, MTTR %v, seed %d",
+							engines, horizon, mtbf, mttr, seed)
+						plan, err := GenChurn(engines, horizon, mtbf, mttr, seed)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if want := genChurnAppend(engines, horizon, mtbf, mttr, seed); !reflect.DeepEqual(plan.Events, want) {
+							t.Fatalf("%s: counted plan of %d events differs from the append oracle's %d",
+								label, len(plan.Events), len(want))
+						}
+						if len(plan.Events) != cap(plan.Events) {
+							t.Errorf("%s: %d events in a slice of capacity %d", label, len(plan.Events), cap(plan.Events))
+						}
+						cells++
+						for k := 1; k < len(plan.Events); k++ {
+							if p, q := plan.Events[k-1], plan.Events[k]; p.At == q.At && p.Engine == q.Engine {
+								ties++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Errorf("none of the %d cells drew two events on one engine at one instant", cells)
+	}
+}
+
+// TestGenChurnRefusesHugePlans: a nanosecond MTBF and MTTR over a 5 s
+// horizon asks for ~3.4e10 events. The count stops once it passes
+// maxChurnEvents, so GenChurn fails fast and allocates next to nothing,
+// with an error naming the engine count, horizon, MTBF, MTTR and bound.
+func TestGenChurnRefusesHugePlans(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := GenChurn(4, 5*time.Second, time.Nanosecond, time.Nanosecond, 1)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a plan of ~3.4e10 events was accepted")
+	}
+	for _, want := range []string{"4 engines", "horizon 5s", "MTBF 1ns", "MTTR 1ns", fmt.Sprint(maxChurnEvents)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	limit := time.Second
+	if raceEnabled {
+		limit *= 10
+	}
+	if elapsed > limit {
+		t.Errorf("refusing the plan took %v", elapsed)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Errorf("refusing the plan allocated %d bytes", b)
+	}
+}
+
+// TestInjectorReadsSortedPlansInPlace: the injector only reads its plan,
+// so it uses a sorted plan's own backing array, while an unsorted plan
+// is sorted in a copy: the caller's order stays as it was, and the run
+// equals the run on the sorted plan.
+func TestInjectorReadsSortedPlansInPlace(t *testing.T) {
+	reqs, est, _ := randomStream(5, 80)
+	horizon := reqs[len(reqs)-1].Arrival * 2
+	plan, err := GenChurn(3, horizon, horizon/6, horizon/12, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Events) < 2 {
+		t.Fatalf("plan of %d events cannot be unsorted", len(plan.Events))
+	}
+	inject := func(p *ChurnPlan) *faultInjector {
+		t.Helper()
+		engines := make([]*sched.Engine, 3)
+		for i := range engines {
+			engines[i] = sched.NewEngine(sched.NewFCFS(), sched.Options{})
+		}
+		fi, err := newFaultInjector(p, engines, NewSignalBoard(engines, 0, nil), NewRoundRobin(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	if fi := inject(&plan); &fi.plan[0] != &plan.Events[0] {
+		t.Error("the injector copied a sorted plan")
+	}
+	// The last event first: a stable sort puts it back.
+	n := len(plan.Events)
+	unsorted := ChurnPlan{Events: append(slices.Clone(plan.Events[n-1:]), plan.Events[:n-1]...)}
+	order := slices.Clone(unsorted.Events)
+	if fi := inject(&unsorted); &fi.plan[0] == &unsorted.Events[0] || !reflect.DeepEqual(fi.plan, plan.Events) {
+		t.Errorf("the injector did not sort an unsorted plan in a copy of its own")
+	}
+	sjf := func(int) sched.Scheduler { return sched.NewSJF(est) }
+	cfg := Config{Engines: 3, Churn: &plan, Sched: sched.Options{RecordTasks: true}}
+	want, err := Run(sjf, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Churn = &unsorted
+	got, err := Run(sjf, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the run on the unsorted plan diverges from the run on the sorted one:\n%+v\nvs\n%+v", got, want)
+	}
+	if !reflect.DeepEqual(unsorted.Events, order) {
+		t.Error("the run reordered the caller's plan")
+	}
+	if want.ChurnEvents == 0 {
+		t.Error("no churn event fired")
 	}
 }
 

@@ -60,7 +60,9 @@ type Config struct {
 	// Churn schedules engine failures, recoveries, drains and joins at
 	// fixed virtual-clock instants (see churn.go). Nil — or a plan with
 	// no events — disables fault injection entirely: the run takes
-	// exactly the pre-churn code path, bit-identically.
+	// exactly the pre-churn code path, bit-identically. The run never
+	// modifies the plan: one sorted by (At, Engine), as GenChurn's is,
+	// is read in place, and any other is sorted in a copy.
 	Churn *ChurnPlan
 	// RetryMax caps how many times one request may restart from zero
 	// after engine failures before it is abandoned as lost work. 0 means
@@ -224,6 +226,7 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// events in one deterministic order.
 	agg := sched.NewAggregator(sched.Options{BoundedCapture: bounded, RecordTasks: recordTasks,
 		Exemplars: cfg.Sched.Exemplars, ExemplarSeed: cfg.Sched.ExemplarSeed})
+	agg.ReserveFor(src)
 	var wins, losses int
 	for i := range specs {
 		user := specs[i].Sched.Observer

@@ -397,3 +397,88 @@ func TestBoundedPercentilesWithinBucket(t *testing.T) {
 	}
 	check("SJF/sparse-load/10k", got.Result, want.Tasks)
 }
+
+// hintedSource reports n as its length whatever the stream holds.
+type hintedSource struct {
+	sched.RequestSource
+	n int
+}
+
+func (s hintedSource) Len() int { return s.n }
+
+// hiddenLen hides its source's Len: the embedded interface promotes
+// Next alone.
+type hiddenLen struct{ sched.RequestSource }
+
+// lenHints returns, for each capacity hint a source can give, a maker of
+// sources over the sorted reqs: the exact length, none, 0, -1, half and
+// double.
+func lenHints(reqs []*workload.Request) map[string]func() sched.RequestSource {
+	exact := func() sched.RequestSource { return sched.NewSliceSource(reqs) }
+	hint := func(n int) func() sched.RequestSource {
+		return func() sched.RequestSource { return hintedSource{exact(), n} }
+	}
+	return map[string]func() sched.RequestSource{
+		"exact":    exact,
+		"hidden":   func() sched.RequestSource { return hiddenLen{exact()} },
+		"zero":     hint(0),
+		"negative": hint(-1),
+		"half":     hint(len(reqs) / 2),
+		"double":   hint(2 * len(reqs)),
+	}
+}
+
+// TestClusterLenHintChangesNoResult: the cluster sizes its aggregator
+// from the source's Len and nothing else reads it, so RunStream over a
+// source whose Len is exact, missing, 0, -1, half or double the stream
+// returns Run's Result, for every lineup scheduler, on a cluster with SLO
+// admission, work stealing, churn, autoscaling and RecordTasks all on.
+func TestClusterLenHintChangesNoResult(t *testing.T) {
+	reqs, est, lut := randomStream(4, 150)
+	reqs = sortedCopy(reqs)
+	load, curve := SparsityAwareLoad(lut, est), SparsityAwareCurve(lut, est)
+	horizon := reqs[len(reqs)-1].Arrival * 2
+	plan, err := GenChurn(4, horizon, horizon/6, horizon/12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Engines:           4,
+		Dispatch:          NewLeastLoad("load", load).WithCurve(curve),
+		Admission:         SLOShed{Iso: RequestIsolated(lut, est), Load: load, Curve: curve},
+		SignalInterval:    time.Millisecond,
+		Rebalance:         Steal{Load: load, Curve: curve},
+		RebalanceInterval: time.Millisecond,
+		MigrationCost:     200 * time.Microsecond,
+		Churn:             &plan,
+		RetryMax:          3,
+		Autoscale: &Autoscaler{Min: 1, Max: 4, Up: 5 * time.Millisecond, Down: time.Millisecond,
+			Cooldown: 5 * time.Millisecond, Load: load, Curve: curve},
+		Sched: sched.Options{RecordTasks: true},
+	}
+	var rejected, migrations, failovers, scaled int
+	for _, spec := range schedSpecs(est, lut) {
+		mk := func(int) sched.Scheduler { return spec.mk() }
+		want, err := Run(mk, reqs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		rejected += want.Rejected
+		migrations += want.Migrations
+		failovers += want.Failovers
+		scaled += want.ScaleUps + want.ScaleDowns
+		for name, src := range lenHints(reqs) {
+			got, err := RunStream(mk, src(), cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", spec.name, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: a %s Len changed the result:\n%+v\nvs\n%+v", spec.name, name, got, want)
+			}
+		}
+	}
+	if rejected == 0 || migrations == 0 || failovers == 0 || scaled == 0 {
+		t.Errorf("the runs made %d rejections, %d migrations, %d failovers and %d scaling actions, want each > 0",
+			rejected, migrations, failovers, scaled)
+	}
+}

@@ -194,15 +194,12 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
 	s := d.free.Get()
-	// Every field is rewritten, so a recycled state equals a fresh one.
-	// Only the LastN window buffer is kept: Observe writes each of its
-	// slots before the mean reads it.
-	window := s.pred.window
-	*s = requestState{
-		staticScore: lat + d.cfg.Beta*slack,
-		pred:        makePredictor(d.cfg, st),
-	}
-	s.pred.window = window
+	// Every field is written in place (refresh sets the latencies and
+	// place the key), so a recycled state equals a fresh one but for the
+	// LastN window buffer the predictor keeps.
+	s.staticScore = lat + d.cfg.Beta*slack
+	s.pred.reset(&d.cfg, st)
+	s.demoted = false
 	d.refresh(t, s)
 	t.Attachment = s
 	d.place(t, s, now)

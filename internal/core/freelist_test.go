@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sparsedysta/internal/sched"
 	"sparsedysta/internal/sparsity"
@@ -169,6 +170,74 @@ func TestStateAllocationsGrowLogarithmically(t *testing.T) {
 		})
 		if limit := 4 * bits.Len(uint(n)); allocs > float64(limit) {
 			t.Errorf("%d live requests: %v allocations, want at most %d", n, allocs, limit)
+		}
+	}
+}
+
+// scribble writes a nonzero value into every field of the struct v
+// holds, unexported and nested fields included, as stale contents fill
+// a recycled value. It fails on a kind it has no value for, so a field
+// added later cannot stay zero unnoticed.
+func scribble(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			scribble(t, reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(-7)
+	case reflect.Float64:
+		v.SetFloat(7.5)
+	case reflect.String:
+		v.SetString("stale")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(-7))
+	default:
+		t.Fatalf("scribble has no stale value for a %s", v.Type())
+	}
+}
+
+// TestScribbledStateMatchesFresh: OnArrival writes every field of the
+// state it takes off its free list, the predictor's and its config's
+// included, so a state whose fields all hold stale values becomes
+// exactly the state a fresh scheduler builds, under each gamma strategy,
+// without the dynamic level and for a request that arrives demoted. The
+// LastN window buffer is the one field kept; at arrival it has no live
+// slot to compare.
+func TestScribbledStateMatchesFresh(t *testing.T) {
+	k := trace.NewKey("m", sparsity.Dense)
+	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: {uniformTrace(time.Millisecond, 4, 0.5)}})
+	const msec = time.Millisecond
+	cfgs := map[string]Config{
+		"last-one":    DefaultConfig(),
+		"w/o-sparse":  DefaultConfig().WithoutSparse(),
+		"average-all": func() Config { c := DefaultConfig(); c.Strategy = AverageAll; return c }(),
+		"last-n":      func() Config { c := DefaultConfig(); c.Strategy = LastN; c.N = 3; return c }(),
+	}
+	for name, cfg := range cfgs {
+		for _, slo := range []time.Duration{40 * msec, msec} {
+			fresh, used := New(cfg, lut), New(cfg, lut)
+			stale := new(requestState)
+			scribble(t, reflect.ValueOf(stale).Elem())
+			used.free.Put(stale)
+			mk := func() *sched.Task {
+				return &sched.Task{ID: 1, Key: k, Arrival: 10 * msec, SLO: slo, LastRun: 10 * msec}
+			}
+			ft, ut := mk(), mk()
+			fresh.OnArrival(ft, 12*msec)
+			used.OnArrival(ut, 12*msec)
+			if state(ut) != stale {
+				t.Fatalf("%s: the arrival did not reuse the stale state", name)
+			}
+			checkSameState(t, fmt.Sprintf("%s, SLO %v", name, slo), state(ft), state(ut))
 		}
 	}
 }

@@ -50,13 +50,18 @@ type Predictor struct {
 // NewPredictor returns a Predictor over the LUT entry for the request's
 // model-pattern pair.
 func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
-	p := makePredictor(cfg, st)
-	return &p
+	p := &Predictor{}
+	p.reset(&cfg, st)
+	return p
 }
 
-// makePredictor is NewPredictor by value, for state that embeds it.
-func makePredictor(cfg Config, st *trace.Stats) Predictor {
-	return Predictor{cfg: cfg, stats: st, gamma: 1}
+// reset makes p a fresh predictor for st under cfg, writing its fields
+// in place, for state that embeds one and is recycled. Only the LastN
+// window buffer is kept: Observe writes each of its slots before the
+// mean reads it.
+func (p *Predictor) reset(cfg *Config, st *trace.Stats) {
+	p.cfg, p.stats = *cfg, st
+	p.gamma, p.count, p.sum, p.wpos = 1, 0, 0, 0
 }
 
 // Observe records the hardware monitor's sparsity reading for a completed

@@ -67,7 +67,7 @@ type Layer struct {
 }
 
 // MACs returns the dense multiply-accumulate count of the layer.
-func (l Layer) MACs() int64 {
+func (l *Layer) MACs() int64 {
 	switch l.Kind {
 	case Conv:
 		return int64(l.Cout) * int64(l.Cin) * int64(l.KH) * int64(l.KW) *
@@ -85,7 +85,7 @@ func (l Layer) MACs() int64 {
 }
 
 // attnProjMACs counts the QKV and output projection MACs of a block.
-func (l Layer) attnProjMACs() int64 {
+func (l *Layer) attnProjMACs() int64 {
 	h, s := int64(l.Hidden), int64(l.SeqLen)
 	return 4 * h * h * s // Q, K, V, and output projections
 }
@@ -93,19 +93,19 @@ func (l Layer) attnProjMACs() int64 {
 // AttnMatrixMACs counts the attention-matrix MACs of a block: the QK^T
 // score computation plus the probability-times-V product. This is the part
 // that dynamic attention pruning (Sanger/SpAtten style) sparsifies.
-func (l Layer) AttnMatrixMACs() int64 {
+func (l *Layer) AttnMatrixMACs() int64 {
 	h, s := int64(l.Hidden), int64(l.SeqLen)
 	return 2 * s * s * h
 }
 
 // ffnMACs counts the feed-forward sublayer MACs of a block.
-func (l Layer) ffnMACs() int64 {
+func (l *Layer) ffnMACs() int64 {
 	h, s, f := int64(l.Hidden), int64(l.SeqLen), int64(l.FFNDim)
 	return 2 * h * f * s
 }
 
 // Params returns the layer's weight parameter count.
-func (l Layer) Params() int64 {
+func (l *Layer) Params() int64 {
 	switch l.Kind {
 	case Conv:
 		return int64(l.Cout) * int64(l.Cin) * int64(l.KH) * int64(l.KW)
@@ -123,7 +123,7 @@ func (l Layer) Params() int64 {
 
 // InputElems returns the number of input activation elements the layer
 // reads (used by the memory model).
-func (l Layer) InputElems() int64 {
+func (l *Layer) InputElems() int64 {
 	switch l.Kind {
 	case Conv, DWConv, Pool:
 		return int64(l.Cin) * int64(l.InH) * int64(l.InW)
@@ -138,7 +138,7 @@ func (l Layer) InputElems() int64 {
 
 // OutputElems returns the number of output activation elements the layer
 // writes.
-func (l Layer) OutputElems() int64 {
+func (l *Layer) OutputElems() int64 {
 	switch l.Kind {
 	case Conv, DWConv, Pool:
 		return int64(l.Cout) * int64(l.OutH) * int64(l.OutW)

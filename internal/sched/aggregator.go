@@ -84,6 +84,40 @@ func (a *Aggregator) reset(seed uint64) {
 	}
 }
 
+// maxReserve caps the outcomes Reserve makes room for: 1<<24 latencies
+// are 128 MiB (and as many retained outcomes 1 GiB), so a huge request
+// count runs out of memory, if at all, the way append growth would, not
+// in one allocation at the start of the run.
+const maxReserve = 1 << 24
+
+// Reserve makes room for n outcomes under full capture, so that n Adds
+// allocate nothing for the latencies or, under RecordTasks, for the
+// retained outcomes. It is a capacity hint: more Adds grow the buffers
+// as before, and no result depends on it. Bounded capture keeps no
+// per-outcome state, so there it does nothing, as it does for n <= 0;
+// n above maxReserve reserves maxReserve.
+func (a *Aggregator) Reserve(n int) {
+	if a.hist != nil || n <= 0 {
+		return
+	}
+	n = min(n, maxReserve)
+	if cap(a.latencies) < n {
+		a.latencies = append(make([]float64, 0, n), a.latencies...)
+	}
+	if a.keepTasks && cap(a.tasks) < n {
+		a.tasks = append(make([]TaskOutcome, 0, n), a.tasks...)
+	}
+}
+
+// ReserveFor calls Reserve with src's length when src reports one (see
+// RequestSource), the sizing both streaming loops apply to the
+// aggregator they fold the run into.
+func (a *Aggregator) ReserveFor(src RequestSource) {
+	if l, ok := src.(interface{ Len() int }); ok {
+		a.Reserve(l.Len())
+	}
+}
+
 // Add folds one completed request.
 func (a *Aggregator) Add(o TaskOutcome) {
 	a.n++

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -131,5 +132,69 @@ func TestEngineMakespanAnchorsOnFirstArrival(t *testing.T) {
 	res := e.Finish()
 	if res.Requests != 1 || res.Dropped != 1 || res.Makespan != 20*time.Millisecond {
 		t.Errorf("Requests %d, Dropped %d, Makespan %v; want 1, 1, 20ms", res.Requests, res.Dropped, res.Makespan)
+	}
+}
+
+// TestReserveAllocatesOnce: after Reserve(n), the Adds of n outcomes
+// allocate nothing under full capture, with or without RecordTasks,
+// while the same Adds without Reserve grow the buffers. The first Add
+// of each aggregator is left out of the count: it allocates the model's
+// tally, which Reserve does not size.
+func TestReserveAllocatesOnce(t *testing.T) {
+	const n = 1000
+	o := TaskOutcome{ID: 1, Model: "a", Arrival: time.Millisecond, Completion: 3 * time.Millisecond,
+		Isolated: time.Millisecond, NTT: 3}
+	for _, opts := range []Options{{}, {RecordTasks: true}} {
+		for _, reserve := range []bool{true, false} {
+			// AllocsPerRun calls the function once to warm up and once
+			// to measure, each on an aggregator of its own.
+			aggs := make([]*Aggregator, 2)
+			for i := range aggs {
+				aggs[i] = NewAggregator(opts)
+				if reserve {
+					aggs[i].Reserve(n)
+				}
+				aggs[i].Add(o)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(1, func() {
+				a := aggs[k]
+				k++
+				for i := 1; i < n; i++ {
+					a.Add(o)
+				}
+			})
+			if reserve && allocs != 0 {
+				t.Errorf("RecordTasks=%v: %d outcomes after Reserve(%d) made %v allocations, want 0",
+					opts.RecordTasks, n, n, allocs)
+			}
+			if !reserve && allocs == 0 {
+				t.Errorf("RecordTasks=%v: %d outcomes without Reserve made no allocation, so the check shows nothing",
+					opts.RecordTasks, n)
+			}
+		}
+	}
+}
+
+// TestReserveBounds: Reserve ignores n <= 0 and bounded capture, and a
+// hint past maxReserve, math.MaxInt included, reserves maxReserve
+// instead of panicking or asking for more memory than any run fills.
+func TestReserveBounds(t *testing.T) {
+	a := NewAggregator(Options{})
+	for _, n := range []int{0, -1, math.MinInt} {
+		a.Reserve(n)
+		if cap(a.latencies) != 0 {
+			t.Fatalf("Reserve(%d) reserved %d", n, cap(a.latencies))
+		}
+	}
+	b := NewAggregator(Options{BoundedCapture: true})
+	b.Reserve(100)
+	if b.latencies != nil || b.tasks != nil {
+		t.Errorf("bounded capture reserved %d latencies and %d outcomes", cap(b.latencies), cap(b.tasks))
+	}
+	a.Add(TaskOutcome{Model: "a", Completion: time.Millisecond, Isolated: time.Millisecond, NTT: 1})
+	a.Reserve(math.MaxInt)
+	if cap(a.latencies) != maxReserve || len(a.latencies) != 1 {
+		t.Errorf("Reserve(math.MaxInt) left len %d, cap %d; want 1, %d", len(a.latencies), cap(a.latencies), maxReserve)
 	}
 }

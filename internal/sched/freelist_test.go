@@ -3,8 +3,10 @@ package sched
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestPREMARecycledStateMatchesFresh: a state PREMA takes off its free
@@ -160,5 +162,49 @@ func TestFreeListGrowsInDoublingChunks(t *testing.T) {
 	}
 	if b.held != 8 || len(d.stocks) != 0 {
 		t.Fatalf("a list that took the stock holds %d values and left %d stocks, want 8 and none", b.held, len(d.stocks))
+	}
+}
+
+// scribble writes a nonzero value into every field of the struct v
+// holds, unexported and nested fields included, as stale contents fill
+// a recycled value. It fails on a kind it has no value for, so a field
+// added later cannot stay zero unnoticed.
+func scribble(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			scribble(t, reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem())
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(-7)
+	case reflect.Float64:
+		v.SetFloat(7.5)
+	case reflect.String:
+		v.SetString("stale")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(-7))
+	default:
+		t.Fatalf("scribble has no stale value for a %s", v.Type())
+	}
+}
+
+// TestRecycledTaskMatchesFresh: wrap writes every field, so a task whose
+// fields all hold stale values wraps into exactly the task a zero one
+// does.
+func TestRecycledTaskMatchesFresh(t *testing.T) {
+	r := synthReq(3, "a", 5*time.Millisecond, time.Millisecond, 4, 10)
+	stale := new(Task)
+	scribble(t, reflect.ValueOf(stale).Elem())
+	stale.wrap(r)
+	if fresh := newTask(r); !reflect.DeepEqual(stale, fresh) {
+		t.Errorf("recycled task %+v differs from fresh %+v", *stale, *fresh)
 	}
 }

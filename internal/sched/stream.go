@@ -20,6 +20,11 @@ import (
 // A yielded request is valid only until the next call to Next: a source
 // may reuse one Request for every yield (workload.Stream does), so a
 // consumer copies whatever it keeps past that call.
+//
+// A source that also has a Len() int method (workload.Stream and
+// SliceSource do) reports its length, which the loops use only as a
+// capacity hint to size full capture once (Aggregator.ReserveFor): a
+// missing or wrong Len changes no result.
 type RequestSource interface {
 	Next() (*workload.Request, bool)
 }
@@ -49,6 +54,10 @@ func SortedSource(reqs []*workload.Request) *SliceSource {
 	return NewSliceSource(reqs)
 }
 
+// Len returns the slice length, the capacity hint RequestSource
+// describes.
+func (s *SliceSource) Len() int { return len(s.reqs) }
+
 // Next implements RequestSource.
 func (s *SliceSource) Next() (*workload.Request, bool) {
 	if s.next >= len(s.reqs) {
@@ -74,6 +83,7 @@ func RunStream(s Scheduler, src RequestSource, opts Options) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("sched: empty request stream")
 	}
+	e.agg.ReserveFor(src)
 	var lastArrival time.Duration
 	for ok {
 		if err := CheckArrival("sched", req, lastArrival); err != nil {

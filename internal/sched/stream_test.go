@@ -155,3 +155,68 @@ func TestBoundedCaptureMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// hintedSource reports n as its length whatever the stream holds.
+type hintedSource struct {
+	sched.RequestSource
+	n int
+}
+
+func (s hintedSource) Len() int { return s.n }
+
+// hiddenLen hides its source's Len: the embedded interface promotes
+// Next alone.
+type hiddenLen struct{ sched.RequestSource }
+
+// lenHints returns, for each capacity hint a source can give, a maker of
+// sources over the sorted reqs: the exact length, none, 0, -1, half and
+// double.
+func lenHints(reqs []*workload.Request) map[string]func() sched.RequestSource {
+	exact := func() sched.RequestSource { return sched.NewSliceSource(reqs) }
+	hint := func(n int) func() sched.RequestSource {
+		return func() sched.RequestSource { return hintedSource{exact(), n} }
+	}
+	return map[string]func() sched.RequestSource{
+		"exact":    exact,
+		"hidden":   func() sched.RequestSource { return hiddenLen{exact()} },
+		"zero":     hint(0),
+		"negative": hint(-1),
+		"half":     hint(len(reqs) / 2),
+		"double":   hint(2 * len(reqs)),
+	}
+}
+
+// TestLenHintChangesNoResult: a source's Len only sizes full capture, so
+// RunStream over a source whose Len is exact, missing, 0, -1, half or
+// double the stream returns Run's Result, for every lineup scheduler,
+// with and without RecordTasks and under bounded capture.
+func TestLenHintChangesNoResult(t *testing.T) {
+	lut, reqs, _, _, _ := streamFixture(t, 300, 7)
+	est := sched.NewEstimator(lut)
+	lineup := map[string]func() sched.Scheduler{
+		"FCFS":     func() sched.Scheduler { return sched.NewFCFS() },
+		"SJF":      func() sched.Scheduler { return sched.NewSJF(est) },
+		"PREMA":    func() sched.Scheduler { return sched.NewPREMA(est) },
+		"Planaria": func() sched.Scheduler { return sched.NewPlanaria(est) },
+		"SDRM3":    func() sched.Scheduler { return sched.NewSDRM3(est) },
+		"Dysta":    func() sched.Scheduler { return core.NewDefault(lut) },
+		"Oracle":   func() sched.Scheduler { return core.NewOracle(lut) },
+	}
+	for name, mk := range lineup {
+		for _, opts := range []sched.Options{{}, {RecordTasks: true}, {BoundedCapture: true, Exemplars: 8, ExemplarSeed: 2}} {
+			want, err := sched.Run(mk(), reqs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for hint, src := range lenHints(reqs) {
+				got, err := sched.RunStream(mk(), src(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%+v: a %s Len changed the result:\n got %+v\nwant %+v", name, opts, hint, got, want)
+				}
+			}
+		}
+	}
+}

@@ -76,14 +76,17 @@ type Task struct {
 // and hands its free tasks back to at Finish (see FreeList).
 var taskDepot depot[Task]
 
-// wrap makes t the task of a workload request. Every field is rewritten,
-// so a recycled task is indistinguishable from a fresh one.
+// wrap makes t the task of a workload request. Every field is written
+// in place, without building a Task and copying it in, so a recycled
+// task is indistinguishable from a fresh one.
 func (t *Task) wrap(r *workload.Request) {
 	total := r.Trace.Total()
-	*t = Task{ID: r.ID, Key: r.Key, Arrival: r.Arrival, SLO: r.SLO,
-		LastRun: r.Arrival, tr: r.Trace,
-		trueTotal: total, trueRemaining: total,
-		queueIndex: -1, heapIndex: -1}
+	t.ID, t.Key, t.Arrival, t.SLO = r.ID, r.Key, r.Arrival, r.SLO
+	t.NextLayer, t.ExecTime, t.LastRun, t.Completion = 0, 0, r.Arrival, 0
+	t.Done, t.Migrated, t.Attempts, t.Attachment = false, false, 0, nil
+	t.tr, t.trueTotal, t.trueRemaining = r.Trace, total, total
+	t.queueIndex, t.heapIndex = -1, -1
+	t.estCurve, t.estAccounted = nil, 0
 }
 
 // Request rebuilds the request the task wraps: ID, Key, Trace, Arrival

@@ -113,8 +113,8 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 			LayerLatency:  make([]time.Duration, cfg.Model.NumLayers()),
 			LayerSparsity: sample.Sparsity,
 		}
-		for l, layer := range cfg.Model.Layers {
-			tr.LayerLatency[l] = acc.LayerLatency(layer, accel.LayerSparsity{
+		for l := range cfg.Model.Layers {
+			tr.LayerLatency[l] = acc.LayerLatency(&cfg.Model.Layers[l], accel.LayerSparsity{
 				Pattern:            cfg.Pattern,
 				WeightRate:         cfg.WeightRate,
 				ActivationSparsity: sample.Sparsity[l],
