@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"sparsedysta/internal/exp"
@@ -101,16 +100,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
-		var rendered strings.Builder
-		for _, a := range arts {
-			rendered.WriteString(a.Render())
-			rendered.WriteString("\n")
-		}
-		fmt.Print(rendered.String())
+		rendered := exp.RenderAll(arts)
+		fmt.Print(rendered)
 		fmt.Printf("-- %s regenerated in %v --\n\n", id, time.Since(start).Round(time.Millisecond))
 		if *outDir != "" {
 			path := filepath.Join(*outDir, id+".txt")
-			if err := os.WriteFile(path, []byte(rendered.String()), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

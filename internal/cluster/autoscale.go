@@ -41,22 +41,16 @@ import (
 // means capacity is being wasted (scale down).
 type Autoscaler struct {
 	// Min and Max bound the live engine count. Min >= 1; Max must not
-	// exceed the cluster size. Slots above the initial live set start
-	// drained and join as load demands.
+	// exceed the cluster size. The run starts with Min engines live;
+	// the slots above them start drained and join as load demands.
 	Min, Max int
-	// Start is the initial live engine count; 0 means Min.
-	Start int
 	// Up scales up one engine when the mean live predicted drain time
 	// exceeds it. Typically a fraction of the workload's SLO budget.
 	Up time.Duration
 	// Down scales down one engine when the mean live predicted drain
-	// time is below it AND at least IdleFrac of the live engines are
-	// idle. Must leave a guard band: Down <= Up.
+	// time is below it AND at least scaleDownIdleFrac of the live
+	// engines are idle. Must leave a guard band: Down <= Up.
 	Down time.Duration
-	// IdleFrac is the fraction of live engines that must be idle
-	// (Outstanding == 0 in the snapshot) before scaling down; 0 means
-	// 0.5.
-	IdleFrac float64
 	// Cooldown is the minimum virtual time between consecutive actions.
 	Cooldown time.Duration
 	// Load is the per-task remaining-work estimate backing the Backlog
@@ -77,13 +71,9 @@ func (a *Autoscaler) LoadFunc() func(*sched.Task) time.Duration { return a.Load 
 // CurveFunc exposes the estimate's curve form (curveProvider).
 func (a *Autoscaler) CurveFunc() func(*sched.Task) []time.Duration { return a.Curve }
 
-// start resolves the initial live engine count.
-func (a *Autoscaler) start() int {
-	if a.Start == 0 {
-		return a.Min
-	}
-	return a.Start
-}
+// scaleDownIdleFrac is the fraction of live engines that must be idle
+// (Outstanding == 0 in the snapshot) before the autoscaler scales down.
+const scaleDownIdleFrac = 0.5
 
 // validate checks the policy against the cluster size.
 func (a *Autoscaler) validate(engines int) error {
@@ -96,17 +86,11 @@ func (a *Autoscaler) validate(engines int) error {
 	if a.Max > engines {
 		return fmt.Errorf("cluster: autoscaler Max %d exceeds %d engines", a.Max, engines)
 	}
-	if a.Start != 0 && (a.Start < a.Min || a.Start > a.Max) {
-		return fmt.Errorf("cluster: autoscaler Start %d outside [%d, %d]", a.Start, a.Min, a.Max)
-	}
 	if a.Up <= 0 {
 		return fmt.Errorf("cluster: autoscaler Up threshold %v not positive", a.Up)
 	}
 	if a.Down < 0 || a.Down > a.Up {
 		return fmt.Errorf("cluster: autoscaler thresholds inverted (Down %v, Up %v)", a.Down, a.Up)
-	}
-	if a.IdleFrac < 0 || a.IdleFrac > 1 {
-		return fmt.Errorf("cluster: autoscaler IdleFrac %v outside [0, 1]", a.IdleFrac)
 	}
 	if a.Cooldown < 0 {
 		return fmt.Errorf("cluster: autoscaler negative cooldown %v", a.Cooldown)
@@ -130,13 +114,13 @@ type scaler struct {
 	ups, downs int
 }
 
-// newScaler arms the policy: slots beyond the initial live set are
-// drained at t=0, before any arrival, so the run starts with start()
-// engines in rotation.
+// newScaler arms the policy: slots beyond the first Min are drained at
+// t=0, before any arrival, so the run starts with Min engines in
+// rotation.
 func newScaler(pol *Autoscaler, fi *faultInjector) (*scaler, error) {
 	n := len(fi.engines)
 	s := &scaler{pol: pol, fi: fi, parked: make([]bool, n)}
-	for i := pol.start(); i < n; i++ {
+	for i := pol.Min; i < n; i++ {
 		if err := fi.drainNow(i, 0); err != nil {
 			return nil, err
 		}
@@ -195,11 +179,7 @@ func (s *scaler) evaluate(sig []EngineSignal, now time.Duration) (bool, error) {
 		}
 		return false, nil // every parked slot was failed by churn; nothing to add
 	}
-	idleFrac := s.pol.IdleFrac
-	if idleFrac == 0 {
-		idleFrac = 0.5
-	}
-	if meanDrain < s.pol.Down && live > s.pol.Min && float64(idle) >= idleFrac*float64(live) {
+	if meanDrain < s.pol.Down && live > s.pol.Min && float64(idle) >= scaleDownIdleFrac*float64(live) {
 		for i := len(s.parked) - 1; i >= 0; i-- {
 			if !s.parked[i] && s.fi.state[i] == stateHealthy {
 				if err := s.fi.drainNow(i, now); err != nil {

@@ -292,11 +292,8 @@ func TestAutoscaleValidation(t *testing.T) {
 		"min zero":         {Min: 0, Max: 2, Up: time.Millisecond},
 		"max below min":    {Min: 3, Max: 2, Up: time.Millisecond},
 		"max over cluster": {Min: 1, Max: 5, Up: time.Millisecond},
-		"start below min":  {Min: 2, Max: 4, Start: 1, Up: time.Millisecond},
-		"start above max":  {Min: 1, Max: 2, Start: 3, Up: time.Millisecond},
 		"no up threshold":  {Min: 1, Max: 2},
 		"down above up":    {Min: 1, Max: 2, Up: time.Millisecond, Down: time.Second},
-		"idlefrac over 1":  {Min: 1, Max: 2, Up: time.Millisecond, IdleFrac: 1.5},
 		"negative cool":    {Min: 1, Max: 2, Up: time.Millisecond, Cooldown: -time.Second},
 	}
 	for name, pol := range bad {

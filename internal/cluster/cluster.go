@@ -10,25 +10,24 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-// EngineSpec configures one engine of a heterogeneous cluster.
+// EngineSpec sets the speed of one engine of a heterogeneous cluster;
+// every engine runs under Config.Sched otherwise.
 type EngineSpec struct {
-	// Sched tunes the engine (preemption overhead, recording).
-	Sched sched.Options
 	// LatencyScale is the engine's speed relative to the reference
-	// hardware: every executed layer latency is multiplied by it. 0 and
-	// 1 mean reference speed, 2 a half-speed device, 0.5 a double-speed
-	// one. It overrides Sched.LatencyScale when nonzero.
+	// hardware: every executed layer latency is multiplied by it. 1
+	// means reference speed, 2 a half-speed device, 0.5 a double-speed
+	// one, and 0 keeps Config.Sched.LatencyScale.
 	LatencyScale float64
 }
 
 // Config sizes a cluster run.
 type Config struct {
 	// Engines is the number of simulated accelerators (>= 1) when Specs
-	// is empty: a homogeneous cluster of identical engines under Sched.
+	// is empty: a homogeneous cluster of identical engines.
 	Engines int
-	// Specs configures a heterogeneous cluster, one entry per engine.
-	// When non-empty it defines the engine count (Engines must then be 0
-	// or len(Specs)).
+	// Specs sets each engine's latency scale in a heterogeneous cluster,
+	// one entry per engine. When non-empty it defines the engine count
+	// (Engines must then be 0 or len(Specs)).
 	Specs []EngineSpec
 	// Dispatch routes arrivals to engines. Nil defaults to round-robin.
 	Dispatch Dispatcher
@@ -74,15 +73,15 @@ type Config struct {
 	// autoscale.go). Nil disables autoscaling entirely: the run takes
 	// exactly the fixed-size code path, bit-identically.
 	Autoscale *Autoscaler
-	// Sched tunes each engine of a homogeneous cluster (ignored for
-	// engines covered by Specs). The cluster-wide metrics come from one
-	// sched.Aggregator fed every completion in global completion order,
-	// in the capture mode the engines share: with Sched.BoundedCapture
-	// it keeps constant-size state, so a run's memory no longer grows
-	// with the stream length, and Sched.Exemplars sizes the cluster-wide
-	// exemplar reservoir; under full capture it keeps the latencies for
-	// exact percentiles, and the ID-ordered union of every outcome in
-	// Result.Tasks when any spec sets RecordTasks.
+	// Sched tunes every engine, each at its own latency scale (see
+	// Specs). The cluster-wide metrics come from one sched.Aggregator
+	// built from it and fed every completion in global completion order:
+	// with Sched.BoundedCapture it keeps constant-size state, so a run's
+	// memory no longer grows with the stream length, and Sched.Exemplars
+	// sizes the cluster-wide exemplar reservoir; under full capture it
+	// keeps the latencies for exact percentiles, and under
+	// Sched.RecordTasks the ID-ordered union of every outcome in
+	// Result.Tasks.
 	Sched sched.Options
 	// debugBacklogAudit, when set (same-package tests only), runs once per
 	// arrival — after churn, rebalancing and autoscaling have acted, before
@@ -94,35 +93,32 @@ type Config struct {
 	debugBacklogAudit func(engines []*sched.Engine, load func(*sched.Task) time.Duration) error
 }
 
-// engineSpecs resolves the per-engine specs: Specs verbatim when given,
-// else Engines copies of the homogeneous Sched options. Every resolved
-// latency scale must be finite and non-negative.
-func (cfg Config) engineSpecs() ([]EngineSpec, error) {
-	var specs []EngineSpec
-	switch {
-	case len(cfg.Specs) > 0:
-		if cfg.Engines != 0 && cfg.Engines != len(cfg.Specs) {
-			return nil, fmt.Errorf("cluster: Engines=%d contradicts %d specs",
-				cfg.Engines, len(cfg.Specs))
+// engineScales resolves each engine's latency scale: its spec's when
+// nonzero, else Sched.LatencyScale, over len(Specs) engines when Specs
+// is given and Engines otherwise. Every scale must be finite and
+// non-negative.
+func (cfg Config) engineScales() ([]float64, error) {
+	n := cfg.Engines
+	if len(cfg.Specs) > 0 {
+		if n != 0 && n != len(cfg.Specs) {
+			return nil, fmt.Errorf("cluster: Engines=%d contradicts %d specs", n, len(cfg.Specs))
 		}
-		specs = append([]EngineSpec(nil), cfg.Specs...)
-	case cfg.Engines < 1:
-		return nil, fmt.Errorf("cluster: %d engines", cfg.Engines)
-	default:
-		specs = make([]EngineSpec, cfg.Engines)
-		for i := range specs {
-			specs[i].Sched = cfg.Sched
-		}
+		n = len(cfg.Specs)
 	}
-	for i := range specs {
-		if specs[i].LatencyScale != 0 {
-			specs[i].Sched.LatencyScale = specs[i].LatencyScale
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: %d engines", n)
+	}
+	scales := make([]float64, n)
+	for i := range scales {
+		scales[i] = cfg.Sched.LatencyScale
+		if i < len(cfg.Specs) && cfg.Specs[i].LatencyScale != 0 {
+			scales[i] = cfg.Specs[i].LatencyScale
 		}
-		if s := specs[i].Sched.LatencyScale; s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		if s := scales[i]; s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("cluster: engine %d latency scale %v, want a finite value >= 0", i, s)
 		}
 	}
-	return specs, nil
+	return scales, nil
 }
 
 // checkKnobs rejects negative control-plane knobs, which the run would
@@ -197,7 +193,7 @@ func Run(newSched func(engine int) sched.Scheduler, reqs []*workload.Request, cf
 // implement sched.TaskExtractor, and is rejected before it simulates
 // anything otherwise.
 func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSource, cfg Config) (Result, error) {
-	specs, err := cfg.engineSpecs()
+	scales, err := cfg.engineScales()
 	if err != nil {
 		return Result{}, err
 	}
@@ -208,41 +204,26 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	if !ok {
 		return Result{}, fmt.Errorf("cluster: empty request stream")
 	}
-	// Capture mode is a cluster-wide property: the cluster aggregator
-	// keeps either exact latencies or a histogram, so a mix has no
-	// consistent percentiles. Any spec recording tasks asks for the
-	// ID-ordered union of every engine's outcomes.
-	bounded := specs[0].Sched.BoundedCapture
-	recordTasks := false
-	for i := range specs {
-		if specs[i].Sched.BoundedCapture != bounded {
-			return Result{}, fmt.Errorf("cluster: engine specs mix bounded and full capture")
-		}
-		recordTasks = recordTasks || specs[i].Sched.RecordTasks
-	}
 	// The cluster-wide metrics fold every completion, on every
-	// incarnation, in global completion order: the observers fire inside
-	// Step at each completion instant, and the cluster commits engine
-	// events in one deterministic order.
-	agg := sched.NewAggregator(sched.Options{BoundedCapture: bounded, RecordTasks: recordTasks,
-		Exemplars: cfg.Sched.Exemplars, ExemplarSeed: cfg.Sched.ExemplarSeed})
+	// incarnation, in global completion order: the engines' one observer
+	// fires inside Step at each completion instant, and the cluster
+	// commits engine events in one deterministic order.
+	agg := sched.NewAggregator(cfg.Sched)
 	agg.ReserveFor(src)
 	var wins, losses int
-	for i := range specs {
-		user := specs[i].Sched.Observer
-		specs[i].Sched.Observer = func(o sched.TaskOutcome) {
-			if user != nil {
-				user(o)
-			}
-			agg.Add(o)
-			// A moved request migrates strictly before it first runs, so
-			// whether moving it paid off is settled at its completion.
-			if o.Migrated {
-				if o.Violated {
-					losses++
-				} else {
-					wins++
-				}
+	opts, user := cfg.Sched, cfg.Sched.Observer
+	opts.Observer = func(o sched.TaskOutcome) {
+		if user != nil {
+			user(o)
+		}
+		agg.Add(o)
+		// A moved request migrates strictly before it first runs, so
+		// whether moving it paid off is settled at its completion.
+		if o.Migrated {
+			if o.Violated {
+				losses++
+			} else {
+				wins++
 			}
 		}
 	}
@@ -296,10 +277,7 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// rebalancer) then reads an O(1) running sum instead of scanning
 	// queues.
 	if load != nil {
-		for i := range specs {
-			specs[i].Sched.BacklogEstimator = load
-			specs[i].Sched.BacklogCurve = curve
-		}
+		opts.BacklogEstimator, opts.BacklogCurve = load, curve
 	}
 
 	// A crash empties the scheduler through OnExtract (see the doc above).
@@ -307,16 +285,17 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 	// them by migration and failover.
 	crashing := cfg.Churn != nil && slices.ContainsFunc(cfg.Churn.Events,
 		func(ev ChurnEvent) bool { return ev.Kind == Fail })
-	engines := make([]*sched.Engine, len(specs))
+	engines := make([]*sched.Engine, len(scales))
 	for i := range engines {
 		s := newSched(i)
 		if _, ok := s.(sched.TaskExtractor); crashing && !ok {
 			return Result{}, fmt.Errorf("cluster: churn plan fails engines, but engine %d's scheduler %s does not implement sched.TaskExtractor", i, s.Name())
 		}
+		opts.LatencyScale = scales[i]
 		if i == 0 {
-			engines[i] = sched.NewEngine(s, specs[i].Sched)
+			engines[i] = sched.NewEngine(s, opts)
 		} else {
-			engines[i] = engines[0].NewPeer(s, specs[i].Sched)
+			engines[i] = engines[0].NewPeer(s, opts)
 		}
 	}
 	board := NewSignalBoard(engines, cfg.SignalInterval, load)

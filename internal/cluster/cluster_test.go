@@ -275,6 +275,42 @@ func TestDispatcherBoundsChecked(t *testing.T) {
 	}
 }
 
+// TestSpecsRunUnderClusterOptions: every engine runs under Config.Sched,
+// so specs that set no latency scale run exactly like a homogeneous
+// cluster of as many engines under the same options: the capture mode,
+// the recorded outcomes and the preemption overhead included. Each set
+// of options must also change the run, or the comparison shows nothing.
+func TestSpecsRunUnderClusterOptions(t *testing.T) {
+	reqs, est, lut := randomStream(5, 120)
+	for _, r := range reqs {
+		r.Arrival /= 4
+	}
+	mk := func(int) sched.Scheduler { return core.NewDefault(lut) }
+	run := func(cfg Config) Result {
+		t.Helper()
+		cfg.Dispatch = NewLeastLoad("sparse-load", SparsityAwareLoad(lut, est))
+		res, err := Run(mk, reqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(Config{Engines: 2})
+	for name, opts := range map[string]sched.Options{
+		"bounded capture": {BoundedCapture: true, Exemplars: 8, ExemplarSeed: 3},
+		"record tasks":    {RecordTasks: true},
+		"overhead":        {PreemptionOverhead: 300 * time.Microsecond},
+	} {
+		want := run(Config{Engines: 2, Sched: opts})
+		if reflect.DeepEqual(want, plain) {
+			t.Fatalf("%s: the options change nothing", name)
+		}
+		if got := run(Config{Specs: []EngineSpec{{}, {}}, Sched: opts}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: specs run\n%+v\nwant the homogeneous run\n%+v", name, got.Result, want.Result)
+		}
+	}
+}
+
 // TestEngineClockOverflowFailsTheRun: an engine whose scaled clock
 // would pass the largest time.Duration fails the run with an error
 // naming its latency scale, whether the overflow is in the scaled

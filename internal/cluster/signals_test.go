@@ -188,7 +188,7 @@ func TestEngineSpecsValidation(t *testing.T) {
 		{"NaN scale", Config{Specs: []EngineSpec{{LatencyScale: nan}, {LatencyScale: nan}}}, false},
 		{"+Inf scale", Config{Specs: []EngineSpec{{LatencyScale: 1}, {LatencyScale: inf}}}, false},
 		{"-Inf scale", Config{Specs: []EngineSpec{{LatencyScale: -inf}}}, false},
-		{"NaN in spec sched options", Config{Specs: []EngineSpec{{Sched: sched.Options{LatencyScale: nan}}}}, false},
+		{"NaN cluster scale under specs", Config{Specs: []EngineSpec{{}}, Sched: sched.Options{LatencyScale: nan}}, false},
 		{"NaN homogeneous scale", Config{Engines: 2, Sched: sched.Options{LatencyScale: nan}}, false},
 		{"Inf homogeneous scale", Config{Engines: 2, Sched: sched.Options{LatencyScale: inf}}, false},
 		{"finite scales", Config{Specs: []EngineSpec{{LatencyScale: 0.5}, {LatencyScale: 2}}}, true},

@@ -307,13 +307,11 @@ func (d *Dysta) PickNextIncremental(q *sched.ReadyQueue, now time.Duration) *sch
 	d.bestScore, d.cut = math.Inf(1), math.Inf(1)
 	d.etaNow = d.cfg.Eta * ms(now)
 	// Feasible tasks first: they carry no demotion, so the best score
-	// they yield usually prunes the demoted heap at its root.
-	if d.feasible.Len() > 0 {
-		d.visitFeasible(0)
-	}
-	if d.demoted.Len() > 0 {
-		d.visitDemoted(0)
-	}
+	// they yield usually prunes the demoted heap at its root. The
+	// visitors are func literals rather than method values, so that the
+	// inlined walk calls each method directly.
+	d.feasible.Walk(func(t *sched.Task) bool { return d.visitFeasible(t) })
+	d.demoted.Walk(func(t *sched.Task) bool { return d.visitDemoted(t) })
 	for _, t := range d.newlyDemoted {
 		s := state(t)
 		d.feasible.Remove(t)
@@ -327,43 +325,31 @@ func (d *Dysta) PickNextIncremental(q *sched.ReadyQueue, now time.Duration) *sch
 	return best
 }
 
-// visitFeasible scores feasible-heap node i and recurses into the
-// subtrees its bound cannot rule out.
-func (d *Dysta) visitFeasible(i int) {
-	t := d.feasible.At(i)
+// visitFeasible scores a feasible task and reports whether its bound
+// leaves its subtree worth walking.
+func (d *Dysta) visitFeasible(t *sched.Task) bool {
 	s := state(t)
 	if s.key > d.cut {
-		return
+		return false
 	}
 	sc, demoted := d.cachedScore(t, s)
 	if demoted {
 		d.newlyDemoted = append(d.newlyDemoted, t)
 	}
 	d.consider(t, sc)
-	if l := 2*i + 1; l < d.feasible.Len() {
-		d.visitFeasible(l)
-		if l+1 < d.feasible.Len() {
-			d.visitFeasible(l + 1)
-		}
-	}
+	return true
 }
 
-// visitDemoted scores demoted-heap node i and recurses into the subtrees
-// whose exact bound remain + DemotionMS does not exceed the best score.
-func (d *Dysta) visitDemoted(i int) {
-	t := d.demoted.At(i)
+// visitDemoted scores a demoted task and reports whether the exact bound
+// remain + DemotionMS of its subtree does not exceed the best score.
+func (d *Dysta) visitDemoted(t *sched.Task) bool {
 	s := state(t)
 	if s.key+d.cfg.DemotionMS > d.bestScore {
-		return
+		return false
 	}
 	sc, _ := d.cachedScore(t, s)
 	d.consider(t, sc)
-	if l := 2*i + 1; l < d.demoted.Len() {
-		d.visitDemoted(l)
-		if l+1 < d.demoted.Len() {
-			d.visitDemoted(l + 1)
-		}
-	}
+	return true
 }
 
 // consider folds one exact score into the running argmin and moves the

@@ -14,6 +14,26 @@ import (
 	"sparsedysta/internal/trace"
 )
 
+// TestRequestStateSize pins Dysta's per-request state at 112 bytes: its
+// predictor points at the scheduler's config instead of carrying a
+// 96-byte copy, and every state chunk pays for each byte a state holds.
+func TestRequestStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(requestState{}); got != 112 {
+		t.Errorf("requestState is %d bytes, want 112", got)
+	}
+}
+
+// walkOrder lists a heap's task IDs in walk order, which, with the heap's
+// size, fixes its layout.
+func walkOrder(h *sched.TaskHeap) []int {
+	var ids []int
+	h.Walk(func(t *sched.Task) bool {
+		ids = append(ids, t.ID)
+		return true
+	})
+	return ids
+}
+
 // liveWindow is the part of a LastN window the next Observe reads: the
 // slots written since the state's arrival. A recycled state keeps its
 // window buffer, so slots beyond that hold stale ratios nobody reads.
@@ -122,13 +142,8 @@ func TestRecycledStateMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: fresh and recycled tasks sit in different heaps", label)
 			}
 			for _, pair := range [][2]*sched.TaskHeap{{&fresh.feasible, &used.feasible}, {&fresh.demoted, &used.demoted}} {
-				if pair[0].Len() != pair[1].Len() {
-					t.Fatalf("%s: heap sizes differ: %d vs %d", label, pair[0].Len(), pair[1].Len())
-				}
-				for i := 0; i < pair[0].Len(); i++ {
-					if pair[0].At(i).ID != pair[1].At(i).ID {
-						t.Fatalf("%s: heap position %d holds task %d vs %d", label, i, pair[0].At(i).ID, pair[1].At(i).ID)
-					}
+				if f, u := walkOrder(pair[0]), walkOrder(pair[1]); !slices.Equal(f, u) {
+					t.Fatalf("%s: heap layouts differ: walk order %v vs %v", label, f, u)
 				}
 			}
 			fp := fresh.PickNext([]*sched.Task{fa, fb}, now)
@@ -206,8 +221,8 @@ func scribble(t *testing.T, v reflect.Value) {
 }
 
 // TestScribbledStateMatchesFresh: OnArrival writes every field of the
-// state it takes off its free list, the predictor's and its config's
-// included, so a state whose fields all hold stale values becomes
+// state it takes off its free list, the predictor's and its config
+// pointer included, so a state whose fields all hold stale values becomes
 // exactly the state a fresh scheduler builds, under each gamma strategy,
 // without the dynamic level and for a request that arrives demoted. The
 // LastN window buffer is the one field kept; at arrival it has no live

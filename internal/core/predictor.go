@@ -27,7 +27,9 @@ import (
 // LUT of the hardware design, §5.2.1). With CoeffMode DensityRatio the
 // same construction is applied in density space.
 type Predictor struct {
-	cfg   Config
+	// cfg is the owning scheduler's configuration, shared by all of its
+	// predictors rather than copied into each request's state.
+	cfg   *Config
 	stats *trace.Stats
 	// gamma is the current coefficient under the configured strategy,
 	// maintained incrementally by Observe so Gamma — and therefore every
@@ -48,7 +50,7 @@ type Predictor struct {
 }
 
 // NewPredictor returns a Predictor over the LUT entry for the request's
-// model-pattern pair.
+// model-pattern pair, under its own copy of cfg.
 func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
 	p := &Predictor{}
 	p.reset(&cfg, st)
@@ -56,11 +58,12 @@ func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
 }
 
 // reset makes p a fresh predictor for st under cfg, writing its fields
-// in place, for state that embeds one and is recycled. Only the LastN
+// in place, for state that embeds one and is recycled. p keeps the
+// pointer, so cfg must not change while p is in use. Only the LastN
 // window buffer is kept: Observe writes each of its slots before the
 // mean reads it.
 func (p *Predictor) reset(cfg *Config, st *trace.Stats) {
-	p.cfg, p.stats = *cfg, st
+	p.cfg, p.stats = cfg, st
 	p.gamma, p.count, p.sum, p.wpos = 1, 0, 0, 0
 }
 

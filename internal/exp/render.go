@@ -13,6 +13,17 @@ type Artifact interface {
 	Render() string
 }
 
+// RenderAll renders an experiment's artifacts as dysta-bench prints and
+// writes them: each one followed by a blank line.
+func RenderAll(arts []Artifact) string {
+	var b strings.Builder
+	for _, a := range arts {
+		b.WriteString(a.Render())
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 // Table is a rows-and-columns artifact (the paper's tables, and figures
 // that reduce to per-configuration numbers).
 type Table struct {

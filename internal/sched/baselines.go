@@ -384,20 +384,19 @@ func (p *Planaria) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
 	if p.feasible.Len() == 0 {
 		return p.hopeless.Min()
 	}
-	p.visit(0, now)
+	p.feasible.Walk(func(t *Task) bool { return p.visit(t, now) })
 	best := p.best
 	p.best = nil
 	return best
 }
 
-// visit scores feasible-heap node i and recurses into the subtrees the
-// guarded key bound cannot rule out. The root is visited first and is
+// visit scores a feasible task and reports whether the guarded key bound
+// leaves its subtree worth walking. The root is visited first and is
 // feasible, so best is set before any pruning test.
-func (p *Planaria) visit(i int, now time.Duration) {
-	t := p.feasible.At(i)
+func (p *Planaria) visit(t *Task, now time.Duration) bool {
 	k := slackKey(t)
 	if p.best != nil && k > p.cut {
-		return
+		return false
 	}
 	// A negative slack below the root happens only once float64 has lost
 	// the nanoseconds separating k from now; such a task is no candidate
@@ -407,12 +406,7 @@ func (p *Planaria) visit(i int, now time.Duration) {
 		p.best, p.bestSlack = t, s
 		p.cut = k + time.Duration(planariaGuard*(math.Abs(float64(k-now))+float64(p.remMax)))
 	}
-	if l := 2*i + 1; l < p.feasible.Len() {
-		p.visit(l, now)
-		if l+1 < p.feasible.Len() {
-			p.visit(l+1, now)
-		}
-	}
+	return true
 }
 
 // reheap files t in h: it repairs t's position when h already holds it

@@ -2,8 +2,11 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"sparsedysta/internal/rng"
 )
 
 // TestReadyQueueIndexing exercises the O(1) membership/removal contract.
@@ -104,6 +107,99 @@ func TestTaskHeapOrdering(t *testing.T) {
 	}
 	if h.Len() != 0 {
 		t.Errorf("heap not empty after drain: %d", h.Len())
+	}
+}
+
+// preOrder is the brute-force reference of TaskHeap.Walk: a recursive
+// pre-order over the heap's array layout, children of i at 2i+1 and
+// 2i+2, that skips the subtree below every task prune rejects.
+func preOrder(h *TaskHeap, i int, prune func(*Task) bool, out []int) []int {
+	if i >= len(h.tasks) {
+		return out
+	}
+	out = append(out, h.tasks[i].ID)
+	if prune(h.tasks[i]) {
+		return out
+	}
+	return preOrder(h, 2*i+2, prune, preOrder(h, 2*i+1, prune, out))
+}
+
+// TestTaskHeapWalk: Walk visits exactly the tasks of the brute-force
+// pre-order, in its order, on random heaps (pushes, key changes and
+// removals) under random prune predicates, the empty heap and the
+// never-pruning walk included.
+func TestTaskHeapWalk(t *testing.T) {
+	less := func(a, b *Task) bool {
+		return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.ID < b.ID)
+	}
+	r := rng.New(11)
+	for trial := 0; trial < 300; trial++ {
+		var h TaskHeap
+		h.Init(less)
+		var tasks []*Task
+		for i, n := 0, r.Intn(40); i < n; i++ {
+			task := &Task{ID: i, Arrival: time.Duration(r.Intn(20)), queueIndex: -1, heapIndex: -1}
+			tasks = append(tasks, task)
+			h.Push(task)
+		}
+		for _, task := range tasks {
+			switch r.Intn(4) {
+			case 0:
+				h.Remove(task)
+			case 1:
+				task.Arrival = time.Duration(r.Intn(20))
+				h.Fix(task)
+			}
+		}
+		pruned := map[int]bool{}
+		for _, task := range tasks {
+			pruned[task.ID] = r.Intn(3) == 0
+		}
+		for name, prune := range map[string]func(*Task) bool{
+			"none":  func(*Task) bool { return false },
+			"keys":  func(x *Task) bool { return x.Arrival >= 10 },
+			"rand":  func(x *Task) bool { return pruned[x.ID] },
+			"all":   func(*Task) bool { return true },
+			"depth": func(x *Task) bool { return x.heapIndex >= 3 },
+		} {
+			var got []int
+			h.Walk(func(x *Task) bool {
+				got = append(got, x.ID)
+				return !prune(x)
+			})
+			if want := preOrder(&h, 0, prune, nil); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, prune %s: walk visits %v, want %v", trial, name, got, want)
+			}
+		}
+	}
+}
+
+// walkCounter's visit is passed to Walk as a method value, the visitor
+// form that allocates a closure if Walk lets it escape.
+type walkCounter struct {
+	visited int
+	limit   time.Duration
+}
+
+func (c *walkCounter) visit(t *Task) bool {
+	c.visited++
+	return t.Arrival <= c.limit
+}
+
+// TestTaskHeapWalkAllocatesNothing: a walk with a method-value visitor
+// makes no allocation, since the visitor does not escape.
+func TestTaskHeapWalkAllocatesNothing(t *testing.T) {
+	var h TaskHeap
+	h.Init(func(a, b *Task) bool { return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.ID < b.ID) })
+	for i := 0; i < 100; i++ {
+		h.Push(&Task{ID: i, Arrival: time.Duration(i % 17), queueIndex: -1, heapIndex: -1})
+	}
+	c := &walkCounter{limit: 8}
+	if allocs := testing.AllocsPerRun(100, func() { h.Walk(c.visit) }); allocs != 0 {
+		t.Errorf("Walk made %v allocations per run, want 0", allocs)
+	}
+	if c.visited == 0 {
+		t.Error("the walk visited nothing")
 	}
 }
 

@@ -121,12 +121,35 @@ func (h *TaskHeap) Min() *Task {
 	return h.tasks[0]
 }
 
-// At returns the task at heap position i (0 is the minimum; children of
-// i sit at 2i+1 and 2i+2). It is the traversal surface of the pruned
-// DFS the bound-keyed picks run: the heap property guarantees every
-// descendant's key is >= the node's, so a subtree whose root key
-// already rules out the best score found can be skipped wholesale.
+// At returns the task at heap position i, 0 <= i < Len(): position 0
+// holds the minimum, and the others follow in no order a caller may rely
+// on. It serves flat scans over every task; a bounded search uses Walk.
 func (h *TaskHeap) At(i int) *Task { return h.tasks[i] }
+
+// Walk visits the heap's tasks in pre-order from the minimum, skipping
+// the subtree below any task whose visit returns false. It is the one
+// traversal of the bound-keyed picks: the heap property guarantees every
+// task below a node orders at or after it, so a visit that finds the
+// node's key already past the best score found prunes its whole subtree.
+// visit must not change the heap. Walk is small enough to inline, so a
+// func literal visitor is called directly, without an indirect call per
+// task.
+func (h *TaskHeap) Walk(visit func(*Task) bool) {
+	for i, n := 0, len(h.tasks); i < n; i++ {
+		if visit(h.tasks[i]) && 2*i+1 < n {
+			i *= 2 // the loop's i++ steps down to the left child
+			continue
+		}
+		// Climb past right children and past a left child that ends the
+		// heap; the loop's i++ then steps to the next right sibling.
+		for i&1 == 0 || i+1 == n {
+			if i == 0 {
+				return
+			}
+			i = (i - 1) >> 1
+		}
+	}
+}
 
 // Push inserts a task.
 func (h *TaskHeap) Push(t *Task) {

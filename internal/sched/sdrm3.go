@@ -48,7 +48,7 @@ type SDRM3 struct {
 	// are — and are found by a linear scan.
 	classes []*sdrmClass
 
-	// best and bestScore are the running argmax of a pick's DFS.
+	// best and bestScore are the running argmax of a pick's walk.
 	best      *Task
 	bestScore float64
 }
@@ -147,37 +147,29 @@ func (s *SDRM3) PickNext(ready []*Task, now time.Duration) *Task {
 func (s *SDRM3) PickNextIncremental(_ *ReadyQueue, now time.Duration) *Task {
 	s.best = nil
 	for _, c := range s.classes {
-		if c.h.Len() > 0 {
-			s.visit(c, 0, now)
-		}
+		c.h.Walk(func(t *Task) bool { return s.visit(c, t, now) })
 	}
 	best := s.best
 	s.best = nil
 	return best
 }
 
-// visit scores heap node i of class c and recurses into the children
-// whose subtree bound does not fall strictly below the best score.
-func (s *SDRM3) visit(c *sdrmClass, i int, now time.Duration) {
-	t := c.h.At(i)
+// visit scores a task of class c and reports whether its subtree bound
+// does not fall strictly below the best score.
+func (s *SDRM3) visit(c *sdrmClass, t *Task, now time.Duration) bool {
 	if s.best != nil {
 		ub := s.Alpha + sdrmGuard
 		if c.iso > 0 {
 			ub += ms(now-(t.Arrival+t.ExecTime)) / c.iso
 		}
 		if ub < s.bestScore {
-			return
+			return false
 		}
 	}
 	if sc := s.mapScore(t, now); s.best == nil || sc > s.bestScore || (sc == s.bestScore && t.ID < s.best.ID) {
 		s.best, s.bestScore = t, sc
 	}
-	if l := 2*i + 1; l < c.h.Len() {
-		s.visit(c, l, now)
-		if l+1 < c.h.Len() {
-			s.visit(c, l+1, now)
-		}
-	}
+	return true
 }
 
 // mapScore = Alpha*Urgency + Fairness (Pref = 1 folded in).

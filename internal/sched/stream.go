@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -115,7 +116,8 @@ func RunStream(s Scheduler, src RequestSource, opts Options) (Result, error) {
 // CheckArrival is the arrival check both streaming loops (RunStream and
 // cluster.RunStream) apply to each yielded request: its arrival must be
 // at or after the clock's start at 0 and at or after the previous
-// arrival, last (0 before the first request). pkg prefixes the error.
+// arrival, last (0 before the first request), and its deadline must be
+// a time.Duration. pkg prefixes the error.
 func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
 	switch {
 	case req.Arrival < 0:
@@ -123,6 +125,9 @@ func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
 	case req.Arrival < last:
 		return fmt.Errorf("%s: request stream yielded request %d at %v after an arrival at %v (stream must be sorted)",
 			pkg, req.ID, req.Arrival, last)
+	case req.SLO > math.MaxInt64-req.Arrival:
+		return fmt.Errorf("%s: request %d's deadline, arrival %v + SLO %v, is past the largest time.Duration",
+			pkg, req.ID, req.Arrival, req.SLO)
 	}
 	return nil
 }

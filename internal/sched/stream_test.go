@@ -1,8 +1,12 @@
 package sched_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"sparsedysta/internal/core"
 	"sparsedysta/internal/sched"
@@ -217,6 +221,38 @@ func TestLenHintChangesNoResult(t *testing.T) {
 					t.Errorf("%s/%+v: a %s Len changed the result:\n got %+v\nwant %+v", name, opts, hint, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestDeadlineOverflowFailsTheRun: a request whose arrival plus SLO
+// passes the largest time.Duration fails the run with an error naming
+// it (the check both streaming loops share), where its deadline used to
+// wrap negative and count as violated. A deadline of exactly
+// math.MaxInt64 still runs.
+func TestDeadlineOverflowFailsTheRun(t *testing.T) {
+	_, reqs, _, _, _ := streamFixture(t, 5, 1)
+	last := *reqs[len(reqs)-1]
+	for _, c := range []struct {
+		slo time.Duration
+		ok  bool
+	}{
+		{math.MaxInt64 - last.Arrival, true},
+		{math.MaxInt64 - last.Arrival + 1, false},
+		{math.MaxInt64, false},
+	} {
+		r := last
+		r.SLO = c.slo
+		run := append(reqs[:len(reqs)-1:len(reqs)-1], &r)
+		res, err := sched.Run(sched.NewFCFS(), run, sched.Options{})
+		if c.ok {
+			if err != nil || res.Violations != 0 {
+				t.Errorf("SLO %d: %d violations, err %v; want a clean run", c.slo, res.Violations, err)
+			}
+			continue
+		}
+		if want := fmt.Sprintf("request %d's deadline", r.ID); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SLO %d: err %v, want one naming %q", c.slo, err, want)
 		}
 	}
 }

@@ -71,9 +71,6 @@ type BuildConfig struct {
 	// models conventionally use Dense/0 (their sparsity is dynamic).
 	Pattern    sparsity.Pattern
 	WeightRate float64
-	// Preset is the dataset preset; zero value selects
-	// dataset.DefaultPreset.
-	Preset *dataset.Preset
 	// Samples is the number of inputs to process.
 	Samples int
 	// Seed makes generation reproducible.
@@ -97,11 +94,7 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 		return nil, fmt.Errorf("trace: model %s (family %v) on accelerator %s (family %v)",
 			cfg.Model.Name, cfg.Model.Family, acc.Name(), acc.Family())
 	}
-	preset := dataset.DefaultPreset(cfg.Model)
-	if cfg.Preset != nil {
-		preset = *cfg.Preset
-	}
-	stream, err := dataset.NewStream(cfg.Model, preset, cfg.Seed)
+	stream, err := dataset.NewStream(cfg.Model, dataset.DefaultPreset(cfg.Model), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -83,6 +83,9 @@ func (s Spec) Scenario() (Scenario, error) {
 		if es.WeightRate < 0 || es.WeightRate >= 1 {
 			return Scenario{}, fmt.Errorf("workload: entry %d: weight rate %v out of [0,1)", i, es.WeightRate)
 		}
+		if !(es.SLOFactor >= 0) {
+			return Scenario{}, fmt.Errorf("workload: entry %d: SLO factor %v, want >= 0 (0 means 1)", i, es.SLOFactor)
+		}
 		sc.Entries = append(sc.Entries, Entry{
 			Model:      m,
 			Pattern:    p,

@@ -60,6 +60,8 @@ func TestLoadSpecErrors(t *testing.T) {
 		"bad pattern":     `{"name":"x","accelerator":"sanger","entries":[{"model":"bert","pattern":"wavy","weight":1}]}`,
 		"zero weight":     `{"name":"x","accelerator":"sanger","entries":[{"model":"bert","pattern":"dense","weight":0}]}`,
 		"bad rate":        `{"name":"x","accelerator":"eyeriss-v2","entries":[{"model":"vgg16","pattern":"random","weight":1,"weight_rate":1.0}]}`,
+		// A negative factor used to read as 1, like an absent one.
+		"negative slo factor": `{"name":"x","accelerator":"sanger","entries":[{"model":"bert","pattern":"dense","weight":1,"slo_factor":-1}]}`,
 	}
 	for name, data := range cases {
 		if _, err := LoadSpec(strings.NewReader(data)); err == nil {

@@ -14,7 +14,7 @@ import (
 // traffic.Process, never materializing the stream. Generate itself is
 // implemented by draining a Stream, so the two are byte-identical by
 // construction — same seed, same per-request draw order (arrival gap,
-// entry, trace index), same SLO arithmetic. Arrivals are monotone
+// entry, trace index), same per-entry SLOs. Arrivals are monotone
 // nondecreasing by construction (each gap is non-negative), which is
 // what lets streaming consumers process requests without sorting.
 //
@@ -39,15 +39,17 @@ type resolvedEntry struct {
 	key trace.Key
 	// traces are the entry's evaluation traces in the store.
 	traces []trace.SampleTrace
-	// meanIso is their mean isolated latency, the SLO base.
-	meanIso time.Duration
+	// slo is every request's SLO: the traces' mean isolated latency
+	// times M_slo times the entry's SLO factor.
+	slo time.Duration
 }
 
 // NewStream validates the configuration, resolves every entry's key,
-// traces and mean isolated latency (its SLO base), and positions the
-// iterator before the first request. The configured Process is Reset
-// here, exactly as Generate resets it, so a stateful process can be
-// reused across streams.
+// traces and SLO, and positions the iterator before the first request.
+// An SLO that is not below 2^63 ns, the largest time.Duration, is an
+// error naming the entry, M_slo and the SLO factor. The configured
+// Process is Reset here, exactly as Generate resets it, so a stateful
+// process can be reused across streams.
 func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -68,8 +70,14 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 			return nil, fmt.Errorf("workload: no traces for %v", k)
 		}
 		s.totalWeight += e.Weight
-		s.resolved[i] = resolvedEntry{key: k, traces: traces,
-			meanIso: time.Duration(store.SumTotals(k) / float64(len(traces)))}
+		meanIso := time.Duration(store.SumTotals(k) / float64(len(traces)))
+		// The negated test also refuses a NaN factor.
+		slo := float64(meanIso) * cfg.SLOMultiplier * e.sloFactor()
+		if !(slo < 1<<63) {
+			return nil, fmt.Errorf("workload: entry %d (%v): mean isolated latency %v x M_slo %g x SLO factor %g is not below 2^63 ns",
+				i, k, meanIso, cfg.SLOMultiplier, e.sloFactor())
+		}
+		s.resolved[i] = resolvedEntry{key: k, traces: traces, slo: time.Duration(slo)}
 	}
 
 	s.proc = cfg.Process
@@ -98,17 +106,12 @@ func (s *Stream) Next() (*Request, bool) {
 	s.now += s.proc.Next(s.r, s.now)
 	i := sampleEntry(s.r, s.entries, s.totalWeight)
 	e := &s.resolved[i]
-	tr := &e.traces[s.r.Intn(len(e.traces))]
-	sloBase := e.meanIso
-	if s.cfg.PerSampleSLO {
-		sloBase = tr.Total()
-	}
 	s.req = Request{
 		ID:      s.next,
 		Key:     e.key,
-		Trace:   tr,
+		Trace:   &e.traces[s.r.Intn(len(e.traces))],
 		Arrival: s.now,
-		SLO:     time.Duration(float64(sloBase) * s.cfg.SLOMultiplier * s.entries[i].sloFactor()),
+		SLO:     e.slo,
 	}
 	s.next++
 	return &s.req, true

@@ -1,10 +1,15 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	"sparsedysta/internal/models"
+	"sparsedysta/internal/sparsity"
 	"sparsedysta/internal/trace"
 	"sparsedysta/internal/traffic"
 )
@@ -22,7 +27,7 @@ func TestRequestSize(t *testing.T) {
 }
 
 // TestNewStreamAllocations: a stream resolves each entry's key, traces
-// and SLO base into one slice, so opening one allocates the stream, that
+// and SLO into one slice, so opening one allocates the stream, that
 // slice, its random source and its Poisson process, and nothing per
 // entry.
 func TestNewStreamAllocations(t *testing.T) {
@@ -39,6 +44,54 @@ func TestNewStreamAllocations(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("NewStream over %d entries made %v allocations, want at most 4", len(sc.Entries), allocs)
+	}
+}
+
+// TestStreamSLOBound: NewStream refuses an entry whose SLO is not below
+// 2^63 ns, the largest time.Duration, naming the entry, M_slo and the
+// SLO factor; the SLO used to wrap, and the run reported every request
+// of the entry violated without an error. Powers of two keep both sides
+// of the bound exact: a 2^20 ns mean isolated latency times 2^43 is
+// 2^63, and the float just below 2^43 gives the largest SLO accepted.
+func TestStreamSLOBound(t *testing.T) {
+	m, err := models.ByName("bert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := trace.NewStore()
+	store.Add(trace.NewKey(m.Name, sparsity.Dense), []trace.SampleTrace{
+		{LayerLatency: []time.Duration{1 << 19, 1 << 19}, LayerSparsity: []float64{0.5, 0.5}},
+	})
+	below := math.Nextafter(1<<43, 0)
+	for _, c := range []struct {
+		mslo, factor float64
+		ok           bool
+	}{
+		{1, below, true},
+		{below, 1, true},
+		{1, 1 << 43, false},
+		{1 << 43, 1, false},
+		{2, 1 << 42, false},
+		{1, math.Inf(1), false},
+		{1, math.NaN(), false},
+	} {
+		sc := Scenario{Name: "bound", Entries: []Entry{{Model: m, Pattern: sparsity.Dense, Weight: 1, SLOFactor: c.factor}}}
+		st, err := NewStream(sc, store, GenConfig{Requests: 2, RatePerSec: 10, SLOMultiplier: c.mslo, Seed: 1})
+		if !c.ok {
+			for _, want := range []string{"entry 0 (bert/dense)", fmt.Sprintf("M_slo %g", c.mslo), fmt.Sprintf("SLO factor %g", c.factor)} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("M_slo %g x factor %g: err %v, want one naming %q", c.mslo, c.factor, err, want)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("M_slo %g x factor %g: %v", c.mslo, c.factor, err)
+		}
+		req, _ := st.Next()
+		if want := time.Duration(math.MaxInt64 - 1<<10 + 1); req.SLO != want {
+			t.Errorf("M_slo %g x factor %g: SLO %d, want %d", c.mslo, c.factor, req.SLO, want)
+		}
 	}
 }
 

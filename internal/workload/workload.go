@@ -121,13 +121,11 @@ type GenConfig struct {
 	RatePerSec float64
 	// SLOMultiplier is M_slo (the paper's default is 10x). The SLO of a
 	// request is the *mean* isolated latency of its model-pattern pair
-	// times M_slo: SLOs are part of the service contract and cannot
-	// depend on the not-yet-known per-sample latency.
+	// times M_slo times the entry's SLO factor: SLOs are part of the
+	// service contract and cannot depend on the not-yet-known per-sample
+	// latency. Each entry's SLO must stay below 2^63 ns, the largest
+	// time.Duration.
 	SLOMultiplier float64
-	// PerSampleSLO switches to SLO = this sample's true isolated latency
-	// times M_slo. This leaks ground-truth latency into every
-	// deadline-aware scheduler and exists only for ablation studies.
-	PerSampleSLO bool
 	// Seed drives sampling and arrivals.
 	Seed uint64
 	// Process overrides the arrival process. Nil means stationary
