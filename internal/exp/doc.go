@@ -16,7 +16,10 @@
 //     result slots and the merge reads them in deterministic order. The
 //     parallel path must match the sequential reference (RunSeeds +
 //     AverageResults) byte for byte — runner_test.go enforces it, also
-//     for migrating cluster cells.
+//     for migrating cluster cells. A worker re-arms one engine for its
+//     direct cells and reruns each spec's emptied scheduler
+//     (gridWorker), so a cell's storage depends on the cells its worker
+//     ran before; its result must not, and the same test covers it.
 //   - Neutral-knob bit-identity: Options at neutral cluster settings
 //     (Engines <= 1 with homogeneous specs, SignalInterval 0, Admission
 //     none, Rebalance none or RebalanceInterval 0) produce output

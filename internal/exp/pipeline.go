@@ -214,7 +214,9 @@ func NewPipeline(sc workload.Scenario, opts Options, seed uint64) (*Pipeline, er
 	}, nil
 }
 
-// SchedSpec names a scheduler and constructs a fresh instance per run.
+// SchedSpec names a scheduler and constructs a new instance of it.
+// RunSeeds calls New for every cell; a RunGrid worker reruns a spec's
+// emptied sched.TaskExtractor instead (see gridWorker.run).
 type SchedSpec struct {
 	Name string
 	New  func(p *Pipeline) sched.Scheduler
@@ -244,7 +246,7 @@ func WithOracle(specs []SchedSpec) []SchedSpec {
 func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([]sched.Result, error) {
 	rs := make([]sched.Result, 0, opts.Seeds)
 	for s := 0; s < opts.Seeds; s++ {
-		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts)
+		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, nil, 0)
 		if err != nil {
 			return nil, err
 		}

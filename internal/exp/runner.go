@@ -44,9 +44,13 @@ func cellSeed(seed int) uint64 { return uint64(1000*seed) + 17 }
 func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 
 // runCell executes one simulation cell: stream the seed index's
-// requests from the generator and run one fresh scheduler instance over
-// them, so the cell holds only the requests in flight.
-func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sched.Result, error) {
+// requests from the generator and run spec's scheduler over them, so the
+// cell holds only the requests in flight. With a nil w, the cell builds
+// its engine and scheduler from nothing (RunSeeds, the reference path);
+// otherwise a direct cell runs through w as the grid's spec si
+// (gridWorker.run). A cluster cell builds its engines and schedulers
+// either way.
+func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *gridWorker, si int) (sched.Result, error) {
 	proc, err := NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
 	if err != nil {
 		return sched.Result{}, err
@@ -146,11 +150,46 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 	if _, err := NewRebalancer(opts.Rebalance, p); err != nil {
 		return sched.Result{}, err
 	}
-	res, err := sched.RunStream(spec.New(p), src, sOpts)
+	var res sched.Result
+	if w == nil {
+		res, err = sched.RunStream(spec.New(p), src, sOpts)
+	} else {
+		res, err = w.run(p, spec, si, src, sOpts)
+	}
 	if err != nil {
 		return sched.Result{}, fmt.Errorf("exp: running %s: %w", spec.Name, err)
 	}
 	return res, nil
+}
+
+// gridWorker is what one RunGrid worker keeps from cell to cell: a
+// sched.Runner, whose engine every direct cell re-arms, and per spec
+// (by index) the scheduler the spec's last cell emptied. It belongs to
+// its worker and dies with its RunGrid call, so no run-length buffer
+// outlives the grid that grew it.
+type gridWorker struct {
+	runner sched.Runner
+	scheds []sched.Scheduler
+}
+
+// run runs a direct cell of spec, the grid's spec si, on the worker's
+// engine. The scheduler is the one the spec's last cell left, or a new
+// one. Only a sched.TaskExtractor whose run finished without error is
+// kept for the spec's next cell: the extractor contract promises that
+// an emptied scheduler schedules like a new one, and a drained run
+// empties it. Any other scheduler may keep run state, so its spec gets
+// a new one per cell.
+func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestSource, opts sched.Options) (sched.Result, error) {
+	s := w.scheds[si]
+	w.scheds[si] = nil
+	if s == nil {
+		s = spec.New(p)
+	}
+	res, err := w.runner.Run(s, src, opts)
+	if _, ok := s.(sched.TaskExtractor); ok && err == nil {
+		w.scheds[si] = s
+	}
+	return res, err
 }
 
 // RunGrid evaluates every scheduler at every operating point, averaging
@@ -158,7 +197,9 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options) (sc
 // opts.Workers goroutines (default: GOMAXPROCS); the returned slice is
 // ordered as `points` and each map is keyed by scheduler name. The
 // pipeline's stores, LUT and estimator are shared read-only across
-// workers; each cell gets a fresh request stream and scheduler instance.
+// workers; each cell gets a fresh request stream, and each worker
+// recycles its direct cells' engine and schedulers (gridWorker) without
+// changing a result.
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
 	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
@@ -205,11 +246,12 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			worker := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
 			for c := range jobs {
 				if failed() {
 					continue // drain remaining jobs after a failure
 				}
-				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts)
+				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, &worker, c.si)
 				if err != nil {
 					setErr(err)
 					continue

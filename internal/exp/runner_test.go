@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"sparsedysta/internal/core"
 	"sparsedysta/internal/sched"
@@ -12,54 +13,97 @@ import (
 
 // TestParallelRunnerMatchesSequential: the worker-pool grid runner must
 // produce byte-identical Results to the sequential reference path
-// (RunSeeds + AverageResults) for a fixed seed protocol, regardless of
-// worker count.
+// (RunSeeds + AverageResults, which builds every cell from nothing) for
+// a fixed seed protocol, regardless of worker count. A grid worker
+// re-arms one engine for all its cells and reruns each spec's emptied
+// scheduler, so the grids cover both pipelines (AttNN on Sanger, CNN on
+// Eyeriss), the lineup with the Oracle and Dysta-w/o-sparse, and points
+// ordered overloaded first, so that a worker's later cells run on the
+// storage and schedulers a deep queue grew. The rotating spec keeps run
+// state and is no sched.TaskExtractor: each of its cells must get a new
+// scheduler.
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	opts := tiny()
 	opts.Seeds = 3
-	p, err := NewPipeline(workloadAttNN(), opts, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := StandardScheds()
+	specs := append(WithOracle(StandardScheds()),
+		SchedSpec{"Dysta-w/o-sparse", func(p *Pipeline) sched.Scheduler { return core.NewWithoutSparse(p.LUT) }},
+		SchedSpec{"rotating", func(*Pipeline) sched.Scheduler { return &rotating{} }})
+	for _, c := range []struct {
+		sc    workload.Scenario
+		rates []float64
+	}{
+		{workload.MultiAttNN(), []float64{60, 30, 20}},
+		{workload.MultiCNN(), []float64{8, 2}},
+	} {
+		p, err := NewPipeline(c.sc, opts, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso, err := workload.MeanIsolated(p.Scenario, p.Eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if load := c.rates[0] * iso.Seconds(); load <= 1.3 {
+			t.Fatalf("%s: the first point offers %.2f engines of work, want > 1.3", c.sc.Name, load)
+		}
+		points := RatePoints(c.rates, 10)
 
-	// Sequential reference.
-	want := map[string]sched.Result{}
-	for _, spec := range specs {
-		rs, err := p.RunSeeds(spec, 30, 10, opts)
-		if err != nil {
-			t.Fatal(err)
+		// Sequential reference.
+		want := make([]map[string]sched.Result, len(points))
+		for pi, pt := range points {
+			want[pi] = map[string]sched.Result{}
+			for _, spec := range specs {
+				rs, err := p.RunSeeds(spec, pt.Rate, pt.MSLO, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				avg, err := sched.AverageResults(rs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				avg.Scheduler = spec.Name
+				want[pi][spec.Name] = avg
+			}
 		}
-		avg, err := sched.AverageResults(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avg.Scheduler = spec.Name
-		want[spec.Name] = avg
-	}
 
-	for _, workers := range []int{1, 4, 16} {
-		par := opts
-		par.Workers = workers
-		got, err := p.RunPoint(specs, 30, 10, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Byte-level comparison: any float divergence (reordered
-		// accumulation, a different seed derivation) must surface.
-		a, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("workers=%d: parallel results diverge from sequential:\n%s\nvs\n%s",
-				workers, a, b)
+		for _, workers := range []int{1, 4, 16} {
+			par := opts
+			par.Workers = workers
+			grid, err := p.RunGrid(specs, points, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, pt := range points {
+				// Byte-level comparison: any float divergence (reordered
+				// accumulation, a different seed derivation) must surface.
+				a, err := json.Marshal(want[pi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(grid[pi].Results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(a) != string(b) {
+					t.Errorf("%s at %v req/s, workers=%d: parallel results diverge from sequential:\n%s\nvs\n%s",
+						c.sc.Name, pt.Rate, workers, a, b)
+				}
+			}
 		}
 	}
+}
+
+// rotating picks the ready task at its lifetime pick count modulo the
+// queue length: it keeps run state and is no sched.TaskExtractor, so an
+// instance that ran a cell schedules the next one unlike a new one.
+type rotating struct{ picks int }
+
+func (*rotating) Name() string                                             { return "rotating" }
+func (*rotating) OnArrival(*sched.Task, time.Duration)                     {}
+func (*rotating) OnLayerComplete(*sched.Task, int, float64, time.Duration) {}
+func (r *rotating) PickNext(ready []*sched.Task, _ time.Duration) *sched.Task {
+	r.picks++
+	return ready[r.picks%len(ready)]
 }
 
 // TestRunGridShape: grid results come back ordered as the input points.

@@ -53,34 +53,38 @@ type modelTally struct {
 // and RecordTasks retains every outcome for Result.Tasks.
 func NewAggregator(opts Options) *Aggregator {
 	a := &Aggregator{}
-	if opts.BoundedCapture {
-		a.hist = &stats.DurationHist{}
-		if opts.Exemplars > 0 {
-			a.exemplars = stats.NewReservoir[TaskOutcome](opts.Exemplars, opts.ExemplarSeed)
-		}
-	} else {
-		a.keepTasks = opts.RecordTasks
-	}
+	a.reset(opts)
 	return a
 }
 
-// reset empties the aggregator in its capture mode, keeping the storage
-// of its buffers, and re-seeds the exemplar reservoir with seed, so it
-// folds exactly like a new one: the re-arm of a crashed engine.
-func (a *Aggregator) reset(seed uint64) {
+// reset empties the aggregator and sets it up for opts' capture mode,
+// keeping the storage of its buffers (the histogram, and the exemplar
+// reservoir when its size still fits), so it folds exactly like
+// NewAggregator(opts): the re-arm of a crashed or reused engine.
+func (a *Aggregator) reset(opts Options) {
+	hist, ex := a.hist, a.exemplars
 	*a = Aggregator{
 		perModel:  a.perModel[:0],
 		latencies: a.latencies[:0],
-		hist:      a.hist,
-		exemplars: a.exemplars,
 		tasks:     a.tasks[:0],
-		keepTasks: a.keepTasks,
 	}
-	if a.hist != nil {
-		*a.hist = stats.DurationHist{}
+	if !opts.BoundedCapture {
+		a.keepTasks = opts.RecordTasks
+		return
 	}
-	if a.exemplars != nil {
-		a.exemplars.Reset(seed)
+	if hist == nil {
+		hist = &stats.DurationHist{}
+	} else {
+		*hist = stats.DurationHist{}
+	}
+	a.hist = hist
+	if opts.Exemplars > 0 {
+		if ex != nil && ex.Cap() == opts.Exemplars {
+			ex.Reset(opts.ExemplarSeed)
+		} else {
+			ex = stats.NewReservoir[TaskOutcome](opts.Exemplars, opts.ExemplarSeed)
+		}
+		a.exemplars = ex
 	}
 }
 

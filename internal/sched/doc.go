@@ -42,7 +42,9 @@
 //     extractions is bit-identical to one on an engine without the
 //     migration surfaces. Engine.Crash releases every delivered task
 //     through the same hook and re-arms the engine around the emptied
-//     scheduler, which must then schedule exactly like a new one.
+//     scheduler, which must then schedule exactly like a new one. A
+//     Runner re-arms its engine for each stream the same way, and a
+//     TaskExtractor a finished run drained may run the next stream.
 //
 // These contracts are restated operationally in DESIGN.md §7 (hot-path
 // architecture) and §9 (migration); the per-knob neutral-settings

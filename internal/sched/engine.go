@@ -168,12 +168,18 @@ func (e *Engine) NewPeer(s Scheduler, opts Options) *Engine {
 }
 
 // arm makes the engine a fresh incarnation at virtual time zero driving
-// the scheduler, the one initializer NewEngine and Crash share. Crash
-// re-arms around the engine's own scheduler, emptied, and its own
+// the scheduler, the one initializer NewEngine, Crash and Runner share.
+// Crash re-arms around the engine's own scheduler, emptied, and its own
 // options; the queues, the Aggregator, the Timeline, the crash buffers
 // and the task list keep their storage, so a re-armed engine allocates
-// nothing until it outgrows what the crashed incarnation held.
+// nothing until it outgrows what the last incarnation held. A finished
+// engine's Result holds its Timeline and its Tasks, the aggregator's
+// retained outcomes, so re-arming one lets go of both instead.
 func (e *Engine) arm(s Scheduler, opts Options) {
+	if e.finished {
+		e.timeline = nil
+		e.agg.tasks = nil
+	}
 	*e = Engine{
 		s:            s,
 		opts:         opts,
@@ -202,12 +208,12 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 		e.opts.RecordTasks = false
 	}
 	if e.agg == nil {
-		e.agg = NewAggregator(e.opts)
-	} else {
-		e.agg.reset(e.opts.ExemplarSeed)
+		e.agg = new(Aggregator)
 	}
+	e.agg.reset(e.opts)
 	switch {
 	case !e.opts.RecordTimeline:
+		e.timeline = nil
 	case e.timeline == nil:
 		e.timeline = &Timeline{}
 	default:

@@ -77,9 +77,32 @@ func (s *SliceSource) Next() (*workload.Request, bool) {
 // up-front injection of the whole stream provides, so the schedule does
 // not depend on how far ahead requests are known. The engine's clock
 // starts at 0, so a negative arrival fails the run, as does one earlier
-// than its predecessor's.
+// than its predecessor's. It is one run of a new Runner.
 func RunStream(s Scheduler, src RequestSource, opts Options) (Result, error) {
-	e := NewEngine(s, opts)
+	return new(Runner).Run(s, src, opts)
+}
+
+// Runner runs streams one after another on one engine, which each run
+// re-arms in place as Crash does: its queues, aggregator buffers, crash
+// buffers and task list keep their storage, so a run allocates only
+// past what the runs before it grew, and what its Result keeps. Before
+// the re-arm, the engine lets go of what the last Result holds (its
+// Timeline and Tasks), so a returned Result never changes. The zero
+// value is ready to use; a Runner is not safe for concurrent use.
+type Runner struct {
+	e *Engine
+}
+
+// Run simulates src under s exactly as RunStream does, on the runner's
+// engine. s must be new, or emptied: a TaskExtractor whose last run
+// finished without error schedules like a new one (see TaskExtractor).
+func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, error) {
+	if r.e == nil {
+		r.e = NewEngine(s, opts)
+	} else {
+		r.e.arm(s, opts)
+	}
+	e := r.e
 	req, ok := src.Next()
 	if !ok {
 		return Result{}, fmt.Errorf("sched: empty request stream")

@@ -196,17 +196,7 @@ func lenHints(reqs []*workload.Request) map[string]func() sched.RequestSource {
 // with and without RecordTasks and under bounded capture.
 func TestLenHintChangesNoResult(t *testing.T) {
 	lut, reqs, _, _, _ := streamFixture(t, 300, 7)
-	est := sched.NewEstimator(lut)
-	lineup := map[string]func() sched.Scheduler{
-		"FCFS":     func() sched.Scheduler { return sched.NewFCFS() },
-		"SJF":      func() sched.Scheduler { return sched.NewSJF(est) },
-		"PREMA":    func() sched.Scheduler { return sched.NewPREMA(est) },
-		"Planaria": func() sched.Scheduler { return sched.NewPlanaria(est) },
-		"SDRM3":    func() sched.Scheduler { return sched.NewSDRM3(est) },
-		"Dysta":    func() sched.Scheduler { return core.NewDefault(lut) },
-		"Oracle":   func() sched.Scheduler { return core.NewOracle(lut) },
-	}
-	for name, mk := range lineup {
+	for name, mk := range lineup(lut) {
 		for _, opts := range []sched.Options{{}, {RecordTasks: true}, {BoundedCapture: true, Exemplars: 8, ExemplarSeed: 2}} {
 			want, err := sched.Run(mk(), reqs, opts)
 			if err != nil {

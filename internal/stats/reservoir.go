@@ -41,6 +41,9 @@ func (rv *Reservoir[T]) Add(x T) {
 	}
 }
 
+// Cap returns k, the most items the reservoir holds.
+func (rv *Reservoir[T]) Cap() int { return rv.k }
+
 // N returns the number of stream elements offered so far.
 func (rv *Reservoir[T]) N() int64 { return rv.n }
 

@@ -214,19 +214,22 @@ func TestArrivalsCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedArrivals are arrival CSVs ReadArrivalsCSV must refuse, by
+// what is wrong with each.
+var malformedArrivals = map[string]string{
+	"wrong header":    "request,arrival\n0,5\n",
+	"no rows":         "request,arrival_ns\n",
+	"bad index":       "request,arrival_ns\nx,5\n",
+	"index gap":       "request,arrival_ns\n0,5\n2,9\n",
+	"bad arrival":     "request,arrival_ns\n0,zzz\n",
+	"negative":        "request,arrival_ns\n0,-5\n",
+	"decreasing":      "request,arrival_ns\n0,9\n1,5\n",
+	"too many fields": "request,arrival_ns\n0,5,7\n",
+}
+
 // TestArrivalsCSVRejectsMalformed maps malformed inputs to errors.
 func TestArrivalsCSVRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"wrong header":    "request,arrival\n0,5\n",
-		"no rows":         "request,arrival_ns\n",
-		"bad index":       "request,arrival_ns\nx,5\n",
-		"index gap":       "request,arrival_ns\n0,5\n2,9\n",
-		"bad arrival":     "request,arrival_ns\n0,zzz\n",
-		"negative":        "request,arrival_ns\n0,-5\n",
-		"decreasing":      "request,arrival_ns\n0,9\n1,5\n",
-		"too many fields": "request,arrival_ns\n0,5,7\n",
-	}
-	for name, in := range cases {
+	for name, in := range malformedArrivals {
 		if _, err := ReadArrivalsCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -77,22 +77,20 @@ func (s Spec) Scenario() (Scenario, error) {
 		if err != nil {
 			return Scenario{}, fmt.Errorf("workload: entry %d: %w", i, err)
 		}
-		if es.Weight <= 0 {
-			return Scenario{}, fmt.Errorf("workload: entry %d: non-positive weight %v", i, es.Weight)
-		}
 		if es.WeightRate < 0 || es.WeightRate >= 1 {
 			return Scenario{}, fmt.Errorf("workload: entry %d: weight rate %v out of [0,1)", i, es.WeightRate)
 		}
-		if !(es.SLOFactor >= 0) {
-			return Scenario{}, fmt.Errorf("workload: entry %d: SLO factor %v, want >= 0 (0 means 1)", i, es.SLOFactor)
-		}
-		sc.Entries = append(sc.Entries, Entry{
+		e := Entry{
 			Model:      m,
 			Pattern:    p,
 			WeightRate: es.WeightRate,
 			Weight:     es.Weight,
 			SLOFactor:  es.SLOFactor,
-		})
+		}
+		if err := e.check(i); err != nil {
+			return Scenario{}, err
+		}
+		sc.Entries = append(sc.Entries, e)
 	}
 	return sc, nil
 }

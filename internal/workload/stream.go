@@ -47,7 +47,9 @@ type resolvedEntry struct {
 // NewStream validates the configuration, resolves every entry's key,
 // traces and SLO, and positions the iterator before the first request.
 // An SLO that is not below 2^63 ns, the largest time.Duration, is an
-// error naming the entry, M_slo and the SLO factor. The configured
+// error naming the entry, M_slo and the SLO factor (a NaN or infinite
+// factor fails here); so is an entry Entry.check refuses, a weight that
+// is not finite and positive or a negative factor. The configured
 // Process is Reset here, exactly as Generate resets it, so a stateful
 // process can be reused across streams.
 func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
@@ -76,6 +78,10 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 		if !(slo < 1<<63) {
 			return nil, fmt.Errorf("workload: entry %d (%v): mean isolated latency %v x M_slo %g x SLO factor %g is not below 2^63 ns",
 				i, k, meanIso, cfg.SLOMultiplier, e.sloFactor())
+		}
+		// After the bound, which names M_slo for a NaN or infinite factor.
+		if err := e.check(i); err != nil {
+			return nil, err
 		}
 		s.resolved[i] = resolvedEntry{key: k, traces: traces, slo: time.Duration(slo)}
 	}

@@ -95,6 +95,57 @@ func TestStreamSLOBound(t *testing.T) {
 	}
 }
 
+// TestBadEntriesFailTheStream: a scenario built through the Go API with
+// an entry whose weight is not finite and positive, or whose SLO factor
+// is negative, fails NewStream with an error naming the entry, and the
+// same entry fails Spec.Scenario at load time. Such streams used to run
+// without an error: a factor of -3 read as 1, entry 1 at weight -1 made
+// every request bert, and at NaN or +Inf every request was gpt2. A
+// factor of 0 still means 1, and a NaN or infinite factor still fails
+// the SLO bound, naming M_slo.
+func TestBadEntriesFailTheStream(t *testing.T) {
+	base := MultiAttNN()
+	_, eval, err := BuildStores(base, 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GenConfig{Requests: 300, RatePerSec: 30, SLOMultiplier: 10, Seed: 1}
+	for _, c := range []struct {
+		name  string
+		entry int
+		edit  func(*Entry)
+		want  string // "" accepts the scenario
+	}{
+		{"factor zero", 0, func(e *Entry) { e.SLOFactor = 0 }, ""},
+		{"weight two", 1, func(e *Entry) { e.Weight = 2 }, ""},
+		{"negative factor", 0, func(e *Entry) { e.SLOFactor = -3 }, "entry 0 (bert/dense): SLO factor -3"},
+		{"negative infinite factor", 2, func(e *Entry) { e.SLOFactor = math.Inf(-1) }, "entry 2 (gpt2/dense): SLO factor -Inf"},
+		{"NaN factor", 1, func(e *Entry) { e.SLOFactor = math.NaN() }, "M_slo 10"},
+		{"negative weight", 1, func(e *Entry) { e.Weight = -1 }, "entry 1 (bart/dense): weight -1"},
+		{"zero weight", 1, func(e *Entry) { e.Weight = 0 }, "entry 1 (bart/dense): weight 0"},
+		{"NaN weight", 1, func(e *Entry) { e.Weight = math.NaN() }, "entry 1 (bart/dense): weight NaN"},
+		{"infinite weight", 1, func(e *Entry) { e.Weight = math.Inf(1) }, "entry 1 (bart/dense): weight +Inf"},
+	} {
+		sc := base
+		sc.Entries = append([]Entry(nil), base.Entries...)
+		c.edit(&sc.Entries[c.entry])
+		_, err := NewStream(sc, eval, cfg)
+		_, specErr := ToSpec(sc).Scenario()
+		if c.want == "" {
+			if err != nil || specErr != nil {
+				t.Errorf("%s: NewStream err %v, Spec.Scenario err %v; want both to accept", c.name, err, specErr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewStream err %v, want one naming %q", c.name, err, c.want)
+		}
+		if specErr == nil {
+			t.Errorf("%s: Spec.Scenario accepted the entry", c.name)
+		}
+	}
+}
+
 // TestStreamMatchesGenerate pins the bit-identity contract between the
 // iterator and the materialized path, for the default inline Poisson
 // and for an explicit bursty process.

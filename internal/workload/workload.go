@@ -37,10 +37,25 @@ type Entry struct {
 
 // sloFactor returns the effective per-entry SLO scale.
 func (e Entry) sloFactor() float64 {
-	if e.SLOFactor <= 0 {
+	if e.SLOFactor == 0 {
 		return 1
 	}
 	return e.SLOFactor
+}
+
+// check refuses an entry that would draw a silently wrong stream, with
+// an error naming it as entry i of its scenario: a weight that is not
+// finite and positive skews every draw of the scenario, and a negative
+// SLO factor has no meaning (0 means 1). Spec.Scenario and NewStream
+// both apply it; the entry's model must be set.
+func (e Entry) check(i int) error {
+	if !(e.Weight > 0) || math.IsInf(e.Weight, 1) {
+		return fmt.Errorf("workload: entry %d (%s/%v): weight %v, want finite and > 0", i, e.Model.Name, e.Pattern, e.Weight)
+	}
+	if !(e.SLOFactor >= 0) {
+		return fmt.Errorf("workload: entry %d (%s/%v): SLO factor %v, want >= 0 (0 means 1)", i, e.Model.Name, e.Pattern, e.SLOFactor)
+	}
+	return nil
 }
 
 // Key returns the trace key of the entry. It interns the pair (see
