@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"sparsedysta/internal/accel"
 	"sparsedysta/internal/cluster"
 	"sparsedysta/internal/core"
 	"sparsedysta/internal/exp"
@@ -446,15 +445,32 @@ func BenchmarkPredictor(b *testing.B) {
 }
 
 // BenchmarkTraceBuild measures Phase 1 throughput: hardware-simulating
-// one BERT sample (12 transformer blocks).
+// one BERT sample (12 transformer blocks), planning included.
 func BenchmarkTraceBuild(b *testing.B) {
 	m := models.BERTBase()
 	sc := workload.MultiAttNN()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := trace.Build(sc.Accel, trace.BuildConfig{
 			Model: m, Samples: 1, Seed: uint64(i) + 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildStores measures Phase 1 of a scenario at the paper
+// protocol's sample counts: 100 profiling and 400 evaluation inputs for
+// every entry.
+func BenchmarkBuildStores(b *testing.B) {
+	for _, sc := range []workload.Scenario{workload.MultiCNN(), workload.MultiAttNN()} {
+		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := workload.BuildStores(sc, 100, 400, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -488,18 +504,16 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 }
 
 // BenchmarkLayerLatency measures one analytical Eyeriss-V2 layer
-// evaluation.
+// evaluation: the per-sample step of a one-layer plan.
 func BenchmarkLayerLatency(b *testing.B) {
 	sc := workload.MultiCNN()
-	l := models.ResNet50().Layers[10]
-	sp := accel.LayerSparsity{
-		Pattern:            sparsity.RandomPointwise,
-		WeightRate:         0.8,
-		ActivationSparsity: 0.45,
-	}
+	m := &models.Model{Family: models.CNN, Layers: []models.Layer{models.ResNet50().Layers[10]}}
+	plan := sc.Accel.Plan(m, sparsity.RandomPointwise, 0.8)
+	lat, sp := make([]time.Duration, 1), []float64{0.45}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = sc.Accel.LayerLatency(&l, sp)
+		plan.Latencies(lat, sp)
 	}
 }
 

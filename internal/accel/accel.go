@@ -27,27 +27,44 @@ type LayerSparsity struct {
 	ActivationSparsity float64
 }
 
-// Density returns the non-zero activation fraction.
-func (s LayerSparsity) Density() float64 { return 1 - s.ActivationSparsity }
-
-// Accelerator is a per-layer latency model for one hardware target.
+// Accelerator is a latency model for one hardware target, split the way
+// Dysta splits sparsity (DESIGN.md §7, "Planned Phase 1"): Plan resolves
+// every term of a model's layer latencies that the static weight pattern
+// and rate fix, once per model, and the returned Plan applies each
+// sample's dynamic sparsity to them. The plan is the accelerator's one
+// latency formula.
 type Accelerator interface {
 	// Name identifies the accelerator in traces and reports.
 	Name() string
 	// Family reports which model family the accelerator serves.
 	Family() models.Family
-	// LayerLatency returns the execution time of one layer under the
-	// given sparsity state. Implementations must be deterministic and
-	// must not modify the layer.
-	LayerLatency(l *models.Layer, sp LayerSparsity) time.Duration
+	// Plan returns the latency plan of m under the given weight pattern
+	// and rate. Implementations must be deterministic and must not
+	// modify m; the plan reads nothing of m after Plan returns.
+	Plan(m *models.Model, pattern sparsity.Pattern, weightRate float64) Plan
 }
 
-// ModelLatency sums LayerLatency over every layer of m with uniform
-// sparsity state, a convenience for calibration and tests.
+// Plan is one model's latency model under a fixed static sparsity
+// configuration. It is safe for concurrent use.
+type Plan interface {
+	// Latencies sets lat[l] to the execution time of layer l when the
+	// sample's dynamic sparsity there is sp[l]. Both slices hold one
+	// entry per layer of the planned model.
+	Latencies(lat []time.Duration, sp []float64)
+}
+
+// ModelLatency sums the layer latencies of m with uniform sparsity state,
+// a convenience for calibration and tests.
 func ModelLatency(a Accelerator, m *models.Model, sp LayerSparsity) time.Duration {
+	lat := make([]time.Duration, m.NumLayers())
+	row := make([]float64, len(lat))
+	for l := range row {
+		row[l] = sp.ActivationSparsity
+	}
+	a.Plan(m, sp.Pattern, sp.WeightRate).Latencies(lat, row)
 	var total time.Duration
-	for i := range m.Layers {
-		total += a.LayerLatency(&m.Layers[i], sp)
+	for _, d := range lat {
+		total += d
 	}
 	return total
 }

@@ -123,49 +123,102 @@ func (s *Simulator) mapEfficiency(l *models.Layer) float64 {
 	return eff
 }
 
-// LayerLatency implements accel.Accelerator. Both weight and activation
-// sparsity are zero-skipped; the realizable fraction of the ideal skip
-// depends on the weight pattern (sparsity.DefaultEfficiency), and
-// channel-wise masks see denser surviving activations (importance bias).
-func (s *Simulator) LayerLatency(l *models.Layer, sp accel.LayerSparsity) time.Duration {
-	density := sp.Density()
+// plan is one model's Eyeriss-V2 latency plan: the roofline terms that
+// the static weight pattern and rate fix, resolved once per layer.
+type plan struct {
+	cfg Config
+	// channelWise marks the channel-wise pattern, whose surviving
+	// channels carry denser activations.
+	channelWise bool
+	layers      []layerPlan
+}
+
+// layerPlan holds one layer's static roofline terms. Each is an exact
+// conversion of a count or a whole left-to-right prefix of the expression
+// it stands in, so the per-sample step rounds every latency exactly as
+// evaluating the whole expression for each sample does.
+type layerPlan struct {
+	// macsKeep is MACs x weight keep, the prefix of the effective MACs.
+	macsKeep float64
+	// throughput is the array's sparse MACs per cycle on the layer.
+	throughput float64
+	// weightBytes is the compressed weight traffic.
+	weightBytes float64
+	// inElems counts the input activations; outBytes is the uncompressed
+	// output traffic.
+	inElems, outBytes float64
+	// glb reports whether the input-bank capacity bounds the layer;
+	// glbRows is Cin x InW x KH, the prefix of its per-bank slice.
+	glb     bool
+	glbRows float64
+}
+
+// Plan implements accel.Accelerator. Both weight and activation sparsity
+// are zero-skipped; the realizable fraction of the ideal skip depends on
+// the weight pattern (sparsity.DefaultEfficiency), and channel-wise masks
+// see denser surviving activations (importance bias).
+func (s *Simulator) Plan(m *models.Model, pattern sparsity.Pattern, weightRate float64) accel.Plan {
+	eff := sparsity.DefaultEfficiency(pattern)
+	glb := s.cfg.GLBInputKB > 0 && s.cfg.GLBBanks > 0
+	p := &plan{cfg: s.cfg, channelWise: pattern == sparsity.ChannelWise, layers: make([]layerPlan, len(m.Layers))}
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		weightKeep := 1 - weightRate
+		if l.Kind == models.DWConv {
+			// Depthwise layers are conventionally left unpruned (negligible
+			// parameter count); only activation sparsity applies.
+			weightKeep = 1
+		}
+		p.layers[i] = layerPlan{
+			macsKeep:    float64(l.MACs()) * weightKeep,
+			throughput:  float64(s.cfg.PEs) * eff.Compute * s.mapEfficiency(l) * s.cfg.ImplEfficiency,
+			weightBytes: float64(l.Params()) * weightKeep * eff.Storage * s.cfg.BytesPerElement,
+			inElems:     float64(l.InputElems()),
+			outBytes:    float64(l.OutputElems()) * s.cfg.BytesPerElement,
+			glb:         glb && l.Kind != models.FC,
+			glbRows:     float64(l.Cin) * float64(l.InW) * float64(l.KH),
+		}
+	}
+	return p
+}
+
+// Latencies implements accel.Plan.
+func (p *plan) Latencies(lat []time.Duration, sp []float64) {
+	for l := range p.layers {
+		lat[l] = time.Duration(p.cycles(&p.layers[l], sp[l]) / p.cfg.ClockHz * float64(time.Second))
+	}
+}
+
+// cycles applies one sample's activation sparsity to a layer's plan.
+func (p *plan) cycles(lp *layerPlan, activationSparsity float64) float64 {
+	density := 1 - activationSparsity
 	if density < 0 {
 		density = 0
 	}
-	weightKeep := 1 - sp.WeightRate
-	if l.Kind == models.DWConv {
-		// Depthwise layers are conventionally left unpruned (negligible
-		// parameter count); only activation sparsity applies.
-		weightKeep = 1
-	}
-	eff := sparsity.DefaultEfficiency(sp.Pattern)
 	effDensity := density
-	if sp.Pattern == sparsity.ChannelWise {
+	if p.channelWise {
 		// Surviving channels of a magnitude-pruned model carry denser
 		// activations (see sparsity.LayerMask.ValidMACFraction).
 		const importanceBias = 0.75
 		effDensity = 1 - (1-density)*importanceBias
 	}
 
-	glb := s.glbOverflowFactor(l, density)
-	effMACs := float64(l.MACs()) * weightKeep * effDensity
-	throughput := float64(s.cfg.PEs) * eff.Compute * s.mapEfficiency(l) * s.cfg.ImplEfficiency
-	computeCycles := effMACs / throughput * glb
+	glb := p.glbOverflowFactor(lp, density)
+	effMACs := lp.macsKeep * effDensity
+	computeCycles := effMACs / lp.throughput * glb
 
-	weightBytes := float64(l.Params()) * weightKeep * eff.Storage * s.cfg.BytesPerElement
 	// Input activations are stored compressed (zero-skipping formats) and
 	// re-streamed once per split mapping pass; outputs are written
 	// uncompressed before the next layer's encoder.
-	inBytes := float64(l.InputElems()) * density * s.cfg.BytesPerElement * glb
-	actBytes := inBytes + float64(l.OutputElems())*s.cfg.BytesPerElement
-	memCycles := (weightBytes + actBytes) / s.cfg.DRAMBytesPerCycle
+	inBytes := lp.inElems * density * p.cfg.BytesPerElement * glb
+	actBytes := inBytes + lp.outBytes
+	memCycles := (lp.weightBytes + actBytes) / p.cfg.DRAMBytesPerCycle
 
 	cycles := computeCycles
 	if memCycles > cycles {
 		cycles = memCycles
 	}
-	cycles += s.cfg.LayerOverheadCycles
-	return time.Duration(cycles / s.cfg.ClockHz * float64(time.Second))
+	return cycles + p.cfg.LayerOverheadCycles
 }
 
 // glbOverflowFactor models the GLB capacity constraint of the
@@ -177,13 +230,12 @@ func (s *Simulator) LayerLatency(l *models.Layer, sp accel.LayerSparsity) time.D
 // reason the paper enlarges the banks from 1.5 KB to 2.5 KB for
 // VGG/ResNet-scale layers (§6.1). The factor is the slow-down multiple
 // (1 = fits).
-func (s *Simulator) glbOverflowFactor(l *models.Layer, density float64) float64 {
-	if s.cfg.GLBInputKB <= 0 || s.cfg.GLBBanks <= 0 || l.Kind == models.FC {
+func (p *plan) glbOverflowFactor(lp *layerPlan, density float64) float64 {
+	if !lp.glb {
 		return 1
 	}
-	slice := float64(l.Cin) * float64(l.InW) * float64(l.KH) * density *
-		s.cfg.BytesPerElement / float64(s.cfg.GLBBanks)
-	capacity := s.cfg.GLBInputKB * 1024
+	slice := lp.glbRows * density * p.cfg.BytesPerElement / float64(p.cfg.GLBBanks)
+	capacity := p.cfg.GLBInputKB * 1024
 	if slice <= capacity {
 		return 1
 	}

@@ -27,6 +27,7 @@ import (
 
 	"sparsedysta/internal/accel"
 	"sparsedysta/internal/models"
+	"sparsedysta/internal/sparsity"
 )
 
 // Config holds the hardware parameters of the Sanger model. Start from
@@ -93,46 +94,95 @@ func (s *Simulator) Family() models.Family { return models.AttNN }
 // Config returns the simulator's configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// LayerLatency implements accel.Accelerator. For Attention layers the
-// ActivationSparsity field is the pruned fraction of the attention matrix;
-// WeightRate is ignored (the benchmark's AttNN sparsification is dynamic
-// only, paper §3.2). Non-attention layers fall back to the dense datapath.
-func (s *Simulator) LayerLatency(l *models.Layer, sp accel.LayerSparsity) time.Duration {
-	as := sp.ActivationSparsity
+// plan is one model's Sanger latency plan: the roofline terms that do not
+// depend on the sample, resolved once per layer.
+type plan struct {
+	cfg Config
+	// sparseRate is the sparse datapath's realized MACs per cycle.
+	sparseRate float64
+	layers     []layerPlan
+}
+
+// layerPlan holds one layer's static terms. Each is an exact conversion
+// of a count or a whole left-to-right prefix of the expression it stands
+// in, so the per-sample step rounds every latency exactly as evaluating
+// the whole expression for each sample does.
+type layerPlan struct {
+	// attention marks an attention block; any other layer runs on the
+	// dense datapath in fixedCycles.
+	attention   bool
+	fixedCycles float64
+	// denseMACs and attnMACs are the block's projection and FFN MACs and
+	// its attention-matrix MACs before token pruning.
+	denseMACs, attnMACs float64
+	// memCycles is the weight-streaming time.
+	memCycles float64
+}
+
+// Plan implements accel.Accelerator. For Attention layers the sample's
+// sparsity is the pruned fraction of the attention matrix; the weight
+// pattern and rate are ignored (the benchmark's AttNN sparsification is
+// dynamic only, paper §3.2). Non-attention layers fall back to the dense
+// datapath.
+func (s *Simulator) Plan(m *models.Model, _ sparsity.Pattern, _ float64) accel.Plan {
+	p := &plan{
+		cfg:        s.cfg,
+		sparseRate: float64(s.cfg.SparsePEs) * s.cfg.LoadBalanceEff,
+		layers:     make([]layerPlan, len(m.Layers)),
+	}
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		lp := &p.layers[i]
+		lp.memCycles = float64(l.Params()) * s.cfg.BytesPerElement / s.cfg.DRAMBytesPerCycle
+		if l.Kind != models.Attention {
+			lp.fixedCycles = p.roofline(float64(l.MACs())/float64(s.cfg.DensePEs), lp.memCycles)
+			continue
+		}
+		lp.attention = true
+		lp.denseMACs = float64(l.MACs() - l.AttnMatrixMACs())
+		lp.attnMACs = float64(l.AttnMatrixMACs())
+	}
+	return p
+}
+
+// Latencies implements accel.Plan.
+func (p *plan) Latencies(lat []time.Duration, sp []float64) {
+	for l := range p.layers {
+		lat[l] = time.Duration(p.cycles(&p.layers[l], sp[l]) / p.cfg.ClockHz * float64(time.Second))
+	}
+}
+
+// cycles applies one sample's attention sparsity to a layer's plan.
+func (p *plan) cycles(lp *layerPlan, as float64) float64 {
+	if !lp.attention {
+		return lp.fixedCycles
+	}
 	if as < 0 {
 		as = 0
 	}
 	if as > 1 {
 		as = 1
 	}
+	// Cascade token pruning shortens the sequence seen by the dense
+	// datapath; the attention product additionally keeps only the
+	// surviving density of entries.
+	seqKeep := 1 - p.cfg.TokenPruneSlope*as
+	denseMACs := lp.denseMACs * seqKeep
+	attnMACs := lp.attnMACs * seqKeep * seqKeep * (1 - as)
 
-	var computeCycles float64
-	var weightBytes float64
-	switch l.Kind {
-	case models.Attention:
-		// Cascade token pruning shortens the sequence seen by the dense
-		// datapath; the attention product additionally keeps only the
-		// surviving density of entries.
-		seqKeep := 1 - s.cfg.TokenPruneSlope*as
-		denseMACs := float64(l.MACs()-l.AttnMatrixMACs()) * seqKeep
-		attnMACs := float64(l.AttnMatrixMACs()) * seqKeep * seqKeep * (1 - as)
+	denseCycles := denseMACs / float64(p.cfg.DensePEs)
+	sparseCycles := attnMACs / p.sparseRate
+	return p.roofline(denseCycles+sparseCycles, lp.memCycles)
+}
 
-		denseCycles := denseMACs / float64(s.cfg.DensePEs)
-		sparseCycles := attnMACs / (float64(s.cfg.SparsePEs) * s.cfg.LoadBalanceEff)
-		computeCycles = denseCycles + sparseCycles
-		weightBytes = float64(l.Params()) * s.cfg.BytesPerElement
-	default:
-		computeCycles = float64(l.MACs()) / float64(s.cfg.DensePEs)
-		weightBytes = float64(l.Params()) * s.cfg.BytesPerElement
-	}
-
-	memCycles := weightBytes / s.cfg.DRAMBytesPerCycle
+// roofline is the larger of the compute and memory cycles plus the
+// per-block overhead.
+func (p *plan) roofline(computeCycles, memCycles float64) float64 {
 	cycles := computeCycles
 	if memCycles > cycles {
 		cycles = memCycles
 	}
-	cycles += s.cfg.BlockOverheadCycles
-	return time.Duration(cycles / s.cfg.ClockHz * float64(time.Second))
+	return cycles + p.cfg.BlockOverheadCycles
 }
 
 var _ accel.Accelerator = (*Simulator)(nil)

@@ -16,7 +16,7 @@ func TestLatencyPositive(t *testing.T) {
 	sim := NewDefault()
 	for _, m := range models.BenchmarkAttNNs() {
 		for _, l := range m.Layers {
-			if d := sim.LayerLatency(&l, attnState(0.9)); d <= 0 {
+			if d := layerLatency(sim, &l, attnState(0.9)); d <= 0 {
 				t.Errorf("%s/%s: non-positive latency %v", m.Name, l.Name, d)
 			}
 		}
@@ -28,7 +28,7 @@ func TestMonotoneInAttentionSparsity(t *testing.T) {
 	l := models.BERTBase().Layers[0]
 	prev := time.Duration(1 << 62)
 	for as := 0.0; as <= 1.0; as += 0.05 {
-		d := sim.LayerLatency(&l, attnState(as))
+		d := layerLatency(sim, &l, attnState(as))
 		if d > prev {
 			t.Fatalf("latency increased with sparsity at as=%.2f: %v > %v", as, d, prev)
 		}
@@ -43,8 +43,8 @@ func TestMonotoneInAttentionSparsity(t *testing.T) {
 func TestDynamicRange(t *testing.T) {
 	sim := NewDefault()
 	l := models.BERTBase().Layers[11]
-	slow := sim.LayerLatency(&l, attnState(0.70))
-	fast := sim.LayerLatency(&l, attnState(0.98))
+	slow := layerLatency(sim, &l, attnState(0.70))
+	fast := layerLatency(sim, &l, attnState(0.98))
 	ratio := float64(slow) / float64(fast)
 	if ratio < 1.8 || ratio > 4.0 {
 		t.Errorf("latency ratio across sparsity range = %.2f, want within [1.8, 4.0]", ratio)
@@ -76,10 +76,10 @@ func TestCalibratedModelLatencies(t *testing.T) {
 func TestClamping(t *testing.T) {
 	sim := NewDefault()
 	l := models.GPT2Small().Layers[0]
-	if d := sim.LayerLatency(&l, attnState(1.5)); d <= 0 {
+	if d := layerLatency(sim, &l, attnState(1.5)); d <= 0 {
 		t.Errorf("as>1 produced non-positive latency %v", d)
 	}
-	if d := sim.LayerLatency(&l, attnState(-1)); d < sim.LayerLatency(&l, attnState(0)) {
+	if d := layerLatency(sim, &l, attnState(-1)); d < layerLatency(sim, &l, attnState(0)) {
 		t.Error("as<0 accelerated the layer")
 	}
 }
@@ -89,7 +89,7 @@ func TestClamping(t *testing.T) {
 func TestNonAttentionFallback(t *testing.T) {
 	sim := NewDefault()
 	l := models.Layer{Name: "head", Kind: models.FC, Cin: 768, Cout: 2}
-	if d := sim.LayerLatency(&l, attnState(0.9)); d <= 0 {
+	if d := layerLatency(sim, &l, attnState(0.9)); d <= 0 {
 		t.Errorf("FC fallback latency %v", d)
 	}
 }
@@ -97,8 +97,8 @@ func TestNonAttentionFallback(t *testing.T) {
 func TestWeightRateIgnoredForAttention(t *testing.T) {
 	sim := NewDefault()
 	l := models.BERTBase().Layers[0]
-	a := sim.LayerLatency(&l, accel.LayerSparsity{ActivationSparsity: 0.9})
-	b := sim.LayerLatency(&l, accel.LayerSparsity{ActivationSparsity: 0.9, WeightRate: 0.9})
+	a := layerLatency(sim, &l, accel.LayerSparsity{ActivationSparsity: 0.9})
+	b := layerLatency(sim, &l, accel.LayerSparsity{ActivationSparsity: 0.9, WeightRate: 0.9})
 	if a != b {
 		t.Errorf("weight rate changed AttNN latency: %v vs %v", a, b)
 	}

@@ -75,8 +75,11 @@ type Sample struct {
 // Table 2 quantity.
 func (s Sample) NetworkSparsity() float64 { return stats.Mean(s.Sparsity) }
 
-// Stream draws samples for one model under one preset. It is not safe for
-// concurrent use; derive per-goroutine streams with independent seeds.
+// Stream draws samples for one model under one preset. Next returns each
+// sample in a row of its own; Fill draws the same sample into a row the
+// caller owns, so that Phase 1 (trace.Build) writes every sample of a
+// build into one array. It is not safe for concurrent use; derive
+// per-goroutine streams with independent seeds.
 type Stream struct {
 	model  *models.Model
 	preset Preset
@@ -108,25 +111,34 @@ func (s *Stream) Model() *models.Model { return s.model }
 // Preset returns the stream's preset.
 func (s *Stream) Preset() Preset { return s.preset }
 
-// Next draws the next sample.
+// Next draws the next sample into a new row.
 func (s *Stream) Next() Sample {
+	sp := make([]float64, len(s.preset.LayerMeans))
+	dark := s.Fill(sp)
+	return Sample{Sparsity: sp, Dark: dark}
+}
+
+// Fill draws the next sample's sparsity into sp, one entry per layer of
+// the stream's model, and reports whether the sample came from the
+// low-light mixture. It makes the draws Next makes.
+func (s *Stream) Fill(sp []float64) (dark bool) {
 	p := &s.preset
 	z := s.r.Norm()
-	dark := s.r.Bernoulli(p.DarkFraction)
+	dark = s.r.Bernoulli(p.DarkFraction)
 	if dark {
 		z += p.DarkShift
 	}
-	sp := make([]float64, len(p.LayerMeans))
-	for l := range sp {
+	for l := range p.LayerMeans {
 		if p.LayerMeans[l] == 0 && p.LayerLoads[l] == 0 {
 			// A zero mean and zero loading marks a structurally dense
 			// layer (e.g. the first convolution reading the raw image).
+			sp[l] = 0
 			continue
 		}
 		v := p.LayerMeans[l] + p.LayerLoads[l]*z + s.r.NormAt(0, p.NoiseSD)
 		sp[l] = stats.Clamp(v, p.Lo, p.Hi)
 	}
-	return Sample{Sparsity: sp, Dark: dark}
+	return dark
 }
 
 // Draw returns n samples.

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,26 @@ func TestStreamDeterministic(t *testing.T) {
 		for l := range a[i].Sparsity {
 			if a[i].Sparsity[l] != b[i].Sparsity[l] {
 				t.Fatalf("sample %d layer %d differs", i, l)
+			}
+		}
+	}
+}
+
+// TestFillMatchesNext: Fill draws into a caller's row exactly the
+// sample Next returns, overwriting every entry, the structurally dense
+// layers' zeros included.
+func TestFillMatchesNext(t *testing.T) {
+	for _, m := range []*models.Model{models.VGG16(), models.BERTBase()} {
+		a := MustStream(m, DefaultPreset(m), 5)
+		b := MustStream(m, DefaultPreset(m), 5)
+		row := make([]float64, m.NumLayers())
+		for i := 0; i < 50; i++ {
+			for l := range row {
+				row[l] = math.NaN()
+			}
+			want := a.Next()
+			if dark := b.Fill(row); dark != want.Dark || !reflect.DeepEqual(row, want.Sparsity) {
+				t.Fatalf("%s sample %d: Fill %v (dark %v), Next %v (dark %v)", m.Name, i, row, dark, want.Sparsity, want.Dark)
 			}
 		}
 	}

@@ -92,7 +92,9 @@ func (r *Source) Intn(n int) int {
 }
 
 // Norm returns a standard normal deviate (mean 0, stddev 1) using the
-// Box-Muller transform.
+// Box-Muller transform. Both deviates of a pair come from one
+// math.Sincos, whose results equal math.Sin's and math.Cos's on the
+// transform's angles in [0, 2π).
 func (r *Source) Norm() float64 {
 	if r.spareOK {
 		r.spareOK = false
@@ -105,10 +107,10 @@ func (r *Source) Norm() float64 {
 		}
 		v := r.Float64()
 		radius := math.Sqrt(-2 * math.Log(u))
-		theta := 2 * math.Pi * v
-		r.spare = radius * math.Sin(theta)
+		sin, cos := math.Sincos(2 * math.Pi * v)
+		r.spare = radius * sin
 		r.spareOK = true
-		return radius * math.Cos(theta)
+		return radius * cos
 	}
 }
 

@@ -115,6 +115,40 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
+// TestNormMatchesSeparateSinCos: Norm, which takes both Box-Muller
+// deviates from one math.Sincos, returns bit for bit what the transform
+// with separate math.Sin and math.Cos calls returns, over 10^6 draws from
+// four seeds.
+func TestNormMatchesSeparateSinCos(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 7, 1 << 40} {
+		r, ref := New(seed), New(seed)
+		var spare float64
+		var spareOK bool
+		refNorm := func() float64 {
+			if spareOK {
+				spareOK = false
+				return spare
+			}
+			for {
+				u := ref.Float64()
+				if u == 0 {
+					continue
+				}
+				v := ref.Float64()
+				radius := math.Sqrt(-2 * math.Log(u))
+				theta := 2 * math.Pi * v
+				spare, spareOK = radius*math.Sin(theta), true
+				return radius * math.Cos(theta)
+			}
+		}
+		for i := 0; i < 250000; i++ {
+			if got, want := r.Norm(), refNorm(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d draw %d: Norm %v, separate Sin/Cos %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestNormAt(t *testing.T) {
 	r := New(3)
 	const n = 100000

@@ -78,7 +78,11 @@ type BuildConfig struct {
 }
 
 // Build runs the hardware simulator over cfg.Samples inputs and returns
-// their runtime information, the Phase 1 step of Fig. 7.
+// their runtime information, the Phase 1 step of Fig. 7. It plans the
+// model's latencies once (accel.Accelerator.Plan) and draws every sample
+// into one latency array and one sparsity array: trace i's slices are
+// its rows, capped at their ends so that an append to one trace copies
+// instead of overwriting the next.
 func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("trace: nil model")
@@ -99,21 +103,17 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 		return nil, err
 	}
 
+	plan := acc.Plan(cfg.Model, cfg.Pattern, cfg.WeightRate)
+	n := cfg.Model.NumLayers()
+	lat := make([]time.Duration, cfg.Samples*n)
+	sp := make([]float64, cfg.Samples*n)
 	out := make([]SampleTrace, cfg.Samples)
 	for i := range out {
-		sample := stream.Next()
-		tr := SampleTrace{
-			LayerLatency:  make([]time.Duration, cfg.Model.NumLayers()),
-			LayerSparsity: sample.Sparsity,
-		}
-		for l := range cfg.Model.Layers {
-			tr.LayerLatency[l] = acc.LayerLatency(&cfg.Model.Layers[l], accel.LayerSparsity{
-				Pattern:            cfg.Pattern,
-				WeightRate:         cfg.WeightRate,
-				ActivationSparsity: sample.Sparsity[l],
-			})
-		}
-		out[i] = tr
+		lo, hi := i*n, (i+1)*n
+		tr := &out[i]
+		tr.LayerLatency, tr.LayerSparsity = lat[lo:hi:hi], sp[lo:hi:hi]
+		stream.Fill(tr.LayerSparsity)
+		plan.Latencies(tr.LayerLatency, tr.LayerSparsity)
 	}
 	return out, nil
 }

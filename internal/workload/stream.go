@@ -48,10 +48,10 @@ type resolvedEntry struct {
 // traces and SLO, and positions the iterator before the first request.
 // An SLO that is not below 2^63 ns, the largest time.Duration, is an
 // error naming the entry, M_slo and the SLO factor (a NaN or infinite
-// factor fails here); so is an entry Entry.check refuses, a weight that
-// is not finite and positive or a negative factor. The configured
-// Process is Reset here, exactly as Generate resets it, so a stateful
-// process can be reused across streams.
+// factor fails here); so is an entry Entry.check refuses, one without a
+// model, a weight that is not finite and positive or a negative factor.
+// The configured Process is Reset here, exactly as Generate resets it,
+// so a stateful process can be reused across streams.
 func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -66,6 +66,9 @@ func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) 
 		r:        rng.New(cfg.Seed),
 	}
 	for i, e := range sc.Entries {
+		if e.Model == nil {
+			return nil, errNilModel(i)
+		}
 		k := e.Key()
 		traces := store.Get(k)
 		if len(traces) == 0 {

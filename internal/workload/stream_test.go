@@ -146,6 +146,41 @@ func TestBadEntriesFailTheStream(t *testing.T) {
 	}
 }
 
+// TestNilModelEntriesFail: a Go-API entry without a model fails
+// NewStream, Generate and MeanIsolated with an error naming the entry,
+// wherever it sits; all three used to panic dereferencing the model for
+// its trace key. Entry.check refuses it too, without dereferencing it.
+func TestNilModelEntriesFail(t *testing.T) {
+	base := MultiAttNN()
+	_, eval, err := BuildStores(base, 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GenConfig{Requests: 10, RatePerSec: 30, SLOMultiplier: 10, Seed: 1}
+	for _, c := range []struct {
+		name  string
+		edit  func([]Entry) []Entry
+		entry int
+	}{
+		{"appended", func(es []Entry) []Entry { return append(es, Entry{Pattern: sparsity.Dense, Weight: 1}) }, 3},
+		{"first", func(es []Entry) []Entry { es[0].Model = nil; return es }, 0},
+		{"middle, bad weight too", func(es []Entry) []Entry { es[1].Model, es[1].Weight = nil, -1; return es }, 1},
+	} {
+		sc := base
+		sc.Entries = c.edit(append([]Entry(nil), base.Entries...))
+		want := fmt.Sprintf("workload: entry %d: nil model", c.entry)
+		_, streamErr := NewStream(sc, eval, cfg)
+		_, genErr := Generate(sc, eval, cfg)
+		_, meanErr := MeanIsolated(sc, eval)
+		checkErr := sc.Entries[c.entry].check(c.entry)
+		for fn, err := range map[string]error{"NewStream": streamErr, "Generate": genErr, "MeanIsolated": meanErr, "Entry.check": checkErr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: %s err %v, want %q", c.name, fn, err, want)
+			}
+		}
+	}
+}
+
 // TestStreamMatchesGenerate pins the bit-identity contract between the
 // iterator and the materialized path, for the default inline Poisson
 // and for an explicit bursty process.

@@ -44,11 +44,14 @@ func (e Entry) sloFactor() float64 {
 }
 
 // check refuses an entry that would draw a silently wrong stream, with
-// an error naming it as entry i of its scenario: a weight that is not
-// finite and positive skews every draw of the scenario, and a negative
-// SLO factor has no meaning (0 means 1). Spec.Scenario and NewStream
-// both apply it; the entry's model must be set.
+// an error naming it as entry i of its scenario: a nil model (see
+// errNilModel), a weight that is not finite and positive, which skews
+// every draw of the scenario, and a negative SLO factor, which has no
+// meaning (0 means 1). Spec.Scenario and NewStream both apply it.
 func (e Entry) check(i int) error {
+	if e.Model == nil {
+		return errNilModel(i)
+	}
 	if !(e.Weight > 0) || math.IsInf(e.Weight, 1) {
 		return fmt.Errorf("workload: entry %d (%s/%v): weight %v, want finite and > 0", i, e.Model.Name, e.Pattern, e.Weight)
 	}
@@ -56,6 +59,12 @@ func (e Entry) check(i int) error {
 		return fmt.Errorf("workload: entry %d (%s/%v): SLO factor %v, want >= 0 (0 means 1)", i, e.Model.Name, e.Pattern, e.SLOFactor)
 	}
 	return nil
+}
+
+// errNilModel refuses entry i for having no model. Key dereferences the
+// model, so NewStream and MeanIsolated check for one before calling it.
+func errNilModel(i int) error {
+	return fmt.Errorf("workload: entry %d: nil model", i)
 }
 
 // Key returns the trace key of the entry. It interns the pair (see
@@ -277,7 +286,10 @@ func BuildStores(sc Scenario, profileSamples, evalSamples int, seed uint64) (pro
 // rates to utilization.
 func MeanIsolated(sc Scenario, store *trace.Store) (time.Duration, error) {
 	var sum, weights float64
-	for _, e := range sc.Entries {
+	for i, e := range sc.Entries {
+		if e.Model == nil {
+			return 0, errNilModel(i)
+		}
 		k := e.Key()
 		traces := store.Get(k)
 		if len(traces) == 0 {

@@ -247,6 +247,22 @@ func TestBuildStoresMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBuildStoresAllocations: Phase 1 allocates a constant number of
+// objects per build, so the paper protocol's MultiCNN stores (12 entries,
+// 100 profiling and 400 evaluation samples each) stay under a few hundred
+// allocations; they made 12,207 when every sample allocated its rows.
+func TestBuildStoresAllocations(t *testing.T) {
+	sc := MultiCNN()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, _, err := BuildStores(sc, 100, 400, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("BuildStores(MultiCNN, 100, 400) made %v allocations, want at most 400", allocs)
+	}
+}
+
 // TestBuildStoresPropagatesError: a broken entry surfaces the first
 // failing entry's error.
 func TestBuildStoresPropagatesError(t *testing.T) {
