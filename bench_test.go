@@ -33,7 +33,8 @@ func benchOpts() exp.Options {
 	}
 }
 
-// runExp executes one registered experiment b.N times.
+// runExp executes one registered experiment b.N times, reporting its
+// allocations.
 func runExp(b *testing.B, id string) {
 	b.Helper()
 	runner, err := exp.Lookup(id)
@@ -41,6 +42,7 @@ func runExp(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	opts := benchOpts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := runner(opts); err != nil {

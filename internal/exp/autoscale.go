@@ -136,16 +136,7 @@ func (o Options) Validate() error {
 	if _, err := o.schedOptions(); err != nil {
 		return err
 	}
-	// The policy constructors only capture their pipeline, so a zero one
-	// checks the names before Phase 1 builds the real one.
-	var zero Pipeline
-	if _, err := NewDispatcher(o.Dispatch, &zero); err != nil {
-		return err
-	}
-	if _, err := NewAdmission(o.Admission, &zero); err != nil {
-		return err
-	}
-	if _, err := NewRebalancer(o.Rebalance, &zero); err != nil {
+	if err := o.checkPolicyNames(); err != nil {
 		return err
 	}
 	// Half-configured migration would silently never run (interval 0 is
@@ -207,6 +198,24 @@ func (o Options) Validate() error {
 		return fmt.Errorf("exp: -scale-max %d exceeds the %d-engine cluster", s.ScaleMax, s.Engines)
 	}
 	return nil
+}
+
+// checkPolicyNames refuses an unknown -dispatch, -admission or
+// -rebalance name. The policy constructors only capture their pipeline,
+// so a zero one checks the names: Validate runs this before Phase 1
+// builds the real one, and RunGrid and RunSeeds once per call, before
+// any cell, since a direct cell builds none of the policies and a bad
+// name must not pass silently because the run has one engine.
+func (o Options) checkPolicyNames() error {
+	var zero Pipeline
+	if _, err := NewDispatcher(o.Dispatch, &zero); err != nil {
+		return err
+	}
+	if _, err := NewAdmission(o.Admission, &zero); err != nil {
+		return err
+	}
+	_, err := NewRebalancer(o.Rebalance, &zero)
+	return err
 }
 
 // autoscaleSignalInterval is the signal staleness every arm of the

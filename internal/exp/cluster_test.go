@@ -109,8 +109,8 @@ func TestClusterGridRuns(t *testing.T) {
 	}
 }
 
-// TestUnknownDispatchRejected: a bad policy name surfaces as an error —
-// also on single-engine runs, which never dispatch but must not silently
+// TestUnknownDispatchRejected: a bad policy name surfaces as an error from
+// RunPoint and RunSeeds — also on single-engine runs, which never dispatch but must not silently
 // swallow a misconfiguration.
 func TestUnknownDispatchRejected(t *testing.T) {
 	opts := tiny()
@@ -124,6 +124,9 @@ func TestUnknownDispatchRejected(t *testing.T) {
 		o.Engines = engines
 		if _, err := p.RunPoint(StandardScheds()[:1], 30, 10, o); err == nil {
 			t.Fatalf("unknown dispatch policy accepted on %d engines", engines)
+		}
+		if _, err := p.RunSeeds(StandardScheds()[0], 30, 10, o); err == nil {
+			t.Fatalf("RunSeeds accepted an unknown dispatch policy on %d engines", engines)
 		}
 	}
 }

@@ -113,8 +113,8 @@ func TestMigrationWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestUnknownRebalanceRejected: a bad policy name surfaces as an error on
-// both the cluster and the direct path.
+// TestUnknownRebalanceRejected: a bad policy name surfaces as an error from
+// RunPoint and RunSeeds on both the cluster and the direct path.
 func TestUnknownRebalanceRejected(t *testing.T) {
 	opts := tiny()
 	opts.Rebalance = "pilfer"
@@ -127,6 +127,9 @@ func TestUnknownRebalanceRejected(t *testing.T) {
 		o.Engines = engines
 		if _, err := p.RunPoint(StandardScheds()[:1], 30, 10, o); err == nil {
 			t.Fatalf("unknown rebalance policy accepted on %d engines", engines)
+		}
+		if _, err := p.RunSeeds(StandardScheds()[0], 30, 10, o); err == nil {
+			t.Fatalf("RunSeeds accepted an unknown rebalance policy on %d engines", engines)
 		}
 	}
 }

@@ -244,6 +244,9 @@ func WithOracle(specs []SchedSpec) []SchedSpec {
 // reference path; the parallel RunGrid/RunPoint must produce bit-identical
 // aggregates (see runner_test.go).
 func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([]sched.Result, error) {
+	if err := opts.checkPolicyNames(); err != nil {
+		return nil, err
+	}
 	rs := make([]sched.Result, 0, opts.Seeds)
 	for s := 0; s < opts.Seeds; s++ {
 		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, nil, 0)

@@ -187,22 +187,23 @@ func Fig4(opts Options) ([]Artifact, error) {
 		}
 		macs := map[sparsity.Pattern][]float64{}
 		chRNG := rng.New(6)
+		valid := make([]float64, len(patterns))
 		for s := 0; s < n; s++ {
 			sample := stream.Next()
-			// Per-channel density profiles per layer, shared by both
-			// patterns (identical inputs).
-			for _, p := range patterns {
-				var valid float64
-				for li, l := range m.Layers {
-					mask := masks[p][li]
-					if mask == nil {
-						continue
-					}
-					density := dataset.ChannelDensities(chRNG.Split(), mask.Config.Cin,
-						1-sample.Sparsity[li], 0.08)
-					valid += mask.ValidMACFraction(density) * float64(l.MACs())
+			// One per-channel density profile per layer, drawn once and
+			// scored under both patterns (identical inputs).
+			clear(valid)
+			for li, l := range m.Layers {
+				if l.Kind != models.Conv {
+					continue
 				}
-				macs[p] = append(macs[p], valid)
+				density := dataset.ChannelDensities(chRNG.Split(), l.Cin, 1-sample.Sparsity[li], 0.08)
+				for pi, p := range patterns {
+					valid[pi] += masks[p][li].ValidMACFraction(density) * float64(l.MACs())
+				}
+			}
+			for pi, p := range patterns {
+				macs[p] = append(macs[p], valid[pi])
 			}
 		}
 

@@ -46,10 +46,11 @@ func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 // runCell executes one simulation cell: stream the seed index's
 // requests from the generator and run spec's scheduler over them, so the
 // cell holds only the requests in flight. With a nil w, the cell builds
-// its engine and scheduler from nothing (RunSeeds, the reference path);
-// otherwise a direct cell runs through w as the grid's spec si
-// (gridWorker.run). A cluster cell builds its engines and schedulers
-// either way.
+// its stream, engine and scheduler from nothing (RunSeeds, the reference
+// path); otherwise it re-arms w's stream, and a direct cell runs through
+// w as the grid's spec si (gridWorker.run). A cluster cell builds its
+// engines and schedulers either way. The caller has checked the policy
+// names (Options.checkPolicyNames).
 func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *gridWorker, si int) (sched.Result, error) {
 	proc, err := NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
 	if err != nil {
@@ -69,27 +70,26 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *
 	// An autoscaled cell takes its thresholds from a first pass over the
 	// cell's stream (a pure function of the seed index, so autoscaled
 	// grids stay bit-identical for any -workers), drained before the
-	// run's own stream is built: both share gcfg.Process, which NewStream
+	// run's own stream is armed: both share gcfg.Process, which Reset
 	// resets. The policy always reads the sparsity-aware load estimate —
 	// its decisions should be as informed as the best dispatcher's,
 	// whatever policy actually routes.
 	shape := opts.Shape()
 	var scaler *cluster.Autoscaler
 	if opts.Autoscale {
-		pass, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
+		pass, err := w.stream(p, gcfg)
 		if err != nil {
-			return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
+			return sched.Result{}, err
 		}
 		scaler = autoscalerFrom(pass, shape.ScaleMin, shape.ScaleMax, cluster.SparsityAwareLoad(p.LUT, p.Est))
 		scaler.Curve = cluster.SparsityAwareCurve(p.LUT, p.Est)
 	}
-	src, err := workload.NewStream(p.Scenario, p.Eval, gcfg)
+	src, err := w.stream(p, gcfg)
 	if err != nil {
-		return sched.Result{}, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
+		return sched.Result{}, err
 	}
 	// The cluster path serves any run that needs the dispatch layer (see
-	// ClusterShape), so a bad -admission or -rebalance name errors
-	// instead of being silently ignored.
+	// ClusterShape).
 	if shape.Clustered {
 		d, err := NewDispatcher(opts.Dispatch, p)
 		if err != nil {
@@ -141,15 +141,6 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *
 		}
 		return cres.Result, nil
 	}
-	// The direct path never dispatches, but a bad -dispatch name is a
-	// misconfiguration either way: validate it instead of silently
-	// ignoring it (mirrors the admission-name validation above).
-	if _, err := NewDispatcher(opts.Dispatch, p); err != nil {
-		return sched.Result{}, err
-	}
-	if _, err := NewRebalancer(opts.Rebalance, p); err != nil {
-		return sched.Result{}, err
-	}
 	var res sched.Result
 	if w == nil {
 		res, err = sched.RunStream(spec.New(p), src, sOpts)
@@ -163,13 +154,31 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *
 }
 
 // gridWorker is what one RunGrid worker keeps from cell to cell: a
-// sched.Runner, whose engine every direct cell re-arms, and per spec
-// (by index) the scheduler the spec's last cell emptied. It belongs to
-// its worker and dies with its RunGrid call, so no run-length buffer
-// outlives the grid that grew it.
+// request stream, which every cell re-arms, a sched.Runner, whose engine
+// every direct cell re-arms, and per spec (by index) the scheduler the
+// spec's last cell emptied. It belongs to its worker and dies with its
+// RunGrid call, so no run-length buffer outlives the grid that grew it.
 type gridWorker struct {
+	src    workload.Stream
 	runner sched.Runner
 	scheds []sched.Scheduler
+}
+
+// stream arms a cell's request stream for cfg: the worker's own,
+// re-armed in place, or with a nil w (RunSeeds, the reference path) a
+// new one.
+func (w *gridWorker) stream(p *Pipeline, cfg workload.GenConfig) (*workload.Stream, error) {
+	var s *workload.Stream
+	var err error
+	if w == nil {
+		s, err = workload.NewStream(p.Scenario, p.Eval, cfg)
+	} else {
+		s, err = &w.src, w.src.Reset(p.Scenario, p.Eval, cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
+	}
+	return s, nil
 }
 
 // run runs a direct cell of spec, the grid's spec si, on the worker's
@@ -197,13 +206,16 @@ func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestS
 // opts.Workers goroutines (default: GOMAXPROCS); the returned slice is
 // ordered as `points` and each map is keyed by scheduler name. The
 // pipeline's stores, LUT and estimator are shared read-only across
-// workers; each cell gets a fresh request stream, and each worker
-// recycles its direct cells' engine and schedulers (gridWorker) without
+// workers; each worker re-arms one request stream for all its cells and
+// recycles its direct cells' engine and schedulers (gridWorker), without
 // changing a result.
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
 	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
 		return nil, fmt.Errorf("exp: RunGrid with %d seeds", opts.Seeds)
+	}
+	if err := opts.checkPolicyNames(); err != nil {
+		return nil, err
 	}
 
 	// Per-cell result slots are preallocated so workers write disjoint

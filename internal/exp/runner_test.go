@@ -196,3 +196,143 @@ func TestStandardSchedsIncrementalEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmGridCellAllocatesOnlyItsResult: a grid worker's warm direct
+// cell re-arms the worker's stream, its engine and the spec's emptied
+// scheduler, so it makes exactly the 2 allocations of its Result's
+// per-model map, for every scheduler of the lineup and at any request
+// count. Each cell used to build its stream (4 allocations) and a
+// throwaway round-robin dispatcher, to check the -dispatch name.
+func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
+	opts := tiny()
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := WithOracle(StandardScheds())
+	pt := Point{Rate: 30, MSLO: 10}
+	for _, n := range []int{120, 400} {
+		o := opts
+		o.Requests = n
+		w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
+		for si, spec := range specs {
+			cell := func() {
+				if _, err := p.runCell(spec, pt, 1, o, &w, si); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cell()
+			if got := testing.AllocsPerRun(5, cell); got != 2 {
+				t.Errorf("%s, %d requests: a warm grid cell made %v allocations, want 2 (the Result's per-model map)",
+					spec.Name, n, got)
+			}
+		}
+	}
+}
+
+// failingSource yields its stream's requests until after requests, then
+// one that arrives before its predecessor, which fails the run there.
+type failingSource struct {
+	src   *workload.Stream
+	after int
+	n     int
+	bad   workload.Request
+}
+
+func (f *failingSource) Next() (*workload.Request, bool) {
+	r, ok := f.src.Next()
+	if f.n++; f.n <= f.after || !ok {
+		return r, ok
+	}
+	f.bad = *r
+	f.bad.Arrival = 0
+	return &f.bad, true
+}
+
+// TestGridWorkerFailedCell pins the rule for a cell that fails mid-run:
+// the spec's slot is emptied, so its scheduler, which may still hold
+// tasks, never runs another cell, and the next cell gets a new one from
+// spec.New. The worker's stream, abandoned mid-run and re-armed, yields
+// exactly what a new stream yields, and the next cell's Result is a
+// fresh run's.
+func TestGridWorkerFailedCell(t *testing.T) {
+	opts := tiny()
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	spec := SchedSpec{"Dysta", func(p *Pipeline) sched.Scheduler { built++; return core.NewDefault(p.LUT) }}
+	cfg := workload.GenConfig{Requests: opts.Requests, RatePerSec: 60, SLOMultiplier: 10, Seed: cellSeed(0)}
+	w := gridWorker{scheds: make([]sched.Scheduler, 1)}
+	src, err := w.stream(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.run(p, spec, 0, src, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if built != 1 || w.scheds[0] == nil {
+		t.Fatalf("after a finished cell: %d schedulers built, slot kept %v; want 1 and the scheduler", built, w.scheds[0])
+	}
+
+	// At 60 req/s the engine holds a queue when the bad arrival comes.
+	if src, err = w.stream(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.run(p, spec, 0, &failingSource{src: src, after: opts.Requests / 2}, sched.Options{}); err == nil {
+		t.Fatal("a run with an arrival before its predecessor's succeeded")
+	}
+	if built != 1 || w.scheds[0] != nil {
+		t.Errorf("after a failed cell: %d schedulers built, slot kept %v; want 1 (the failed cell reran the first) and nil",
+			built, w.scheds[0])
+	}
+
+	// The stream was left mid-run: re-armed, it restarts from the seed.
+	next := cfg
+	next.Seed = cellSeed(1)
+	fresh, err := workload.NewStream(p.Scenario, p.Eval, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err = w.stream(p, next); err != nil {
+		t.Fatal(err)
+	}
+	if src.Len() != fresh.Len() {
+		t.Fatalf("re-armed stream has %d requests, a new one %d", src.Len(), fresh.Len())
+	}
+	for i := 0; ; i++ {
+		a, aok := src.Next()
+		b, bok := fresh.Next()
+		if aok != bok {
+			t.Fatalf("request %d: re-armed stream ok=%v, new stream ok=%v", i, aok, bok)
+		}
+		if !aok {
+			break
+		}
+		if *a != *b {
+			t.Fatalf("request %d: re-armed stream yields %+v, a new stream %+v", i, *a, *b)
+		}
+	}
+
+	if src, err = w.stream(p, next); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.run(p, spec, 0, src, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != 2 {
+		t.Errorf("the cell after the failed one built %d schedulers in all, want 2 (a new one)", built)
+	}
+	if fresh, err = workload.NewStream(p.Scenario, p.Eval, next); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sched.RunStream(core.NewDefault(p.LUT), fresh, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the cell after the failed one diverges from a fresh run (ANTT %v vs %v)", got.ANTT, want.ANTT)
+	}
+}

@@ -26,15 +26,22 @@ type Source struct {
 // well-distributed internal state even for small or structured seeds.
 func New(seed uint64) *Source {
 	var src Source
+	src.Seed(seed)
+	return &src
+}
+
+// Seed re-seeds r in place: afterwards it draws exactly what New(seed)
+// draws, with no cached normal deviate carried over.
+func (r *Source) Seed(seed uint64) {
+	*r = Source{}
 	sm := seed
-	for i := range src.s {
-		sm, src.s[i] = splitmix64(sm)
+	for i := range r.s {
+		sm, r.s[i] = splitmix64(sm)
 	}
 	// xoshiro256** must not start from the all-zero state.
-	if src.s == [4]uint64{} {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if r.s == [4]uint64{} {
+		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &src
 }
 
 // splitmix64 advances the splitmix64 state and returns the next state and

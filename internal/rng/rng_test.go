@@ -16,6 +16,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNew: a used source re-seeded in place, even one holding
+// a cached normal deviate, draws exactly what a new source of that seed
+// draws.
+func TestSeedMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1<<64 - 1} {
+		r := New(seed + 7)
+		r.Norm() // leaves the pair's second deviate cached
+		r.Seed(seed)
+		fresh := New(seed)
+		for i := 0; i < 100; i++ {
+			if a, b := r.Norm(), fresh.Norm(); a != b {
+				t.Fatalf("seed %d, normal %d: re-seeded %v, new %v", seed, i, a, b)
+			}
+			if a, b := r.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("seed %d, draw %d: re-seeded %d, new %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -34,12 +34,18 @@ type EntrySpec struct {
 	SLOFactor  float64 `json:"slo_factor,omitempty"`
 }
 
-// ToSpec converts a Scenario into its serializable form.
+// ToSpec converts a Scenario into its serializable form. An entry with
+// no model gets an empty model name, which Spec.Scenario refuses naming
+// the entry.
 func ToSpec(sc Scenario) Spec {
 	spec := Spec{Name: sc.Name, Accelerator: sc.Accel.Name()}
 	for _, e := range sc.Entries {
+		var model string
+		if e.Model != nil {
+			model = e.Model.Name
+		}
 		spec.Entries = append(spec.Entries, EntrySpec{
-			Model:      e.Model.Name,
+			Model:      model,
 			Pattern:    e.Pattern.String(),
 			WeightRate: e.WeightRate,
 			Weight:     e.Weight,

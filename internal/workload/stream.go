@@ -28,10 +28,13 @@ type Stream struct {
 	// neither hashes nor interns a key.
 	resolved []resolvedEntry
 	proc     traffic.Process
-	r        *rng.Source
-	now      time.Duration
-	next     int
-	req      Request
+	// poisson is the process a nil GenConfig.Process draws through,
+	// held inline, as the source is, so that Reset allocates nothing.
+	poisson traffic.Poisson
+	r       rng.Source
+	now     time.Duration
+	next    int
+	req     Request
 }
 
 // resolvedEntry is what a stream draws from for one entry.
@@ -45,56 +48,75 @@ type resolvedEntry struct {
 }
 
 // NewStream validates the configuration, resolves every entry's key,
-// traces and SLO, and positions the iterator before the first request.
+// traces and SLO, and positions the iterator before the first request:
+// it is Reset run on a new Stream.
+func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
+	s := new(Stream)
+	if err := s.Reset(sc, store, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset re-arms the stream in place to draw cfg's requests from sc and
+// store, exactly as a new stream would: it validates the configuration,
+// resolves every entry's key, traces and SLO, and positions the iterator
+// before the first request. It keeps the stream's resolved-entry
+// storage, so re-arming a stream over no more entries than before
+// allocates nothing.
+//
 // An SLO that is not below 2^63 ns, the largest time.Duration, is an
 // error naming the entry, M_slo and the SLO factor (a NaN or infinite
 // factor fails here); so is an entry Entry.check refuses, one without a
 // model, a weight that is not finite and positive or a negative factor.
-// The configured Process is Reset here, exactly as Generate resets it,
-// so a stateful process can be reused across streams.
-func NewStream(sc Scenario, store *trace.Store, cfg GenConfig) (*Stream, error) {
+// A stream whose Reset failed is empty. The configured Process is Reset
+// here, exactly as Generate resets it, so a stateful process can be
+// reused across streams.
+func (s *Stream) Reset(sc Scenario, store *trace.Store, cfg GenConfig) error {
+	*s = Stream{resolved: s.resolved[:0]}
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(sc.Entries) == 0 {
-		return nil, fmt.Errorf("workload: scenario %q has no entries", sc.Name)
+		return fmt.Errorf("workload: scenario %q has no entries", sc.Name)
 	}
-	s := &Stream{
-		entries:  sc.Entries,
-		cfg:      cfg,
-		resolved: make([]resolvedEntry, len(sc.Entries)),
-		r:        rng.New(cfg.Seed),
+	if cap(s.resolved) < len(sc.Entries) {
+		s.resolved = make([]resolvedEntry, 0, len(sc.Entries))
 	}
 	for i, e := range sc.Entries {
 		if e.Model == nil {
-			return nil, errNilModel(i)
+			return errNilModel(i)
 		}
 		k := e.Key()
 		traces := store.Get(k)
 		if len(traces) == 0 {
-			return nil, fmt.Errorf("workload: no traces for %v", k)
+			return fmt.Errorf("workload: no traces for %v", k)
 		}
 		s.totalWeight += e.Weight
 		meanIso := time.Duration(store.SumTotals(k) / float64(len(traces)))
 		// The negated test also refuses a NaN factor.
 		slo := float64(meanIso) * cfg.SLOMultiplier * e.sloFactor()
 		if !(slo < 1<<63) {
-			return nil, fmt.Errorf("workload: entry %d (%v): mean isolated latency %v x M_slo %g x SLO factor %g is not below 2^63 ns",
+			return fmt.Errorf("workload: entry %d (%v): mean isolated latency %v x M_slo %g x SLO factor %g is not below 2^63 ns",
 				i, k, meanIso, cfg.SLOMultiplier, e.sloFactor())
 		}
 		// After the bound, which names M_slo for a NaN or infinite factor.
 		if err := e.check(i); err != nil {
-			return nil, err
+			return err
 		}
-		s.resolved[i] = resolvedEntry{key: k, traces: traces, slo: time.Duration(slo)}
+		s.resolved = append(s.resolved, resolvedEntry{key: k, traces: traces, slo: time.Duration(slo)})
 	}
 
 	s.proc = cfg.Process
 	if s.proc == nil {
-		s.proc = traffic.NewPoisson(cfg.RatePerSec)
+		s.poisson = traffic.Poisson{Rate: cfg.RatePerSec}
+		s.proc = &s.poisson
 	}
 	s.proc.Reset()
-	return s, nil
+	s.r.Seed(cfg.Seed)
+	// Last, so that a stream whose Reset failed has no requests.
+	s.entries, s.cfg = sc.Entries, cfg
+	return nil
 }
 
 // Len returns the total stream length (GenConfig.Requests).
@@ -112,8 +134,8 @@ func (s *Stream) Next() (*Request, bool) {
 	if s.next >= s.cfg.Requests {
 		return nil, false
 	}
-	s.now += s.proc.Next(s.r, s.now)
-	i := sampleEntry(s.r, s.entries, s.totalWeight)
+	s.now += s.proc.Next(&s.r, s.now)
+	i := sampleEntry(&s.r, s.entries, s.totalWeight)
 	e := &s.resolved[i]
 	s.req = Request{
 		ID:      s.next,

@@ -27,9 +27,9 @@ func TestRequestSize(t *testing.T) {
 }
 
 // TestNewStreamAllocations: a stream resolves each entry's key, traces
-// and SLO into one slice, so opening one allocates the stream, that
-// slice, its random source and its Poisson process, and nothing per
-// entry.
+// and SLO into one slice and holds its random source and its Poisson
+// process inline, so opening one allocates the stream and that slice,
+// nothing per entry, and re-arming one allocates nothing.
 func TestNewStreamAllocations(t *testing.T) {
 	sc := MultiCNN()
 	_, eval, err := BuildStores(sc, 2, 2, 1)
@@ -42,8 +42,22 @@ func TestNewStreamAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("NewStream over %d entries made %v allocations, want at most 4", len(sc.Entries), allocs)
+	if allocs > 2 {
+		t.Errorf("NewStream over %d entries made %v allocations, want at most 2", len(sc.Entries), allocs)
+	}
+	st, err := NewStream(sc, eval, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		cfg.Seed++
+		if err := st.Reset(sc, eval, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st.Next()
+	})
+	if allocs != 0 {
+		t.Errorf("re-arming a stream over %d entries made %v allocations, want 0", len(sc.Entries), allocs)
 	}
 }
 
@@ -149,7 +163,9 @@ func TestBadEntriesFailTheStream(t *testing.T) {
 // TestNilModelEntriesFail: a Go-API entry without a model fails
 // NewStream, Generate and MeanIsolated with an error naming the entry,
 // wherever it sits; all three used to panic dereferencing the model for
-// its trace key. Entry.check refuses it too, without dereferencing it.
+// its trace key. Entry.check refuses it too, without dereferencing it,
+// and ToSpec, which also used to panic, writes an empty model name that
+// Spec.Scenario refuses naming the entry.
 func TestNilModelEntriesFail(t *testing.T) {
 	base := MultiAttNN()
 	_, eval, err := BuildStores(base, 2, 4, 1)
@@ -178,17 +194,47 @@ func TestNilModelEntriesFail(t *testing.T) {
 				t.Errorf("%s: %s err %v, want %q", c.name, fn, err, want)
 			}
 		}
+		// The round trip through the serializable form writes an empty
+		// model name, which the loader refuses naming the entry.
+		_, specErr := ToSpec(sc).Scenario()
+		if want := fmt.Sprintf("workload: entry %d: models: unknown model \"\"", c.entry); specErr == nil || !strings.HasPrefix(specErr.Error(), want) {
+			t.Errorf("%s: ToSpec then Scenario err %v, want one starting %q", c.name, specErr, want)
+		}
 	}
 }
 
 // TestStreamMatchesGenerate pins the bit-identity contract between the
 // iterator and the materialized path, for the default inline Poisson
-// and for an explicit bursty process.
+// and for an explicit bursty process, on a new stream and on one
+// re-armed in place after it was drained part-way under another
+// scenario, seed and process, and then emptied by a failed Reset.
 func TestStreamMatchesGenerate(t *testing.T) {
-	sc := MultiAttNN()
+	sc, cnn := MultiAttNN(), MultiCNN()
 	_, eval, err := BuildStores(sc, 10, 40, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, cnnEval, err := BuildStores(cnn, 4, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reused Stream
+	rearm := func(cfg GenConfig) (*Stream, error) {
+		other := GenConfig{Requests: 300, RatePerSec: 4, SLOMultiplier: 10, Seed: 3,
+			Process: traffic.Bursty(4, 8, 0.2, time.Second)}
+		if err := reused.Reset(cnn, cnnEval, other); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			reused.Next()
+		}
+		if err := reused.Reset(sc, eval, GenConfig{Requests: 10, RatePerSec: math.NaN(), SLOMultiplier: 10}); err == nil {
+			t.Fatal("Reset accepted a NaN rate")
+		}
+		if r, ok := reused.Next(); ok || r != nil || reused.Len() != 0 {
+			t.Fatalf("a stream whose Reset failed yielded %v (ok %v) and has length %d; want none", r, ok, reused.Len())
+		}
+		return &reused, reused.Reset(sc, eval, cfg)
 	}
 	cfgs := []GenConfig{
 		{Requests: 200, RatePerSec: 30, SLOMultiplier: 10, Seed: 7},
@@ -200,34 +246,42 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewStream(sc, eval, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Len() != len(reqs) {
-			t.Fatalf("cfg %d: stream length %d != %d generated", ci, st.Len(), len(reqs))
-		}
-		var prev time.Duration
-		for i := 0; ; i++ {
-			got, ok := st.Next()
-			if !ok {
-				if i != len(reqs) {
-					t.Fatalf("cfg %d: stream ended after %d of %d requests", ci, i, len(reqs))
+		for _, arm := range []struct {
+			name string
+			open func(GenConfig) (*Stream, error)
+		}{
+			{"new", func(cfg GenConfig) (*Stream, error) { return NewStream(sc, eval, cfg) }},
+			{"re-armed", rearm},
+		} {
+			st, err := arm.open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Len() != len(reqs) {
+				t.Fatalf("cfg %d, %s: stream length %d != %d generated", ci, arm.name, st.Len(), len(reqs))
+			}
+			var prev time.Duration
+			for i := 0; ; i++ {
+				got, ok := st.Next()
+				if !ok {
+					if i != len(reqs) {
+						t.Fatalf("cfg %d, %s: stream ended after %d of %d requests", ci, arm.name, i, len(reqs))
+					}
+					break
 				}
-				break
+				want := reqs[i]
+				if got.ID != want.ID || got.Key != want.Key || got.Arrival != want.Arrival ||
+					got.SLO != want.SLO || &got.Trace.LayerLatency[0] != &want.Trace.LayerLatency[0] {
+					t.Fatalf("cfg %d, %s: request %d diverged: stream %+v vs generate %+v", ci, arm.name, i, got, want)
+				}
+				if got.Arrival < prev {
+					t.Fatalf("cfg %d, %s: arrivals not monotone at request %d", ci, arm.name, i)
+				}
+				prev = got.Arrival
 			}
-			want := reqs[i]
-			if got.ID != want.ID || got.Key != want.Key || got.Arrival != want.Arrival ||
-				got.SLO != want.SLO || &got.Trace.LayerLatency[0] != &want.Trace.LayerLatency[0] {
-				t.Fatalf("cfg %d: request %d diverged: stream %+v vs generate %+v", ci, i, got, want)
+			if _, ok := st.Next(); ok {
+				t.Fatalf("cfg %d, %s: exhausted stream yielded another request", ci, arm.name)
 			}
-			if got.Arrival < prev {
-				t.Fatalf("cfg %d: arrivals not monotone at request %d", ci, i)
-			}
-			prev = got.Arrival
-		}
-		if _, ok := st.Next(); ok {
-			t.Fatalf("cfg %d: exhausted stream yielded another request", ci)
 		}
 	}
 }
