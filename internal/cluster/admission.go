@@ -126,10 +126,11 @@ func (a SLOShed) Admit(sig []EngineSignal, r *workload.Request, now time.Duratio
 // dispatch never disagree about what a request costs.
 func RequestIsolated(lut *trace.StatsSet, est *sched.Estimator) func(*workload.Request) time.Duration {
 	return func(r *workload.Request) time.Duration {
-		if st := lut.Lookup(r.Key); st != nil {
+		k := r.Key()
+		if st := lut.Lookup(k); st != nil {
 			return st.AvgTotal
 		}
-		if st := est.ModelStats(r.Key.Model()); st != nil {
+		if st := est.ModelStats(k.Model()); st != nil {
 			return st.AvgTotal
 		}
 		return est.MeanIsolated()

@@ -143,17 +143,15 @@ func TestRequestIsolatedFallbackChain(t *testing.T) {
 	reqs, est, lut := unprofiledStream(1)
 	iso := RequestIsolated(lut, est)
 
-	profiled := *reqs[0]
-	profiled.Key = lut.Keys()[0]
-	if got := iso(&profiled); got != lut.Lookup(profiled.Key).AvgTotal {
+	profiled := rekeyed(reqs[0], lut.Keys()[0])
+	if got := iso(profiled); got != lut.Lookup(profiled.Key()).AvgTotal {
 		t.Errorf("profiled pair estimate %v, want LUT AvgTotal", got)
 	}
-	if got := iso(reqs[0]); got != est.ModelStats(reqs[0].Key.Model()).AvgTotal {
+	if got := iso(reqs[0]); got != est.ModelStats(reqs[0].Key().Model()).AvgTotal {
 		t.Errorf("unprofiled-pattern estimate %v, want model merge", got)
 	}
-	alien := *reqs[0]
-	alien.Key = trace.NewKey("never-profiled", alien.Key.Pattern())
-	if got := iso(&alien); got != est.MeanIsolated() {
+	alien := rekeyed(reqs[0], trace.NewKey("never-profiled", reqs[0].Key().Pattern()))
+	if got := iso(alien); got != est.MeanIsolated() {
 		t.Errorf("unknown-model estimate %v, want population mean %v", got, est.MeanIsolated())
 	}
 }

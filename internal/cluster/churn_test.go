@@ -27,6 +27,7 @@ func uniformStream(n int, gap, layer time.Duration, layers int, slo time.Duratio
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		tr := trace.SampleTrace{
+			Key:           key,
 			LayerLatency:  make([]time.Duration, layers),
 			LayerSparsity: make([]float64, layers),
 		}
@@ -35,7 +36,7 @@ func uniformStream(n int, gap, layer time.Duration, layers int, slo time.Duratio
 			tr.LayerSparsity[l] = 0.5
 		}
 		reqs[i] = &workload.Request{
-			ID: i, Key: key, Trace: &tr,
+			ID: i, Trace: &tr,
 			Arrival: time.Duration(i) * gap,
 			SLO:     slo,
 		}

@@ -31,6 +31,7 @@ func randomStream(seed uint64, n int) ([]*workload.Request, *sched.Estimator, *t
 		layers := 2 + r.Intn(8)
 		for p := 0; p < 3; p++ {
 			tr := trace.SampleTrace{
+				Key:           keys[m],
 				LayerLatency:  make([]time.Duration, layers),
 				LayerSparsity: make([]float64, layers),
 			}
@@ -54,7 +55,6 @@ func randomStream(seed uint64, n int) ([]*workload.Request, *sched.Estimator, *t
 		tr := &profiles[m][r.Intn(len(profiles[m]))]
 		reqs[i] = &workload.Request{
 			ID:      i,
-			Key:     keys[m],
 			Trace:   tr,
 			Arrival: arrival,
 			SLO:     time.Duration(float64(tr.Total()) * (1 + 10*r.Float64())),
@@ -384,7 +384,7 @@ func TestEventPastPackedRangeFailsTheRun(t *testing.T) {
 // would sort as "better than perfectly balanced".
 func TestImbalanceDegenerateCase(t *testing.T) {
 	key := trace.NewKey("free", sparsity.Dense)
-	tr := trace.SampleTrace{LayerLatency: []time.Duration{0, 0}, LayerSparsity: []float64{0.5, 0.5}}
+	tr := trace.SampleTrace{Key: key, LayerLatency: []time.Duration{0, 0}, LayerSparsity: []float64{0.5, 0.5}}
 	store := trace.NewStore()
 	store.Add(key, []trace.SampleTrace{tr, tr})
 	set, err := trace.NewStatsSet(store)
@@ -395,7 +395,7 @@ func TestImbalanceDegenerateCase(t *testing.T) {
 	reqs := make([]*workload.Request, 6)
 	for i := range reqs {
 		reqs[i] = &workload.Request{
-			ID: i, Key: key, Trace: &tr,
+			ID: i, Trace: &tr,
 			Arrival: time.Duration(i) * time.Millisecond, SLO: time.Second,
 		}
 	}

@@ -30,19 +30,32 @@ func unprofiledStream(n int) ([]*workload.Request, *sched.Estimator, *trace.Stat
 	if err != nil {
 		panic(err)
 	}
+	// The store holds its own copies, keyed as profiled; the requests'
+	// traces carry the unprofiled key.
 	unprofiled := trace.NewKey("m", sparsity.BlockNM)
+	for i := range profiles {
+		profiles[i].Key = unprofiled
+	}
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		tr := &profiles[i%len(profiles)]
 		reqs[i] = &workload.Request{
 			ID:      i,
-			Key:     unprofiled,
 			Trace:   tr,
 			Arrival: time.Duration(i) * 500 * time.Microsecond,
 			SLO:     time.Second,
 		}
 	}
 	return reqs, sched.NewEstimator(set), set
+}
+
+// rekeyed returns a copy of r whose trace is a copy of r's under key k.
+func rekeyed(r *workload.Request, k trace.Key) *workload.Request {
+	tr := *r.Trace
+	tr.Key = k
+	c := *r
+	c.Trace = &tr
+	return &c
 }
 
 // TestSparsityAwareLoadUnknownKeyFallback: an unprofiled model-pattern
@@ -84,8 +97,8 @@ func TestSparsityAwareLoadKeyInternedAfterLUT(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := sched.NewEstimator(lut)
-	late := &workload.Request{ID: 0, Key: trace.NewKey(model, sparsity.ChannelWise), Trace: &tr, SLO: time.Second}
-	if lut.Lookup(late.Key) != nil {
+	late := rekeyed(&workload.Request{ID: 0, Trace: &tr, SLO: time.Second}, trace.NewKey(model, sparsity.ChannelWise))
+	if lut.Lookup(late.Key()) != nil {
 		t.Fatal("a key interned after the LUT reads as profiled")
 	}
 	e := sched.NewEngine(sched.NewFCFS(), sched.Options{
@@ -108,10 +121,9 @@ func TestSparsityAwareLoadKeyInternedAfterLUT(t *testing.T) {
 // saw falls back to the population mean instead of panicking or zero.
 func TestBlindLoadUnknownModelFallback(t *testing.T) {
 	reqs, est, lut := unprofiledStream(1)
-	alien := *reqs[0]
-	alien.Key = trace.NewKey("never-profiled", sparsity.Dense)
+	alien := rekeyed(reqs[0], trace.NewKey("never-profiled", sparsity.Dense))
 	e := sched.NewEngine(sched.NewFCFS(), sched.Options{})
-	if err := e.Inject(&alien, alien.Arrival); err != nil {
+	if err := e.Inject(alien, alien.Arrival); err != nil {
 		t.Fatal(err)
 	}
 	for _, load := range []func(*sched.Task) time.Duration{

@@ -54,14 +54,14 @@ func (byID) Pick(sig []EngineSignal, r *workload.Request, _ time.Duration) int {
 }
 
 // failoverRecorder wraps a dispatcher and checks the request every Pick
-// sees. A request's first Pick records its ID, Key, Arrival, SLO and
-// trace pointer; any later Pick of the same ID is a failover,
-// which re-dispatches a request the fault injector rebuilt from the
-// displaced task (Task.Request), and must see the same values. No
-// built-in dispatcher reads those fields, so only this catches a wrong
-// rebuild. Reset, LoadFunc and CurveFunc forward to the wrapped
-// dispatcher, so the run wires up exactly as it would without the
-// wrapper.
+// sees. A request's first Pick records its ID, Arrival, SLO and trace
+// pointer (whose trace carries its Key); any later Pick of the same ID
+// is a failover, which re-dispatches a request the fault injector
+// rebuilt from the displaced task (Task.Request), and must see the same
+// values. No built-in dispatcher reads those fields, so only this
+// catches a wrong rebuild. Reset, LoadFunc and CurveFunc forward to the
+// wrapped dispatcher, so the run wires up exactly as it would without
+// the wrapper.
 type failoverRecorder struct {
 	Dispatcher
 	seen      map[int]workload.Request
@@ -251,6 +251,43 @@ func TestClusterRejectsNegativeArrivals(t *testing.T) {
 			if err := run(); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s with the first arrival at %v: got %v, want an error containing %q", name, at, err, want)
 			}
+		}
+	}
+}
+
+// TestClusterRequestWithoutTraceFails: a request with no trace fails
+// Run and RunStream with an error naming it, alone or mid-stream, before
+// any dispatcher or engine reads it, instead of panicking.
+func TestClusterRequestWithoutTraceFails(t *testing.T) {
+	fcfs := func(int) sched.Scheduler { return sched.NewFCFS() }
+	reqs, _, _ := randomStream(3, 10)
+	mid := *reqs[4]
+	mid.Trace = nil
+	for _, c := range []struct {
+		name string
+		reqs []*workload.Request
+		id   int
+	}{
+		{"alone", []*workload.Request{{ID: 7, SLO: 1}}, 7},
+		{"mid-stream", append(append(reqs[:4:4], &mid), reqs[5:]...), mid.ID},
+	} {
+		want := fmt.Sprintf("request %d has no trace", c.id)
+		for name, run := range map[string]func() (Result, error){
+			"Run": func() (Result, error) { return Run(fcfs, c.reqs, Config{Engines: 2}) },
+			"RunStream": func() (Result, error) {
+				return RunStream(fcfs, sched.NewSliceSource(c.reqs), Config{Engines: 2})
+			},
+		} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s, %s: panicked: %v", c.name, name, p)
+					}
+				}()
+				if _, err := run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, %s: err %v, want one containing %q", c.name, name, err, want)
+				}
+			}()
 		}
 	}
 }

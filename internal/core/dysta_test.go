@@ -38,8 +38,9 @@ func uniformTrace(layerLat time.Duration, layers int, sp float64) trace.SampleTr
 }
 
 func req(id int, k trace.Key, tr trace.SampleTrace, arrival time.Duration, sloMult float64) *workload.Request {
+	tr.Key = k
 	return &workload.Request{
-		ID: id, Key: k, Trace: &tr, Arrival: arrival,
+		ID: id, Trace: &tr, Arrival: arrival,
 		SLO: time.Duration(float64(tr.Total()) * sloMult),
 	}
 }
@@ -155,13 +156,14 @@ func TestDynamicRefinement(t *testing.T) {
 	})
 	fast := uniformTrace(4*time.Millisecond, 6, 0.8)  // sparser => faster
 	slow := uniformTrace(16*time.Millisecond, 6, 0.2) // denser => slower
+	fast.Key, slow.Key = k, k
 	// Arrive together with identical absolute SLOs (as in the benchmark,
 	// SLOs are per task type, not per sample). The slow job gets the
 	// lower ID so that a scheduler without sparsity information (which
 	// sees two identical profiles and tie-breaks on ID) runs it first —
 	// only monitored sparsity can reveal the better order.
-	slowReq := &workload.Request{ID: 0, Key: k, Trace: &slow, SLO: 5 * time.Second}
-	fastReq := &workload.Request{ID: 1, Key: k, Trace: &fast, SLO: 5 * time.Second}
+	slowReq := &workload.Request{ID: 0, Trace: &slow, SLO: 5 * time.Second}
+	fastReq := &workload.Request{ID: 1, Trace: &fast, SLO: 5 * time.Second}
 
 	cfg := DefaultConfig()
 	cfg.Eta = 0 // isolate the SJF component

@@ -43,6 +43,10 @@ const (
 	diurnalAmplitude = 0.7
 )
 
+// replayPrefix marks a -traffic value that replays a recorded arrival
+// trace from the file named after it.
+const replayPrefix = "replay:"
+
 // NewTraffic builds the arrival process named by Options.Traffic for a
 // stream of `requests` at long-run mean rate `rate` req/s. "" returns
 // nil, which workload.NewStream draws through traffic.NewPoisson, and
@@ -68,14 +72,27 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 	case name == "diurnal":
 		period := time.Duration(float64(requests) / rate * float64(time.Second))
 		return &traffic.Diurnal{Base: rate, Amplitude: diurnalAmplitude, Period: period}, nil
-	case strings.HasPrefix(name, "replay:"):
-		p, err := traffic.LoadReplay(strings.TrimPrefix(name, "replay:"))
+	case strings.HasPrefix(name, replayPrefix):
+		p, err := traffic.LoadReplay(strings.TrimPrefix(name, replayPrefix))
 		if err != nil {
 			return nil, fmt.Errorf("exp: -traffic %s: %w", name, err)
 		}
 		return p, nil
 	}
 	return nil, fmt.Errorf("exp: unknown -traffic model %q (valid: %v)", name, TrafficModels)
+}
+
+// recording reads a -traffic replay:PATH file once, for a whole RunGrid
+// or RunSeeds call; any other traffic model has none (nil).
+func (o Options) recording() (*traffic.Replay, error) {
+	if !strings.HasPrefix(o.Traffic, replayPrefix) {
+		return nil, nil
+	}
+	proc, err := NewTraffic(o.Traffic, 0, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return proc.(*traffic.Replay), nil
 }
 
 // NewAutoscaler derives the SLO-driven engine-count policy for a request

@@ -236,6 +236,6 @@ func FuzzOptions(f *testing.F) {
 			return
 		}
 		spec := specs[len(data)%len(specs)]
-		_, _ = p.runCell(spec, Point{Rate: 60, MSLO: 10}, 0, o, nil, 0)
+		_, _ = p.runCell(spec, Point{Rate: 60, MSLO: 10}, 0, o, nil, nil, 0)
 	})
 }

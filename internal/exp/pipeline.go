@@ -247,9 +247,13 @@ func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([
 	if err := opts.checkPolicyNames(); err != nil {
 		return nil, err
 	}
+	rec, err := opts.recording()
+	if err != nil {
+		return nil, err
+	}
 	rs := make([]sched.Result, 0, opts.Seeds)
 	for s := 0; s < opts.Seeds; s++ {
-		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, nil, 0)
+		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, rec, nil, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"sparsedysta/internal/cluster"
 	"sparsedysta/internal/sched"
+	"sparsedysta/internal/traffic"
 	"sparsedysta/internal/workload"
 )
 
@@ -50,9 +51,10 @@ func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 // path); otherwise it re-arms w's stream, and a direct cell runs through
 // w as the grid's spec si (gridWorker.run). A cluster cell builds its
 // engines and schedulers either way. The caller has checked the policy
-// names (Options.checkPolicyNames).
-func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *gridWorker, si int) (sched.Result, error) {
-	proc, err := NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
+// names (Options.checkPolicyNames) and read a replay's recording, rec
+// (Options.recording; see gridWorker.traffic).
+func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec *traffic.Replay, w *gridWorker, si int) (sched.Result, error) {
+	proc, err := w.traffic(rec, opts, pt)
 	if err != nil {
 		return sched.Result{}, err
 	}
@@ -154,14 +156,32 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, w *
 }
 
 // gridWorker is what one RunGrid worker keeps from cell to cell: a
-// request stream, which every cell re-arms, a sched.Runner, whose engine
-// every direct cell re-arms, and per spec (by index) the scheduler the
-// spec's last cell emptied. It belongs to its worker and dies with its
-// RunGrid call, so no run-length buffer outlives the grid that grew it.
+// request stream, which every cell re-arms, a replay cursor, a
+// sched.Runner, whose engine every direct cell re-arms, and per spec (by
+// index) the scheduler the spec's last cell emptied. It belongs to its
+// worker and dies with its RunGrid call, so no run-length buffer
+// outlives the grid that grew it.
 type gridWorker struct {
 	src    workload.Stream
+	replay traffic.Replay
 	runner sched.Runner
 	scheds []sched.Scheduler
+}
+
+// traffic builds a cell's arrival process. With a recording, rec, the
+// cell replays its shared, read-only gaps through a cursor of its own:
+// the worker's, or with a nil w a new one (the stream's Reset rewinds
+// it). Without one, NewTraffic builds the process for the cell's rate
+// and length.
+func (w *gridWorker) traffic(rec *traffic.Replay, opts Options, pt Point) (traffic.Process, error) {
+	switch {
+	case rec == nil:
+		return NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
+	case w == nil:
+		return &traffic.Replay{Source: rec.Source, Gaps: rec.Gaps}, nil
+	}
+	w.replay = traffic.Replay{Source: rec.Source, Gaps: rec.Gaps}
+	return &w.replay, nil
 }
 
 // stream arms a cell's request stream for cfg: the worker's own,
@@ -208,13 +228,17 @@ func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestS
 // pipeline's stores, LUT and estimator are shared read-only across
 // workers; each worker re-arms one request stream for all its cells and
 // recycles its direct cells' engine and schedulers (gridWorker), without
-// changing a result.
+// changing a result. A replayed trace is read once, before any cell.
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
 	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
 		return nil, fmt.Errorf("exp: RunGrid with %d seeds", opts.Seeds)
 	}
 	if err := opts.checkPolicyNames(); err != nil {
+		return nil, err
+	}
+	rec, err := opts.recording()
+	if err != nil {
 		return nil, err
 	}
 
@@ -263,7 +287,7 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 				if failed() {
 					continue // drain remaining jobs after a failure
 				}
-				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, &worker, c.si)
+				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, rec, &worker, c.si)
 				if err != nil {
 					setErr(err)
 					continue

@@ -1,13 +1,17 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"sparsedysta/internal/core"
 	"sparsedysta/internal/sched"
+	"sparsedysta/internal/traffic"
 	"sparsedysta/internal/workload"
 )
 
@@ -197,12 +201,36 @@ func TestStandardSchedsIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// replayTraffic writes n arrivals, one every gap, to a CSV in a
+// temporary directory and returns the -traffic value that replays it.
+func replayTraffic(t *testing.T, n int, gap time.Duration) string {
+	t.Helper()
+	arrivals := make([]time.Duration, n)
+	for i := range arrivals {
+		arrivals[i] = time.Duration(i+1) * gap
+	}
+	var buf bytes.Buffer
+	if err := traffic.WriteArrivalsCSV(&buf, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "arrivals.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return replayPrefix + path
+}
+
 // TestWarmGridCellAllocatesOnlyItsResult: a grid worker's warm direct
 // cell re-arms the worker's stream, its engine and the spec's emptied
 // scheduler, so it makes exactly the 2 allocations of its Result's
 // per-model map, for every scheduler of the lineup and at any request
 // count. Each cell used to build its stream (4 allocations) and a
-// throwaway round-robin dispatcher, to check the -dispatch name.
+// throwaway round-robin dispatcher, to check the -dispatch name. A
+// replay grid reads its trace once per call (Options.recording) and the
+// worker replays the shared gaps through its own cursor, so a warm
+// replay cell makes the same 2 at any trace length; each cell used to
+// parse the file again, 426 allocations at 200 recorded arrivals and
+// 40,038 at 20,000.
 func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 	opts := tiny()
 	p, err := NewPipeline(workloadAttNN(), opts, 7)
@@ -211,20 +239,78 @@ func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 	}
 	specs := WithOracle(StandardScheds())
 	pt := Point{Rate: 30, MSLO: 10}
-	for _, n := range []int{120, 400} {
+	for _, tr := range []struct{ name, traffic string }{
+		{"Poisson", ""},
+		{"a replay of 200 arrivals", replayTraffic(t, 200, 30*time.Millisecond)},
+		{"a replay of 20000 arrivals", replayTraffic(t, 20000, 30*time.Millisecond)},
+	} {
+		for _, n := range []int{120, 400} {
+			o := opts
+			o.Requests, o.Traffic = n, tr.traffic
+			rec, err := o.recording()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
+			for si, spec := range specs {
+				cell := func() {
+					if _, err := p.runCell(spec, pt, 1, o, rec, &w, si); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cell()
+				if got := testing.AllocsPerRun(5, cell); got != 2 {
+					t.Errorf("%s, %d requests, %s: a warm grid cell made %v allocations, want 2 (the Result's per-model map)",
+						spec.Name, n, tr.name, got)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayGridDeterministicAcrossWorkers: the workers of a replay grid
+// share one read-only recording, each through its own cursor, so the
+// grid is reflect.DeepEqual at -workers 1 and 4, and equal to cells that
+// each read the file themselves (runCell without a recording).
+func TestReplayGridDeterministicAcrossWorkers(t *testing.T) {
+	opts := tiny()
+	opts.Seeds = 2
+	opts.Traffic = replayTraffic(t, 200, 25*time.Millisecond)
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := StandardScheds()
+	points := []Point{{Rate: 30, MSLO: 10}, {Rate: 30, MSLO: 4}}
+	var grids [][]PointResult
+	for _, workers := range []int{1, 4} {
 		o := opts
-		o.Requests = n
-		w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
-		for si, spec := range specs {
-			cell := func() {
-				if _, err := p.runCell(spec, pt, 1, o, &w, si); err != nil {
+		o.Workers = workers
+		grid, err := p.RunGrid(specs, points, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, grid)
+	}
+	if !reflect.DeepEqual(grids[0], grids[1]) {
+		t.Errorf("replay grid diverges between -workers 1 and 4:\n%+v\nvs\n%+v", grids[0], grids[1])
+	}
+	for pi, pt := range points {
+		for _, spec := range specs {
+			rs := make([]sched.Result, opts.Seeds)
+			for s := range rs {
+				if rs[s], err = p.runCell(spec, pt, s, opts, nil, nil, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			cell()
-			if got := testing.AllocsPerRun(5, cell); got != 2 {
-				t.Errorf("%s, %d requests: a warm grid cell made %v allocations, want 2 (the Result's per-model map)",
-					spec.Name, n, got)
+			want, err := sched.AverageResults(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Scheduler = spec.Name
+			if got := grids[0][pi].Results[spec.Name]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at point %d: the grid's shared recording gives %+v, cells reading the file give %+v",
+					spec.Name, pi, got, want)
 			}
 		}
 	}

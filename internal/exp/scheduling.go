@@ -318,10 +318,8 @@ func Fig5(Options) ([]Artifact, error) {
 	// 5.2 ms (mid-layer) with a 5 ms SLO. At the 6 ms layer boundary the
 	// ResNet has 4 ms left; the pattern-blind MobileNet estimate is
 	// (2.2 + 7.0)/2 = 4.6 ms.
-	resnet := &workload.Request{ID: 0, Key: kRes,
-		Trace: &store.Get(kRes)[0], SLO: 40 * time.Millisecond}
-	mobile := &workload.Request{ID: 1, Key: kMobFast,
-		Trace:   &store.Get(kMobFast)[0],
+	resnet := &workload.Request{ID: 0, Trace: &store.Get(kRes)[0], SLO: 40 * time.Millisecond}
+	mobile := &workload.Request{ID: 1, Trace: &store.Get(kMobFast)[0],
 		Arrival: 5200 * time.Microsecond, SLO: 5 * time.Millisecond}
 
 	run := func(s sched.Scheduler) sched.Result {

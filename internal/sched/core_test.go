@@ -171,7 +171,8 @@ func TestOracleOptimalANTTOnPair(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		mk := func(id int, lat time.Duration) *workload.Request {
-			return &workload.Request{ID: id, Key: profile.Key, SLO: time.Hour, Trace: &trace.SampleTrace{
+			return &workload.Request{ID: id, SLO: time.Hour, Trace: &trace.SampleTrace{
+				Key:           profile.Key(),
 				LayerLatency:  []time.Duration{lat, lat},
 				LayerSparsity: []float64{0.5, 0.5},
 			}}

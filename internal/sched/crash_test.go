@@ -322,9 +322,9 @@ func TestTaskRequestRebuildsRequest(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		got := task.Request()
-		if got.ID != r.ID || got.Key != r.Key || got.Arrival != r.Arrival || got.SLO != r.SLO {
+		if got.ID != r.ID || got.Key() != r.Key() || got.Arrival != r.Arrival || got.SLO != r.SLO {
 			t.Errorf("%s: rebuilt %d/%v at %v (SLO %v), want %d/%v at %v (SLO %v)", label,
-				got.ID, got.Key, got.Arrival, got.SLO, r.ID, r.Key, r.Arrival, r.SLO)
+				got.ID, got.Key(), got.Arrival, got.SLO, r.ID, r.Key(), r.Arrival, r.SLO)
 		}
 		if unsafe.SliceData(got.Trace.LayerLatency) != unsafe.SliceData(r.Trace.LayerLatency) ||
 			len(got.Trace.LayerLatency) != len(r.Trace.LayerLatency) ||

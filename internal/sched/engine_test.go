@@ -16,6 +16,7 @@ import (
 // synthReq builds a request with uniform per-layer latency.
 func synthReq(id int, model string, arrival, layerLat time.Duration, layers int, sloMult float64) *workload.Request {
 	tr := trace.SampleTrace{
+		Key:           trace.NewKey(model, sparsity.Dense),
 		LayerLatency:  make([]time.Duration, layers),
 		LayerSparsity: make([]float64, layers),
 	}
@@ -25,7 +26,6 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 	}
 	return &workload.Request{
 		ID:      id,
-		Key:     trace.NewKey(model, sparsity.Dense),
 		Trace:   &tr,
 		Arrival: arrival,
 		SLO:     time.Duration(float64(layerLat) * float64(layers) * sloMult),
@@ -37,7 +37,7 @@ func synthReq(id int, model string, arrival, layerLat time.Duration, layers int,
 func synthLUT(reqs ...*workload.Request) *trace.StatsSet {
 	store := trace.NewStore()
 	for _, r := range reqs {
-		store.Add(r.Key, []trace.SampleTrace{*r.Trace})
+		store.Add(r.Key(), []trace.SampleTrace{*r.Trace})
 	}
 	set, err := trace.NewStatsSet(store)
 	if err != nil {

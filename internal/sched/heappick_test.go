@@ -125,6 +125,7 @@ func tieGridStream(seed uint64) ([]*workload.Request, *Estimator, *trace.StatsSe
 		arrival += time.Duration(r.Intn(4)) * grid
 		m := r.Intn(nModels)
 		tr := trace.SampleTrace{
+			Key:           keys[m],
 			LayerLatency:  make([]time.Duration, profiles[m].NumLayers()),
 			LayerSparsity: profiles[m].LayerSparsity,
 		}
@@ -132,7 +133,7 @@ func tieGridStream(seed uint64) ([]*workload.Request, *Estimator, *trace.StatsSe
 			tr.LayerLatency[l] = avg + time.Duration(r.Intn(5)-2)*grid
 		}
 		reqs[i] = &workload.Request{
-			ID: i, Key: keys[m], Trace: &tr, Arrival: arrival,
+			ID: i, Trace: &tr, Arrival: arrival,
 			SLO: time.Duration(1+r.Intn(40)) * profiles[m].Total() / 4 / grid * grid,
 		}
 	}

@@ -25,6 +25,7 @@ func randomStream(seed uint64) ([]*workload.Request, *Estimator) {
 		nProf := 3
 		for p := 0; p < nProf; p++ {
 			tr := trace.SampleTrace{
+				Key:           keys[m],
 				LayerLatency:  make([]time.Duration, layers),
 				LayerSparsity: make([]float64, layers),
 			}
@@ -50,7 +51,6 @@ func randomStream(seed uint64) ([]*workload.Request, *Estimator) {
 		tr := &profiles[m][r.Intn(len(profiles[m]))]
 		reqs[i] = &workload.Request{
 			ID:      i,
-			Key:     keys[m],
 			Trace:   tr,
 			Arrival: arrival,
 			SLO:     time.Duration(float64(tr.Total()) * (1 + 10*r.Float64())),

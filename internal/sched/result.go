@@ -186,8 +186,10 @@ func CheckOutcomeConservation(r Result) error {
 // same scheduler, the paper's five-seed reporting protocol (§6.1).
 // Scheduler is taken from the first result carrying a name. The integer
 // counters (Preemptions, Requests) are rounded to the nearest integer,
-// not truncated. Per-model means are weighted by their per-seed request
-// counts; PerModel stays nil when no input has a per-model breakdown.
+// not truncated. A model's Requests is averaged over all the inputs (0
+// in one without the model) and rounded the same way; its per-seed
+// counts only weight its ANTT and violation-rate means. PerModel stays
+// nil when no input has a per-model breakdown.
 // Timeline, Tasks and Exemplars are intentionally dropped: per-seed
 // schedules have no meaningful average, so callers wanting them must read
 // the individual per-seed Results.
@@ -250,14 +252,15 @@ func AverageResults(rs []Result) (Result, error) {
 			avg.PerModel[name] = agg
 		}
 	}
+	n := float64(len(rs))
 	for name, m := range avg.PerModel {
 		if m.Requests > 0 {
 			m.ANTT /= float64(m.Requests)
 			m.ViolationRate /= float64(m.Requests)
 		}
+		m.Requests = int(math.Round(float64(m.Requests) / n))
 		avg.PerModel[name] = m
 	}
-	n := float64(len(rs))
 	avg.ANTT /= n
 	avg.ViolationRate /= n
 	avg.Throughput /= n

@@ -20,7 +20,8 @@ func mustAverage(t *testing.T, rs []Result) Result {
 
 // TestAverageResultsPerModelWeighted pins the request-weighted per-model
 // math: a seed with three times the requests of another must pull the
-// averaged per-model ANTT and violation rate three times as hard.
+// averaged per-model ANTT and violation rate three times as hard, while
+// a model's request count is its mean over the seeds.
 func TestAverageResultsPerModelWeighted(t *testing.T) {
 	rs := []Result{
 		{Scheduler: "x", PerModel: map[string]ModelMetrics{
@@ -35,8 +36,8 @@ func TestAverageResultsPerModelWeighted(t *testing.T) {
 	}
 	avg := mustAverage(t, rs)
 	bert := avg.PerModel["bert"]
-	if bert.Requests != 40 {
-		t.Errorf("bert requests = %d, want 40", bert.Requests)
+	if bert.Requests != 20 { // (30 + 10) / 2 seeds
+		t.Errorf("bert requests = %d, want 20", bert.Requests)
 	}
 	// (30*2 + 10*6) / 40 = 3.0; (30*0.1 + 10*0.5) / 40 = 0.2.
 	if math.Abs(bert.ANTT-3.0) > 1e-12 {
@@ -46,7 +47,8 @@ func TestAverageResultsPerModelWeighted(t *testing.T) {
 		t.Errorf("bert violation rate = %v, want 0.2", bert.ViolationRate)
 	}
 	gpt := avg.PerModel["gpt2"]
-	if gpt.Requests != 10 || gpt.ANTT != 4.0 || gpt.ViolationRate != 0.5 {
+	// 10 requests over 2 seeds, 0 in the one without gpt2.
+	if gpt.Requests != 5 || gpt.ANTT != 4.0 || gpt.ViolationRate != 0.5 {
 		t.Errorf("gpt2 metrics changed by absent seed: %+v", gpt)
 	}
 }

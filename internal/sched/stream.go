@@ -137,12 +137,16 @@ func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, erro
 }
 
 // CheckArrival is the arrival check both streaming loops (RunStream and
-// cluster.RunStream) apply to each yielded request: its arrival must be
-// at or after the clock's start at 0 and at or after the previous
-// arrival, last (0 before the first request), and its deadline must be
-// a time.Duration. pkg prefixes the error.
+// cluster.RunStream) apply to each yielded request before it reaches an
+// engine: it must have a trace, which the engine executes and its key
+// comes from, its arrival must be at or after the clock's start at 0
+// and at or after the previous arrival, last (0 before the first
+// request), and its deadline must be a time.Duration. pkg prefixes the
+// error.
 func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
 	switch {
+	case req.Trace == nil:
+		return fmt.Errorf("%s: request %d has no trace", pkg, req.ID)
 	case req.Arrival < 0:
 		return fmt.Errorf("%s: request %d arrives at %v, before the clock starts at 0", pkg, req.ID, req.Arrival)
 	case req.Arrival < last:

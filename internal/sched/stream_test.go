@@ -215,6 +215,43 @@ func TestLenHintChangesNoResult(t *testing.T) {
 	}
 }
 
+// TestRequestWithoutTraceFailsTheRun: a request with no trace fails the
+// run with an error naming it, alone or mid-stream, through Run and
+// RunStream alike (the check both streaming loops share), where the
+// engine used to dereference the nil trace and panic.
+func TestRequestWithoutTraceFailsTheRun(t *testing.T) {
+	_, reqs, _, _, _ := streamFixture(t, 5, 1)
+	mid := *reqs[2]
+	mid.Trace = nil
+	for _, c := range []struct {
+		name string
+		reqs []*workload.Request
+		id   int
+	}{
+		{"alone", []*workload.Request{{ID: 7, SLO: 1}}, 7},
+		{"mid-stream", append(append(reqs[:2:2], &mid), reqs[3:]...), mid.ID},
+	} {
+		want := fmt.Sprintf("request %d has no trace", c.id)
+		for name, run := range map[string]func() (sched.Result, error){
+			"Run": func() (sched.Result, error) { return sched.Run(sched.NewFCFS(), c.reqs, sched.Options{}) },
+			"RunStream": func() (sched.Result, error) {
+				return sched.RunStream(sched.NewFCFS(), sched.NewSliceSource(c.reqs), sched.Options{})
+			},
+		} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s, %s: panicked: %v", c.name, name, p)
+					}
+				}()
+				if _, err := run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s, %s: err %v, want one containing %q", c.name, name, err, want)
+				}
+			}()
+		}
+	}
+}
+
 // TestDeadlineOverflowFailsTheRun: a request whose arrival plus SLO
 // passes the largest time.Duration fails the run with an error naming
 // it (the check both streaming loops share), where its deadline used to

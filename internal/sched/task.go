@@ -12,7 +12,9 @@ import (
 // engine and to core.NewOracle's Oracle (TrueRemaining documents the
 // exception).
 type Task struct {
-	ID  int
+	ID int
+	// Key is the request's model-pattern pair, copied from its trace
+	// once at arrival so that no estimate dereferences the trace.
 	Key trace.Key
 	// Arrival is the absolute arrival time.
 	Arrival time.Duration
@@ -81,7 +83,7 @@ var taskDepot depot[Task]
 // task is indistinguishable from a fresh one.
 func (t *Task) wrap(r *workload.Request) {
 	total := r.Trace.Total()
-	t.ID, t.Key, t.Arrival, t.SLO = r.ID, r.Key, r.Arrival, r.SLO
+	t.ID, t.Key, t.Arrival, t.SLO = r.ID, r.Trace.Key, r.Arrival, r.SLO
 	t.NextLayer, t.ExecTime, t.LastRun, t.Completion = 0, 0, r.Arrival, 0
 	t.Done, t.Migrated, t.Attempts, t.Attachment = false, false, 0, nil
 	t.tr, t.trueTotal, t.trueRemaining = r.Trace, total, total
@@ -89,12 +91,13 @@ func (t *Task) wrap(r *workload.Request) {
 	t.estCurve, t.estAccounted = nil, 0
 }
 
-// Request rebuilds the request the task wraps: ID, Key, Trace, Arrival
-// and SLO, all of which Restart keeps. Failover re-dispatches a displaced
-// task through it. As on workload.Request, the Trace is ground truth
-// reserved to the engine and to core.NewOracle's Oracle.
+// Request rebuilds the request the task wraps: ID, Trace (which carries
+// the Key), Arrival and SLO, all of which Restart keeps. Failover
+// re-dispatches a displaced task through it. As on workload.Request, the
+// Trace is ground truth reserved to the engine and to core.NewOracle's
+// Oracle.
 func (t *Task) Request() workload.Request {
-	return workload.Request{ID: t.ID, Key: t.Key, Trace: t.tr, Arrival: t.Arrival, SLO: t.SLO}
+	return workload.Request{ID: t.ID, Trace: t.tr, Arrival: t.Arrival, SLO: t.SLO}
 }
 
 // NumLayers returns the task's layer count.

@@ -14,13 +14,15 @@ import (
 
 // buildPerSample is the Phase 1 loop Build replaced: each sample drawn
 // into a row of its own by Stream.Next, and each layer's latency taken
-// from a plan of that layer alone. Build must equal it.
+// from a plan of that layer alone, every trace keyed by the model and
+// pattern. Build must equal it.
 func buildPerSample(acc accel.Accelerator, cfg trace.BuildConfig) []trace.SampleTrace {
 	stream := dataset.MustStream(cfg.Model, dataset.DefaultPreset(cfg.Model), cfg.Seed)
 	out := make([]trace.SampleTrace, cfg.Samples)
 	for i := range out {
 		sample := stream.Next()
 		tr := trace.SampleTrace{
+			Key:           trace.NewKey(cfg.Model.Name, cfg.Pattern),
 			LayerLatency:  make([]time.Duration, cfg.Model.NumLayers()),
 			LayerSparsity: sample.Sparsity,
 		}
@@ -83,6 +85,7 @@ func TestBuiltTracesDoNotShareCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := trace.SampleTrace{
+		Key:           traces[1].Key,
 		LayerLatency:  append([]time.Duration(nil), traces[1].LayerLatency...),
 		LayerSparsity: append([]float64(nil), traces[1].LayerSparsity...),
 	}

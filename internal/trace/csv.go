@@ -45,9 +45,9 @@ func WriteCSV(w io.Writer, k Key, traces []SampleTrace) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a file written by WriteCSV, returning its key and traces.
-// A negative latency or a sparsity outside [0, 1] (NaN included) is an
-// error naming its sample and layer.
+// ReadCSV parses a file written by WriteCSV, returning its key and its
+// traces, each keyed by it. A negative latency or a sparsity outside
+// [0, 1] (NaN included) is an error naming its sample and layer.
 func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -126,5 +126,9 @@ func ReadCSV(r io.Reader) (Key, []SampleTrace, error) {
 	if cur == -1 {
 		return Key{}, nil, fmt.Errorf("trace: file has no data rows")
 	}
-	return NewKey(pair.model, pair.pattern), traces, nil
+	k := NewKey(pair.model, pair.pattern)
+	for i := range traces {
+		traces[i].Key = k
+	}
+	return k, traces, nil
 }

@@ -22,6 +22,11 @@ import (
 // SampleTrace is the runtime information of one input processed in
 // isolation: what the hardware simulator measured per layer.
 type SampleTrace struct {
+	// Key is the model-pattern pair the input was measured under. Build
+	// and ReadCSV set it, and Store.Add stamps it on the store's copy with
+	// the key the copy is filed under, so a request drawn from a store
+	// reads its key here instead of carrying its own.
+	Key Key
 	// LayerLatency[l] is layer l's isolated execution latency.
 	LayerLatency []time.Duration
 	// LayerSparsity[l] is the dynamic sparsity the hardware monitor
@@ -104,6 +109,7 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 	}
 
 	plan := acc.Plan(cfg.Model, cfg.Pattern, cfg.WeightRate)
+	k := NewKey(cfg.Model.Name, cfg.Pattern)
 	n := cfg.Model.NumLayers()
 	lat := make([]time.Duration, cfg.Samples*n)
 	sp := make([]float64, cfg.Samples*n)
@@ -111,7 +117,7 @@ func Build(acc accel.Accelerator, cfg BuildConfig) ([]SampleTrace, error) {
 	for i := range out {
 		lo, hi := i*n, (i+1)*n
 		tr := &out[i]
-		tr.LayerLatency, tr.LayerSparsity = lat[lo:hi:hi], sp[lo:hi:hi]
+		tr.Key, tr.LayerLatency, tr.LayerSparsity = k, lat[lo:hi:hi], sp[lo:hi:hi]
 		stream.Fill(tr.LayerSparsity)
 		plan.Latencies(tr.LayerLatency, tr.LayerSparsity)
 	}
@@ -131,13 +137,14 @@ func NewStore() *Store {
 }
 
 // Add appends copies of the traces under the key, stamps each copy's
-// total and folds the totals into the key's SumTotals. A stored trace
-// must not be mutated afterwards: its stamp would go stale.
+// key and total and folds the totals into the key's SumTotals. A stored
+// trace must not be mutated afterwards: its stamps would go stale.
 func (s *Store) Add(k Key, traces []SampleTrace) {
 	n := len(s.byKey[k])
 	stored := append(s.byKey[k], traces...)
 	sum := s.sums[k]
 	for i := n; i < len(stored); i++ {
+		stored[i].Key = k
 		stored[i].total = stored[i].layerSum()
 		sum += float64(stored[i].total)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +186,41 @@ func TestStoreStampsTotals(t *testing.T) {
 	}
 }
 
+// TestStoreStampsKeys: Build keys its traces by the model and pattern
+// it measured, and Store.Add stamps each stored copy with the key it
+// files the copy under, whatever key the caller's trace carries (a
+// hand-built one carries none), leaving the caller's traces as they
+// were.
+func TestStoreStampsKeys(t *testing.T) {
+	k, traces := buildCNN(t, 4)
+	for i := range traces {
+		if traces[i].Key != k {
+			t.Fatalf("Build keyed trace %d %v, want %v", i, traces[i].Key, k)
+		}
+	}
+	other := NewKey("other-"+t.Name(), sparsity.BlockNM)
+	hand := []SampleTrace{{LayerLatency: []time.Duration{7}, LayerSparsity: []float64{0.5}}}
+	before := append(append([]SampleTrace(nil), traces...), hand...)
+	s := NewStore()
+	s.Add(k, traces[:2])
+	s.Add(other, traces[2:])
+	s.Add(other, hand)
+	if after := append(append([]SampleTrace(nil), traces...), hand...); !reflect.DeepEqual(after, before) {
+		t.Errorf("Add changed the caller's traces:\n%+v\nwant\n%+v", after, before)
+	}
+	for _, want := range []Key{k, other} {
+		stored := s.Get(want)
+		if len(stored) == 0 {
+			t.Fatalf("nothing stored under %v", want)
+		}
+		for i := range stored {
+			if stored[i].Key != want {
+				t.Errorf("trace %d stored under %v carries key %v", i, want, stored[i].Key)
+			}
+		}
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	k := NewKey("m", sparsity.Dense)
 	traces := []SampleTrace{
@@ -272,6 +308,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("trace count %d != %d", len(gotTraces), len(traces))
 	}
 	for i := range traces {
+		if gotTraces[i].Key != k {
+			t.Errorf("read trace %d carries key %v, want the file's %v", i, gotTraces[i].Key, k)
+		}
 		for l := range traces[i].LayerLatency {
 			if gotTraces[i].LayerLatency[l] != traces[i].LayerLatency[l] {
 				t.Fatalf("latency differs at sample %d layer %d", i, l)

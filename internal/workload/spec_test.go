@@ -99,7 +99,7 @@ func TestLoadedSpecGeneratesWorkload(t *testing.T) {
 	// multipliers); both models appear.
 	seen := map[string]bool{}
 	for _, r := range reqs {
-		seen[r.Key.Model()] = true
+		seen[r.Key().Model()] = true
 	}
 	if !seen["bert"] || !seen["bart"] {
 		t.Errorf("models missing from generated stream: %v", seen)

@@ -39,8 +39,8 @@ type Stream struct {
 
 // resolvedEntry is what a stream draws from for one entry.
 type resolvedEntry struct {
-	key trace.Key
-	// traces are the entry's evaluation traces in the store.
+	// traces are the entry's evaluation traces in the store, each
+	// stamped with the entry's key.
 	traces []trace.SampleTrace
 	// slo is every request's SLO: the traces' mean isolated latency
 	// times M_slo times the entry's SLO factor.
@@ -104,7 +104,7 @@ func (s *Stream) Reset(sc Scenario, store *trace.Store, cfg GenConfig) error {
 		if err := e.check(i); err != nil {
 			return err
 		}
-		s.resolved = append(s.resolved, resolvedEntry{key: k, traces: traces, slo: time.Duration(slo)})
+		s.resolved = append(s.resolved, resolvedEntry{traces: traces, slo: time.Duration(slo)})
 	}
 
 	s.proc = cfg.Process
@@ -139,7 +139,6 @@ func (s *Stream) Next() (*Request, bool) {
 	e := &s.resolved[i]
 	s.req = Request{
 		ID:      s.next,
-		Key:     e.key,
 		Trace:   &e.traces[s.r.Intn(len(e.traces))],
 		Arrival: s.now,
 		SLO:     e.slo,

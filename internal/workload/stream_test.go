@@ -14,12 +14,12 @@ import (
 	"sparsedysta/internal/traffic"
 )
 
-// TestRequestSize pins a request at 40 bytes, its key at one word: a
-// materialized stream (bench's serving-control holds 200k) pays for every
-// byte a request carries.
+// TestRequestSize pins a request at 32 bytes, four words with its key
+// on its trace, and the key at one word: a materialized stream (bench's
+// serving-control holds 200k) pays for every byte a request carries.
 func TestRequestSize(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got != 40 {
-		t.Errorf("workload.Request is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Request{}); got != 32 {
+		t.Errorf("workload.Request is %d bytes, want 32", got)
 	}
 	if got := unsafe.Sizeof(trace.Key{}); got != 8 {
 		t.Errorf("trace.Key is %d bytes, want 8", got)
@@ -207,12 +207,26 @@ func TestNilModelEntriesFail(t *testing.T) {
 // iterator and the materialized path, for the default inline Poisson
 // and for an explicit bursty process, on a new stream and on one
 // re-armed in place after it was drained part-way under another
-// scenario, seed and process, and then emptied by a failed Reset.
+// scenario, seed and process, and then emptied by a failed Reset. Every
+// yielded request's Key is the key of the entry whose stored traces its
+// Trace points into.
 func TestStreamMatchesGenerate(t *testing.T) {
 	sc, cnn := MultiAttNN(), MultiCNN()
 	_, eval, err := BuildStores(sc, 10, 40, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	entryKey := func(tr *trace.SampleTrace) trace.Key {
+		for _, e := range sc.Entries {
+			traces := eval.Get(e.Key())
+			for i := range traces {
+				if &traces[i] == tr {
+					return e.Key()
+				}
+			}
+		}
+		t.Fatalf("trace %p is in no entry's stored traces", tr)
+		return trace.Key{}
 	}
 	_, cnnEval, err := BuildStores(cnn, 4, 20, 1)
 	if err != nil {
@@ -270,7 +284,10 @@ func TestStreamMatchesGenerate(t *testing.T) {
 					break
 				}
 				want := reqs[i]
-				if got.ID != want.ID || got.Key != want.Key || got.Arrival != want.Arrival ||
+				if k := entryKey(got.Trace); got.Key() != k {
+					t.Fatalf("cfg %d, %s: request %d has key %v, its entry's is %v", ci, arm.name, i, got.Key(), k)
+				}
+				if got.ID != want.ID || got.Key() != want.Key() || got.Arrival != want.Arrival ||
 					got.SLO != want.SLO || &got.Trace.LayerLatency[0] != &want.Trace.LayerLatency[0] {
 					t.Fatalf("cfg %d, %s: request %d diverged: stream %+v vs generate %+v", ci, arm.name, i, got, want)
 				}

@@ -46,8 +46,8 @@ func TestGenerateGoldenArrivals(t *testing.T) {
 		if int64(r.Arrival) != g.arrivalNS {
 			t.Errorf("request %d: arrival %dns, want %dns", i, int64(r.Arrival), g.arrivalNS)
 		}
-		if r.Key.Model() != g.model {
-			t.Errorf("request %d: model %q, want %q", i, r.Key.Model(), g.model)
+		if r.Key().Model() != g.model {
+			t.Errorf("request %d: model %q, want %q", i, r.Key().Model(), g.model)
 		}
 		if int64(r.SLO) != g.sloNS {
 			t.Errorf("request %d: SLO %dns, want %dns", i, int64(r.SLO), g.sloNS)

@@ -119,20 +119,25 @@ func MultiCNN() Scenario {
 }
 
 // Request is one inference task of a workload: a sampled input of a
-// model-pattern pair with an arrival time and a latency SLO.
+// model-pattern pair with an arrival time and a latency SLO. Its pair is
+// its trace's (Key), so a request is four words.
 type Request struct {
-	ID  int
-	Key trace.Key
+	ID int
 	// Trace is the ground-truth runtime information of the request's
 	// input, pointing into the evaluation store it was sampled from. The
 	// engine executes from it; schedulers other than Oracle must not read
-	// it.
+	// its layers.
 	Trace *trace.SampleTrace
 	// Arrival is the request's arrival time from workload start.
 	Arrival time.Duration
 	// SLO is the relative latency objective: T_isol x M_slo.
 	SLO time.Duration
 }
+
+// Key returns the request's model-pattern pair: its trace's key, which
+// Store.Add stamped on the stored copy (a hand-built trace carries the
+// key its builder gave it).
+func (r *Request) Key() trace.Key { return r.Trace.Key }
 
 // Deadline returns the absolute completion deadline.
 func (r *Request) Deadline() time.Duration { return r.Arrival + r.SLO }

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,6 +85,31 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
+// TestGenerateBytesPerRequest: Generate keeps one 32-byte Request and one
+// 8-byte pointer per request, in two arrays, so materializing 10,000
+// requests allocates no more than 40 B each plus a constant: the
+// stream's set-up and the rounding of each array up to whole pages. A
+// request that carried its key again would take 480 kB here.
+func TestGenerateBytesPerRequest(t *testing.T) {
+	sc := MultiAttNN()
+	_, eval := buildSmall(t, sc)
+	cfg := GenConfig{Requests: 10000, RatePerSec: 30, SLOMultiplier: 10, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reqs, err := Generate(sc, eval, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const constant = 2*8192 + 1024 // two arrays' page rounding, the stream
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(40*cfg.Requests + constant); got > limit {
+		t.Errorf("Generate allocated %d B for %d requests (%.1f B each), want at most %d",
+			got, cfg.Requests, float64(got)/float64(cfg.Requests), limit)
+	}
+	runtime.KeepAlive(reqs)
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	sc := MultiAttNN()
 	_, eval := buildSmall(t, sc)
@@ -91,7 +117,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	a, _ := Generate(sc, eval, cfg)
 	b, _ := Generate(sc, eval, cfg)
 	for i := range a {
-		if a[i].Arrival != b[i].Arrival || a[i].Key != b[i].Key {
+		if a[i].Arrival != b[i].Arrival || a[i].Key() != b[i].Key() {
 			t.Fatalf("request %d differs between identical generations", i)
 		}
 	}
@@ -104,7 +130,7 @@ func TestGenerateSamplesAllEntries(t *testing.T) {
 		Requests: 600, RatePerSec: 30, SLOMultiplier: 10, Seed: 11})
 	counts := map[string]int{}
 	for _, r := range reqs {
-		counts[r.Key.Model()]++
+		counts[r.Key().Model()]++
 	}
 	for _, e := range sc.Entries {
 		n := counts[e.Model.Name]
