@@ -20,7 +20,8 @@ import (
 // Full capture retains the latencies themselves, so the percentiles are
 // exact order statistics (linear interpolation between closest ranks);
 // bounded capture (Options.BoundedCapture) keeps a log-bucketed
-// histogram instead, so memory stays independent of the run length.
+// histogram instead, whose window of octaves grows with the range of the
+// latencies, never with the run length.
 type Aggregator struct {
 	n, violations   int
 	turnSum, latSum float64
@@ -32,8 +33,9 @@ type Aggregator struct {
 	// instead of hashing the name, and Result builds the map.
 	perModel []modelTally
 
-	latencies []float64           // full capture
-	hist      *stats.DurationHist // bounded capture
+	latencies []float64          // full capture
+	hist      stats.DurationHist // bounded capture
+	bounded   bool               // Options.BoundedCapture
 	exemplars *stats.Reservoir[TaskOutcome]
 	// tasks retains every outcome when keepTasks (Options.RecordTasks
 	// under full capture).
@@ -58,26 +60,23 @@ func NewAggregator(opts Options) *Aggregator {
 }
 
 // reset empties the aggregator and sets it up for opts' capture mode,
-// keeping the storage of its buffers (the histogram, and the exemplar
-// reservoir when its size still fits), so it folds exactly like
+// keeping the storage of its buffers (the histogram's window, and the
+// exemplar reservoir when its size still fits), so it folds exactly like
 // NewAggregator(opts): the re-arm of a crashed or reused engine.
 func (a *Aggregator) reset(opts Options) {
-	hist, ex := a.hist, a.exemplars
+	ex := a.exemplars
 	*a = Aggregator{
 		perModel:  a.perModel[:0],
 		latencies: a.latencies[:0],
+		hist:      a.hist,
 		tasks:     a.tasks[:0],
 	}
+	a.hist.Reset()
 	if !opts.BoundedCapture {
 		a.keepTasks = opts.RecordTasks
 		return
 	}
-	if hist == nil {
-		hist = &stats.DurationHist{}
-	} else {
-		*hist = stats.DurationHist{}
-	}
-	a.hist = hist
+	a.bounded = true
 	if opts.Exemplars > 0 {
 		if ex != nil && ex.Cap() == opts.Exemplars {
 			ex.Reset(opts.ExemplarSeed)
@@ -101,7 +100,7 @@ const maxReserve = 1 << 24
 // per-outcome state, so there it does nothing, as it does for n <= 0;
 // n above maxReserve reserves maxReserve.
 func (a *Aggregator) Reserve(n int) {
-	if a.hist != nil || n <= 0 {
+	if a.bounded || n <= 0 {
 		return
 	}
 	n = min(n, maxReserve)
@@ -128,7 +127,7 @@ func (a *Aggregator) Add(o TaskOutcome) {
 	lat := o.Completion - o.Arrival
 	a.turnSum += o.NTT
 	a.latSum += float64(lat)
-	if a.hist != nil {
+	if a.bounded {
 		a.hist.Add(lat)
 	} else {
 		a.latencies = append(a.latencies, float64(lat))
@@ -187,7 +186,7 @@ func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 	res.ANTT = a.turnSum / n
 	res.ViolationRate = float64(a.violations) / n
 	res.MeanLatency = time.Duration(a.latSum / n)
-	if a.hist != nil {
+	if a.bounded {
 		res.P50Latency = a.hist.Quantile(50)
 		res.P95Latency = a.hist.Quantile(95)
 		res.P99Latency = a.hist.Quantile(99)

@@ -198,3 +198,40 @@ func TestReserveBounds(t *testing.T) {
 		t.Errorf("Reserve(math.MaxInt) left len %d, cap %d; want 1, %d", len(a.latencies), cap(a.latencies), maxReserve)
 	}
 }
+
+// TestBoundedAggregatorAllocations: bounded capture's histogram holds a
+// window of the octaves its latencies reach. Outcomes whose latencies
+// span six octaves, 8.4ms to 273ms (2^23 to 2^29 ns, as on a 16-engine
+// stream), opening at the low end as a run's first completion does,
+// cost a fresh aggregator 2 allocations, as many as while the histogram
+// was a fixed array of 1,888 counters: the window and the model's tally
+// (NewAggregator's own stays on the stack here). The window holds at
+// most 8 octaves, 256 counters, and a re-armed aggregator folding the
+// same outcomes allocates nothing.
+func TestBoundedAggregatorAllocations(t *testing.T) {
+	outcomes := make([]TaskOutcome, 600)
+	for i := range outcomes {
+		// Octave 23+i%6 of the nanoseconds, jittered within it.
+		lat := 8400*time.Microsecond<<(i%6) + time.Duration(i*7919)
+		arrival := time.Duration(i) * time.Millisecond
+		outcomes[i] = TaskOutcome{ID: i, Model: "a", Arrival: arrival, Completion: arrival + lat,
+			Isolated: time.Millisecond, NTT: 2}
+	}
+	opts := Options{BoundedCapture: true}
+	fold := func(a *Aggregator) {
+		for _, o := range outcomes {
+			a.Add(o)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fold(NewAggregator(opts)) }); allocs != 2 {
+		t.Errorf("a fresh bounded aggregator made %v allocations, want 2", allocs)
+	}
+	a := NewAggregator(opts)
+	fold(a)
+	if n := reflect.ValueOf(a.hist).FieldByName("counts").Len(); n > 256 {
+		t.Errorf("the histogram holds %d counters for six octaves, want at most 256", n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.reset(opts); fold(a) }); allocs != 0 {
+		t.Errorf("a re-armed bounded aggregator made %v allocations, want 0", allocs)
+	}
+}

@@ -40,9 +40,11 @@ type Options struct {
 	// modes fold the same completions in the same order through one
 	// Aggregator, so every other metric is bit-identical to full
 	// capture; the latency percentiles come from a log-bucketed histogram
-	// instead (upward bias of at most one bucket width, ~3%), and
-	// RecordTimeline/RecordTasks are forced off. Exemplars provides a
-	// bounded substitute for Tasks.
+	// instead (upward bias of at most one bucket width, ~3%), which
+	// stores only the octaves the latencies reach: 2 KiB for latencies
+	// that stay within two octaves below the first one and five above
+	// it. RecordTimeline/RecordTasks are forced off. Exemplars provides
+	// a bounded substitute for Tasks.
 	BoundedCapture bool
 	// Exemplars is the reservoir size of the uniform per-request outcome
 	// sample kept under BoundedCapture (0 = none); ExemplarSeed drives
@@ -225,10 +227,14 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 // time of the injection; the request becomes visible to the scheduler at
 // the first scheduling point at or after max(r.Arrival, now), so a late
 // injection (a dispatcher that held the request back) delays delivery but
-// never rewrites history. Injecting after Finish is an error.
+// never rewrites history. Injecting after Finish, or a request without
+// a trace, is an error, which leaves the engine as it was.
 func (e *Engine) Inject(r *workload.Request, now time.Duration) error {
 	if e.finished {
 		return fmt.Errorf("sched: Inject after Finish")
+	}
+	if r.Trace == nil {
+		return fmt.Errorf("sched: request %d has no trace", r.ID)
 	}
 	t := e.tasks.Get()
 	t.wrap(r)

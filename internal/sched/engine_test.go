@@ -56,6 +56,36 @@ func newTask(r *workload.Request) *Task {
 	return t
 }
 
+// TestInjectRefusesTracelessRequest: Inject refuses a request without a
+// trace with an error naming it, before it takes a task from the list,
+// so the engine then serves a valid request exactly as a fresh one does.
+func TestInjectRefusesTracelessRequest(t *testing.T) {
+	e := NewEngine(NewFCFS(), Options{})
+	err := e.Inject(&workload.Request{ID: 3, SLO: 1}, 0)
+	if err == nil || !strings.Contains(err.Error(), "request 3 has no trace") {
+		t.Fatalf("Inject of a traceless request: %v, want an error naming request 3", err)
+	}
+	if e.tasks.held != 0 || e.Outstanding() != 0 {
+		t.Fatalf("the refused request left %d tasks taken and %d outstanding", e.tasks.held, e.Outstanding())
+	}
+	results := make([]Result, 2)
+	for i, eng := range []*Engine{e, NewEngine(NewFCFS(), Options{})} {
+		r := synthReq(0, "a", time.Millisecond, time.Millisecond, 3, 10)
+		if err := eng.Inject(r, 0); err != nil {
+			t.Fatal(err)
+		}
+		for !eng.Drained() {
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results[i] = eng.Finish()
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("after the refusal:\n got %+v\nwant %+v (a fresh engine)", results[0], results[1])
+	}
+}
+
 func TestRunEmptyStream(t *testing.T) {
 	if _, err := Run(NewFCFS(), nil, Options{}); err == nil {
 		t.Fatal("empty stream accepted")

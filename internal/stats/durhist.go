@@ -10,13 +10,22 @@ import (
 // the bounded-memory replacement for the per-request latency slices of
 // full-capture runs. Buckets are HDR-style: 32 sub-buckets per power of
 // two, so every recorded value lands in a bucket whose width is at most
-// 1/32 (~3.1%) of its magnitude, and the whole structure is a fixed
-// ~1.9k counters regardless of how many observations stream through it.
+// 1/32 (~3.1%) of its magnitude. Only a window of whole octaves is
+// stored (the exact range below 32ns counts as one): the first Add sizes
+// it to 8 octaves, 256 counters, starting two below the value's octave,
+// and a value outside it widens it at least twofold. Its size thus
+// follows the range of the observations, never their number, and is at
+// most the 59 octaves (1,888 counters) that cover every int64.
 // Negative durations clamp to zero (they cannot occur in a causally
 // correct run; clamping keeps a corrupted input visible in bucket zero
-// instead of panicking mid-stream).
+// instead of panicking mid-stream). The zero value is an empty
+// histogram.
 type DurationHist struct {
-	counts [durHistBuckets]int64
+	// counts is the window: the counters of whole octaves from bucket
+	// base up. Every bucket outside it is zero. It is nil until the
+	// first Add.
+	counts []int64
+	base   int
 	total  int64
 }
 
@@ -29,6 +38,18 @@ const durHistSub = 1 << durHistSubBits // sub-buckets per octave
 // durHistBuckets covers the exact range [0, 32) plus every octave
 // [2^5, 2^63): 32 + (62-5+1)*32. Any int64 duration indexes in range.
 const durHistBuckets = durHistSub + (63-durHistSubBits)*durHistSub
+
+// durHistOctaves counts the window's unit of durHistSub buckets: the
+// exact range and the 58 octaves above it.
+const durHistOctaves = durHistBuckets / durHistSub
+
+// The first window spans durHistWindow octaves and starts durHistLead
+// below the first value's octave: a run's latencies rarely fall far
+// below its first completion, which queued behind nothing.
+const (
+	durHistWindow = 8
+	durHistLead   = 2
+)
 
 // durHistIndex maps a non-negative value to its bucket.
 func durHistIndex(v int64) int {
@@ -64,19 +85,44 @@ func (h *DurationHist) Add(d time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[durHistIndex(v)]++
+	idx := durHistIndex(v)
+	if idx < h.base || idx >= h.base+len(h.counts) {
+		h.widen(idx)
+	}
+	h.counts[idx-h.base]++
 	h.total++
 }
 
-// Total returns the number of recorded observations.
-func (h *DurationHist) Total() int64 { return h.total }
-
-// Merge adds every observation of other into h.
-func (h *DurationHist) Merge(other *DurationHist) {
-	for i, c := range other.counts {
-		h.counts[i] += c
+// widen moves the counts into a window that also holds bucket idx. The
+// first window is durHistWindow octaves starting durHistLead below idx's;
+// a later one is at least twice as wide and keeps the end of the old
+// window that lies away from idx, so it grows towards the new value.
+func (h *DurationHist) widen(idx int) {
+	oct := idx / durHistSub
+	lo, n := h.base/durHistSub, len(h.counts)/durHistSub // the window's octaves [lo, lo+n)
+	var m int
+	if n == 0 {
+		lo, m = oct-durHistLead, durHistWindow
+	} else {
+		m = min(max(2*n, oct+1-lo, lo+n-oct), durHistOctaves)
+		if oct < lo {
+			lo += n - m
+		}
 	}
-	h.total += other.total
+	lo = max(0, min(lo, durHistOctaves-m))
+	counts := make([]int64, m*durHistSub)
+	if n > 0 {
+		copy(counts[h.base-lo*durHistSub:], h.counts)
+	}
+	h.counts, h.base = counts, lo*durHistSub
+}
+
+// Reset empties the histogram in place. It keeps the window's storage
+// and position, so refolding values from the range it held allocates
+// nothing.
+func (h *DurationHist) Reset() {
+	clear(h.counts)
+	h.total = 0
 }
 
 // Quantile returns the p-th percentile (p in [0,100]) as the largest
@@ -99,7 +145,7 @@ func (h *DurationHist) Quantile(p float64) time.Duration {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			return time.Duration(durHistUpper(i) - 1)
+			return time.Duration(durHistUpper(h.base+i) - 1)
 		}
 	}
 	return time.Duration(durHistUpper(durHistBuckets-1) - 1) // unreachable

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -9,6 +11,93 @@ import (
 
 	"sparsedysta/internal/rng"
 )
+
+// Total returns the number of recorded observations.
+func (h *DurationHist) Total() int64 { return h.total }
+
+// Merge adds every observation of other into h.
+func (h *DurationHist) Merge(other *DurationHist) {
+	for i, c := range other.counts {
+		if c == 0 {
+			continue
+		}
+		idx := other.base + i
+		if idx < h.base || idx >= h.base+len(h.counts) {
+			h.widen(idx)
+		}
+		h.counts[idx-h.base] += c
+	}
+	h.total += other.total
+}
+
+// denseHist is the histogram in its plainest form: one counter for
+// every bucket of the int64 range, 15 KiB whatever it holds. It is the
+// reference the windowed DurationHist must match bit for bit.
+type denseHist struct {
+	counts [durHistBuckets]int64
+	total  int64
+}
+
+func (h *denseHist) Add(d time.Duration) {
+	v := int64(d)
+	if v < 0 {
+		v = 0
+	}
+	h.counts[durHistIndex(v)]++
+	h.total++
+}
+
+func (h *denseHist) Quantile(p float64) time.Duration {
+	if h.total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(p / 100 * float64(h.total)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > h.total {
+		rank = h.total
+	}
+	var cum int64
+	for i, c := range h.counts {
+		cum += c
+		if cum >= rank {
+			return time.Duration(durHistUpper(i) - 1)
+		}
+	}
+	return time.Duration(durHistUpper(durHistBuckets-1) - 1)
+}
+
+// oracleQuantiles are the percentiles every comparison with denseHist
+// checks.
+var oracleQuantiles = []float64{0, 1, 50, 95, 99, 100}
+
+// denseMismatch describes how h departs from ref, or returns "" when
+// both hold the same number of observations, agree on every
+// oracleQuantiles percentile, and h's window is whole octaves of the
+// bucket range holding every observation.
+func denseMismatch(h *DurationHist, ref *denseHist) string {
+	if h.Total() != ref.total {
+		return fmt.Sprintf("%d observations, reference %d", h.Total(), ref.total)
+	}
+	for _, p := range oracleQuantiles {
+		if got, want := h.Quantile(p), ref.Quantile(p); got != want {
+			return fmt.Sprintf("p%g = %v, reference %v", p, got, want)
+		}
+	}
+	n := len(h.counts)
+	if h.base%durHistSub != 0 || n%durHistSub != 0 || h.base < 0 || h.base+n > durHistBuckets {
+		return fmt.Sprintf("window [%d, %d) is not whole octaves of [0, %d)", h.base, h.base+n, durHistBuckets)
+	}
+	var held int64
+	for _, c := range h.counts {
+		held += c
+	}
+	if held != h.total {
+		return fmt.Sprintf("window holds %d of %d observations", held, h.total)
+	}
+	return ""
+}
 
 // TestDurHistBuckets pins the bucket geometry: indices are monotone in
 // the value, every value lies inside its bucket's bounds, and the bucket
@@ -107,6 +196,138 @@ func TestDurHistEmpty(t *testing.T) {
 	if got := h.Quantile(50); got != 0 {
 		t.Fatalf("clamped quantile = %v, want 0", got)
 	}
+}
+
+// TestDurHistWindow pins the window's geometry: the first Add sizes it
+// to durHistWindow octaves starting durHistLead below the value's,
+// clamped into the bucket range, and a value outside it at least
+// doubles it, keeping the end away from the value.
+func TestDurHistWindow(t *testing.T) {
+	octave := func(d time.Duration) int { return durHistIndex(int64(d)) / durHistSub }
+	window := func(h *DurationHist) [2]int {
+		return [2]int{h.base / durHistSub, (h.base + len(h.counts)) / durHistSub}
+	}
+	var h DurationHist
+	if h.counts != nil {
+		t.Fatal("the zero value holds a window")
+	}
+	ms := octave(10 * time.Millisecond)
+	steps := []struct {
+		add  time.Duration
+		want [2]int // the window's octaves [lo, hi) after the Add
+	}{
+		{10 * time.Millisecond, [2]int{ms - 2, ms + 6}},
+		{20 * time.Millisecond, [2]int{ms - 2, ms + 6}},   // inside: unchanged
+		{100 * time.Microsecond, [2]int{ms - 10, ms + 6}}, // below: doubled downward
+		{1, [2]int{0, 32}},                         // doubled again, clamped at the bottom
+		{math.MaxInt64, [2]int{0, durHistOctaves}}, // up to the top
+		{-time.Second, [2]int{0, durHistOctaves}},  // clamps to 0, inside
+	}
+	for i, s := range steps {
+		h.Add(s.add)
+		if got := window(&h); got != s.want {
+			t.Fatalf("Add %d (%v): window octaves %v, want %v", i, s.add, got, s.want)
+		}
+	}
+	for _, c := range []struct {
+		first time.Duration
+		want  [2]int
+	}{
+		{0, [2]int{0, durHistWindow}},
+		{math.MaxInt64, [2]int{durHistOctaves - durHistWindow, durHistOctaves}},
+	} {
+		var e DurationHist
+		e.Add(c.first)
+		if got := window(&e); got != c.want {
+			t.Errorf("first Add %v: window octaves %v, want %v", c.first, got, c.want)
+		}
+	}
+}
+
+// TestDurHistMatchesDense is the oracle property: streams that open at
+// a random octave, stray up to four octaves either side of it, mix in
+// negative values, 0, 1ns and math.MaxInt64, and run again after a
+// Reset must leave the windowed histogram agreeing with the dense one
+// after every Add and Reset. The streams must widen the window both
+// downward and upward, and Reset must keep the window it empties.
+func TestDurHistMatchesDense(t *testing.T) {
+	specials := []time.Duration{-time.Second, math.MinInt64, 0, 1, math.MaxInt64}
+	var down, up bool
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed)
+		var h DurationHist
+		var ref denseHist
+		centre := r.Intn(63)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 400; i++ {
+				d := specials[r.Intn(len(specials))]
+				if r.Intn(40) > 0 {
+					// Uniform below 2^(top+1): the leading bit lands at
+					// top half the time.
+					top := min(max(centre+r.Intn(9)-4, 0), 62)
+					d = time.Duration(r.Uint64() >> (63 - top))
+				}
+				lo, hi := h.base, h.base+len(h.counts)
+				h.Add(d)
+				ref.Add(d)
+				if hi > lo {
+					down = down || h.base < lo
+					up = up || h.base+len(h.counts) > hi
+				}
+				if msg := denseMismatch(&h, &ref); msg != "" {
+					t.Fatalf("seed %d round %d, Add %d (%v): %s", seed, round, i, d, msg)
+				}
+			}
+			held := h.counts
+			h.Reset()
+			ref = denseHist{}
+			if msg := denseMismatch(&h, &ref); msg != "" {
+				t.Fatalf("seed %d round %d, Reset: %s", seed, round, msg)
+			}
+			if len(h.counts) != len(held) || &h.counts[0] != &held[0] {
+				t.Fatalf("seed %d round %d: Reset replaced the window", seed, round)
+			}
+		}
+	}
+	if !down || !up {
+		t.Fatalf("the streams widened the window downward %v, upward %v; want both", down, up)
+	}
+}
+
+// FuzzDurationHist replays arbitrary Add and Reset sequences on the
+// windowed histogram and the dense reference, which must agree after
+// every operation. Each operation is 9 bytes: a first byte of 0xff
+// resets; any other adds the next 8 bytes, read as a little-endian
+// int64, shifted right by the first byte's low six bits, so values
+// reach every octave, keep their sign and clamp as they would in a run.
+// Only the first 64 operations run: the window reaches its full width
+// in six, and a short input keeps each check of the dense array cheap.
+func FuzzDurationHist(f *testing.F) {
+	add := func(shift byte, v int64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{shift}, uint64(v))
+	}
+	reset := make([]byte, 9)
+	reset[0] = 0xff
+	f.Add(slices.Concat(add(0, int64(10*time.Millisecond)), add(0, 1), add(0, 0), add(0, -5), add(0, math.MaxInt64)))
+	f.Add(slices.Concat(add(0, math.MaxInt64), add(0, 1), reset, add(0, 300), add(20, math.MaxInt64)))
+	f.Add(slices.Concat(add(40, -1), add(63, math.MinInt64), add(0, math.MinInt64), reset, reset, add(1, 64)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h DurationHist
+		var ref denseHist
+		for i := 0; i+9 <= min(len(data), 64*9); i += 9 {
+			if data[i] == 0xff {
+				h.Reset()
+				ref = denseHist{}
+			} else {
+				d := time.Duration(int64(binary.LittleEndian.Uint64(data[i+1:i+9])) >> (data[i] & 63))
+				h.Add(d)
+				ref.Add(d)
+			}
+			if msg := denseMismatch(&h, &ref); msg != "" {
+				t.Fatalf("operation %d: %s", i/9, msg)
+			}
+		}
+	})
 }
 
 // TestReservoir pins determinism, the size bound and first-k retention.
