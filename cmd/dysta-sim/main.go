@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -206,15 +205,9 @@ func main() {
 		fmt.Fprintln(tw, "scheduler\tmodel\trequests\tANTT\tviol%")
 		for _, s := range specs {
 			r := results[s.Name]
-			names := make([]string, 0, len(r.PerModel))
-			for name := range r.PerModel {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				m := r.PerModel[name]
+			for _, m := range r.PerModel {
 				fmt.Fprintf(tw, "%s\t%s\t%d\t%.2f\t%.1f\n",
-					r.Scheduler, name, m.Requests, m.ANTT, 100*m.ViolationRate)
+					r.Scheduler, m.Model, m.Requests, m.ANTT, 100*m.ViolationRate)
 			}
 		}
 		tw.Flush()

@@ -1,10 +1,10 @@
 // Package gospawn flags `go` statements outside the approved
 // worker-pool sites. The repository's two sanctioned fan-outs —
-// exp.(*Pipeline).RunGrid's cell workers and workload.BuildStores's
-// per-entry builders — are engineered to be byte-identical to their
-// sequential counterparts (per-cell seeds, commit-in-entry-order); an
-// ad-hoc goroutine anywhere else is how scheduling nondeterminism
-// sneaks into grids.
+// exp.(*Pipeline).runCells's cell workers, behind RunGrid and
+// RunPointSeeds, and workload.BuildStores's per-entry builders — are
+// engineered to be byte-identical to their sequential counterparts
+// (per-cell seeds, commit-in-entry-order); an ad-hoc goroutine
+// anywhere else is how scheduling nondeterminism sneaks into grids.
 package gospawn
 
 import (
@@ -17,7 +17,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "gospawn",
 	Doc: "flags go statements outside the approved worker-pool sites " +
-		"(exp.RunGrid, workload.BuildStores)",
+		"(exp.runCells, workload.BuildStores)",
 	Run: run,
 }
 
@@ -26,7 +26,7 @@ var Analyzer = &analysis.Analyzer{
 // at their own fixtures; the default covers the two deterministic
 // worker pools.
 var Approved = []string{
-	"sparsedysta/internal/exp.Pipeline.RunGrid",
+	"sparsedysta/internal/exp.Pipeline.runCells",
 	"sparsedysta/internal/workload.BuildStores",
 }
 

@@ -20,8 +20,8 @@ func TestGospawn(t *testing.T) {
 // change that should be made deliberately.
 func TestDefaultApproved(t *testing.T) {
 	want := map[string]bool{
-		"sparsedysta/internal/exp.Pipeline.RunGrid": true,
-		"sparsedysta/internal/workload.BuildStores": true,
+		"sparsedysta/internal/exp.Pipeline.runCells": true,
+		"sparsedysta/internal/workload.BuildStores":  true,
 	}
 	if len(gospawn.Approved) != len(want) {
 		t.Fatalf("Approved = %v, want the two deterministic worker pools", gospawn.Approved)

@@ -471,11 +471,14 @@ func TestClusterAggregatesEveryEngine(t *testing.T) {
 				}
 				perModel[o.Model] = m
 			}
+			var wantPerModel []sched.ModelMetrics
 			for name, m := range perModel {
+				m.Model = name
 				m.ANTT /= float64(m.Requests)
 				m.ViolationRate /= float64(m.Requests)
-				perModel[name] = m
+				wantPerModel = append(wantPerModel, m)
 			}
+			sort.Slice(wantPerModel, func(i, j int) bool { return wantPerModel[i].Model < wantPerModel[j].Model })
 			n := float64(len(seq))
 			makespan := last - first
 			if res.Violations != violations || res.ViolationRate != float64(violations)/n ||
@@ -484,8 +487,8 @@ func TestClusterAggregatesEveryEngine(t *testing.T) {
 				res.Goodput != float64(len(seq)-violations)/makespan.Seconds() {
 				t.Fatalf("%s: cluster metrics are not the completion-order fold: %+v", label, res.Result)
 			}
-			if !reflect.DeepEqual(res.PerModel, perModel) {
-				t.Fatalf("%s: per-model %+v, want %+v", label, res.PerModel, perModel)
+			if !reflect.DeepEqual(res.PerModel, wantPerModel) {
+				t.Fatalf("%s: per-model %+v, want %+v", label, res.PerModel, wantPerModel)
 			}
 			if res.MigrationWins+res.MigrationLosses != res.Migrations {
 				t.Fatalf("%s: %d wins + %d losses != %d migrations",

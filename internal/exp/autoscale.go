@@ -67,10 +67,16 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 		if !(burst >= 1 && burst < math.Inf(1)) {
 			return nil, fmt.Errorf("exp: -burst %v not finite and at least 1 (mmpp bursts must raise the rate)", burst)
 		}
-		meanBurst := time.Duration(mmppBurstLen / rate * float64(time.Second))
+		meanBurst, err := trafficSpan(name, rate, "mean burst", mmppBurstLen/rate)
+		if err != nil {
+			return nil, err
+		}
 		return traffic.Bursty(rate, burst, mmppBurstFrac, meanBurst), nil
 	case name == "diurnal":
-		period := time.Duration(float64(requests) / rate * float64(time.Second))
+		period, err := trafficSpan(name, rate, "period", float64(requests)/rate)
+		if err != nil {
+			return nil, err
+		}
 		return &traffic.Diurnal{Base: rate, Amplitude: diurnalAmplitude, Period: period}, nil
 	case strings.HasPrefix(name, replayPrefix):
 		p, err := traffic.LoadReplay(strings.TrimPrefix(name, replayPrefix))
@@ -80,6 +86,18 @@ func NewTraffic(name string, rate float64, requests int, burst float64) (traffic
 		return p, nil
 	}
 	return nil, fmt.Errorf("exp: unknown -traffic model %q (valid: %v)", name, TrafficModels)
+}
+
+// trafficSpan converts a span of the named traffic model at rate req/s,
+// sec seconds, to a time.Duration, refusing one that is not below 2^63
+// ns, the largest time.Duration, which the conversion would wrap
+// negative.
+func trafficSpan(model string, rate float64, what string, sec float64) (time.Duration, error) {
+	if ns := sec * float64(time.Second); ns < 1<<63 {
+		return time.Duration(ns), nil
+	}
+	return 0, fmt.Errorf("exp: -traffic %s at rate %v req/s: %s of %.3gs is not below 2^63 ns, the largest time.Duration",
+		model, rate, what, sec)
 }
 
 // recording reads a -traffic replay:PATH file once, for a whole RunGrid

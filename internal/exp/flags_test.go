@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sparsedysta/internal/cluster"
+	"sparsedysta/internal/sched"
 )
 
 // TestRegisterFlags binds every shared flag straight to its Options
@@ -194,7 +195,10 @@ func fuzzInput(tb testing.TB, args ...string) []byte {
 // error is the flag package's, which names the flag. Every Validate
 // rejection must name a flag, and every accepted configuration must run
 // one tiny cell, on a pipeline built once, without a panic: a returned
-// error is allowed (-engines 2x1e12 overflows the engine clock).
+// error is allowed (-engines 2x1e12 overflows the engine clock). A cell
+// that succeeds must conserve its outcomes, and return the same Result
+// when run again from nothing and when run on a grid worker that first
+// ran another spec's cell.
 func FuzzOptions(f *testing.F) {
 	for _, args := range [][]string{
 		{"-engines", "2x1e12"},
@@ -235,7 +239,26 @@ func FuzzOptions(f *testing.F) {
 			}
 			return
 		}
-		spec := specs[len(data)%len(specs)]
-		_, _ = p.runCell(spec, Point{Rate: 60, MSLO: 10}, 0, o, nil, nil, 0)
+		si := len(data) % len(specs)
+		pt := Point{Rate: 60, MSLO: 10}
+		res, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0)
+		if err != nil {
+			return
+		}
+		if err := sched.CheckOutcomeConservation(res); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		again, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0)
+		if err != nil || !reflect.DeepEqual(again, res) {
+			t.Fatalf("%q: a second run returned %+v (error %v), want %+v", args, again, err, res)
+		}
+		w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
+		other := (si + 1) % len(specs)
+		_, _ = p.runCell(specs[other], pt, 0, o, nil, &w, other) // a failed cell leaves the worker re-armable
+		warm, err := p.runCell(specs[si], pt, 0, o, nil, &w, si)
+		if err != nil || !reflect.DeepEqual(warm, res) {
+			t.Fatalf("%q: after a %s cell, a grid worker returned %+v (error %v), want %+v",
+				args, specs[other].Name, warm, err, res)
+		}
 	})
 }

@@ -241,8 +241,8 @@ func WithOracle(specs []SchedSpec) []SchedSpec {
 
 // RunSeeds evaluates one scheduler at one (rate, SLO-multiplier)
 // operating point, returning the per-seed results. This is the sequential
-// reference path; the parallel RunGrid/RunPoint must produce bit-identical
-// aggregates (see runner_test.go).
+// reference path; the parallel RunGrid/RunPoint/RunPointSeeds must
+// produce bit-identical results (see runner_test.go).
 func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([]sched.Result, error) {
 	if err := opts.checkPolicyNames(); err != nil {
 		return nil, err
@@ -272,6 +272,23 @@ func (p *Pipeline) RunPoint(specs []SchedSpec, rate, mslo float64, opts Options)
 		return nil, err
 	}
 	return grid[0].Results, nil
+}
+
+// RunPointSeeds runs RunPoint's cells and returns each scheduler's
+// per-seed results, keyed by scheduler name and in seed order, instead
+// of their averages: sched.AverageResults of a scheduler's results,
+// under its name, is its RunPoint result. The slices share one backing
+// array, the grid's.
+func (p *Pipeline) RunPointSeeds(specs []SchedSpec, rate, mslo float64, opts Options) (map[string][]sched.Result, error) {
+	slab, err := p.runCells(specs, []Point{{Rate: rate, MSLO: mslo}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]sched.Result, len(specs))
+	for si, spec := range specs {
+		out[spec.Name] = seedsOf(slab, 0, si, len(specs), opts.Seeds)
+	}
+	return out, nil
 }
 
 // AttNNRates and CNNRates are the paper's operating points (§6.2, §6.4).

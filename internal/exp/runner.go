@@ -230,6 +230,31 @@ func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestS
 // recycles its direct cells' engine and schedulers (gridWorker), without
 // changing a result. A replayed trace is read once, before any cell.
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
+	slab, err := p.runCells(specs, points, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PointResult, len(points))
+	for pi, pt := range points {
+		m := make(map[string]sched.Result, len(specs))
+		for si, spec := range specs {
+			avg, err := sched.AverageResults(seedsOf(slab, pi, si, len(specs), opts.Seeds))
+			if err != nil {
+				return nil, fmt.Errorf("exp: %s at point %d: %w", spec.Name, pi, err)
+			}
+			avg.Scheduler = spec.Name
+			m[spec.Name] = avg
+		}
+		out[pi] = PointResult{Point: pt, Results: m}
+	}
+	return out, nil
+}
+
+// runCells runs every (point, spec, seed) cell of a grid on the worker
+// pool and returns the slab of their results, one slice for the whole
+// grid: seedsOf reads a (point, spec) pair's seeds from it. Workers
+// write disjoint slots, so the slab is the same for any worker count.
+func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]sched.Result, error) {
 	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
 		return nil, fmt.Errorf("exp: RunGrid with %d seeds", opts.Seeds)
@@ -242,17 +267,8 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 		return nil, err
 	}
 
-	// Per-cell result slots are preallocated so workers write disjoint
-	// memory and the merge below reads them in deterministic order.
-	results := make([][][]sched.Result, len(points))
-	for pi := range results {
-		results[pi] = make([][]sched.Result, len(specs))
-		for si := range results[pi] {
-			results[pi][si] = make([]sched.Result, opts.Seeds)
-		}
-	}
-
 	total := len(points) * len(specs) * opts.Seeds
+	slab := make([]sched.Result, total)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -292,7 +308,7 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 					setErr(err)
 					continue
 				}
-				results[c.pi][c.si][c.seed] = res
+				seedsOf(slab, c.pi, c.si, len(specs), opts.Seeds)[c.seed] = res
 			}
 		}()
 	}
@@ -308,21 +324,15 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	return slab, nil
+}
 
-	out := make([]PointResult, len(points))
-	for pi, pt := range points {
-		m := make(map[string]sched.Result, len(specs))
-		for si, spec := range specs {
-			avg, err := sched.AverageResults(results[pi][si])
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s at point %d: %w", spec.Name, pi, err)
-			}
-			avg.Scheduler = spec.Name
-			m[spec.Name] = avg
-		}
-		out[pi] = PointResult{Point: pt, Results: m}
-	}
-	return out, nil
+// seedsOf returns the per-seed results of spec si at point pi from a
+// grid's slab of nspecs specs and seeds seeds, capped so that appending
+// to it cannot overwrite the next pair's.
+func seedsOf(slab []sched.Result, pi, si, nspecs, seeds int) []sched.Result {
+	i := (pi*nspecs + si) * seeds
+	return slab[i : i+seeds : i+seeds]
 }
 
 // RatePoints builds a grid over arrival rates at one SLO multiplier.

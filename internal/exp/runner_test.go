@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +96,141 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 						c.sc.Name, pt.Rate, workers, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestRunPointSeedsMatchesRunSeeds: RunPointSeeds reads each spec's
+// per-seed results from the grid's slab, so they are reflect.DeepEqual
+// to the sequential RunSeeds' for every spec of the lineup with the
+// Oracle, on both pipelines and at -workers 1 and 4, and their average
+// under the spec's name is its RunPoint result. Table 5 takes its means
+// and its seed-spread note from one such call.
+func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
+	opts := tiny()
+	opts.Seeds = 3
+	specs := WithOracle(StandardScheds())
+	for _, c := range []struct {
+		sc   workload.Scenario
+		rate float64
+	}{
+		{workload.MultiAttNN(), 30},
+		{workload.MultiCNN(), 3},
+	} {
+		p, err := NewPipeline(c.sc, opts, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		point, err := p.RunPoint(specs, c.rate, 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]sched.Result{}
+		for _, spec := range specs {
+			if want[spec.Name], err = p.RunSeeds(spec, c.rate, 10, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			o := opts
+			o.Workers = workers
+			seeds, err := p.RunPointSeeds(specs, c.rate, 10, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seeds) != len(specs) {
+				t.Fatalf("%s: %d schedulers, want %d", c.sc.Name, len(seeds), len(specs))
+			}
+			for _, spec := range specs {
+				if !reflect.DeepEqual(seeds[spec.Name], want[spec.Name]) {
+					t.Errorf("%s %s, workers=%d: per-seed results differ from RunSeeds'", c.sc.Name, spec.Name, workers)
+				}
+				avg, err := sched.AverageResults(seeds[spec.Name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				avg.Scheduler = spec.Name
+				if !reflect.DeepEqual(avg, point[spec.Name]) {
+					t.Errorf("%s %s, workers=%d: average %+v, RunPoint %+v", c.sc.Name, spec.Name, workers, avg, point[spec.Name])
+				}
+			}
+		}
+	}
+}
+
+// resultSink keeps a measured map reachable, so building it allocates.
+var resultSink map[string]sched.Result
+
+// TestRunGridResultSlab: RunGrid keeps every cell's Result in one slab
+// per call, so each operating point a warm grid adds costs only its
+// cells' breakdowns (one allocation each), its averaged breakdowns (one
+// per spec) and its result map. The grid used to add a slot slice per
+// (point, spec) and one more per point. The points are identical, so
+// every cell runs on storage the grid's first point grew.
+func TestRunGridResultSlab(t *testing.T) {
+	opts := tiny()
+	opts.Seeds, opts.Workers = 2, 1
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := WithOracle(StandardScheds())
+	grid := func(n int) float64 {
+		points := RatePoints(slices.Repeat([]float64{30}, n), 10)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := p.RunGrid(specs, points, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	resultMap := testing.AllocsPerRun(3, func() {
+		m := make(map[string]sched.Result, len(specs))
+		for _, spec := range specs {
+			m[spec.Name] = sched.Result{}
+		}
+		resultSink = m
+	})
+	want := float64(len(specs)*opts.Seeds+len(specs)) + resultMap
+	if got := grid(3) - grid(2); got != want {
+		t.Errorf("a grid point adds %v allocations, want %v (%d cells' and %d averaged breakdowns, %v for the result map)",
+			got, want, len(specs)*opts.Seeds, len(specs), resultMap)
+	}
+}
+
+// negativeDuration matches a negative time.Duration as it prints.
+var negativeDuration = regexp.MustCompile(`-[0-9]+h[0-9]+m`)
+
+// TestArrivalsPastDurationFailTheCell: a rate whose arrivals or spans
+// pass 2^63 ns, the largest time.Duration, fails its cell with one
+// error that names the rate, or the arrival at the saturated clock,
+// and prints no negative duration. Each used to wrap negative and fail
+// with an error about a negative arrival or dwell time or period.
+func TestArrivalsPastDurationFailTheCell(t *testing.T) {
+	opts := tiny()
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dysta := StandardScheds()[5]
+	for _, c := range []struct {
+		traffic  string
+		rate     float64
+		requests int
+		want     string
+	}{
+		{"", 1e-300, 3, "poisson rate 1e-300 req/s has a mean gap of 1e+300s"},
+		{"mmpp", 1e-300, 3, "-traffic mmpp at rate 1e-300 req/s: mean burst of 2e+301s"},
+		{"diurnal", 1e-300, 3, "-traffic diurnal at rate 1e-300 req/s: period of 3e+300s"},
+		// The mean gap fits, but the clock passes the largest duration.
+		{"", 1e-9, 20, "arrives at or past the largest time.Duration"},
+		{"poisson", 1e-9, 20, "arrives at or past the largest time.Duration"},
+	} {
+		o := opts
+		o.Traffic, o.Requests = c.traffic, c.requests
+		_, err := p.runCell(dysta, Point{Rate: c.rate, MSLO: 10}, 0, o, nil, nil, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) || negativeDuration.MatchString(err.Error()) {
+			t.Errorf("-traffic %q at %v req/s: error %v, want one naming %q and no negative duration",
+				c.traffic, c.rate, err, c.want)
 		}
 	}
 }
@@ -222,15 +360,15 @@ func replayTraffic(t *testing.T, n int, gap time.Duration) string {
 
 // TestWarmGridCellAllocatesOnlyItsResult: a grid worker's warm direct
 // cell re-arms the worker's stream, its engine and the spec's emptied
-// scheduler, so it makes exactly the 2 allocations of its Result's
-// per-model map, for every scheduler of the lineup and at any request
-// count. Each cell used to build its stream (4 allocations) and a
-// throwaway round-robin dispatcher, to check the -dispatch name. A
-// replay grid reads its trace once per call (Options.recording) and the
-// worker replays the shared gaps through its own cursor, so a warm
-// replay cell makes the same 2 at any trace length; each cell used to
-// parse the file again, 426 allocations at 200 recorded arrivals and
-// 40,038 at 20,000.
+// scheduler, so it makes exactly 1 allocation, its Result's per-model
+// slice, for every scheduler of the lineup and at any request count.
+// Each cell used to build its stream (4 allocations) and a throwaway
+// round-robin dispatcher, to check the -dispatch name, and the
+// breakdown was a map (2). A replay grid reads its trace once per call
+// (Options.recording) and the worker replays the shared gaps through
+// its own cursor, so a warm replay cell makes the same 1 at any trace
+// length; each cell used to parse the file again, 426 allocations at
+// 200 recorded arrivals and 40,038 at 20,000.
 func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 	opts := tiny()
 	p, err := NewPipeline(workloadAttNN(), opts, 7)
@@ -259,8 +397,8 @@ func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 					}
 				}
 				cell()
-				if got := testing.AllocsPerRun(5, cell); got != 2 {
-					t.Errorf("%s, %d requests, %s: a warm grid cell made %v allocations, want 2 (the Result's per-model map)",
+				if got := testing.AllocsPerRun(5, cell); got != 1 {
+					t.Errorf("%s, %d requests, %s: a warm grid cell made %v allocations, want 1 (the Result's per-model slice)",
 						spec.Name, n, tr.name, got)
 				}
 			}

@@ -51,26 +51,26 @@ func Table5(opts Options) ([]Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := p.RunPoint(StandardScheds(), setup.rate, 10, opts)
+		// Each cell runs once: the means and the headline scheduler's
+		// seed stability both come from the per-seed results.
+		seeds, err := p.RunPointSeeds(StandardScheds(), setup.rate, 10, opts)
 		if err != nil {
 			return nil, err
 		}
-		results[setup.sc.Name] = rs
-
-		// Seed stability of the headline scheduler.
-		for _, spec := range StandardScheds() {
-			if spec.Name != "Dysta" {
-				continue
-			}
-			seedRuns, err := p.RunSeeds(spec, setup.rate, 10, opts)
+		rs := make(map[string]sched.Result, len(order))
+		for _, name := range order {
+			avg, err := sched.AverageResults(seeds[name])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("exp: %s: %w", name, err)
 			}
-			anttSD, violSD := sched.SeedSpread(seedRuns)
-			tbl.Notes = append(tbl.Notes, fmt.Sprintf(
-				"%s Dysta seed spread over %d seeds: ANTT ±%.2f, violations ±%.1f%%",
-				setup.sc.Name, opts.Seeds, anttSD, 100*violSD))
+			avg.Scheduler = name
+			rs[name] = avg
 		}
+		results[setup.sc.Name] = rs
+		anttSD, violSD := sched.SeedSpread(seeds["Dysta"])
+		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
+			"%s Dysta seed spread over %d seeds: ANTT ±%.2f, violations ±%.1f%%",
+			setup.sc.Name, opts.Seeds, anttSD, 100*violSD))
 	}
 	for _, name := range order {
 		att := results["multi-attnn"][name]

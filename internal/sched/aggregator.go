@@ -28,10 +28,10 @@ type Aggregator struct {
 	// first is the earliest arrival and last the latest completion among
 	// the folded outcomes.
 	first, last time.Duration
-	// perModel holds one tally per model in first-seen order; a run
-	// serves a handful of models, so Add finds its tally by a short scan
-	// instead of hashing the name, and Result builds the map.
-	perModel []modelTally
+	// perModel holds one running tally per model in first-seen order; a
+	// run serves a handful of models, so Add finds its tally by a short
+	// scan instead of hashing the name, and Result copies and sorts them.
+	perModel []ModelMetrics
 
 	latencies []float64          // full capture
 	hist      stats.DurationHist // bounded capture
@@ -41,12 +41,6 @@ type Aggregator struct {
 	// under full capture).
 	tasks     []TaskOutcome
 	keepTasks bool
-}
-
-// modelTally is one model's running per-model metrics.
-type modelTally struct {
-	model string
-	m     ModelMetrics
 }
 
 // NewAggregator sizes an aggregator for opts' capture mode: BoundedCapture
@@ -142,13 +136,13 @@ func (a *Aggregator) Add(o TaskOutcome) {
 		a.last = o.Completion
 	}
 	i := 0
-	for i < len(a.perModel) && a.perModel[i].model != o.Model {
+	for i < len(a.perModel) && a.perModel[i].Model != o.Model {
 		i++
 	}
 	if i == len(a.perModel) {
-		a.perModel = append(a.perModel, modelTally{model: o.Model})
+		a.perModel = append(a.perModel, ModelMetrics{Model: o.Model})
 	}
-	m := &a.perModel[i].m
+	m := &a.perModel[i]
 	m.Requests++
 	m.ANTT += o.NTT
 	if o.Violated {
@@ -173,8 +167,9 @@ func (a *Aggregator) FirstArrival() (first time.Duration, ok bool) { return a.fi
 // makespan measured from since to the last completion. Only the metric
 // fields are set: the engine or cluster fills in its own counters. With
 // nothing folded, it returns just the name. Calling Result again after
-// more Adds reflects them; Tasks is the retained slice itself, sorted by
-// task ID.
+// more Adds reflects them; PerModel is a new slice, one exactly sized
+// allocation sorted by model name, and Tasks is the retained slice
+// itself, sorted by task ID.
 func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 	res := Result{Scheduler: scheduler}
 	if a.n == 0 {
@@ -203,13 +198,13 @@ func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 		res.Throughput = n / res.Makespan.Seconds()
 		res.Goodput = float64(a.n-a.violations) / res.Makespan.Seconds()
 	}
-	res.PerModel = make(map[string]ModelMetrics, len(a.perModel))
-	for _, pm := range a.perModel {
-		m := pm.m
+	res.PerModel = make([]ModelMetrics, len(a.perModel))
+	for i, m := range a.perModel {
 		m.ANTT /= float64(m.Requests)
 		m.ViolationRate /= float64(m.Requests)
-		res.PerModel[pm.model] = m
+		res.PerModel[i] = m
 	}
+	slices.SortFunc(res.PerModel, compareModels)
 	if a.exemplars != nil {
 		res.Exemplars = append([]TaskOutcome(nil), a.exemplars.Items()...)
 	}

@@ -46,9 +46,9 @@ func TestAggregatorMetrics(t *testing.T) {
 		Makespan:      ms(75), // earliest completed arrival 5ms to last completion 80ms
 		Throughput:    3 / ms(75).Seconds(),
 		Goodput:       2 / ms(75).Seconds(),
-		PerModel: map[string]ModelMetrics{
-			"a": {Requests: 2, ANTT: 4, ViolationRate: 0.5},
-			"b": {Requests: 1, ANTT: 2, ViolationRate: 0},
+		PerModel: []ModelMetrics{
+			{Model: "a", Requests: 2, ANTT: 4, ViolationRate: 0.5},
+			{Model: "b", Requests: 1, ANTT: 2, ViolationRate: 0},
 		},
 		Tasks: []TaskOutcome{completions[1], completions[2], completions[0]},
 	}

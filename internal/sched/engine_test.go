@@ -351,7 +351,10 @@ func TestPerModelBreakdown(t *testing.T) {
 	if len(res.PerModel) != 2 {
 		t.Fatalf("PerModel has %d entries", len(res.PerModel))
 	}
-	alpha, beta := res.PerModel["alpha"], res.PerModel["beta"]
+	alpha, beta := res.PerModel[0], res.PerModel[1]
+	if alpha.Model != "alpha" || beta.Model != "beta" {
+		t.Fatalf("PerModel names %q, %q; want alpha, beta", alpha.Model, beta.Model)
+	}
 	if alpha.Requests != 1 || beta.Requests != 1 {
 		t.Errorf("per-model counts wrong: %+v %+v", alpha, beta)
 	}

@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"sparsedysta/internal/stats"
@@ -106,10 +108,11 @@ type Result struct {
 	// Like the dispatch-layer counters above, it is carried here so it
 	// survives the seed-averaging pipeline.
 	EngineSeconds float64
-	// PerModel breaks ANTT and violation rate down by model name; short
-	// and long tenants often fare very differently under the same
-	// scheduler.
-	PerModel map[string]ModelMetrics
+	// PerModel breaks ANTT and violation rate down by model, one entry
+	// per model that completed a request, in strictly increasing
+	// ModelMetrics.Model order; short and long tenants often fare very
+	// differently under the same scheduler. Nil when nothing completed.
+	PerModel []ModelMetrics
 	// Timeline is the execution schedule (only with
 	// Options.RecordTimeline).
 	Timeline *Timeline
@@ -121,12 +124,20 @@ type Result struct {
 	Exemplars []TaskOutcome
 }
 
-// ModelMetrics aggregates one model's requests within a run.
+// ModelMetrics aggregates one model's completed requests within a run
+// (Result.PerModel): how many there were, their mean normalized
+// turnaround and the fraction that missed their deadline.
 type ModelMetrics struct {
+	// Model is the model's name (TaskOutcome.Model).
+	Model         string
 	Requests      int
 	ANTT          float64
 	ViolationRate float64
 }
+
+// compareModels orders per-model entries by model name, the order of
+// Result.PerModel.
+func compareModels(x, y ModelMetrics) int { return strings.Compare(x.Model, y.Model) }
 
 // TaskOutcome is one request's final accounting.
 type TaskOutcome struct {
@@ -186,10 +197,12 @@ func CheckOutcomeConservation(r Result) error {
 // same scheduler, the paper's five-seed reporting protocol (§6.1).
 // Scheduler is taken from the first result carrying a name. The integer
 // counters (Preemptions, Requests) are rounded to the nearest integer,
-// not truncated. A model's Requests is averaged over all the inputs (0
-// in one without the model) and rounded the same way; its per-seed
-// counts only weight its ANTT and violation-rate means. PerModel stays
-// nil when no input has a per-model breakdown.
+// not truncated. PerModel holds every model of any input's breakdown,
+// in name order, in one exactly sized allocation: a model's Requests is
+// averaged over all the inputs (0 in one without the model) and rounded
+// the same way, and its per-seed counts weight its ANTT and
+// violation-rate means, summed in input order. PerModel stays nil when
+// no input has a per-model breakdown.
 // Timeline, Tasks and Exemplars are intentionally dropped: per-seed
 // schedules have no meaningful average, so callers wanting them must read
 // the individual per-seed Results.
@@ -203,6 +216,9 @@ func AverageResults(rs []Result) (Result, error) {
 		return Result{}, nil
 	}
 	avg := Result{}
+	if n := distinctModels(rs); n > 0 {
+		avg.PerModel = make([]ModelMetrics, 0, n)
+	}
 	var meanLat, p50Lat, p95Lat, p99Lat, makespan float64
 	for _, r := range rs {
 		if err := CheckOutcomeConservation(r); err != nil {
@@ -236,30 +252,26 @@ func AverageResults(rs []Result) (Result, error) {
 		p95Lat += float64(r.P95Latency)
 		p99Lat += float64(r.P99Latency)
 		makespan += float64(r.Makespan)
-		// Allocate lazily outside the traversal so nil PerModel still
-		// propagates as nil — and so the loop body stays provably
-		// order-insensitive for dysta-lint's detrange (keyed writes
-		// only, no shared-state initialisation mid-iteration).
-		if len(r.PerModel) > 0 && avg.PerModel == nil {
-			avg.PerModel = map[string]ModelMetrics{}
-		}
-		for name, m := range r.PerModel {
-			agg := avg.PerModel[name]
+		for _, m := range r.PerModel {
+			i, found := slices.BinarySearchFunc(avg.PerModel, m, compareModels)
+			if !found {
+				avg.PerModel = slices.Insert(avg.PerModel, i, ModelMetrics{Model: m.Model})
+			}
+			agg := &avg.PerModel[i]
 			agg.Requests += m.Requests
 			// Weight per-seed means by their request counts.
 			agg.ANTT += m.ANTT * float64(m.Requests)
 			agg.ViolationRate += m.ViolationRate * float64(m.Requests)
-			avg.PerModel[name] = agg
 		}
 	}
 	n := float64(len(rs))
-	for name, m := range avg.PerModel {
+	for i := range avg.PerModel {
+		m := &avg.PerModel[i]
 		if m.Requests > 0 {
 			m.ANTT /= float64(m.Requests)
 			m.ViolationRate /= float64(m.Requests)
 		}
 		m.Requests = int(math.Round(float64(m.Requests) / n))
-		avg.PerModel[name] = m
 	}
 	avg.ANTT /= n
 	avg.ViolationRate /= n
@@ -298,6 +310,26 @@ func AverageResults(rs []Result) (Result, error) {
 	avg.P99Latency = time.Duration(p99Lat / n)
 	avg.Makespan = time.Duration(makespan / n)
 	return avg, nil
+}
+
+// distinctModels counts the model names of rs' breakdowns, each name
+// once, the size of AverageResults' breakdown. Each breakdown is in name
+// order (Result.PerModel), so a binary search finds a name in an
+// earlier one.
+func distinctModels(rs []Result) int {
+	n := 0
+	for i, r := range rs {
+	entries:
+		for _, m := range r.PerModel {
+			for _, prev := range rs[:i] {
+				if _, seen := slices.BinarySearchFunc(prev.PerModel, m, compareModels); seen {
+					continue entries
+				}
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // SeedSpread summarizes per-seed variability of the two headline metrics:

@@ -24,18 +24,21 @@ func mustAverage(t *testing.T, rs []Result) Result {
 // a model's request count is its mean over the seeds.
 func TestAverageResultsPerModelWeighted(t *testing.T) {
 	rs := []Result{
-		{Scheduler: "x", PerModel: map[string]ModelMetrics{
-			"bert": {Requests: 30, ANTT: 2.0, ViolationRate: 0.1},
-			"gpt2": {Requests: 10, ANTT: 4.0, ViolationRate: 0.5},
+		{Scheduler: "x", PerModel: []ModelMetrics{
+			{Model: "bert", Requests: 30, ANTT: 2.0, ViolationRate: 0.1},
+			{Model: "gpt2", Requests: 10, ANTT: 4.0, ViolationRate: 0.5},
 		}},
-		{Scheduler: "x", PerModel: map[string]ModelMetrics{
-			"bert": {Requests: 10, ANTT: 6.0, ViolationRate: 0.5},
+		{Scheduler: "x", PerModel: []ModelMetrics{
+			{Model: "bert", Requests: 10, ANTT: 6.0, ViolationRate: 0.5},
 			// gpt2 absent this seed: its average must use only the
 			// first seed's weight.
 		}},
 	}
 	avg := mustAverage(t, rs)
-	bert := avg.PerModel["bert"]
+	if len(avg.PerModel) != 2 {
+		t.Fatalf("PerModel %+v, want bert and gpt2", avg.PerModel)
+	}
+	bert := avg.PerModel[0]
 	if bert.Requests != 20 { // (30 + 10) / 2 seeds
 		t.Errorf("bert requests = %d, want 20", bert.Requests)
 	}
@@ -46,7 +49,7 @@ func TestAverageResultsPerModelWeighted(t *testing.T) {
 	if math.Abs(bert.ViolationRate-0.2) > 1e-12 {
 		t.Errorf("bert violation rate = %v, want 0.2", bert.ViolationRate)
 	}
-	gpt := avg.PerModel["gpt2"]
+	gpt := avg.PerModel[1]
 	// 10 requests over 2 seeds, 0 in the one without gpt2.
 	if gpt.Requests != 5 || gpt.ANTT != 4.0 || gpt.ViolationRate != 0.5 {
 		t.Errorf("gpt2 metrics changed by absent seed: %+v", gpt)

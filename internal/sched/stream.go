@@ -139,10 +139,11 @@ func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, erro
 // CheckArrival is the arrival check both streaming loops (RunStream and
 // cluster.RunStream) apply to each yielded request before it reaches an
 // engine: it must have a trace, which the engine executes and its key
-// comes from, its arrival must be at or after the clock's start at 0
-// and at or after the previous arrival, last (0 before the first
-// request), and its deadline must be a time.Duration. pkg prefixes the
-// error.
+// comes from, its arrival must be at or after the clock's start at 0,
+// at or after the previous arrival, last (0 before the first request),
+// and below the largest time.Duration, where a stream's clock saturates
+// (traffic.Advance), and its deadline must be a time.Duration. pkg
+// prefixes the error.
 func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
 	switch {
 	case req.Trace == nil:
@@ -152,6 +153,8 @@ func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
 	case req.Arrival < last:
 		return fmt.Errorf("%s: request stream yielded request %d at %v after an arrival at %v (stream must be sorted)",
 			pkg, req.ID, req.Arrival, last)
+	case req.Arrival == math.MaxInt64:
+		return fmt.Errorf("%s: request %d arrives at or past the largest time.Duration, %v", pkg, req.ID, req.Arrival)
 	case req.SLO > math.MaxInt64-req.Arrival:
 		return fmt.Errorf("%s: request %d's deadline, arrival %v + SLO %v, is past the largest time.Duration",
 			pkg, req.ID, req.Arrival, req.SLO)

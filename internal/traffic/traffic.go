@@ -44,9 +44,32 @@ type Process interface {
 }
 
 // expGap draws one exponential inter-arrival gap at rate arrivals/s —
-// the single draw the historical workload.Generate loop performed.
+// the single draw the historical workload.Generate loop performed. A gap
+// past the largest time.Duration saturates there, math.MaxInt64, where
+// the conversion would wrap it negative.
 func expGap(r *rng.Source, rate float64) time.Duration {
-	return time.Duration(r.Exp(rate) * float64(time.Second))
+	return nanos(r.Exp(rate) * float64(time.Second))
+}
+
+// nanos converts a non-negative span in nanoseconds to a time.Duration,
+// saturating at math.MaxInt64 past 2^63 ns.
+func nanos(ns float64) time.Duration {
+	if ns < 1<<63 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
+}
+
+// Advance returns the arrival clock now moved on by a gap, which is
+// never negative, saturating at the largest time.Duration, math.MaxInt64,
+// where the sum would wrap negative. A consumer refuses an arrival there
+// (sched.CheckArrival), so a stream too slow for the clock fails its run
+// instead of running backwards.
+func Advance(now, gap time.Duration) time.Duration {
+	if gap > 0 && now > math.MaxInt64-gap {
+		return math.MaxInt64
+	}
+	return now + gap
 }
 
 // Poisson is the stationary Poisson process: independent exponential
@@ -67,10 +90,16 @@ func (*Poisson) Name() string { return "poisson" }
 // positiveFinite reports whether x is positive and finite (NaN is not).
 func positiveFinite(x float64) bool { return x > 0 && x < math.Inf(1) }
 
-// Validate implements Process.
+// Validate implements Process. A rate whose mean gap, 1/Rate seconds, is
+// not below 2^63 ns, the largest time.Duration, is refused too: most of
+// its gaps would saturate there.
 func (p *Poisson) Validate() error {
 	if !positiveFinite(p.Rate) {
 		return fmt.Errorf("traffic: poisson rate %v not positive and finite", p.Rate)
+	}
+	if gap := 1 / p.Rate; !(gap*float64(time.Second) < 1<<63) {
+		return fmt.Errorf("traffic: poisson rate %v req/s has a mean gap of %.3gs, not below 2^63 ns, the largest time.Duration",
+			p.Rate, gap)
 	}
 	return nil
 }
@@ -115,7 +144,7 @@ func Bursty(mean, burst, burstFrac float64, meanBurst time.Duration) *MMPP {
 	quiet := mean / (1 - burstFrac + burstFrac*burst)
 	var meanQuiet time.Duration
 	if burstFrac > 0 {
-		meanQuiet = time.Duration(float64(meanBurst) * (1 - burstFrac) / burstFrac)
+		meanQuiet = nanos(float64(meanBurst) * (1 - burstFrac) / burstFrac)
 	}
 	return &MMPP{
 		QuietRate: quiet,
@@ -166,20 +195,21 @@ func (m *MMPP) dwell() time.Duration {
 // gap at the current phase's rate races the end of the phase. A
 // candidate landing past the phase boundary is discarded — the Poisson
 // process is memoryless, so redrawing from the boundary is exact, not an
-// approximation — the phase toggles, and a fresh dwell is drawn.
+// approximation — the phase toggles, and a fresh dwell is drawn. A phase
+// whose end saturates at the largest time.Duration never ends.
 func (m *MMPP) Next(r *rng.Source, now time.Duration) time.Duration {
 	t := now
 	if !m.started {
 		m.started = true
-		m.phaseEnd = t + time.Duration(r.Exp(1/m.dwell().Seconds())*float64(time.Second))
+		m.phaseEnd = Advance(t, expGap(r, 1/m.dwell().Seconds()))
 	}
 	for {
-		if gap := expGap(r, m.rate()); t+gap <= m.phaseEnd {
-			return t + gap - now
+		if gap := expGap(r, m.rate()); gap <= m.phaseEnd-t || m.phaseEnd == math.MaxInt64 {
+			return Advance(t, gap) - now
 		}
 		t = m.phaseEnd
 		m.burst = !m.burst
-		m.phaseEnd = t + time.Duration(r.Exp(1/m.dwell().Seconds())*float64(time.Second))
+		m.phaseEnd = Advance(t, expGap(r, 1/m.dwell().Seconds()))
 	}
 }
 
@@ -198,7 +228,7 @@ func nextThinned(r *rng.Source, c rateCurve, now time.Duration) time.Duration {
 	peak := c.peak()
 	t := now
 	for {
-		t += expGap(r, peak)
+		t = Advance(t, expGap(r, peak))
 		if r.Float64()*peak <= c.rateAt(t) {
 			return t - now
 		}

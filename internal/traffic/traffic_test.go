@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -265,6 +266,56 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	for name, p := range cases {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestClockSaturatesPastDuration: no span or arrival wraps past 2^63 ns,
+// the largest time.Duration, to a negative duration. A poisson rate
+// whose mean gap is past it fails Validate naming the rate; an mmpp
+// quiet dwell past it saturates there; and an mmpp and a diurnal
+// process whose clock passes it draw non-negative gaps while the clock
+// stops at math.MaxInt64, where each used to wrap negative.
+func TestClockSaturatesPastDuration(t *testing.T) {
+	for _, c := range []struct{ now, gap, want time.Duration }{
+		{time.Second, 2 * time.Second, 3 * time.Second},
+		{math.MaxInt64 - time.Second, time.Second, math.MaxInt64},
+		{math.MaxInt64 - time.Second, 2 * time.Second, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64},
+	} {
+		if got := Advance(c.now, c.gap); got != c.want {
+			t.Errorf("Advance(%v, %v) = %v, want %v", c.now, c.gap, got, c.want)
+		}
+	}
+	for _, rate := range []float64{1e-300, 1e-10} {
+		err := NewPoisson(rate).Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rate %v req/s", rate)) {
+			t.Errorf("poisson at %v req/s: error %v, want one naming the rate", rate, err)
+		}
+	}
+	if err := NewPoisson(1e-9).Validate(); err != nil {
+		t.Errorf("a mean gap of 1e9 s is below 2^63 ns: %v", err)
+	}
+	mmpp := Bursty(1e-9, 8, 0.2, math.MaxInt64/2)
+	if mmpp.MeanQuiet != math.MaxInt64 {
+		t.Errorf("a quiet dwell four times MaxInt64/2 ns is %v, want the largest time.Duration", mmpp.MeanQuiet)
+	}
+	for _, p := range []Process{mmpp, &Diurnal{Base: 1e-9, Amplitude: 0.7, Period: time.Hour}} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		p.Reset()
+		r := rng.New(1)
+		var now time.Duration
+		for i := 0; i < 40; i++ {
+			gap := p.Next(r, now)
+			if gap < 0 {
+				t.Fatalf("%s: gap %v at arrival %d", p.Name(), gap, i)
+			}
+			now = Advance(now, gap)
+		}
+		if now != math.MaxInt64 {
+			t.Errorf("%s: clock at %v after 40 arrivals at ~1e-9 req/s, want it saturated", p.Name(), now)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"log"
-	"sort"
 	"strings"
 	"time"
 
@@ -97,15 +96,9 @@ func ExampleLoadSpec() {
 
 	fmt.Printf("\nphase 2 under %s: ANTT %.2f, violations %.1f%%, %d preemptions\n",
 		result.Scheduler, result.ANTT, 100*result.ViolationRate, result.Preemptions)
-	names := make([]string, 0, len(result.PerModel))
-	for name := range result.PerModel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := result.PerModel[name]
+	for _, m := range result.PerModel {
 		fmt.Printf("  %-9s %3d requests  ANTT %6.2f  violations %5.1f%%\n",
-			name, m.Requests, m.ANTT, 100*m.ViolationRate)
+			m.Model, m.Requests, m.ANTT, 100*m.ViolationRate)
 	}
 
 	// 4. Outcome export + a schedule snapshot.

@@ -134,7 +134,7 @@ func (s *Stream) Next() (*Request, bool) {
 	if s.next >= s.cfg.Requests {
 		return nil, false
 	}
-	s.now += s.proc.Next(&s.r, s.now)
+	s.now = traffic.Advance(s.now, s.proc.Next(&s.r, s.now))
 	i := sampleEntry(&s.r, s.entries, s.totalWeight)
 	e := &s.resolved[i]
 	s.req = Request{

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -147,5 +148,29 @@ func TestGenerateRejectsBadProcess(t *testing.T) {
 		Requests: 5, SLOMultiplier: 10, Seed: 1,
 		Process: traffic.NewPoisson(0)}); err == nil {
 		t.Fatal("invalid process accepted")
+	}
+}
+
+// TestStreamClockSaturates: at 1e-9 req/s each gap fits a time.Duration
+// but their sum passes 2^63 ns by the 20th request. The stream's clock
+// saturates at the largest time.Duration, which the run refuses
+// (sched.CheckArrival), so no arrival wraps negative or runs backwards:
+// request 8 used to arrive at -2446461h34m59.869311844s.
+func TestStreamClockSaturates(t *testing.T) {
+	sc := MultiAttNN()
+	_, eval := buildSmall(t, sc)
+	reqs, err := Generate(sc, eval, GenConfig{Requests: 20, RatePerSec: 1e-9, SLOMultiplier: 10, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last time.Duration
+	for _, r := range reqs {
+		if r.Arrival < last {
+			t.Fatalf("request %d arrives at %v, after an arrival at %v", r.ID, r.Arrival, last)
+		}
+		last = r.Arrival
+	}
+	if last != math.MaxInt64 {
+		t.Errorf("last arrival %v, want the clock saturated at the largest time.Duration", last)
 	}
 }

@@ -176,8 +176,8 @@ func (c GenConfig) validate() error {
 		if err := c.Process.Validate(); err != nil {
 			return err
 		}
-	} else if !(c.RatePerSec > 0 && c.RatePerSec < math.Inf(1)) { // NaN fails too
-		return fmt.Errorf("workload: arrival rate %v not positive and finite", c.RatePerSec)
+	} else if err := (&traffic.Poisson{Rate: c.RatePerSec}).Validate(); err != nil {
+		return err
 	}
 	if !(c.SLOMultiplier >= 1 && c.SLOMultiplier < math.Inf(1)) {
 		return fmt.Errorf("workload: SLO multiplier %v not finite and at least 1", c.SLOMultiplier)
