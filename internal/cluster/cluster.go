@@ -455,6 +455,13 @@ func RunStream(newSched func(engine int) sched.Scheduler, src sched.RequestSourc
 		if err := sched.CheckArrival("cluster", r, lastArrival); err != nil {
 			return Result{}, err
 		}
+		// The request's delivery is its engine's next event, so an
+		// arrival past the event tree's range fails here, naming the
+		// request, rather than at the sync that would blame its engine.
+		if r.Arrival > evq.maxTime {
+			return Result{}, fmt.Errorf("cluster: request %d arrives at %v, outside the event queue's range [0, %v] for %d engines",
+				r.ID, r.Arrival, evq.maxTime, len(engines))
+		}
 		lastArrival = r.Arrival
 		offered++
 		if err := advance(r.Arrival); err != nil {

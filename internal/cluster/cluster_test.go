@@ -379,6 +379,31 @@ func TestEventPastPackedRangeFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestArrivalPastPackedRangeNamesTheRequest: a request arriving past the
+// event tree's range fails the run with an error naming the request, its
+// arrival, the range and the engine count, not the engine it would have
+// been dispatched to, and before any engine serves it. (An in-range
+// arrival whose layers end past the range still fails naming the engine:
+// TestEventPastPackedRangeFailsTheRun.)
+func TestArrivalPastPackedRangeNamesTheRequest(t *testing.T) {
+	reqs, est, _ := randomStream(6, 60)
+	late := make([]*workload.Request, len(reqs))
+	copy(late, reqs)
+	for _, engines := range []int{2, 4, 9} {
+		limit := newEventTree(engines).maxTime
+		last := *reqs[len(reqs)-1]
+		last.Arrival = limit + 1
+		late[len(late)-1] = &last
+		_, err := Run(func(int) sched.Scheduler { return sched.NewSJF(est) }, late,
+			Config{Engines: engines, Dispatch: NewRoundRobin()})
+		want := fmt.Sprintf("cluster: request %d arrives at %v, outside the event queue's range [0, %v] for %d engines",
+			last.ID, last.Arrival, limit, engines)
+		if err == nil || err.Error() != want {
+			t.Errorf("%d engines: err %v, want %q", engines, err, want)
+		}
+	}
+}
+
 // TestImbalanceDegenerateCase: an all-idle cluster (every layer free)
 // must report Imbalance 1.0 — the perfectly balanced value — not a 0 that
 // would sort as "better than perfectly balanced".

@@ -162,7 +162,8 @@ func (c Config) Validate() error {
 	if !(c.Alpha > 0 && c.Alpha < math.Inf(1)) {
 		return fmt.Errorf("core: Alpha %v not positive and finite", c.Alpha)
 	}
-	if c.Strategy == LastN && c.N <= 0 {
+	// The predictor keeps its window position in an int32.
+	if c.Strategy == LastN && (c.N <= 0 || c.N > math.MaxInt32) {
 		return fmt.Errorf("core: LastN strategy with N=%d", c.N)
 	}
 	if !(c.GammaClamp > 1 && c.GammaClamp < math.Inf(1)) {

@@ -74,7 +74,7 @@ type Dysta struct {
 
 	// free recycles departed tasks' states for later arrivals (see
 	// forget), so a warm scheduler allocates none.
-	free sched.FreeList[requestState]
+	free sched.FreeList[requestState, *requestState]
 }
 
 // requestState is the per-request bookkeeping of the dynamic level,
@@ -97,6 +97,7 @@ type requestState struct {
 	// and demoted says which heap that is.
 	key     float64
 	demoted bool
+	sched.Link[requestState]
 }
 
 // New returns a Dysta scheduler over the profiling LUT. It panics on an
@@ -194,9 +195,9 @@ func (d *Dysta) OnArrival(t *sched.Task, now time.Duration) {
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
 	s := d.free.Get()
-	// Every field is written in place (refresh sets the latencies and
-	// place the key), so a recycled state equals a fresh one but for the
-	// LastN window buffer the predictor keeps.
+	// Every field but the list's link is written in place (refresh sets
+	// the latencies and place the key), so a recycled state equals a
+	// fresh one but for the LastN window buffer the predictor keeps.
 	s.staticScore = lat + d.cfg.Beta*slack
 	s.pred.reset(&d.cfg, st)
 	s.demoted = false

@@ -14,12 +14,18 @@ import (
 	"sparsedysta/internal/trace"
 )
 
-// TestRequestStateSize pins Dysta's per-request state at 112 bytes: its
-// predictor points at the scheduler's config instead of carrying a
-// 96-byte copy, and every state chunk pays for each byte a state holds.
+// TestRequestStateSize pins Dysta's per-request state at 112 bytes and
+// sched's Task at 168, the two values a run pools most of: every chunk
+// pays for each byte they hold. The state's predictor points at the
+// scheduler's config instead of carrying a 96-byte copy, and keeps its
+// two counters in one word, which pays for the free-list link; a Task
+// pays for its link by reading its trace's total instead of a copy.
 func TestRequestStateSize(t *testing.T) {
 	if got := unsafe.Sizeof(requestState{}); got != 112 {
 		t.Errorf("requestState is %d bytes, want 112", got)
+	}
+	if got := unsafe.Sizeof(sched.Task{}); got != 168 {
+		t.Errorf("sched.Task is %d bytes, want 168", got)
 	}
 }
 
@@ -38,7 +44,7 @@ func walkOrder(h *sched.TaskHeap) []int {
 // slots written since the state's arrival. A recycled state keeps its
 // window buffer, so slots beyond that hold stale ratios nobody reads.
 func liveWindow(p Predictor) []float64 {
-	return p.window[:min(p.count, len(p.window))]
+	return p.window[:min(int(p.count), len(p.window))]
 }
 
 // checkSameState fails unless two attachments are equal field by field,
@@ -203,7 +209,7 @@ func scribble(t *testing.T, v reflect.Value) {
 		}
 	case reflect.Bool:
 		v.SetBool(true)
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		v.SetInt(-7)
 	case reflect.Float64:
 		v.SetFloat(7.5)
@@ -225,8 +231,9 @@ func scribble(t *testing.T, v reflect.Value) {
 // pointer included, so a state whose fields all hold stale values becomes
 // exactly the state a fresh scheduler builds, under each gamma strategy,
 // without the dynamic level and for a request that arrives demoted. The
-// LastN window buffer is the one field kept; at arrival it has no live
-// slot to compare.
+// free-list link is the list's field: Put overwrites the stale one and
+// Get clears it. The LastN window buffer is the one field kept; at
+// arrival it has no live slot to compare.
 func TestScribbledStateMatchesFresh(t *testing.T) {
 	k := trace.NewKey("m", sparsity.Dense)
 	lut := synthLUT(t, map[trace.Key][]trace.SampleTrace{k: {uniformTrace(time.Millisecond, 4, 0.5)}})

@@ -36,8 +36,6 @@ type Predictor struct {
 	// score the scheduler computes — is O(1) regardless of how many
 	// layers have executed.
 	gamma float64
-	// count is the number of observed layers.
-	count int
 	// sum is the running sum of all ratios (AverageAll). Ratios are
 	// accumulated in execution order, so the mean is bit-identical to a
 	// from-scratch summation over the history.
@@ -46,7 +44,11 @@ type Predictor struct {
 	// (LastN only; allocated lazily), with wpos the slot the next ratio
 	// overwrites — i.e. the oldest entry once the window has filled.
 	window []float64
-	wpos   int
+	// count is the number of observed layers. It and wpos are int32s,
+	// side by side in one word: a layer count fits, and the 8 bytes they
+	// save pay for the free-list link of the scheduler state that embeds
+	// the predictor, so that state stays 112 bytes.
+	count, wpos int32
 }
 
 // NewPredictor returns a Predictor over the LUT entry for the request's
@@ -88,16 +90,13 @@ func (p *Predictor) Observe(layer int, monitored float64) {
 			p.window = make([]float64, p.cfg.N)
 		}
 		p.window[p.wpos] = ratio
-		p.wpos = (p.wpos + 1) % p.cfg.N
+		p.wpos = (p.wpos + 1) % int32(p.cfg.N)
 		// Mean over the window in chronological order: once full, the
 		// oldest entry sits at wpos.
-		n := p.count
-		if n > p.cfg.N {
-			n = p.cfg.N
-		}
+		n := min(int(p.count), p.cfg.N)
 		start := 0
-		if p.count >= p.cfg.N {
-			start = p.wpos
+		if n == p.cfg.N {
+			start = int(p.wpos)
 		}
 		var sum float64
 		for i := 0; i < n; i++ {
@@ -165,7 +164,7 @@ func (p *Predictor) sensitivity(from int) float64 {
 }
 
 // Observations returns how many layers have been observed.
-func (p *Predictor) Observations() int { return p.count }
+func (p *Predictor) Observations() int { return int(p.count) }
 
 // PredictorError quantifies one prediction-vs-truth comparison of the
 // Table 4 evaluation.

@@ -60,6 +60,8 @@ func TestConfigValidate(t *testing.T) {
 		{"eta negative", func(c *Config) { c.Eta = -0.1 }, false},
 		{"alpha zero", func(c *Config) { c.Alpha = 0 }, false},
 		{"last-n without window", func(c *Config) { c.Strategy = LastN; c.N = 0 }, false},
+		{"last-n window past int32", func(c *Config) { c.Strategy = LastN; c.N = math.MaxInt32 + 1 }, false},
+		{"last-n window at int32", func(c *Config) { c.Strategy = LastN; c.N = math.MaxInt32 }, true},
 		{"gamma clamp 1", func(c *Config) { c.GammaClamp = 1 }, false},
 		{"penalty weight negative", func(c *Config) { c.PenaltyWeight = -1 }, false},
 		{"demotion negative", func(c *Config) { c.DemotionMS = -1 }, false},

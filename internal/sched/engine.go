@@ -143,7 +143,7 @@ type Engine struct {
 	// tasks is the run's task list, shared by the engines of one run
 	// (NewPeer): Inject takes each task from it, and every completion
 	// puts one back.
-	tasks *FreeList[Task]
+	tasks *FreeList[Task, *Task]
 }
 
 // NewEngine returns an idle engine at virtual time zero driving the
@@ -151,7 +151,7 @@ type Engine struct {
 // must own each engine: schedulers carry per-run state (heaps, per-task
 // attachments).
 func NewEngine(s Scheduler, opts Options) *Engine {
-	e := &Engine{tasks: &FreeList[Task]{depot: &taskDepot}}
+	e := &Engine{tasks: &FreeList[Task, *Task]{depot: &taskDepot}}
 	e.arm(s, opts)
 	return e
 }
@@ -182,11 +182,13 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 		e.timeline = nil
 		e.agg.tasks = nil
 	}
+	// The ready queue keeps its storage, which may be its inline array:
+	// only its slice is carried over, into the queue in place.
+	ready := e.ready.tasks[:0]
 	*e = Engine{
 		s:            s,
 		opts:         opts,
 		scale:        opts.LatencyScale,
-		ready:        ReadyQueue{tasks: e.ready.tasks[:0]},
 		pending:      pendingQueue{entries: e.pending.entries[:0]},
 		agg:          e.agg,
 		timeline:     e.timeline,
@@ -194,6 +196,7 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 		crashStarted: e.crashStarted,
 		tasks:        e.tasks,
 	}
+	e.ready.tasks = ready
 	if e.scale <= 0 {
 		e.scale = 1
 	}
@@ -227,14 +230,15 @@ func (e *Engine) arm(s Scheduler, opts Options) {
 // time of the injection; the request becomes visible to the scheduler at
 // the first scheduling point at or after max(r.Arrival, now), so a late
 // injection (a dispatcher that held the request back) delays delivery but
-// never rewrites history. Injecting after Finish, or a request without
-// a trace, is an error, which leaves the engine as it was.
+// never rewrites history. Injecting after Finish, or a request
+// CheckArrival refuses (but for arriving out of order, which Inject
+// allows), is an error, which leaves the engine as it was.
 func (e *Engine) Inject(r *workload.Request, now time.Duration) error {
 	if e.finished {
 		return fmt.Errorf("sched: Inject after Finish")
 	}
-	if r.Trace == nil {
-		return fmt.Errorf("sched: request %d has no trace", r.ID)
+	if err := CheckArrival("sched", r, math.MinInt64); err != nil {
+		return err
 	}
 	t := e.tasks.Get()
 	t.wrap(r)
@@ -337,6 +341,7 @@ func (e *Engine) Crash(now time.Duration) (queued, started []*Task, err error) {
 	for i := range e.pending.entries {
 		t := e.pending.entries[i].t
 		e.accountRemove(t)
+		t.queueIndex = -1
 		queued = append(queued, t)
 	}
 	clear(e.pending.entries)
@@ -402,7 +407,9 @@ func (e *Engine) forgetArrival(t *Task) {
 // scheduling point at or after max(at, t.Arrival). The task keeps its
 // original ID, arrival and SLO, so turnaround metrics keep measuring from
 // the real arrival: a migrated request pays the transfer delay in its own
-// latency, never by rewriting history.
+// latency, never by rewriting history. A completed or started task, or
+// one an engine still holds, queued or pending, is refused with an
+// error: Extract or Crash takes a task off its engine first.
 func (e *Engine) Adopt(t *Task, at time.Duration) error {
 	if e.finished {
 		return fmt.Errorf("sched: Adopt after Finish")
@@ -414,7 +421,7 @@ func (e *Engine) Adopt(t *Task, at time.Duration) error {
 		return fmt.Errorf("sched: Adopt of started task %d", t.ID)
 	}
 	if t.queueIndex != -1 {
-		return fmt.Errorf("sched: Adopt of task %d still owned by another ready queue", t.ID)
+		return fmt.Errorf("sched: Adopt of task %d still owned by an engine", t.ID)
 	}
 	eff := at
 	if t.Arrival > eff {
@@ -799,7 +806,12 @@ func (q *pendingQueue) minTime() (time.Duration, bool) {
 	return q.entries[0].eff, true
 }
 
+// pendingIndex is a pending task's queueIndex: like a queued task's, it
+// makes Adopt refuse the task until it leaves the engine.
+const pendingIndex = -2
+
 func (q *pendingQueue) push(t *Task, eff time.Duration) {
+	t.queueIndex = pendingIndex
 	q.entries = append(q.entries, pendingEntry{t: t, eff: eff, seq: q.seq})
 	q.seq++
 	i := len(q.entries) - 1
@@ -833,6 +845,7 @@ func (q *pendingQueue) removeByID(id int) (*Task, bool) {
 		if q.entries[i].t.ID == id {
 			t := q.entries[i].t
 			q.removeAt(i)
+			t.queueIndex = -1
 			return t, true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sparsedysta/internal/sparsity"
 	"sparsedysta/internal/trace"
@@ -56,17 +57,38 @@ func newTask(r *workload.Request) *Task {
 	return t
 }
 
-// TestInjectRefusesTracelessRequest: Inject refuses a request without a
-// trace with an error naming it, before it takes a task from the list,
-// so the engine then serves a valid request exactly as a fresh one does.
+// TestInjectRefusesTracelessRequest: Inject runs CheckArrival, so it
+// refuses a request without a trace, or whose trace has no layer or
+// lacks a layer's sparsity (which Step used to index past their ends),
+// or that arrives before the clock starts or has a deadline past the
+// largest time.Duration (which it used to serve and score: an NTT
+// counting time before the clock, a 2 ms run counted late), with an
+// error naming it, before it takes a task from the list, so the engine
+// then serves a valid request exactly as a fresh one does.
 func TestInjectRefusesTracelessRequest(t *testing.T) {
 	e := NewEngine(NewFCFS(), Options{})
-	err := e.Inject(&workload.Request{ID: 3, SLO: 1}, 0)
-	if err == nil || !strings.Contains(err.Error(), "request 3 has no trace") {
-		t.Fatalf("Inject of a traceless request: %v, want an error naming request 3", err)
-	}
-	if e.tasks.held != 0 || e.Outstanding() != 0 {
-		t.Fatalf("the refused request left %d tasks taken and %d outstanding", e.tasks.held, e.Outstanding())
+	key := trace.NewKey("a", sparsity.Dense)
+	early := synthReq(6, "a", -5*time.Millisecond, time.Millisecond, 2, 10)
+	endless := synthReq(7, "a", time.Millisecond, time.Millisecond, 2, 10)
+	endless.SLO = math.MaxInt64 - 10
+	for _, c := range []struct {
+		r    *workload.Request
+		want string
+	}{
+		{&workload.Request{ID: 3, SLO: 1}, "sched: request 3 has no trace"},
+		{&workload.Request{ID: 4, SLO: 1, Trace: &trace.SampleTrace{Key: key}},
+			"sched: request 4 has a trace with no layers"},
+		{&workload.Request{ID: 5, SLO: 1, Trace: &trace.SampleTrace{Key: key, LayerLatency: []time.Duration{1, 2}, LayerSparsity: []float64{0.5}}},
+			"sched: request 5 has a trace with 2 layer latencies and 1 sparsities"},
+		{early, "sched: request 6 arrives at -5ms, before the clock starts at 0"},
+		{endless, fmt.Sprintf("sched: request 7's deadline, arrival 1ms + SLO %v, is past the largest time.Duration", endless.SLO)},
+	} {
+		if err := e.Inject(c.r, 0); err == nil || err.Error() != c.want {
+			t.Fatalf("Inject of request %d: %v, want %q", c.r.ID, err, c.want)
+		}
+		if e.tasks.held != 0 || e.Outstanding() != 0 {
+			t.Fatalf("the refused request left %d tasks taken and %d outstanding", e.tasks.held, e.Outstanding())
+		}
 	}
 	results := make([]Result, 2)
 	for i, eng := range []*Engine{e, NewEngine(NewFCFS(), Options{})} {
@@ -83,6 +105,52 @@ func TestInjectRefusesTracelessRequest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Errorf("after the refusal:\n got %+v\nwant %+v (a fresh engine)", results[0], results[1])
+	}
+}
+
+// TestReadyQueueHoldsItsFirstTasksInline: a fresh engine whose ready set
+// never passes heapInline tasks keeps them in its queue's inline array,
+// allocating no backing array; a larger ready set moves the queue to one,
+// which a re-armed engine keeps.
+func TestReadyQueueHoldsItsFirstTasksInline(t *testing.T) {
+	e := NewEngine(NewSJF(synthEstimator(synthReq(0, "a", 0, time.Millisecond, 2, 10))), Options{})
+	inline := func() bool { return unsafe.SliceData(e.ready.tasks) == &e.ready.inline[0] }
+	fill := func(n int) {
+		t.Helper()
+		for id := range n {
+			if err := e.Inject(synthReq(id, "a", 0, time.Millisecond, 2, 10), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if e.ready.Len() != n {
+			t.Fatalf("%d tasks ready, want %d", e.ready.Len(), n)
+		}
+	}
+	fill(heapInline)
+	if !inline() {
+		t.Fatalf("%d ready tasks moved the queue off its inline array", heapInline)
+	}
+	for !e.Drained() {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !inline() {
+		t.Fatal("draining moved the queue off its inline array")
+	}
+	fill(heapInline + 1)
+	if inline() || cap(e.ready.tasks) < heapInline+1 {
+		t.Fatalf("%d ready tasks fit a queue of capacity %d", heapInline+1, cap(e.ready.tasks))
+	}
+	grown := unsafe.SliceData(e.ready.tasks)
+	if _, _, err := e.Crash(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.SliceData(e.ready.tasks) != grown || e.ready.Len() != 0 {
+		t.Fatal("the re-armed engine dropped its grown ready queue")
 	}
 }
 

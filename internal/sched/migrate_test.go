@@ -184,7 +184,8 @@ func TestAdoptChargesVisibilityDelay(t *testing.T) {
 		t.Errorf("makespan %v, want 45ms (from original arrival)", res.Makespan)
 	}
 
-	// Adopt guards: completed and still-queued tasks are rejected.
+	// Adopt guards: completed, still-queued and still-pending tasks are
+	// rejected.
 	if err := thief.Adopt(tk, at); err == nil {
 		t.Error("completed task adopted")
 	}
@@ -208,6 +209,27 @@ func TestAdoptChargesVisibilityDelay(t *testing.T) {
 	fresh := NewEngine(NewFCFS(), Options{})
 	if err := fresh.Adopt(queued[0], 0); err == nil {
 		t.Error("task still owned by a ready queue adopted")
+	}
+	// A task still pending on its engine is refused too: adopted, it sat
+	// in both engines, and the second to run it stepped a recycled task.
+	late := synthReq(5, "b", time.Second, 10*time.Millisecond, 2, 100)
+	if err := owner.Inject(late, 0); err != nil {
+		t.Fatal(err)
+	}
+	pending := owner.Migratable()
+	if len(pending) != 2 || pending[1].ID != 5 {
+		t.Fatalf("migratable %v", pending)
+	}
+	if err := fresh.Adopt(pending[1], 0); err == nil || fresh.Outstanding() != 0 {
+		t.Errorf("task still pending on its engine adopted (err %v)", err)
+	}
+	// Extracted, it is adoptable.
+	x, err := owner.Extract(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Adopt(x, 0); err != nil {
+		t.Errorf("extracted pending task refused: %v", err)
 	}
 }
 

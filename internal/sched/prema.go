@@ -52,7 +52,7 @@ type PREMA struct {
 	due                []*Task
 
 	// free recycles the states of departed tasks (see forget).
-	free FreeList[premaState]
+	free FreeList[premaState, *premaState]
 }
 
 // premaState is PREMA's per-task attachment.
@@ -64,6 +64,7 @@ type premaState struct {
 	// rem caches st.AvgRemaining(NextLayer), the heap key; it changes
 	// only when the task executes a layer.
 	rem time.Duration
+	Link[premaState]
 }
 
 // NewPREMA returns the PREMA baseline with the default threshold.
@@ -95,7 +96,8 @@ func (p *PREMA) state(t *Task) *premaState {
 }
 
 // attach sets t's attachment to a state from the free list holding v.
-// v overwrites every field, so a recycled state equals a fresh one.
+// v overwrites every field, its nil link the one Get left, so a
+// recycled state equals a fresh one.
 func (p *PREMA) attach(t *Task, v premaState) *premaState {
 	s := p.free.Get()
 	*s = v

@@ -9,8 +9,15 @@ import "time"
 // queue does NOT preserve insertion order; every scheduler's selection rule
 // is a strict lexicographic minimum (score, then task ID), which is
 // order-independent, and the invariants test cross-checks this.
+//
+// Like a TaskHeap, the queue holds heapInline tasks before it allocates,
+// so an engine whose ready set never passes that allocates no backing
+// array; a larger one it grows is kept when the engine re-arms. The zero
+// value is an empty queue, and a queue that has held a task must not be
+// copied.
 type ReadyQueue struct {
-	tasks []*Task
+	tasks  []*Task
+	inline [heapInline]*Task
 }
 
 // Len returns the number of ready tasks.
@@ -28,6 +35,9 @@ func (q *ReadyQueue) Contains(t *Task) bool {
 
 // add appends a task, recording its index.
 func (q *ReadyQueue) add(t *Task) {
+	if q.tasks == nil {
+		q.tasks = q.inline[:0]
+	}
 	t.queueIndex = len(q.tasks)
 	q.tasks = append(q.tasks, t)
 }

@@ -138,16 +138,23 @@ func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, erro
 
 // CheckArrival is the arrival check both streaming loops (RunStream and
 // cluster.RunStream) apply to each yielded request before it reaches an
-// engine: it must have a trace, which the engine executes and its key
-// comes from, its arrival must be at or after the clock's start at 0,
-// at or after the previous arrival, last (0 before the first request),
-// and below the largest time.Duration, where a stream's clock saturates
-// (traffic.Advance), and its deadline must be a time.Duration. pkg
-// prefixes the error.
+// engine, and Engine.Inject to each request it is handed, with last at
+// math.MinInt64. The request must have a trace with at least one layer
+// and a monitored sparsity for each, which the engine executes and its
+// key comes from; its arrival must be at or after the clock's start at
+// 0, at or after the previous arrival, last (0 before the first
+// request), and below the largest time.Duration, where a stream's clock
+// saturates (traffic.Advance); and its deadline must be a time.Duration.
+// pkg prefixes the error.
 func CheckArrival(pkg string, req *workload.Request, last time.Duration) error {
-	switch {
-	case req.Trace == nil:
+	switch tr := req.Trace; {
+	case tr == nil:
 		return fmt.Errorf("%s: request %d has no trace", pkg, req.ID)
+	case tr.NumLayers() == 0:
+		return fmt.Errorf("%s: request %d has a trace with no layers", pkg, req.ID)
+	case len(tr.LayerSparsity) != tr.NumLayers():
+		return fmt.Errorf("%s: request %d has a trace with %d layer latencies and %d sparsities",
+			pkg, req.ID, tr.NumLayers(), len(tr.LayerSparsity))
 	case req.Arrival < 0:
 		return fmt.Errorf("%s: request %d arrives at %v, before the clock starts at 0", pkg, req.ID, req.Arrival)
 	case req.Arrival < last:

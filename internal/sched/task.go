@@ -56,13 +56,13 @@ type Task struct {
 	// evaluation store: a pointer, so the task carries 8 bytes instead
 	// of a copy of the trace's two slice headers.
 	tr *trace.SampleTrace
-	// trueTotal caches the trace's end-to-end latency; trueRemaining is
-	// maintained by the engine as layers execute so TrueRemaining is O(1)
-	// instead of re-summing the trace suffix.
-	trueTotal, trueRemaining time.Duration
+	// trueRemaining is maintained by the engine as layers execute so
+	// TrueRemaining is O(1) instead of re-summing the trace suffix.
+	trueRemaining time.Duration
 	// queueIndex is the task's position in the engine's ReadyQueue
-	// (-1 when not queued); heapIndex is its position in the active
-	// scheduler's TaskHeap (-1 when absent).
+	// (pendingIndex while it waits in the engine's pending set, -1 in
+	// no engine); heapIndex is its position in the active scheduler's
+	// TaskHeap (-1 when absent).
 	queueIndex, heapIndex int
 	// estCurve and estAccounted belong to the owning engine's incremental
 	// backlog accounting (Options.BacklogEstimator): estAccounted is the
@@ -72,21 +72,22 @@ type Task struct {
 	// post-layer re-estimate a slice index instead of an estimator call.
 	estCurve     []time.Duration
 	estAccounted time.Duration
+	// Link threads the task on its run's task list while it is free.
+	Link[Task]
 }
 
 // taskDepot is the process-wide depot every run's task list grows from
 // and hands its free tasks back to at Finish (see FreeList).
 var taskDepot depot[Task]
 
-// wrap makes t the task of a workload request. Every field is written
-// in place, without building a Task and copying it in, so a recycled
-// task is indistinguishable from a fresh one.
+// wrap makes t the task of a workload request. Every field but the
+// list's link is written in place, without building a Task and copying
+// it in, so a recycled task is indistinguishable from a fresh one.
 func (t *Task) wrap(r *workload.Request) {
-	total := r.Trace.Total()
 	t.ID, t.Key, t.Arrival, t.SLO = r.ID, r.Trace.Key, r.Arrival, r.SLO
 	t.NextLayer, t.ExecTime, t.LastRun, t.Completion = 0, 0, r.Arrival, 0
 	t.Done, t.Migrated, t.Attempts, t.Attachment = false, false, 0, nil
-	t.tr, t.trueTotal, t.trueRemaining = r.Trace, total, total
+	t.tr, t.trueRemaining = r.Trace, r.Trace.Total()
 	t.queueIndex, t.heapIndex = -1, -1
 	t.estCurve, t.estAccounted = nil, 0
 }
@@ -146,7 +147,7 @@ func (t *Task) Restart() {
 	t.Done = false
 	t.Attempts++
 	t.Attachment = nil
-	t.trueRemaining = t.trueTotal
+	t.trueRemaining = t.tr.Total()
 	t.queueIndex, t.heapIndex = -1, -1
 	// Backlog-accounting state belongs to the engine that owned the task;
 	// the adopting engine re-resolves both on arrival.
@@ -162,10 +163,11 @@ func (t *Task) Violated(now time.Duration) bool {
 	return now > t.Deadline()
 }
 
-// TrueIsolated returns the ground-truth isolated latency (T_isol). The
-// engine uses it for metrics; among schedulers only the Oracle
-// (core.NewOracle) may call it.
-func (t *Task) TrueIsolated() time.Duration { return t.trueTotal }
+// TrueIsolated returns the ground-truth isolated latency (T_isol): the
+// trace's Total, which a stored trace carries stamped, so the task keeps
+// no copy. The engine uses it for metrics; among schedulers only the
+// Oracle (core.NewOracle) may call it.
+func (t *Task) TrueIsolated() time.Duration { return t.tr.Total() }
 
 // TrueRemaining returns the ground-truth remaining isolated latency from
 // the task's next layer, maintained incrementally by the engine (O(1)).
