@@ -176,7 +176,9 @@ func TestFig5Story(t *testing.T) {
 
 // TestTable5Shape runs the headline experiment at tiny scale and checks
 // the paper's qualitative claims: Dysta has the best ANTT and the best
-// violation rate of the six schedulers on both workloads.
+// violation rate of the six schedulers on both workloads. At the full
+// protocol it checks the ANTT claim seed by seed: Dysta's is the lowest
+// on each of the five paired seeds, on both workloads.
 func TestTable5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline; skipped in -short")
@@ -229,6 +231,29 @@ func TestTable5Shape(t *testing.T) {
 	if dysta[1] > bestViolAtt+1.0 || dysta[3] > bestViolCnn+1.0 {
 		t.Errorf("Dysta violations not best: attnn %.1f%% (best %.1f%%), cnn %.1f%% (best %.1f%%)",
 			dysta[1], bestViolAtt, dysta[3], bestViolCnn)
+	}
+
+	// Paired by seed at the full protocol: every scheduler runs on the
+	// same arrival streams, and Dysta's ANTT is below every baseline's
+	// on every seed of both workloads.
+	full, err := table5Seeds(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, setup := range table5Setups {
+		name := setup.sc().Name
+		seeds := full[name]
+		for _, base := range table5Order[:len(table5Order)-1] {
+			if len(seeds["Dysta"]) != DefaultOptions().Seeds || len(seeds[base]) != len(seeds["Dysta"]) {
+				t.Fatalf("%s: %d Dysta and %d %s seeds, want %d each",
+					name, len(seeds["Dysta"]), len(seeds[base]), base, DefaultOptions().Seeds)
+			}
+			for i, d := range seeds["Dysta"] {
+				if b := seeds[base][i]; d.ANTT >= b.ANTT {
+					t.Errorf("%s seed %d: Dysta's ANTT %.3f is not below %s's %.3f", name, i, d.ANTT, base, b.ANTT)
+				}
+			}
+		}
 	}
 }
 

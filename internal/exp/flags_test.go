@@ -241,21 +241,22 @@ func FuzzOptions(f *testing.F) {
 		}
 		si := len(data) % len(specs)
 		pt := Point{Rate: 60, MSLO: 10}
-		res, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0)
+		res, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0, nil)
 		if err != nil {
 			return
 		}
 		if err := sched.CheckOutcomeConservation(res); err != nil {
 			t.Fatalf("%q: %v", args, err)
 		}
-		again, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0)
+		again, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0, nil)
 		if err != nil || !reflect.DeepEqual(again, res) {
 			t.Fatalf("%q: a second run returned %+v (error %v), want %+v", args, again, err, res)
 		}
 		w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
 		other := (si + 1) % len(specs)
-		_, _ = p.runCell(specs[other], pt, 0, o, nil, &w, other) // a failed cell leaves the worker re-armable
-		warm, err := p.runCell(specs[si], pt, 0, o, nil, &w, si)
+		slot := make([]sched.ModelMetrics, modelCount(p.Scenario))
+		_, _ = p.runCell(specs[other], pt, 0, o, nil, &w, other, slot) // a failed cell leaves the worker re-armable
+		warm, err := p.runCell(specs[si], pt, 0, o, nil, &w, si, slot)
 		if err != nil || !reflect.DeepEqual(warm, res) {
 			t.Fatalf("%q: after a %s cell, a grid worker returned %+v (error %v), want %+v",
 				args, specs[other].Name, warm, err, res)

@@ -253,7 +253,7 @@ func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([
 	}
 	rs := make([]sched.Result, 0, opts.Seeds)
 	for s := 0; s < opts.Seeds; s++ {
-		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, rec, nil, 0)
+		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, rec, nil, 0, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,11 +50,13 @@ func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 // cell holds only the requests in flight. With a nil w, the cell builds
 // its stream, engine and scheduler from nothing (RunSeeds, the reference
 // path); otherwise it re-arms w's stream, and a direct cell runs through
-// w as the grid's spec si (gridWorker.run). A cluster cell builds its
-// engines and schedulers either way. The caller has checked the policy
-// names (Options.checkPolicyNames) and read a replay's recording, rec
-// (Options.recording; see gridWorker.traffic).
-func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec *traffic.Replay, w *gridWorker, si int) (sched.Result, error) {
+// w as the grid's spec si (gridWorker.run), cutting its Result's
+// per-model breakdown from slot when slot is long enough. A cluster cell
+// builds its engines and schedulers, and its breakdown, either way. The
+// caller has checked the policy names (Options.checkPolicyNames) and
+// read a replay's recording, rec (Options.recording; see
+// gridWorker.traffic).
+func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec *traffic.Replay, w *gridWorker, si int, slot []sched.ModelMetrics) (sched.Result, error) {
 	proc, err := w.traffic(rec, opts, pt)
 	if err != nil {
 		return sched.Result{}, err
@@ -147,7 +150,7 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec
 	if w == nil {
 		res, err = sched.RunStream(spec.New(p), src, sOpts)
 	} else {
-		res, err = w.run(p, spec, si, src, sOpts)
+		res, err = w.run(p, spec, si, src, sOpts, slot)
 	}
 	if err != nil {
 		return sched.Result{}, fmt.Errorf("exp: running %s: %w", spec.Name, err)
@@ -202,19 +205,20 @@ func (w *gridWorker) stream(p *Pipeline, cfg workload.GenConfig) (*workload.Stre
 }
 
 // run runs a direct cell of spec, the grid's spec si, on the worker's
-// engine. The scheduler is the one the spec's last cell left, or a new
-// one. Only a sched.TaskExtractor whose run finished without error is
-// kept for the spec's next cell: the extractor contract promises that
-// an emptied scheduler schedules like a new one, and a drained run
-// empties it. Any other scheduler may keep run state, so its spec gets
-// a new one per cell.
-func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestSource, opts sched.Options) (sched.Result, error) {
+// engine, with the Result's per-model breakdown cut from slot
+// (sched.Runner.RunInto). The scheduler is the one the spec's last cell
+// left, or a new one. Only a sched.TaskExtractor whose run finished
+// without error is kept for the spec's next cell: the extractor contract
+// promises that an emptied scheduler schedules like a new one, and a
+// drained run empties it. Any other scheduler may keep run state, so its
+// spec gets a new one per cell.
+func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestSource, opts sched.Options, slot []sched.ModelMetrics) (sched.Result, error) {
 	s := w.scheds[si]
 	w.scheds[si] = nil
 	if s == nil {
 		s = spec.New(p)
 	}
-	res, err := w.runner.Run(s, src, opts)
+	res, err := w.runner.RunInto(s, src, opts, slot)
 	if _, ok := s.(sched.TaskExtractor); ok && err == nil {
 		w.scheds[si] = s
 	}
@@ -229,16 +233,21 @@ func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestS
 // workers; each worker re-arms one request stream for all its cells and
 // recycles its direct cells' engine and schedulers (gridWorker), without
 // changing a result. A replayed trace is read once, before any cell.
+// The averages' per-model breakdowns are cut from one slab per call,
+// like the direct cells' (runCells).
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
 	slab, err := p.runCells(specs, points, opts)
 	if err != nil {
 		return nil, err
 	}
+	models := modelCount(p.Scenario)
+	breakdowns := make([]sched.ModelMetrics, len(points)*len(specs)*models)
 	out := make([]PointResult, len(points))
 	for pi, pt := range points {
 		m := make(map[string]sched.Result, len(specs))
 		for si, spec := range specs {
-			avg, err := sched.AverageResults(seedsOf(slab, pi, si, len(specs), opts.Seeds))
+			slot := breakdownOf(breakdowns, pi*len(specs)+si, models)
+			avg, err := sched.AverageResultsInto(seedsOf(slab, pi, si, len(specs), opts.Seeds), slot)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s at point %d: %w", spec.Name, pi, err)
 			}
@@ -252,8 +261,11 @@ func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]P
 
 // runCells runs every (point, spec, seed) cell of a grid on the worker
 // pool and returns the slab of their results, one slice for the whole
-// grid: seedsOf reads a (point, spec) pair's seeds from it. Workers
-// write disjoint slots, so the slab is the same for any worker count.
+// grid: seedsOf reads a (point, spec) pair's seeds from it. A direct
+// cell's per-model breakdown is cut from a second slab, one slot of
+// modelCount entries per cell, so a warm direct cell allocates nothing.
+// Workers write disjoint slots, so both slabs are the same for any
+// worker count.
 func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]sched.Result, error) {
 	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
@@ -269,6 +281,8 @@ func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]
 
 	total := len(points) * len(specs) * opts.Seeds
 	slab := make([]sched.Result, total)
+	models := slotModels(p.Scenario, opts)
+	breakdowns := make([]sched.ModelMetrics, total*models)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -303,12 +317,14 @@ func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]
 				if failed() {
 					continue // drain remaining jobs after a failure
 				}
-				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, rec, &worker, c.si)
+				i := (c.pi*len(specs)+c.si)*opts.Seeds + c.seed
+				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, rec, &worker, c.si,
+					breakdownOf(breakdowns, i, models))
 				if err != nil {
 					setErr(err)
 					continue
 				}
-				seedsOf(slab, c.pi, c.si, len(specs), opts.Seeds)[c.seed] = res
+				slab[i] = res
 			}
 		}()
 	}
@@ -333,6 +349,37 @@ func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]
 func seedsOf(slab []sched.Result, pi, si, nspecs, seeds int) []sched.Result {
 	i := (pi*nspecs + si) * seeds
 	return slab[i : i+seeds : i+seeds]
+}
+
+// breakdownOf returns the i-th slot of models entries of a breakdown
+// slab, capped so that appending to it cannot overwrite the next slot.
+func breakdownOf(slab []sched.ModelMetrics, i, models int) []sched.ModelMetrics {
+	return slab[i*models : (i+1)*models : (i+1)*models]
+}
+
+// slotModels sizes the breakdown slot of a grid cell of sc run under
+// opts: modelCount(sc) for a direct cell, and 0 for a clustered one,
+// which builds its breakdown itself.
+func slotModels(sc workload.Scenario, opts Options) int {
+	if opts.Shape().Clustered {
+		return 0
+	}
+	return modelCount(sc)
+}
+
+// modelCount counts the distinct model names among sc's entries: every
+// request a cell of sc serves is one of them, so a run's breakdown, and
+// an average of such runs', has at most this many entries.
+func modelCount(sc workload.Scenario) int {
+	n := 0
+	for i, e := range sc.Entries {
+		if e.Model != nil && !slices.ContainsFunc(sc.Entries[:i], func(prev workload.Entry) bool {
+			return prev.Model != nil && prev.Model.Name == e.Model.Name
+		}) {
+			n++
+		}
+	}
+	return n
 }
 
 // RatePoints builds a grid over arrival rates at one SLO multiplier.

@@ -21,13 +21,16 @@ import (
 // TestParallelRunnerMatchesSequential: the worker-pool grid runner must
 // produce byte-identical Results to the sequential reference path
 // (RunSeeds + AverageResults, which builds every cell from nothing) for
-// a fixed seed protocol, regardless of worker count. A grid worker
-// re-arms one engine for all its cells and reruns each spec's emptied
-// scheduler, so the grids cover both pipelines (AttNN on Sanger, CNN on
-// Eyeriss), the lineup with the Oracle and Dysta-w/o-sparse, and points
-// ordered overloaded first, so that a worker's later cells run on the
-// storage and schedulers a deep queue grew. The rotating spec keeps run
-// state and is no sched.TaskExtractor: each of its cells must get a new
+// a fixed seed protocol, regardless of worker count: every cell's Result
+// in the grid's slab is reflect.DeepEqual to its RunSeeds result, and
+// every average to AverageResults of those, down to the per-model
+// breakdowns the grid cuts from its slabs. A grid worker re-arms one
+// engine for all its cells and reruns each spec's emptied scheduler, so
+// the grids cover both pipelines (AttNN on Sanger, CNN on Eyeriss), the
+// lineup with the Oracle and Dysta-w/o-sparse, and points ordered
+// overloaded first, so that a worker's later cells run on the storage
+// and schedulers a deep queue grew. The rotating spec keeps run state
+// and is no sched.TaskExtractor: each of its cells must get a new
 // scheduler.
 func TestParallelRunnerMatchesSequential(t *testing.T) {
 	opts := tiny()
@@ -57,13 +60,16 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 
 		// Sequential reference.
 		want := make([]map[string]sched.Result, len(points))
+		wantSeeds := make([]map[string][]sched.Result, len(points))
 		for pi, pt := range points {
 			want[pi] = map[string]sched.Result{}
+			wantSeeds[pi] = map[string][]sched.Result{}
 			for _, spec := range specs {
 				rs, err := p.RunSeeds(spec, pt.Rate, pt.MSLO, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				wantSeeds[pi][spec.Name] = rs
 				avg, err := sched.AverageResults(rs)
 				if err != nil {
 					t.Fatal(err)
@@ -95,17 +101,37 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 					t.Errorf("%s at %v req/s, workers=%d: parallel results diverge from sequential:\n%s\nvs\n%s",
 						c.sc.Name, pt.Rate, workers, a, b)
 				}
+				if !reflect.DeepEqual(grid[pi].Results, want[pi]) {
+					t.Errorf("%s at %v req/s, workers=%d: averages are not reflect.DeepEqual to the sequential ones",
+						c.sc.Name, pt.Rate, workers)
+				}
+			}
+			if workers > 4 {
+				continue
+			}
+			slab, err := p.runCells(specs, points, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, pt := range points {
+				for si, spec := range specs {
+					if got := seedsOf(slab, pi, si, len(specs), opts.Seeds); !reflect.DeepEqual(got, wantSeeds[pi][spec.Name]) {
+						t.Errorf("%s %s at %v req/s, workers=%d: cells %+v, RunSeeds %+v",
+							c.sc.Name, spec.Name, pt.Rate, workers, got, wantSeeds[pi][spec.Name])
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestRunPointSeedsMatchesRunSeeds: RunPointSeeds reads each spec's
-// per-seed results from the grid's slab, so they are reflect.DeepEqual
-// to the sequential RunSeeds' for every spec of the lineup with the
-// Oracle, on both pipelines and at -workers 1 and 4, and their average
-// under the spec's name is its RunPoint result. Table 5 takes its means
-// and its seed-spread note from one such call.
+// per-seed results, breakdowns included, from the grid's slabs, so they
+// are reflect.DeepEqual to the sequential RunSeeds' for every spec of
+// the lineup with the Oracle, on both pipelines and at -workers 1 and 4,
+// and their average under the spec's name is its RunPoint result, as is
+// AverageResults of RunSeeds'. Table 5 takes its means, its seed-spread
+// note and its paired notes from one such call.
 func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
 	opts := tiny()
 	opts.Seeds = 3
@@ -153,6 +179,14 @@ func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
 				if !reflect.DeepEqual(avg, point[spec.Name]) {
 					t.Errorf("%s %s, workers=%d: average %+v, RunPoint %+v", c.sc.Name, spec.Name, workers, avg, point[spec.Name])
 				}
+				ref, err := sched.AverageResults(want[spec.Name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Scheduler = spec.Name
+				if !reflect.DeepEqual(ref, point[spec.Name]) {
+					t.Errorf("%s %s: RunSeeds' average %+v, RunPoint %+v", c.sc.Name, spec.Name, ref, point[spec.Name])
+				}
 			}
 		}
 	}
@@ -162,11 +196,12 @@ func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
 var resultSink map[string]sched.Result
 
 // TestRunGridResultSlab: RunGrid keeps every cell's Result in one slab
-// per call, so each operating point a warm grid adds costs only its
-// cells' breakdowns (one allocation each), its averaged breakdowns (one
-// per spec) and its result map. The grid used to add a slot slice per
-// (point, spec) and one more per point. The points are identical, so
-// every cell runs on storage the grid's first point grew.
+// per call, and cuts the cells' and the averages' per-model breakdowns
+// from two more, so each operating point a warm grid adds costs only its
+// result map. The grid used to add a slot slice per (point, spec) and
+// one more per point, and then its cells' breakdowns (one allocation
+// each) and its averaged breakdowns (one per spec). The points are
+// identical, so every cell runs on storage the grid's first point grew.
 func TestRunGridResultSlab(t *testing.T) {
 	opts := tiny()
 	opts.Seeds, opts.Workers = 2, 1
@@ -190,10 +225,56 @@ func TestRunGridResultSlab(t *testing.T) {
 		}
 		resultSink = m
 	})
-	want := float64(len(specs)*opts.Seeds+len(specs)) + resultMap
-	if got := grid(3) - grid(2); got != want {
-		t.Errorf("a grid point adds %v allocations, want %v (%d cells' and %d averaged breakdowns, %v for the result map)",
-			got, want, len(specs)*opts.Seeds, len(specs), resultMap)
+	if got := grid(3) - grid(2); got != resultMap {
+		t.Errorf("a grid point adds %v allocations, want %v (the result map)", got, resultMap)
+	}
+}
+
+// TestGridBreakdownsAreCapped: every direct cell's breakdown and every
+// average's is cut from a slab of one slot per cell or per (point,
+// spec), and capped at its length, so appending to one never writes
+// into another's slot. The appends run in slab order, each checked
+// against a copy of every breakdown taken before any of them.
+func TestGridBreakdownsAreCapped(t *testing.T) {
+	opts := tiny()
+	opts.Seeds = 2
+	p, err := NewPipeline(workload.MultiCNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := StandardScheds()[:3]
+	points := RatePoints([]float64{2, 3}, 10)
+	cells, err := p.runCells(specs, points, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := p.RunGrid(specs, points, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var breakdowns [][]sched.ModelMetrics
+	for _, r := range cells {
+		breakdowns = append(breakdowns, r.PerModel)
+	}
+	for _, pr := range grid {
+		for _, spec := range specs {
+			breakdowns = append(breakdowns, pr.Results[spec.Name].PerModel)
+		}
+	}
+	kept := make([][]sched.ModelMetrics, len(breakdowns))
+	for i, b := range breakdowns {
+		if len(b) == 0 {
+			t.Fatalf("breakdown %d is empty", i)
+		}
+		kept[i] = slices.Clone(b)
+	}
+	for i, b := range breakdowns {
+		_ = append(b, sched.ModelMetrics{Model: "appended", Requests: -1})
+		for j := range breakdowns {
+			if !slices.Equal(breakdowns[j], kept[j]) {
+				t.Fatalf("appending to breakdown %d changed breakdown %d: %+v, was %+v", i, j, breakdowns[j], kept[j])
+			}
+		}
 	}
 }
 
@@ -227,7 +308,7 @@ func TestArrivalsPastDurationFailTheCell(t *testing.T) {
 	} {
 		o := opts
 		o.Traffic, o.Requests = c.traffic, c.requests
-		_, err := p.runCell(dysta, Point{Rate: c.rate, MSLO: 10}, 0, o, nil, nil, 0)
+		_, err := p.runCell(dysta, Point{Rate: c.rate, MSLO: 10}, 0, o, nil, nil, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) || negativeDuration.MatchString(err.Error()) {
 			t.Errorf("-traffic %q at %v req/s: error %v, want one naming %q and no negative duration",
 				c.traffic, c.rate, err, c.want)
@@ -360,15 +441,16 @@ func replayTraffic(t *testing.T, n int, gap time.Duration) string {
 
 // TestWarmGridCellAllocatesOnlyItsResult: a grid worker's warm direct
 // cell re-arms the worker's stream, its engine and the spec's emptied
-// scheduler, so it makes exactly 1 allocation, its Result's per-model
-// slice, for every scheduler of the lineup and at any request count.
-// Each cell used to build its stream (4 allocations) and a throwaway
-// round-robin dispatcher, to check the -dispatch name, and the
-// breakdown was a map (2). A replay grid reads its trace once per call
-// (Options.recording) and the worker replays the shared gaps through
-// its own cursor, so a warm replay cell makes the same 1 at any trace
-// length; each cell used to parse the file again, 426 allocations at
-// 200 recorded arrivals and 40,038 at 20,000.
+// scheduler, and cuts its Result's per-model breakdown from the slot
+// the grid hands it, so it makes no allocation, for every scheduler of
+// the lineup and at any request count; without a slot it makes 1, the
+// breakdown. Each cell used to build its stream (4 allocations) and a
+// throwaway round-robin dispatcher, to check the -dispatch name, and
+// the breakdown was a map (2). A replay grid reads its trace once per
+// call (Options.recording) and the worker replays the shared gaps
+// through its own cursor, so a warm replay cell makes the same at any
+// trace length; each cell used to parse the file again, 426
+// allocations at 200 recorded arrivals and 40,038 at 20,000.
 func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 	opts := tiny()
 	p, err := NewPipeline(workloadAttNN(), opts, 7)
@@ -377,6 +459,7 @@ func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 	}
 	specs := WithOracle(StandardScheds())
 	pt := Point{Rate: 30, MSLO: 10}
+	slot := make([]sched.ModelMetrics, modelCount(p.Scenario))
 	for _, tr := range []struct{ name, traffic string }{
 		{"Poisson", ""},
 		{"a replay of 200 arrivals", replayTraffic(t, 200, 30*time.Millisecond)},
@@ -391,15 +474,20 @@ func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 			}
 			w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
 			for si, spec := range specs {
-				cell := func() {
-					if _, err := p.runCell(spec, pt, 1, o, rec, &w, si); err != nil {
-						t.Fatal(err)
+				for _, c := range []struct {
+					slot []sched.ModelMetrics
+					want float64
+				}{{slot, 0}, {nil, 1}} {
+					cell := func() {
+						if _, err := p.runCell(spec, pt, 1, o, rec, &w, si, c.slot); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				cell()
-				if got := testing.AllocsPerRun(5, cell); got != 1 {
-					t.Errorf("%s, %d requests, %s: a warm grid cell made %v allocations, want 1 (the Result's per-model slice)",
-						spec.Name, n, tr.name, got)
+					cell()
+					if got := testing.AllocsPerRun(5, cell); got != c.want {
+						t.Errorf("%s, %d requests, %s, slot of %d: a warm grid cell made %v allocations, want %v",
+							spec.Name, n, tr.name, len(c.slot), got, c.want)
+					}
 				}
 			}
 		}
@@ -437,7 +525,7 @@ func TestReplayGridDeterministicAcrossWorkers(t *testing.T) {
 		for _, spec := range specs {
 			rs := make([]sched.Result, opts.Seeds)
 			for s := range rs {
-				if rs[s], err = p.runCell(spec, pt, s, opts, nil, nil, 0); err != nil {
+				if rs[s], err = p.runCell(spec, pt, s, opts, nil, nil, 0, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -493,7 +581,7 @@ func TestGridWorkerFailedCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.run(p, spec, 0, src, sched.Options{}); err != nil {
+	if _, err := w.run(p, spec, 0, src, sched.Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if built != 1 || w.scheds[0] == nil {
@@ -504,7 +592,7 @@ func TestGridWorkerFailedCell(t *testing.T) {
 	if src, err = w.stream(p, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.run(p, spec, 0, &failingSource{src: src, after: opts.Requests / 2}, sched.Options{}); err == nil {
+	if _, err := w.run(p, spec, 0, &failingSource{src: src, after: opts.Requests / 2}, sched.Options{}, nil); err == nil {
 		t.Fatal("a run with an arrival before its predecessor's succeeded")
 	}
 	if built != 1 || w.scheds[0] != nil {
@@ -542,7 +630,7 @@ func TestGridWorkerFailedCell(t *testing.T) {
 	if src, err = w.stream(p, next); err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.run(p, spec, 0, src, sched.Options{})
+	got, err := w.run(p, spec, 0, src, sched.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"strings"
 	"time"
 
 	"sparsedysta/internal/core"
@@ -24,10 +27,51 @@ var paperTable5 = map[string]map[string][2]float64{
 	},
 }
 
+// table5Order is Table 5's lineup, in the paper's row order; Dysta is
+// last, after its five baselines.
+var table5Order = []string{"FCFS", "SJF", "SDRM3", "PREMA", "Planaria", "Dysta"}
+
+// table5Setups are Table 5's workloads at their default operating
+// points.
+var table5Setups = []struct {
+	sc   func() workload.Scenario
+	rate float64
+}{
+	{workload.MultiAttNN, 30},
+	{workload.MultiCNN, 3},
+}
+
+// table5Seeds runs Table 5's cells once: each workload's per-seed
+// results by scheduler name, keyed by workload name. The means, the
+// seed-spread notes and the paired notes all come from them.
+func table5Seeds(opts Options) (map[string]map[string][]sched.Result, error) {
+	out := map[string]map[string][]sched.Result{}
+	for _, setup := range table5Setups {
+		p, err := NewPipeline(setup.sc(), opts, 7)
+		if err != nil {
+			return nil, err
+		}
+		seeds, err := p.RunPointSeeds(StandardScheds(), setup.rate, 10, opts)
+		if err != nil {
+			return nil, err
+		}
+		out[p.Scenario.Name] = seeds
+	}
+	return out, nil
+}
+
 // Table5 reproduces the paper's headline comparison: ANTT and SLO
 // violation rate for the six schedulers on both workloads at the default
-// operating points (30 req/s AttNN, 3 req/s CNN, M_slo = 10x).
+// operating points (30 req/s AttNN, 3 req/s CNN, M_slo = 10x). Every
+// scheduler runs on the same seeded arrival streams, so its seeds pair
+// with Dysta's: the notes give Dysta's per-seed wins against each
+// baseline, and how each column ranks the scheduler pairs against the
+// paper's.
 func Table5(opts Options) ([]Artifact, error) {
+	all, err := table5Seeds(opts)
+	if err != nil {
+		return nil, err
+	}
 	tbl := &Table{
 		ID:    "table5",
 		Title: "Comparison of scheduling approaches (measured vs paper)",
@@ -38,41 +82,45 @@ func Table5(opts Options) ([]Artifact, error) {
 			"absolute values differ from the paper (different substrate); compare ordering and factors",
 		},
 	}
-	order := []string{"FCFS", "SJF", "SDRM3", "PREMA", "Planaria", "Dysta"}
 	results := map[string]map[string]sched.Result{}
-	for _, setup := range []struct {
-		sc   workload.Scenario
-		rate float64
-	}{
-		{workload.MultiAttNN(), 30},
-		{workload.MultiCNN(), 3},
-	} {
-		p, err := NewPipeline(setup.sc, opts, 7)
-		if err != nil {
-			return nil, err
-		}
-		// Each cell runs once: the means and the headline scheduler's
-		// seed stability both come from the per-seed results.
-		seeds, err := p.RunPointSeeds(StandardScheds(), setup.rate, 10, opts)
-		if err != nil {
-			return nil, err
-		}
-		rs := make(map[string]sched.Result, len(order))
-		for _, name := range order {
-			avg, err := sched.AverageResults(seeds[name])
+	for _, setup := range table5Setups {
+		name := setup.sc().Name
+		seeds := all[name]
+		rs := make(map[string]sched.Result, len(table5Order))
+		for _, s := range table5Order {
+			avg, err := sched.AverageResults(seeds[s])
 			if err != nil {
-				return nil, fmt.Errorf("exp: %s: %w", name, err)
+				return nil, fmt.Errorf("exp: %s: %w", s, err)
 			}
-			avg.Scheduler = name
-			rs[name] = avg
+			avg.Scheduler = s
+			rs[s] = avg
 		}
-		results[setup.sc.Name] = rs
+		results[name] = rs
 		anttSD, violSD := sched.SeedSpread(seeds["Dysta"])
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
 			"%s Dysta seed spread over %d seeds: ANTT ±%.2f, violations ±%.1f%%",
-			setup.sc.Name, opts.Seeds, anttSD, 100*violSD))
+			name, opts.Seeds, anttSD, 100*violSD))
+		for _, base := range table5Order[:len(table5Order)-1] {
+			tbl.Notes = append(tbl.Notes, pairedNote(name, base, seeds["Dysta"], seeds[base]))
+		}
+		for _, col := range []struct {
+			name   string
+			metric func(sched.Result) float64
+			paper  int
+		}{
+			{"ANTT", func(r sched.Result) float64 { return r.ANTT }, 0},
+			{"viol%", func(r sched.Result) float64 { return r.ViolationRate }, 1},
+		} {
+			measured := map[string]float64{}
+			paper := map[string]float64{}
+			for _, s := range table5Order {
+				measured[s] = col.metric(rs[s])
+				paper[s] = paperTable5[name][s][col.paper]
+			}
+			tbl.Notes = append(tbl.Notes, rankNote(name+" "+col.name, table5Order, measured, paper))
+		}
 	}
-	for _, name := range order {
+	for _, name := range table5Order {
 		att := results["multi-attnn"][name]
 		cnn := results["multi-cnn"][name]
 		pAtt := paperTable5["multi-attnn"][name]
@@ -86,6 +134,66 @@ func Table5(opts Options) ([]Artifact, error) {
 		})
 	}
 	return []Artifact{tbl}, nil
+}
+
+// pairedNote compares Dysta's per-seed results on one workload with a
+// baseline's, seed by seed: how many seeds Dysta's ANTT is lower on, the
+// range of the per-seed ANTT ratio Dysta/baseline, and on how many seeds
+// Dysta's violation rate is lower, equal and higher.
+func pairedNote(workload, base string, dysta, other []sched.Result) string {
+	wins, violWins, violTies := 0, 0, 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range dysta {
+		d, b := dysta[i], other[i]
+		if d.ANTT < b.ANTT {
+			wins++
+		}
+		r := d.ANTT / b.ANTT
+		lo, hi = min(lo, r), max(hi, r)
+		switch {
+		case d.ViolationRate < b.ViolationRate:
+			violWins++
+		case d.ViolationRate == b.ViolationRate:
+			violTies++
+		}
+	}
+	return fmt.Sprintf("%s Dysta vs %s, paired by seed: ANTT lower on %d/%d seeds (ratio %.2f-%.2f); violation rate lower on %d, equal on %d, higher on %d",
+		workload, base, wins, len(dysta), lo, hi, violWins, violTies, len(dysta)-violWins-violTies)
+}
+
+// rankNote counts the pairs of schedulers (in order's order) that one
+// column ranks as the paper does: the measured values differ in the
+// same direction as the paper's, or are equal where the paper's are. It
+// lists the reversed pairs in their measured order, and the tied ones,
+// equal here or in the paper but not in both.
+func rankNote(column string, order []string, measured, paper map[string]float64) string {
+	var reversed, tied []string
+	pairs := 0
+	for i, a := range order {
+		for _, b := range order[i+1:] {
+			pairs++
+			m := cmp.Compare(measured[a], measured[b])
+			switch pp := cmp.Compare(paper[a], paper[b]); {
+			case m == pp:
+			case m == -pp:
+				lower, higher := a, b
+				if m > 0 {
+					lower, higher = b, a
+				}
+				reversed = append(reversed, lower+" < "+higher)
+			default:
+				tied = append(tied, a+"/"+b)
+			}
+		}
+	}
+	list := func(pairs []string) string {
+		if len(pairs) == 0 {
+			return "none"
+		}
+		return strings.Join(pairs, ", ")
+	}
+	return fmt.Sprintf("%s ranks %d of %d scheduler pairs as the paper does; reversed (measured order): %s; tied: %s",
+		column, pairs-len(reversed)-len(tied), pairs, list(reversed), list(tied))
 }
 
 // Fig12 reproduces the ANTT vs violation-rate trade-off scatter of paper

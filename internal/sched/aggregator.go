@@ -171,6 +171,12 @@ func (a *Aggregator) FirstArrival() (first time.Duration, ok bool) { return a.fi
 // allocation sorted by model name, and Tasks is the retained slice
 // itself, sorted by task ID.
 func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
+	return a.resultInto(scheduler, since, nil)
+}
+
+// resultInto is Result with PerModel cut from slot when slot is long
+// enough for it (see breakdownSlot).
+func (a *Aggregator) resultInto(scheduler string, since time.Duration, slot []ModelMetrics) Result {
 	res := Result{Scheduler: scheduler}
 	if a.n == 0 {
 		return res
@@ -187,8 +193,9 @@ func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 		res.P99Latency = a.hist.Quantile(99)
 	} else {
 		// The mean reads latSum, so the retained latencies are free to
-		// be sorted in place for the percentiles.
-		slices.Sort(a.latencies)
+		// be reordered in place: only the order statistics the three
+		// percentiles read are put where sorting would put them.
+		stats.SelectPercentiles(a.latencies, 50, 95, 99)
 		res.P50Latency = time.Duration(stats.PercentileSorted(a.latencies, 50))
 		res.P95Latency = time.Duration(stats.PercentileSorted(a.latencies, 95))
 		res.P99Latency = time.Duration(stats.PercentileSorted(a.latencies, 99))
@@ -198,7 +205,7 @@ func (a *Aggregator) Result(scheduler string, since time.Duration) Result {
 		res.Throughput = n / res.Makespan.Seconds()
 		res.Goodput = float64(a.n-a.violations) / res.Makespan.Seconds()
 	}
-	res.PerModel = make([]ModelMetrics, len(a.perModel))
+	res.PerModel = breakdownSlot(slot, len(a.perModel))
 	for i, m := range a.perModel {
 		m.ANTT /= float64(m.Requests)
 		m.ViolationRate /= float64(m.Requests)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"sparsedysta/internal/rng"
+	"sparsedysta/internal/stats"
 	"sparsedysta/internal/workload"
 )
 
@@ -106,6 +108,37 @@ func TestAggregatorEmpty(t *testing.T) {
 		}
 		if got := e.Finish(); !reflect.DeepEqual(got, want) {
 			t.Errorf("bounded=%v: all-dropped engine result %+v, want %+v", opts.BoundedCapture, got, want)
+		}
+	}
+}
+
+// TestAggregatorPercentilesMatchSort: full capture selects the order
+// statistics its percentiles read instead of sorting the latencies, and
+// each percentile equals stats.Percentile of every latency folded so
+// far, bit for bit: on random and on duplicate-heavy latencies, and on a
+// second Result call after more Adds, which selects again over the
+// latencies the first call reordered.
+func TestAggregatorPercentilesMatchSort(t *testing.T) {
+	r := rng.New(3)
+	for _, distinct := range []int{1 << 30, 4} {
+		a := NewAggregator(Options{})
+		var lats []float64
+		for _, adds := range []int{1, 2, 300, 1000} {
+			for range adds {
+				lat := time.Duration(1 + r.Intn(distinct))
+				lats = append(lats, float64(lat))
+				a.Add(TaskOutcome{Model: "m", Completion: lat, NTT: 1})
+			}
+			res := a.Result("X", 0)
+			for _, p := range []struct {
+				name string
+				q    float64
+				got  time.Duration
+			}{{"p50", 50, res.P50Latency}, {"p95", 95, res.P95Latency}, {"p99", 99, res.P99Latency}} {
+				if want := time.Duration(stats.Percentile(lats, p.q)); p.got != want {
+					t.Errorf("%d distinct, %d latencies: %s %v, sorted %v", distinct, len(lats), p.name, p.got, want)
+				}
+			}
 		}
 	}
 }

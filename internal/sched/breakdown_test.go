@@ -184,29 +184,89 @@ func TestAverageBreakdownMatchesMapOracle(t *testing.T) {
 }
 
 // TestBreakdownNilWithoutCompletions: a run that completed nothing, and
-// an average of results without a breakdown, have a nil PerModel.
+// an average of results without a breakdown, have a nil PerModel, with
+// or without a slot to cut one from.
 func TestBreakdownNilWithoutCompletions(t *testing.T) {
-	e := sched.NewEngine(sched.NewFCFS(), sched.Options{})
-	_, reqs, _, _, _ := streamFixture(t, 3, 1)
-	for _, r := range reqs {
-		if err := e.Inject(r, r.Arrival); err != nil {
-			t.Fatal(err)
+	slot := make([]sched.ModelMetrics, 4)
+	for _, s := range [][]sched.ModelMetrics{nil, slot} {
+		e := sched.NewEngine(sched.NewFCFS(), sched.Options{})
+		_, reqs, _, _, _ := streamFixture(t, 3, 1)
+		for _, r := range reqs {
+			if err := e.Inject(r, r.Arrival); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res := sched.FinishInto(e, s); res.Requests != 0 || res.PerModel != nil {
+			t.Errorf("slot of %d: a run that completed nothing has %d requests and breakdown %+v",
+				len(s), res.Requests, res.PerModel)
+		}
+		for _, rs := range [][]sched.Result{
+			{{Scheduler: "x"}, {Scheduler: "x"}},
+			{{Scheduler: "x", PerModel: []sched.ModelMetrics{}}},
+		} {
+			avg, err := sched.AverageResultsInto(rs, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avg.PerModel != nil {
+				t.Errorf("slot of %d: average of %+v has breakdown %+v, want nil", len(s), rs, avg.PerModel)
+			}
 		}
 	}
-	if res := e.Finish(); res.Requests != 0 || res.PerModel != nil {
-		t.Errorf("a run that completed nothing has %d requests and breakdown %+v", res.Requests, res.PerModel)
-	}
-	for _, rs := range [][]sched.Result{
-		{{Scheduler: "x"}, {Scheduler: "x"}},
-		{{Scheduler: "x", PerModel: []sched.ModelMetrics{}}},
-	} {
-		avg, err := sched.AverageResults(rs)
+}
+
+// TestBreakdownSlots: a run's or an average's breakdown cut from a slot
+// equals the one it makes without, sits at the slot's start, capped at
+// its length, and a slot too short for it is left alone for a new
+// slice.
+func TestBreakdownSlots(t *testing.T) {
+	lut, reqs, _, _, _ := streamFixture(t, 200, 5)
+	var seeds []sched.Result
+	for _, n := range []int{200, 120} {
+		res, err := sched.Run(core.NewDefault(lut), reqs[:n], sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if avg.PerModel != nil {
-			t.Errorf("average of %+v has breakdown %+v, want nil", rs, avg.PerModel)
+		seeds = append(seeds, res)
+	}
+	avg, err := sched.AverageResults(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := len(avg.PerModel)
+	if models < 2 {
+		t.Fatalf("%d models completed, want at least 2", models)
+	}
+	checkSlot := func(name string, got, want []sched.ModelMetrics, slot []sched.ModelMetrics) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s, slot of %d: breakdown %+v, want %+v", name, len(slot), got, want)
 		}
+		inSlot := len(slot) >= len(want)
+		if sameStart := len(slot) > 0 && &got[0] == &slot[0]; sameStart != inSlot {
+			t.Errorf("%s, slot of %d: breakdown of %d in the slot is %v, want %v", name, len(slot), len(want), sameStart, inSlot)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s, slot of %d: breakdown of %d has capacity %d", name, len(slot), len(got), cap(got))
+		}
+		if !inSlot && slices.ContainsFunc(slot, func(m sched.ModelMetrics) bool { return m != sched.ModelMetrics{} }) {
+			t.Errorf("%s: a slot of %d too short for %d entries was written: %+v", name, len(slot), len(want), slot)
+		}
+	}
+	for _, n := range []int{models - 1, models, models + 2} {
+		var r sched.Runner
+		slot := make([]sched.ModelMetrics, n)
+		got, err := r.RunInto(core.NewDefault(lut), sched.SortedSource(reqs), sched.Options{}, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSlot("run", got.PerModel, seeds[0].PerModel, slot)
+		slot = make([]sched.ModelMetrics, n)
+		a, err := sched.AverageResultsInto(seeds, slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSlot("average", a.PerModel, avg.PerModel, slot)
 	}
 }
 
@@ -228,5 +288,14 @@ func TestAverageResultsAllocatesOnlyItsBreakdown(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("AverageResults of 5 seeds x 4 models made %v allocations, want 1", allocs)
+	}
+	slot := make([]sched.ModelMetrics, 4)
+	allocs = testing.AllocsPerRun(10, func() {
+		if _, err := sched.AverageResultsInto(rs, slot); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AverageResultsInto of 5 seeds x 4 models into a 4-entry slot made %v allocations, want 0", allocs)
 	}
 }

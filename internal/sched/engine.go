@@ -753,10 +753,14 @@ func (e *Engine) Step() (time.Duration, error) {
 // free tasks go back to the process-wide depot for the next run; a peer
 // still running puts its completions on the emptied list and hands them
 // back at its own Finish.
-func (e *Engine) Finish() Result {
+func (e *Engine) Finish() Result { return e.finishInto(nil) }
+
+// finishInto is Finish with the Result's PerModel cut from slot when
+// slot is long enough for it (see breakdownSlot).
+func (e *Engine) finishInto(slot []ModelMetrics) Result {
 	e.finished = true
 	e.tasks.handBack()
-	res := e.agg.Result(e.s.Name(), e.firstArrival)
+	res := e.agg.resultInto(e.s.Name(), e.firstArrival, slot)
 	res.Dropped = e.injected - e.agg.Len()
 	res.Offered = e.injected
 	res.Preemptions = e.preempts

@@ -10,6 +10,10 @@ var (
 	EngineInvariants = engineInvariants
 )
 
+// FinishInto is e.Finish with the Result's PerModel cut from slot, the
+// slot path Runner.RunInto takes.
+func FinishInto(e *Engine, slot []ModelMetrics) Result { return e.finishInto(slot) }
+
 // TaskList returns the free tasks on e's task list, in the order Gets
 // take them, the list's count of them, and how many tasks it holds in
 // all, free or out.

@@ -139,6 +139,17 @@ type ModelMetrics struct {
 // Result.PerModel.
 func compareModels(x, y ModelMetrics) int { return strings.Compare(x.Model, y.Model) }
 
+// breakdownSlot returns n entries for a breakdown: slot's first n, capped
+// at n so that an append to the breakdown cannot write past it, when
+// slot holds at least n, and otherwise a new slice. Callers that keep
+// many breakdowns cut each one's slot from one slab.
+func breakdownSlot(slot []ModelMetrics, n int) []ModelMetrics {
+	if len(slot) < n {
+		return make([]ModelMetrics, n)
+	}
+	return slot[:n:n]
+}
+
 // TaskOutcome is one request's final accounting.
 type TaskOutcome struct {
 	ID         int
@@ -212,12 +223,22 @@ func CheckOutcomeConservation(r Result) error {
 // averaged output re-derives Offered from its own rounded classes so the
 // identity survives the independent roundings.
 func AverageResults(rs []Result) (Result, error) {
+	return AverageResultsInto(rs, nil)
+}
+
+// AverageResultsInto is AverageResults with the averaged PerModel cut
+// from slot when slot holds at least as many entries as the inputs have
+// distinct models, capped at that count; otherwise, as with a nil slot,
+// it is one new, exactly sized slice. PerModel stays nil when no input
+// has a breakdown. The returned Result shares slot, so the caller hands
+// each average a slot of its own.
+func AverageResultsInto(rs []Result, slot []ModelMetrics) (Result, error) {
 	if len(rs) == 0 {
 		return Result{}, nil
 	}
 	avg := Result{}
 	if n := distinctModels(rs); n > 0 {
-		avg.PerModel = make([]ModelMetrics, 0, n)
+		avg.PerModel = breakdownSlot(slot, n)[:0]
 	}
 	var meanLat, p50Lat, p95Lat, p99Lat, makespan float64
 	for _, r := range rs {

@@ -113,23 +113,30 @@ func TestRunnerMatchesFresh(t *testing.T) {
 // and the scheduler's states, rerunning the stream on the same Runner
 // with the emptied Dysta allocates only the source and the Result's
 // per-model slice (2 values), the same count at 300 and at 600 requests
-// (1.31 and 1.35 engines of work).
+// (1.31 and 1.35 engines of work). Given a slot for the per-model slice
+// (RunInto), it allocates only the source.
 func TestWarmRunnerAllocations(t *testing.T) {
 	lut, reqs, _, _, _ := streamFixture(t, 600, 13)
-	count := map[int]float64{}
-	for _, n := range []int{300, 600} {
-		var r sched.Runner
-		s := core.NewDefault(lut)
-		run := func() {
-			if _, err := r.Run(s, sched.SortedSource(reqs[:n]), sched.Options{}); err != nil {
-				t.Fatal(err)
+	slot := make([]sched.ModelMetrics, 3)
+	for _, c := range []struct {
+		slot []sched.ModelMetrics
+		want float64
+	}{{nil, 2}, {slot, 1}} {
+		count := map[int]float64{}
+		for _, n := range []int{300, 600} {
+			var r sched.Runner
+			s := core.NewDefault(lut)
+			run := func() {
+				if _, err := r.RunInto(s, sched.SortedSource(reqs[:n]), sched.Options{}, c.slot); err != nil {
+					t.Fatal(err)
+				}
 			}
+			run()
+			count[n] = testing.AllocsPerRun(5, run)
 		}
-		run()
-		count[n] = testing.AllocsPerRun(5, run)
-	}
-	if count[300] != count[600] || count[600] > 2 {
-		t.Errorf("a warm rerun made %v allocations at 300 requests and %v at 600; want the same, at most 2",
-			count[300], count[600])
+		if count[300] != count[600] || count[600] > c.want {
+			t.Errorf("slot of %d: a warm rerun made %v allocations at 300 requests and %v at 600; want the same, at most %v",
+				len(c.slot), count[300], count[600], c.want)
+		}
 	}
 }

@@ -97,6 +97,16 @@ type Runner struct {
 // engine. s must be new, or emptied: a TaskExtractor whose last run
 // finished without error schedules like a new one (see TaskExtractor).
 func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, error) {
+	return r.RunInto(s, src, opts, nil)
+}
+
+// RunInto is Run with the Result's PerModel cut from slot when slot
+// holds at least one entry per model that completed a request, capped at
+// that count; otherwise, as with a nil slot, it is one new, exactly
+// sized slice. The Result shares slot, so a caller that keeps many
+// Results hands each run a slot of its own (exp.RunGrid cuts them from
+// one slab).
+func (r *Runner) RunInto(s Scheduler, src RequestSource, opts Options, slot []ModelMetrics) (Result, error) {
 	if r.e == nil {
 		r.e = NewEngine(s, opts)
 	} else {
@@ -133,7 +143,7 @@ func (r *Runner) Run(s Scheduler, src RequestSource, opts Options) (Result, erro
 			return Result{}, err
 		}
 	}
-	return e.Finish(), nil
+	return e.finishInto(slot), nil
 }
 
 // CheckArrival is the arrival check both streaming loops (RunStream and

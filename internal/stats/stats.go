@@ -7,6 +7,8 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -80,26 +82,105 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // PercentileSorted is Percentile over an ascending slice, without the copy
-// and sort: callers taking several percentiles of one sample sort it once.
-// It panics on an empty slice.
+// and sort: callers taking several percentiles of one sample sort it once,
+// or select only the ranks it reads (SelectPercentiles). It panics on an
+// empty slice.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic(ErrEmpty)
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := percentileRanks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// percentileRanks returns the two ranks, lo <= hi, whose sorted values
+// PercentileSorted interpolates for the p-th percentile of n > 0 values,
+// and the weight of hi's: the closest ranks around p/100*(n-1), with p
+// clamped to [0, 100].
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// SelectPercentiles reorders xs in place so that, for each p in ps,
+// PercentileSorted(xs, p) returns exactly what it returns once xs is
+// sorted: every rank it reads holds the value sorting would put there.
+// Only those ranks are selected, by three-way partitioning around a
+// median-of-three pivot, which is linear in len(xs) on average; a range
+// still unresolved after 2*log2(len(xs)) rounds is sorted instead, so
+// the worst case stays O(n log n). xs must hold no NaN.
+func SelectPercentiles(xs []float64, ps ...float64) {
+	if len(xs) == 0 {
+		return
+	}
+	var buf [8]int // room for four percentiles' ranks without allocating
+	ranks := buf[:0]
+	for _, p := range ps {
+		lo, hi, _ := percentileRanks(len(xs), p)
+		ranks = append(ranks, lo, hi)
+	}
+	slices.Sort(ranks)
+	selectRanks(xs, 0, len(xs), ranks, 2*bits.Len(uint(len(xs))))
+}
+
+// selectRanks puts the sorted value at each of the ascending ranks in
+// [lo, hi) into place, given that xs[lo:hi] holds the values sorting puts
+// there, partitioning at most depth more rounds along any range before
+// it sorts the range.
+func selectRanks(xs []float64, lo, hi int, ranks []int, depth int) {
+	for {
+		for len(ranks) > 0 && ranks[0] < lo {
+			ranks = ranks[1:]
+		}
+		for len(ranks) > 0 && ranks[len(ranks)-1] >= hi {
+			ranks = ranks[:len(ranks)-1]
+		}
+		if len(ranks) == 0 {
+			return
+		}
+		if hi-lo <= 16 || depth == 0 {
+			slices.Sort(xs[lo:hi])
+			return
+		}
+		depth--
+		lt, gt := partition3(xs[lo:hi])
+		// xs[lo+lt : lo+gt] holds the pivot's value at its sorted ranks.
+		selectRanks(xs, lo, lo+lt, ranks, depth)
+		lo += gt
+	}
+}
+
+// partition3 reorders xs around the median of its first, middle and
+// last values, v, into xs[:lt] < v, xs[lt:gt] == v and xs[gt:] > v.
+func partition3(xs []float64) (lt, gt int) {
+	a, b, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
+	v := max(min(a, b), min(max(a, b), c))
+	lt, i, gt := 0, 0, len(xs)
+	for i < gt {
+		switch x := xs[i]; {
+		case x < v:
+			xs[lt], xs[i] = x, xs[lt]
+			lt++
+			i++
+		case x > v:
+			gt--
+			xs[gt], xs[i] = x, xs[gt]
+		default:
+			i++
+		}
+	}
+	return lt, gt
 }
 
 // Median returns the 50th percentile of xs.

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -100,6 +102,130 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 		}
 	}()
 	PercentileSorted(nil, 50)
+}
+
+// selectionInputs returns one n-value input of each shape
+// SelectPercentiles is checked on: random, sorted, reversed, all-equal,
+// duplicate-heavy (three values), and an organ pipe (ascending, then
+// descending).
+func selectionInputs(r *rng.Source, n int) map[string][]float64 {
+	in := map[string][]float64{}
+	for _, shape := range []string{"random", "sorted", "reversed", "all-equal", "duplicates", "organ-pipe"} {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch shape {
+			case "random":
+				xs[i] = 1e6 * r.Float64()
+			case "sorted":
+				xs[i] = float64(i)
+			case "reversed":
+				xs[i] = float64(n - i)
+			case "all-equal":
+				xs[i] = 7
+			case "duplicates":
+				xs[i] = float64(r.Intn(3))
+			case "organ-pipe":
+				xs[i] = float64(min(i, n-i))
+			}
+		}
+		in[shape] = xs
+	}
+	return in
+}
+
+// TestSelectPercentilesMatchesSort: after SelectPercentiles, every
+// percentile it selected reads bit for bit what it reads on the sorted
+// values, and the values are a permutation of the input, for every input
+// shape at n from 1 upward, with the three percentiles the result
+// aggregators take, the clamped extremes and more ranks than its
+// allocation-free buffer holds.
+func TestSelectPercentilesMatchesSort(t *testing.T) {
+	r := rng.New(5)
+	sizes := []int{1000, 4099, 20000}
+	for n := 1; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for shape, xs := range selectionInputs(r, n) {
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, ps := range [][]float64{
+				{50, 95, 99},
+				{99, 50},
+				{-1, 0, 100, 101},
+				{1, 10, 20, 30, 40, 50, 60, 70, 80, 90},
+			} {
+				got := append([]float64(nil), xs...)
+				SelectPercentiles(got, ps...)
+				for _, p := range ps {
+					if a, b := PercentileSorted(got, p), PercentileSorted(sorted, p); a != b {
+						t.Fatalf("%s n=%d ps=%v: p%v reads %v after selection, %v sorted", shape, n, ps, p, a, b)
+					}
+				}
+				sort.Float64s(got)
+				if !slices.Equal(got, sorted) {
+					t.Fatalf("%s n=%d ps=%v: selection is not a permutation of the input", shape, n, ps)
+				}
+			}
+		}
+	}
+	SelectPercentiles(nil, 50) // an empty input is left alone
+}
+
+// TestSelectPercentilesAllocatesNothing: selecting the aggregators'
+// three percentiles allocates nothing.
+func TestSelectPercentilesAllocatesNothing(t *testing.T) {
+	xs := selectionInputs(rng.New(2), 1000)["random"]
+	if got := testing.AllocsPerRun(10, func() { SelectPercentiles(xs, 50, 95, 99) }); got != 0 {
+		t.Errorf("SelectPercentiles made %v allocations, want 0", got)
+	}
+}
+
+// TestSelectRanksFallsBackToSort: a range still unresolved when the
+// partition budget runs out is sorted, so every budget, down to none,
+// places each rank.
+func TestSelectRanksFallsBackToSort(t *testing.T) {
+	r := rng.New(9)
+	for _, n := range []int{17, 100, 1000} {
+		for shape, xs := range selectionInputs(r, n) {
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			ranks := []int{0, n / 3, n / 2, n - 2, n - 1}
+			for depth := 0; depth <= 3; depth++ {
+				got := append([]float64(nil), xs...)
+				selectRanks(got, 0, n, ranks, depth)
+				for _, k := range ranks {
+					if got[k] != sorted[k] {
+						t.Fatalf("%s n=%d depth=%d: rank %d holds %v, want %v", shape, n, depth, k, got[k], sorted[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPercentiles times the three aggregator percentiles over n
+// random latencies, by sorting and by selection; 157,000 is a
+// serving-control cluster's full capture, 1,000 one paper-grid cell's.
+func BenchmarkPercentiles(b *testing.B) {
+	for _, n := range []int{1000, 157000} {
+		xs := selectionInputs(rng.New(1), n)["random"]
+		buf := make([]float64, n)
+		for _, c := range []struct {
+			name string
+			run  func([]float64)
+		}{
+			{"sort", func(v []float64) { slices.Sort(v) }},
+			{"select", func(v []float64) { SelectPercentiles(v, 50, 95, 99) }},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				for range b.N {
+					copy(buf, xs)
+					c.run(buf)
+				}
+			})
+		}
+	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
