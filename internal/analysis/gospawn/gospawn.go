@@ -1,7 +1,7 @@
 // Package gospawn flags `go` statements outside the approved
 // worker-pool sites. The repository's two sanctioned fan-outs —
-// exp.(*Pipeline).runCells's cell workers, behind RunGrid and
-// RunPointSeeds, and workload.BuildStores's per-entry builders — are
+// exp.(*Pipeline).runCells's cell workers, behind every grid (RunGrid,
+// RunPoint, table5), and workload.BuildStores's per-entry builders — are
 // engineered to be byte-identical to their sequential counterparts
 // (per-cell seeds, commit-in-entry-order); an ad-hoc goroutine
 // anywhere else is how scheduling nondeterminism sneaks into grids.

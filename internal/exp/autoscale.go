@@ -100,8 +100,8 @@ func trafficSpan(model string, rate float64, what string, sec float64) (time.Dur
 		model, rate, what, sec)
 }
 
-// recording reads a -traffic replay:PATH file once, for a whole RunGrid
-// or RunSeeds call; any other traffic model has none (nil).
+// recording reads a -traffic replay:PATH file once, for a whole grid;
+// any other traffic model has none (nil).
 func (o Options) recording() (*traffic.Replay, error) {
 	if !strings.HasPrefix(o.Traffic, replayPrefix) {
 		return nil, nil
@@ -238,9 +238,9 @@ func (o Options) Validate() error {
 // checkPolicyNames refuses an unknown -dispatch, -admission or
 // -rebalance name. The policy constructors only capture their pipeline,
 // so a zero one checks the names: Validate runs this before Phase 1
-// builds the real one, and RunGrid and RunSeeds once per call, before
-// any cell, since a direct cell builds none of the policies and a bad
-// name must not pass silently because the run has one engine.
+// builds the real one, and every grid once, before any cell, since a
+// direct cell builds none of the policies and a bad name must not pass
+// silently because the run has one engine.
 func (o Options) checkPolicyNames() error {
 	var zero Pipeline
 	if _, err := NewDispatcher(o.Dispatch, &zero); err != nil {

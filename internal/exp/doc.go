@@ -7,19 +7,22 @@
 //
 // # Determinism contracts
 //
-// Grids fan out over a worker pool (RunGrid/RunPoint), and the whole
-// harness promises bit-identical output regardless of parallelism:
+// Every grid runs through one path, runGrid, whose cells fan out over a
+// worker pool; RunGrid, RunPoint and table5 read its averages and
+// per-seed results. The whole harness promises bit-identical output
+// regardless of parallelism:
 //
 //   - Every stochastic input of a simulation cell derives from its seed
 //     index alone (cellSeed), never from scheduling order, worker
 //     identity, or the wall clock; workers write preallocated disjoint
-//     result slots and the merge reads them in deterministic order. The
-//     parallel path must match the sequential reference (RunSeeds +
-//     AverageResults) byte for byte — runner_test.go enforces it, also
-//     for migrating cluster cells. A worker re-arms one engine for its
-//     direct cells and reruns each spec's emptied scheduler
-//     (gridWorker), so a cell's storage depends on the cells its worker
-//     ran before; its result must not, and the same test covers it.
+//     result slots and the averages read them in deterministic order.
+//     A grid must match cells run one by one, each on a new worker, in
+//     seed order (the test-side RunSeeds oracle) byte for byte —
+//     runner_test.go enforces it, also for migrating cluster cells. A
+//     worker re-arms one engine for its direct cells and reruns each
+//     spec's emptied scheduler (gridWorker), so a cell's storage
+//     depends on the cells its worker ran before; its result must not,
+//     and the same tests cover it.
 //   - Neutral-knob bit-identity: Options at neutral cluster settings
 //     (Engines <= 1 with homogeneous specs, SignalInterval 0, Admission
 //     none, Rebalance none or RebalanceInterval 0) produce output

@@ -236,20 +236,22 @@ func TestTable5Shape(t *testing.T) {
 	// Paired by seed at the full protocol: every scheduler runs on the
 	// same arrival streams, and Dysta's ANTT is below every baseline's
 	// on every seed of both workloads.
-	full, err := table5Seeds(DefaultOptions())
+	full, err := table5Grids(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, setup := range table5Setups {
+	di := len(table5Order) - 1 // Dysta's spec index
+	for wi, setup := range table5Setups {
 		name := setup.sc().Name
-		seeds := full[name]
-		for _, base := range table5Order[:len(table5Order)-1] {
-			if len(seeds["Dysta"]) != DefaultOptions().Seeds || len(seeds[base]) != len(seeds["Dysta"]) {
+		dseeds := full[wi].seedsOf(0, di)
+		for si, base := range table5Order[:di] {
+			bseeds := full[wi].seedsOf(0, si)
+			if len(dseeds) != DefaultOptions().Seeds || len(bseeds) != len(dseeds) {
 				t.Fatalf("%s: %d Dysta and %d %s seeds, want %d each",
-					name, len(seeds["Dysta"]), len(seeds[base]), base, DefaultOptions().Seeds)
+					name, len(dseeds), len(bseeds), base, DefaultOptions().Seeds)
 			}
-			for i, d := range seeds["Dysta"] {
-				if b := seeds[base][i]; d.ANTT >= b.ANTT {
+			for i, d := range dseeds {
+				if b := bseeds[i]; d.ANTT >= b.ANTT {
 					t.Errorf("%s seed %d: Dysta's ANTT %.3f is not below %s's %.3f", name, i, d.ANTT, base, b.ANTT)
 				}
 			}

@@ -241,14 +241,14 @@ func FuzzOptions(f *testing.F) {
 		}
 		si := len(data) % len(specs)
 		pt := Point{Rate: 60, MSLO: 10}
-		res, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0, nil)
+		res, err := p.freshCell(specs[si], pt, 0, o, nil)
 		if err != nil {
 			return
 		}
 		if err := sched.CheckOutcomeConservation(res); err != nil {
 			t.Fatalf("%q: %v", args, err)
 		}
-		again, err := p.runCell(specs[si], pt, 0, o, nil, nil, 0, nil)
+		again, err := p.freshCell(specs[si], pt, 0, o, nil)
 		if err != nil || !reflect.DeepEqual(again, res) {
 			t.Fatalf("%q: a second run returned %+v (error %v), want %+v", args, again, err, res)
 		}

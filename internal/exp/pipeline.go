@@ -214,9 +214,11 @@ func NewPipeline(sc workload.Scenario, opts Options, seed uint64) (*Pipeline, er
 	}, nil
 }
 
-// SchedSpec names a scheduler and constructs a new instance of it.
-// RunSeeds calls New for every cell; a RunGrid worker reruns a spec's
-// emptied sched.TaskExtractor instead (see gridWorker.run).
+// SchedSpec names a scheduler and constructs a new instance of it. A
+// grid worker calls New for a spec's first direct cell and reruns the
+// scheduler a cell emptied, if it is a sched.TaskExtractor, for the
+// spec's next one (see gridWorker.run); a cluster cell calls New for
+// each of its engines.
 type SchedSpec struct {
 	Name string
 	New  func(p *Pipeline) sched.Scheduler
@@ -237,58 +239,6 @@ func StandardScheds() []SchedSpec {
 // WithOracle appends the Oracle upper bound (used by the sweep figures).
 func WithOracle(specs []SchedSpec) []SchedSpec {
 	return append(specs, SchedSpec{"Oracle", func(p *Pipeline) sched.Scheduler { return core.NewOracle(p.LUT) }})
-}
-
-// RunSeeds evaluates one scheduler at one (rate, SLO-multiplier)
-// operating point, returning the per-seed results. This is the sequential
-// reference path; the parallel RunGrid/RunPoint/RunPointSeeds must
-// produce bit-identical results (see runner_test.go).
-func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([]sched.Result, error) {
-	if err := opts.checkPolicyNames(); err != nil {
-		return nil, err
-	}
-	rec, err := opts.recording()
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]sched.Result, 0, opts.Seeds)
-	for s := 0; s < opts.Seeds; s++ {
-		res, err := p.runCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, rec, nil, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		rs = append(rs, res)
-	}
-	return rs, nil
-}
-
-// RunPoint evaluates every scheduler at one (rate, SLO-multiplier)
-// operating point, averaging over opts.Seeds seeds, and returns results
-// keyed by scheduler name. The (scheduler, seed) cells fan out over the
-// parallel grid runner.
-func (p *Pipeline) RunPoint(specs []SchedSpec, rate, mslo float64, opts Options) (map[string]sched.Result, error) {
-	grid, err := p.RunGrid(specs, []Point{{Rate: rate, MSLO: mslo}}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return grid[0].Results, nil
-}
-
-// RunPointSeeds runs RunPoint's cells and returns each scheduler's
-// per-seed results, keyed by scheduler name and in seed order, instead
-// of their averages: sched.AverageResults of a scheduler's results,
-// under its name, is its RunPoint result. The slices share one backing
-// array, the grid's.
-func (p *Pipeline) RunPointSeeds(specs []SchedSpec, rate, mslo float64, opts Options) (map[string][]sched.Result, error) {
-	slab, err := p.runCells(specs, []Point{{Rate: rate, MSLO: mslo}}, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]sched.Result, len(specs))
-	for si, spec := range specs {
-		out[spec.Name] = seedsOf(slab, 0, si, len(specs), opts.Seeds)
-	}
-	return out, nil
 }
 
 // AttNNRates and CNNRates are the paper's operating points (§6.2, §6.4).

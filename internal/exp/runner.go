@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"sparsedysta/internal/cluster"
@@ -17,10 +16,10 @@ import (
 // over a worker pool, one goroutine-safe simulation cell per
 // (operating point, scheduler, seed), and results merge back in
 // deterministic order. Every stochastic input of a cell derives from its
-// seed index alone (cellSeed), so a grid's output is bit-identical to the
-// sequential reference path (RunSeeds + AverageResults) regardless of
-// worker count or completion order — the determinism test in
-// runner_test.go enforces this.
+// seed index alone (cellSeed), so a grid's output is bit-identical to
+// cells run one by one, each on a new worker, regardless of worker count
+// or completion order — the determinism tests in runner_test.go enforce
+// this against that sequential oracle.
 
 // Point is one operating point of an evaluation grid: an arrival rate and
 // an SLO multiplier.
@@ -36,8 +35,8 @@ type PointResult struct {
 	Results map[string]sched.Result
 }
 
-// cellSeed derives the workload RNG seed for one seed index, shared by
-// the sequential and parallel paths (the paper's five-seed protocol).
+// cellSeed derives the workload RNG seed for one seed index (the paper's
+// five-seed protocol).
 func cellSeed(seed int) uint64 { return uint64(1000*seed) + 17 }
 
 // churnSeed derives the fault-injection seed for one seed index. It is
@@ -45,17 +44,14 @@ func cellSeed(seed int) uint64 { return uint64(1000*seed) + 17 }
 // correlated with the arrival stream of the same cell.
 func churnSeed(seed int) uint64 { return uint64(1000*seed) + 29 }
 
-// runCell executes one simulation cell: stream the seed index's
-// requests from the generator and run spec's scheduler over them, so the
-// cell holds only the requests in flight. With a nil w, the cell builds
-// its stream, engine and scheduler from nothing (RunSeeds, the reference
-// path); otherwise it re-arms w's stream, and a direct cell runs through
-// w as the grid's spec si (gridWorker.run), cutting its Result's
-// per-model breakdown from slot when slot is long enough. A cluster cell
-// builds its engines and schedulers, and its breakdown, either way. The
-// caller has checked the policy names (Options.checkPolicyNames) and
-// read a replay's recording, rec (Options.recording; see
-// gridWorker.traffic).
+// runCell executes one simulation cell on w: stream the seed index's
+// requests from w's re-armed stream and run spec's scheduler over them,
+// so the cell holds only the requests in flight. A direct cell runs
+// through w as the grid's spec si (gridWorker.run), cutting its Result's
+// per-model breakdown from slot when slot is long enough; a cluster cell
+// builds its engines and schedulers, and its breakdown. The caller has
+// checked the policy names (Options.checkPolicyNames) and read a
+// replay's recording, rec (Options.recording; see gridWorker.traffic).
 func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec *traffic.Replay, w *gridWorker, si int, slot []sched.ModelMetrics) (sched.Result, error) {
 	proc, err := w.traffic(rec, opts, pt)
 	if err != nil {
@@ -146,24 +142,20 @@ func (p *Pipeline) runCell(spec SchedSpec, pt Point, seed int, opts Options, rec
 		}
 		return cres.Result, nil
 	}
-	var res sched.Result
-	if w == nil {
-		res, err = sched.RunStream(spec.New(p), src, sOpts)
-	} else {
-		res, err = w.run(p, spec, si, src, sOpts, slot)
-	}
+	res, err := w.run(p, spec, si, src, sOpts, slot)
 	if err != nil {
 		return sched.Result{}, fmt.Errorf("exp: running %s: %w", spec.Name, err)
 	}
 	return res, nil
 }
 
-// gridWorker is what one RunGrid worker keeps from cell to cell: a
-// request stream, which every cell re-arms, a replay cursor, a
-// sched.Runner, whose engine every direct cell re-arms, and per spec (by
-// index) the scheduler the spec's last cell emptied. It belongs to its
-// worker and dies with its RunGrid call, so no run-length buffer
-// outlives the grid that grew it.
+// gridWorker is what one grid worker keeps from cell to cell: a request
+// stream, which every cell re-arms, a replay cursor, a sched.Runner,
+// whose engine every direct cell re-arms, and per spec (by index) the
+// scheduler the spec's last cell emptied. It belongs to its worker and
+// dies with its grid, so no run-length buffer outlives the grid that
+// grew it. A new worker's stream is workload.NewStream's, its runner
+// sched.RunStream's and its schedulers spec.New's.
 type gridWorker struct {
 	src    workload.Stream
 	replay traffic.Replay
@@ -172,36 +164,23 @@ type gridWorker struct {
 }
 
 // traffic builds a cell's arrival process. With a recording, rec, the
-// cell replays its shared, read-only gaps through a cursor of its own:
-// the worker's, or with a nil w a new one (the stream's Reset rewinds
-// it). Without one, NewTraffic builds the process for the cell's rate
-// and length.
+// cell replays its shared, read-only gaps through the worker's own
+// cursor (the stream's Reset rewinds it). Without one, NewTraffic builds
+// the process for the cell's rate and length.
 func (w *gridWorker) traffic(rec *traffic.Replay, opts Options, pt Point) (traffic.Process, error) {
-	switch {
-	case rec == nil:
+	if rec == nil {
 		return NewTraffic(opts.Traffic, pt.Rate, opts.Requests, opts.Burst)
-	case w == nil:
-		return &traffic.Replay{Source: rec.Source, Gaps: rec.Gaps}, nil
 	}
 	w.replay = traffic.Replay{Source: rec.Source, Gaps: rec.Gaps}
 	return &w.replay, nil
 }
 
-// stream arms a cell's request stream for cfg: the worker's own,
-// re-armed in place, or with a nil w (RunSeeds, the reference path) a
-// new one.
+// stream re-arms the worker's request stream, in place, for cfg.
 func (w *gridWorker) stream(p *Pipeline, cfg workload.GenConfig) (*workload.Stream, error) {
-	var s *workload.Stream
-	var err error
-	if w == nil {
-		s, err = workload.NewStream(p.Scenario, p.Eval, cfg)
-	} else {
-		s, err = &w.src, w.src.Reset(p.Scenario, p.Eval, cfg)
-	}
-	if err != nil {
+	if err := w.src.Reset(p.Scenario, p.Eval, cfg); err != nil {
 		return nil, fmt.Errorf("exp: generating %s workload: %w", p.Scenario.Name, err)
 	}
-	return s, nil
+	return &w.src, nil
 }
 
 // run runs a direct cell of spec, the grid's spec si, on the worker's
@@ -233,41 +212,85 @@ func (w *gridWorker) run(p *Pipeline, spec SchedSpec, si int, src sched.RequestS
 // workers; each worker re-arms one request stream for all its cells and
 // recycles its direct cells' engine and schedulers (gridWorker), without
 // changing a result. A replayed trace is read once, before any cell.
-// The averages' per-model breakdowns are cut from one slab per call,
-// like the direct cells' (runCells).
 func (p *Pipeline) RunGrid(specs []SchedSpec, points []Point, opts Options) ([]PointResult, error) {
-	slab, err := p.runCells(specs, points, opts)
+	g, err := p.runGrid(specs, points, opts)
+	return g.points, err
+}
+
+// RunPoint is RunGrid at one (rate, SLO-multiplier) operating point: its
+// results keyed by scheduler name.
+func (p *Pipeline) RunPoint(specs []SchedSpec, rate, mslo float64, opts Options) (map[string]sched.Result, error) {
+	g, err := p.runGrid(specs, []Point{{Rate: rate, MSLO: mslo}}, opts)
 	if err != nil {
 		return nil, err
 	}
+	return g.points[0].Results, nil
+}
+
+// grid is one run of a grid's cells: every cell's Result, in one slab
+// indexed by (point, spec, seed), and each point's seed averages.
+type grid struct {
+	cells  []sched.Result
+	points []PointResult
+	// specs and seeds are the grid's spec count and seeds per pair.
+	specs, seeds int
+}
+
+// seedsOf returns the per-seed results of spec si at point pi, in seed
+// order, capped so that appending to them cannot overwrite the next
+// pair's. Their sched.AverageResults, under the spec's name, is the
+// point's result for the spec.
+func (g *grid) seedsOf(pi, si int) []sched.Result {
+	i := (pi*g.specs + si) * g.seeds
+	return g.cells[i : i+g.seeds : i+g.seeds]
+}
+
+// runGrid runs every cell of a grid (runCells) and averages each (point,
+// spec) pair's seeds. The averages' per-model breakdowns are cut from
+// one slab per call, like the direct cells' (runCells).
+func (p *Pipeline) runGrid(specs []SchedSpec, points []Point, opts Options) (grid, error) {
+	cells, err := p.runCells(specs, points, opts)
+	if err != nil {
+		return grid{}, err
+	}
+	g := grid{cells: cells, points: make([]PointResult, len(points)), specs: len(specs), seeds: opts.Seeds}
 	models := modelCount(p.Scenario)
 	breakdowns := make([]sched.ModelMetrics, len(points)*len(specs)*models)
-	out := make([]PointResult, len(points))
 	for pi, pt := range points {
 		m := make(map[string]sched.Result, len(specs))
 		for si, spec := range specs {
 			slot := breakdownOf(breakdowns, pi*len(specs)+si, models)
-			avg, err := sched.AverageResultsInto(seedsOf(slab, pi, si, len(specs), opts.Seeds), slot)
+			avg, err := sched.AverageResultsInto(g.seedsOf(pi, si), slot)
 			if err != nil {
-				return nil, fmt.Errorf("exp: %s at point %d: %w", spec.Name, pi, err)
+				return grid{}, fmt.Errorf("exp: %s at point %d: %w", spec.Name, pi, err)
 			}
 			avg.Scheduler = spec.Name
 			m[spec.Name] = avg
 		}
-		out[pi] = PointResult{Point: pt, Results: m}
+		g.points[pi] = PointResult{Point: pt, Results: m}
 	}
-	return out, nil
+	return g, nil
+}
+
+// gridCell is one (point, spec, seed) cell as a grid worker takes it:
+// its operating point, spec index and seed index, and the slab slots its
+// Result and per-model breakdown go to.
+type gridCell struct {
+	pt       Point
+	si, seed int
+	out      *sched.Result
+	slot     []sched.ModelMetrics
 }
 
 // runCells runs every (point, spec, seed) cell of a grid on the worker
 // pool and returns the slab of their results, one slice for the whole
-// grid: seedsOf reads a (point, spec) pair's seeds from it. A direct
-// cell's per-model breakdown is cut from a second slab, one slot of
-// modelCount entries per cell, so a warm direct cell allocates nothing.
-// Workers write disjoint slots, so both slabs are the same for any
-// worker count.
+// grid in (point, spec, seed) order (grid.seedsOf). A direct cell's
+// per-model breakdown is cut from a second slab, one slot of modelCount
+// entries per cell, so a warm direct cell allocates nothing. Workers
+// write disjoint slots, so both slabs are the same for any worker count.
+// After a cell fails, no further cell starts, and the first failure is
+// the grid's error.
 func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]sched.Result, error) {
-	type cell struct{ pi, si, seed int }
 	if opts.Seeds <= 0 {
 		return nil, fmt.Errorf("exp: RunGrid with %d seeds", opts.Seeds)
 	}
@@ -287,68 +310,54 @@ func (p *Pipeline) runCells(specs []SchedSpec, points []Point, opts Options) ([]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
+	workers = min(workers, total)
 
-	jobs := make(chan cell)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	jobs := make(chan gridCell)
+	done := make(chan error, workers) // one send per worker, so none blocks
+	for range workers {
+		go p.runWorker(specs, opts, rec, jobs, done)
 	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			worker := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
-			for c := range jobs {
-				if failed() {
-					continue // drain remaining jobs after a failure
-				}
-				i := (c.pi*len(specs)+c.si)*opts.Seeds + c.seed
-				res, err := p.runCell(specs[c.si], points[c.pi], c.seed, opts, rec, &worker, c.si,
-					breakdownOf(breakdowns, i, models))
-				if err != nil {
-					setErr(err)
-					continue
-				}
-				slab[i] = res
-			}
-		}()
-	}
-	for pi := range points {
+	running := workers
+feed:
+	for pi, pt := range points {
 		for si := range specs {
-			for s := 0; s < opts.Seeds; s++ {
-				jobs <- cell{pi, si, s}
+			for s := range opts.Seeds {
+				i := (pi*len(specs)+si)*opts.Seeds + s
+				select {
+				case jobs <- gridCell{pt, si, s, &slab[i], breakdownOf(breakdowns, i, models)}:
+				case err = <-done: // only a failed worker ends before jobs closes
+					running--
+					break feed
+				}
 			}
 		}
 	}
 	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for ; running > 0; running-- {
+		if e := <-done; err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return slab, nil
 }
 
-// seedsOf returns the per-seed results of spec si at point pi from a
-// grid's slab of nspecs specs and seeds seeds, capped so that appending
-// to it cannot overwrite the next pair's.
-func seedsOf(slab []sched.Result, pi, si, nspecs, seeds int) []sched.Result {
-	i := (pi*nspecs + si) * seeds
-	return slab[i : i+seeds : i+seeds]
+// runWorker runs the cells of jobs on one gridWorker until jobs closes,
+// then sends nil on done. A failed cell sends its error instead and ends
+// the worker at once.
+func (p *Pipeline) runWorker(specs []SchedSpec, opts Options, rec *traffic.Replay, jobs <-chan gridCell, done chan<- error) {
+	w := gridWorker{scheds: make([]sched.Scheduler, len(specs))}
+	for c := range jobs {
+		res, err := p.runCell(specs[c.si], c.pt, c.seed, opts, rec, &w, c.si, c.slot)
+		if err != nil {
+			done <- err
+			return
+		}
+		*c.out = res
+	}
+	done <- nil
 }
 
 // breakdownOf returns the i-th slot of models entries of a breakdown

@@ -18,6 +18,37 @@ import (
 	"sparsedysta/internal/workload"
 )
 
+// freshCell runs one cell on a new gridWorker, so its stream, runner and
+// scheduler are new: workload.NewStream's, sched.RunStream's and
+// spec.New's. It is the cell a grid worker's warm cells must match.
+func (p *Pipeline) freshCell(spec SchedSpec, pt Point, seed int, opts Options, rec *traffic.Replay) (sched.Result, error) {
+	w := gridWorker{scheds: make([]sched.Scheduler, 1)}
+	return p.runCell(spec, pt, seed, opts, rec, &w, 0, nil)
+}
+
+// RunSeeds is the grid runner's sequential oracle: one spec's cells at
+// one (rate, SLO-multiplier) operating point, in seed order, each built
+// from nothing (freshCell). Every grid's cells, and their averages under
+// sched.AverageResults, must match it bit for bit.
+func (p *Pipeline) RunSeeds(spec SchedSpec, rate, mslo float64, opts Options) ([]sched.Result, error) {
+	if err := opts.checkPolicyNames(); err != nil {
+		return nil, err
+	}
+	rec, err := opts.recording()
+	if err != nil {
+		return nil, err
+	}
+	rs := make([]sched.Result, 0, opts.Seeds)
+	for s := range opts.Seeds {
+		res, err := p.freshCell(spec, Point{Rate: rate, MSLO: mslo}, s, opts, rec)
+		if err != nil {
+			return nil, err
+		}
+		rs = append(rs, res)
+	}
+	return rs, nil
+}
+
 // TestParallelRunnerMatchesSequential: the worker-pool grid runner must
 // produce byte-identical Results to the sequential reference path
 // (RunSeeds + AverageResults, which builds every cell from nothing) for
@@ -82,7 +113,7 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 4, 16} {
 			par := opts
 			par.Workers = workers
-			grid, err := p.RunGrid(specs, points, par)
+			g, err := p.runGrid(specs, points, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +124,7 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := json.Marshal(grid[pi].Results)
+				b, err := json.Marshal(g.points[pi].Results)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,21 +132,12 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 					t.Errorf("%s at %v req/s, workers=%d: parallel results diverge from sequential:\n%s\nvs\n%s",
 						c.sc.Name, pt.Rate, workers, a, b)
 				}
-				if !reflect.DeepEqual(grid[pi].Results, want[pi]) {
+				if !reflect.DeepEqual(g.points[pi].Results, want[pi]) {
 					t.Errorf("%s at %v req/s, workers=%d: averages are not reflect.DeepEqual to the sequential ones",
 						c.sc.Name, pt.Rate, workers)
 				}
-			}
-			if workers > 4 {
-				continue
-			}
-			slab, err := p.runCells(specs, points, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pi, pt := range points {
 				for si, spec := range specs {
-					if got := seedsOf(slab, pi, si, len(specs), opts.Seeds); !reflect.DeepEqual(got, wantSeeds[pi][spec.Name]) {
+					if got := g.seedsOf(pi, si); !reflect.DeepEqual(got, wantSeeds[pi][spec.Name]) {
 						t.Errorf("%s %s at %v req/s, workers=%d: cells %+v, RunSeeds %+v",
 							c.sc.Name, spec.Name, pt.Rate, workers, got, wantSeeds[pi][spec.Name])
 					}
@@ -125,14 +147,14 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunPointSeedsMatchesRunSeeds: RunPointSeeds reads each spec's
-// per-seed results, breakdowns included, from the grid's slabs, so they
-// are reflect.DeepEqual to the sequential RunSeeds' for every spec of
-// the lineup with the Oracle, on both pipelines and at -workers 1 and 4,
-// and their average under the spec's name is its RunPoint result, as is
-// AverageResults of RunSeeds'. Table 5 takes its means, its seed-spread
-// note and its paired notes from one such call.
-func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
+// TestGridSeedsMatchRunSeeds: a one-point grid's per-seed results,
+// breakdowns included, are reflect.DeepEqual to the sequential
+// RunSeeds' for every spec of the lineup with the Oracle, on both
+// pipelines and at -workers 1, 4 and 16; their average under the spec's
+// name is the grid's average and RunPoint's result, as is AverageResults
+// of RunSeeds'. Table 5 takes its means, its seed-spread note and its
+// paired notes from one such grid per workload (table5Grids).
+func TestGridSeedsMatchRunSeeds(t *testing.T) {
 	opts := tiny()
 	opts.Seeds = 3
 	specs := WithOracle(StandardScheds())
@@ -156,36 +178,38 @@ func TestRunPointSeedsMatchesRunSeeds(t *testing.T) {
 			if want[spec.Name], err = p.RunSeeds(spec, c.rate, 10, opts); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, workers := range []int{1, 4} {
-			o := opts
-			o.Workers = workers
-			seeds, err := p.RunPointSeeds(specs, c.rate, 10, o)
+			ref, err := sched.AverageResults(want[spec.Name])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seeds) != len(specs) {
-				t.Fatalf("%s: %d schedulers, want %d", c.sc.Name, len(seeds), len(specs))
+			ref.Scheduler = spec.Name
+			if !reflect.DeepEqual(ref, point[spec.Name]) {
+				t.Errorf("%s %s: RunSeeds' average %+v, RunPoint %+v", c.sc.Name, spec.Name, ref, point[spec.Name])
 			}
-			for _, spec := range specs {
-				if !reflect.DeepEqual(seeds[spec.Name], want[spec.Name]) {
+		}
+		for _, workers := range []int{1, 4, 16} {
+			o := opts
+			o.Workers = workers
+			g, err := p.runGrid(specs, []Point{{Rate: c.rate, MSLO: 10}}, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.points) != 1 || len(g.points[0].Results) != len(specs) {
+				t.Fatalf("%s: %d points, want 1 of %d schedulers", c.sc.Name, len(g.points), len(specs))
+			}
+			for si, spec := range specs {
+				seeds := g.seedsOf(0, si)
+				if !reflect.DeepEqual(seeds, want[spec.Name]) {
 					t.Errorf("%s %s, workers=%d: per-seed results differ from RunSeeds'", c.sc.Name, spec.Name, workers)
 				}
-				avg, err := sched.AverageResults(seeds[spec.Name])
+				avg, err := sched.AverageResults(seeds)
 				if err != nil {
 					t.Fatal(err)
 				}
 				avg.Scheduler = spec.Name
-				if !reflect.DeepEqual(avg, point[spec.Name]) {
-					t.Errorf("%s %s, workers=%d: average %+v, RunPoint %+v", c.sc.Name, spec.Name, workers, avg, point[spec.Name])
-				}
-				ref, err := sched.AverageResults(want[spec.Name])
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.Scheduler = spec.Name
-				if !reflect.DeepEqual(ref, point[spec.Name]) {
-					t.Errorf("%s %s: RunSeeds' average %+v, RunPoint %+v", c.sc.Name, spec.Name, ref, point[spec.Name])
+				if !reflect.DeepEqual(avg, point[spec.Name]) || !reflect.DeepEqual(avg, g.points[0].Results[spec.Name]) {
+					t.Errorf("%s %s, workers=%d: average %+v, RunPoint %+v, grid %+v",
+						c.sc.Name, spec.Name, workers, avg, point[spec.Name], g.points[0].Results[spec.Name])
 				}
 			}
 		}
@@ -233,8 +257,10 @@ func TestRunGridResultSlab(t *testing.T) {
 // TestGridBreakdownsAreCapped: every direct cell's breakdown and every
 // average's is cut from a slab of one slot per cell or per (point,
 // spec), and capped at its length, so appending to one never writes
-// into another's slot. The appends run in slab order, each checked
-// against a copy of every breakdown taken before any of them.
+// into another's slot; each (point, spec) pair's per-seed results are
+// capped in the grid's result slab the same way. The appends run in
+// slab order, each checked against a copy of every breakdown, and of
+// the result slab, taken before any of them.
 func TestGridBreakdownsAreCapped(t *testing.T) {
 	opts := tiny()
 	opts.Seeds = 2
@@ -244,19 +270,15 @@ func TestGridBreakdownsAreCapped(t *testing.T) {
 	}
 	specs := StandardScheds()[:3]
 	points := RatePoints([]float64{2, 3}, 10)
-	cells, err := p.runCells(specs, points, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := p.RunGrid(specs, points, opts)
+	g, err := p.runGrid(specs, points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var breakdowns [][]sched.ModelMetrics
-	for _, r := range cells {
+	for _, r := range g.cells {
 		breakdowns = append(breakdowns, r.PerModel)
 	}
-	for _, pr := range grid {
+	for _, pr := range g.points {
 		for _, spec := range specs {
 			breakdowns = append(breakdowns, pr.Results[spec.Name].PerModel)
 		}
@@ -273,6 +295,15 @@ func TestGridBreakdownsAreCapped(t *testing.T) {
 		for j := range breakdowns {
 			if !slices.Equal(breakdowns[j], kept[j]) {
 				t.Fatalf("appending to breakdown %d changed breakdown %d: %+v, was %+v", i, j, breakdowns[j], kept[j])
+			}
+		}
+	}
+	cells := slices.Clone(g.cells)
+	for pi := range points {
+		for si, spec := range specs {
+			_ = append(g.seedsOf(pi, si), sched.Result{Scheduler: "appended"})
+			if !reflect.DeepEqual(g.cells, cells) {
+				t.Fatalf("appending to %s's seeds at point %d changed the grid's cells", spec.Name, pi)
 			}
 		}
 	}
@@ -308,7 +339,7 @@ func TestArrivalsPastDurationFailTheCell(t *testing.T) {
 	} {
 		o := opts
 		o.Traffic, o.Requests = c.traffic, c.requests
-		_, err := p.runCell(dysta, Point{Rate: c.rate, MSLO: 10}, 0, o, nil, nil, 0, nil)
+		_, err := p.freshCell(dysta, Point{Rate: c.rate, MSLO: 10}, 0, o, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) || negativeDuration.MatchString(err.Error()) {
 			t.Errorf("-traffic %q at %v req/s: error %v, want one naming %q and no negative duration",
 				c.traffic, c.rate, err, c.want)
@@ -354,6 +385,16 @@ func TestRunGridShape(t *testing.T) {
 	}
 	if _, err := p.RunGrid(StandardScheds()[:1], points, Options{}); err == nil {
 		t.Error("zero-seed grid accepted")
+	}
+	// A cell that fails mid-grid fails the grid with its error, at any
+	// worker count.
+	bad := []Point{{Rate: 30, MSLO: 10}, {Rate: 1e-300, MSLO: 10}, {Rate: 20, MSLO: 10}}
+	for _, workers := range []int{1, 4, 16} {
+		o := opts
+		o.Workers = workers
+		if _, err := p.RunGrid(StandardScheds()[:2], bad, o); err == nil || !strings.Contains(err.Error(), "rate 1e-300") {
+			t.Errorf("workers=%d: a grid with a failing cell returned error %v", workers, err)
+		}
 	}
 }
 
@@ -497,7 +538,7 @@ func TestWarmGridCellAllocatesOnlyItsResult(t *testing.T) {
 // TestReplayGridDeterministicAcrossWorkers: the workers of a replay grid
 // share one read-only recording, each through its own cursor, so the
 // grid is reflect.DeepEqual at -workers 1 and 4, and equal to cells that
-// each read the file themselves (runCell without a recording).
+// each read the file themselves (freshCell without a recording).
 func TestReplayGridDeterministicAcrossWorkers(t *testing.T) {
 	opts := tiny()
 	opts.Seeds = 2
@@ -525,7 +566,7 @@ func TestReplayGridDeterministicAcrossWorkers(t *testing.T) {
 		for _, spec := range specs {
 			rs := make([]sched.Result, opts.Seeds)
 			for s := range rs {
-				if rs[s], err = p.runCell(spec, pt, s, opts, nil, nil, 0, nil); err != nil {
+				if rs[s], err = p.freshCell(spec, pt, s, opts, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

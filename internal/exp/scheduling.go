@@ -27,9 +27,9 @@ var paperTable5 = map[string]map[string][2]float64{
 	},
 }
 
-// table5Order is Table 5's lineup, in the paper's row order; Dysta is
-// last, after its five baselines.
-var table5Order = []string{"FCFS", "SJF", "SDRM3", "PREMA", "Planaria", "Dysta"}
+// table5Order is Table 5's lineup, StandardScheds' names in the paper's
+// row order; Dysta is last, after its five baselines.
+var table5Order = specNames(StandardScheds())
 
 // table5Setups are Table 5's workloads at their default operating
 // points.
@@ -41,23 +41,21 @@ var table5Setups = []struct {
 	{workload.MultiCNN, 3},
 }
 
-// table5Seeds runs Table 5's cells once: each workload's per-seed
-// results by scheduler name, keyed by workload name. The means, the
-// seed-spread notes and the paired notes all come from them.
-func table5Seeds(opts Options) (map[string]map[string][]sched.Result, error) {
-	out := map[string]map[string][]sched.Result{}
-	for _, setup := range table5Setups {
+// table5Grids runs Table 5's cells once: per workload, in table5Setups
+// order, a grid of the lineup at the workload's operating point. The
+// means, the seed-spread notes and the paired notes all read them.
+func table5Grids(opts Options) ([]grid, error) {
+	grids := make([]grid, len(table5Setups))
+	for i, setup := range table5Setups {
 		p, err := NewPipeline(setup.sc(), opts, 7)
 		if err != nil {
 			return nil, err
 		}
-		seeds, err := p.RunPointSeeds(StandardScheds(), setup.rate, 10, opts)
-		if err != nil {
+		if grids[i], err = p.runGrid(StandardScheds(), []Point{{Rate: setup.rate, MSLO: 10}}, opts); err != nil {
 			return nil, err
 		}
-		out[p.Scenario.Name] = seeds
 	}
-	return out, nil
+	return grids, nil
 }
 
 // Table5 reproduces the paper's headline comparison: ANTT and SLO
@@ -68,7 +66,7 @@ func table5Seeds(opts Options) (map[string]map[string][]sched.Result, error) {
 // baseline, and how each column ranks the scheduler pairs against the
 // paper's.
 func Table5(opts Options) ([]Artifact, error) {
-	all, err := table5Seeds(opts)
+	grids, err := table5Grids(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -82,26 +80,19 @@ func Table5(opts Options) ([]Artifact, error) {
 			"absolute values differ from the paper (different substrate); compare ordering and factors",
 		},
 	}
+	dysta := len(table5Order) - 1 // Dysta's spec index
 	results := map[string]map[string]sched.Result{}
-	for _, setup := range table5Setups {
+	for i, setup := range table5Setups {
 		name := setup.sc().Name
-		seeds := all[name]
-		rs := make(map[string]sched.Result, len(table5Order))
-		for _, s := range table5Order {
-			avg, err := sched.AverageResults(seeds[s])
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s: %w", s, err)
-			}
-			avg.Scheduler = s
-			rs[s] = avg
-		}
+		rs := grids[i].points[0].Results
 		results[name] = rs
-		anttSD, violSD := sched.SeedSpread(seeds["Dysta"])
+		seeds := grids[i].seedsOf(0, dysta)
+		anttSD, violSD := sched.SeedSpread(seeds)
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
 			"%s Dysta seed spread over %d seeds: ANTT ±%.2f, violations ±%.1f%%",
 			name, opts.Seeds, anttSD, 100*violSD))
-		for _, base := range table5Order[:len(table5Order)-1] {
-			tbl.Notes = append(tbl.Notes, pairedNote(name, base, seeds["Dysta"], seeds[base]))
+		for si, base := range table5Order[:dysta] {
+			tbl.Notes = append(tbl.Notes, pairedNote(name, base, seeds, grids[i].seedsOf(0, si)))
 		}
 		for _, col := range []struct {
 			name   string

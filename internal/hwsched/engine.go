@@ -34,13 +34,14 @@ type Engine struct {
 	round func(float64) float64
 	lut   *trace.StatsSet
 
-	luts  map[trace.Key]*hwLUT
-	state map[int]*hwState
+	luts map[trace.Key]*hwLUT
 
 	invocations uint64
 	cycles      uint64
-	depth       int
-	dropped     int
+	// resident counts the requests in the FIFOs; found[n] counts the
+	// arrivals that found n of them there (see Saturated).
+	resident int
+	found    []int
 }
 
 // hwLUT is the quantized model-info LUT entry for one model-pattern pair
@@ -56,14 +57,17 @@ type hwLUT struct {
 	recipAvgSparsity []float64
 	// recipTotalSec is 1/avg isolated latency for the penalty dataflow.
 	recipTotalSec float64
-	// staticScore is the software static level's arrival score (s).
-	staticScore float64
+	// totalSec is the avg isolated latency (s) the static level scores.
+	totalSec float64
 }
 
-// hwState is one request's FIFO entry.
+// hwState is one request's FIFO entry, kept on its Task.Attachment.
 type hwState struct {
 	gamma float64 // sparsity coefficient (last-one, per §5.1)
 	lut   *hwLUT
+	// staticScore is the software static level's arrival score (s),
+	// from the request's own SLO.
+	staticScore float64
 }
 
 // fp16Round rounds through IEEE binary16.
@@ -75,15 +79,12 @@ func fp32Round(v float64) float64 { return float64(float32(v)) }
 // NewEngine returns a hardware-scheduler model over the profiling LUT.
 // The config's strategy must be LastOne — the only strategy the hardware
 // implements (§5.1 chooses it for its minimal compute and storage).
-func NewEngine(cfg core.Config, lut *trace.StatsSet, prec Precision, fifoDepth int) (*Engine, error) {
+func NewEngine(cfg core.Config, lut *trace.StatsSet, prec Precision) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Strategy != core.LastOne {
 		return nil, fmt.Errorf("hwsched: hardware implements only the last-one strategy, got %v", cfg.Strategy)
-	}
-	if fifoDepth <= 0 {
-		return nil, fmt.Errorf("hwsched: non-positive FIFO depth %d", fifoDepth)
 	}
 	round := fp32Round
 	if prec == FP16 {
@@ -95,8 +96,6 @@ func NewEngine(cfg core.Config, lut *trace.StatsSet, prec Precision, fifoDepth i
 		round: round,
 		lut:   lut,
 		luts:  map[trace.Key]*hwLUT{},
-		state: map[int]*hwState{},
-		depth: fifoDepth,
 	}, nil
 }
 
@@ -110,7 +109,7 @@ func (e *Engine) Precision() Precision { return e.prec }
 func sec(d time.Duration) float64 { return d.Seconds() }
 
 // hwLUTFor builds (once) the quantized LUT image of a key.
-func (e *Engine) hwLUTFor(k trace.Key, slo time.Duration) *hwLUT {
+func (e *Engine) hwLUTFor(k trace.Key) *hwLUT {
 	if l, ok := e.luts[k]; ok {
 		return l
 	}
@@ -130,9 +129,8 @@ func (e *Engine) hwLUTFor(k trace.Key, slo time.Duration) *hwLUT {
 			l.recipAvgSparsity[i] = e.round(1 / avg)
 		}
 	}
-	total := sec(st.AvgTotal)
-	l.recipTotalSec = e.round(1 / total)
-	l.staticScore = e.round(total + e.cfg.Beta*(sec(slo)-total))
+	l.totalSec = sec(st.AvgTotal)
+	l.recipTotalSec = e.round(1 / l.totalSec)
 	e.luts[k] = l
 	return l
 }
@@ -148,14 +146,22 @@ func (e *Engine) sensitivity(st *trace.Stats, from int) float64 {
 
 // OnArrival implements sched.Scheduler: the software static level pushes
 // the request, its static score and its LUT references into the FIFOs.
-// Arrivals beyond the FIFO depth are counted (the hardware would
-// back-pressure the host) but still scheduled so that metrics stay
-// comparable across schedulers; Dropped reports the count.
+// The model has no FIFO depth: it counts the occupancy each arrival
+// finds, and Saturated reads from that count the arrivals a FIFO of any
+// depth would have back-pressured, while every arrival is scheduled so
+// that metrics stay comparable across schedulers.
 func (e *Engine) OnArrival(t *sched.Task, _ time.Duration) {
-	if len(e.state) >= e.depth {
-		e.dropped++
+	if e.resident == len(e.found) {
+		e.found = append(e.found, 0)
 	}
-	e.state[t.ID] = &hwState{gamma: 1, lut: e.hwLUTFor(t.Key, t.SLO)}
+	e.found[e.resident]++
+	e.resident++
+	l := e.hwLUTFor(t.Key)
+	t.Attachment = &hwState{
+		gamma:       1,
+		lut:         l,
+		staticScore: e.round(l.totalSec + e.cfg.Beta*(sec(t.SLO)-l.totalSec)),
+	}
 }
 
 // Cycle costs of the pipelined compute unit at 200 MHz (§6.1): the
@@ -171,12 +177,16 @@ const (
 // zero-count becomes the layer sparsity, and the coefficient dataflow
 // (Fig. 11c) computes the last-one gamma = S_monitor x (1/S_avg).
 func (e *Engine) OnLayerComplete(t *sched.Task, layer int, monitored float64, _ time.Duration) {
+	s, _ := t.Attachment.(*hwState)
+	if s == nil {
+		return // a task the engine never saw arrive
+	}
 	if t.Done {
-		delete(e.state, t.ID)
+		e.resident-- // its FIFO entry leaves
+		t.Attachment = nil
 		return
 	}
-	s := e.state[t.ID]
-	if s == nil || !e.cfg.DynamicEnabled {
+	if !e.cfg.DynamicEnabled {
 		return
 	}
 	recip := s.lut.recipAvgSparsity[layer]
@@ -213,12 +223,12 @@ func (e *Engine) PickNext(ready []*sched.Task, now time.Duration) *sched.Task {
 // score runs the dynamic score dataflow (Fig. 11d) in the hardware
 // datatype, in seconds.
 func (e *Engine) score(t *sched.Task, now time.Duration, queueLen int) float64 {
-	s := e.state[t.ID]
+	s, _ := t.Attachment.(*hwState)
 	if s == nil {
-		return math.Inf(1)
+		return math.Inf(1) // a task the engine never saw arrive
 	}
 	if !e.cfg.DynamicEnabled {
-		return s.lut.staticScore
+		return s.staticScore
 	}
 	r := e.round
 	lut := s.lut
@@ -253,8 +263,17 @@ func (e *Engine) Invocations() uint64 { return e.invocations }
 // Cycles returns the total compute-unit cycles consumed.
 func (e *Engine) Cycles() uint64 { return e.cycles }
 
-// Dropped returns how many arrivals exceeded the FIFO depth.
-func (e *Engine) Dropped() int { return e.dropped }
+// Saturated returns how many arrivals found a FIFO of the given depth
+// full: at least depth requests resident.
+func (e *Engine) Saturated(depth int) int {
+	n := 0
+	for resident, c := range e.found {
+		if resident >= depth {
+			n += c
+		}
+	}
+	return n
+}
 
 // OverheadSeconds converts the consumed cycles to wall time at the given
 // clock (the paper clocks the scheduler at 200 MHz).

@@ -52,7 +52,7 @@ func ExampleNewEngine() {
 
 	// The hardware engine: same scheduling algorithm, FP16 datapath,
 	// cycle-accounted.
-	engine, err := hwsched.NewEngine(core.DefaultConfig(), lut, hwsched.FP16, 64)
+	engine, err := hwsched.NewEngine(core.DefaultConfig(), lut, hwsched.FP16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,16 +35,12 @@ func TestNewEngineValidation(t *testing.T) {
 	_ = lut
 	cfg := core.DefaultConfig()
 	cfg.Strategy = core.AverageAll
-	if _, err := NewEngine(cfg, nil, FP16, 64); err == nil {
+	if _, err := NewEngine(cfg, nil, FP16); err == nil {
 		t.Error("non-last-one strategy accepted")
-	}
-	cfg = core.DefaultConfig()
-	if _, err := NewEngine(cfg, nil, FP16, 0); err == nil {
-		t.Error("zero FIFO depth accepted")
 	}
 	bad := core.DefaultConfig()
 	bad.Beta = 5
-	if _, err := NewEngine(bad, nil, FP16, 64); err == nil {
+	if _, err := NewEngine(bad, nil, FP16); err == nil {
 		t.Error("invalid core config accepted")
 	}
 }
@@ -54,7 +50,7 @@ func TestPrecisionNames(t *testing.T) {
 		t.Error("precision names wrong")
 	}
 	lut, _ := attnnSetup(t)
-	e, err := NewEngine(core.DefaultConfig(), lut, FP16, 64)
+	e, err := NewEngine(core.DefaultConfig(), lut, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +70,7 @@ func TestFP16MatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, prec := range []Precision{FP32, FP16} {
-		eng, err := NewEngine(core.DefaultConfig(), lut, prec, 512)
+		eng, err := NewEngine(core.DefaultConfig(), lut, prec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +93,7 @@ func TestFP16MatchesReference(t *testing.T) {
 // makespan.
 func TestOverheadNegligible(t *testing.T) {
 	lut, reqs := attnnSetup(t)
-	eng, err := NewEngine(core.DefaultConfig(), lut, FP16, 64)
+	eng, err := NewEngine(core.DefaultConfig(), lut, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,31 +110,95 @@ func TestOverheadNegligible(t *testing.T) {
 	}
 }
 
+// TestFIFODepthDropAccounting: one run counts, for every FIFO depth,
+// the arrivals that found the FIFO full. A depth-2 FIFO saturates on a
+// 300-request stream and a depth-4096 one never does; depth 0 counts
+// every arrival, and the count never grows with depth.
 func TestFIFODepthDropAccounting(t *testing.T) {
 	lut, reqs := attnnSetup(t)
-	eng, err := NewEngine(core.DefaultConfig(), lut, FP16, 2)
+	eng, err := NewEngine(core.DefaultConfig(), lut, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sched.Run(eng, reqs, sched.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Dropped() == 0 {
+	if eng.Saturated(2) == 0 {
 		t.Error("depth-2 FIFO never saturated on a 300-request stream")
 	}
-	deep, _ := NewEngine(core.DefaultConfig(), lut, FP16, 4096)
-	if _, err := sched.Run(deep, reqs, sched.Options{}); err != nil {
+	if n := eng.Saturated(4096); n != 0 {
+		t.Errorf("depth-4096 FIFO dropped %d requests", n)
+	}
+	if n := eng.Saturated(0); n != len(reqs) {
+		t.Errorf("a depth-0 FIFO saturated %d of %d arrivals", n, len(reqs))
+	}
+	for depth := 1; depth <= 64; depth++ {
+		if eng.Saturated(depth) > eng.Saturated(depth-1) {
+			t.Fatalf("depth %d saturated %d arrivals, depth %d only %d",
+				depth, eng.Saturated(depth), depth-1, eng.Saturated(depth-1))
+		}
+	}
+}
+
+// TestStaticScorePerRequestSLO: the static level scores each request by
+// its own SLO. Two entries of one model-pattern pair under SLO factors
+// 0.5 and 4 give the pair's requests two SLOs, and the engine's static
+// level alone (DynamicEnabled false) completes every request when
+// core's does, in FP32 and in FP16. The score used to be cached per key
+// from its first request's SLO, and 291 of 300 completions differed.
+func TestStaticScorePerRequestSLO(t *testing.T) {
+	sc := workload.MultiAttNN()
+	sc.Entries = append(sc.Entries, sc.Entries[0])
+	sc.Entries[0].SLOFactor = 0.5
+	sc.Entries[len(sc.Entries)-1].SLOFactor = 4
+	prof, eval, err := workload.BuildStores(sc, 40, 150, 13)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if deep.Dropped() != 0 {
-		t.Errorf("depth-4096 FIFO dropped %d requests", deep.Dropped())
+	lut, err := trace.NewStatsSet(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(sc, eval, workload.GenConfig{
+		Requests: 300, RatePerSec: 30, SLOMultiplier: 10, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sched.Options{RecordTasks: true}
+	ref, err := sched.Run(core.NewWithoutSparse(lut), reqs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int]time.Duration, len(ref.Tasks))
+	for _, o := range ref.Tasks {
+		want[o.ID] = o.Completion
+	}
+	for _, prec := range []Precision{FP32, FP16} {
+		eng, err := NewEngine(core.DefaultConfig().WithoutSparse(), lut, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sched.Run(eng, reqs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		differ := 0
+		for _, o := range res.Tasks {
+			if c, ok := want[o.ID]; !ok || c != o.Completion {
+				differ++
+			}
+		}
+		if differ != 0 || len(res.Tasks) != len(ref.Tasks) {
+			t.Errorf("%v: %d of %d completions differ from core's static level (violations %.1f%%, core's %.1f%%)",
+				prec, differ, len(res.Tasks), 100*res.ViolationRate, 100*ref.ViolationRate)
+		}
 	}
 }
 
 func TestStaticOnlyEngine(t *testing.T) {
 	lut, reqs := attnnSetup(t)
 	cfg := core.DefaultConfig().WithoutSparse()
-	eng, err := NewEngine(cfg, lut, FP16, 512)
+	eng, err := NewEngine(cfg, lut, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +326,7 @@ func TestFIFOScalesWithDepth(t *testing.T) {
 func TestScoreArgminAgreement(t *testing.T) {
 	lut, reqs := attnnSetup(t)
 	ref := core.NewDefault(lut)
-	eng, err := NewEngine(core.DefaultConfig(), lut, FP16, 512)
+	eng, err := NewEngine(core.DefaultConfig(), lut, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,27 +348,47 @@ func TestScoreArgminAgreement(t *testing.T) {
 }
 
 // shadowScheduler runs scheduler a, while also asking b for its pick at
-// every decision point and counting agreements.
+// every decision point and counting agreements. Both keep their
+// per-request state on Task.Attachment, so the shadow keeps b's, by
+// request ID, and swaps it in around every call to b.
 type shadowScheduler struct {
 	a, b                  sched.Scheduler
+	bState                map[int]any
 	decisions, agreements int
+}
+
+// asB runs f with b's attachments on tasks, and keeps what f leaves
+// there as b's.
+func (s *shadowScheduler) asB(tasks []*sched.Task, f func()) {
+	if s.bState == nil {
+		s.bState = map[int]any{}
+	}
+	own := make([]any, len(tasks))
+	for i, t := range tasks {
+		own[i], t.Attachment = t.Attachment, s.bState[t.ID]
+	}
+	f()
+	for i, t := range tasks {
+		s.bState[t.ID], t.Attachment = t.Attachment, own[i]
+	}
 }
 
 func (s *shadowScheduler) Name() string { return "shadow" }
 
 func (s *shadowScheduler) OnArrival(t *sched.Task, now time.Duration) {
 	s.a.OnArrival(t, now)
-	s.b.OnArrival(t, now)
+	s.asB([]*sched.Task{t}, func() { s.b.OnArrival(t, now) })
 }
 
 func (s *shadowScheduler) OnLayerComplete(t *sched.Task, layer int, monitored float64, now time.Duration) {
 	s.a.OnLayerComplete(t, layer, monitored, now)
-	s.b.OnLayerComplete(t, layer, monitored, now)
+	s.asB([]*sched.Task{t}, func() { s.b.OnLayerComplete(t, layer, monitored, now) })
 }
 
 func (s *shadowScheduler) PickNext(ready []*sched.Task, now time.Duration) *sched.Task {
 	pa := s.a.PickNext(ready, now)
-	pb := s.b.PickNext(ready, now)
+	var pb *sched.Task
+	s.asB(ready, func() { pb = s.b.PickNext(ready, now) })
 	s.decisions++
 	if pa == pb {
 		s.agreements++
